@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use altroute_bench::bench_params;
 use altroute_cellular::grid::CellGrid;
 use altroute_cellular::policy::BorrowPolicy;
-use altroute_cellular::sim::{run_cellular, CellularParams};
+use altroute_cellular::sim::{run_cellular, CellularParams, Fanout};
 use altroute_core::policy::PolicyKind;
 use altroute_core::primary::{min_loss_splits, MinLossOptions};
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
@@ -181,7 +181,11 @@ fn channel_borrowing(c: &mut Criterion) {
     g.sample_size(10);
     for policy in [BorrowPolicy::NoBorrowing, BorrowPolicy::Controlled] {
         g.bench_function(policy.name(), |b| {
-            b.iter(|| run_cellular(&grid, &loads, policy, &params).blocking_mean())
+            b.iter(|| {
+                run_cellular(&grid, &loads, policy, &params, &Fanout::default())
+                    .0
+                    .blocking_mean()
+            })
         });
     }
     g.finish();

@@ -12,7 +12,7 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed, run_seed_recorded, RunConfig};
+use altroute_sim::engine::{run_seed, Run, RunConfig};
 use altroute_sim::failures::FailureSchedule;
 use altroute_telemetry::{NullRecorder, RunTelemetry};
 
@@ -37,12 +37,16 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         b.iter(|| run_seed(&config(black_box(1))))
     });
     g.bench_function("null_recorder", |b| {
-        b.iter(|| run_seed_recorded(&config(black_box(1)), &mut NullRecorder))
+        b.iter(|| {
+            Run::new(&config(black_box(1)))
+                .recorder(NullRecorder)
+                .execute()
+        })
     });
     g.bench_function("full_telemetry", |b| {
         b.iter(|| {
             let mut t = RunTelemetry::new(5.0, 20.0, 1.0, vec![100; num_links]);
-            run_seed_recorded(&config(black_box(1)), &mut t)
+            Run::new(&config(black_box(1))).recorder(&mut t).execute()
         })
     });
     g.finish();

@@ -3,7 +3,7 @@
 //! Runs five fixed-seed macro workloads through the engine twice — once
 //! on the calendar-queue kernel (`run_seed_pooled` with one recycled
 //! [`KernelScratch`]) and once on the `BinaryHeap` reference backend
-//! (`run_seed_reference`) — asserts the results are byte-identical, and
+//! (a `Run` on the reference queue) — asserts the results are byte-identical, and
 //! writes `BENCH_kernel.json` with wall-clock, events/sec, peak RSS, and
 //! the calendar/reference speedup per workload. Two non-engine sections
 //! ride along: the shard-scaling curve and a `path_enumeration` row
@@ -34,9 +34,7 @@ use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::store::PathStore;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{
-    run_seed_pooled, run_seed_reference, run_seed_sharded_pooled, RunConfig, SeedResult,
-};
+use altroute_sim::engine::{run_seed_pooled, Run, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
 use altroute_simcore::kernel::KernelScratch;
 use altroute_simcore::pool::default_workers;
@@ -275,7 +273,7 @@ fn measure(workload: &Workload, reps: usize, scratch: &mut KernelScratch) -> Mea
     let mut dropped = 0u64;
     for spec in &workload.specs {
         let cal = run_seed_pooled(&spec.config(), scratch);
-        let reference = run_seed_reference(&spec.config());
+        let reference = Run::new(&spec.config()).reference_queue().execute();
         assert_eq!(
             cal, reference,
             "{}: calendar and reference kernels diverged",
@@ -300,7 +298,7 @@ fn measure(workload: &Workload, reps: usize, scratch: &mut KernelScratch) -> Mea
     for _ in 0..reps {
         let t = Instant::now();
         for spec in &workload.specs {
-            black_box::<SeedResult>(run_seed_reference(&spec.config()));
+            black_box::<SeedResult>(Run::new(&spec.config()).reference_queue().execute());
         }
         reference_secs = reference_secs.min(t.elapsed().as_secs_f64());
     }
@@ -370,7 +368,10 @@ fn measure_shard_scaling(spec: &Spec, reps: usize, scratch: &mut KernelScratch) 
         .map(|&s| ShardSpec::new(num_links, s, Partition::Contiguous))
         .collect();
     for (shard_spec, &s) in specs.iter().zip(&SHARD_COUNTS) {
-        let sharded = run_seed_sharded_pooled(&spec.config(), shard_spec, scratch);
+        let sharded = Run::new(&spec.config())
+            .shards(Some(shard_spec))
+            .scratch(scratch)
+            .execute();
         assert_eq!(
             oracle, sharded,
             "shard_scaling: {s} shards diverged from the serial oracle"
@@ -390,11 +391,12 @@ fn measure_shard_scaling(spec: &Spec, reps: usize, scratch: &mut KernelScratch) 
             let mut wall = f64::INFINITY;
             for _ in 0..reps {
                 let t = Instant::now();
-                black_box::<SeedResult>(run_seed_sharded_pooled(
-                    &spec.config(),
-                    shard_spec,
-                    scratch,
-                ));
+                black_box::<SeedResult>(
+                    Run::new(&spec.config())
+                        .shards(Some(shard_spec))
+                        .scratch(scratch)
+                        .execute(),
+                );
                 wall = wall.min(t.elapsed().as_secs_f64());
             }
             (s, wall)

@@ -27,4 +27,4 @@ pub mod sim;
 
 pub use grid::CellGrid;
 pub use policy::BorrowPolicy;
-pub use sim::{run_cellular, run_cellular_sharded, CellularParams, CellularResult};
+pub use sim::{run_cellular, CellularParams, CellularResult};

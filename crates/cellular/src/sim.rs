@@ -14,15 +14,16 @@
 //! policies are exactly the kernel's admission policies — uncontrolled
 //! capacity checks or trunk reservation with the per-cell Eq.-15 levels.
 //! `carried_alternate` therefore *is* the borrow count. Replications fan
-//! out over [`pool_run`] and any [`Recorder`] can observe a run.
+//! out through [`Fanout::replicate`] and any [`Recorder`] can observe a
+//! run.
 
 use crate::grid::CellGrid;
 use crate::policy::{cell_protection_levels, BorrowPolicy};
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkOccupancy,
-    NullObserver, RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
+    RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
 };
-use altroute_simcore::pool::{default_workers, pool_run_with};
+pub use altroute_simcore::pool::Fanout;
 use altroute_simcore::shard::{self, Partition, ShardSpec};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
@@ -156,116 +157,95 @@ impl<'p> RouteSelector<'p> for BorrowSelector<'p> {
     }
 }
 
-/// Runs the borrowing policy on the grid offered `loads[i]` Erlangs per
-/// cell and returns across-seed blocking, fanning replications out over
-/// the default worker count.
+/// Runs `params.seeds` replications of the borrowing policy on the grid
+/// offered `loads[i]` Erlangs per cell, as `fanout` directs, and returns
+/// across-seed blocking — the simulator's one replication entry.
+///
+/// With `fanout.shards` set each replication runs on the sharded kernel
+/// backend with cells ("links") contiguously partitioned: a cell's
+/// footprint is its own channel pool plus every neighbour lender's
+/// 3-cell co-cell set, so on a row-partitioned grid most cells are
+/// shard-local and only the partition-boundary rows route through the
+/// coordinator. With `fanout.window` set every replication records
+/// time-resolved telemetry, merged across seeds in seed order. Results
+/// are identical for every `fanout`.
 ///
 /// # Panics
 ///
-/// Panics if `loads.len() != grid.num_cells()`, a load is invalid, or the
-/// parameters are degenerate.
+/// Panics if `loads.len() != grid.num_cells()`, a load is invalid, the
+/// parameters are degenerate, or the worker or shard count is zero.
 pub fn run_cellular(
     grid: &CellGrid,
     loads: &[f64],
     policy: BorrowPolicy,
     params: &CellularParams,
-) -> CellularResult {
-    run_cellular_with_workers(grid, loads, policy, params, default_workers())
-}
-
-/// As [`run_cellular`] with an explicit worker count. Results are
-/// identical for every `workers` value: replications are collected in
-/// seed order.
-///
-/// # Panics
-///
-/// As [`run_cellular`]; additionally if `workers == 0`.
-pub fn run_cellular_with_workers(
-    grid: &CellGrid,
-    loads: &[f64],
-    policy: BorrowPolicy,
-    params: &CellularParams,
-    workers: usize,
-) -> CellularResult {
+    fanout: &Fanout<'_>,
+) -> (CellularResult, Option<RunTelemetry>) {
     validate(grid, loads, params);
     let protection = cell_protection_levels(loads, grid.capacity());
     let tables = BorrowTables::new(grid);
-    let per_seed = pool_run_with(
+    let shards = fanout.shards.map(|n| {
+        // One footprint per loaded cell, in the source order
+        // build_parts emits: the cell itself plus every lender's
+        // co-cell set.
+        let footprints: Vec<Vec<usize>> = loads
+            .iter()
+            .enumerate()
+            .filter(|&(_, &load)| load > 0.0)
+            .map(|(cell, _)| {
+                let mut fp = vec![cell];
+                for &lender in grid.neighbors(cell) {
+                    fp.extend_from_slice(&tables.sets[lender]);
+                }
+                fp.sort_unstable();
+                fp.dedup();
+                fp
+            })
+            .collect();
+        (
+            ShardSpec::new(grid.num_cells(), n, Partition::Contiguous),
+            footprints,
+        )
+    });
+    let (per_seed, telemetry) = fanout.replicate(
         params.seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            run_one(
-                grid,
-                loads,
-                policy,
-                &protection,
-                &tables,
-                params,
-                params.base_seed + i as u64,
-                &mut NullRecorder,
-                scratch,
-            )
+        |window| {
+            let capacities = vec![grid.capacity(); grid.num_cells()];
+            RunTelemetry::new(params.warmup, params.horizon, window, capacities)
+        },
+        RunTelemetry::merge,
+        |scratch, i, telemetry| {
+            let seed = params.base_seed + i as u64;
+            let shards = shards.as_ref().map(|(spec, fp)| (spec, fp.as_slice()));
+            match telemetry {
+                Some(t) => run_one(
+                    grid,
+                    loads,
+                    policy,
+                    &protection,
+                    &tables,
+                    params,
+                    seed,
+                    shards,
+                    t,
+                    scratch,
+                ),
+                None => run_one(
+                    grid,
+                    loads,
+                    policy,
+                    &protection,
+                    &tables,
+                    params,
+                    seed,
+                    shards,
+                    &mut NullRecorder,
+                    scratch,
+                ),
+            }
         },
     );
-    summarize(policy, per_seed)
-}
-
-/// As [`run_cellular`], but every replication additionally records
-/// time-resolved telemetry (window width `window`), merged across seeds
-/// in seed order. Telemetry is a pure observation: the returned
-/// [`CellularResult`] is identical to [`run_cellular`]'s.
-///
-/// # Panics
-///
-/// As [`run_cellular`]; additionally if `window <= 0`.
-pub fn run_cellular_telemetry(
-    grid: &CellGrid,
-    loads: &[f64],
-    policy: BorrowPolicy,
-    params: &CellularParams,
-    window: f64,
-) -> (CellularResult, RunTelemetry) {
-    validate(grid, loads, params);
-    let protection = cell_protection_levels(loads, grid.capacity());
-    let tables = BorrowTables::new(grid);
-    let capacities = vec![grid.capacity(); grid.num_cells()];
-    let recorded = pool_run_with(
-        params.seeds as usize,
-        default_workers(),
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let mut telemetry =
-                RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
-            let counts = run_one(
-                grid,
-                loads,
-                policy,
-                &protection,
-                &tables,
-                params,
-                params.base_seed + i as u64,
-                &mut telemetry,
-                scratch,
-            );
-            (counts, telemetry)
-        },
-    );
-    let mut merged: Option<RunTelemetry> = None;
-    let mut per_seed = Vec::with_capacity(recorded.len());
-    for (counts, telemetry) in recorded {
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-        per_seed.push(counts);
-    }
-    (
-        summarize(policy, per_seed),
-        merged.expect("at least one replication"),
-    )
+    (summarize(policy, per_seed), telemetry)
 }
 
 fn validate(grid: &CellGrid, loads: &[f64], params: &CellularParams) {
@@ -384,6 +364,7 @@ fn run_one<R: Recorder>(
     tables: &BorrowTables,
     params: &CellularParams,
     seed: u64,
+    shards: Option<(&ShardSpec, &[Vec<usize>])>,
     recorder: &mut R,
     scratch: &mut KernelScratch,
 ) -> (u64, u64, u64) {
@@ -396,7 +377,7 @@ fn run_one<R: Recorder>(
         link_events: &[],
         initial_occupancy: &[],
     };
-    let mut selector = BorrowSelector {
+    let selector = BorrowSelector {
         grid,
         tables,
         borrowing: policy != BorrowPolicy::NoBorrowing,
@@ -405,17 +386,19 @@ fn run_one<R: Recorder>(
         recorder: &mut *recorder,
     };
     let outcome = match policy {
-        BorrowPolicy::Controlled => kernel::run_pooled(
+        BorrowPolicy::Controlled => dispatch(
             &spec,
+            shards,
             &mut TrunkReservation::new(protection.to_vec()),
-            &mut selector,
+            selector,
             &mut observer,
             scratch,
         ),
-        BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => kernel::run_pooled(
+        BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => dispatch(
             &spec,
+            shards,
             &mut Uncontrolled,
-            &mut selector,
+            selector,
             &mut observer,
             scratch,
         ),
@@ -424,95 +407,61 @@ fn run_one<R: Recorder>(
     (outcome.offered, outcome.blocked, outcome.carried_alternate)
 }
 
-/// As [`run_cellular`], but parallelizing *within* each replication:
-/// seeds run sequentially and each replication executes on the sharded
-/// kernel backend with cells ("links") contiguously partitioned over
-/// `num_shards` worker threads (statistics only — no recorder, which
-/// would force the serial fallback).
-///
-/// A cell's footprint is its own channel pool plus every neighbour
-/// lender's 3-cell co-cell set, so on a row-partitioned grid most
-/// cells are shard-local and only the partition-boundary rows route
-/// through the coordinator. Required to be bit-identical to
-/// [`run_cellular`] for every shard count.
-///
-/// # Panics
-///
-/// As [`run_cellular`]; additionally if `num_shards == 0`.
-pub fn run_cellular_sharded(
-    grid: &CellGrid,
-    loads: &[f64],
-    policy: BorrowPolicy,
-    params: &CellularParams,
-    num_shards: usize,
-) -> CellularResult {
-    validate(grid, loads, params);
-    let protection = cell_protection_levels(loads, grid.capacity());
-    let tables = BorrowTables::new(grid);
-    let shards = ShardSpec::new(grid.num_cells(), num_shards, Partition::Contiguous);
-    // One footprint per loaded cell, in the source order build_parts
-    // emits: the cell itself plus every lender's co-cell set.
-    let footprints: Vec<Vec<usize>> = loads
-        .iter()
-        .enumerate()
-        .filter(|&(_, &load)| load > 0.0)
-        .map(|(cell, _)| {
-            let mut fp = vec![cell];
-            for &lender in grid.neighbors(cell) {
-                fp.extend_from_slice(&tables.sets[lender]);
-            }
-            fp.sort_unstable();
-            fp.dedup();
-            fp
-        })
-        .collect();
-    let mut scratch = KernelScratch::new();
-    let per_seed: Vec<(u64, u64, u64)> = (0..params.seeds as usize)
-        .map(|i| {
-            let seed = params.base_seed + i as u64;
-            let (capacities, sources, config) = build_parts(grid, loads, params, seed);
-            let spec = KernelSpec {
-                config,
-                capacities: &capacities,
-                static_down: &[],
-                sources: &sources,
-                link_events: &[],
-                initial_occupancy: &[],
-            };
-            let mut selector = BorrowSelector {
-                grid,
-                tables: &tables,
-                borrowing: policy != BorrowPolicy::NoBorrowing,
-            };
-            let outcome = match policy {
-                BorrowPolicy::Controlled => shard::run_sharded(
-                    &spec,
-                    &shards,
-                    &footprints,
-                    &mut TrunkReservation::new(protection.clone()),
-                    &mut selector,
-                    &mut NullObserver,
-                    &mut scratch,
-                ),
-                BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => shard::run_sharded(
-                    &spec,
-                    &shards,
-                    &footprints,
-                    &mut Uncontrolled,
-                    &mut selector,
-                    &mut NullObserver,
-                    &mut scratch,
-                ),
-            };
-            (outcome.offered, outcome.blocked, outcome.carried_alternate)
-        })
-        .collect();
-    summarize(policy, per_seed)
+/// One kernel invocation, on the sharded backend when `shards` asks for
+/// it (which falls back to the serial kernel by itself).
+fn dispatch<A: AdmissionPolicy + Clone + Send, O: kernel::KernelObserver>(
+    spec: &KernelSpec<'_>,
+    shards: Option<(&ShardSpec, &[Vec<usize>])>,
+    admission: &mut A,
+    mut selector: BorrowSelector<'_>,
+    observer: &mut O,
+    scratch: &mut KernelScratch,
+) -> kernel::KernelOutcome {
+    match shards {
+        Some((shards, footprints)) => shard::run_sharded(
+            spec,
+            shards,
+            footprints,
+            admission,
+            &mut selector,
+            observer,
+            scratch,
+        ),
+        None => kernel::run_pooled(spec, admission, &mut selector, observer, scratch),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One replication set on `fanout`, telemetry dropped.
+    fn run_on(
+        grid: &CellGrid,
+        loads: &[f64],
+        policy: BorrowPolicy,
+        params: &CellularParams,
+        fanout: Fanout<'_>,
+    ) -> CellularResult {
+        run_cellular(grid, loads, policy, params, &fanout).0
+    }
+
+    /// The default fan-out.
+    fn run(
+        grid: &CellGrid,
+        loads: &[f64],
+        policy: BorrowPolicy,
+        params: &CellularParams,
+    ) -> CellularResult {
+        run_on(grid, loads, policy, params, Fanout::default())
+    }
+
+    fn workers(workers: usize) -> Fanout<'static> {
+        Fanout {
+            workers,
+            ..Fanout::default()
+        }
+    }
 
     fn quick() -> CellularParams {
         CellularParams {
@@ -534,7 +483,7 @@ mod tests {
         ]
         .iter()
         .map(|&p| {
-            run_cellular(&grid, &loads, p, &quick())
+            run(&grid, &loads, p, &quick())
                 .per_seed
                 .iter()
                 .map(|s| s.0)
@@ -549,26 +498,17 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let grid = CellGrid::new(3, 3, 10);
         let loads = vec![8.0; 9];
-        let a = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &quick());
-        let b = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &quick());
+        let a = run(&grid, &loads, BorrowPolicy::Controlled, &quick());
+        let b = run(&grid, &loads, BorrowPolicy::Controlled, &quick());
         assert_eq!(a.per_seed, b.per_seed);
     }
 
     #[test]
-    fn worker_counts_do_not_change_results() {
-        let grid = CellGrid::new(4, 4, 15);
-        let loads = vec![12.0; 16];
-        let a = run_cellular_with_workers(&grid, &loads, BorrowPolicy::Controlled, &quick(), 1);
-        let b = run_cellular_with_workers(&grid, &loads, BorrowPolicy::Controlled, &quick(), 4);
-        assert_eq!(a.per_seed, b.per_seed);
-        assert_eq!(a.blocking, b.blocking);
-    }
-
-    #[test]
-    fn sharded_cellular_matches_pooled_at_every_shard_count() {
-        // Row-partitioned grid: interior rows are shard-local, the
-        // boundary rows cross shards and go through the coordinator.
-        // Results must be bit-identical either way, for every policy.
+    fn fanout_never_changes_results() {
+        // Worker count and sharding are scheduling details. On a
+        // row-partitioned grid interior rows are shard-local and the
+        // boundary rows cross shards and go through the coordinator;
+        // results must be bit-identical either way, for every policy.
         let grid = CellGrid::new(4, 4, 15);
         let mut loads = vec![11.0; 16];
         loads[2] = 0.0; // a silent cell keeps source/cell indices distinct
@@ -578,9 +518,16 @@ mod tests {
             BorrowPolicy::Uncontrolled,
             BorrowPolicy::Controlled,
         ] {
-            let serial = run_cellular_with_workers(&grid, &loads, policy, &params, 1);
+            let serial = run_on(&grid, &loads, policy, &params, workers(1));
+            let pooled = run_on(&grid, &loads, policy, &params, workers(4));
+            assert_eq!(serial.per_seed, pooled.per_seed, "{policy:?} on 4 workers");
+            assert_eq!(serial.blocking, pooled.blocking);
             for num_shards in [1, 2, 4, 8] {
-                let sharded = run_cellular_sharded(&grid, &loads, policy, &params, num_shards);
+                let sharded = Fanout {
+                    shards: Some(num_shards),
+                    ..workers(1)
+                };
+                let sharded = run_on(&grid, &loads, policy, &params, sharded);
                 assert_eq!(
                     serial.per_seed, sharded.per_seed,
                     "{policy:?} at {num_shards} shards"
@@ -594,14 +541,22 @@ mod tests {
     fn telemetry_is_a_pure_observer() {
         let grid = CellGrid::new(3, 3, 10);
         let loads = vec![8.0; 9];
-        let (r, telemetry) =
-            run_cellular_telemetry(&grid, &loads, BorrowPolicy::Controlled, &quick(), 5.0);
-        let plain = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &quick());
-        assert_eq!(r.per_seed, plain.per_seed);
-        assert_eq!(
-            telemetry.offered,
-            r.per_seed.iter().map(|s| s.0).sum::<u64>()
-        );
+        let plain = run(&grid, &loads, BorrowPolicy::Controlled, &quick());
+        // Recording keeps the parallel path when sharded, too.
+        for shards in [None, Some(3)] {
+            let fanout = Fanout {
+                shards,
+                window: Some(5.0),
+                ..Fanout::default()
+            };
+            let (r, telemetry) =
+                run_cellular(&grid, &loads, BorrowPolicy::Controlled, &quick(), &fanout);
+            assert_eq!(r.per_seed, plain.per_seed);
+            assert_eq!(
+                telemetry.expect("a window records telemetry").offered,
+                r.per_seed.iter().map(|s| s.0).sum::<u64>()
+            );
+        }
     }
 
     #[test]
@@ -617,8 +572,8 @@ mod tests {
             seeds: 6,
             base_seed: 3,
         };
-        let none = run_cellular(&grid, &loads, BorrowPolicy::NoBorrowing, &params);
-        let controlled = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &params);
+        let none = run(&grid, &loads, BorrowPolicy::NoBorrowing, &params);
+        let controlled = run(&grid, &loads, BorrowPolicy::Controlled, &params);
         assert!(
             controlled.blocking_mean() < none.blocking_mean(),
             "controlled {} vs none {}",
@@ -642,9 +597,9 @@ mod tests {
             seeds: 6,
             base_seed: 9,
         };
-        let uncontrolled = run_cellular(&grid, &loads, BorrowPolicy::Uncontrolled, &params);
-        let controlled = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &params);
-        let none = run_cellular(&grid, &loads, BorrowPolicy::NoBorrowing, &params);
+        let uncontrolled = run(&grid, &loads, BorrowPolicy::Uncontrolled, &params);
+        let controlled = run(&grid, &loads, BorrowPolicy::Controlled, &params);
+        let none = run(&grid, &loads, BorrowPolicy::NoBorrowing, &params);
         assert!(
             controlled.blocking_mean() <= uncontrolled.blocking_mean(),
             "controlled {} vs uncontrolled {}",
@@ -665,7 +620,7 @@ mod tests {
     fn idle_network_blocks_nothing() {
         let grid = CellGrid::new(3, 3, 10);
         let loads = vec![0.5; 9];
-        let r = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &quick());
+        let r = run(&grid, &loads, BorrowPolicy::Controlled, &quick());
         assert!(r.blocking_mean() < 1e-3);
     }
 
@@ -673,6 +628,6 @@ mod tests {
     #[should_panic(expected = "one load per cell")]
     fn wrong_load_length_panics() {
         let grid = CellGrid::new(3, 3, 10);
-        run_cellular(&grid, &[1.0; 5], BorrowPolicy::Controlled, &quick());
+        run(&grid, &[1.0; 5], BorrowPolicy::Controlled, &quick());
     }
 }

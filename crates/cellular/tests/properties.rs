@@ -2,7 +2,7 @@
 
 use altroute_cellular::grid::CellGrid;
 use altroute_cellular::policy::{cell_protection_levels, BorrowPolicy};
-use altroute_cellular::sim::{run_cellular, CellularParams};
+use altroute_cellular::sim::{run_cellular, CellularParams, Fanout};
 use proptest::prelude::*;
 
 proptest! {
@@ -44,7 +44,7 @@ proptest! {
         let loads = vec![load; grid.num_cells()];
         let params = CellularParams { warmup: 2.0, horizon: 15.0, seeds: 2, base_seed: seed };
         for policy in [BorrowPolicy::NoBorrowing, BorrowPolicy::Uncontrolled, BorrowPolicy::Controlled] {
-            let r = run_cellular(&grid, &loads, policy, &params);
+            let r = run_cellular(&grid, &loads, policy, &params, &Fanout::default()).0;
             prop_assert!((0.0..=1.0).contains(&r.blocking_mean()), "{}", policy.name());
             prop_assert!((0.0..=1.0).contains(&r.borrow_fraction()));
             if policy == BorrowPolicy::NoBorrowing {
@@ -64,8 +64,8 @@ proptest! {
         let grid = CellGrid::new(3, 4, 20);
         let loads = vec![load; grid.num_cells()];
         let params = CellularParams { warmup: 2.0, horizon: 20.0, seeds: 2, base_seed: seed };
-        let unc = run_cellular(&grid, &loads, BorrowPolicy::Uncontrolled, &params);
-        let ctl = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &params);
+        let unc = run_cellular(&grid, &loads, BorrowPolicy::Uncontrolled, &params, &Fanout::default()).0;
+        let ctl = run_cellular(&grid, &loads, BorrowPolicy::Controlled, &params, &Fanout::default()).0;
         // Borrow *counts* per seed: controlled <= uncontrolled holds
         // state-by-state but trajectories diverge after the first refusal,
         // so compare the aggregate with slack.

@@ -42,18 +42,14 @@ use altroute_core::policy::PolicyKind;
 use altroute_core::select::BestOfDSelector;
 use altroute_netgraph::topologies::random_instance;
 use altroute_sim::adaptive::{run_adaptive_seed, AdaptiveConfig, InitialLevels};
-use altroute_sim::engine::{
-    run_seed, run_seed_with_policy, RunConfig, SeedResult, BOD_SAMPLE_STREAM,
-};
+use altroute_sim::engine::{run_seed, Run, RunConfig, SeedResult, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{
-    run_multirate_with_levels, run_multirate_with_workers, BandwidthClass, MultirateParams,
-    MultiratePolicy, MultirateResult,
+    run_multirate, BandwidthClass, MultirateParams, MultiratePolicy, MultirateResult,
 };
-use altroute_sim::trace::NullTraceSink;
+use altroute_sim::Fanout;
 use altroute_simcore::kernel::Uncontrolled;
 use altroute_simcore::rng::StreamFactory;
-use altroute_telemetry::NullRecorder;
 
 /// Margin granted to the statistical load-monotonicity check (the exact
 /// reductions get none).
@@ -241,13 +237,7 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
             2,
             StreamFactory::new(bod_config.seed).stream(BOD_SAMPLE_STREAM),
         );
-        let bod_explicit = run_seed_with_policy(
-            &bod_config,
-            &mut Uncontrolled,
-            &mut bod_selector,
-            &mut NullTraceSink,
-            &mut NullRecorder,
-        );
+        let bod_explicit = Run::new(&bod_config).execute_with(&mut Uncontrolled, &mut bod_selector);
         extra_runs += 1;
         if bod_named != bod_explicit {
             violations.push(format!(
@@ -316,22 +306,27 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
         // r = 0: forcing every protection level to zero must collapse the
         // controlled policy onto the uncontrolled one, bit for bit.
         let zero_levels = vec![0u32; inst.topology.num_links()];
-        let mr_zero = run_multirate_with_levels(
+        let one_worker = Fanout {
+            workers: 1,
+            ..Fanout::default()
+        };
+        let (mr_zero, _) = run_multirate(
             &inst.topology,
             &classes,
             MultiratePolicy::Controlled,
             &mr_params,
             &failures,
-            &zero_levels,
-            1,
+            Some(&zero_levels),
+            &one_worker,
         );
-        let mr_free = run_multirate_with_workers(
+        let (mr_free, _) = run_multirate(
             &inst.topology,
             &classes,
             MultiratePolicy::Uncontrolled,
             &mr_params,
             &failures,
-            1,
+            None,
+            &one_worker,
         );
         extra_runs += 2 * mr_params.seeds as usize;
         if !multirate_agree(&mr_zero, &mr_free) {
@@ -347,21 +342,23 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
             max_hops: 1,
             ..mr_params
         };
-        let mr_h1 = run_multirate_with_workers(
+        let (mr_h1, _) = run_multirate(
             &inst.topology,
             &classes,
             MultiratePolicy::Controlled,
             &mr_h1_params,
             &failures,
-            1,
+            None,
+            &one_worker,
         );
-        let mr_single = run_multirate_with_workers(
+        let (mr_single, _) = run_multirate(
             &inst.topology,
             &classes,
             MultiratePolicy::SinglePath,
             &mr_h1_params,
             &failures,
-            1,
+            None,
+            &one_worker,
         );
         extra_runs += 2 * mr_params.seeds as usize;
         if !multirate_agree(&mr_h1, &mr_single) {

@@ -1,8 +1,8 @@
 //! Golden-trace recording and replay.
 //!
-//! Two fixed scenarios — the paper's Fig. 3 quadrangle and NSFNet — run
-//! through [`run_seed_traced`](altroute_sim::engine::run_seed_traced)
-//! with a [`BinaryTraceWriter`], and the resulting byte blobs are checked
+//! Three fixed scenarios — the paper's Fig. 3 quadrangle, NSFNet, and a
+//! best-of-d run on K_6 — run through a [`Run`] with a
+//! [`BinaryTraceWriter`] sink, and the resulting byte blobs are checked
 //! into `crates/conformance/golden/`. [`replay_check`] re-records a
 //! scenario and diffs it against the checked-in bytes: any change to
 //! event ordering, RNG stream layout, or admission logic surfaces as a
@@ -10,18 +10,16 @@
 //!
 //! Golden files are regenerated with the `conformance --bless` CLI
 //! subcommand (see [`bless`]) after an *intentional* behaviour change,
-//! and the new bytes are reviewed like any other diff.
+//! and the new bytes are reviewed like any other diff. The same
+//! scenarios drive the run-parity harness ([`scenario_runs`]): every
+//! combination of [`Run`] options must reproduce the serial oracle.
 
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{
-    run_seed_pooled, run_seed_recorded, run_seed_sharded_pooled, run_seed_sharded_recorded,
-    run_seed_sharded_traced, run_seed_traced, run_seed_warm, run_seed_warm_sharded, RunConfig,
-    SeedResult,
-};
+use altroute_sim::engine::{run_seed_pooled, Run, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{diff_traces, BinaryTraceWriter, TraceDiff};
 use altroute_simcore::kernel::KernelScratch;
@@ -50,6 +48,21 @@ struct Scenario {
     warmup: f64,
     horizon: f64,
     seed: u64,
+}
+
+impl Scenario {
+    /// The run configuration of replication `i` (seed offset `i`).
+    fn config(&self, i: u64) -> RunConfig<'_> {
+        RunConfig {
+            plan: &self.plan,
+            policy: self.policy,
+            traffic: &self.traffic,
+            warmup: self.warmup,
+            horizon: self.horizon,
+            seed: self.seed + i,
+            failures: &self.failures,
+        }
+    }
 }
 
 /// The checked-in golden scenarios.
@@ -157,18 +170,7 @@ pub fn record_scenario(name: &str, perturbation: Perturbation) -> Vec<u8> {
         s.plan = s.plan.with_protection_levels(bumped);
     }
     let mut writer = BinaryTraceWriter::new(s.seed, name);
-    run_seed_traced(
-        &RunConfig {
-            plan: &s.plan,
-            policy: s.policy,
-            traffic: &s.traffic,
-            warmup: s.warmup,
-            horizon: s.horizon,
-            seed: s.seed,
-            failures: &s.failures,
-        },
-        &mut writer,
-    );
+    Run::new(&s.config(0)).sink(&mut writer).execute();
     writer.finish()
 }
 
@@ -188,182 +190,97 @@ pub fn scenario_replications(name: &str, seeds: u32, workers: usize) -> Vec<Seed
         workers,
         None,
         KernelScratch::new,
-        |scratch, i| {
-            run_seed_pooled(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + i as u64,
-                    failures: &s.failures,
-                },
-                scratch,
-            )
-        },
+        |scratch, i| run_seed_pooled(&s.config(i as u64), scratch),
     )
 }
 
-/// The initial occupancy used by the warm-start harnesses: every link
-/// of scenario `name` filled to `fill_percent` of its capacity
-/// (rounded down; 0 is an explicit all-zero warm start, 100 is
-/// saturated).
-fn scenario_fill(s: &Scenario, fill_percent: u32) -> Vec<u32> {
-    s.plan
-        .topology()
-        .links()
-        .iter()
-        .map(|l| (u64::from(l.capacity) * u64::from(fill_percent) / 100) as u32)
-        .collect()
+/// One combination of [`Run`] options for the run-parity harness
+/// ([`scenario_runs`]). The default is the serial oracle: cold start,
+/// serial kernel, no observers, a fresh scratch arena per seed.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Warm-start every link at this percentage of its capacity
+    /// (rounded down; 0 is an explicit all-zero warm start, 100 is
+    /// saturated). `None` is a cold start.
+    pub warm_fill: Option<u32>,
+    /// Run on the sharded backend with this many shards and this link
+    /// partition. `None` is the serial kernel.
+    pub shards: Option<(usize, Partition)>,
+    /// Attach a [`BinaryTraceWriter`] — the golden-trace sink.
+    pub sink: bool,
+    /// Attach a [`RunTelemetry`] recorder on ten windows.
+    pub recorder: bool,
+    /// Recycle one scratch arena across every seed.
+    pub recycled_scratch: bool,
 }
 
-/// As [`scenario_replications`] on one worker, but through the
-/// warm-start entry with every link pre-filled to `fill_percent` of
-/// capacity — the warm-start parity harness. At `fill_percent = 0` the
-/// results must be byte-identical to the cold oracle; at any fill, the
-/// sharded counterpart
-/// ([`scenario_replications_warm_sharded`]) must match this serial one.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name.
-pub fn scenario_replications_warm(name: &str, seeds: u32, fill_percent: u32) -> Vec<SeedResult> {
-    let s = scenario(name);
-    let initial = scenario_fill(&s, fill_percent);
-    (0..seeds)
-        .map(|i| {
-            run_seed_warm(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &initial,
-            )
-        })
-        .collect()
+/// What one replication of a scenario produced under [`RunOptions`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioRun {
+    /// The replication's counters.
+    pub result: SeedResult,
+    /// The encoded trace, when a sink was attached.
+    pub trace: Option<Vec<u8>>,
+    /// The finished telemetry snapshot, when a recorder was attached.
+    pub telemetry: Option<RunTelemetry>,
 }
 
-/// As [`scenario_replications_warm`], but through the sharded kernel
-/// entry. A non-empty warm start forces the serial fallback inside the
-/// sharded entry, so every `(num_shards, partition)` pair must still be
-/// byte-identical to the serial warm oracle.
+/// Runs `seeds` replications of scenario `name` (seed `i` uses the
+/// scenario seed + `i`) through one [`Run`] configured per `options` —
+/// the run-parity harness. Warm start aside, no option may change a
+/// byte of the results: every combination must match the serial
+/// oracle, traces and telemetry included, and a cold traced run of the
+/// first seed *is* the checked-in golden trace.
 ///
 /// # Panics
 ///
 /// Panics on an unknown scenario name or an invalid shard spec.
-pub fn scenario_replications_warm_sharded(
-    name: &str,
-    seeds: u32,
-    fill_percent: u32,
-    num_shards: usize,
-    partition: Partition,
-) -> Vec<SeedResult> {
+pub fn scenario_runs(name: &str, seeds: u32, options: &RunOptions) -> Vec<ScenarioRun> {
     let s = scenario(name);
-    let initial = scenario_fill(&s, fill_percent);
-    let spec = ShardSpec::new(s.plan.topology().num_links(), num_shards, partition);
-    (0..seeds)
-        .map(|i| {
-            run_seed_warm_sharded(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &initial,
-                &spec,
-            )
-        })
-        .collect()
-}
-
-/// As [`record_scenario`] (nominal), but recorded through the sharded
-/// kernel entry with `num_shards` shards. A trace sink observes every
-/// event, which forces the serial fallback, so the bytes must match the
-/// checked-in golden trace exactly — this pins the sharded plumbing
-/// (footprint computation, spec validation, fallback detection) to the
-/// golden contract.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name or an invalid shard spec.
-pub fn record_scenario_sharded(name: &str, num_shards: usize) -> Vec<u8> {
-    let s = scenario(name);
-    let spec = ShardSpec::new(
-        s.plan.topology().num_links(),
-        num_shards,
-        Partition::Contiguous,
-    );
-    let mut writer = BinaryTraceWriter::new(s.seed, name);
-    run_seed_sharded_traced(
-        &RunConfig {
-            plan: &s.plan,
-            policy: s.policy,
-            traffic: &s.traffic,
-            warmup: s.warmup,
-            horizon: s.horizon,
-            seed: s.seed,
-            failures: &s.failures,
-        },
-        &spec,
-        &mut writer,
-    );
-    writer.finish()
-}
-
-/// As [`scenario_replications`], but through the sharded kernel backend
-/// with `num_shards` shards and the given link `partition` — the
-/// shard-parity harness. The shard count and partition must be pure
-/// scheduling details: every `(num_shards, partition)` pair must yield
-/// results byte-identical to `scenario_replications(name, seeds, 1)`.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name, `seeds == 0`, or an invalid
-/// shard spec.
-pub fn scenario_replications_sharded(
-    name: &str,
-    seeds: u32,
-    num_shards: usize,
-    partition: Partition,
-) -> Vec<SeedResult> {
-    let s = scenario(name);
-    let spec = ShardSpec::new(s.plan.topology().num_links(), num_shards, partition);
+    let initial: Vec<u32> = match options.warm_fill {
+        None => Vec::new(),
+        Some(percent) => s
+            .plan
+            .topology()
+            .links()
+            .iter()
+            .map(|l| (u64::from(l.capacity) * u64::from(percent) / 100) as u32)
+            .collect(),
+    };
+    let shards = options.shards.as_ref().map(|(count, partition)| {
+        ShardSpec::new(s.plan.topology().num_links(), *count, partition.clone())
+    });
     let mut scratch = KernelScratch::new();
-    (0..seeds)
+    (0..u64::from(seeds))
         .map(|i| {
-            run_seed_sharded_pooled(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &spec,
-                &mut scratch,
-            )
+            let config = s.config(i);
+            let run = Run::new(&config).warm(&initial).shards(shards.as_ref());
+            let run = if options.recycled_scratch {
+                run.scratch(&mut scratch)
+            } else {
+                run
+            };
+            let mut writer = options
+                .sink
+                .then(|| BinaryTraceWriter::new(config.seed, name));
+            let mut telemetry = options.recorder.then(|| scenario_telemetry(&s));
+            let result = match (writer.as_mut(), telemetry.as_mut()) {
+                (None, None) => run.execute(),
+                (Some(w), None) => run.sink(w).execute(),
+                (None, Some(t)) => run.recorder(t).execute(),
+                (Some(w), Some(t)) => run.sink(w).recorder(t).execute(),
+            };
+            ScenarioRun {
+                result,
+                trace: writer.map(BinaryTraceWriter::finish),
+                telemetry,
+            }
         })
         .collect()
 }
 
-/// The telemetry grid width the recorded-parity harnesses use: ten
-/// windows over each scenario's covered range.
-fn scenario_window(s: &Scenario) -> f64 {
-    (s.warmup + s.horizon) / 10.0
-}
-
+/// A telemetry recorder on ten windows over the scenario's covered
+/// range.
 fn scenario_telemetry(s: &Scenario) -> RunTelemetry {
     let capacities: Vec<u32> = s
         .plan
@@ -372,75 +289,12 @@ fn scenario_telemetry(s: &Scenario) -> RunTelemetry {
         .iter()
         .map(|l| l.capacity)
         .collect();
-    RunTelemetry::new(s.warmup, s.horizon, scenario_window(s), capacities)
-}
-
-/// As [`scenario_replications`] on one worker, but with a live
-/// [`RunTelemetry`] recorder attached to every seed — the serial
-/// instrumented oracle for the recorded-parity harness. Returns each
-/// seed's result alongside its finished telemetry snapshot.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name.
-pub fn scenario_replications_recorded(name: &str, seeds: u32) -> Vec<(SeedResult, RunTelemetry)> {
-    let s = scenario(name);
-    (0..seeds)
-        .map(|i| {
-            let mut telemetry = scenario_telemetry(&s);
-            let result = run_seed_recorded(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &mut telemetry,
-            );
-            (result, telemetry)
-        })
-        .collect()
-}
-
-/// As [`scenario_replications_recorded`], but through the sharded
-/// kernel entry. Recorder hooks are replayed at the barriers in global
-/// event order, so every `(num_shards, partition)` pair must produce
-/// results *and telemetry* byte-identical to the serial instrumented
-/// oracle — the shard-aware-recording parity harness.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name or an invalid shard spec.
-pub fn scenario_replications_recorded_sharded(
-    name: &str,
-    seeds: u32,
-    num_shards: usize,
-    partition: Partition,
-) -> Vec<(SeedResult, RunTelemetry)> {
-    let s = scenario(name);
-    let spec = ShardSpec::new(s.plan.topology().num_links(), num_shards, partition);
-    (0..seeds)
-        .map(|i| {
-            let mut telemetry = scenario_telemetry(&s);
-            let result = run_seed_sharded_recorded(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &spec,
-                &mut telemetry,
-            );
-            (result, telemetry)
-        })
-        .collect()
+    RunTelemetry::new(
+        s.warmup,
+        s.horizon,
+        (s.warmup + s.horizon) / 10.0,
+        capacities,
+    )
 }
 
 /// Re-records scenario `name` and diffs against the checked-in golden

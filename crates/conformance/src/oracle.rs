@@ -29,6 +29,7 @@ use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::engine::{run_seed, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
+use altroute_sim::Fanout;
 use altroute_simcore::stats::Replications;
 use altroute_teletraffic::birth_death::BirthDeathChain;
 use altroute_teletraffic::fixed_point::{erlang_fixed_point, Route};
@@ -289,12 +290,14 @@ fn multirate_checks(out: &mut Vec<OracleCheck>) {
             base_seed: 0x3417_0000 + i as u64 * 89,
             max_hops: 1,
         };
-        let result = run_multirate(
+        let (result, _) = run_multirate(
             &topo,
             &bw_classes,
             MultiratePolicy::SinglePath,
             &params,
             &FailureSchedule::none(),
+            None,
+            &Fanout::default(),
         );
         let kr_classes: Vec<TrafficClass> = classes
             .iter()

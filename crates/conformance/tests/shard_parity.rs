@@ -3,98 +3,57 @@
 //! sharded runs must be byte-identical to the single-threaded oracle —
 //! on the checked-in golden scenarios and on random instances alike.
 
-use altroute_conformance::golden::{
-    golden_names, golden_path, record_scenario_sharded, scenario_replications,
-    scenario_replications_sharded, scenario_replications_warm, scenario_replications_warm_sharded,
-};
+use altroute_conformance::golden::{golden_names, golden_path, scenario_runs, RunOptions};
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies::random_instance;
-use altroute_sim::engine::{run_seed, run_seed_sharded, RunConfig};
+use altroute_sim::engine::{run_seed, Run, RunConfig};
 use altroute_sim::failures::FailureSchedule;
 use altroute_simcore::shard::{Partition, ShardSpec};
 
-/// The golden traces — recorded on the serial kernel — must replay
-/// byte-for-byte through the sharded entry at every shard count. (A
-/// trace sink observes every event, which forces the serial fallback,
-/// so this pins the sharded plumbing: footprint computation, spec
-/// validation, and fallback detection.)
+/// Uninstrumented sharded runs — the genuinely parallel path — must
+/// produce `SeedResult`s byte-identical to the serial oracle on every
+/// golden scenario, for every tested shard count and both built-in
+/// partitions; traced ones must still record the golden trace byte for
+/// byte. (`SeedResult` equality includes the engine metrics, so this
+/// is full byte parity; wall clock is excluded by design.) The full
+/// option matrix at three shards lives in `run_parity.rs`.
 #[test]
-fn golden_traces_replay_identically_through_the_sharded_entry() {
+fn every_shard_count_matches_the_serial_oracle_on_golden_scenarios() {
     for name in golden_names() {
         let golden = std::fs::read(golden_path(name))
             .unwrap_or_else(|e| panic!("{name}: cannot read golden trace: {e}"));
-        for shards in [1usize, 2, 4] {
-            let fresh = record_scenario_sharded(name, shards);
-            assert_eq!(
-                golden, fresh,
-                "{name}: sharded entry with {shards} shards diverged from the golden trace"
-            );
-        }
-    }
-}
-
-/// Uninstrumented sharded runs — the genuinely parallel path — must
-/// produce `SeedResult`s byte-identical to the serial oracle on both
-/// golden scenarios, for every tested shard count and both built-in
-/// partitions. (`SeedResult` equality includes the engine metrics, so
-/// this is full byte parity; wall clock is excluded by design.)
-#[test]
-fn sharded_outcomes_match_the_serial_oracle_on_golden_scenarios() {
-    for name in golden_names() {
-        let oracle = scenario_replications(name, 4, 1);
-        for shards in [1usize, 2, 3, 8] {
+        let oracle = scenario_runs(name, 4, &RunOptions::default());
+        for count in [1usize, 2, 3, 4, 8] {
             for partition in [Partition::Contiguous, Partition::RoundRobin] {
-                let sharded = scenario_replications_sharded(name, 4, shards, partition.clone());
+                let shards = Some((count, partition.clone()));
+                let sharded = scenario_runs(
+                    name,
+                    4,
+                    &RunOptions {
+                        shards: shards.clone(),
+                        recycled_scratch: true,
+                        ..RunOptions::default()
+                    },
+                );
                 assert_eq!(
                     oracle, sharded,
-                    "{name}: {shards} shards ({partition:?}) diverged from the serial oracle"
+                    "{name}: {count} shards ({partition:?}) diverged from the serial oracle"
                 );
-            }
-        }
-    }
-}
-
-/// An explicit all-zero warm start must be byte-identical to the cold
-/// oracle on every golden scenario: seeding zero units touches no link,
-/// draws nothing from the warm-start stream, and leaves the event
-/// schedule untouched.
-#[test]
-fn zero_fill_warm_starts_match_the_cold_oracle_on_golden_scenarios() {
-    for name in golden_names() {
-        let cold = scenario_replications(name, 2, 1);
-        let warm = scenario_replications_warm(name, 2, 0);
-        assert_eq!(
-            cold, warm,
-            "{name}: all-zero warm start diverged from the cold start"
-        );
-    }
-}
-
-/// Warm-started sharded runs must match the serial warm oracle for
-/// every shard count and partition. (A non-empty warm start forces the
-/// serial fallback inside the sharded entry, so this pins the fallback
-/// detection as much as the warm-start plumbing itself.)
-#[test]
-fn warm_starts_shard_identically_to_the_serial_warm_oracle() {
-    for name in golden_names() {
-        for fill in [50u32, 100] {
-            let oracle = scenario_replications_warm(name, 2, fill);
-            for shards in [1usize, 2, 4] {
-                for partition in [Partition::Contiguous, Partition::RoundRobin] {
-                    let sharded = scenario_replications_warm_sharded(
-                        name,
-                        2,
-                        fill,
+                let traced = scenario_runs(
+                    name,
+                    1,
+                    &RunOptions {
                         shards,
-                        partition.clone(),
-                    );
-                    assert_eq!(
-                        oracle, sharded,
-                        "{name}: warm fill {fill}% with {shards} shards ({partition:?}) \
-                         diverged from the serial warm oracle"
-                    );
-                }
+                        sink: true,
+                        ..RunOptions::default()
+                    },
+                );
+                assert_eq!(
+                    traced[0].trace.as_ref(),
+                    Some(&golden),
+                    "{name}: {count} shards ({partition:?}) diverged from the golden trace"
+                );
             }
         }
     }
@@ -162,7 +121,9 @@ fn random_instances_shard_identically_under_random_partitions() {
                 };
                 let label = format!("{partition:?}");
                 let spec = ShardSpec::new(num_links, shards, partition);
-                let sharded = run_seed_sharded(&config(policy, run_seed_value), &spec);
+                let sharded = Run::new(&config(policy, run_seed_value))
+                    .shards(Some(&spec))
+                    .execute();
                 assert_eq!(
                     oracle, sharded,
                     "[{inst_seed:#x}] {policy:?}: {shards} shards ({label}) \

@@ -130,16 +130,11 @@ use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::adaptive::{run_adaptive_replications, run_adaptive_telemetry, AdaptiveConfig};
-use altroute_sim::experiment::{Experiment, ProgressObserver, SimParams};
+use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig};
+use altroute_sim::experiment::{Experiment, Fanout, ProgressObserver, SimParams};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::multirate::{
-    run_multirate_sharded, run_multirate_telemetry, run_multirate_with_workers, BandwidthClass,
-    MultirateParams, MultiratePolicy,
-};
-use altroute_sim::signaling::{
-    run_signaling_replications, run_signaling_telemetry, SignalingConfig, SignalingPolicy,
-};
+use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
+use altroute_sim::signaling::{replicate_signaling, SignalingConfig, SignalingPolicy};
 use altroute_sim::trace::{decode_trace, TraceRecordKind};
 use altroute_simcore::pool::default_workers;
 use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry};
@@ -968,13 +963,6 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
     };
     let window = resolve_window(flags, params.warmup, params.horizon)?;
     flags.reject_worker_shard_conflict()?;
-    let workers = flags.worker_count();
-    if flags.shards.is_some() && flags.telemetry.is_some() {
-        eprintln!(
-            "note: --telemetry instruments every event, which requires the serial \
-             kernel; --shards only affects uninstrumented runs"
-        );
-    }
     let server = flags.bind_server(path)?;
     let heartbeat = flags
         .progress
@@ -987,6 +975,7 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
         Some(tee) => Some(tee as &dyn ProgressObserver),
         None => inner,
     };
+    let fanout = flags.fanout(window, progress);
     let mut table = Table::new(["policy", "blocking", "stderr", "alt-fraction"]);
     let mut results = Vec::with_capacity(config.policies.len());
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
@@ -996,18 +985,13 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
             let phase = kind.name().to_string();
             server.update_status(|s| s.phase = phase);
         }
-        let r = if flags.telemetry.is_some() {
-            let (r, t) = exp.run_telemetry_with_workers(kind, &params, window, workers, progress);
+        let (r, telemetry) = exp.replicate(kind, &params, &fanout);
+        if let Some(t) = telemetry {
             if let Some(server) = &server {
                 server.publish_metrics(export::prometheus(&t));
             }
             snapshots.push((kind.name().to_string(), t));
-            r
-        } else if let Some(shards) = flags.shards {
-            exp.run_sharded(kind, &params, shards, progress)
-        } else {
-            exp.run_with_progress(kind, &params, workers, progress)
-        };
+        }
         table.row([
             kind.name().to_string(),
             fmt_prob(r.blocking_mean()),
@@ -1109,37 +1093,28 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
         });
     }
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
-    let (per_seed, summary) = if flags.telemetry.is_some() {
-        let (per_seed, summary, telemetry) = run_adaptive_telemetry(
-            &plan,
-            exp.traffic(),
-            config.warmup,
-            config.horizon,
-            config.base_seed,
-            config.seeds,
-            &failures,
-            &adaptive,
-            flags.worker_count(),
-            window,
-        );
+    let fanout = Fanout {
+        workers: flags.worker_count(),
+        shards: None,
+        ..flags.fanout(window, None)
+    };
+    let (per_seed, summary, telemetry) = replicate_adaptive(
+        &plan,
+        exp.traffic(),
+        config.warmup,
+        config.horizon,
+        config.base_seed,
+        config.seeds,
+        &failures,
+        &adaptive,
+        &fanout,
+    );
+    if let Some(telemetry) = telemetry {
         if let Some(server) = &server {
             server.publish_metrics(export::prometheus(&telemetry));
         }
         snapshots.push(("adaptive".to_string(), telemetry));
-        (per_seed, summary)
-    } else {
-        run_adaptive_replications(
-            &plan,
-            exp.traffic(),
-            config.warmup,
-            config.horizon,
-            config.base_seed,
-            config.seeds,
-            &failures,
-            &adaptive,
-            flags.worker_count(),
-        )
-    };
+    }
     let mut table = Table::new(["policy", "blocking", "stderr", "replications"]);
     table.row([
         "adaptive-controlled".to_string(),
@@ -1188,12 +1163,7 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
     flags.reject_worker_shard_conflict()?;
-    if flags.shards.is_some() && flags.telemetry.is_some() {
-        eprintln!(
-            "note: --telemetry instruments every event, which requires the serial \
-             kernel; --shards only affects uninstrumented runs"
-        );
-    }
+    let fanout = flags.fanout(window, None);
     // Two classes carved from the config traffic: a 1-unit class at the
     // configured load and a 4-unit wideband class at a tenth of it.
     let classes = [
@@ -1235,24 +1205,18 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
                 ))
             }
         };
-        let topo = exp.topology();
-        let r = if flags.telemetry.is_some() {
-            let (r, telemetry) =
-                run_multirate_telemetry(topo, &classes, policy, &params, &failures, window);
+        let (r, telemetry) = run_multirate(
+            exp.topology(),
+            &classes,
+            policy,
+            &params,
+            &failures,
+            None,
+            &fanout,
+        );
+        if let Some(telemetry) = telemetry {
             snapshots.push((policy.name().to_string(), telemetry));
-            r
-        } else if let Some(shards) = flags.shards {
-            run_multirate_sharded(topo, &classes, policy, &params, &failures, shards)
-        } else {
-            run_multirate_with_workers(
-                topo,
-                &classes,
-                policy,
-                &params,
-                &failures,
-                flags.worker_count(),
-            )
-        };
+        }
         table.row([
             policy.name().to_string(),
             fmt_prob(r.blocking_mean()),
@@ -1349,20 +1313,21 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
             horizon: config.horizon,
             seed: config.base_seed,
         };
-        let (per_seed, summary) = if flags.telemetry.is_some() {
-            let (per_seed, summary, telemetry) = run_signaling_telemetry(
-                &plan,
-                exp.traffic(),
-                &failures,
-                &sig_config,
-                config.seeds,
-                window,
-            );
-            snapshots.push((policy.name().to_string(), telemetry));
-            (per_seed, summary)
-        } else {
-            run_signaling_replications(&plan, exp.traffic(), &failures, &sig_config, config.seeds)
+        let fanout = Fanout {
+            shards: None,
+            ..flags.fanout(window, None)
         };
+        let (per_seed, summary, telemetry) = replicate_signaling(
+            &plan,
+            exp.traffic(),
+            &failures,
+            &sig_config,
+            config.seeds,
+            &fanout,
+        );
+        if let Some(telemetry) = telemetry {
+            snapshots.push((policy.name().to_string(), telemetry));
+        }
         let races: u64 = per_seed.iter().map(|r| r.booking_races).sum();
         let latency =
             per_seed.iter().map(|r| r.mean_setup_latency).sum::<f64>() / per_seed.len() as f64;
@@ -1827,6 +1792,24 @@ impl Flags {
     /// machine's available parallelism.
     fn worker_count(&self) -> usize {
         self.workers.unwrap_or_else(default_workers)
+    }
+
+    /// The replication fan-out the flags select: with `--shards` every
+    /// replication runs on that many link shards and replications run
+    /// one at a time; otherwise `--workers` threads (default: every
+    /// core) fan replications out. `--telemetry` records on
+    /// `window`-wide windows.
+    fn fanout<'a>(&self, window: f64, progress: Option<&'a dyn ProgressObserver>) -> Fanout<'a> {
+        Fanout {
+            workers: if self.shards.is_some() {
+                1
+            } else {
+                self.worker_count()
+            },
+            shards: self.shards,
+            progress,
+            window: self.telemetry.is_some().then_some(window),
+        }
     }
 
     /// `--workers` parallelizes *across* replications while `--shards`

@@ -9,7 +9,7 @@
 
 use altroute_cellular::grid::CellGrid;
 use altroute_cellular::policy::BorrowPolicy;
-use altroute_cellular::sim::{run_cellular, CellularParams};
+use altroute_cellular::sim::{run_cellular, CellularParams, Fanout};
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::Table;
 
@@ -44,7 +44,7 @@ fn main() {
         let mut cells = vec![format!("{load:.0}")];
         let mut ctl_borrow = 0.0;
         for &p in &policies {
-            let r = run_cellular(&grid, &loads, p, &params);
+            let r = run_cellular(&grid, &loads, p, &params, &Fanout::default()).0;
             cells.push(fmt_prob(r.blocking_mean()));
             if p == BorrowPolicy::Controlled {
                 ctl_borrow = r.borrow_fraction();
@@ -61,7 +61,7 @@ fn main() {
     loads[12] = 75.0;
     let mut hotspot = Table::new(["policy", "blocking", "borrow_fraction"]);
     for &p in &policies {
-        let r = run_cellular(&grid, &loads, p, &params);
+        let r = run_cellular(&grid, &loads, p, &params, &Fanout::default()).0;
         hotspot.row([
             p.name().to_string(),
             fmt_prob(r.blocking_mean()),

@@ -9,7 +9,7 @@
 //! run, `--progress` for a replications-completed heartbeat on stderr.
 
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{policy_set, sweep_observed, Heartbeat, Table};
+use altroute_experiments::{policy_set, sweep, Heartbeat, Table};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::{Experiment, ProgressObserver, SimParams};
@@ -31,7 +31,7 @@ fn main() {
     let policies = policy_set(3, false);
     let heartbeat =
         progress.then(|| Heartbeat::new(loads.len() * policies.len() * params.seeds as usize));
-    let rows = sweep_observed(
+    let rows = sweep(
         &loads,
         &policies,
         &params,

@@ -13,7 +13,7 @@
 //! stderr.
 
 use altroute_experiments::output::{fmt_prob, metrics_json};
-use altroute_experiments::{nsfnet_experiment, policy_set, sweep_observed, Heartbeat, Table};
+use altroute_experiments::{nsfnet_experiment, policy_set, sweep, Heartbeat, Table};
 use altroute_json::{obj, Value};
 use altroute_sim::experiment::{ProgressObserver, SimParams};
 
@@ -35,7 +35,7 @@ fn main() {
     let policies = policy_set(11, true);
     let heartbeat =
         progress.then(|| Heartbeat::new(loads.len() * policies.len() * params.seeds as usize));
-    let rows = sweep_observed(
+    let rows = sweep(
         &loads,
         &policies,
         &params,

@@ -54,12 +54,14 @@ fn main() {
             PolicyKind::ControlledAlternate { max_hops: 6 },
         ],
         &params,
+        None,
         nsfnet_experiment,
     );
     let h11 = sweep(
         &loads,
         &[PolicyKind::ControlledAlternate { max_hops: 11 }],
         &params,
+        None,
         nsfnet_experiment,
     );
 

@@ -15,6 +15,7 @@ use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
+use altroute_sim::Fanout;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -56,7 +57,15 @@ fn main() {
             MultiratePolicy::Uncontrolled,
             MultiratePolicy::Controlled,
         ] {
-            let r = run_multirate(&topo, &classes, policy, &params, &failures);
+            let (r, _) = run_multirate(
+                &topo,
+                &classes,
+                policy,
+                &params,
+                &failures,
+                None,
+                &Fanout::default(),
+            );
             table.row([
                 format!("{narrow:.0}"),
                 policy.name().to_string(),

@@ -29,9 +29,8 @@ use altroute_core::policy::PolicyKind;
 use altroute_core::select::BestOfDSelector;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed_with_policy_warm, RunConfig, BOD_SAMPLE_STREAM};
+use altroute_sim::engine::{Run, RunConfig, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::trace::NullTraceSink;
 use altroute_simcore::kernel::{
     AdmissionPolicy, LinkOccupancy, RouteSelector, Selection, TrunkReservation,
 };
@@ -253,15 +252,13 @@ pub fn run_controlled_served(
             let r = {
                 let mut live = LiveRecorder::new(&mut telemetry, server, None);
                 match name {
-                    "static" => run_seed_with_policy_warm(
-                        &config,
-                        &initial,
-                        None,
-                        &mut admission,
-                        &mut BestOfDSelector::new(&plan, meta.d, rng),
-                        &mut NullTraceSink,
-                        &mut live,
-                    ),
+                    "static" => Run::new(&config)
+                        .warm(&initial)
+                        .recorder(&mut live)
+                        .execute_with(
+                            &mut admission,
+                            &mut BestOfDSelector::new(&plan, meta.d, rng),
+                        ),
                     _ => {
                         let mut selector = ControlledSelector {
                             inner: BestOfDSelector::new(&plan, meta.d, rng),
@@ -272,15 +269,11 @@ pub fn run_controlled_served(
                             counts: vec![0; meta.nodes * meta.nodes],
                             updates: Vec::new(),
                         };
-                        let r = run_seed_with_policy_warm(
-                            &config,
-                            &initial,
-                            Some(meta.window),
-                            &mut admission,
-                            &mut selector,
-                            &mut NullTraceSink,
-                            &mut live,
-                        );
+                        let r = Run::new(&config)
+                            .warm(&initial)
+                            .ticks(meta.window)
+                            .recorder(&mut live)
+                            .execute_with(&mut admission, &mut selector);
                         update_count += selector.updates.len() as u64;
                         if s == 0 {
                             updates = selector.updates;

@@ -18,11 +18,10 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed_instrumented, RunConfig};
+use altroute_sim::engine::{Run, RunConfig};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{TraceDecision, TraceSink};
 use altroute_telemetry::feed::{FEED_MAGIC, FEED_VERSION};
-use altroute_telemetry::NullRecorder;
 use std::fmt::Write as _;
 
 /// One constant-load stretch of a recorded feed.
@@ -166,7 +165,7 @@ pub fn render_feed(cfg: &FeedConfig) -> (String, FeedStats) {
             out: String::new(),
             arrivals: 0,
         };
-        run_seed_instrumented(&config, &mut sink, &mut NullRecorder);
+        Run::new(&config).sink(&mut sink).execute();
         text.push_str(&sink.out);
         arrivals += sink.arrivals;
         offset += seg.horizon;

@@ -29,4 +29,4 @@ pub use metastability::{
 };
 pub use output::Table;
 pub use progress::Heartbeat;
-pub use runs::{nsfnet_experiment, policy_set, sweep, sweep_observed, SweepRow};
+pub use runs::{nsfnet_experiment, policy_set, sweep, SweepRow};

@@ -29,9 +29,10 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed_warm_instrumented, RunConfig};
+use altroute_sim::engine::{Run, RunConfig};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{encode_flight, FlightSink};
+use altroute_simcore::pool::merge_in_order;
 use altroute_telemetry::flight::{FlightRing, FlightTrigger, TriggerReason};
 use altroute_telemetry::serve::{LiveRecorder, MetricsServer};
 use altroute_telemetry::{export, ModeReport, ModeThresholds, RunTelemetry};
@@ -269,7 +270,7 @@ fn run_arm(
     // seeds' events are dropped, so the dump shows exactly one anomaly.
     let ring = RefCell::new(FlightRing::new(FLIGHT_RING_CAPACITY));
     let mut flight: Option<FlightCapture> = None;
-    let mut merged: Option<RunTelemetry> = None;
+    let mut per_seed: Vec<RunTelemetry> = Vec::with_capacity(cfg.seeds as usize);
     let (mut offered, mut blocked, mut alternate) = (0u64, 0u64, 0u64);
     for s in 0..cfg.seeds {
         let seed = cfg.base_seed + u64::from(s);
@@ -292,7 +293,11 @@ fn run_arm(
         let r = {
             let mut sink = FlightSink::new(&ring);
             let mut live = LiveRecorder::new(&mut telemetry, server, Some((&ring, &mut trigger)));
-            run_seed_warm_instrumented(&config, &initial, &mut sink, &mut live)
+            Run::new(&config)
+                .warm(&initial)
+                .sink(&mut sink)
+                .recorder(&mut live)
+                .execute()
         };
         if flight.is_none() {
             if let Some(reason) = ring.borrow().trigger() {
@@ -306,17 +311,14 @@ fn run_arm(
         offered += r.offered;
         blocked += r.blocked;
         alternate += r.carried_alternate;
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
+        per_seed.push(telemetry);
         *replications_done += 1;
         if let Some(server) = server {
             let done = *replications_done;
             server.update_status(|st| st.replications_done = done);
         }
     }
-    let telemetry = merged.expect("at least one seed");
+    let telemetry = merge_in_order(per_seed, RunTelemetry::merge).expect("at least one seed");
     let modes = telemetry.mode_report(cfg.thresholds);
     let windows = telemetry.grid().num_windows();
     let tail = windows - (windows / 4).max(1);

@@ -3,7 +3,7 @@
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::topologies;
-use altroute_sim::experiment::{Experiment, ProgressObserver, SimParams};
+use altroute_sim::experiment::{Experiment, Fanout, ProgressObserver, SimParams};
 use altroute_simcore::EngineMetrics;
 
 /// The standard comparison set at hop bound `h`: single-path,
@@ -44,31 +44,23 @@ pub struct SweepRow {
 }
 
 /// Runs every policy at every load and collects blocking plus the Erlang
-/// bound — the generic engine behind the Fig. 3/4/6/7 binaries.
+/// bound — the generic engine behind the Fig. 3/4/6/7 binaries —
+/// notifying `progress` after every completed replication (e.g. a
+/// [`crate::progress::Heartbeat`] sized `loads × policies × seeds` for a
+/// whole-sweep ETA).
 ///
 /// `make` builds the experiment for one load value.
 pub fn sweep(
     loads: &[f64],
     policies: &[PolicyKind],
     params: &SimParams,
-    make: impl Fn(f64) -> Experiment,
-) -> Vec<SweepRow> {
-    sweep_observed(loads, policies, params, None, make)
-}
-
-/// As [`sweep`], notifying `progress` after every completed replication
-/// (e.g. a [`crate::progress::Heartbeat`] sized
-/// `loads × policies × seeds` for a whole-sweep ETA).
-pub fn sweep_observed(
-    loads: &[f64],
-    policies: &[PolicyKind],
-    params: &SimParams,
     progress: Option<&dyn ProgressObserver>,
     make: impl Fn(f64) -> Experiment,
 ) -> Vec<SweepRow> {
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let fanout = Fanout {
+        progress,
+        ..Fanout::default()
+    };
     loads
         .iter()
         .map(|&load| {
@@ -76,7 +68,7 @@ pub fn sweep_observed(
             let mut blocking = Vec::with_capacity(policies.len());
             let mut metrics = Vec::with_capacity(policies.len());
             for &kind in policies {
-                let r = exp.run_with_progress(kind, params, workers, progress);
+                let (r, _) = exp.replicate(kind, params, &fanout);
                 blocking.push((kind.name(), r.blocking_mean(), r.blocking_std_error()));
                 metrics.push(r.metrics_summary());
             }
@@ -122,9 +114,15 @@ mod tests {
             seeds: 2,
             base_seed: 1,
         };
-        let rows = sweep(&[50.0, 80.0], &policy_set(3, false), &params, |load| {
-            Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, load)).unwrap()
-        });
+        let rows = sweep(
+            &[50.0, 80.0],
+            &policy_set(3, false),
+            &params,
+            None,
+            |load| {
+                Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, load)).unwrap()
+            },
+        );
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].blocking.len(), 3);
         assert_eq!(rows[0].metrics.len(), 3);

@@ -24,18 +24,19 @@
 //! `set_levels` — the state-dependent tier reads them on the very next
 //! call.
 
+use crate::engine::{Run, RunConfig};
 use crate::failures::FailureSchedule;
-use crate::trace::{NullTraceSink, TraceSink};
+use crate::trace::NullTraceSink;
 use altroute_core::plan::RoutingPlan;
+use altroute_core::policy::PolicyKind;
 use altroute_core::select::TieredSelector;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkEvent,
-    LinkOccupancy, RouteSelector, Selection, TrunkReservation,
+    AdmissionPolicy, LinkOccupancy, RouteSelector, Selection, TrunkReservation,
 };
-use altroute_simcore::pool::pool_run_with;
+use altroute_simcore::pool::Fanout;
 use altroute_simcore::stats::BlockingSummary;
-use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
+use altroute_telemetry::{Recorder, RunTelemetry};
 use altroute_teletraffic::reservation::protection_level;
 
 /// Configuration of the adaptive controller.
@@ -189,29 +190,32 @@ pub fn run_adaptive_seed(
     failures: &FailureSchedule,
     config: &AdaptiveConfig,
 ) -> AdaptiveSeedResult {
-    run_adaptive_seed_instrumented(
+    let run = RunConfig {
         plan,
+        policy: adaptive_policy(plan),
         traffic,
         warmup,
         horizon,
         seed,
         failures,
-        config,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-    )
+    };
+    adaptive_seed(Run::new(&run), plan, config)
 }
 
 /// Runs `seeds` adaptive replications (seed `i` uses `base_seed + i`)
-/// over `workers` workers and summarises their blocking. Per-seed
-/// results come back in seed order regardless of the worker count.
+/// as `fanout` directs and summarises their blocking — the module's one
+/// replication entry. Per-seed results come back in seed order and are
+/// identical for every `fanout`; with `fanout.window` set, every
+/// replication also records time-resolved telemetry, merged in seed
+/// order. The controller's tick observes every event, so replications
+/// always run on the serial kernel (`fanout.shards` is ignored).
 ///
 /// # Panics
 ///
-/// As [`run_adaptive_seed`]; additionally if `seeds == 0` or
-/// `workers == 0`.
+/// As [`run_adaptive_seed`]; additionally if `seeds == 0`,
+/// `fanout.workers == 0`, or a telemetry window is not positive.
 #[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_replications(
+pub fn replicate_adaptive(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
     warmup: f64,
@@ -220,144 +224,55 @@ pub fn run_adaptive_replications(
     seeds: u32,
     failures: &FailureSchedule,
     config: &AdaptiveConfig,
-    workers: usize,
-) -> (Vec<AdaptiveSeedResult>, BlockingSummary) {
-    assert!(seeds > 0, "need at least one replication");
-    let per_seed = pool_run_with(
-        seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            run_adaptive_seed_scratch(
-                plan,
-                traffic,
-                warmup,
-                horizon,
-                base_seed + i as u64,
-                failures,
-                config,
-                &mut NullTraceSink,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
-    (per_seed, summary)
-}
-
-/// As [`run_adaptive_replications`], with every replication additionally
-/// recording time-resolved telemetry (window width `window`), merged
-/// across seeds in seed order. Telemetry is a pure observation: the
-/// per-seed results are identical to [`run_adaptive_replications`]'s.
-///
-/// # Panics
-///
-/// As [`run_adaptive_replications`]; additionally if `window <= 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_telemetry(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    warmup: f64,
-    horizon: f64,
-    base_seed: u64,
-    seeds: u32,
-    failures: &FailureSchedule,
-    config: &AdaptiveConfig,
-    workers: usize,
-    window: f64,
-) -> (Vec<AdaptiveSeedResult>, BlockingSummary, RunTelemetry) {
+    fanout: &Fanout<'_>,
+) -> (
+    Vec<AdaptiveSeedResult>,
+    BlockingSummary,
+    Option<RunTelemetry>,
+) {
     assert!(seeds > 0, "need at least one replication");
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-    let recorded = pool_run_with(
+    let (per_seed, telemetry) = fanout.replicate(
         seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let mut telemetry = RunTelemetry::new(warmup, horizon, window, capacities.clone());
-            let r = run_adaptive_seed_scratch(
+        |window| RunTelemetry::new(warmup, horizon, window, capacities.clone()),
+        RunTelemetry::merge,
+        |scratch, i, telemetry| {
+            let config_i = RunConfig {
                 plan,
+                policy: adaptive_policy(plan),
                 traffic,
                 warmup,
                 horizon,
-                base_seed + i as u64,
+                seed: base_seed + i as u64,
                 failures,
-                config,
-                &mut NullTraceSink,
-                &mut telemetry,
-                scratch,
-            );
-            (r, telemetry)
+            };
+            let run = Run::new(&config_i).scratch(scratch);
+            match telemetry {
+                Some(t) => adaptive_seed(run.recorder(t), plan, config),
+                None => adaptive_seed(run, plan, config),
+            }
         },
     );
-    let mut per_seed = Vec::with_capacity(recorded.len());
-    let mut merged: Option<RunTelemetry> = None;
-    for (r, telemetry) in recorded {
-        per_seed.push(r);
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-    }
     let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
-    (per_seed, summary, merged.expect("at least one replication"))
+    (per_seed, summary, telemetry)
 }
 
-/// [`run_adaptive_seed`] with a trace sink and telemetry recorder
-/// attached — the kernel reports every arrival, departure, occupancy
-/// change, and link transition exactly as the main engine does. Both
-/// observers are pure: the returned result is identical for any choice.
-///
-/// # Panics
-///
-/// As [`run_adaptive_seed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_seed_instrumented<S: TraceSink, R: Recorder>(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    warmup: f64,
-    horizon: f64,
-    seed: u64,
-    failures: &FailureSchedule,
-    config: &AdaptiveConfig,
-    sink: &mut S,
-    recorder: &mut R,
-) -> AdaptiveSeedResult {
-    run_adaptive_seed_scratch(
-        plan,
-        traffic,
-        warmup,
-        horizon,
-        seed,
-        failures,
-        config,
-        sink,
-        recorder,
-        &mut KernelScratch::new(),
-    )
+/// The named policy an adaptive run stands in for: controlled alternate
+/// routing at the plan's hop bound (its levels come from the estimator).
+fn adaptive_policy(plan: &RoutingPlan) -> PolicyKind {
+    PolicyKind::ControlledAlternate {
+        max_hops: plan.max_alternate_hops(),
+    }
 }
 
-/// The body of every adaptive entry point: one kernel replication with
-/// the adaptive selector, on a caller-supplied scratch arena (the
-/// replication pools recycle one per worker).
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_seed_scratch<S: TraceSink, R: Recorder>(
+/// The body of every adaptive entry point: `run` (a replication on
+/// `plan`) driven by the adaptive selector, ticking every update
+/// interval.
+fn adaptive_seed<R: Recorder>(
+    run: Run<'_, NullTraceSink, R>,
     plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    warmup: f64,
-    horizon: f64,
-    seed: u64,
-    failures: &FailureSchedule,
     config: &AdaptiveConfig,
-    sink: &mut S,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
 ) -> AdaptiveSeedResult {
-    let topo = plan.topology();
-    let n = topo.num_nodes();
-    assert_eq!(traffic.num_nodes(), n, "traffic matrix size mismatch");
     assert!(
         config.update_interval > 0.0,
         "update interval must be positive"
@@ -366,59 +281,14 @@ fn run_adaptive_seed_scratch<S: TraceSink, R: Recorder>(
         config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0,
         "alpha in (0, 1]"
     );
-
-    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let sources: Vec<ArrivalSource> = traffic
-        .demands()
-        .map(|(i, j, t)| {
-            let pair = i * n + j;
-            ArrivalSource {
-                stream: pair as u64,
-                src: i,
-                dst: j,
-                rate: t,
-                bandwidth: 1,
-                tag: pair as u32,
-                tally: pair as u32,
-            }
-        })
-        .collect();
-    let link_events: Vec<LinkEvent> = failures
-        .events()
-        .iter()
-        .map(|ev| LinkEvent {
-            at: ev.at,
-            link: ev.link,
-            up: ev.up,
-        })
-        .collect();
-    let spec = KernelSpec {
-        config: KernelConfig {
-            warmup,
-            horizon,
-            seed,
-            draw_pick: true,
-            tick_interval: Some(config.update_interval),
-            tally_slots: n * n,
-        },
-        capacities: &capacities,
-        static_down: failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy: &[],
-    };
-
     let mut selector = AdaptiveSelector::new(plan, config);
     let mut admission = TrunkReservation::new(selector.levels.clone());
-    let mut observer = crate::engine::Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-    let outcome = kernel::run_pooled(&spec, &mut admission, &mut selector, &mut observer, scratch);
-    recorder.finish(warmup + horizon);
+    let result = run
+        .ticks(config.update_interval)
+        .execute_with(&mut admission, &mut selector);
     AdaptiveSeedResult {
-        offered: outcome.offered,
-        blocked: outcome.blocked,
+        offered: result.offered,
+        blocked: result.blocked,
         final_estimates: selector.estimates,
         final_levels: selector.levels,
     }
@@ -427,7 +297,6 @@ fn run_adaptive_seed_scratch<S: TraceSink, R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use altroute_core::policy::PolicyKind;
     use altroute_netgraph::estimate::nsfnet_nominal_traffic;
     use altroute_netgraph::topologies;
 
@@ -560,29 +429,31 @@ mod tests {
     #[test]
     fn telemetry_recorder_sees_adaptive_run() {
         // The kernel port threads the Recorder through: a real recorder
-        // must observe arrivals without perturbing the result.
+        // must observe arrivals without perturbing the result, on any
+        // worker count.
         let (plan, traffic) = nsfnet_plan(0.8);
         let failures = FailureSchedule::none();
         let cfg = AdaptiveConfig::default();
-        let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-        let mut recorder = altroute_telemetry::RunTelemetry::new(5.0, 30.0, 5.0, capacities);
-        let recorded = run_adaptive_seed_instrumented(
-            &plan,
-            &traffic,
-            5.0,
-            30.0,
-            11,
-            &failures,
-            &cfg,
-            &mut NullTraceSink,
-            &mut recorder,
-        );
-        let plain = run_adaptive_seed(&plan, &traffic, 5.0, 30.0, 11, &failures, &cfg);
-        assert_eq!(recorded, plain, "recorder must be a pure observer");
-        assert_eq!(
-            recorder.offered, recorded.offered,
-            "recorder counted the measured arrivals"
-        );
+        let plain: Vec<_> = (11..14)
+            .map(|seed| run_adaptive_seed(&plan, &traffic, 5.0, 30.0, seed, &failures, &cfg))
+            .collect();
+        for workers in [1, 3] {
+            let fanout = Fanout {
+                workers,
+                window: Some(5.0),
+                ..Fanout::default()
+            };
+            let (recorded, summary, telemetry) =
+                replicate_adaptive(&plan, &traffic, 5.0, 30.0, 11, 3, &failures, &cfg, &fanout);
+            assert_eq!(recorded, plain, "recorder must be a pure observer");
+            assert_eq!(summary.replications(), 3);
+            let offered: u64 = plain.iter().map(|r| r.offered).sum();
+            assert_eq!(
+                telemetry.expect("a window records telemetry").offered,
+                offered,
+                "recorder counted the measured arrivals"
+            );
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The event-driven call-by-call simulation engine.
 //!
-//! One [`run_seed`] call reproduces one of the paper's sample runs: start
-//! from an idle network, generate Poisson call arrivals per
-//! origin–destination pair with exponential unit-mean holding times, warm
-//! up for `warmup` time units, measure for `horizon`, and count offered
-//! and blocked calls (network-wide and per pair).
+//! One [`Run`] reproduces one of the paper's sample runs: start from an
+//! idle network, generate Poisson call arrivals per origin–destination
+//! pair with exponential unit-mean holding times, warm up for `warmup`
+//! time units, measure for `horizon`, and count offered and blocked
+//! calls (network-wide and per pair). [`run_seed`] is the plain case.
 //!
-//! Since the kernel refactor this module is a thin instantiation of
-//! [`altroute_simcore::kernel`]: the event loop, call table, link index,
-//! and metrics live there, and this module contributes only the policy
-//! dispatch — mapping each [`PolicyKind`] to its
-//! (`AdmissionPolicy`, `RouteSelector`) pair — plus the adapter that
-//! feeds kernel observations to the [`TraceSink`] and [`Recorder`]
-//! hooks. The event stream (and every counter) is bit-identical to the
-//! pre-kernel engine; the conformance crate's golden traces pin that
-//! down.
+//! This module is a thin instantiation of [`altroute_simcore::kernel`]:
+//! the event loop, call table, link index, and metrics live there, and
+//! this module contributes only the policy dispatch — mapping each
+//! [`PolicyKind`] to its (`AdmissionPolicy`, `RouteSelector`) pair — and
+//! the adapter that feeds kernel observations to the [`TraceSink`] and
+//! [`Recorder`] hooks. Everything else a run can vary (warm start,
+//! selector ticks, sharded backend, scratch reuse, reference queue,
+//! observers) is an option on the one [`Run`] value, not a separate
+//! entry point. The conformance crate's golden traces pin the event
+//! stream and every counter.
 //!
 //! **Common random numbers.** Each pair draws its inter-arrival times,
 //! holding times, and primary-split picks from its own seed-derived
@@ -197,251 +198,367 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
     }
 }
 
-/// Which kernel entry point a replication runs through: the default
-/// fresh-scratch calendar queue, a caller-recycled [`KernelScratch`],
-/// the `BinaryHeap` reference baseline, or the sharded parallel backend.
-/// All four are outcome-identical by the kernel's contract; only
-/// allocation behavior and speed differ.
-enum KernelEntry<'s> {
-    Fresh,
-    Pooled(&'s mut KernelScratch),
-    Reference,
-    Sharded {
-        shards: &'s ShardSpec,
-        footprints: &'s [Vec<Link>],
-        scratch: &'s mut KernelScratch,
-    },
+/// One replication, described once: a [`RunConfig`] plus the optional
+/// execution details of the run — a warm start, a selector tick, a
+/// sharded backend, a recycled scratch arena, the `BinaryHeap`
+/// reference queue, a [`TraceSink`], and a [`Recorder`]. Every way the
+/// workspace runs a seed goes through this one value and its two
+/// executors: [`Run::execute`] for a named [`PolicyKind`] and
+/// [`Run::execute_with`] for an explicit `(admission, selector)` pair.
+///
+/// None of the options is a model change. Sink and recorder are pure
+/// observers, the scratch arena recycles capacity and never state, and
+/// the sharded backend and the reference queue are execution
+/// strategies — the [`SeedResult`] is byte-identical under every
+/// combination (the conformance crate's run-parity suite pins this).
+/// Only a warm start and a tick interval change what is simulated.
+///
+/// Sink and recorder are type parameters, so the default
+/// ([`NullTraceSink`], [`NullRecorder`]) monomorphizes to nothing and a
+/// plain run compiles to the bare event loop.
+///
+/// ```
+/// use altroute_core::{plan::RoutingPlan, policy::PolicyKind};
+/// use altroute_netgraph::{topologies, traffic::TrafficMatrix};
+/// use altroute_sim::engine::{Run, RunConfig};
+/// use altroute_sim::failures::FailureSchedule;
+/// use altroute_simcore::shard::{Partition, ShardSpec};
+/// use altroute_telemetry::RunTelemetry;
+///
+/// let traffic = TrafficMatrix::uniform(4, 80.0);
+/// let plan = RoutingPlan::min_hop(topologies::quadrangle(), &traffic, 3);
+/// let failures = FailureSchedule::none();
+/// let config = RunConfig {
+///     plan: &plan,
+///     policy: PolicyKind::ControlledAlternate { max_hops: 3 },
+///     traffic: &traffic,
+///     warmup: 2.0,
+///     horizon: 10.0,
+///     seed: 7,
+///     failures: &failures,
+/// };
+/// let shards = ShardSpec::new(plan.topology().num_links(), 2, Partition::Contiguous);
+/// let mut telemetry = RunTelemetry::new(2.0, 10.0, 1.0, vec![100; 12]);
+/// let sharded = Run::new(&config)
+///     .shards(Some(&shards))
+///     .recorder(&mut telemetry)
+///     .execute();
+/// assert_eq!(sharded, Run::new(&config).execute());
+/// assert_eq!(telemetry.offered, sharded.offered);
+/// ```
+#[must_use = "a Run does nothing until executed"]
+pub struct Run<'a, S = NullTraceSink, R = NullRecorder> {
+    config: RunConfig<'a>,
+    initial_occupancy: &'a [u32],
+    tick_interval: Option<f64>,
+    shards: Option<&'a ShardSpec>,
+    scratch: Option<&'a mut KernelScratch>,
+    reference_queue: bool,
+    sink: S,
+    recorder: R,
 }
 
-impl KernelEntry<'_> {
-    fn invoke<'p, A, Sel, O>(
-        &mut self,
-        spec: &KernelSpec<'_>,
-        admission: &mut A,
-        selector: &mut Sel,
-        observer: &mut O,
-    ) -> KernelOutcome
-    where
-        A: AdmissionPolicy + Clone + Send,
-        Sel: RouteSelector<'p> + Clone + Send,
-        O: KernelObserver,
-    {
-        match self {
-            KernelEntry::Fresh => kernel::run(spec, admission, selector, observer),
-            KernelEntry::Pooled(scratch) => {
-                kernel::run_pooled(spec, admission, selector, observer, scratch)
-            }
-            KernelEntry::Reference => kernel::run_reference(spec, admission, selector, observer),
-            KernelEntry::Sharded {
-                shards,
-                footprints,
-                scratch,
-            } => shard::run_sharded(
-                spec, shards, footprints, admission, selector, observer, scratch,
-            ),
+impl<'a> Run<'a> {
+    /// A cold, serial, unobserved replication of `config` on a fresh
+    /// scratch arena.
+    pub fn new(config: &RunConfig<'a>) -> Self {
+        Self {
+            config: *config,
+            initial_occupancy: &[],
+            tick_interval: None,
+            shards: None,
+            scratch: None,
+            reference_queue: false,
+            sink: NullTraceSink,
+            recorder: NullRecorder,
         }
     }
 }
 
-/// Runs one replication and returns its counters.
+impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
+    /// Warm-starts the run: `initial_occupancy` (one entry per link;
+    /// empty means cold) is booked at `t = 0` as real single-link calls
+    /// with fresh unit-mean exponential residual holding times from the
+    /// kernel's dedicated warm-start stream, so the seeded state decays
+    /// naturally. Arrival streams and policy dispatch are untouched, and
+    /// an all-zero vector is byte-identical to a cold start. A recorder
+    /// sees the seeded occupancy as `occupancy` hooks at `t = 0`.
+    ///
+    /// This is the initial-condition hook behind the metastability
+    /// experiments: the same load from an empty vs. a saturated network
+    /// can land in different blocking modes (hysteresis).
+    pub fn warm(mut self, initial_occupancy: &'a [u32]) -> Self {
+        self.initial_occupancy = initial_occupancy;
+        self
+    }
+
+    /// Calls [`RouteSelector::tick`] every `interval` time units — the
+    /// hook an *online controller* uses to re-estimate loads and push
+    /// fresh levels through [`AdmissionPolicy::set_levels`]. Unused, the
+    /// hook is byte-inert, which is what keeps the golden traces valid.
+    pub fn ticks(mut self, interval: f64) -> Self {
+        self.tick_interval = Some(interval);
+        self
+    }
+
+    /// Runs on the sharded parallel backend (`None` is the serial
+    /// kernel): links are partitioned per `shards`, shard-local traffic
+    /// runs on worker threads, and cross-shard traffic is serialized
+    /// through a coordinator under conservative time-window
+    /// synchronization.
+    ///
+    /// The backend takes the serial kernel itself whenever a
+    /// precondition fails: one shard, a warm start, a tick interval, a
+    /// non-shardable selector (DAR's sticky state), a real trace sink
+    /// (its bytes embed call handles only the serial oracle
+    /// reproduces), or no shard-local traffic. A recorder alone keeps
+    /// the parallel path: its hooks carry no call handles, so they are
+    /// buffered per shard and replayed at the barriers in global event
+    /// order. [`Run::execute_with`] always runs serially (sharding
+    /// needs `Clone + Send` policies), as does the reference queue.
+    pub fn shards(mut self, shards: Option<&'a ShardSpec>) -> Self {
+        self.shards = shards;
+        self
+    }
+
+    /// Recycles `scratch` (event-queue buckets, call table, link index,
+    /// RNG streams) instead of allocating a fresh arena — what the
+    /// replication pools hand each worker's scratch to.
+    pub fn scratch(mut self, scratch: &'a mut KernelScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Runs on the comparison-based `BinaryHeap` event queue instead of
+    /// the calendar queue — the differential and benchmark baseline.
+    /// Always serial; only the wall clock differs.
+    pub fn reference_queue(mut self) -> Self {
+        self.reference_queue = true;
+        self
+    }
+
+    /// Reports every event to `sink` — the deterministic replay hook
+    /// behind the golden traces. Pass `&mut sink` to keep ownership.
+    pub fn sink<S2: TraceSink>(self, sink: S2) -> Run<'a, S2, R> {
+        Run {
+            config: self.config,
+            initial_occupancy: self.initial_occupancy,
+            tick_interval: self.tick_interval,
+            shards: self.shards,
+            scratch: self.scratch,
+            reference_queue: self.reference_queue,
+            sink,
+            recorder: self.recorder,
+        }
+    }
+
+    /// Feeds time-resolved telemetry to `recorder`; its wall-clock spans
+    /// and end-of-run flush are closed out when the run finishes. Pass
+    /// `&mut recorder` to keep ownership.
+    pub fn recorder<R2: Recorder>(self, recorder: R2) -> Run<'a, S, R2> {
+        Run {
+            config: self.config,
+            initial_occupancy: self.initial_occupancy,
+            tick_interval: self.tick_interval,
+            shards: self.shards,
+            scratch: self.scratch,
+            reference_queue: self.reference_queue,
+            sink: self.sink,
+            recorder,
+        }
+    }
+
+    /// Runs the replication under the configured [`PolicyKind`] and
+    /// returns its counters, on the sharded backend when
+    /// [`Run::shards`] asked for one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent configuration (sizes, negative durations,
+    /// a policy hop bound other than the plan's `H`, a warm start not
+    /// one entry per link or over capacity) or if an internal invariant
+    /// breaks (a policy admitting over a full link).
+    pub fn execute(self) -> SeedResult {
+        let RunConfig {
+            plan, policy, seed, ..
+        } = self.config;
+        if let Some(h) = policy.max_hops() {
+            assert_eq!(
+                h,
+                plan.max_alternate_hops(),
+                "policy hop bound must match the plan's H"
+            );
+        }
+        // Each policy is an (admission, selector) pair on the same kernel:
+        //
+        // | policy        | admission                    | selector            |
+        // |---------------|------------------------------|---------------------|
+        // | single-path   | capacity only                | tiered, no alternates |
+        // | uncontrolled  | capacity only                | tiered              |
+        // | controlled    | trunk reservation (Eq. 15)   | tiered              |
+        // | ott-krishnan  | (internal to the price test) | shadow-price argmin |
+        // | dar           | trunk reservation (Eq. 15)   | sticky random       |
+        // | bod           | trunk reservation (Eq. 15)   | best-of-d sampling  |
+        let reservation = || TrunkReservation::new(plan.protection_levels().to_vec());
+        match policy {
+            PolicyKind::SinglePath => {
+                self.execute_shardable(&mut Uncontrolled, &mut TieredSelector::single_path(plan))
+            }
+            PolicyKind::UncontrolledAlternate { .. } => {
+                self.execute_shardable(&mut Uncontrolled, &mut TieredSelector::new(plan))
+            }
+            PolicyKind::ControlledAlternate { .. } => {
+                self.execute_shardable(&mut reservation(), &mut TieredSelector::new(plan))
+            }
+            PolicyKind::OttKrishnan { .. } => {
+                self.execute_shardable(&mut Uncontrolled, &mut OttKrishnanSelector::new(plan))
+            }
+            PolicyKind::DarSticky { .. } => {
+                let rng = StreamFactory::new(seed).stream(DAR_RESAMPLE_STREAM);
+                self.execute_shardable(&mut reservation(), &mut DarStickySelector::new(plan, rng))
+            }
+            PolicyKind::BestOfD { d, .. } => {
+                let rng = StreamFactory::new(seed).stream(BOD_SAMPLE_STREAM);
+                self.execute_shardable(&mut reservation(), &mut BestOfDSelector::new(plan, d, rng))
+            }
+        }
+    }
+
+    /// Runs the replication with an explicit `(admission, selector)`
+    /// pair instead of the configured [`PolicyKind`] — the extension
+    /// point for policies that are not named variants (online
+    /// controllers, instrumented wrappers). Always on the serial kernel:
+    /// the policies need not be `Clone` or `Send`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Run::execute`], except that the policy's hop bound is not
+    /// checked; additionally if a tick interval is non-positive.
+    pub fn execute_with<'p, A, Sel>(self, admission: &mut A, selector: &mut Sel) -> SeedResult
+    where
+        A: AdmissionPolicy,
+        Sel: RouteSelector<'p>,
+    {
+        let reference_queue = self.reference_queue;
+        self.drive(|spec, observer, scratch| {
+            if reference_queue {
+                kernel::run_reference(spec, admission, selector, observer)
+            } else {
+                kernel::run_pooled(spec, admission, selector, observer, scratch)
+            }
+        })
+    }
+
+    /// [`Run::execute_with`] for policies the sharded backend can
+    /// replicate per shard: the one place that picks serial or sharded.
+    fn execute_shardable<'p, A, Sel>(self, admission: &mut A, selector: &mut Sel) -> SeedResult
+    where
+        A: AdmissionPolicy + Clone + Send,
+        Sel: RouteSelector<'p> + Clone + Send,
+    {
+        let shards = match self.shards {
+            Some(shards) if !self.reference_queue => shards,
+            _ => return self.execute_with(admission, selector),
+        };
+        let footprints = pair_footprints(self.config.plan, self.config.traffic);
+        self.drive(|spec, observer, scratch| {
+            shard::run_sharded(
+                spec,
+                shards,
+                &footprints,
+                admission,
+                selector,
+                observer,
+                scratch,
+            )
+        })
+    }
+
+    /// The body every execution shares: build the kernel spec, attach
+    /// the observers, run `kernel` on the caller's or a fresh scratch
+    /// arena, and assemble the [`SeedResult`].
+    fn drive(
+        mut self,
+        kernel: impl FnOnce(
+            &KernelSpec<'_>,
+            &mut Instruments<'_, S, R>,
+            &mut KernelScratch,
+        ) -> KernelOutcome,
+    ) -> SeedResult {
+        let config = &self.config;
+        assert_eq!(
+            config.traffic.num_nodes(),
+            config.plan.topology().num_nodes(),
+            "traffic matrix size mismatch"
+        );
+        let (capacities, sources, link_events, mut kernel_config) = build_spec(config);
+        kernel_config.tick_interval = self.tick_interval;
+        let spec = KernelSpec {
+            config: kernel_config,
+            capacities: &capacities,
+            static_down: config.failures.statically_down(),
+            sources: &sources,
+            link_events: &link_events,
+            initial_occupancy: self.initial_occupancy,
+        };
+        let mut fresh = None;
+        let scratch = match self.scratch {
+            Some(scratch) => scratch,
+            None => fresh.insert(KernelScratch::new()),
+        };
+        let mut observer = Instruments {
+            sink: &mut self.sink,
+            recorder: &mut self.recorder,
+        };
+        let outcome = kernel(&spec, &mut observer, scratch);
+        finish_seed(config, outcome, &mut self.recorder)
+    }
+}
+
+/// Runs one cold, serial, unobserved replication and returns its
+/// counters — [`Run::new`]`(config).`[`execute`](Run::execute)`()`.
 ///
 /// # Panics
 ///
-/// Panics on inconsistent configuration (sizes, negative durations) or if
-/// an internal invariant breaks (a policy admitting over a full link).
+/// As [`Run::execute`].
 pub fn run_seed(config: &RunConfig<'_>) -> SeedResult {
-    run_seed_instrumented(config, &mut NullTraceSink, &mut NullRecorder)
+    Run::new(config).execute()
 }
 
-/// As [`run_seed`], but recycling `scratch` (event-queue buckets, call
-/// table, link index, RNG streams) across calls instead of reallocating
-/// per replication — the entry point replication pools hand their
-/// per-worker scratch to. Results are byte-identical to [`run_seed`].
+/// As [`run_seed`], recycling `scratch` across calls. Results are
+/// byte-identical to [`run_seed`].
 ///
 /// # Panics
 ///
-/// As [`run_seed`].
+/// As [`Run::execute`].
 pub fn run_seed_pooled(config: &RunConfig<'_>, scratch: &mut KernelScratch) -> SeedResult {
-    run_seed_entry(
-        config,
-        &[],
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Pooled(scratch),
-    )
+    Run::new(config).scratch(scratch).execute()
 }
 
-/// As [`run_seed`], but on the comparison-based `BinaryHeap` event queue
-/// instead of the calendar queue — the differential and benchmark
-/// baseline. Results are byte-identical to [`run_seed`]; only the wall
-/// clock differs.
+/// Runs one replication with an explicit `(admission, selector)` pair
+/// and both observers attached — [`Run::execute_with`] with a sink and
+/// a recorder.
 ///
 /// # Panics
 ///
-/// As [`run_seed`].
-pub fn run_seed_reference(config: &RunConfig<'_>) -> SeedResult {
-    run_seed_entry(
-        config,
-        &[],
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Reference,
-    )
-}
-
-/// Runs one replication while reporting every event to `sink`.
-///
-/// This is the deterministic replay entry point behind the conformance
-/// crate's golden traces: the event stream for a given `config` is a
-/// pure function of the configuration, so recording it once and
-/// replaying later (or on another worker count) must reproduce it byte
-/// for byte. [`run_seed`] is this function with a no-op sink.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_traced<S: TraceSink>(config: &RunConfig<'_>, sink: &mut S) -> SeedResult {
-    run_seed_instrumented(config, sink, &mut NullRecorder)
-}
-
-/// Runs one replication while feeding time-resolved telemetry to
-/// `recorder` (counters, histograms, windowed series, spans — see
-/// `altroute_telemetry`).
-///
-/// The recorder is a pure observer: for any recorder, the returned
-/// [`SeedResult`] is byte-identical to [`run_seed`]'s.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_recorded<R: Recorder>(config: &RunConfig<'_>, recorder: &mut R) -> SeedResult {
-    run_seed_instrumented(config, &mut NullTraceSink, recorder)
-}
-
-/// As [`run_seed_recorded`], recycling `scratch` across calls exactly
-/// like [`run_seed_pooled`]. Results and telemetry are byte-identical
-/// to [`run_seed_recorded`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_recorded_pooled<R: Recorder>(
+/// As [`Run::execute_with`].
+pub fn run_seed_with_policy<'p, A, Sel, S, R>(
     config: &RunConfig<'_>,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> SeedResult {
-    run_seed_entry(
-        config,
-        &[],
-        &mut NullTraceSink,
-        recorder,
-        KernelEntry::Pooled(scratch),
-    )
-}
-
-/// As [`run_seed`], but *warm-started*: `initial_occupancy` (one entry
-/// per link; empty means cold start) is booked at `t = 0` as real
-/// single-link calls with fresh unit-mean exponential residual holding
-/// times from the kernel's dedicated warm-start stream, so the seeded
-/// state decays naturally. Everything else — arrival streams, policy
-/// dispatch, counters — is identical to [`run_seed`], and an empty
-/// slice *is* [`run_seed`], byte for byte.
-///
-/// This is the initial-condition hook behind the metastability
-/// experiments: the same load run from an empty vs. a saturated network
-/// can land in different blocking modes (hysteresis).
-///
-/// # Panics
-///
-/// As [`run_seed`]; additionally if `initial_occupancy` is non-empty
-/// with the wrong length, exceeds a link's capacity, or seeds a
-/// statically-down link.
-pub fn run_seed_warm(config: &RunConfig<'_>, initial_occupancy: &[u32]) -> SeedResult {
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Fresh,
-    )
-}
-
-/// As [`run_seed_recorded`], warm-started like [`run_seed_warm`]. The
-/// recorder sees the seeded occupancy as `occupancy_changed` hooks at
-/// `t = 0`, so windowed telemetry starts from the warm state.
-///
-/// # Panics
-///
-/// As [`run_seed_warm`].
-pub fn run_seed_warm_recorded<R: Recorder>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    recorder: &mut R,
-) -> SeedResult {
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        &mut NullTraceSink,
-        recorder,
-        KernelEntry::Fresh,
-    )
-}
-
-/// As [`run_seed_warm_recorded`], additionally reporting every event to
-/// `sink` — the warm-started counterpart of
-/// [`run_seed_instrumented`]. This is the entry point behind the
-/// metastability experiments' anomaly flight recorder: a
-/// [`FlightSink`](crate::trace::FlightSink) rides along a warm-started
-/// recorded run (warm starts always take the serial kernel path, so a
-/// live sink is safe) and the recorder's window hooks freeze the ring.
-/// Both observers are pure: results and telemetry are byte-identical to
-/// [`run_seed_warm_recorded`].
-///
-/// # Panics
-///
-/// As [`run_seed_warm`].
-pub fn run_seed_warm_instrumented<S: TraceSink, R: Recorder>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
+    admission: &mut A,
+    selector: &mut Sel,
     sink: &mut S,
     recorder: &mut R,
-) -> SeedResult {
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        sink,
-        recorder,
-        KernelEntry::Fresh,
-    )
-}
-
-/// As [`run_seed_sharded`], warm-started like [`run_seed_warm`]. A
-/// non-empty warm start forces the sharded backend's serial fallback
-/// (seeded calls are cross-shard state the workers cannot replay), so
-/// results are byte-identical to [`run_seed_warm`] by construction; an
-/// empty slice behaves exactly like [`run_seed_sharded`].
-///
-/// # Panics
-///
-/// As [`run_seed_warm`].
-pub fn run_seed_warm_sharded(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    shards: &ShardSpec,
-) -> SeedResult {
-    let footprints = pair_footprints(config.plan, config.traffic);
-    let mut scratch = KernelScratch::new();
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Sharded {
-            shards,
-            footprints: &footprints,
-            scratch: &mut scratch,
-        },
-    )
+) -> SeedResult
+where
+    A: AdmissionPolicy,
+    Sel: RouteSelector<'p>,
+    S: TraceSink,
+    R: Recorder,
+{
+    Run::new(config)
+        .sink(sink)
+        .recorder(recorder)
+        .execute_with(admission, selector)
 }
 
 /// The link footprint of every demand pair, in `demands()` order (the
@@ -468,117 +585,6 @@ pub fn pair_footprints(plan: &RoutingPlan, traffic: &TrafficMatrix) -> Vec<Vec<L
             fp
         })
         .collect()
-}
-
-/// As [`run_seed`], but on the sharded parallel kernel backend: links
-/// are partitioned per `shards`, shard-local traffic runs on worker
-/// threads, and cross-shard traffic is serialized through a
-/// coordinator under conservative time-window synchronization.
-///
-/// Results are **byte-identical** to [`run_seed`] for every shard
-/// count — the sharded backend is an execution strategy, not a model
-/// change — and the backend falls back to the serial kernel whenever a
-/// precondition fails (one shard, a non-shardable selector such as
-/// DAR, or no shard-local traffic).
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded(config: &RunConfig<'_>, shards: &ShardSpec) -> SeedResult {
-    let mut scratch = KernelScratch::new();
-    run_seed_sharded_pooled(config, shards, &mut scratch)
-}
-
-/// As [`run_seed_sharded`], recycling `scratch` for the coordinator's
-/// event queue and master state across calls. Results are
-/// byte-identical to [`run_seed_sharded`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_pooled(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    scratch: &mut KernelScratch,
-) -> SeedResult {
-    run_seed_sharded_instrumented(
-        config,
-        shards,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        scratch,
-    )
-}
-
-/// As [`run_seed_traced`], through the sharded entry. A trace sink
-/// observes every event, which forces the serial fallback, so the
-/// recorded trace is byte-identical to [`run_seed_traced`]'s — the
-/// conformance suite uses this to pin the sharded plumbing (footprint
-/// computation, spec validation, fallback detection) to the golden
-/// traces.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_traced<S: TraceSink>(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    sink: &mut S,
-) -> SeedResult {
-    let mut scratch = KernelScratch::new();
-    run_seed_sharded_instrumented(config, shards, sink, &mut NullRecorder, &mut scratch)
-}
-
-/// As [`run_seed_recorded`], through the sharded entry. [`Recorder`]
-/// hooks carry no call handles, so the kernel buffers them per shard
-/// and replays them at the barriers in global `(time, shard)` event
-/// order — the run stays parallel *and* the recorder sees the serial
-/// oracle's stream: telemetry and [`SeedResult`] are byte-identical to
-/// [`run_seed_recorded`]'s. The conformance suite pins this.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_recorded<R: Recorder>(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    recorder: &mut R,
-) -> SeedResult {
-    let mut scratch = KernelScratch::new();
-    run_seed_sharded_instrumented(config, shards, &mut NullTraceSink, recorder, &mut scratch)
-}
-
-/// The fully general sharded entry: a [`TraceSink`] and [`Recorder`]
-/// may be attached. A recorder alone keeps the parallel path (its
-/// hooks are buffered per shard and replayed at the barriers in global
-/// event order — see [`run_seed_sharded_recorded`]); a real trace sink
-/// forces the serial fallback, since its byte-exact output embeds call
-/// handles only the serial oracle reproduces. Either way, instrumented
-/// calls through here remain byte-identical to
-/// [`run_seed_instrumented`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_instrumented<S: TraceSink, R: Recorder>(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    sink: &mut S,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> SeedResult {
-    let footprints = pair_footprints(config.plan, config.traffic);
-    run_seed_entry(
-        config,
-        &[],
-        sink,
-        recorder,
-        KernelEntry::Sharded {
-            shards,
-            footprints: &footprints,
-            scratch,
-        },
-    )
 }
 
 /// Builds the kernel's static description of this run: one arrival
@@ -650,117 +656,6 @@ pub fn apply_static_failures(plan: &mut RoutingPlan, failures: &FailureSchedule)
         .sum()
 }
 
-/// Runs one replication with both a trace sink and a telemetry recorder
-/// attached. [`run_seed`], [`run_seed_traced`], and [`run_seed_recorded`]
-/// are this function with the respective no-op observers; both no-ops
-/// monomorphize to nothing, so the plain path pays no cost.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_instrumented<S: TraceSink, R: Recorder>(
-    config: &RunConfig<'_>,
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult {
-    run_seed_entry(config, &[], sink, recorder, KernelEntry::Fresh)
-}
-
-/// The shared body of every `run_seed*` entry point: policy dispatch
-/// over one kernel invocation through `entry`. `initial_occupancy` is
-/// the kernel's warm-start seed (empty for the usual cold start).
-fn run_seed_entry<S: TraceSink, R: Recorder>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    sink: &mut S,
-    recorder: &mut R,
-    mut entry: KernelEntry<'_>,
-) -> SeedResult {
-    let plan = config.plan;
-    let n = plan.topology().num_nodes();
-    assert_eq!(
-        config.traffic.num_nodes(),
-        n,
-        "traffic matrix size mismatch"
-    );
-    if let Some(h) = config.policy.max_hops() {
-        assert_eq!(
-            h,
-            plan.max_alternate_hops(),
-            "policy hop bound must match the plan's H"
-        );
-    }
-    let (capacities, sources, link_events, kernel_config) = build_spec(config);
-    let spec = KernelSpec {
-        config: kernel_config,
-        capacities: &capacities,
-        static_down: config.failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy,
-    };
-    let mut observer = Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-
-    // Each policy is an (admission, selector) pair on the same kernel:
-    //
-    // | policy        | admission                    | selector            |
-    // |---------------|------------------------------|---------------------|
-    // | single-path   | capacity only                | tiered, no alternates |
-    // | uncontrolled  | capacity only                | tiered              |
-    // | controlled    | trunk reservation (Eq. 15)   | tiered              |
-    // | ott-krishnan  | (internal to the price test) | shadow-price argmin |
-    // | dar           | trunk reservation (Eq. 15)   | sticky random       |
-    // | bod           | trunk reservation (Eq. 15)   | best-of-d sampling  |
-    let outcome = match config.policy {
-        PolicyKind::SinglePath => entry.invoke(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
-            &mut observer,
-        ),
-        PolicyKind::UncontrolledAlternate { .. } => entry.invoke(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
-            &mut observer,
-        ),
-        PolicyKind::ControlledAlternate { .. } => entry.invoke(
-            &spec,
-            &mut TrunkReservation::new(plan.protection_levels().to_vec()),
-            &mut TieredSelector::new(plan),
-            &mut observer,
-        ),
-        PolicyKind::OttKrishnan { .. } => entry.invoke(
-            &spec,
-            &mut Uncontrolled,
-            &mut OttKrishnanSelector::new(plan),
-            &mut observer,
-        ),
-        PolicyKind::DarSticky { .. } => {
-            let rng = StreamFactory::new(config.seed).stream(DAR_RESAMPLE_STREAM);
-            entry.invoke(
-                &spec,
-                &mut TrunkReservation::new(plan.protection_levels().to_vec()),
-                &mut DarStickySelector::new(plan, rng),
-                &mut observer,
-            )
-        }
-        PolicyKind::BestOfD { d, .. } => {
-            let rng = StreamFactory::new(config.seed).stream(BOD_SAMPLE_STREAM);
-            entry.invoke(
-                &spec,
-                &mut TrunkReservation::new(plan.protection_levels().to_vec()),
-                &mut BestOfDSelector::new(plan, d, rng),
-                &mut observer,
-            )
-        }
-    };
-    finish_seed(config, outcome, recorder)
-}
-
 /// Assembles a [`SeedResult`] from a kernel outcome and closes out the
 /// recorder (wall-clock spans, end-of-run flush).
 fn finish_seed<R: Recorder>(
@@ -783,86 +678,6 @@ fn finish_seed<R: Recorder>(
         per_pair_blocked: outcome.tally_blocked,
         metrics: outcome.metrics,
     }
-}
-
-/// Runs one replication with an explicit `(admission, selector)` pair
-/// instead of a named [`PolicyKind`] — the extension point for policies
-/// that are not (yet) named variants. Observers and counters behave
-/// exactly as in [`run_seed_instrumented`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_with_policy<'p, A, Sel, S, R>(
-    config: &RunConfig<'_>,
-    admission: &mut A,
-    selector: &mut Sel,
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult
-where
-    A: AdmissionPolicy,
-    Sel: RouteSelector<'p>,
-    S: TraceSink,
-    R: Recorder,
-{
-    run_seed_with_policy_warm(config, &[], None, admission, selector, sink, recorder)
-}
-
-/// As [`run_seed_with_policy`], with the two hooks an *online
-/// controller* needs: a warm start (`initial_occupancy`, as in
-/// [`run_seed_warm`]) and a periodic selector tick
-/// ([`KernelConfig::tick_interval`]): with `tick_interval =
-/// Some(window)` the kernel calls [`RouteSelector::tick`] at every
-/// window boundary, which is where a controlling selector re-estimates
-/// loads and pushes fresh levels through
-/// [`AdmissionPolicy::set_levels`]. With `initial_occupancy` empty and
-/// `tick_interval` `None` this *is* [`run_seed_with_policy`] — the
-/// controller hooks are byte-inert when unused, which is what keeps the
-/// existing golden traces valid.
-///
-/// # Panics
-///
-/// As [`run_seed`]; additionally if `initial_occupancy` is non-empty
-/// but not one entry per link, or `tick_interval` is non-positive
-/// (kernel contract).
-pub fn run_seed_with_policy_warm<'p, A, Sel, S, R>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    tick_interval: Option<f64>,
-    admission: &mut A,
-    selector: &mut Sel,
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult
-where
-    A: AdmissionPolicy,
-    Sel: RouteSelector<'p>,
-    S: TraceSink,
-    R: Recorder,
-{
-    let n = config.plan.topology().num_nodes();
-    assert_eq!(
-        config.traffic.num_nodes(),
-        n,
-        "traffic matrix size mismatch"
-    );
-    let (capacities, sources, link_events, mut kernel_config) = build_spec(config);
-    kernel_config.tick_interval = tick_interval;
-    let spec = KernelSpec {
-        config: kernel_config,
-        capacities: &capacities,
-        static_down: config.failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy,
-    };
-    let mut observer = Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-    let outcome = kernel::run(&spec, admission, selector, &mut observer);
-    finish_seed(config, outcome, recorder)
 }
 
 #[cfg(test)]
@@ -1231,225 +1046,103 @@ mod tests {
     }
 
     #[test]
-    fn reference_backend_and_recycled_scratch_match_every_policy() {
-        // Differential check across the whole policy dispatch: for each
-        // policy, the BinaryHeap reference backend and a scratch arena
-        // recycled across all policies must reproduce the fresh-run
-        // counters exactly. An outage keeps the teardown paths honest.
-        let topo = topologies::quadrangle();
-        let m = TrafficMatrix::uniform(4, 60.0);
-        let link01 = RoutingPlan::min_hop(topo.clone(), &m, 3)
-            .topology()
-            .link_between(0, 1)
-            .unwrap();
-        let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-        let mut scratch = altroute_simcore::kernel::KernelScratch::new();
-        for policy in [
-            PolicyKind::SinglePath,
-            PolicyKind::UncontrolledAlternate { max_hops: 3 },
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::OttKrishnan { max_hops: 3 },
-            PolicyKind::DarSticky { max_hops: 3 },
-        ] {
-            let plan = RoutingPlan::min_hop(topo.clone(), &m, 3);
-            let config = RunConfig {
-                plan: &plan,
-                policy,
-                traffic: &m,
-                warmup: 5.0,
-                horizon: 30.0,
-                seed: 2026,
-                failures: &failures,
-            };
-            let fresh = run_seed(&config);
-            assert_eq!(fresh, run_seed_reference(&config), "{policy:?} reference");
-            assert_eq!(
-                fresh,
-                run_seed_pooled(&config, &mut scratch),
-                "{policy:?} pooled"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_backend_matches_serial_for_every_policy() {
-        // The sharded entry must be byte-identical to the serial run for
-        // every policy and shard count — whether it genuinely fans out
-        // (shardable selectors) or takes the serial fallback (DAR's
-        // sticky state). The quadrangle's overlapping pairs exercise the
-        // cross-shard coordinator; the outage keeps teardown paths
-        // honest.
-        let topo = topologies::quadrangle();
-        let m = TrafficMatrix::uniform(4, 60.0);
-        let link01 = RoutingPlan::min_hop(topo.clone(), &m, 3)
-            .topology()
-            .link_between(0, 1)
-            .unwrap();
-        let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-        for policy in [
-            PolicyKind::SinglePath,
-            PolicyKind::UncontrolledAlternate { max_hops: 3 },
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::OttKrishnan { max_hops: 3 },
-            PolicyKind::DarSticky { max_hops: 3 },
-        ] {
-            let plan = RoutingPlan::min_hop(topo.clone(), &m, 3);
-            let config = RunConfig {
-                plan: &plan,
-                policy,
-                traffic: &m,
-                warmup: 5.0,
-                horizon: 30.0,
-                seed: 77,
-                failures: &failures,
-            };
-            let serial = run_seed(&config);
-            for num_shards in [1, 2, 4] {
-                let shards = ShardSpec::new(
-                    plan.topology().num_links(),
-                    num_shards,
-                    Partition::Contiguous,
-                );
-                assert_eq!(
-                    serial,
-                    run_seed_sharded(&config, &shards),
-                    "{policy:?} at {num_shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_backend_matches_serial_on_disjoint_clusters() {
-        // clustered_mesh gives cluster-contiguous link ids and
-        // intra-cluster-only footprints: with a cluster-aligned contiguous
-        // partition every source is shard-local and the run genuinely fans
-        // out — the parallel hot path, not the coordinator fallback.
-        let clusters = 3;
-        let size = 3;
-        let topo = topologies::clustered_mesh(clusters, size, 15);
-        let m = TrafficMatrix::from_fn(clusters * size, |i, j| {
-            if i != j && i / size == j / size {
-                9.0
-            } else {
-                0.0
-            }
-        });
-        let plan = RoutingPlan::min_hop(topo, &m, 2);
-        let failures = FailureSchedule::none();
-        let config = RunConfig {
-            plan: &plan,
-            policy: PolicyKind::ControlledAlternate { max_hops: 2 },
-            traffic: &m,
-            warmup: 5.0,
-            horizon: 40.0,
-            seed: 2026,
-            failures: &failures,
-        };
-        // Sanity: every footprint stays within one cluster's link range.
-        let per_cluster = size * (size - 1);
-        for fp in pair_footprints(&plan, &m) {
-            assert!(!fp.is_empty());
-            let c = fp[0] / per_cluster;
-            assert!(fp.iter().all(|&l| l / per_cluster == c));
-        }
-        let serial = run_seed(&config);
-        let mut scratch = KernelScratch::new();
-        for num_shards in [1, 2, 3, 6] {
-            let shards = ShardSpec::new(
-                plan.topology().num_links(),
-                num_shards,
-                Partition::Contiguous,
-            );
-            assert_eq!(
-                serial,
-                run_seed_sharded_pooled(&config, &shards, &mut scratch),
-                "{num_shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_recorded_run_matches_the_serial_instrumented_oracle() {
-        // A real recorder must no longer force the serial fallback: the
-        // sharded entry buffers its hooks per shard and replays them at
-        // the barriers, so both the SeedResult and the full RunTelemetry
-        // must be byte-identical to the serial instrumented oracle —
-        // under an outage (coordinator teardowns) and on the genuinely
-        // parallel disjoint-cluster workload alike.
+    fn every_run_option_matches_the_serial_oracle_for_every_policy() {
+        // Differential check across the whole policy dispatch: the
+        // reference queue, a scratch arena recycled across policies, the
+        // sharded backend at several shard counts (with and without a
+        // recorder), and recorder-only runs must all reproduce the plain
+        // serial run's counters exactly — and recorded runs its
+        // telemetry. Two instances: the quadrangle with an outage
+        // (overlapping pairs keep the cross-shard coordinator busy and
+        // teardown hooks cross the master/owner split; DAR takes the
+        // serial fallback), and disjoint clusters, where with a
+        // cluster-aligned contiguous partition every source is
+        // shard-local and the run genuinely fans out.
         use altroute_telemetry::RunTelemetry;
 
-        let telemetry_for = |plan: &RoutingPlan, run: &dyn Fn(&mut RunTelemetry) -> SeedResult| {
-            let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-            let mut t = RunTelemetry::new(5.0, 30.0, 5.0, capacities);
-            let r = run(&mut t);
-            (r, t)
+        let quadrangle = {
+            let traffic = TrafficMatrix::uniform(4, 60.0);
+            let plan = RoutingPlan::min_hop(topologies::quadrangle(), &traffic, 3);
+            let link01 = plan.topology().link_between(0, 1).unwrap();
+            let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
+            (plan, traffic, failures, 3, vec![1, 2, 4])
         };
-
-        // Quadrangle with an outage: overlapping pairs keep the
-        // coordinator busy; teardown hooks cross the master/owner split.
-        let topo = topologies::quadrangle();
-        let m = TrafficMatrix::uniform(4, 60.0);
-        let plan = RoutingPlan::min_hop(topo, &m, 3);
-        let link01 = plan.topology().link_between(0, 1).unwrap();
-        let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-        let config = RunConfig {
-            plan: &plan,
-            policy: PolicyKind::ControlledAlternate { max_hops: 3 },
-            traffic: &m,
-            warmup: 5.0,
-            horizon: 30.0,
-            seed: 77,
-            failures: &failures,
-        };
-        let (serial, serial_t) = telemetry_for(&plan, &|t| run_seed_recorded(&config, t));
-        assert!(serial_t.dropped > 0, "the outage must reach the recorder");
-        for num_shards in [2, 4] {
-            let shards = ShardSpec::new(
-                plan.topology().num_links(),
-                num_shards,
-                Partition::Contiguous,
-            );
-            let (sharded, sharded_t) =
-                telemetry_for(&plan, &|t| run_seed_sharded_recorded(&config, &shards, t));
-            assert_eq!(serial, sharded, "{num_shards} shards");
-            assert_eq!(serial_t, sharded_t, "{num_shards} shards");
-        }
-
-        // Disjoint clusters: every source shard-local, the parallel hot
-        // path with live per-shard recording.
-        let clusters = 3;
-        let size = 3;
-        let topo = topologies::clustered_mesh(clusters, size, 15);
-        let m = TrafficMatrix::from_fn(clusters * size, |i, j| {
-            if i != j && i / size == j / size {
-                9.0
-            } else {
-                0.0
+        let clusters = {
+            let (clusters, size) = (3, 3);
+            let traffic = TrafficMatrix::from_fn(clusters * size, |i, j| {
+                if i != j && i / size == j / size {
+                    9.0
+                } else {
+                    0.0
+                }
+            });
+            let plan =
+                RoutingPlan::min_hop(topologies::clustered_mesh(clusters, size, 15), &traffic, 2);
+            // Every footprint stays within one cluster's link range.
+            let per_cluster = size * (size - 1);
+            for fp in pair_footprints(&plan, &traffic) {
+                assert!(!fp.is_empty());
+                let c = fp[0] / per_cluster;
+                assert!(fp.iter().all(|&l| l / per_cluster == c));
             }
-        });
-        let plan = RoutingPlan::min_hop(topo, &m, 2);
-        let failures = FailureSchedule::none();
-        let config = RunConfig {
-            plan: &plan,
-            policy: PolicyKind::ControlledAlternate { max_hops: 2 },
-            traffic: &m,
-            warmup: 5.0,
-            horizon: 30.0,
-            seed: 2026,
-            failures: &failures,
+            (plan, traffic, FailureSchedule::none(), 2, vec![1, 2, 3, 6])
         };
-        let (serial, serial_t) = telemetry_for(&plan, &|t| run_seed_recorded(&config, t));
-        for num_shards in [2, 3, 6] {
-            let shards = ShardSpec::new(
-                plan.topology().num_links(),
-                num_shards,
-                Partition::Contiguous,
-            );
-            let (sharded, sharded_t) =
-                telemetry_for(&plan, &|t| run_seed_sharded_recorded(&config, &shards, t));
-            assert_eq!(serial, sharded, "{num_shards} shards");
-            assert_eq!(serial_t, sharded_t, "{num_shards} shards");
+        let mut scratch = KernelScratch::new();
+        for (plan, traffic, failures, h, shard_counts) in [quadrangle, clusters] {
+            let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+            for policy in [
+                PolicyKind::SinglePath,
+                PolicyKind::UncontrolledAlternate { max_hops: h },
+                PolicyKind::ControlledAlternate { max_hops: h },
+                PolicyKind::OttKrishnan { max_hops: h },
+                PolicyKind::DarSticky { max_hops: h },
+                PolicyKind::BestOfD { max_hops: h, d: 2 },
+            ] {
+                let config = RunConfig {
+                    plan: &plan,
+                    policy,
+                    traffic: &traffic,
+                    warmup: 5.0,
+                    horizon: 30.0,
+                    seed: 2026,
+                    failures: &failures,
+                };
+                let oracle = run_seed(&config);
+                let telemetry = || RunTelemetry::new(5.0, 30.0, 5.0, capacities.clone());
+                let mut oracle_t = telemetry();
+                let recorded = Run::new(&config).recorder(&mut oracle_t).execute();
+                assert_eq!(oracle, recorded, "{policy:?} recorded");
+                assert!(
+                    failures.events().is_empty() || oracle_t.dropped > 0,
+                    "{policy:?}: the outage must reach the recorder"
+                );
+                let reference = Run::new(&config).reference_queue().execute();
+                assert_eq!(oracle, reference, "{policy:?} reference");
+                assert_eq!(
+                    oracle,
+                    run_seed_pooled(&config, &mut scratch),
+                    "{policy:?} pooled"
+                );
+                for &count in &shard_counts {
+                    let shards =
+                        ShardSpec::new(plan.topology().num_links(), count, Partition::Contiguous);
+                    let sharded = Run::new(&config)
+                        .shards(Some(&shards))
+                        .scratch(&mut scratch)
+                        .execute();
+                    assert_eq!(oracle, sharded, "{policy:?} at {count} shards");
+                    let mut sharded_t = telemetry();
+                    let sharded = Run::new(&config)
+                        .shards(Some(&shards))
+                        .recorder(&mut sharded_t)
+                        .execute();
+                    assert_eq!(oracle, sharded, "{policy:?} recorded at {count} shards");
+                    assert_eq!(
+                        oracle_t, sharded_t,
+                        "{policy:?} telemetry at {count} shards"
+                    );
+                }
+            }
         }
     }
 
@@ -1474,7 +1167,7 @@ mod tests {
             failures: &failures,
         };
         let mut writer = crate::trace::BinaryTraceWriter::new(cfg.seed, "outage-regression");
-        let r = run_seed_traced(&cfg, &mut writer);
+        let r = Run::new(&cfg).sink(&mut writer).execute();
         assert!(r.dropped > 0);
         let (_, records) = crate::trace::decode_trace(&writer.finish()).unwrap();
         use crate::trace::TraceRecordKind as K;

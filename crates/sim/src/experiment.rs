@@ -1,9 +1,10 @@
 //! Multi-seed experiments: the paper's measurement methodology.
 //!
 //! An [`Experiment`] is a network instance (topology + traffic matrix,
-//! optionally custom primaries and link failures). [`Experiment::run`]
-//! executes `seeds` independent replications — in parallel, on a worker
-//! pool bounded by the machine's available parallelism — of 10-unit
+//! optionally custom primaries and link failures).
+//! [`Experiment::replicate`] executes `seeds` independent replications —
+//! in parallel, on a worker pool bounded as its [`Fanout`] directs — of
+//! 10-unit
 //! warm-up + 100-unit measurement (both configurable via [`SimParams`]),
 //! and aggregates them into an [`ExperimentResult`]: across-seed blocking
 //! statistics, per-pair blocking for the fairness study, and
@@ -11,9 +12,7 @@
 //! [`Experiment::erlang_bound`] computes the cut-set lower bound for the
 //! same instance (accounting for statically failed links).
 
-use crate::engine::{
-    run_seed_pooled, run_seed_recorded_pooled, run_seed_sharded_pooled, RunConfig, SeedResult,
-};
+use crate::engine::{Run, RunConfig, SeedResult};
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
@@ -22,14 +21,12 @@ use altroute_netgraph::cuts;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::paths::min_hop_path;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_simcore::kernel::KernelScratch;
 use altroute_simcore::metrics::EngineMetrics;
-use altroute_simcore::pool::{default_workers, pool_run_with};
 use altroute_simcore::shard::{Partition, ShardSpec};
 use altroute_simcore::stats::Replications;
 use altroute_telemetry::{RunTelemetry, SpanProfile};
 
-pub use altroute_simcore::pool::ProgressObserver;
+pub use altroute_simcore::pool::{Fanout, ProgressObserver};
 
 /// Simulation parameters shared by every replication.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,128 +173,85 @@ impl Experiment {
         }
     }
 
-    /// Runs `params.seeds` replications of `kind`, in parallel.
-    ///
-    /// Replications are distributed over a worker pool capped at the
-    /// machine's available parallelism (a thread per *seed* — the old
-    /// scheme — oversubscribes the scheduler and exhausts stacks once
-    /// sweeps ask for hundreds of replications). Each worker pulls seed
-    /// indices from a shared queue and writes into that seed's dedicated
-    /// slot, so results are positionally ordered and byte-identical to a
-    /// sequential run regardless of which worker ran which seed.
+    /// Runs `params.seeds` replications of `kind` on the default
+    /// [`Fanout`] — `self.replicate(kind, params, &Fanout::default())`
+    /// without telemetry.
     pub fn run(&self, kind: PolicyKind, params: &SimParams) -> ExperimentResult {
-        self.run_with_workers(kind, params, default_workers())
+        self.replicate(kind, params, &Fanout::default()).0
     }
 
-    /// As [`Experiment::run`], but with an explicit worker-pool size.
+    /// Runs `params.seeds` replications of `kind` (replication `i` uses
+    /// seed `params.base_seed + i`) as `fanout` directs, and aggregates
+    /// them — the experiment's one replication entry.
     ///
-    /// Results are required to be byte-identical for every `workers`
-    /// value (the conformance suite pins this down by comparing a
-    /// 1-worker run against an N-worker run, `EngineMetrics` included).
+    /// Replications are distributed over a pool of `fanout.workers`
+    /// threads that write each seed's result into its own slot, so
+    /// results are positionally ordered; with `fanout.shards` set, each
+    /// replication additionally runs on the sharded kernel backend with
+    /// its links contiguously partitioned (policies that cannot shard,
+    /// like DAR's sticky state, silently take the serial fallback).
+    /// With `fanout.window` set, every replication records counters,
+    /// histograms, and sim-time windowed series, merged in seed order
+    /// into one [`RunTelemetry`] snapshot whose wall-clock span profile
+    /// (`plan_build`, `seed_warmup`, `seed_measurement`,
+    /// `replication_fan_out`, `aggregation`) is excluded from equality.
+    ///
+    /// The result and the snapshot's deterministic fields are
+    /// byte-identical for every `fanout`: workers and shards are
+    /// scheduling details and telemetry is a pure observer (the
+    /// conformance suite pins this down, `EngineMetrics` included).
     ///
     /// # Panics
     ///
-    /// Panics if `params.seeds` or `workers` is zero.
-    pub fn run_with_workers(
+    /// Panics if `params.seeds`, `fanout.workers`, or `fanout.shards`
+    /// is zero, or a telemetry window is not positive.
+    pub fn replicate(
         &self,
         kind: PolicyKind,
         params: &SimParams,
-        workers: usize,
-    ) -> ExperimentResult {
-        self.run_with_progress(kind, params, workers, None)
-    }
-
-    /// As [`Experiment::run_with_workers`], notifying `progress` after
-    /// each completed replication (for heartbeat output on long runs).
-    pub fn run_with_progress(
-        &self,
-        kind: PolicyKind,
-        params: &SimParams,
-        workers: usize,
-        progress: Option<&dyn ProgressObserver>,
-    ) -> ExperimentResult {
+        fanout: &Fanout<'_>,
+    ) -> (ExperimentResult, Option<RunTelemetry>) {
         assert!(params.seeds > 0, "need at least one replication");
-        let plan = self.plan_for(kind);
-        let per_seed = pool_run_with(
+        let mut spans = SpanProfile::new();
+        let plan = spans.time("plan_build", || self.plan_for(kind));
+        let shards = fanout
+            .shards
+            .map(|n| ShardSpec::new(plan.topology().num_links(), n, Partition::Contiguous));
+        let capacities: Vec<u32> = self.topo.links().iter().map(|l| l.capacity).collect();
+        let fanout_started = std::time::Instant::now();
+        let (per_seed, telemetry) = fanout.replicate(
             params.seeds as usize,
-            workers,
-            progress,
-            KernelScratch::new,
-            |scratch, i| {
-                run_seed_pooled(
-                    &RunConfig {
-                        plan: &plan,
-                        policy: kind,
-                        traffic: &self.traffic,
-                        warmup: params.warmup,
-                        horizon: params.horizon,
-                        seed: params.base_seed + i as u64,
-                        failures: &self.failures,
-                    },
-                    scratch,
-                )
+            |window| RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone()),
+            RunTelemetry::merge,
+            |scratch, i, telemetry| {
+                let config = RunConfig {
+                    plan: &plan,
+                    policy: kind,
+                    traffic: &self.traffic,
+                    warmup: params.warmup,
+                    horizon: params.horizon,
+                    seed: params.base_seed + i as u64,
+                    failures: &self.failures,
+                };
+                let run = Run::new(&config).scratch(scratch).shards(shards.as_ref());
+                match telemetry {
+                    Some(telemetry) => run.recorder(telemetry).execute(),
+                    None => run.execute(),
+                }
             },
         );
-        self.summarize(kind, per_seed)
-    }
-
-    /// As [`Experiment::run`], but parallelizing *within* each
-    /// replication instead of across replications: seeds run
-    /// sequentially, and each replication executes on the sharded kernel
-    /// backend with its links contiguously partitioned over `num_shards`
-    /// worker threads.
-    ///
-    /// This is the right shape when replications are few but each one is
-    /// large (the opposite of the seed-fan-out pool), and it is required
-    /// to be byte-identical to [`Experiment::run`] for every shard count
-    /// — sharding is an execution strategy, never a model change. Runs
-    /// whose policy cannot shard (DAR's sticky state) silently take the
-    /// kernel's serial fallback.
-    ///
-    /// `progress` is notified after each completed replication, exactly
-    /// as in [`Experiment::run_with_progress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.seeds` or `num_shards` is zero.
-    pub fn run_sharded(
-        &self,
-        kind: PolicyKind,
-        params: &SimParams,
-        num_shards: usize,
-        progress: Option<&dyn ProgressObserver>,
-    ) -> ExperimentResult {
-        assert!(params.seeds > 0, "need at least one replication");
-        let plan = self.plan_for(kind);
-        let shards = ShardSpec::new(
-            plan.topology().num_links(),
-            num_shards,
-            Partition::Contiguous,
+        spans.add(
+            "replication_fan_out",
+            fanout_started.elapsed().as_secs_f64(),
         );
-        let mut scratch = KernelScratch::new();
-        let total = params.seeds as usize;
-        let per_seed = (0..total)
-            .map(|i| {
-                let result = run_seed_sharded_pooled(
-                    &RunConfig {
-                        plan: &plan,
-                        policy: kind,
-                        traffic: &self.traffic,
-                        warmup: params.warmup,
-                        horizon: params.horizon,
-                        seed: params.base_seed + i as u64,
-                        failures: &self.failures,
-                    },
-                    &shards,
-                    &mut scratch,
-                );
-                if let Some(p) = progress {
-                    p.replication_done(i + 1, total);
-                }
-                result
-            })
-            .collect();
-        self.summarize(kind, per_seed)
+        let aggregation_started = std::time::Instant::now();
+        let result = self.summarize(kind, per_seed);
+        spans.add("aggregation", aggregation_started.elapsed().as_secs_f64());
+        let telemetry = telemetry.map(|mut t| {
+            t.spans.merge(&spans);
+            t
+        });
+        (result, telemetry)
     }
 
     fn summarize(&self, kind: PolicyKind, per_seed: Vec<SeedResult>) -> ExperimentResult {
@@ -313,93 +267,6 @@ impl Experiment {
             per_seed,
             blocking,
         }
-    }
-
-    /// As [`Experiment::run`], but with full time-resolved telemetry:
-    /// every replication records counters, histograms, and sim-time
-    /// windowed series (window width `window`), merged across seeds in
-    /// seed order into one deterministic [`RunTelemetry`] snapshot.
-    ///
-    /// Telemetry is a pure observation: the returned [`ExperimentResult`]
-    /// is byte-identical to [`Experiment::run`]'s for the same inputs.
-    pub fn run_telemetry(
-        &self,
-        kind: PolicyKind,
-        params: &SimParams,
-        window: f64,
-    ) -> (ExperimentResult, RunTelemetry) {
-        self.run_telemetry_with_workers(kind, params, window, default_workers(), None)
-    }
-
-    /// As [`Experiment::run_telemetry`] with an explicit worker count and
-    /// an optional progress observer notified after each replication.
-    ///
-    /// The snapshot's deterministic fields are required to be
-    /// bit-identical for every `workers` value: replications record
-    /// independently and merge strictly in seed order. Wall-clock span
-    /// profiles (`plan_build`, `seed_warmup`, `seed_measurement`,
-    /// `replication_fan_out`, `aggregation`) are merged across workers
-    /// but excluded from snapshot equality.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.seeds` or `workers` is zero, or `window <= 0`.
-    pub fn run_telemetry_with_workers(
-        &self,
-        kind: PolicyKind,
-        params: &SimParams,
-        window: f64,
-        workers: usize,
-        progress: Option<&dyn ProgressObserver>,
-    ) -> (ExperimentResult, RunTelemetry) {
-        assert!(params.seeds > 0, "need at least one replication");
-        let mut spans = SpanProfile::new();
-        let plan = spans.time("plan_build", || self.plan_for(kind));
-        let capacities: Vec<u32> = self.topo.links().iter().map(|l| l.capacity).collect();
-        let fanout_started = std::time::Instant::now();
-        let recorded = pool_run_with(
-            params.seeds as usize,
-            workers,
-            progress,
-            KernelScratch::new,
-            |scratch, i| {
-                let mut telemetry =
-                    RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
-                let result = run_seed_recorded_pooled(
-                    &RunConfig {
-                        plan: &plan,
-                        policy: kind,
-                        traffic: &self.traffic,
-                        warmup: params.warmup,
-                        horizon: params.horizon,
-                        seed: params.base_seed + i as u64,
-                        failures: &self.failures,
-                    },
-                    &mut telemetry,
-                    scratch,
-                );
-                (result, telemetry)
-            },
-        );
-        spans.add(
-            "replication_fan_out",
-            fanout_started.elapsed().as_secs_f64(),
-        );
-        let aggregation_started = std::time::Instant::now();
-        let mut per_seed = Vec::with_capacity(recorded.len());
-        let mut merged: Option<RunTelemetry> = None;
-        for (result, telemetry) in recorded {
-            per_seed.push(result);
-            match &mut merged {
-                None => merged = Some(telemetry),
-                Some(m) => m.merge(&telemetry),
-            }
-        }
-        let mut telemetry = merged.expect("at least one replication");
-        let result = self.summarize(kind, per_seed);
-        spans.add("aggregation", aggregation_started.elapsed().as_secs_f64());
-        telemetry.spans.merge(&spans);
-        (result, telemetry)
     }
 
     /// The Erlang cut-set lower bound on average blocking for this
@@ -657,11 +524,13 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_and_many_workers_agree_bit_for_bit() {
-        // The bounded replication pool must be a pure scheduling detail:
-        // the same seed set through 1 worker and through N workers must
-        // produce byte-identical SeedResults, EngineMetrics included
-        // (wall clock is excluded from metric equality by design).
+    fn fanout_never_changes_results() {
+        // The bounded replication pool and intra-replication sharding
+        // must both be pure scheduling details: the same seed set through
+        // 1 worker, through N workers, and on S shards must produce
+        // byte-identical SeedResults, EngineMetrics included (wall clock
+        // is excluded from metric equality by design). DAR exercises the
+        // sharded backend's serial fallback.
         let exp =
             Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, 85.0)).unwrap();
         let params = SimParams {
@@ -673,40 +542,34 @@ mod tests {
         for kind in [
             PolicyKind::SinglePath,
             PolicyKind::ControlledAlternate { max_hops: 3 },
+            PolicyKind::DarSticky { max_hops: 3 },
         ] {
-            let sequential = exp.run_with_workers(kind, &params, 1);
-            for workers in [2, 4, 8, 32] {
-                let pooled = exp.run_with_workers(kind, &params, workers);
+            let run = |workers, shards| {
+                let fanout = Fanout {
+                    workers,
+                    shards,
+                    ..Fanout::default()
+                };
+                exp.replicate(kind, &params, &fanout).0
+            };
+            let sequential = run(1, None);
+            let fanouts = [
+                (2, None),
+                (8, None),
+                (32, None),
+                (1, Some(1)),
+                (4, Some(2)),
+                (2, Some(4)),
+            ];
+            for (workers, shards) in fanouts {
+                let other = run(workers, shards);
                 assert_eq!(
-                    sequential.per_seed, pooled.per_seed,
-                    "{kind:?} with {workers} workers diverged from sequential"
+                    sequential.per_seed, other.per_seed,
+                    "{kind:?} with {workers} workers, {shards:?} shards diverged from sequential"
                 );
-                for (a, b) in sequential.per_seed.iter().zip(&pooled.per_seed) {
+                for (a, b) in sequential.per_seed.iter().zip(&other.per_seed) {
                     assert_eq!(a.metrics, b.metrics);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_experiment_matches_pooled_run_bit_for_bit() {
-        // Intra-replication sharding and across-replication pooling are
-        // both pure scheduling details: the same seeds must come back
-        // byte-identical, EngineMetrics included, at every shard count.
-        let exp =
-            Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, 85.0)).unwrap();
-        let params = quick();
-        for kind in [
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::DarSticky { max_hops: 3 }, // serial fallback path
-        ] {
-            let pooled = exp.run(kind, &params);
-            for num_shards in [1, 2, 4] {
-                let sharded = exp.run_sharded(kind, &params, num_shards, None);
-                assert_eq!(
-                    pooled.per_seed, sharded.per_seed,
-                    "{kind:?} with {num_shards} shards diverged"
-                );
             }
         }
     }

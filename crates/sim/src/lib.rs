@@ -8,11 +8,22 @@
 //!   arrivals per origin–destination pair (independent per-pair random
 //!   streams so **every policy sees identical arrivals and holding
 //!   times**, as in the paper), exponential unit-mean holding times,
-//!   warm-up deletion, scheduled link failures/repairs.
+//!   warm-up deletion, scheduled link failures/repairs. One replication
+//!   is one [`Run`]: a [`RunConfig`] plus optional warm start, selector
+//!   tick, sharded backend, scratch arena, reference queue, trace sink,
+//!   and recorder, executed for a named policy or an explicit
+//!   (admission, selector) pair.
 //! * [`experiment`] — the multi-seed experiment runner: replications in
 //!   parallel (a bounded scoped-thread worker pool), across-seed
 //!   summaries, per-pair blocking for the fairness/skewness study, and
 //!   the Erlang cut-set bound for the same instance.
+//!
+//! Every simulator here has exactly one multi-seed entry —
+//! [`Experiment::replicate`], [`multirate::run_multirate`],
+//! [`adaptive::replicate_adaptive`], [`signaling::replicate_signaling`]
+//! — and each takes a [`Fanout`] (worker count, shard count, progress
+//! observer, telemetry window) that changes how replications execute,
+//! never what they return.
 //! * [`failures`] — failure schedules (static disabled links and timed
 //!   down/up events).
 //! * [`adaptive`] — controlled alternate routing with **online** `Λ^k`
@@ -22,6 +33,9 @@
 //! * [`multirate`] — calls of multiple bandwidth classes (the paper's
 //!   excluded "multiple call types"), with bandwidth-weighted admission
 //!   and protection, validated against the Kaufman–Roberts recursion.
+//! * [`signaling`] — hop-by-hop call set-up with propagation delay and
+//!   booking races, on its own protocol loop over the kernel's admission
+//!   policies.
 //! * [`trace`] — event-trace hooks: a [`trace::TraceSink`] observes every
 //!   engine event, with a compact versioned binary codec used by the
 //!   conformance crate's golden-trace replay.
@@ -55,10 +69,7 @@ pub mod network;
 pub mod signaling;
 pub mod trace;
 
-pub use engine::{
-    apply_static_failures, pair_footprints, run_seed, run_seed_instrumented, run_seed_recorded,
-    run_seed_sharded, run_seed_sharded_pooled, run_seed_traced, RunConfig, SeedResult,
-};
-pub use experiment::{Experiment, ExperimentError, ExperimentResult, SimParams};
+pub use engine::{apply_static_failures, pair_footprints, run_seed, Run, RunConfig, SeedResult};
+pub use experiment::{Experiment, ExperimentError, ExperimentResult, Fanout, SimParams};
 pub use failures::FailureSchedule;
 pub use network::NetworkState;

@@ -17,21 +17,22 @@
 //! [`ArrivalSource`] whose `bandwidth` the kernel books and the
 //! admission policy tests, and whose `tally` is the class index — the
 //! kernel's tally vectors *are* the per-class offered/blocked counts.
-//! Replications fan out over [`pool_run`] and dynamic link failures are
-//! honoured (calls in progress are torn down, the paper's outage model).
+//! Replications fan out through [`Fanout::replicate`] and dynamic link
+//! failures are honoured (calls in progress are torn down, the paper's
+//! outage model).
 
 use crate::failures::FailureSchedule;
-use crate::trace::{NullTraceSink, TraceSink};
+use crate::trace::NullTraceSink;
 use altroute_core::plan::RoutingPlan;
 use altroute_core::primary::PrimaryAssignment;
 use altroute_core::select::TieredSelector;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, Link, LinkEvent, NullObserver,
-    TrunkReservation, Uncontrolled,
+    self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelObserver, KernelOutcome,
+    KernelScratch, KernelSpec, Link, LinkEvent, TrunkReservation, Uncontrolled,
 };
-use altroute_simcore::pool::{default_workers, pool_run_with};
+use altroute_simcore::pool::Fanout;
 use altroute_simcore::shard::{self, Partition, ShardSpec};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
@@ -150,163 +151,83 @@ fn build_plan(
     MultiratePlan { plan, levels }
 }
 
-/// Runs a multirate experiment on `topo` with min-hop primaries,
-/// fanning replications out over the default worker count.
+/// Runs `params.seeds` multirate replications on `topo` with min-hop
+/// primaries as `fanout` directs — the module's one replication entry.
+///
+/// `levels` replaces the Eq.-15 protection levels with an explicit
+/// per-link vector (reservation-sensitivity studies, and the
+/// conformance suite's `r = 0` reduction: all-zero levels must make the
+/// controlled policy coincide with the uncontrolled one, bit for bit).
+/// With `fanout.shards` set each replication runs on the sharded kernel
+/// backend — the tiered selector is a pure function of the call and its
+/// footprint-restricted link view, so sharding is purely an execution
+/// strategy, with or without a telemetry recorder attached. With
+/// `fanout.window` set every replication records time-resolved
+/// telemetry, merged across seeds in seed order.
+///
+/// The result is identical for every `fanout`: replications are merged
+/// strictly in seed order and telemetry is a pure observer.
 ///
 /// # Panics
 ///
-/// Panics on inconsistent sizes, empty classes, or invalid parameters.
+/// Panics on inconsistent sizes, empty classes, invalid parameters, a
+/// `levels` vector not one entry per link, or a zero worker or shard
+/// count.
 pub fn run_multirate(
     topo: &Topology,
     classes: &[BandwidthClass],
     policy: MultiratePolicy,
     params: &MultirateParams,
     failures: &FailureSchedule,
-) -> MultirateResult {
-    run_multirate_with_workers(topo, classes, policy, params, failures, default_workers())
-}
-
-/// As [`run_multirate`] with an explicit worker count. Results are
-/// bit-identical for every `workers` value: replications are merged
-/// strictly in seed order.
-///
-/// # Panics
-///
-/// As [`run_multirate`]; additionally if `workers == 0`.
-pub fn run_multirate_with_workers(
-    topo: &Topology,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    failures: &FailureSchedule,
-    workers: usize,
-) -> MultirateResult {
+    levels: Option<&[u32]>,
+    fanout: &Fanout<'_>,
+) -> (MultirateResult, Option<RunTelemetry>) {
     validate(topo, classes, params);
-    let mp = build_plan(topo, classes, params);
-    let runs = pool_run_with(
-        params.seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let seed = params.base_seed + i as u64;
-            run_one(
-                &mp,
-                classes,
-                policy,
-                params,
-                seed,
-                failures,
-                &mut NullTraceSink,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    summarize(policy, classes, &runs)
-}
-
-/// As [`run_multirate_with_workers`], but with the Eq.-15 protection
-/// levels replaced by an explicit per-link vector — for reservation
-/// sensitivity studies and for the conformance suite's `r = 0` reduction
-/// (all-zero levels must make the controlled policy coincide with the
-/// uncontrolled one, bit for bit).
-///
-/// # Panics
-///
-/// As [`run_multirate_with_workers`]; additionally if `levels` is not
-/// one entry per link.
-pub fn run_multirate_with_levels(
-    topo: &Topology,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    failures: &FailureSchedule,
-    levels: &[u32],
-    workers: usize,
-) -> MultirateResult {
-    validate(topo, classes, params);
-    assert_eq!(levels.len(), topo.num_links(), "one level per link");
     let mut mp = build_plan(topo, classes, params);
-    mp.levels = levels.to_vec();
-    let runs = pool_run_with(
-        params.seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let seed = params.base_seed + i as u64;
-            run_one(
-                &mp,
-                classes,
-                policy,
-                params,
-                seed,
-                failures,
-                &mut NullTraceSink,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    summarize(policy, classes, &runs)
-}
-
-/// As [`run_multirate`], but every replication additionally records
-/// time-resolved telemetry (window width `window`), merged across seeds
-/// in seed order. Telemetry is a pure observation: the returned
-/// [`MultirateResult`] is identical to [`run_multirate`]'s.
-///
-/// # Panics
-///
-/// As [`run_multirate`]; additionally if `window <= 0`.
-pub fn run_multirate_telemetry(
-    topo: &Topology,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    failures: &FailureSchedule,
-    window: f64,
-) -> (MultirateResult, RunTelemetry) {
-    validate(topo, classes, params);
-    let mp = build_plan(topo, classes, params);
-    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let recorded = pool_run_with(
-        params.seeds as usize,
-        default_workers(),
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let seed = params.base_seed + i as u64;
-            let mut telemetry =
-                RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
-            let run = run_one(
-                &mp,
-                classes,
-                policy,
-                params,
-                seed,
-                failures,
-                &mut NullTraceSink,
-                &mut telemetry,
-                scratch,
-            );
-            (run, telemetry)
-        },
-    );
-    let mut merged: Option<RunTelemetry> = None;
-    let mut runs = Vec::with_capacity(recorded.len());
-    for (run, telemetry) in recorded {
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-        runs.push(run);
+    if let Some(levels) = levels {
+        assert_eq!(levels.len(), topo.num_links(), "one level per link");
+        mp.levels = levels.to_vec();
     }
-    (
-        summarize(policy, classes, &runs),
-        merged.expect("at least one replication"),
-    )
+    let shards = fanout.shards.map(|n| {
+        // One footprint per (class, pair) source, in the class-major
+        // order build_parts emits them; all classes of a pair share its
+        // paths.
+        let footprints: Vec<Vec<Link>> = classes
+            .iter()
+            .flat_map(|class| crate::engine::pair_footprints(&mp.plan, &class.traffic))
+            .collect();
+        (
+            ShardSpec::new(topo.num_links(), n, Partition::Contiguous),
+            footprints,
+        )
+    });
+    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
+    let (runs, telemetry) = fanout.replicate(
+        params.seeds as usize,
+        |window| RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone()),
+        RunTelemetry::merge,
+        |scratch, i, telemetry| {
+            let seed = params.base_seed + i as u64;
+            let shards = shards.as_ref().map(|(spec, fp)| (spec, fp.as_slice()));
+            match telemetry {
+                Some(t) => run_one(
+                    &mp, classes, policy, params, seed, failures, shards, t, scratch,
+                ),
+                None => run_one(
+                    &mp,
+                    classes,
+                    policy,
+                    params,
+                    seed,
+                    failures,
+                    shards,
+                    &mut NullRecorder,
+                    scratch,
+                ),
+            }
+        },
+    );
+    (summarize(policy, classes, &runs), telemetry)
 }
 
 fn validate(topo: &Topology, classes: &[BandwidthClass], params: &MultirateParams) {
@@ -418,14 +339,14 @@ fn build_parts(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_one<S: TraceSink, R: Recorder>(
+fn run_one<R: Recorder>(
     mp: &MultiratePlan,
     classes: &[BandwidthClass],
     policy: MultiratePolicy,
     params: &MultirateParams,
     seed: u64,
     failures: &FailureSchedule,
-    sink: &mut S,
+    shards: Option<(&ShardSpec, &[Vec<Link>])>,
     recorder: &mut R,
     scratch: &mut KernelScratch,
 ) -> OneRun {
@@ -441,28 +362,31 @@ fn run_one<S: TraceSink, R: Recorder>(
         initial_occupancy: &[],
     };
     let mut observer = crate::engine::Instruments {
-        sink,
+        sink: &mut NullTraceSink,
         recorder: &mut *recorder,
     };
     let outcome = match policy {
-        MultiratePolicy::SinglePath => kernel::run_pooled(
+        MultiratePolicy::SinglePath => dispatch(
             &spec,
+            shards,
             &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
+            TieredSelector::single_path(plan),
             &mut observer,
             scratch,
         ),
-        MultiratePolicy::Uncontrolled => kernel::run_pooled(
+        MultiratePolicy::Uncontrolled => dispatch(
             &spec,
+            shards,
             &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
+            TieredSelector::new(plan),
             &mut observer,
             scratch,
         ),
-        MultiratePolicy::Controlled => kernel::run_pooled(
+        MultiratePolicy::Controlled => dispatch(
             &spec,
+            shards,
             &mut TrunkReservation::new(mp.levels.clone()),
-            &mut TieredSelector::new(plan),
+            TieredSelector::new(plan),
             &mut observer,
             scratch,
         ),
@@ -474,112 +398,28 @@ fn run_one<S: TraceSink, R: Recorder>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_one_sharded(
-    mp: &MultiratePlan,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    seed: u64,
-    failures: &FailureSchedule,
-    shards: &ShardSpec,
-    footprints: &[Vec<Link>],
+/// One kernel invocation, on the sharded backend when `shards` asks for
+/// it (which falls back to the serial kernel by itself).
+fn dispatch<A: AdmissionPolicy + Clone + Send, O: KernelObserver>(
+    spec: &KernelSpec<'_>,
+    shards: Option<(&ShardSpec, &[Vec<Link>])>,
+    admission: &mut A,
+    mut selector: TieredSelector<'_>,
+    observer: &mut O,
     scratch: &mut KernelScratch,
-) -> OneRun {
-    let plan = &mp.plan;
-    let (capacities, sources, link_events, config) =
-        build_parts(mp, classes, params, seed, failures);
-    let spec = KernelSpec {
-        config,
-        capacities: &capacities,
-        static_down: failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy: &[],
-    };
-    let outcome = match policy {
-        MultiratePolicy::SinglePath => shard::run_sharded(
-            &spec,
+) -> KernelOutcome {
+    match shards {
+        Some((shards, footprints)) => shard::run_sharded(
+            spec,
             shards,
             footprints,
-            &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
-            &mut NullObserver,
+            admission,
+            &mut selector,
+            observer,
             scratch,
         ),
-        MultiratePolicy::Uncontrolled => shard::run_sharded(
-            &spec,
-            shards,
-            footprints,
-            &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
-            &mut NullObserver,
-            scratch,
-        ),
-        MultiratePolicy::Controlled => shard::run_sharded(
-            &spec,
-            shards,
-            footprints,
-            &mut TrunkReservation::new(mp.levels.clone()),
-            &mut TieredSelector::new(plan),
-            &mut NullObserver,
-            scratch,
-        ),
-    };
-    OneRun {
-        offered: outcome.tally_offered,
-        blocked: outcome.tally_blocked,
+        None => kernel::run_pooled(spec, admission, &mut selector, observer, scratch),
     }
-}
-
-/// As [`run_multirate`], but parallelizing *within* each replication:
-/// seeds run sequentially and each replication executes on the sharded
-/// kernel backend, links contiguously partitioned over `num_shards`
-/// worker threads (statistics only — no trace or telemetry hooks, which
-/// would force the serial fallback).
-///
-/// Required to be bit-identical to [`run_multirate`] for every shard
-/// count: the tiered selector is a pure function of the call and its
-/// footprint-restricted link view, so sharding is purely an execution
-/// strategy.
-///
-/// # Panics
-///
-/// As [`run_multirate`]; additionally if `num_shards == 0`.
-pub fn run_multirate_sharded(
-    topo: &Topology,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    failures: &FailureSchedule,
-    num_shards: usize,
-) -> MultirateResult {
-    validate(topo, classes, params);
-    let mp = build_plan(topo, classes, params);
-    let shards = ShardSpec::new(topo.num_links(), num_shards, Partition::Contiguous);
-    // One footprint per (class, pair) source, in the class-major order
-    // build_parts emits them; all classes of a pair share its paths.
-    let mut footprints: Vec<Vec<Link>> = Vec::new();
-    for class in classes {
-        footprints.extend(crate::engine::pair_footprints(&mp.plan, &class.traffic));
-    }
-    let mut scratch = KernelScratch::new();
-    let runs: Vec<OneRun> = (0..params.seeds as usize)
-        .map(|i| {
-            run_one_sharded(
-                &mp,
-                classes,
-                policy,
-                params,
-                params.base_seed + i as u64,
-                failures,
-                &shards,
-                &footprints,
-                &mut scratch,
-            )
-        })
-        .collect();
-    summarize(policy, classes, &runs)
 }
 
 #[cfg(test)]
@@ -593,6 +433,25 @@ mod tests {
         t.add_nodes(2);
         t.add_duplex(0, 1, capacity);
         t
+    }
+
+    /// One replication set on `fanout`, Eq.-15 levels, telemetry dropped.
+    fn run_on(
+        topo: &Topology,
+        classes: &[BandwidthClass],
+        policy: MultiratePolicy,
+        params: &MultirateParams,
+        failures: &FailureSchedule,
+        fanout: Fanout<'_>,
+    ) -> MultirateResult {
+        run_multirate(topo, classes, policy, params, failures, None, &fanout).0
+    }
+
+    fn workers(workers: usize) -> Fanout<'static> {
+        Fanout {
+            workers,
+            ..Fanout::default()
+        }
     }
 
     fn one_way(n: usize, i: usize, j: usize, erlangs: f64) -> TrafficMatrix {
@@ -621,12 +480,13 @@ mod tests {
             base_seed: 2,
             max_hops: 1,
         };
-        let r = run_multirate(
+        let r = run_on(
             &topo,
             &classes,
             MultiratePolicy::SinglePath,
             &params,
             &FailureSchedule::none(),
+            Fanout::default(),
         );
         let analytic = kaufman_roberts_blocking(
             40,
@@ -671,19 +531,21 @@ mod tests {
             base_seed: 5,
             max_hops: 3,
         };
-        let single = run_multirate(
+        let single = run_on(
             &topo,
             &classes,
             MultiratePolicy::SinglePath,
             &params,
             &FailureSchedule::none(),
+            Fanout::default(),
         );
-        let controlled = run_multirate(
+        let controlled = run_on(
             &topo,
             &classes,
             MultiratePolicy::Controlled,
             &params,
             &FailureSchedule::none(),
+            Fanout::default(),
         );
         let tol = 2.0 * (single.blocking.std_error() + controlled.blocking.std_error()) + 1e-3;
         assert!(
@@ -695,51 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn identical_results_across_worker_counts() {
-        let topo = topologies::quadrangle();
-        let classes = [
-            BandwidthClass {
-                bandwidth: 1,
-                traffic: TrafficMatrix::uniform(4, 40.0),
-            },
-            BandwidthClass {
-                bandwidth: 2,
-                traffic: TrafficMatrix::uniform(4, 10.0),
-            },
-        ];
-        let params = MultirateParams {
-            warmup: 5.0,
-            horizon: 40.0,
-            seeds: 3,
-            base_seed: 9,
-            max_hops: 3,
-        };
-        let a = run_multirate_with_workers(
-            &topo,
-            &classes,
-            MultiratePolicy::Controlled,
-            &params,
-            &FailureSchedule::none(),
-            1,
-        );
-        let b = run_multirate_with_workers(
-            &topo,
-            &classes,
-            MultiratePolicy::Controlled,
-            &params,
-            &FailureSchedule::none(),
-            4,
-        );
-        assert_eq!(a.per_class_blocking, b.per_class_blocking);
-        assert_eq!(a.blocking, b.blocking);
-        assert_eq!(a.bandwidth_blocking, b.bandwidth_blocking);
-    }
-
-    #[test]
-    fn sharded_multirate_matches_pooled_at_every_shard_count() {
-        // Intra-replication sharding must be invisible in the results,
-        // for every policy and shard count, including shard counts that
-        // exceed the link count.
+    fn fanout_never_changes_results() {
+        // Worker count and intra-replication sharding must be invisible
+        // in the results, for every policy and shard count (including
+        // shard counts that exceed the link count), with and without a
+        // telemetry recorder riding the sharded run.
         let topo = topologies::quadrangle();
         let classes = [
             BandwidthClass {
@@ -765,11 +587,19 @@ mod tests {
             MultiratePolicy::Uncontrolled,
             MultiratePolicy::Controlled,
         ] {
-            let serial = run_multirate_with_workers(&topo, &classes, policy, &params, &failures, 1);
+            let serial = run_on(&topo, &classes, policy, &params, &failures, workers(1));
+            let pooled = run_on(&topo, &classes, policy, &params, &failures, workers(4));
+            assert_eq!(serial, pooled, "{policy:?} on 4 workers");
             for num_shards in [1, 2, 4, 16] {
-                let sharded =
-                    run_multirate_sharded(&topo, &classes, policy, &params, &failures, num_shards);
-                assert_eq!(serial, sharded, "{policy:?} at {num_shards} shards");
+                for window in [None, Some(5.0)] {
+                    let sharded = Fanout {
+                        shards: Some(num_shards),
+                        window,
+                        ..workers(1)
+                    };
+                    let sharded = run_on(&topo, &classes, policy, &params, &failures, sharded);
+                    assert_eq!(serial, sharded, "{policy:?} at {num_shards} shards");
+                }
             }
         }
     }
@@ -788,20 +618,27 @@ mod tests {
             base_seed: 21,
             max_hops: 3,
         };
-        let (r, telemetry) = run_multirate_telemetry(
+        let recorded = Fanout {
+            window: Some(5.0),
+            ..Fanout::default()
+        };
+        let (r, telemetry) = run_multirate(
             &topo,
             &classes,
             MultiratePolicy::Controlled,
             &params,
             &FailureSchedule::none(),
-            5.0,
+            None,
+            &recorded,
         );
-        let plain = run_multirate(
+        let telemetry = telemetry.expect("a window records telemetry");
+        let plain = run_on(
             &topo,
             &classes,
             MultiratePolicy::Controlled,
             &params,
             &FailureSchedule::none(),
+            Fanout::default(),
         );
         assert_eq!(r.blocking, plain.blocking);
         assert_eq!(r.per_class_blocking, plain.per_class_blocking);
@@ -827,19 +664,21 @@ mod tests {
             max_hops: 1,
         };
         let link01 = topo.link_between(0, 1).unwrap();
-        let quiet = run_multirate(
+        let quiet = run_on(
             &topo,
             &classes,
             MultiratePolicy::SinglePath,
             &params,
             &FailureSchedule::none(),
+            Fanout::default(),
         );
-        let outage = run_multirate(
+        let outage = run_on(
             &topo,
             &classes,
             MultiratePolicy::SinglePath,
             &params,
             &FailureSchedule::none().with_outage(link01, 20.0, 40.0),
+            Fanout::default(),
         );
         assert!(
             outage.blocking_mean() > quiet.blocking_mean() + 0.1,
@@ -869,12 +708,13 @@ mod tests {
             base_seed: 13,
             max_hops: 3,
         };
-        let r = run_multirate(
+        let r = run_on(
             &topo,
             &classes,
             MultiratePolicy::Controlled,
             &params,
             &FailureSchedule::none(),
+            Fanout::default(),
         );
         assert!(r.per_class_blocking[1] >= r.per_class_blocking[0]);
     }
@@ -883,7 +723,7 @@ mod tests {
     #[should_panic(expected = "zero bandwidth")]
     fn zero_bandwidth_class_panics() {
         let topo = two_node(10);
-        run_multirate(
+        run_on(
             &topo,
             &[BandwidthClass {
                 bandwidth: 0,
@@ -892,6 +732,7 @@ mod tests {
             MultiratePolicy::SinglePath,
             &MultirateParams::default(),
             &FailureSchedule::none(),
+            Fanout::default(),
         );
     }
 }

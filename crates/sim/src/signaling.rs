@@ -33,8 +33,8 @@
 //! go through the same [`AdmissionPolicy`] objects ([`Uncontrolled`],
 //! [`TrunkReservation`]) the atomic engines use, so the admission
 //! semantics can never drift between the idealised and signaling models.
-//! Replications fan out over [`pool_run`] and a [`Recorder`] can observe
-//! every run.
+//! Replications fan out through [`Fanout::replicate`] and a
+//! [`Recorder`] can observe every run.
 
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
@@ -44,7 +44,7 @@ use altroute_simcore::calendar::CalendarQueue;
 use altroute_simcore::kernel::{
     AdmissionPolicy, LinkOccupancy, Tier, TrunkReservation, Uncontrolled,
 };
-use altroute_simcore::pool::{default_workers, pool_run};
+use altroute_simcore::pool::Fanout;
 use altroute_simcore::rng::StreamFactory;
 use altroute_simcore::stats::{BlockingSummary, RunningStats};
 use altroute_telemetry::{ArrivalOutcome, NullRecorder, Recorder, RunTelemetry};
@@ -165,87 +165,55 @@ pub fn run_signaling(
     failures: &FailureSchedule,
     config: &SignalingConfig,
 ) -> SignalingResult {
-    run_signaling_recorded(plan, traffic, failures, config, &mut NullRecorder)
+    run_recorded(plan, traffic, failures, config, &mut NullRecorder)
 }
 
 /// Runs `seeds` signaling replications (seed `i` uses `config.seed + i`)
-/// across the default worker count and summarises their blocking.
-/// Per-seed results come back in seed order regardless of the worker
-/// count.
+/// as `fanout` directs and summarises their blocking — the module's one
+/// replication entry. Per-seed results come back in seed order and are
+/// identical for every `fanout`. With `fanout.window` set, every
+/// replication also records time-resolved telemetry, merged in seed
+/// order: the recorder sees each call's *resolution* (booked at the
+/// origin or exhausted) as its arrival record, every booking/release as
+/// occupancy samples, and each protocol event. The protocol runs its
+/// own event loop, so `fanout.shards` is ignored.
 ///
 /// # Panics
 ///
-/// As [`run_signaling`]; additionally if `seeds == 0`.
-pub fn run_signaling_replications(
+/// As [`run_signaling`]; additionally if `seeds == 0`,
+/// `fanout.workers == 0`, or a telemetry window is not positive.
+pub fn replicate_signaling(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
     failures: &FailureSchedule,
     config: &SignalingConfig,
     seeds: u32,
-) -> (Vec<SignalingResult>, BlockingSummary) {
-    assert!(seeds > 0, "need at least one replication");
-    let per_seed = pool_run(seeds as usize, default_workers(), None, |i| {
-        let cfg = SignalingConfig {
-            seed: config.seed + i as u64,
-            ..*config
-        };
-        run_signaling(plan, traffic, failures, &cfg)
-    });
-    let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
-    (per_seed, summary)
-}
-
-/// As [`run_signaling_replications`], with every replication
-/// additionally recording time-resolved telemetry (window width
-/// `window`), merged across seeds in seed order. Telemetry is a pure
-/// observation: the per-seed results are identical to
-/// [`run_signaling_replications`]'s.
-///
-/// # Panics
-///
-/// As [`run_signaling_replications`]; additionally if `window <= 0`.
-pub fn run_signaling_telemetry(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    failures: &FailureSchedule,
-    config: &SignalingConfig,
-    seeds: u32,
-    window: f64,
-) -> (Vec<SignalingResult>, BlockingSummary, RunTelemetry) {
+    fanout: &Fanout<'_>,
+) -> (Vec<SignalingResult>, BlockingSummary, Option<RunTelemetry>) {
     assert!(seeds > 0, "need at least one replication");
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-    let recorded = pool_run(seeds as usize, default_workers(), None, |i| {
-        let cfg = SignalingConfig {
-            seed: config.seed + i as u64,
-            ..*config
-        };
-        let mut telemetry =
-            RunTelemetry::new(config.warmup, config.horizon, window, capacities.clone());
-        let r = run_signaling_recorded(plan, traffic, failures, &cfg, &mut telemetry);
-        (r, telemetry)
-    });
-    let mut per_seed = Vec::with_capacity(recorded.len());
-    let mut merged: Option<RunTelemetry> = None;
-    for (r, telemetry) in recorded {
-        per_seed.push(r);
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-    }
+    let (per_seed, telemetry) = fanout.replicate(
+        seeds as usize,
+        |window| RunTelemetry::new(config.warmup, config.horizon, window, capacities.clone()),
+        RunTelemetry::merge,
+        |_, i, telemetry| {
+            let cfg = SignalingConfig {
+                seed: config.seed + i as u64,
+                ..*config
+            };
+            match telemetry {
+                Some(t) => run_recorded(plan, traffic, failures, &cfg, t),
+                None => run_signaling(plan, traffic, failures, &cfg),
+            }
+        },
+    );
     let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
-    (per_seed, summary, merged.expect("at least one replication"))
+    (per_seed, summary, telemetry)
 }
 
-/// As [`run_signaling`] with a telemetry [`Recorder`] attached. The
-/// recorder sees each call's *resolution* (booked at the origin or
-/// exhausted) as its arrival record, every booking/release as occupancy
-/// samples, and each protocol event; it is a pure observer.
-///
-/// # Panics
-///
-/// As [`run_signaling`].
-pub fn run_signaling_recorded<R: Recorder>(
+/// One replication with a telemetry [`Recorder`] attached; the recorder
+/// is a pure observer.
+fn run_recorded<R: Recorder>(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
     failures: &FailureSchedule,
@@ -686,9 +654,20 @@ mod tests {
             horizon: 80.0,
             seed: 100,
         };
-        let (per_seed, summary) =
-            run_signaling_replications(&plan, &traffic, &FailureSchedule::none(), &config, 4);
+        let fanout = Fanout {
+            workers: 3,
+            ..Fanout::default()
+        };
+        let (per_seed, summary, telemetry) = replicate_signaling(
+            &plan,
+            &traffic,
+            &FailureSchedule::none(),
+            &config,
+            4,
+            &fanout,
+        );
         assert_eq!(per_seed.len(), 4);
+        assert!(telemetry.is_none(), "no window, no telemetry");
         for (i, r) in per_seed.iter().enumerate() {
             let solo = run_signaling(
                 &plan,
@@ -714,15 +693,20 @@ mod tests {
             horizon: 80.0,
             seed: 7,
         };
-        let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-        let mut telemetry = altroute_telemetry::RunTelemetry::new(10.0, 80.0, 10.0, capacities);
-        let recorded = run_signaling_recorded(
+        let fanout = Fanout {
+            window: Some(10.0),
+            ..Fanout::default()
+        };
+        let (per_seed, _, telemetry) = replicate_signaling(
             &plan,
             &traffic,
             &FailureSchedule::none(),
             &config,
-            &mut telemetry,
+            1,
+            &fanout,
         );
+        let recorded = per_seed[0].clone();
+        let telemetry = telemetry.expect("a window records telemetry");
         let plain = run_signaling(&plan, &traffic, &FailureSchedule::none(), &config);
         assert_eq!(recorded, plain);
         // The recorder sees resolutions, not arrivals, so calls still in

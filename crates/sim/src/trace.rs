@@ -3,8 +3,8 @@
 //! A [`TraceSink`] observes every event the engine processes — arrivals
 //! (with the routing decision taken), departures (including stale ones
 //! rejected by the generational call table), failure teardowns, and link
-//! state changes. [`run_seed_traced`](crate::engine::run_seed_traced)
-//! threads a sink through the event loop; the default
+//! state changes. [`Run::sink`](crate::engine::Run::sink) threads a
+//! sink through the event loop; the default
 //! [`NullTraceSink`] compiles to nothing, so the untraced
 //! [`run_seed`](crate::engine::run_seed) path pays no cost.
 //!
@@ -87,6 +87,30 @@ pub trait TraceSink {
     fn teardown(&mut self, time: f64, call: u32, gen: u32);
     /// A link changed operational state.
     fn link_change(&mut self, time: f64, link: u32, up: bool);
+}
+
+/// A borrowed sink observes exactly what the sink itself would: this is
+/// how [`Run::sink`](crate::engine::Run::sink) attaches a caller-owned
+/// sink without taking it over.
+impl<T: TraceSink> TraceSink for &mut T {
+    const IS_NOOP: bool = T::IS_NOOP;
+
+    #[inline(always)]
+    fn arrival(&mut self, time: f64, pair: u32, decision: TraceDecision<'_>) {
+        (**self).arrival(time, pair, decision);
+    }
+    #[inline(always)]
+    fn departure(&mut self, time: f64, call: u32, gen: u32, stale: bool) {
+        (**self).departure(time, call, gen, stale);
+    }
+    #[inline(always)]
+    fn teardown(&mut self, time: f64, call: u32, gen: u32) {
+        (**self).teardown(time, call, gen);
+    }
+    #[inline(always)]
+    fn link_change(&mut self, time: f64, link: u32, up: bool) {
+        (**self).link_change(time, link, up);
+    }
 }
 
 /// A [`TraceSink`] that records nothing — the default for untraced runs.

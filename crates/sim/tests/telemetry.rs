@@ -5,14 +5,37 @@
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::experiment::{Experiment, SimParams};
+use altroute_sim::experiment::{Experiment, ExperimentResult, Fanout, SimParams};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::{run_seed, run_seed_recorded, RunConfig};
+use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
+use altroute_sim::{run_seed, Run, RunConfig};
 use altroute_telemetry::{NullRecorder, RunTelemetry};
 
 fn quad(load: f64) -> Experiment {
     Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, load))
         .expect("quadrangle instance is valid")
+}
+
+/// The fan-out of `workers` threads recording on `window`-wide windows.
+fn recording(window: f64, workers: usize) -> Fanout<'static> {
+    Fanout {
+        workers,
+        window: Some(window),
+        ..Fanout::default()
+    }
+}
+
+/// `exp.replicate` with telemetry on `window`-wide windows over
+/// `workers` threads.
+fn recorded(
+    exp: &Experiment,
+    kind: PolicyKind,
+    params: &SimParams,
+    window: f64,
+    workers: usize,
+) -> (ExperimentResult, RunTelemetry) {
+    let (r, t) = exp.replicate(kind, params, &recording(window, workers));
+    (r, t.expect("a window records telemetry"))
 }
 
 #[test]
@@ -32,10 +55,10 @@ fn recorders_do_not_perturb_seed_results() {
             failures: &failures,
         };
         let plain = run_seed(&config);
-        let with_null = run_seed_recorded(&config, &mut NullRecorder);
+        let with_null = Run::new(&config).recorder(NullRecorder).execute();
         let mut telemetry =
             RunTelemetry::new(3.0, 20.0, 2.0, vec![100; exp.topology().num_links()]);
-        let with_full = run_seed_recorded(&config, &mut telemetry);
+        let with_full = Run::new(&config).recorder(&mut telemetry).execute();
         assert_eq!(plain, with_null, "null recorder changed the run");
         assert_eq!(plain, with_full, "full recorder changed the run");
         assert_eq!(plain.metrics, with_full.metrics);
@@ -69,15 +92,63 @@ fn telemetry_is_bit_identical_across_worker_counts() {
         PolicyKind::SinglePath,
         PolicyKind::ControlledAlternate { max_hops: 3 },
     ] {
-        let (r1, t1) = exp.run_telemetry_with_workers(kind, &params, 2.5, 1, None);
+        let (r1, t1) = recorded(&exp, kind, &params, 2.5, 1);
         for workers in [2, 4, 16] {
-            let (rn, tn) = exp.run_telemetry_with_workers(kind, &params, 2.5, workers, None);
+            let (rn, tn) = recorded(&exp, kind, &params, 2.5, workers);
             assert_eq!(r1.per_seed, rn.per_seed, "{kind:?}: results diverged");
             assert_eq!(t1, tn, "{kind:?}: telemetry diverged at {workers} workers");
         }
         // Telemetry collection itself must not perturb results either.
-        let plain = exp.run_with_workers(kind, &params, 4);
+        let fanout = Fanout {
+            workers: 4,
+            ..Fanout::default()
+        };
+        let (plain, none) = exp.replicate(kind, &params, &fanout);
         assert_eq!(plain.per_seed, r1.per_seed);
+        assert!(none.is_none(), "no window, no telemetry");
+    }
+    // The multirate simulator takes the same fan-out: its worker count
+    // reaches the pool (with or without telemetry) and changes nothing.
+    let topo = topologies::quadrangle();
+    let classes = [
+        BandwidthClass {
+            bandwidth: 1,
+            traffic: TrafficMatrix::uniform(4, 40.0),
+        },
+        BandwidthClass {
+            bandwidth: 4,
+            traffic: TrafficMatrix::uniform(4, 5.0),
+        },
+    ];
+    let params = MultirateParams {
+        warmup: 2.0,
+        horizon: 15.0,
+        seeds: 8,
+        base_seed: 0xF00D,
+        max_hops: 3,
+    };
+    let failures = FailureSchedule::none();
+    for policy in [MultiratePolicy::SinglePath, MultiratePolicy::Controlled] {
+        let run = |fanout: Fanout<'_>| {
+            run_multirate(&topo, &classes, policy, &params, &failures, None, &fanout)
+        };
+        let (r1, t1) = run(recording(2.5, 1));
+        let t1 = t1.expect("a window records telemetry");
+        assert!(t1.offered > 0);
+        for workers in [2, 4, 16] {
+            let (rn, tn) = run(recording(2.5, workers));
+            assert_eq!(r1, rn, "{policy:?}: results diverged at {workers} workers");
+            assert_eq!(
+                Some(&t1),
+                tn.as_ref(),
+                "{policy:?}: telemetry diverged at {workers} workers"
+            );
+        }
+        let (plain, _) = run(Fanout {
+            workers: 4,
+            ..Fanout::default()
+        });
+        assert_eq!(plain, r1, "{policy:?}: telemetry perturbed the results");
     }
 }
 
@@ -91,12 +162,12 @@ fn windows_align_with_warmup_and_horizon_edges() {
         base_seed: 11,
     };
     let window = 2.0;
-    let (_, t) = exp.run_telemetry_with_workers(
+    let (_, t) = recorded(
+        &exp,
         PolicyKind::ControlledAlternate { max_hops: 3 },
         &params,
         window,
         2,
-        None,
     );
     let grid = t.grid();
     assert_eq!(grid.end(), 14.0);
@@ -136,12 +207,12 @@ fn outage_window_shows_elevated_blocking() {
         seeds: 3,
         base_seed: 42,
     };
-    let (_, t) = exp.run_telemetry_with_workers(
+    let (_, t) = recorded(
+        &exp,
         PolicyKind::ControlledAlternate { max_hops: 3 },
         &params,
         5.0,
         4,
-        None,
     );
     let grid = t.grid();
     let mean_blocking = |lo: f64, hi: f64| {
@@ -176,7 +247,7 @@ fn spans_cover_every_experiment_phase() {
         seeds: 3,
         base_seed: 5,
     };
-    let (_, t) = exp.run_telemetry_with_workers(PolicyKind::SinglePath, &params, 2.0, 2, None);
+    let (_, t) = recorded(&exp, PolicyKind::SinglePath, &params, 2.0, 2);
     for phase in [
         "plan_build",
         "seed_warmup",

@@ -29,7 +29,9 @@
 //!   workspace instantiates, parameterized over an
 //!   [`kernel::AdmissionPolicy`] and a [`kernel::RouteSelector`].
 //! * [`pool`] — the bounded worker pool for multi-seed replication
-//!   fan-out with positionally deterministic results.
+//!   fan-out with positionally deterministic results, and [`Fanout`],
+//!   the one replication helper every simulator's multi-seed entry runs
+//!   through (workers, shards, progress, seed-order telemetry merge).
 //! * [`shard`] — intra-replication parallelism: the kernel's links
 //!   partitioned across worker threads under conservative time-window
 //!   synchronization, byte-identical to the single-threaded oracle.
@@ -55,7 +57,7 @@ pub mod timeweighted;
 
 pub use calendar::CalendarQueue;
 pub use metrics::EngineMetrics;
-pub use pool::{pool_run, pool_run_with, ProgressObserver};
+pub use pool::{merge_in_order, pool_run_with, Fanout, ProgressObserver};
 pub use queue::{EventQueue, EventSchedule};
 pub use rng::{RngStream, StreamFactory};
 pub use shard::{run_sharded, Partition, ShardSpec};

@@ -94,6 +94,53 @@ pub trait Recorder {
     }
 }
 
+/// A borrowed recorder records exactly what the recorder itself would,
+/// so a run can observe into a caller-owned recorder without taking it
+/// over.
+impl<T: Recorder> Recorder for &mut T {
+    const IS_NOOP: bool = T::IS_NOOP;
+
+    #[inline(always)]
+    fn event(&mut self, now: f64, queue_len: usize) {
+        (**self).event(now, queue_len);
+    }
+    #[inline(always)]
+    fn arrival(
+        &mut self,
+        now: f64,
+        measured: bool,
+        outcome: ArrivalOutcome,
+        hops: u8,
+        holding: f64,
+    ) {
+        (**self).arrival(now, measured, outcome, hops, holding);
+    }
+    #[inline(always)]
+    fn departure(&mut self, now: f64, stale: bool) {
+        (**self).departure(now, stale);
+    }
+    #[inline(always)]
+    fn occupancy(&mut self, now: f64, link: u32, occupancy: u32) {
+        (**self).occupancy(now, link, occupancy);
+    }
+    #[inline(always)]
+    fn link_state(&mut self, now: f64, link: u32, up: bool) {
+        (**self).link_state(now, link, up);
+    }
+    #[inline(always)]
+    fn teardown(&mut self, now: f64, measured: bool) {
+        (**self).teardown(now, measured);
+    }
+    #[inline(always)]
+    fn span(&mut self, name: &'static str, secs: f64) {
+        (**self).span(name, secs);
+    }
+    #[inline(always)]
+    fn finish(&mut self, end: f64) {
+        (**self).finish(end);
+    }
+}
+
 /// A [`Recorder`] that records nothing — the default for plain runs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;

@@ -6,7 +6,7 @@
 
 use altroute::cellular::grid::CellGrid;
 use altroute::cellular::policy::{cell_protection_levels, BorrowPolicy};
-use altroute::cellular::sim::{run_cellular, CellularParams};
+use altroute::cellular::sim::{run_cellular, CellularParams, Fanout};
 
 fn main() {
     let grid = CellGrid::new(5, 5, 50);
@@ -33,7 +33,7 @@ fn main() {
         BorrowPolicy::Uncontrolled,
         BorrowPolicy::Controlled,
     ] {
-        let result = run_cellular(&grid, &loads, policy, &params);
+        let result = run_cellular(&grid, &loads, policy, &params, &Fanout::default()).0;
         println!(
             "{:<14} {:>10.5} {:>14.4}",
             policy.name(),

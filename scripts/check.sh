@@ -7,7 +7,8 @@
 #
 # Stages: fmt | clippy | test | conformance | telemetry |
 # telemetry-overhead | parity | shard-parity | metastability-smoke |
-# largemesh-smoke | altrouted-smoke | bench-smoke | all (default).
+# largemesh-smoke | altrouted-smoke | bench-smoke | perfbench-build |
+# all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
 # containing this script.
 #
@@ -160,11 +161,13 @@ EOF
 }
 
 # Shard parity: the sharded kernel backend must be a pure scheduling
-# detail. The dedicated conformance test pins byte-parity against the
-# serial oracle (golden traces, both built-in partitions, and random
-# instances under random partitions); on top of that, fixed-seed CLI
-# runs with and without --shards must render identical output for the
-# engine and multirate frontends.
+# detail. The dedicated conformance tests pin byte-parity against the
+# serial oracle (every Run option combination on the golden scenarios,
+# both built-in partitions, and random instances under random
+# partitions); on top of that, fixed-seed CLI runs with and without
+# --shards must render identical output for the engine and multirate
+# frontends — and, with --telemetry, identical deterministic exports
+# (every file, minus the wall-clock span profile).
 stage_shard_parity() {
   cat > "$tmpdir/shard.json" <<'EOF'
 {
@@ -178,7 +181,7 @@ stage_shard_parity() {
   "base_seed": 7
 }
 EOF
-  cargo test --release -q -p altroute-conformance --test shard_parity
+  cargo test --release -q -p altroute-conformance --test shard_parity --test run_parity
   shard_parity() { # <name> <cli args...>: serial vs --shards 3, identical stdout
     local name="$1"; shift
     cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
@@ -190,6 +193,30 @@ EOF
   }
   shard_parity simulate  simulate  "$tmpdir/shard.json"
   shard_parity multirate multirate "$tmpdir/shard.json"
+  # Wall-clock spans: the Prometheus phase_seconds series and the JSON
+  # "spans" array (non-empty arrays only; an empty one is one line).
+  deterministic() {
+    grep -v '_phase_seconds_total' "$1" | sed '/"spans": \[$/,/^ *\],\{0,1\}$/d'
+  }
+  telemetry_parity() { # <name> <cli args...>: --telemetry serial vs --shards 3
+    local name="$1"; shift
+    local serial="$tmpdir/shard_telemetry_$name.serial"
+    local sharded="$tmpdir/shard_telemetry_$name.sharded"
+    rm -rf "$serial" "$sharded"
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      "$@" --telemetry "$serial" > "$serial.out"
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      "$@" --telemetry "$sharded" --shards 3 > "$sharded.out"
+    cmp "$serial.out" "$sharded.out"
+    diff <(ls "$serial") <(ls "$sharded")
+    local f
+    for f in "$serial"/*; do
+      cmp <(deterministic "$f") <(deterministic "$sharded/$(basename "$f")")
+    done
+    grep -q '"offered"' "$serial/telemetry.json" # the exports were written
+  }
+  telemetry_parity simulate  simulate  "$tmpdir/shard.json"
+  telemetry_parity multirate multirate "$tmpdir/shard.json"
 }
 
 # Metastability smoke: the four-arm hysteresis demonstration must run
@@ -346,13 +373,31 @@ stage_bench_smoke() {
     --validate "$tmpdir/bench_quick.json"
 }
 
+# Perfbench build: the benchmark crate under perfbench/ is its own
+# workspace, so nothing else compiles it; an API change in the crates it
+# links would break the benchmark unnoticed. Build it and run every
+# workload once for one second, untraced, requiring each run's last JSON
+# line to report a correct, failure-free unit.
+stage_perfbench_build() {
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  local w last
+  for w in fig3_quadrangle fig6_nsfnet largemesh_churn feed_ingest; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seed 1 --seconds 1 --trace 0 > "$tmpdir/perfbench_$w.jsonl"
+    last=$(tail -n 1 "$tmpdir/perfbench_$w.jsonl")
+    echo "perfbench $w: $last"
+    grep -q '"correct": *true' <<< "$last"
+    grep -q '"failed": *0[,}]' <<< "$last"
+  done
+}
+
 # Every selectable stage, in the order `all` runs them. The case arm,
 # the unknown-stage diagnostic, and `all` are all derived from this
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
   fmt clippy test conformance telemetry telemetry-overhead parity
   shard-parity metastability-smoke largemesh-smoke altrouted-smoke
-  bench-smoke
+  bench-smoke perfbench-build
 )
 
 run_stage() {
@@ -369,6 +414,7 @@ run_stage() {
     largemesh-smoke) stage_largemesh_smoke ;;
     altrouted-smoke) stage_altrouted_smoke ;;
     bench-smoke) stage_bench_smoke ;;
+    perfbench-build) stage_perfbench_build ;;
     all)
       local summary="" s t0 t1
       for s in "${STAGES[@]}"; do

@@ -84,9 +84,7 @@ fn bench_run_seed(c: &mut Criterion) {
 /// 2.5 time units. With teardown scanning the whole call table, each
 /// outage costs O(total calls offered so far) and the run goes
 /// quadratic in horizon; with the per-link index each outage only walks
-/// that link's live calls. Same scenario as the `time_churn` binary in
-/// `altroute-sim`, which measured the push-only-table engine at 2.8x
-/// this runtime.
+/// that link's live calls.
 fn bench_outage_churn(c: &mut Criterion) {
     let traffic = TrafficMatrix::uniform(4, 90.0);
     let plan = RoutingPlan::min_hop(topologies::quadrangle(), &traffic, 3);

@@ -480,9 +480,9 @@ mod tests {
     #[test]
     fn single_link_change_invalidates_a_small_fraction_at_scale() {
         // Work-proportionality on a larger sparse mesh: one link failure
-        // must evict far fewer pairs than the full O(N²) table — this is
-        // the structural fact behind the ≥10× incremental speedup the
-        // bench gate enforces in release builds.
+        // must evict far fewer pairs than the full O(N²) table — the
+        // structural fact that makes incremental recompute cheaper than
+        // full re-enumeration.
         let t = topologies::random_mesh(120, 60, 30, 0xFACE);
         let mut store = PathStore::with_cap(t.clone(), 3, 4);
         let total = t.ordered_pairs().count();

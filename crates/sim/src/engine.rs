@@ -1052,12 +1052,17 @@ mod tests {
         // sharded backend at several shard counts (with and without a
         // recorder), and recorder-only runs must all reproduce the plain
         // serial run's counters exactly — and recorded runs its
-        // telemetry. Two instances: the quadrangle with an outage
+        // telemetry. Three instances: the quadrangle with an outage
         // (overlapping pairs keep the cross-shard coordinator busy and
         // teardown hooks cross the master/owner split; DAR takes the
-        // serial fallback), and disjoint clusters, where with a
+        // serial fallback); disjoint clusters, where with a
         // cluster-aligned contiguous partition every source is
-        // shard-local and the run genuinely fans out.
+        // shard-local and the run genuinely fans out; and the quadrangle
+        // shape at C=1000 under 900 Erlang/pair with link 0-1 down 1.0 of
+        // every 2.5, where ~10k concurrent calls keep the event queue
+        // deep while mass teardowns and re-arrivals churn it — the
+        // calendar's resize and bucket-width paths at a depth the
+        // queue-level proptests never reach.
         use altroute_telemetry::RunTelemetry;
 
         let quadrangle = {
@@ -1065,7 +1070,7 @@ mod tests {
             let plan = RoutingPlan::min_hop(topologies::quadrangle(), &traffic, 3);
             let link01 = plan.topology().link_between(0, 1).unwrap();
             let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-            (plan, traffic, failures, 3, vec![1, 2, 4])
+            (plan, traffic, failures, 3, (5.0, 30.0), vec![1, 2, 4])
         };
         let clusters = {
             let (clusters, size) = (3, 3);
@@ -1085,10 +1090,23 @@ mod tests {
                 let c = fp[0] / per_cluster;
                 assert!(fp.iter().all(|&l| l / per_cluster == c));
             }
-            (plan, traffic, FailureSchedule::none(), 2, vec![1, 2, 3, 6])
+            let failures = FailureSchedule::none();
+            (plan, traffic, failures, 2, (5.0, 30.0), vec![1, 2, 3, 6])
+        };
+        let deep_outage = {
+            let traffic = TrafficMatrix::uniform(4, 900.0);
+            let plan = RoutingPlan::min_hop(topologies::full_mesh(4, 1000), &traffic, 3);
+            let link01 = plan.topology().link_between(0, 1).unwrap();
+            let mut failures = FailureSchedule::none();
+            for down in [1.0, 3.5] {
+                failures = failures.with_outage(link01, down, down + 1.0);
+            }
+            (plan, traffic, failures, 3, (0.5, 4.5), vec![2])
         };
         let mut scratch = KernelScratch::new();
-        for (plan, traffic, failures, h, shard_counts) in [quadrangle, clusters] {
+        for (plan, traffic, failures, h, (warmup, horizon), shard_counts) in
+            [quadrangle, clusters, deep_outage]
+        {
             let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
             for policy in [
                 PolicyKind::SinglePath,
@@ -1102,13 +1120,14 @@ mod tests {
                     plan: &plan,
                     policy,
                     traffic: &traffic,
-                    warmup: 5.0,
-                    horizon: 30.0,
+                    warmup,
+                    horizon,
                     seed: 2026,
                     failures: &failures,
                 };
                 let oracle = run_seed(&config);
-                let telemetry = || RunTelemetry::new(5.0, 30.0, 5.0, capacities.clone());
+                let window = (horizon - warmup) / 5.0;
+                let telemetry = || RunTelemetry::new(warmup, horizon, window, capacities.clone());
                 let mut oracle_t = telemetry();
                 let recorded = Run::new(&config).recorder(&mut oracle_t).execute();
                 assert_eq!(oracle, recorded, "{policy:?} recorded");

@@ -26,7 +26,7 @@ use crate::flight::{FlightRing, FlightTrigger};
 use crate::mode::Mode;
 use crate::recorder::{ArrivalOutcome, Recorder, RunTelemetry};
 use std::cell::RefCell;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -218,86 +218,125 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Longest request head (request line plus headers) the server reads;
+/// a longer one is answered `431` and the connection closed.
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Time one connection gets, in total, to send its request head and take
+/// the response, so slow or hung clients cannot wedge the accept thread
+/// (and with it `/metrics` and the run's shutdown).
+const CONNECTION_DEADLINE: Duration = Duration::from_secs(2);
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         if let Ok(stream) = stream {
-            // Slow or hung clients must not wedge the run's shutdown.
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-            let _ = handle_connection(stream, shared);
+            let _ = handle_connection(stream, shared, Instant::now() + CONNECTION_DEADLINE);
         }
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers; the routes take no request body.
+/// Time left before `deadline`, or a `TimedOut` error once it has passed.
+fn remaining(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    Ok(left)
+}
+
+/// Reads the request head up to its blank line (or EOF) and returns the
+/// request line, or `None` when the head exceeds [`MAX_HEAD_BYTES`].
+fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<Option<String>> {
+    let mut head = Vec::new();
+    let mut chunk = [0u8; 1024];
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        let room = MAX_HEAD_BYTES - head.len();
+        if room == 0 {
+            return Ok(None);
+        }
+        stream.set_read_timeout(Some(remaining(deadline)?))?;
+        let want = room.min(chunk.len());
+        let n = stream.read(&mut chunk[..want])?;
+        if n == 0 {
+            break;
+        }
+        // A blank line ends the head; scan only where one could newly end.
+        let from = head.len().saturating_sub(2);
+        head.extend_from_slice(&chunk[..n]);
+        let tail = &head[from..];
+        if tail.windows(2).any(|w| w == b"\n\n") || tail.windows(3).any(|w| w == b"\n\r\n") {
             break;
         }
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let mut stream = reader.into_inner();
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    Ok(Some(String::from_utf8_lossy(line).into_owned()))
+}
 
-    if method != "GET" {
-        return respond(
-            &mut stream,
+fn handle_connection(
+    mut stream: TcpStream,
+    shared: &Arc<Shared>,
+    deadline: Instant,
+) -> std::io::Result<()> {
+    // The routes take no request body, so the head is all we read.
+    let (status, content_type, body) = match read_request_line(&mut stream, deadline)? {
+        Some(request_line) => route(&request_line, shared),
+        None => (
+            "431 Request Header Fields Too Large",
+            "text/plain",
+            "request head too large\n".to_string(),
+        ),
+    };
+    respond(&mut stream, deadline, status, content_type, &body)
+}
+
+/// The status line, content type and body answering `request_line`.
+fn route(request_line: &str, shared: &Shared) -> (&'static str, &'static str, String) {
+    let mut parts = request_line.split_whitespace();
+    if parts.next() != Some("GET") {
+        return (
             "405 Method Not Allowed",
             "text/plain",
-            "method not allowed\n",
+            "method not allowed\n".to_string(),
         );
     }
     let state = match shared.state.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
     };
-    match path {
-        "/metrics" => {
-            let body = state.metrics.clone();
-            drop(state);
-            respond(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
-        "/healthz" => {
-            drop(state);
-            respond(&mut stream, "200 OK", "text/plain", "ok\n")
-        }
-        "/status" => {
-            let body = state.status.to_json();
-            drop(state);
-            respond(&mut stream, "200 OK", "application/json", &body)
-        }
-        _ => {
-            drop(state);
-            respond(&mut stream, "404 Not Found", "text/plain", "not found\n")
-        }
+    match parts.next().unwrap_or("") {
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            state.metrics.clone(),
+        ),
+        "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
+        "/status" => ("200 OK", "application/json", state.status.to_json()),
+        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     }
 }
 
 fn respond(
     stream: &mut TcpStream,
+    deadline: Instant,
     status: &str,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    let mut rest = response.as_bytes();
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(remaining(deadline)?))?;
+        match stream.write(rest)? {
+            0 => return Err(std::io::ErrorKind::WriteZero.into()),
+            n => rest = &rest[n..],
+        }
+    }
     stream.flush()
 }
 
@@ -491,7 +530,6 @@ mod tests {
     use super::*;
     use crate::flight::TriggerReason;
     use crate::mode::ModeThresholds;
-    use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         request(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
@@ -540,6 +578,51 @@ mod tests {
         let (head, _) = request(addr, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(head.starts_with("HTTP/1.1 405"), "{head}");
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_head_is_cut_off() {
+        let server = MetricsServer::bind("127.0.0.1:0", "unit").expect("bind");
+        let addr = server.addr();
+        // 1 MiB with no newline: the server stops reading at its cap,
+        // answers 431 and closes, so either our write or our read sees
+        // the connection end early, or the 431 arrives intact.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let sent = stream.write_all(&vec![b'a'; 1 << 20]);
+        let mut response = Vec::new();
+        let read = stream.read_to_end(&mut response);
+        if sent.is_ok() && read.is_ok() {
+            let response = String::from_utf8_lossy(&response);
+            assert!(response.starts_with("HTTP/1.1 431"), "{response}");
+        }
+        let (head, body) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert_eq!(body, "ok\n");
+        server.shutdown();
+    }
+
+    #[test]
+    fn dripped_headers_hit_the_connection_deadline() {
+        let server = MetricsServer::bind("127.0.0.1:0", "unit").expect("bind");
+        let addr = server.addr();
+        // One short header line every 50 ms never ends the head; each read
+        // succeeds well inside any per-read timeout, so only the total
+        // deadline closes the connection and frees the accept thread.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let started = Instant::now();
+        let mut line: &[u8] = b"GET /metrics HTTP/1.1\r\n";
+        while stream.write_all(line).is_ok() && started.elapsed() < 4 * CONNECTION_DEADLINE {
+            line = b"X-Drip: 1\r\n";
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert!(
+            started.elapsed() < 2 * CONNECTION_DEADLINE,
+            "server kept a dripping client for {:?}",
+            started.elapsed()
+        );
+        let (_, body) = get(addr, "/healthz");
+        assert_eq!(body, "ok\n");
         server.shutdown();
     }
 

@@ -7,8 +7,7 @@
 #
 # Stages: fmt | clippy | test | conformance | telemetry |
 # telemetry-overhead | parity | shard-parity | metastability-smoke |
-# largemesh-smoke | altrouted-smoke | bench-smoke | perfbench-build |
-# all (default).
+# largemesh-smoke | altrouted-smoke | perfbench-build | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
 # containing this script.
 #
@@ -362,17 +361,6 @@ stage_altrouted_smoke() {
   [ "$max_level" -gt 0 ]
 }
 
-# Bench smoke: the perf-baseline binary must run end to end in --quick
-# mode and emit a report that passes its own schema validation. No
-# timing thresholds here — the non-blocking regression gate is
-# scripts/bench_gate.sh.
-stage_bench_smoke() {
-  cargo run --release -q -p altroute-bench --bin bench_report -- \
-    --quick --out "$tmpdir/bench_quick.json"
-  cargo run --release -q -p altroute-bench --bin bench_report -- \
-    --validate "$tmpdir/bench_quick.json"
-}
-
 # Perfbench build: the benchmark crate under perfbench/ is its own
 # workspace, so nothing else compiles it; an API change in the crates it
 # links would break the benchmark unnoticed. Build it and run every
@@ -397,7 +385,7 @@ stage_perfbench_build() {
 STAGES=(
   fmt clippy test conformance telemetry telemetry-overhead parity
   shard-parity metastability-smoke largemesh-smoke altrouted-smoke
-  bench-smoke perfbench-build
+  perfbench-build
 )
 
 run_stage() {
@@ -413,7 +401,6 @@ run_stage() {
     metastability-smoke) stage_metastability_smoke ;;
     largemesh-smoke) stage_largemesh_smoke ;;
     altrouted-smoke) stage_altrouted_smoke ;;
-    bench-smoke) stage_bench_smoke ;;
     perfbench-build) stage_perfbench_build ;;
     all)
       local summary="" s t0 t1

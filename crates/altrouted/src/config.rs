@@ -26,9 +26,6 @@ use altroute_core::primary::PrimaryAssignment;
 use altroute_json::Value;
 use altroute_netgraph::topologies;
 
-/// Estimator/cadence knobs, re-exported under the config-surface name.
-pub type ControllerConfig = ControllerTuning;
-
 /// A fully parsed daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -47,11 +44,16 @@ fn get_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("missing `{key}`"))?
+/// A `u32` member; `default` stands in when it is absent (`None`: the
+/// member is required).
+fn get_u32(v: &Value, key: &str, default: Option<u32>) -> Result<u32, String> {
+    let Some(x) = v.get(key) else {
+        return default.ok_or_else(|| format!("missing `{key}`"));
+    };
+    let n = x
         .as_u64()
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))?;
+    u32::try_from(n).map_err(|_| format!("{key} {n} out of range"))
 }
 
 impl DaemonConfig {
@@ -66,31 +68,19 @@ impl DaemonConfig {
             }
         }
         let mesh = v.get("mesh").ok_or("missing `mesh`")?;
-        let nodes = get_u64(mesh, "nodes")? as usize;
-        let capacity = get_u64(mesh, "capacity")?;
+        let nodes = get_u32(mesh, "nodes", None)? as usize;
+        let capacity = get_u32(mesh, "capacity", None)?;
         if nodes < 2 {
             return Err(format!("mesh needs at least 2 nodes, got {nodes}"));
         }
-        let capacity =
-            u32::try_from(capacity).map_err(|_| format!("capacity {capacity} out of range"))?;
-        let max_hops = get_u64(v, "max_hops")?;
-        let max_hops =
-            u32::try_from(max_hops).map_err(|_| format!("max_hops {max_hops} out of range"))?;
+        let max_hops = get_u32(v, "max_hops", None)?;
         if max_hops == 0 {
             return Err("max_hops must be positive".to_string());
         }
         let defaults = ControllerTuning::default();
         let tuning = ControllerTuning {
             window: get_f64(v, "window", defaults.window)?,
-            recompute_every: {
-                let c = match v.get("recompute_every") {
-                    None => u64::from(defaults.recompute_every),
-                    Some(x) => x
-                        .as_u64()
-                        .ok_or("`recompute_every` must be a non-negative integer")?,
-                };
-                u32::try_from(c).map_err(|_| format!("recompute_every {c} out of range"))?
-            },
+            recompute_every: get_u32(v, "recompute_every", Some(defaults.recompute_every))?,
             alpha: get_f64(v, "alpha", defaults.alpha)?,
             mean_holding: get_f64(v, "mean_holding", defaults.mean_holding)?,
         };
@@ -134,23 +124,7 @@ impl DaemonConfig {
 /// mesh's own link numbering.
 pub fn mesh_plane(nodes: usize, capacity: u32, max_hops: u32) -> ControlPlane {
     let topo = topologies::full_mesh(nodes, capacity);
-    let primaries = PrimaryAssignment::min_hop(&topo);
-    let pair_links = (0..nodes * nodes)
-        .map(|idx| {
-            let (i, j) = (idx / nodes, idx % nodes);
-            primaries
-                .choose(i, j, 0.0)
-                .map(|p| p.links().to_vec())
-                .unwrap_or_default()
-        })
-        .collect();
-    let capacities = topo.links().iter().map(|l| l.capacity).collect();
-    ControlPlane {
-        nodes,
-        pair_links,
-        capacities,
-        max_hops,
-    }
+    ControlPlane::from_primaries(&topo, &PrimaryAssignment::min_hop(&topo), max_hops)
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@
 //!
 //! [`AdmissionPolicy::set_levels`]: LevelsUpdate
 
+use altroute_core::primary::PrimaryAssignment;
+use altroute_netgraph::Topology;
 use altroute_telemetry::feed::{FeedEvent, LoadEstimator};
 use altroute_teletraffic::estimate::{offered_link_loads, protection_levels_for};
 
@@ -40,6 +42,41 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
+    /// The control plane of `topo` routed on `primaries`: each ordered
+    /// pair's primary links, the topology's link numbering and
+    /// capacities, and the design parameter `H = max_hops`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair splits its primary over several paths — the
+    /// Eq.-15 incidence needs one primary path per pair.
+    pub fn from_primaries(topo: &Topology, primaries: &PrimaryAssignment, max_hops: u32) -> Self {
+        let nodes = primaries.num_nodes();
+        let pair_links = primaries
+            .splits()
+            .iter()
+            .enumerate()
+            .map(|(idx, split)| {
+                assert!(
+                    split.len() <= 1,
+                    "pair ({}, {}) splits its primary over {} paths; the controller needs one",
+                    idx / nodes,
+                    idx % nodes,
+                    split.len()
+                );
+                split
+                    .first()
+                    .map_or_else(Vec::new, |(p, _)| p.links().to_vec())
+            })
+            .collect();
+        Self {
+            nodes,
+            pair_links,
+            capacities: topo.links().iter().map(|l| l.capacity).collect(),
+            max_hops,
+        }
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -132,6 +169,7 @@ pub struct Controller {
     plane: ControlPlane,
     tuning: ControllerTuning,
     estimator: LoadEstimator,
+    loads: Vec<f64>,
     levels: Vec<u32>,
     updates: u64,
     solves: u64,
@@ -158,12 +196,13 @@ impl Controller {
             "mean holding time must be positive"
         );
         let estimator = LoadEstimator::new(plane.nodes * plane.nodes, tuning.window, tuning.alpha);
-        let levels = vec![0; plane.capacities.len()];
+        let links = plane.capacities.len();
         Self {
             plane,
             tuning,
             estimator,
-            levels,
+            loads: vec![0.0; links],
+            levels: vec![0; links],
             updates: 0,
             solves: 0,
             arrivals: 0,
@@ -180,6 +219,12 @@ impl Controller {
     /// The currently pushed per-link levels.
     pub fn levels(&self) -> &[u32] {
         &self.levels
+    }
+
+    /// The estimated per-link loads `Λ^k` (Erlangs) of the last Eq.-15
+    /// re-solve; all zero before the first.
+    pub fn loads(&self) -> &[f64] {
+        &self.loads
     }
 
     /// Number of emitted [`LevelsUpdate`]s (re-solves that changed
@@ -289,6 +334,7 @@ impl Controller {
             self.plane.capacities.len(),
         );
         let levels = protection_levels_for(&loads, &self.plane.capacities, self.plane.max_hops);
+        self.loads = loads;
         let changed = levels
             .iter()
             .zip(&self.levels)
@@ -304,7 +350,7 @@ impl Controller {
             window: self.estimator.windows_completed(),
             changed,
             levels,
-            max_load: loads.iter().cloned().fold(0.0, f64::max),
+            max_load: self.loads.iter().cloned().fold(0.0, f64::max),
         })
     }
 

@@ -34,6 +34,6 @@ pub mod config;
 pub mod control;
 pub mod service;
 
-pub use config::{ControllerConfig, DaemonConfig};
+pub use config::DaemonConfig;
 pub use control::{ControlPlane, Controller, LevelsUpdate, Reject};
 pub use service::{run_feed, serve_listener, FeedSummary};

@@ -62,11 +62,6 @@ impl<'p> TieredSelector<'p> {
             alternates: false,
         }
     }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &'p RoutingPlan {
-        self.plan
-    }
 }
 
 impl<'p> RouteSelector<'p> for TieredSelector<'p> {

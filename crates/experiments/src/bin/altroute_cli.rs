@@ -807,7 +807,7 @@ fn cmd_controlled(flags: &Flags) -> Result<(), String> {
             "horizon" => cfg.meta.horizon,
             "window" => cfg.meta.window,
             "seeds" => cfg.meta.seeds,
-            "recompute_every" => cfg.recompute_every,
+            "recompute_every" => cfg.tuning().recompute_every,
             "update_count" => report.update_count,
             "final_max_level" => report.final_levels.iter().copied().max().unwrap_or(0),
             "arms" => Value::Array(arms),

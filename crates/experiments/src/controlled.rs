@@ -6,11 +6,14 @@
 //! protection levels are *provisioned*, computed offline from the known
 //! offered matrix. This tier closes the loop the paper's control story
 //! implies: the run starts saturated with **all-zero** levels and an
-//! [`altrouted`] [`Controller`] riding the kernel's periodic tick. The
-//! controller estimates per-pair arrival rates from the arrivals it
+//! [`altrouted`] [`Controller`] riding the kernel's periodic tick
+//! through [`ControlledSelector`], the wrapper `sim::adaptive` uses too.
+//! The controller estimates per-pair arrival rates from the arrivals it
 //! observes, re-solves Eq. 15 at every window boundary, and pushes the
 //! fresh `r^k` through [`AdmissionPolicy::set_levels`] mid-run. No level
 //! is ever set by hand.
+//!
+//! [`AdmissionPolicy::set_levels`]: altroute_simcore::kernel::AdmissionPolicy::set_levels
 //!
 //! Two arms, same seeds, same saturated start, same best-of-`d`
 //! selector:
@@ -29,11 +32,11 @@ use altroute_core::policy::PolicyKind;
 use altroute_core::select::BestOfDSelector;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
+use altroute_sim::adaptive::ControlledSelector;
 use altroute_sim::engine::{Run, RunConfig, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
-use altroute_simcore::kernel::{
-    AdmissionPolicy, LinkOccupancy, RouteSelector, Selection, TrunkReservation,
-};
+use altroute_simcore::kernel::TrunkReservation;
+use altroute_simcore::pool::merge_in_order;
 use altroute_simcore::rng::StreamFactory;
 use altroute_telemetry::serve::{LiveRecorder, MetricsServer};
 use altroute_telemetry::{ModeReport, RunTelemetry};
@@ -41,16 +44,13 @@ use altrouted::config::mesh_plane;
 use altrouted::control::{Controller, ControllerTuning, LevelsUpdate};
 
 /// Parameters of the closed-loop demonstration. The mesh, load, seeds,
-/// and detector come from the metastability configuration; only the
-/// controller cadence is new.
+/// and detector come from the metastability configuration; the
+/// controller estimates on the telemetry windows with the default
+/// [`ControllerTuning`] otherwise.
 #[derive(Debug, Clone)]
 pub struct ControlledConfig {
     /// The shared instance (both arms run it saturated).
     pub meta: MetastabilityConfig,
-    /// Controller re-solve cadence, in completed estimator windows.
-    pub recompute_every: u32,
-    /// Controller EWMA weight on the newest window.
-    pub alpha: f64,
 }
 
 impl ControlledConfig {
@@ -59,8 +59,15 @@ impl ControlledConfig {
     pub fn smoke() -> Self {
         Self {
             meta: MetastabilityConfig::smoke(),
-            recompute_every: 1,
-            alpha: 1.0,
+        }
+    }
+
+    /// The online arm's controller tuning: one estimator window per
+    /// telemetry window, defaults for the rest.
+    pub fn tuning(&self) -> ControllerTuning {
+        ControllerTuning {
+            window: self.meta.window,
+            ..ControllerTuning::default()
         }
     }
 
@@ -70,47 +77,6 @@ impl ControlledConfig {
             "smoke" => Some(Self::smoke()),
             _ => None,
         }
-    }
-}
-
-/// A best-of-`d` selector with a resident [`Controller`] riding the
-/// kernel tick: arrivals are tallied per ordered pair between ticks,
-/// and each tick hands the completed window to the controller, pushing
-/// any resulting level change into the admission policy mid-run.
-struct ControlledSelector<'p> {
-    inner: BestOfDSelector<'p>,
-    controller: Controller,
-    counts: Vec<u64>,
-    updates: Vec<LevelsUpdate>,
-}
-
-impl<'p> RouteSelector<'p> for ControlledSelector<'p> {
-    fn select<A: AdmissionPolicy>(
-        &mut self,
-        src: usize,
-        dst: usize,
-        pick: f64,
-        view: &LinkOccupancy,
-        admission: &A,
-        bandwidth: u32,
-    ) -> Selection<'p> {
-        self.inner
-            .select(src, dst, pick, view, admission, bandwidth)
-    }
-
-    fn observe_arrival(&mut self, src: usize, dst: usize, pick: f64) {
-        let n = self.controller.plane().nodes;
-        self.counts[src * n + dst] += 1;
-        self.inner.observe_arrival(src, dst, pick);
-    }
-
-    fn tick<A: AdmissionPolicy>(&mut self, now: f64, admission: &mut A) {
-        if let Some(update) = self.controller.ingest_window(&self.counts) {
-            admission.set_levels(&update.levels);
-            self.updates.push(update);
-        }
-        self.counts.fill(0);
-        self.inner.tick(now, admission);
     }
 }
 
@@ -149,36 +115,6 @@ pub struct ControlledReport {
     pub final_levels: Vec<u32>,
 }
 
-struct ArmTotals {
-    offered: u64,
-    blocked: u64,
-    alternate: u64,
-    telemetry: RunTelemetry,
-}
-
-fn finish_arm(name: &'static str, cfg: &MetastabilityConfig, t: ArmTotals) -> ControlledArm {
-    let modes = t.telemetry.mode_report(cfg.thresholds);
-    let windows = t.telemetry.grid().num_windows();
-    let tail = windows - (windows / 4).max(1);
-    let tail_utilization = (tail..windows)
-        .map(|k| t.telemetry.window_network_utilization(k))
-        .sum::<f64>()
-        / (windows - tail) as f64;
-    let carried = t.offered - t.blocked;
-    ControlledArm {
-        name,
-        blocking: altroute_simcore::stats::blocking_ratio(t.blocked, t.offered),
-        alternate_fraction: if carried == 0 {
-            0.0
-        } else {
-            t.alternate as f64 / carried as f64
-        },
-        modes,
-        tail_utilization,
-        telemetry: t.telemetry,
-    }
-}
-
 /// Runs the closed-loop demonstration.
 pub fn run_controlled(cfg: &ControlledConfig) -> ControlledReport {
     run_controlled_served(cfg, None)
@@ -203,12 +139,6 @@ pub fn run_controlled_served(
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
     let initial = capacities.clone(); // saturated start, both arms
     let failures = FailureSchedule::none();
-    let tuning = ControllerTuning {
-        window: meta.window,
-        recompute_every: cfg.recompute_every,
-        alpha: cfg.alpha,
-        mean_holding: 1.0, // the kernel's unit-mean exponential holds
-    };
     if let Some(server) = server {
         let total = 2 * meta.seeds as usize;
         server.update_status(|s| {
@@ -230,7 +160,8 @@ pub fn run_controlled_served(
                 s.mode = None;
             });
         }
-        let mut totals: Option<ArmTotals> = None;
+        let (mut offered, mut blocked, mut alternate) = (0, 0, 0);
+        let mut snapshots = Vec::with_capacity(meta.seeds as usize);
         for s in 0..meta.seeds {
             let seed = meta.base_seed + u64::from(s);
             let config = RunConfig {
@@ -251,61 +182,55 @@ pub fn run_controlled_served(
             let mut admission = TrunkReservation::new(vec![0; num_links]);
             let r = {
                 let mut live = LiveRecorder::new(&mut telemetry, server, None);
-                match name {
-                    "static" => Run::new(&config)
-                        .warm(&initial)
-                        .recorder(&mut live)
-                        .execute_with(
-                            &mut admission,
-                            &mut BestOfDSelector::new(&plan, meta.d, rng),
-                        ),
-                    _ => {
-                        let mut selector = ControlledSelector {
-                            inner: BestOfDSelector::new(&plan, meta.d, rng),
-                            controller: Controller::new(
-                                mesh_plane(meta.nodes, meta.capacity, 2),
-                                tuning,
-                            ),
-                            counts: vec![0; meta.nodes * meta.nodes],
-                            updates: Vec::new(),
-                        };
-                        let r = Run::new(&config)
-                            .warm(&initial)
-                            .ticks(meta.window)
-                            .recorder(&mut live)
-                            .execute_with(&mut admission, &mut selector);
-                        update_count += selector.updates.len() as u64;
-                        if s == 0 {
-                            updates = selector.updates;
-                        }
-                        final_levels = selector.controller.levels().to_vec();
-                        r
+                let run = Run::new(&config).warm(&initial).recorder(&mut live);
+                let mut best_of_d = BestOfDSelector::new(&plan, meta.d, rng);
+                if name == "static" {
+                    run.execute_with(&mut admission, &mut best_of_d)
+                } else {
+                    let mut selector = ControlledSelector::new(
+                        best_of_d,
+                        Controller::new(mesh_plane(meta.nodes, meta.capacity, 2), cfg.tuning()),
+                    );
+                    let r = run
+                        .ticks(meta.window)
+                        .execute_with(&mut admission, &mut selector);
+                    update_count += selector.updates().len() as u64;
+                    if s == 0 {
+                        updates = selector.updates().to_vec();
                     }
+                    final_levels = selector.controller().levels().to_vec();
+                    r
                 }
             };
-            match &mut totals {
-                None => {
-                    totals = Some(ArmTotals {
-                        offered: r.offered,
-                        blocked: r.blocked,
-                        alternate: r.carried_alternate,
-                        telemetry,
-                    })
-                }
-                Some(t) => {
-                    t.offered += r.offered;
-                    t.blocked += r.blocked;
-                    t.alternate += r.carried_alternate;
-                    t.telemetry.merge(&telemetry);
-                }
-            }
+            offered += r.offered;
+            blocked += r.blocked;
+            alternate += r.carried_alternate;
+            snapshots.push(telemetry);
             replications_done += 1;
             if let Some(server) = server {
                 let done = replications_done;
                 server.update_status(|st| st.replications_done = done);
             }
         }
-        arms.push(finish_arm(name, meta, totals.expect("at least one seed")));
+        let telemetry = merge_in_order(snapshots, RunTelemetry::merge).expect("at least one seed");
+        let windows = telemetry.grid().num_windows();
+        let tail = windows - (windows / 4).max(1);
+        let carried = offered - blocked;
+        arms.push(ControlledArm {
+            name,
+            blocking: altroute_simcore::stats::blocking_ratio(blocked, offered),
+            alternate_fraction: if carried == 0 {
+                0.0
+            } else {
+                alternate as f64 / carried as f64
+            },
+            modes: telemetry.mode_report(meta.thresholds),
+            tail_utilization: (tail..windows)
+                .map(|k| telemetry.window_network_utilization(k))
+                .sum::<f64>()
+                / (windows - tail) as f64,
+            telemetry,
+        });
     }
     let online_arm = arms.pop().expect("two arms");
     let static_arm = arms.pop().expect("two arms");

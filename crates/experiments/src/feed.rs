@@ -183,7 +183,12 @@ pub fn render_feed(cfg: &FeedConfig) -> (String, FeedStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use altroute_core::select::TieredSelector;
+    use altroute_sim::adaptive::ControlledSelector;
+    use altroute_simcore::kernel::TrunkReservation;
     use altroute_telemetry::feed::{parse_line, FeedEvent, FeedLine};
+    use altrouted::config::mesh_plane;
+    use altrouted::control::{Controller, ControllerTuning};
 
     #[test]
     fn ramp_feed_parses_end_to_end_and_is_reproducible() {
@@ -224,5 +229,67 @@ mod tests {
             (1300..2000).contains(&arrivals),
             "arrival volume {arrivals} far from the offered mean"
         );
+    }
+
+    /// The kernel-tick path (`ControlledSelector` → `ingest_window`) and
+    /// the feed path (`push`) must agree on one arrival stream: replaying
+    /// the feed tapped from a run reproduces the run's level updates.
+    /// The kernel ticks strictly before the horizon, so the replay's
+    /// `end <horizon>` closes one window more: one extra re-solve, and
+    /// at most one extra update, stamped at the horizon.
+    #[test]
+    fn in_process_controller_matches_feed_replay() {
+        let (nodes, capacity, horizon) = (4, 20, 12.0);
+        let tuning = ControllerTuning {
+            window: 1.0,
+            alpha: 0.5,
+            ..ControllerTuning::default()
+        };
+        let traffic = TrafficMatrix::uniform(nodes, 14.0);
+        let plan = RoutingPlan::min_hop(topologies::full_mesh(nodes, capacity), &traffic, 2);
+        let failures = FailureSchedule::none();
+        let config = RunConfig {
+            plan: &plan,
+            policy: PolicyKind::ControlledAlternate { max_hops: 2 },
+            traffic: &traffic,
+            warmup: 0.0,
+            horizon,
+            seed: 3,
+            failures: &failures,
+        };
+        let mut sink = ArrivalLines {
+            nodes,
+            offset: 0.0,
+            out: format!("{FEED_MAGIC} {FEED_VERSION} nodes={nodes}\n"),
+            arrivals: 0,
+        };
+        let mut selector = ControlledSelector::new(
+            TieredSelector::new(&plan),
+            Controller::new(mesh_plane(nodes, capacity, 2), tuning),
+        );
+        let mut admission = TrunkReservation::new(vec![0; plan.topology().num_links()]);
+        Run::new(&config)
+            .ticks(tuning.window)
+            .sink(&mut sink)
+            .execute_with(&mut admission, &mut selector);
+        let _ = writeln!(sink.out, "end {horizon}");
+
+        let mut replay = Controller::new(mesh_plane(nodes, capacity, 2), tuning);
+        let mut replayed = Vec::new();
+        for line in sink.out.lines() {
+            if let FeedLine::Event(ev) = parse_line(line).expect(line) {
+                replay
+                    .push(ev, &mut replayed)
+                    .expect("recorded feed is valid");
+            }
+        }
+
+        let in_process = selector.updates();
+        assert!(in_process.len() >= 3, "the run must move the levels");
+        let (head, tail) = replayed.split_at(in_process.len());
+        assert_eq!(head, in_process);
+        assert!(tail.len() <= 1 && tail.iter().all(|u| u.at == horizon));
+        assert_eq!(replay.solves(), selector.controller().solves() + 1);
+        assert_eq!(replay.arrivals(), sink.arrivals);
     }
 }

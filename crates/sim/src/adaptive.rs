@@ -4,25 +4,25 @@
 //! priori ("we simply assumed that a link knew Λ^k"), remarking that in
 //! deployment "the estimate can be found from the primary call set-ups
 //! that fly past the link" and leaning on the robustness of state
-//! protection (Key) for the gap. This module closes that gap: each link
-//! counts the primary call set-ups traversing it, maintains an
-//! exponentially weighted moving average of the implied offered rate, and
-//! periodically recomputes its protection level from the estimate via
-//! Eq. 15.
+//! protection (Key) for the gap. This module closes that gap with the
+//! resident control law of [`altrouted`]: the offered set-ups of each
+//! ordered pair are counted, each pair's rate folds into an
+//! exponentially weighted moving average, the per-pair estimates are
+//! summed onto the links of each pair's primary path, and every
+//! protection level is recomputed from the estimate via Eq. 15.
 //!
-//! Estimation counts *offered* primary set-ups on every link of each
-//! call's primary path (a set-up packet carries the full source route, so
-//! downstream links learn of the attempt even when an upstream link
-//! blocks it) — matching the unreduced `Λ^k` of Eq. 1 that the paper's
-//! oracle uses. With unit-mean holding times the offered rate in calls
-//! per unit time *is* the offered load in Erlangs.
+//! Estimation counts *offered* set-ups (a set-up packet carries the full
+//! source route, so every link of the primary learns of the attempt even
+//! when an upstream link blocks it) — matching the unreduced `Λ^k` of
+//! Eq. 1 that the paper's oracle uses. With unit-mean holding times the
+//! offered rate in calls per unit time *is* the offered load in Erlangs.
 //!
-//! On the simulation kernel the estimator is a [`RouteSelector`]
-//! wrapper: `observe_arrival` tallies set-ups, and the kernel's periodic
-//! tick (`update_interval`) folds the window into the EWMA and pushes
-//! fresh levels into the [`TrunkReservation`] admission policy via
-//! `set_levels` — the state-dependent tier reads them on the very next
-//! call.
+//! On the simulation kernel the controller rides a [`RouteSelector`]
+//! wrapper, [`ControlledSelector`]: `observe_arrival` tallies set-ups
+//! per pair, and the kernel's periodic tick hands the window to
+//! [`Controller::ingest_window`] and pushes the controller's levels into
+//! the [`TrunkReservation`] admission policy via `set_levels` — the
+//! state-dependent tier reads them on the very next call.
 
 use crate::engine::{Run, RunConfig};
 use crate::failures::FailureSchedule;
@@ -37,13 +37,13 @@ use altroute_simcore::kernel::{
 use altroute_simcore::pool::Fanout;
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{Recorder, RunTelemetry};
-use altroute_teletraffic::reservation::protection_level;
+use altrouted::control::{ControlPlane, Controller, ControllerTuning, LevelsUpdate};
 
 /// Configuration of the adaptive controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// How often (simulation time units, i.e. mean holding times) each
-    /// link re-estimates its load and recomputes `r`.
+    /// How often (simulation time units, i.e. mean holding times) the
+    /// controller re-estimates the loads and recomputes `r`.
     pub update_interval: f64,
     /// EWMA weight of the newest interval's measured rate (0 < α ≤ 1).
     pub ewma_alpha: f64,
@@ -91,44 +91,45 @@ impl AdaptiveSeedResult {
     }
 }
 
-/// The estimating selector: tiered primary-then-alternates routing whose
-/// tick folds the last window's set-up counts into an EWMA per link and
-/// refreshes the admission policy's protection levels from Eq. 15.
-struct AdaptiveSelector<'p> {
-    inner: TieredSelector<'p>,
-    capacities: Vec<u32>,
-    h: u32,
-    update_interval: f64,
-    ewma_alpha: f64,
-    levels: Vec<u32>,
-    estimates: Vec<f64>,
-    have_estimate: Vec<bool>,
-    window_counts: Vec<u64>,
+/// A selector `S` with a resident [`Controller`] riding the kernel tick:
+/// arrivals are tallied per ordered pair between ticks, and each tick
+/// hands the completed window to [`Controller::ingest_window`] and
+/// pushes the controller's levels into the admission policy. Routing,
+/// arrivals and ticks are forwarded to `S` unchanged.
+///
+/// The kernel's tick interval should equal the controller's window, so
+/// each tick closes exactly one estimator window.
+pub struct ControlledSelector<S> {
+    inner: S,
+    controller: Controller,
+    counts: Vec<u64>,
+    updates: Vec<LevelsUpdate>,
 }
 
-impl<'p> AdaptiveSelector<'p> {
-    fn new(plan: &'p RoutingPlan, config: &AdaptiveConfig) -> Self {
-        let topo = plan.topology();
-        let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-        let levels = match config.initial {
-            InitialLevels::Zero => vec![0; topo.num_links()],
-            InitialLevels::Full => capacities.clone(),
-        };
+impl<S> ControlledSelector<S> {
+    /// Wraps `inner` with `controller`.
+    pub fn new(inner: S, controller: Controller) -> Self {
+        let nodes = controller.plane().nodes;
         Self {
-            inner: TieredSelector::new(plan),
-            h: plan.max_alternate_hops(),
-            update_interval: config.update_interval,
-            ewma_alpha: config.ewma_alpha,
-            levels,
-            estimates: vec![0.0; topo.num_links()],
-            have_estimate: vec![false; topo.num_links()],
-            window_counts: vec![0; topo.num_links()],
-            capacities,
+            inner,
+            controller,
+            counts: vec![0; nodes * nodes],
+            updates: Vec::new(),
         }
+    }
+
+    /// The controller, as of the last tick.
+    pub fn controller(&self) -> &Controller {
+        &self.controller
+    }
+
+    /// Every level update the controller emitted, in tick order.
+    pub fn updates(&self) -> &[LevelsUpdate] {
+        &self.updates
     }
 }
 
-impl<'p> RouteSelector<'p> for AdaptiveSelector<'p> {
+impl<'p, S: RouteSelector<'p>> RouteSelector<'p> for ControlledSelector<S> {
     fn select<A: AdmissionPolicy>(
         &mut self,
         src: usize,
@@ -143,32 +144,19 @@ impl<'p> RouteSelector<'p> for AdaptiveSelector<'p> {
     }
 
     fn observe_arrival(&mut self, src: usize, dst: usize, pick: f64) {
-        // Count the primary set-up on every link of the primary path
-        // (the estimator's measurement), whatever the routing outcome.
-        if let Some(primary) = self.inner.plan().primaries().choose(src, dst, pick) {
-            for &l in primary.links() {
-                self.window_counts[l] += 1;
-            }
-        }
+        // Count the set-up whatever the routing outcome: the estimate is
+        // of offered load.
+        self.counts[src * self.controller.plane().nodes + dst] += 1;
+        self.inner.observe_arrival(src, dst, pick);
     }
 
-    fn tick<A: AdmissionPolicy>(&mut self, _now: f64, admission: &mut A) {
-        for (l, count) in self.window_counts.iter_mut().enumerate() {
-            let rate = *count as f64 / self.update_interval;
-            *count = 0;
-            self.estimates[l] = if self.have_estimate[l] {
-                self.ewma_alpha * rate + (1.0 - self.ewma_alpha) * self.estimates[l]
-            } else {
-                self.have_estimate[l] = true;
-                rate
-            };
-            self.levels[l] = if self.estimates[l] > 0.0 {
-                protection_level(self.estimates[l], self.capacities[l], self.h)
-            } else {
-                0
-            };
+    fn tick<A: AdmissionPolicy>(&mut self, now: f64, admission: &mut A) {
+        if let Some(update) = self.controller.ingest_window(&self.counts) {
+            self.updates.push(update);
         }
-        admission.set_levels(&self.levels);
+        self.counts.fill(0);
+        admission.set_levels(self.controller.levels());
+        self.inner.tick(now, admission);
     }
 }
 
@@ -180,7 +168,9 @@ impl<'p> RouteSelector<'p> for AdaptiveSelector<'p> {
 ///
 /// # Panics
 ///
-/// Panics on inconsistent sizes or invalid configuration.
+/// Panics on inconsistent sizes, invalid configuration, or a plan whose
+/// primary for some pair is split over several paths (see
+/// [`ControlPlane::from_primaries`]).
 pub fn run_adaptive_seed(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
@@ -258,7 +248,7 @@ pub fn replicate_adaptive(
 }
 
 /// The named policy an adaptive run stands in for: controlled alternate
-/// routing at the plan's hop bound (its levels come from the estimator).
+/// routing at the plan's hop bound (its levels come from the controller).
 fn adaptive_policy(plan: &RoutingPlan) -> PolicyKind {
     PolicyKind::ControlledAlternate {
         max_hops: plan.max_alternate_hops(),
@@ -266,8 +256,8 @@ fn adaptive_policy(plan: &RoutingPlan) -> PolicyKind {
 }
 
 /// The body of every adaptive entry point: `run` (a replication on
-/// `plan`) driven by the adaptive selector, ticking every update
-/// interval.
+/// `plan`) driven by a [`ControlledSelector`] over the plan's tiered
+/// routing, ticking every update interval.
 fn adaptive_seed<R: Recorder>(
     run: Run<'_, NullTraceSink, R>,
     plan: &RoutingPlan,
@@ -277,20 +267,28 @@ fn adaptive_seed<R: Recorder>(
         config.update_interval > 0.0,
         "update interval must be positive"
     );
-    assert!(
-        config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0,
-        "alpha in (0, 1]"
-    );
-    let mut selector = AdaptiveSelector::new(plan, config);
-    let mut admission = TrunkReservation::new(selector.levels.clone());
+    let plane =
+        ControlPlane::from_primaries(plan.topology(), plan.primaries(), plan.max_alternate_hops());
+    let mut admission = TrunkReservation::new(match config.initial {
+        InitialLevels::Zero => vec![0; plane.capacities.len()],
+        InitialLevels::Full => plane.capacities.clone(),
+    });
+    // Re-solve every window; unit mean holding, as the kernel's holds.
+    let tuning = ControllerTuning {
+        window: config.update_interval,
+        alpha: config.ewma_alpha,
+        ..ControllerTuning::default()
+    };
+    let mut selector =
+        ControlledSelector::new(TieredSelector::new(plan), Controller::new(plane, tuning));
     let result = run
         .ticks(config.update_interval)
         .execute_with(&mut admission, &mut selector);
     AdaptiveSeedResult {
         offered: result.offered,
         blocked: result.blocked,
-        final_estimates: selector.estimates,
-        final_levels: selector.levels,
+        final_estimates: selector.controller().loads().to_vec(),
+        final_levels: admission.levels().to_vec(),
     }
 }
 
@@ -382,38 +380,37 @@ mod tests {
     }
 
     #[test]
-    fn initial_levels_modes_differ_then_converge() {
+    fn pinned_outcomes_for_one_nsfnet_seed() {
+        // Exact counters and levels of one replication under both
+        // initial-level modes, so a change to the control law that moves
+        // any call or level shows up here rather than in a tolerance.
+        // Same arrivals, slightly different blocking, and the same final
+        // levels: the initial levels are forgotten once estimates land.
         let (plan, traffic) = nsfnet_plan(1.0);
         let failures = FailureSchedule::none();
-        let zero = run_adaptive_seed(
-            &plan,
-            &traffic,
-            10.0,
-            60.0,
-            3,
-            &failures,
-            &AdaptiveConfig {
-                initial: InitialLevels::Zero,
-                ..Default::default()
-            },
-        );
-        let full = run_adaptive_seed(
-            &plan,
-            &traffic,
-            10.0,
-            60.0,
-            3,
-            &failures,
-            &AdaptiveConfig {
-                initial: InitialLevels::Full,
-                ..Default::default()
-            },
-        );
-        // Same arrivals, same eventual levels (both converge to the same
-        // estimates), modest blocking difference.
-        assert_eq!(zero.offered, full.offered);
-        assert_eq!(zero.final_levels, full.final_levels);
-        assert!((zero.blocking() - full.blocking()).abs() < 0.05);
+        let levels = vec![
+            10, 8, 10, 32, 3, 3, 4, 4, 2, 2, 4, 4, 6, 6, 92, 100, 14, 27, 10, 9, 8, 12, 4, 3, 100,
+            100, 4, 4, 100, 100,
+        ];
+        for (initial, blocked) in [(InitialLevels::Zero, 6733), (InitialLevels::Full, 6724)] {
+            let r = run_adaptive_seed(
+                &plan,
+                &traffic,
+                10.0,
+                60.0,
+                5,
+                &failures,
+                &AdaptiveConfig {
+                    initial,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(
+                (r.offered, r.blocked, &r.final_levels),
+                (55839, blocked, &levels),
+                "{initial:?}"
+            );
+        }
     }
 
     #[test]

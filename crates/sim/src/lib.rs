@@ -27,9 +27,12 @@
 //! * [`failures`] — failure schedules (static disabled links and timed
 //!   down/up events).
 //! * [`adaptive`] — controlled alternate routing with **online** `Λ^k`
-//!   estimation from the primary call set-ups traversing each link (the
-//!   estimation procedure the paper motivates but leaves undetailed),
-//!   recomputing protection levels live.
+//!   estimation from the offered primary call set-ups (the estimation
+//!   procedure the paper motivates but leaves undetailed), recomputing
+//!   protection levels live. The control law is `altrouted`'s
+//!   `Controller`, driven from the kernel tick by the generic
+//!   [`adaptive::ControlledSelector`] — the same wrapper the closed-loop
+//!   demonstration uses.
 //! * [`multirate`] — calls of multiple bandwidth classes (the paper's
 //!   excluded "multiple call types"), with bandwidth-weighted admission
 //!   and protection, validated against the Kaufman–Roberts recursion.

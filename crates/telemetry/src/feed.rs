@@ -18,13 +18,11 @@
 //! out-of-order lines instead of dying mid-stream.
 //!
 //! [`LoadEstimator`] turns the accepted arrivals into per-pair offered
-//! load estimates on the crate's [`TimeGrid`] windows: counts accumulate
-//! in the current window, each completed window's empirical rate folds
-//! into an exponentially-weighted estimate, and the consumer is told how
-//! many windows closed so it can recompute levels on a window cadence.
-//! Everything is deterministic in the feed bytes.
-
-use crate::series::TimeGrid;
+//! load estimates on fixed-width windows aligned to sim time 0: counts
+//! accumulate in the current window, each completed window's empirical
+//! rate folds into an exponentially-weighted estimate, and the consumer
+//! is told how many windows closed so it can recompute levels on a
+//! window cadence. Everything is deterministic in the feed bytes.
 
 /// The protocol version accepted by [`parse_line`].
 pub const FEED_VERSION: &str = "v1";
@@ -160,22 +158,23 @@ pub fn parse_line(line: &str) -> Result<FeedLine, FeedParseError> {
     Ok(line)
 }
 
-/// Windowed per-pair offered-load estimation over a growing time range.
+/// Windowed per-pair offered-load estimation over an unbounded time
+/// range.
 ///
-/// The estimator lives on the same [`TimeGrid`] arithmetic as the run
-/// telemetry: fixed `width`-wide windows aligned to sim time 0. Because
-/// a resident feed has no fixed horizon, the grid's `end` is extended
-/// (doubled) whenever the feed outruns it — window boundaries never
-/// move, so the estimate stream is independent of how the grid grew.
+/// Windows are `width` wide and aligned to sim time 0: window `k` is
+/// `[k·width, (k+1)·width)`, so a resident feed needs no horizon.
 ///
 /// Each completed window folds its empirical per-pair rate `count /
 /// width` into the running estimate with EWMA weight `alpha` (`alpha =
-/// 1` keeps just the latest window). With unit-mean holding times the
-/// rate in calls per sim-time unit *is* the offered load in Erlangs;
-/// scale by the mean holding time otherwise.
+/// 1` keeps just the latest window). The first window is taken raw —
+/// there is no earlier estimate to smooth against, and folding it into
+/// zero would under-read the load by `(1 − alpha)^k` for the first `k`
+/// windows. With unit-mean holding times the rate in calls per sim-time
+/// unit *is* the offered load in Erlangs; scale by the mean holding time
+/// otherwise.
 #[derive(Debug, Clone)]
 pub struct LoadEstimator {
-    grid: TimeGrid,
+    width: f64,
     alpha: f64,
     /// Index of the currently-accumulating window.
     window: usize,
@@ -195,14 +194,15 @@ impl LoadEstimator {
     pub fn new(pairs: usize, width: f64, alpha: f64) -> Self {
         assert!(pairs > 0, "need at least one pair");
         assert!(
+            width > 0.0 && width.is_finite(),
+            "window width must be positive and finite, got {width}"
+        );
+        assert!(
             alpha > 0.0 && alpha <= 1.0,
             "EWMA weight must be in (0, 1], got {alpha}"
         );
-        // The initial end is arbitrary (it only bounds the lazily-grown
-        // range); boundaries are at k*width regardless.
-        let grid = TimeGrid::new(width, width * 1024.0);
         Self {
-            grid,
+            width,
             alpha,
             window: 0,
             counts: vec![0; pairs],
@@ -210,11 +210,6 @@ impl LoadEstimator {
             windows_completed: 0,
             last_time: 0.0,
         }
-    }
-
-    /// Window width in sim-time units.
-    pub fn width(&self) -> f64 {
-        self.grid.width()
     }
 
     /// Smoothed per-pair rate estimates (calls per sim-time unit), as of
@@ -236,18 +231,7 @@ impl LoadEstimator {
 
     /// End time of the currently-accumulating window.
     pub fn current_window_end(&self) -> f64 {
-        self.grid.width() * (self.window as f64 + 1.0)
-    }
-
-    fn grow_to(&mut self, t: f64) {
-        let mut end = self.grid.end();
-        if t < end {
-            return;
-        }
-        while t >= end {
-            end *= 2.0;
-        }
-        self.grid = TimeGrid::new(self.grid.width(), end);
+        self.width * (self.window as f64 + 1.0)
     }
 
     /// If time `t` lies at or past the current window's end, returns
@@ -260,14 +244,19 @@ impl LoadEstimator {
         (t >= end).then_some(end)
     }
 
-    /// Folds the current window's counts into the rate estimates and
-    /// opens the next window. Returns the folded window's end time.
+    /// Folds the current window's counts into the rate estimates (the
+    /// first window raw, later ones by EWMA) and opens the next window.
+    /// Returns the folded window's end time.
     pub fn close_window(&mut self) -> f64 {
         let end = self.current_window_end();
-        let width = self.grid.width();
+        let alpha = if self.windows_completed == 0 {
+            1.0
+        } else {
+            self.alpha
+        };
         for (rate, count) in self.rates.iter_mut().zip(&mut self.counts) {
-            let observed = *count as f64 / width;
-            *rate += self.alpha * (observed - *rate);
+            let observed = *count as f64 / self.width;
+            *rate += alpha * (observed - *rate);
             *count = 0;
         }
         self.window += 1;
@@ -289,7 +278,6 @@ impl LoadEstimator {
         assert_eq!(counts.len(), self.counts.len(), "one count per pair");
         self.counts.copy_from_slice(counts);
         let end = self.close_window();
-        self.grow_to(end);
         self.last_time = end;
         end
     }
@@ -309,9 +297,8 @@ impl LoadEstimator {
     /// [`pending_boundary`]: Self::pending_boundary
     /// [`close_window`]: Self::close_window
     pub fn record(&mut self, t: f64, pair: usize) {
-        self.grow_to(t);
         debug_assert!(
-            self.grid.index(t) == self.window,
+            t >= self.width * self.window as f64 && t < self.current_window_end(),
             "record at t={t} outside current window {}",
             self.window
         );
@@ -320,10 +307,8 @@ impl LoadEstimator {
     }
 
     /// Notes a non-arrival record's timestamp (freshness bookkeeping for
-    /// `end` records). Grows the grid so `pending_boundary` stays
-    /// meaningful past the old range.
+    /// `end` records).
     pub fn touch(&mut self, t: f64) {
-        self.grow_to(t);
         self.last_time = t;
     }
 }
@@ -393,12 +378,12 @@ mod tests {
         let mut est = LoadEstimator::new(1, 1.0, 0.5);
         est.record(0.5, 0);
         est.record(0.6, 0);
-        est.close_window(); // rate = 0.5 * 2.0 = 1.0
-        assert_eq!(est.rates(), &[1.0]);
+        est.close_window(); // the first window is taken raw: rate = 2.0
+        assert_eq!(est.rates(), &[2.0]);
         // Two empty windows halve the estimate each time.
         est.close_window();
         est.close_window();
-        assert_eq!(est.rates(), &[0.25]);
+        assert_eq!(est.rates(), &[0.5]);
         assert_eq!(est.windows_completed(), 3);
     }
 

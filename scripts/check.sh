@@ -127,7 +127,8 @@ EOF
 # Kernel parity: the golden traces must replay byte-identically through
 # the kernel-backed engine, solo and fanned out (the dedicated test), and
 # a fixed-seed run of every policy combination on every kernel-backed
-# engine must succeed and be bit-stable across two invocations.
+# engine must succeed and be bit-stable across two invocations, and the
+# committed adaptive_estimation results must reproduce byte for byte.
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -157,6 +158,12 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
+  # The committed online-estimation table must be what the code produces
+  # (the binary writes results/ under its working directory).
+  local root="$PWD"
+  (cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+    -p altroute-experiments --bin adaptive_estimation > adaptive_estimation.txt)
+  cmp "$tmpdir/results/adaptive_estimation.csv" results/adaptive_estimation.csv
 }
 
 # Shard parity: the sharded kernel backend must be a pure scheduling

@@ -14,15 +14,46 @@
 //! twice and `cmp`s the outputs.
 
 use crate::control::{Controller, LevelsUpdate};
-use altroute_telemetry::feed::{parse_line, FeedLine};
+use altroute_telemetry::feed::{parse_line, FeedLine, FeedParseError};
 use altroute_telemetry::serve::MetricsServer;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 
 /// How often (in accepted lines) the HTTP plane is refreshed between
 /// level updates, so `/status` freshness tracks a quiet feed too.
 const PUBLISH_EVERY_LINES: u64 = 1024;
+
+/// Longest feed line kept, counting its newline. Records are a few dozen
+/// bytes; anything longer is skipped as a parse error without being
+/// buffered, so a peer that never sends a newline cannot grow memory.
+const MAX_LINE_BYTES: usize = 4096;
+
+/// Reads the next feed line into `buf` (cleared first), stripped of its
+/// `\n` or `\r\n` terminator. Returns `Ok(None)` at end of stream and
+/// `Ok(Some(false))` for a line over [`MAX_LINE_BYTES`], whose bytes are
+/// discarded up to the next newline.
+fn read_line_capped<I: BufRead>(input: &mut I, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    buf.clear();
+    let read = input
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if read == MAX_LINE_BYTES {
+        buf.clear();
+        input.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
 
 /// End-of-stream accounting for one feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,22 +158,33 @@ fn publish(controller: &Controller, summary: &FeedSummary, server: Option<&Metri
 /// mismatched header — are hard errors ([`io::ErrorKind::InvalidData`]):
 /// they mean the producer and the daemon disagree about *which network*
 /// is being controlled, and silently estimating over the wrong pair
-/// space would push garbage levels. Everything line-local is skipped
-/// and counted. Reaching EOF without an `end` record is not an error
+/// space would push garbage levels. Bytes that are not UTF-8 are a hard
+/// error of the same kind. Everything else line-local is skipped and
+/// counted, including a line over 4 KiB (one parse error, never
+/// buffered). Reaching EOF without an `end` record is not an error
 /// (the producer may simply have died); the summary says which it was.
 pub fn run_feed<I: BufRead, W: Write>(
     controller: &mut Controller,
-    input: I,
+    mut input: I,
     updates_out: &mut W,
     server: Option<&MetricsServer>,
 ) -> io::Result<FeedSummary> {
     let mut summary = FeedSummary::default();
     let mut saw_header = false;
     let mut pending = Vec::new();
-    for line in input.lines() {
-        let line = line?;
+    let mut buf = Vec::with_capacity(MAX_LINE_BYTES);
+    while let Some(fits) = read_line_capped(&mut input, &mut buf)? {
         summary.lines += 1;
-        match parse_line(&line) {
+        let parsed = if fits {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            parse_line(line)
+        } else {
+            Err(FeedParseError {
+                message: format!("line longer than {MAX_LINE_BYTES} bytes"),
+            })
+        };
+        match parsed {
             Ok(FeedLine::Blank) => {}
             Ok(FeedLine::Header(h)) => {
                 if h.nodes != controller.plane().nodes {
@@ -234,7 +276,6 @@ mod tests {
     use super::*;
     use crate::config::mesh_plane;
     use crate::control::ControllerTuning;
-    use std::io::Read;
     use std::net::TcpStream;
 
     fn tiny_controller() -> Controller {
@@ -301,6 +342,61 @@ mod tests {
         assert_eq!(summary.rejected, 2, "regressed time, node out of range");
         assert!(summary.ended, "the daemon kept reading to the end");
         assert_eq!(c.arrivals(), 18, "good records all counted");
+    }
+
+    #[test]
+    fn overlong_line_is_skipped_without_buffering() {
+        // 8 MiB with no newline, generated lazily, then the ramp records.
+        let (header, records) = RAMP.split_once('\n').unwrap();
+        let input = BufReader::new(
+            header
+                .as_bytes()
+                .chain("\n".as_bytes())
+                .chain(io::repeat(b'x').take(8 << 20))
+                .chain("\n".as_bytes())
+                .chain(records.as_bytes()),
+        );
+        let mut c = tiny_controller();
+        let summary = run_feed(&mut c, input, &mut Vec::new(), None).expect("must survive");
+        assert_eq!(summary.parse_errors, 1, "the flood counts once");
+        assert_eq!(summary.lines, RAMP.lines().count() as u64 + 1);
+        assert!(summary.ended, "records after the flood are still read");
+        assert_eq!(c.arrivals(), 18);
+
+        // The line buffer never grows past the cap.
+        let mut flood = BufReader::new(io::repeat(b'x').take(8 << 20).chain("\nok\n".as_bytes()));
+        let mut buf = Vec::with_capacity(MAX_LINE_BYTES);
+        assert_eq!(read_line_capped(&mut flood, &mut buf).unwrap(), Some(false));
+        assert!(buf.capacity() <= MAX_LINE_BYTES, "{}", buf.capacity());
+        assert_eq!(read_line_capped(&mut flood, &mut buf).unwrap(), Some(true));
+        assert_eq!(buf, b"ok");
+        assert_eq!(read_line_capped(&mut flood, &mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn line_cap_boundary_and_utf8() {
+        let fits = format!("{}\n", " ".repeat(MAX_LINE_BYTES - 1));
+        let over = format!("{}\n", " ".repeat(MAX_LINE_BYTES));
+        let feed = format!("altroute-feed v1 nodes=2\n{fits}{over}end 1\n");
+        let summary = run_feed(
+            &mut tiny_controller(),
+            feed.as_bytes(),
+            &mut Vec::new(),
+            None,
+        )
+        .expect("must survive");
+        assert_eq!(summary.lines, 4);
+        assert_eq!(summary.parse_errors, 1, "only the line over the cap");
+        assert!(summary.ended);
+
+        let err = run_feed(
+            &mut tiny_controller(),
+            &b"altroute-feed v1 nodes=2\na 0.5 0 \xff\n"[..],
+            &mut Vec::new(),
+            None,
+        )
+        .expect_err("non-UTF-8 input is a hard error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -13,20 +13,32 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use altroute_bench::bench_params;
 use altroute_core::plan::RoutingPlan;
-use altroute_core::policy::{Decision, OccupancyView, PolicyKind, Router};
+use altroute_core::policy::PolicyKind;
+use altroute_core::select::{OttKrishnanSelector, TieredSelector};
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::topologies;
 use altroute_sim::experiment::Experiment;
+use altroute_simcore::kernel::{
+    AdmissionPolicy, LinkOccupancy, RouteSelector, Selection, TrunkReservation, Uncontrolled,
+};
 
-/// A fixed occupancy pattern that forces alternate-routing decisions.
-struct BusyView {
-    occ: Vec<u32>,
-}
-
-impl OccupancyView for BusyView {
-    fn occupancy(&self, link: usize) -> u32 {
-        self.occ[link]
-    }
+/// Routes every ordered pair once against a fixed link state; returns
+/// how many calls found a path.
+fn route_all<'p, A: AdmissionPolicy>(
+    selector: &mut impl RouteSelector<'p>,
+    admission: &A,
+    view: &LinkOccupancy,
+    pairs: &[(usize, usize)],
+) -> usize {
+    pairs
+        .iter()
+        .filter(|&&(i, j)| {
+            matches!(
+                selector.select(i, j, black_box(0.3), view, admission, 1),
+                Selection::Route { .. }
+            )
+        })
+        .count()
 }
 
 fn decision_cost(c: &mut Criterion) {
@@ -34,37 +46,30 @@ fn decision_cost(c: &mut Criterion) {
     let plan = RoutingPlan::min_hop(topologies::nsfnet(100), &traffic, 11);
     // Primaries busy, alternates partially busy: decisions must walk the
     // candidate lists.
-    let occ: Vec<u32> = plan
-        .link_loads()
-        .iter()
-        .map(|&l| (l.min(100.0)) as u32)
-        .collect();
-    let view = BusyView { occ };
-    let pairs: Vec<(usize, usize)> = topologies::nsfnet(100).ordered_pairs().collect();
+    let caps: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+    let mut view = LinkOccupancy::new(&caps);
+    for (l, &load) in plan.link_loads().iter().enumerate() {
+        view.book(&[l], load.min(100.0) as u32);
+    }
+    let pairs: Vec<(usize, usize)> = plan.topology().ordered_pairs().collect();
+    let reservation = TrunkReservation::new(plan.protection_levels().to_vec());
 
     let mut g = c.benchmark_group("ablation_decision_cost");
-    for kind in [
-        PolicyKind::SinglePath,
-        PolicyKind::UncontrolledAlternate { max_hops: 11 },
-        PolicyKind::ControlledAlternate { max_hops: 11 },
-        PolicyKind::OttKrishnan { max_hops: 11 },
-    ] {
-        let router = Router::new(&plan, kind);
-        g.bench_function(format!("all_pairs_{}", kind.name()), |b| {
-            b.iter(|| {
-                let mut routed = 0usize;
-                for &(i, j) in &pairs {
-                    if matches!(
-                        router.decide(i, j, &view, black_box(0.3)),
-                        Decision::Route { .. }
-                    ) {
-                        routed += 1;
-                    }
-                }
-                routed
-            })
-        });
-    }
+    let mut single = TieredSelector::single_path(&plan);
+    g.bench_function("all_pairs_single-path", |b| {
+        b.iter(|| route_all(&mut single, &Uncontrolled, &view, &pairs))
+    });
+    let mut tiered = TieredSelector::new(&plan);
+    g.bench_function("all_pairs_uncontrolled", |b| {
+        b.iter(|| route_all(&mut tiered, &Uncontrolled, &view, &pairs))
+    });
+    g.bench_function("all_pairs_controlled", |b| {
+        b.iter(|| route_all(&mut tiered, &reservation, &view, &pairs))
+    });
+    let mut ott_krishnan = OttKrishnanSelector::new(&plan);
+    g.bench_function("all_pairs_ott-krishnan", |b| {
+        b.iter(|| route_all(&mut ott_krishnan, &Uncontrolled, &view, &pairs))
+    });
     g.finish();
 }
 

@@ -16,9 +16,10 @@
 //!
 //! [`plan::RoutingPlan`] precomputes everything state-independent
 //! (primaries, ordered alternates, protection levels, shadow-price
-//! tables); [`policy::Router`] makes the per-call decision from a
-//! [`policy::OccupancyView`] of current link states. Four policies are
-//! provided ([`policy::PolicyKind`]):
+//! tables); the [`select`] module's kernel selectors make the per-call
+//! decision against live link states, paired with the kernel's
+//! capacity-only or trunk-reservation admission. Four plan-driven
+//! policies are provided ([`policy::PolicyKind`]):
 //!
 //! * `SinglePath` — primary only (the paper's baseline floor),
 //! * `UncontrolledAlternate` — alternates with no protection (great at low
@@ -36,6 +37,6 @@ pub mod primary;
 pub mod select;
 
 pub use plan::RoutingPlan;
-pub use policy::{CallClass, Decision, OccupancyView, PolicyKind, Router};
+pub use policy::{CallClass, PolicyKind};
 pub use primary::{min_loss_splits, MinLossOptions, PrimaryAssignment};
 pub use select::{DarStickySelector, OttKrishnanSelector, TieredSelector};

@@ -12,7 +12,7 @@
 //!
 //! The plan depends only on topology, traffic, the primary rule, and the
 //! design parameter `H`; the per-call state-dependent decision is made by
-//! [`crate::policy::Router`] against current occupancies.
+//! the [`crate::select`] selectors against current occupancies.
 //!
 //! Candidate paths are no longer enumerated eagerly at construction: the
 //! plan is a thin view over an [`altroute_netgraph::store::PathStore`],

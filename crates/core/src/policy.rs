@@ -1,12 +1,13 @@
-//! The per-call routing decision: tier 2, made against live link states.
+//! The per-call routing policies, by name.
 //!
-//! A [`Router`] binds a [`RoutingPlan`] to a [`PolicyKind`] and answers,
-//! for each arriving call, *which path (if any) carries it*. The decision
-//! reads current link occupancies through the [`OccupancyView`] trait, so
-//! the simulator (or a real switch fabric) owns the state and the policy
-//! stays pure.
-//!
-//! Decision rules (paper §1, §3):
+//! [`PolicyKind`] names each policy the workspace can run; the decision
+//! itself is made on the simulation kernel by an (admission, selector)
+//! pair — [`crate::select`]'s selectors over
+//! [`LinkOccupancy`](altroute_simcore::kernel::LinkOccupancy), with
+//! [`Uncontrolled`](altroute_simcore::kernel::Uncontrolled) or
+//! [`TrunkReservation`](altroute_simcore::kernel::TrunkReservation)
+//! admission; the simulator's `Run::execute` maps each kind to its
+//! pair. Decision rules (paper §1, §3):
 //!
 //! * **Single-path** — the call completes on its primary path or not at
 //!   all. A link admits a primary call iff it has a free circuit.
@@ -22,20 +23,6 @@
 //!   model), otherwise block it.
 //!
 //! Links that are *down* (failure experiments) admit nothing.
-
-use crate::plan::RoutingPlan;
-use altroute_netgraph::graph::LinkId;
-use altroute_netgraph::paths::Path;
-
-/// Read access to live link state.
-pub trait OccupancyView {
-    /// Calls currently carried by the link.
-    fn occupancy(&self, link: LinkId) -> u32;
-    /// Whether the link is operational (default: yes).
-    fn is_up(&self, _link: LinkId) -> bool {
-        true
-    }
-}
 
 /// The routing policy to apply on top of a [`RoutingPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +49,7 @@ pub enum PolicyKind {
     /// alternate per pair, resampled uniformly at random whenever a
     /// call is lost on it. Alternates are subject to the plan's Eq. 15
     /// protection levels (trunk reservation keeps DAR stable). Stateful
-    /// — served by [`crate::select::DarStickySelector`] on the
-    /// simulation kernel, not by the stateless [`Router`].
+    /// — served by [`crate::select::DarStickySelector`].
     DarSticky {
         /// Maximum alternate path hop count (must equal the plan's `H`).
         max_hops: u32,
@@ -73,8 +59,7 @@ pub enum PolicyKind {
     /// the least-loaded admissible one. Alternates are subject to the
     /// plan's Eq. 15 protection levels, like [`PolicyKind::DarSticky`].
     /// Stateful (private RNG) — served by
-    /// [`crate::select::BestOfDSelector`] on the simulation kernel, not
-    /// by the stateless [`Router`].
+    /// [`crate::select::BestOfDSelector`].
     BestOfD {
         /// Maximum alternate path hop count (must equal the plan's `H`).
         max_hops: u32,
@@ -116,471 +101,4 @@ pub enum CallClass {
     Primary,
     /// On an alternate path.
     Alternate,
-}
-
-/// The outcome of a routing decision.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Decision<'p> {
-    /// Carry the call on this path.
-    Route {
-        /// The selected path (borrowed from the plan).
-        path: &'p Path,
-        /// Primary or alternate.
-        class: CallClass,
-    },
-    /// Block (lose) the call.
-    Blocked,
-}
-
-/// A routing plan bound to a policy.
-#[derive(Debug, Clone)]
-pub struct Router<'p> {
-    plan: &'p RoutingPlan,
-    kind: PolicyKind,
-}
-
-impl<'p> Router<'p> {
-    /// Binds `kind` to `plan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's hop bound disagrees with the plan's `H` —
-    /// the protection levels and candidate sets would be inconsistent.
-    pub fn new(plan: &'p RoutingPlan, kind: PolicyKind) -> Self {
-        if let Some(h) = kind.max_hops() {
-            assert_eq!(
-                h,
-                plan.max_alternate_hops(),
-                "policy hop bound must match the plan's H"
-            );
-        }
-        Self { plan, kind }
-    }
-
-    /// The bound policy.
-    pub fn kind(&self) -> PolicyKind {
-        self.kind
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &'p RoutingPlan {
-        self.plan
-    }
-
-    /// Decides the route for a call from `src` to `dst`.
-    ///
-    /// `primary_u` is a uniform random number in `[0, 1)` used only to
-    /// sample among bifurcated primaries (pass anything, e.g. `0.0`, for
-    /// unsplit assignments); the decision is otherwise deterministic in
-    /// the view.
-    pub fn decide(
-        &self,
-        src: usize,
-        dst: usize,
-        view: &impl OccupancyView,
-        primary_u: f64,
-    ) -> Decision<'p> {
-        match self.kind {
-            PolicyKind::OttKrishnan { .. } => self.decide_ott_krishnan(src, dst, view),
-            PolicyKind::DarSticky { .. } => panic!(
-                "DAR is stateful (sticky alternates); drive it through \
-                 select::DarStickySelector on the simulation kernel"
-            ),
-            PolicyKind::BestOfD { .. } => panic!(
-                "best-of-d is stateful (private sampling RNG); drive it \
-                 through select::BestOfDSelector on the simulation kernel"
-            ),
-            _ => self.decide_tiered(src, dst, view, primary_u),
-        }
-    }
-
-    fn decide_tiered(
-        &self,
-        src: usize,
-        dst: usize,
-        view: &impl OccupancyView,
-        primary_u: f64,
-    ) -> Decision<'p> {
-        match self.kind {
-            PolicyKind::SinglePath => self.decide_tiered_with(src, dst, view, primary_u, None),
-            PolicyKind::UncontrolledAlternate { .. } => {
-                // No protection: every link behaves as if r = 0.
-                self.decide_tiered_with(src, dst, view, primary_u, Some(&[]))
-            }
-            PolicyKind::ControlledAlternate { .. } => self.decide_tiered_with(
-                src,
-                dst,
-                view,
-                primary_u,
-                Some(self.plan.protection_levels()),
-            ),
-            PolicyKind::OttKrishnan { .. }
-            | PolicyKind::DarSticky { .. }
-            | PolicyKind::BestOfD { .. } => {
-                unreachable!("handled separately")
-            }
-        }
-    }
-
-    /// The tiered (primary-then-alternates) decision with an explicit
-    /// protection vector:
-    ///
-    /// * `None` — single-path: no alternates at all;
-    /// * `Some(&[])` — alternates with zero protection (uncontrolled);
-    /// * `Some(levels)` — one level per link.
-    ///
-    /// Exposed so adaptive controllers (online `Λ^k` estimation) can
-    /// drive the same decision logic with live protection levels.
-    pub fn decide_tiered_with(
-        &self,
-        src: usize,
-        dst: usize,
-        view: &impl OccupancyView,
-        primary_u: f64,
-        protection: Option<&[u32]>,
-    ) -> Decision<'p> {
-        let Some(primary) = self.plan.primaries().choose(src, dst, primary_u) else {
-            return Decision::Blocked;
-        };
-        if self.path_admits_with(primary, view, None) {
-            return Decision::Route {
-                path: primary,
-                class: CallClass::Primary,
-            };
-        }
-        let Some(levels) = protection else {
-            return Decision::Blocked;
-        };
-        for path in self.plan.candidates(src, dst) {
-            if path == primary {
-                continue;
-            }
-            if self.path_admits_with(path, view, Some(levels)) {
-                return Decision::Route {
-                    path,
-                    class: CallClass::Alternate,
-                };
-            }
-        }
-        Decision::Blocked
-    }
-
-    fn decide_ott_krishnan(
-        &self,
-        src: usize,
-        dst: usize,
-        view: &impl OccupancyView,
-    ) -> Decision<'p> {
-        const REVENUE: f64 = 1.0;
-        let mut best: Option<(&'p Path, f64)> = None;
-        for path in self.plan.candidates(src, dst) {
-            let mut cost = 0.0;
-            for &l in path.links() {
-                if !view.is_up(l) {
-                    cost = f64::INFINITY;
-                    break;
-                }
-                cost += self.plan.shadow_table(l).price(view.occupancy(l));
-                if cost.is_infinite() {
-                    break;
-                }
-            }
-            // Candidates are in increasing-length order; strict `<` keeps
-            // the shortest of equal-cost paths.
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((path, cost));
-            }
-        }
-        match best {
-            Some((path, cost)) if cost <= REVENUE + 1e-12 => {
-                // Classify against the (deterministic part of the) primary
-                // assignment: any path in the pair's primary split counts
-                // as primary-routed.
-                let is_primary = self
-                    .plan
-                    .primaries()
-                    .split(src, dst)
-                    .iter()
-                    .any(|(p, _)| p == path);
-                Decision::Route {
-                    path,
-                    class: if is_primary {
-                        CallClass::Primary
-                    } else {
-                        CallClass::Alternate
-                    },
-                }
-            }
-            _ => Decision::Blocked,
-        }
-    }
-
-    /// Whether every link of `path` admits a call.
-    ///
-    /// `protection = None` means a primary call (only capacity matters);
-    /// `Some(levels)` an alternate call checked against `levels[l]`
-    /// (an empty slice means zero protection everywhere).
-    fn path_admits_with(
-        &self,
-        path: &Path,
-        view: &impl OccupancyView,
-        protection: Option<&[u32]>,
-    ) -> bool {
-        path.links().iter().all(|&l| {
-            if !view.is_up(l) {
-                return false;
-            }
-            let cap = self.plan.topology().link(l).capacity;
-            let occ = view.occupancy(l);
-            match protection {
-                None => occ < cap,
-                Some(levels) => {
-                    let r = levels.get(l).copied().unwrap_or(0);
-                    // Admit only while occupancy < C − r (never when r ≥ C).
-                    cap > r && occ < cap - r
-                }
-            }
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plan::RoutingPlan;
-    use altroute_netgraph::topologies;
-    use altroute_netgraph::traffic::TrafficMatrix;
-
-    /// A mutable occupancy map for tests.
-    struct View {
-        occ: Vec<u32>,
-        down: Vec<bool>,
-    }
-
-    impl View {
-        fn new(n_links: usize) -> Self {
-            Self {
-                occ: vec![0; n_links],
-                down: vec![false; n_links],
-            }
-        }
-    }
-
-    impl OccupancyView for View {
-        fn occupancy(&self, link: LinkId) -> u32 {
-            self.occ[link]
-        }
-        fn is_up(&self, link: LinkId) -> bool {
-            !self.down[link]
-        }
-    }
-
-    /// K4 with capacity 100, uniform 90 Erlang/pair, H = 3.
-    fn k4_plan() -> RoutingPlan {
-        let topo = topologies::full_mesh(4, 100);
-        let traffic = TrafficMatrix::uniform(4, 90.0);
-        RoutingPlan::min_hop(topo, &traffic, 3)
-    }
-
-    #[test]
-    fn empty_network_routes_primary() {
-        let plan = k4_plan();
-        let view = View::new(plan.topology().num_links());
-        for kind in [
-            PolicyKind::SinglePath,
-            PolicyKind::UncontrolledAlternate { max_hops: 3 },
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::OttKrishnan { max_hops: 3 },
-        ] {
-            let router = Router::new(&plan, kind);
-            match router.decide(0, 1, &view, 0.0) {
-                Decision::Route { path, class } => {
-                    assert_eq!(class, CallClass::Primary, "{kind:?}");
-                    assert_eq!(path.hops(), 1, "{kind:?}");
-                }
-                Decision::Blocked => panic!("{kind:?} blocked on an empty network"),
-            }
-        }
-    }
-
-    #[test]
-    fn single_path_blocks_when_primary_full() {
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        let direct = plan.topology().link_between(0, 1).unwrap();
-        view.occ[direct] = 100;
-        let router = Router::new(&plan, PolicyKind::SinglePath);
-        assert_eq!(router.decide(0, 1, &view, 0.0), Decision::Blocked);
-        // Other pairs unaffected.
-        assert!(matches!(
-            router.decide(0, 2, &view, 0.0),
-            Decision::Route { .. }
-        ));
-    }
-
-    #[test]
-    fn uncontrolled_overflows_to_two_hop() {
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        let direct = plan.topology().link_between(0, 1).unwrap();
-        view.occ[direct] = 100;
-        // Fill the alternates via node 2 to force the 0-3-1 path.
-        view.occ[plan.topology().link_between(0, 2).unwrap()] = 100;
-        let router = Router::new(&plan, PolicyKind::UncontrolledAlternate { max_hops: 3 });
-        match router.decide(0, 1, &view, 0.0) {
-            Decision::Route { path, class } => {
-                assert_eq!(class, CallClass::Alternate);
-                assert_eq!(path.nodes(), &[0, 3, 1]);
-            }
-            Decision::Blocked => panic!("should overflow"),
-        }
-    }
-
-    #[test]
-    fn controlled_respects_protection_threshold() {
-        let plan = k4_plan();
-        let r = plan.protection(0);
-        assert!(r >= 1, "90 Erlangs on 100 circuits needs protection");
-        let mut view = View::new(plan.topology().num_links());
-        let direct = plan.topology().link_between(0, 1).unwrap();
-        view.occ[direct] = 100;
-        // Put every other link exactly at the protection threshold C−r:
-        // alternates must be refused while primaries would still fit.
-        for l in 0..plan.topology().num_links() {
-            if l != direct {
-                view.occ[l] = 100 - plan.protection(l);
-            }
-        }
-        let controlled = Router::new(&plan, PolicyKind::ControlledAlternate { max_hops: 3 });
-        assert_eq!(controlled.decide(0, 1, &view, 0.0), Decision::Blocked);
-        // The uncontrolled policy would still route it.
-        let uncontrolled = Router::new(&plan, PolicyKind::UncontrolledAlternate { max_hops: 3 });
-        assert!(matches!(
-            uncontrolled.decide(0, 1, &view, 0.0),
-            Decision::Route { .. }
-        ));
-        // One below the threshold, controlled admits again.
-        for l in 0..plan.topology().num_links() {
-            if l != direct {
-                view.occ[l] -= 1;
-            }
-        }
-        match controlled.decide(0, 1, &view, 0.0) {
-            Decision::Route { class, .. } => assert_eq!(class, CallClass::Alternate),
-            Decision::Blocked => panic!("one free circuit below threshold must admit"),
-        }
-    }
-
-    #[test]
-    fn primary_calls_ignore_protection() {
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        let direct = plan.topology().link_between(0, 1).unwrap();
-        view.occ[direct] = 99; // deep inside the protected band
-        let router = Router::new(&plan, PolicyKind::ControlledAlternate { max_hops: 3 });
-        match router.decide(0, 1, &view, 0.0) {
-            Decision::Route { class, .. } => assert_eq!(class, CallClass::Primary),
-            Decision::Blocked => panic!("primary call must take the last circuit"),
-        }
-    }
-
-    #[test]
-    fn down_links_admit_nothing() {
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        let direct = plan.topology().link_between(0, 1).unwrap();
-        view.down[direct] = true;
-        for kind in [
-            PolicyKind::SinglePath,
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::OttKrishnan { max_hops: 3 },
-        ] {
-            let router = Router::new(&plan, kind);
-            match router.decide(0, 1, &view, 0.0) {
-                Decision::Blocked => assert_eq!(kind, PolicyKind::SinglePath),
-                Decision::Route { path, .. } => {
-                    assert!(!path.uses_link(direct), "{kind:?} routed over a down link");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ott_krishnan_picks_cheapest_path_and_blocks_on_high_price() {
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        let direct = plan.topology().link_between(0, 1).unwrap();
-        // Empty network: direct path is cheapest (one cheap link beats two).
-        let router = Router::new(&plan, PolicyKind::OttKrishnan { max_hops: 3 });
-        match router.decide(0, 1, &view, 0.0) {
-            Decision::Route { path, class } => {
-                assert_eq!(path.hops(), 1);
-                assert_eq!(class, CallClass::Primary);
-            }
-            Decision::Blocked => panic!("empty network must route"),
-        }
-        // Fill the direct link: the cheapest two-hop path should win.
-        view.occ[direct] = 100;
-        match router.decide(0, 1, &view, 0.0) {
-            Decision::Route { path, class } => {
-                assert_eq!(path.hops(), 2);
-                assert_eq!(class, CallClass::Alternate);
-            }
-            Decision::Blocked => panic!("two-hop alternates are cheap on an empty network"),
-        }
-        // Fill everything to one-below-capacity: every path now costs ≥ 1
-        // (the last circuit's shadow price is exactly 1), so the call is
-        // carried only if a path costs exactly 1 — the direct path is full
-        // (infinite), and two-hop paths cost 2. Blocked.
-        for occ in &mut view.occ {
-            *occ = 99;
-        }
-        view.occ[direct] = 100;
-        assert_eq!(router.decide(0, 1, &view, 0.0), Decision::Blocked);
-    }
-
-    #[test]
-    fn ott_krishnan_accepts_exactly_at_revenue() {
-        // A direct path at occupancy C−1 costs exactly 1.0 = revenue and
-        // must still be accepted ("blocked iff price exceeds revenue").
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        for occ in &mut view.occ {
-            *occ = 99;
-        }
-        let router = Router::new(&plan, PolicyKind::OttKrishnan { max_hops: 3 });
-        match router.decide(0, 1, &view, 0.0) {
-            Decision::Route { path, .. } => assert_eq!(path.hops(), 1),
-            Decision::Blocked => panic!("price == revenue must be accepted"),
-        }
-    }
-
-    #[test]
-    fn fully_loaded_network_blocks_everything() {
-        let plan = k4_plan();
-        let mut view = View::new(plan.topology().num_links());
-        for occ in &mut view.occ {
-            *occ = 100;
-        }
-        for kind in [
-            PolicyKind::SinglePath,
-            PolicyKind::UncontrolledAlternate { max_hops: 3 },
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::OttKrishnan { max_hops: 3 },
-        ] {
-            let router = Router::new(&plan, kind);
-            assert_eq!(
-                router.decide(2, 3, &view, 0.0),
-                Decision::Blocked,
-                "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "hop bound must match")]
-    fn mismatched_h_panics() {
-        let plan = k4_plan();
-        Router::new(&plan, PolicyKind::ControlledAlternate { max_hops: 5 });
-    }
 }

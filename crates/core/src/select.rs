@@ -1,13 +1,13 @@
 //! Kernel route selectors: the policy layer's [`RouteSelector`]
-//! implementations for the shared simulation kernel.
+//! implementations for the shared simulation kernel — the only place the
+//! workspace decides *which path carries a call, given the plan and the
+//! link states*.
 //!
-//! [`Router`](crate::policy::Router) answers one stateless question —
-//! *which path carries this call, given the plan and the link states* —
-//! and that is all the paper's two-tier scheme needs. The simulation
-//! kernel ([`altroute_simcore::kernel`]) asks a slightly wider question:
-//! selectors may carry *state* between calls (sticky choices, online
-//! estimators, private RNG streams). This module adapts the plan-driven
-//! policies to that interface:
+//! A selector proposes paths and the kernel's
+//! [`AdmissionPolicy`] says which links accept the call at each tier;
+//! both read the one [`LinkOccupancy`] the kernel books against.
+//! Selectors may carry *state* between calls (sticky choices, online
+//! estimators, private RNG streams):
 //!
 //! * [`TieredSelector`] — primary-then-alternates in Eq. 15 order, the
 //!   state-dependent tier of the paper's scheme. Combined with
@@ -435,6 +435,7 @@ impl<'p> RouteSelector<'p> for BestOfDSelector<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyKind;
     use altroute_netgraph::topologies;
     use altroute_netgraph::traffic::TrafficMatrix;
     use altroute_simcore::kernel::{TrunkReservation, Uncontrolled};
@@ -460,17 +461,53 @@ mod tests {
         }
     }
 
+    /// The four plan-driven policies as the simulator pairs them:
+    /// tiered selection under capacity-only or trunk-reservation
+    /// admission, and the Ott–Krishnan price rule.
+    fn decide<'p>(
+        plan: &'p RoutingPlan,
+        kind: PolicyKind,
+        src: usize,
+        dst: usize,
+        view: &LinkOccupancy,
+    ) -> Selection<'p> {
+        let reservation = TrunkReservation::new(plan.protection_levels().to_vec());
+        match kind {
+            PolicyKind::SinglePath => {
+                TieredSelector::single_path(plan).select(src, dst, 0.0, view, &Uncontrolled, 1)
+            }
+            PolicyKind::UncontrolledAlternate { .. } => {
+                TieredSelector::new(plan).select(src, dst, 0.0, view, &Uncontrolled, 1)
+            }
+            PolicyKind::ControlledAlternate { .. } => {
+                TieredSelector::new(plan).select(src, dst, 0.0, view, &reservation, 1)
+            }
+            PolicyKind::OttKrishnan { .. } => {
+                OttKrishnanSelector::new(plan).select(src, dst, 0.0, view, &Uncontrolled, 1)
+            }
+            other => panic!("{other:?} is not a plan-driven policy"),
+        }
+    }
+
+    const POLICIES: [PolicyKind; 4] = [
+        PolicyKind::SinglePath,
+        PolicyKind::UncontrolledAlternate { max_hops: 3 },
+        PolicyKind::ControlledAlternate { max_hops: 3 },
+        PolicyKind::OttKrishnan { max_hops: 3 },
+    ];
+
     #[test]
-    fn tiered_matches_router_on_empty_network() {
+    fn idle_network_routes_primary() {
         let plan = k4_plan();
         let view = view_for(&plan);
-        let mut sel = TieredSelector::new(&plan);
-        match sel.select(0, 1, 0.0, &view, &Uncontrolled, 1) {
-            Selection::Route { links, tier } => {
-                assert_eq!(tier, Tier::Primary);
-                assert_eq!(links.len(), 1);
+        for kind in POLICIES {
+            match decide(&plan, kind, 0, 1, &view) {
+                Selection::Route { links, tier } => {
+                    assert_eq!(tier, Tier::Primary, "{kind:?}");
+                    assert_eq!(links.len(), 1, "{kind:?}");
+                }
+                Selection::Blocked => panic!("{kind:?} blocked on an empty network"),
             }
-            Selection::Blocked => panic!("empty network must route"),
         }
     }
 
@@ -485,6 +522,11 @@ mod tests {
             sel.select(0, 1, 0.0, &view, &Uncontrolled, 1),
             Selection::Blocked
         );
+        // Other pairs are unaffected.
+        assert!(matches!(
+            sel.select(0, 2, 0.0, &view, &Uncontrolled, 1),
+            Selection::Route { .. }
+        ));
         let mut sel = TieredSelector::new(&plan);
         match sel.select(0, 1, 0.0, &view, &Uncontrolled, 1) {
             Selection::Route { links, tier } => {
@@ -496,13 +538,33 @@ mod tests {
     }
 
     #[test]
+    fn uncontrolled_overflows_past_a_full_alternate() {
+        let plan = k4_plan();
+        let t = plan.topology();
+        let mut view = view_for(&plan);
+        fill(&mut view, t.link_between(0, 1).unwrap(), 100);
+        // Fill the first leg via node 2 to force the 0-3-1 path.
+        fill(&mut view, t.link_between(0, 2).unwrap(), 100);
+        let via3 = [t.link_between(0, 3).unwrap(), t.link_between(3, 1).unwrap()];
+        assert_eq!(
+            TieredSelector::new(&plan).select(0, 1, 0.0, &view, &Uncontrolled, 1),
+            Selection::Route {
+                links: &via3[..],
+                tier: Tier::Alternate
+            }
+        );
+    }
+
+    #[test]
     fn tiered_with_trunk_reservation_refuses_protected_band() {
         let plan = k4_plan();
         let r = plan.protection(0);
-        assert!(r >= 1);
+        assert!(r >= 1, "90 Erlangs on 100 circuits needs protection");
         let mut view = view_for(&plan);
         let direct = plan.topology().link_between(0, 1).unwrap();
         fill(&mut view, direct, 100);
+        // Every other link exactly at the threshold C−r: alternates are
+        // refused while primaries would still fit.
         for l in 0..plan.topology().num_links() {
             if l != direct {
                 fill(&mut view, l, 100 - plan.protection(l));
@@ -516,36 +578,116 @@ mod tests {
             sel.select(0, 1, 0.0, &view, &Uncontrolled, 1),
             Selection::Route { .. }
         ));
+        // One below the threshold, C−r−1, the reservation admits again.
+        for l in 0..plan.topology().num_links() {
+            if l != direct {
+                view.release(&[l], 1);
+            }
+        }
+        match sel.select(0, 1, 0.0, &view, &tr, 1) {
+            Selection::Route { tier, .. } => assert_eq!(tier, Tier::Alternate),
+            Selection::Blocked => panic!("one free circuit below threshold must admit"),
+        }
     }
 
     #[test]
-    fn ott_krishnan_selector_agrees_with_router() {
-        use crate::policy::{Decision, PolicyKind, Router};
+    fn primary_calls_ignore_protection() {
         let plan = k4_plan();
-        let router = Router::new(&plan, PolicyKind::OttKrishnan { max_hops: 3 });
-        struct V<'a>(&'a LinkOccupancy);
-        impl crate::policy::OccupancyView for V<'_> {
-            fn occupancy(&self, link: usize) -> u32 {
-                self.0.occupancy(link)
+        let mut view = view_for(&plan);
+        let direct = plan.topology().link_between(0, 1).unwrap();
+        fill(&mut view, direct, 99); // deep inside the protected band
+        let kind = PolicyKind::ControlledAlternate { max_hops: 3 };
+        match decide(&plan, kind, 0, 1, &view) {
+            Selection::Route { links, tier } => {
+                assert_eq!(tier, Tier::Primary);
+                assert_eq!(links, &[direct][..]);
             }
-            fn is_up(&self, link: usize) -> bool {
-                self.0.is_up(link)
+            Selection::Blocked => panic!("a primary call must take the last circuit"),
+        }
+    }
+
+    #[test]
+    fn down_links_admit_nothing() {
+        let plan = k4_plan();
+        let mut view = view_for(&plan);
+        let direct = plan.topology().link_between(0, 1).unwrap();
+        view.set_down(direct);
+        for kind in POLICIES {
+            match decide(&plan, kind, 0, 1, &view) {
+                Selection::Blocked => assert_eq!(kind, PolicyKind::SinglePath),
+                Selection::Route { links, .. } => {
+                    assert!(!links.contains(&direct), "{kind:?} routed over a down link");
+                }
             }
         }
+    }
+
+    #[test]
+    fn ott_krishnan_picks_cheapest_path_and_blocks_on_high_price() {
+        let plan = k4_plan();
         let mut view = view_for(&plan);
         let direct = plan.topology().link_between(0, 1).unwrap();
         let mut sel = OttKrishnanSelector::new(&plan);
-        for occupy in [0u32, 99, 100] {
-            fill(&mut view, direct, occupy);
-            let selected = sel.select(0, 1, 0.0, &view, &Uncontrolled, 1);
-            let decided = router.decide(0, 1, &V(&view), 0.0);
-            match (selected, decided) {
-                (Selection::Blocked, Decision::Blocked) => {}
-                (Selection::Route { links, .. }, Decision::Route { path, .. }) => {
-                    assert_eq!(links, path.links(), "at occupancy {occupy}");
-                }
-                (s, d) => panic!("diverged at occupancy {occupy}: {s:?} vs {d:?}"),
+        // Empty network: the direct path is cheapest (one cheap link
+        // beats two).
+        assert_eq!(
+            sel.select(0, 1, 0.0, &view, &Uncontrolled, 1),
+            Selection::Route {
+                links: &[direct][..],
+                tier: Tier::Primary
             }
+        );
+        // Fill the direct link: the cheapest two-hop path wins.
+        fill(&mut view, direct, 100);
+        match sel.select(0, 1, 0.0, &view, &Uncontrolled, 1) {
+            Selection::Route { links, tier } => {
+                assert_eq!(links.len(), 2);
+                assert_eq!(tier, Tier::Alternate);
+            }
+            Selection::Blocked => panic!("two-hop alternates are cheap on an empty network"),
+        }
+        // Every other link one below capacity: the last circuit's shadow
+        // price is exactly 1, so two-hop paths cost 2 > revenue, and the
+        // direct path is full (infinite). Blocked.
+        for l in 0..plan.topology().num_links() {
+            if l != direct {
+                fill(&mut view, l, 99);
+            }
+        }
+        assert_eq!(
+            sel.select(0, 1, 0.0, &view, &Uncontrolled, 1),
+            Selection::Blocked
+        );
+    }
+
+    #[test]
+    fn ott_krishnan_accepts_exactly_at_revenue() {
+        // A direct path at occupancy C−1 costs exactly 1.0 = revenue and
+        // must still be accepted ("blocked iff price exceeds revenue").
+        let plan = k4_plan();
+        let mut view = view_for(&plan);
+        for l in 0..plan.topology().num_links() {
+            fill(&mut view, l, 99);
+        }
+        match OttKrishnanSelector::new(&plan).select(0, 1, 0.0, &view, &Uncontrolled, 1) {
+            Selection::Route { links, .. } => assert_eq!(links.len(), 1),
+            Selection::Blocked => panic!("price == revenue must be accepted"),
+        }
+    }
+
+    #[test]
+    fn fully_loaded_network_blocks_everything() {
+        let plan = k4_plan();
+        let mut view = view_for(&plan);
+        for l in 0..plan.topology().num_links() {
+            fill(&mut view, l, 100);
+        }
+        for kind in POLICIES {
+            assert_eq!(
+                decide(&plan, kind, 2, 3, &view),
+                Selection::Blocked,
+                "{kind:?}"
+            );
         }
     }
 

@@ -1,19 +1,17 @@
 //! Integration tests of routing with bifurcated (min-loss) primaries.
 
 use altroute_core::plan::RoutingPlan;
-use altroute_core::policy::{CallClass, Decision, OccupancyView, PolicyKind, Router};
 use altroute_core::primary::{min_loss_splits, MinLossOptions};
-use altroute_netgraph::graph::{LinkId, Topology};
+use altroute_core::select::TieredSelector;
+use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
+use altroute_simcore::kernel::{
+    LinkOccupancy, RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
+};
 
-struct View {
-    occ: Vec<u32>,
-}
-
-impl OccupancyView for View {
-    fn occupancy(&self, link: LinkId) -> u32 {
-        self.occ[link]
-    }
+fn idle_view(plan: &RoutingPlan) -> LinkOccupancy {
+    let caps: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+    LinkOccupancy::new(&caps)
 }
 
 /// A 3-node network engineered to bifurcate: a small direct link and a
@@ -42,26 +40,25 @@ fn bifurcating_instance() -> (RoutingPlan, TrafficMatrix) {
 #[test]
 fn primary_pick_follows_the_split_probability() {
     let (plan, _) = bifurcating_instance();
-    let router = Router::new(&plan, PolicyKind::ControlledAlternate { max_hops: 2 });
-    let view = View {
-        occ: vec![0; plan.topology().num_links()],
-    };
+    let reservation = TrunkReservation::new(plan.protection_levels().to_vec());
+    let mut selector = TieredSelector::new(&plan);
+    let view = idle_view(&plan);
     // Sample the primary pick across the unit interval; both paths must
-    // appear as Primary-class routes on an idle network.
+    // appear as Primary-tier routes on an idle network.
     let mut direct = 0;
     let mut detour = 0;
     for k in 0..100 {
         let u = f64::from(k) / 100.0;
-        match router.decide(0, 1, &view, u) {
-            Decision::Route { path, class } => {
-                assert_eq!(class, CallClass::Primary, "idle network routes primaries");
-                if path.hops() == 1 {
+        match selector.select(0, 1, u, &view, &reservation, 1) {
+            Selection::Route { links, tier } => {
+                assert_eq!(tier, Tier::Primary, "idle network routes primaries");
+                if links.len() == 1 {
                     direct += 1;
                 } else {
                     detour += 1;
                 }
             }
-            Decision::Blocked => panic!("idle network cannot block"),
+            Selection::Blocked => panic!("idle network cannot block"),
         }
     }
     assert!(direct > 0 && detour > 0, "both split branches must be used");
@@ -72,26 +69,25 @@ fn primary_pick_follows_the_split_probability() {
 #[test]
 fn blocked_split_branch_overflows_to_alternates() {
     let (plan, _) = bifurcating_instance();
-    let router = Router::new(&plan, PolicyKind::UncontrolledAlternate { max_hops: 2 });
+    let mut selector = TieredSelector::new(&plan);
     // Fill the direct link: a call whose sampled primary is the direct
     // path must overflow onto the detour as an Alternate.
     let direct_link = plan.topology().link_between(0, 1).unwrap();
-    let mut occ = vec![0; plan.topology().num_links()];
-    occ[direct_link] = 20;
-    let view = View { occ };
+    let mut view = idle_view(&plan);
+    view.book(&[direct_link], 20);
     // Find a u that picks the direct branch.
     let mut found = false;
     for k in 0..100 {
         let u = f64::from(k) / 100.0;
         let picked = plan.primaries().choose(0, 1, u).unwrap();
         if picked.hops() == 1 {
-            match router.decide(0, 1, &view, u) {
-                Decision::Route { path, class } => {
-                    assert_eq!(class, CallClass::Alternate);
-                    assert_eq!(path.hops(), 2);
+            match selector.select(0, 1, u, &view, &Uncontrolled, 1) {
+                Selection::Route { links, tier } => {
+                    assert_eq!(tier, Tier::Alternate);
+                    assert_eq!(links.len(), 2);
                     found = true;
                 }
-                Decision::Blocked => panic!("detour has room"),
+                Selection::Blocked => panic!("detour has room"),
             }
             break;
         }

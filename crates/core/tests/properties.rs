@@ -1,24 +1,55 @@
 //! Property-based tests of the routing policies: safety invariants under
-//! arbitrary occupancy patterns.
+//! arbitrary occupancy patterns, checked against the kernel selectors and
+//! admission policies the simulator runs.
 
 use altroute_core::plan::RoutingPlan;
-use altroute_core::policy::{CallClass, Decision, OccupancyView, PolicyKind, Router};
-use altroute_netgraph::graph::LinkId;
+use altroute_core::policy::PolicyKind;
+use altroute_core::select::{OttKrishnanSelector, TieredSelector};
 use altroute_netgraph::topologies::{nsfnet, random_mesh};
 use altroute_netgraph::traffic::TrafficMatrix;
+use altroute_simcore::kernel::{
+    LinkOccupancy, RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
+};
 use proptest::prelude::*;
 
-struct View {
-    occ: Vec<u32>,
-    down: Vec<bool>,
+/// Link state with the given occupancies, then the given links failed.
+fn view(plan: &RoutingPlan, occ: &[u32], down: &[bool]) -> LinkOccupancy {
+    let caps: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+    let mut view = LinkOccupancy::new(&caps);
+    for (l, (&units, &down)) in occ.iter().zip(down).enumerate() {
+        view.book(&[l], units);
+        if down {
+            view.set_down(l);
+        }
+    }
+    view
 }
 
-impl OccupancyView for View {
-    fn occupancy(&self, link: LinkId) -> u32 {
-        self.occ[link]
-    }
-    fn is_up(&self, link: LinkId) -> bool {
-        !self.down[link]
+/// Routes one call under `kind`, as the simulator pairs selector and
+/// admission for the plan-driven policies.
+fn decide<'p>(
+    plan: &'p RoutingPlan,
+    kind: PolicyKind,
+    src: usize,
+    dst: usize,
+    view: &LinkOccupancy,
+    pick: f64,
+) -> Selection<'p> {
+    let reservation = TrunkReservation::new(plan.protection_levels().to_vec());
+    match kind {
+        PolicyKind::SinglePath => {
+            TieredSelector::single_path(plan).select(src, dst, pick, view, &Uncontrolled, 1)
+        }
+        PolicyKind::UncontrolledAlternate { .. } => {
+            TieredSelector::new(plan).select(src, dst, pick, view, &Uncontrolled, 1)
+        }
+        PolicyKind::ControlledAlternate { .. } => {
+            TieredSelector::new(plan).select(src, dst, pick, view, &reservation, 1)
+        }
+        PolicyKind::OttKrishnan { .. } => {
+            OttKrishnanSelector::new(plan).select(src, dst, pick, view, &Uncontrolled, 1)
+        }
+        other => panic!("{other:?} is not a plan-driven policy"),
     }
 }
 
@@ -48,22 +79,21 @@ proptest! {
         let h = 5;
         let plan = RoutingPlan::min_hop(topo, &traffic, h);
         let m = plan.topology().num_links();
-        let view = View {
-            occ: occupancies[..m].to_vec(),
-            down: downs[..m].iter().map(|&d| d && seed % 3 == 0).collect(),
-        };
+        let down: Vec<bool> = downs[..m].iter().map(|&d| d && seed % 3 == 0).collect();
+        let view = view(&plan, &occupancies[..m], &down);
         for kind in policies(h) {
-            let router = Router::new(&plan, kind);
             for (i, j) in plan.topology().ordered_pairs() {
-                if let Decision::Route { path, class } = router.decide(i, j, &view, u) {
-                    prop_assert_eq!(path.src(), i);
-                    prop_assert_eq!(path.dst(), j);
-                    for &l in path.links() {
+                if let Selection::Route { links, tier } = decide(&plan, kind, i, j, &view, u) {
+                    prop_assert!(
+                        plan.candidates(i, j).iter().any(|p| p.links() == links),
+                        "{}: ({i}, {j}) routed off its candidate paths", kind.name()
+                    );
+                    for &l in links {
                         let cap = plan.topology().link(l).capacity;
                         prop_assert!(view.is_up(l), "{}: routed over down link", kind.name());
                         prop_assert!(view.occupancy(l) < cap, "{}: routed over full link", kind.name());
                         if kind == (PolicyKind::ControlledAlternate { max_hops: h })
-                            && class == CallClass::Alternate
+                            && tier == Tier::Alternate
                         {
                             let r = plan.protection(l);
                             prop_assert!(
@@ -91,23 +121,21 @@ proptest! {
         let h = 5;
         let plan = RoutingPlan::min_hop(topo, &traffic, h);
         let m = plan.topology().num_links();
-        let mut occ = occupancies[..m].to_vec();
-        let view_before = View { occ: occ.clone(), down: vec![false; m] };
+        let view_before = view(&plan, &occupancies[..m], &vec![false; m]);
+        let mut view_after = view_before.clone();
         let relieved = relieved % m;
-        if occ[relieved] > 0 {
-            occ[relieved] -= 1;
+        if view_after.occupancy(relieved) > 0 {
+            view_after.release(&[relieved], 1);
         }
-        let view_after = View { occ, down: vec![false; m] };
         // Note: this monotonicity holds for SinglePath (a single fixed
         // path) but NOT in general for the alternate policies, whose
         // chosen path can shift. Verify the single-path case exactly.
-        let router = Router::new(&plan, PolicyKind::SinglePath);
         for (i, j) in plan.topology().ordered_pairs() {
-            let before = router.decide(i, j, &view_before, 0.0);
-            let after = router.decide(i, j, &view_after, 0.0);
-            if matches!(before, Decision::Route { .. }) {
+            let before = decide(&plan, PolicyKind::SinglePath, i, j, &view_before, 0.0);
+            let after = decide(&plan, PolicyKind::SinglePath, i, j, &view_after, 0.0);
+            if matches!(before, Selection::Route { .. }) {
                 prop_assert!(
-                    matches!(after, Decision::Route { .. }),
+                    matches!(after, Selection::Route { .. }),
                     "relieving link {relieved} blocked pair ({i}, {j})"
                 );
             }
@@ -121,23 +149,23 @@ proptest! {
         let traffic = TrafficMatrix::uniform(5, 3.0);
         let h = 4;
         let plan = RoutingPlan::min_hop(topo, &traffic, h);
-        let view = View { occ: vec![0; plan.topology().num_links()], down: vec![false; plan.topology().num_links()] };
+        let m = plan.topology().num_links();
+        let view = view(&plan, &vec![0; m], &vec![false; m]);
         for kind in policies(h) {
-            let router = Router::new(&plan, kind);
             for (i, j) in plan.topology().ordered_pairs() {
-                match router.decide(i, j, &view, 0.0) {
-                    Decision::Route { path, class } => {
+                match decide(&plan, kind, i, j, &view, 0.0) {
+                    Selection::Route { links, tier } => {
                         // Tiered policies take the primary itself. The
                         // Ott-Krishnan policy may legitimately prefer a
                         // longer path whose links carry less primary load
                         // (lower shadow prices) even on an idle network.
                         if kind != (PolicyKind::OttKrishnan { max_hops: h }) {
-                            prop_assert_eq!(class, CallClass::Primary, "{}", kind.name());
+                            prop_assert_eq!(tier, Tier::Primary, "{}", kind.name());
                             let primary = &plan.primaries().split(i, j)[0].0;
-                            prop_assert_eq!(path, primary);
+                            prop_assert_eq!(links, primary.links());
                         }
                     }
-                    Decision::Blocked => prop_assert!(false, "{} blocked on idle network", kind.name()),
+                    Selection::Blocked => prop_assert!(false, "{} blocked on idle network", kind.name()),
                 }
             }
         }
@@ -155,13 +183,13 @@ proptest! {
         let traffic = TrafficMatrix::uniform(12, 10.0);
         let h = 11;
         let plan = RoutingPlan::min_hop(topo, &traffic, h);
-        let view = View { occ: occupancies.clone(), down: vec![false; 30] };
-        let controlled = Router::new(&plan, PolicyKind::ControlledAlternate { max_hops: h });
-        let uncontrolled = Router::new(&plan, PolicyKind::UncontrolledAlternate { max_hops: h });
+        let view = view(&plan, &occupancies, &[false; 30]);
+        let controlled = PolicyKind::ControlledAlternate { max_hops: h };
+        let uncontrolled = PolicyKind::UncontrolledAlternate { max_hops: h };
         for (i, j) in plan.topology().ordered_pairs() {
-            if matches!(controlled.decide(i, j, &view, u), Decision::Route { .. }) {
+            if matches!(decide(&plan, controlled, i, j, &view, u), Selection::Route { .. }) {
                 prop_assert!(
-                    matches!(uncontrolled.decide(i, j, &view, u), Decision::Route { .. }),
+                    matches!(decide(&plan, uncontrolled, i, j, &view, u), Selection::Route { .. }),
                     "controlled routed ({i}, {j}) but uncontrolled blocked it"
                 );
             }

@@ -12,12 +12,15 @@
 //! longer formally applies.
 
 use altroute_core::plan::RoutingPlan;
-use altroute_core::policy::{Decision, PolicyKind, Router};
+use altroute_core::select::TieredSelector;
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::Table;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::network::NetworkState;
+use altroute_sim::experiment::SimParams;
+use altroute_simcore::kernel::{
+    AdmissionPolicy, Link, LinkOccupancy, RouteSelector, Selection, TrunkReservation, Uncontrolled,
+};
 use altroute_simcore::queue::EventQueue;
 use altroute_simcore::rng::{RngStream, StreamFactory};
 
@@ -46,23 +49,24 @@ enum Ev {
     Departure { call: u32 },
 }
 
-fn run_bursty(
-    plan: &RoutingPlan,
+/// Blocking of one policy — the kernel's tiered `selector` under
+/// `admission` — over `params.seeds` replications of H2 arrivals.
+fn run_bursty<'p, A: AdmissionPolicy>(
+    plan: &'p RoutingPlan,
     traffic: &TrafficMatrix,
-    kind: PolicyKind,
+    admission: &A,
+    mut selector: TieredSelector<'p>,
     cv2: f64,
-    warmup: f64,
-    horizon: f64,
-    seeds: u32,
+    params: &SimParams,
 ) -> f64 {
     let topo = plan.topology();
     let n = topo.num_nodes();
-    let router = Router::new(plan, kind);
-    let end = warmup + horizon;
+    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
+    let end = params.warmup + params.horizon;
     let (mut blocked_total, mut offered_total) = (0u64, 0u64);
-    for s in 0..seeds {
-        let factory = StreamFactory::new(0xB0B5 + u64::from(s));
-        let mut network = NetworkState::new(topo);
+    for s in 0..params.seeds {
+        let factory = StreamFactory::new(params.base_seed + u64::from(s));
+        let mut network = LinkOccupancy::new(&capacities);
         let mut streams: Vec<Option<RngStream>> = (0..n * n).map(|_| None).collect();
         let mut rates = vec![0.0; n * n];
         let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -76,7 +80,7 @@ fn run_bursty(
                 queue.schedule(first, Ev::Arrival { pair: pair as u32 });
             }
         }
-        let mut calls: Vec<Option<Vec<usize>>> = Vec::new();
+        let mut calls: Vec<Option<&'p [Link]>> = Vec::new();
         while let Some((now, ev)) = queue.pop() {
             if now >= end {
                 break;
@@ -92,18 +96,18 @@ fn run_bursty(
                     if now + gap < end {
                         queue.schedule(now + gap, Ev::Arrival { pair: pair as u32 });
                     }
-                    let measured = now >= warmup;
+                    let measured = now >= params.warmup;
                     if measured {
                         offered_total += 1;
                     }
-                    match router.decide(src, dst, &network, upick) {
-                        Decision::Route { path, .. } => {
-                            network.book(path.links());
+                    match selector.select(src, dst, upick, &network, admission, 1) {
+                        Selection::Route { links, .. } => {
+                            network.book(links, 1);
                             let id = calls.len() as u32;
-                            calls.push(Some(path.links().to_vec()));
+                            calls.push(Some(links));
                             queue.schedule(now + hold, Ev::Departure { call: id });
                         }
-                        Decision::Blocked => {
+                        Selection::Blocked => {
                             if measured {
                                 blocked_total += 1;
                             }
@@ -112,7 +116,7 @@ fn run_bursty(
                 }
                 Ev::Departure { call } => {
                     if let Some(links) = calls[call as usize].take() {
-                        network.release(&links);
+                        network.release(links, 1);
                     }
                 }
             }
@@ -124,26 +128,52 @@ fn run_bursty(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (warmup, horizon, seeds) = if quick {
-        (5.0, 30.0, 3u32)
+        (5.0, 30.0, 3)
     } else {
-        (10.0, 100.0, 10u32)
+        (10.0, 100.0, 10)
+    };
+    let params = SimParams {
+        warmup,
+        horizon,
+        seeds,
+        base_seed: 0xB0B5,
     };
     let mut table = Table::new(["cv2", "load", "single-path", "uncontrolled", "controlled"]);
     for cv2 in [1.0, 4.0, 9.0] {
         for load in [85.0, 90.0, 95.0] {
             let traffic = TrafficMatrix::uniform(4, load);
             let plan = RoutingPlan::min_hop(topologies::quadrangle(), &traffic, 3);
-            let mut cells = vec![format!("{cv2:.0}"), format!("{load:.0}")];
-            for kind in [
-                PolicyKind::SinglePath,
-                PolicyKind::UncontrolledAlternate { max_hops: 3 },
-                PolicyKind::ControlledAlternate { max_hops: 3 },
-            ] {
-                cells.push(fmt_prob(run_bursty(
-                    &plan, &traffic, kind, cv2, warmup, horizon, seeds,
-                )));
-            }
-            table.row(cells);
+            let reservation = TrunkReservation::new(plan.protection_levels().to_vec());
+            let single = TieredSelector::single_path(&plan);
+            let tiered = TieredSelector::new(&plan);
+            table.row([
+                format!("{cv2:.0}"),
+                format!("{load:.0}"),
+                fmt_prob(run_bursty(
+                    &plan,
+                    &traffic,
+                    &Uncontrolled,
+                    single,
+                    cv2,
+                    &params,
+                )),
+                fmt_prob(run_bursty(
+                    &plan,
+                    &traffic,
+                    &Uncontrolled,
+                    tiered.clone(),
+                    cv2,
+                    &params,
+                )),
+                fmt_prob(run_bursty(
+                    &plan,
+                    &traffic,
+                    &reservation,
+                    tiered,
+                    cv2,
+                    &params,
+                )),
+            ]);
         }
     }
     println!("Bursty (H2) arrivals vs the Poisson assumption A2 (quadrangle, H = 3)\n");

@@ -7,12 +7,15 @@
 //! choice lands: it should sit in the flat bottom of each blocking curve.
 
 use altroute_core::plan::RoutingPlan;
-use altroute_core::policy::{Decision, OccupancyView, PolicyKind, Router};
+use altroute_core::policy::PolicyKind;
+use altroute_core::select::TieredSelector;
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::Table;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::SimParams;
+use altroute_sim::{FailureSchedule, Run, RunConfig};
+use altroute_simcore::kernel::TrunkReservation;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -60,91 +63,29 @@ fn main() {
 }
 
 /// Simulates the controlled policy with every link's protection forced to
-/// `r`, sharing the production decision logic via
-/// `Router::decide_tiered_with`.
+/// `r`: the production tiered selector under trunk reservation with a
+/// uniform level vector, one kernel run per seed.
 fn sweep_uniform(plan: &RoutingPlan, traffic: &TrafficMatrix, r: u32, params: &SimParams) -> f64 {
-    use altroute_sim::network::NetworkState;
-    use altroute_simcore::queue::EventQueue;
-    use altroute_simcore::rng::StreamFactory;
-
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Arrival { pair: u32 },
-        Departure { call: u32 },
-    }
-
-    let topo = plan.topology();
-    let n = topo.num_nodes();
-    let levels = vec![r; topo.num_links()];
-    let router = Router::new(
-        plan,
-        PolicyKind::ControlledAlternate {
-            max_hops: plan.max_alternate_hops(),
-        },
-    );
-    let end = params.warmup + params.horizon;
+    let failures = FailureSchedule::none();
     let (mut blocked_total, mut offered_total) = (0u64, 0u64);
     for s in 0..params.seeds {
-        let seed = params.base_seed + u64::from(s);
-        let factory = StreamFactory::new(seed);
-        let mut network = NetworkState::new(topo);
-        let mut streams: Vec<Option<altroute_simcore::rng::RngStream>> =
-            (0..n * n).map(|_| None).collect();
-        let mut rates = vec![0.0; n * n];
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for (i, j, t) in traffic.demands() {
-            let pair = i * n + j;
-            rates[pair] = t;
-            let mut st = factory.stream(pair as u64);
-            let first = st.exp(t);
-            streams[pair] = Some(st);
-            if first < end {
-                queue.schedule(first, Ev::Arrival { pair: pair as u32 });
-            }
-        }
-        let mut calls: Vec<Option<Vec<usize>>> = Vec::new();
-        while let Some((now, ev)) = queue.pop() {
-            if now >= end {
-                break;
-            }
-            match ev {
-                Ev::Arrival { pair } => {
-                    let pair = pair as usize;
-                    let (src, dst) = (pair / n, pair % n);
-                    let st = streams[pair].as_mut().unwrap();
-                    let hold = st.holding_time();
-                    let upick = st.uniform();
-                    let gap = st.exp(rates[pair]);
-                    if now + gap < end {
-                        queue.schedule(now + gap, Ev::Arrival { pair: pair as u32 });
-                    }
-                    let measured = now >= params.warmup;
-                    if measured {
-                        offered_total += 1;
-                    }
-                    match router.decide_tiered_with(src, dst, &network, upick, Some(&levels)) {
-                        Decision::Route { path, .. } => {
-                            network.book(path.links());
-                            let id = calls.len() as u32;
-                            calls.push(Some(path.links().to_vec()));
-                            queue.schedule(now + hold, Ev::Departure { call: id });
-                        }
-                        Decision::Blocked => {
-                            if measured {
-                                blocked_total += 1;
-                            }
-                        }
-                    }
-                }
-                Ev::Departure { call } => {
-                    if let Some(links) = calls[call as usize].take() {
-                        let occ_check: u32 = network.occupancy(links[0]);
-                        debug_assert!(occ_check > 0);
-                        network.release(&links);
-                    }
-                }
-            }
-        }
+        let config = RunConfig {
+            plan,
+            policy: PolicyKind::ControlledAlternate {
+                max_hops: plan.max_alternate_hops(),
+            },
+            traffic,
+            warmup: params.warmup,
+            horizon: params.horizon,
+            seed: params.base_seed + u64::from(s),
+            failures: &failures,
+        };
+        let result = Run::new(&config).execute_with(
+            &mut TrunkReservation::new(vec![r; plan.topology().num_links()]),
+            &mut TieredSelector::new(plan),
+        );
+        offered_total += result.offered;
+        blocked_total += result.blocked;
     }
     blocked_total as f64 / offered_total as f64
 }

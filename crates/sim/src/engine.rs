@@ -746,6 +746,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "hop bound must match")]
+    fn mismatched_hop_bound_panics() {
+        let m = TrafficMatrix::uniform(4, 85.0);
+        let plan = RoutingPlan::min_hop(topologies::quadrangle(), &m, 3);
+        run_seed(&RunConfig {
+            plan: &plan,
+            policy: PolicyKind::ControlledAlternate { max_hops: 5 },
+            traffic: &m,
+            warmup: 0.0,
+            horizon: 1.0,
+            seed: 1,
+            failures: &FailureSchedule::none(),
+        });
+    }
+
+    #[test]
     fn identical_arrivals_across_policies() {
         // Common random numbers: per-pair offered counts must match
         // between policies for the same seed — DAR included, because its

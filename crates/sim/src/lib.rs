@@ -2,8 +2,6 @@
 //!
 //! This crate reproduces the paper's experimental apparatus (§4):
 //!
-//! * [`network`] — live link state: occupancies, booking/release,
-//!   link up/down flags for the failure experiments.
 //! * [`engine`] — the event-driven call-by-call simulator: Poisson
 //!   arrivals per origin–destination pair (independent per-pair random
 //!   streams so **every policy sees identical arrivals and holding
@@ -68,11 +66,9 @@ pub mod engine;
 pub mod experiment;
 pub mod failures;
 pub mod multirate;
-pub mod network;
 pub mod signaling;
 pub mod trace;
 
 pub use engine::{apply_static_failures, pair_footprints, run_seed, Run, RunConfig, SeedResult};
 pub use experiment::{Experiment, ExperimentError, ExperimentResult, Fanout, SimParams};
 pub use failures::FailureSchedule;
-pub use network::NetworkState;

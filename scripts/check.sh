@@ -128,7 +128,8 @@ EOF
 # the kernel-backed engine, solo and fanned out (the dedicated test), and
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
-# committed adaptive_estimation results must reproduce byte for byte.
+# committed adaptive_estimation, protection_sweep and bursty_arrivals
+# results must reproduce byte for byte.
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -158,12 +159,16 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
-  # The committed online-estimation table must be what the code produces
-  # (the binary writes results/ under its working directory).
-  local root="$PWD"
-  (cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
-    -p altroute-experiments --bin adaptive_estimation > adaptive_estimation.txt)
-  cmp "$tmpdir/results/adaptive_estimation.csv" results/adaptive_estimation.csv
+  # The committed online-estimation, protection-sweep and bursty-arrival
+  # tables and transcripts must be what the code produces (each binary
+  # writes results/ under its working directory).
+  local root="$PWD" bin
+  for bin in adaptive_estimation protection_sweep bursty_arrivals; do
+    (cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+      -p altroute-experiments --bin "$bin" > "$bin.txt")
+    cmp "$tmpdir/$bin.txt" "results/full/$bin.txt"
+    cmp "$tmpdir/results/$bin.csv" "results/$bin.csv"
+  done
 }
 
 # Shard parity: the sharded kernel backend must be a pure scheduling

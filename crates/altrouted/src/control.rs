@@ -152,6 +152,10 @@ pub enum Reject {
     NodeOutOfRange,
     /// The record's time precedes an already-accepted record.
     TimeRegressed,
+    /// The record's window index `time / window` reaches
+    /// [`LoadEstimator::WINDOW_LIMIT`] (2⁵³), where consecutive window
+    /// boundaries are no longer distinct `f64`s.
+    TimeOutOfRange,
 }
 
 impl std::fmt::Display for Reject {
@@ -159,6 +163,7 @@ impl std::fmt::Display for Reject {
         f.write_str(match self {
             Reject::NodeOutOfRange => "node id out of range",
             Reject::TimeRegressed => "time regressed",
+            Reject::TimeOutOfRange => "time past the last representable window",
         })
     }
 }
@@ -262,6 +267,9 @@ impl Controller {
     /// sparse feed can close several windows at once) are appended to
     /// `out`. Rejected events leave the controller untouched.
     pub fn push(&mut self, ev: FeedEvent, out: &mut Vec<LevelsUpdate>) -> Result<(), Reject> {
+        if !self.estimator.in_range(ev.time()) {
+            return Err(Reject::TimeOutOfRange);
+        }
         if ev.time() < self.estimator.last_time() {
             return Err(Reject::TimeRegressed);
         }
@@ -300,14 +308,35 @@ impl Controller {
     }
 
     /// Closes every window the feed time `t` has passed, re-solving on
-    /// cadence.
+    /// cadence. The window holding the counts closes as usual; the empty
+    /// windows between it and `t`'s own window close in closed form, so
+    /// a jump far ahead costs O(pairs) rather than O(pairs) per window.
+    /// Their cadence boundaries re-solve at most once, at the last one
+    /// inside the gap: an earlier solve's levels would be overwritten
+    /// before any arrival could see them.
     fn advance_to(&mut self, t: f64, out: &mut Vec<LevelsUpdate>) {
-        while self.estimator.pending_boundary(t).is_some() {
-            let end = self.estimator.close_window();
-            if let Some(update) = self.after_window(end) {
+        if self.estimator.pending_boundary(t).is_none() {
+            return;
+        }
+        let gap = self.estimator.windows_between(t);
+        let end = self.estimator.close_window();
+        if let Some(update) = self.after_window(end) {
+            out.push(update);
+        }
+        let cadence = u64::from(self.tuning.recompute_every);
+        let since = u64::from(self.windows_since_solve) + gap;
+        if since >= cadence {
+            // Windows into the gap at which the last cadence boundary falls.
+            let last_solve = gap - since % cadence;
+            let end = self.estimator.close_empty_windows(last_solve);
+            if let Some(update) = self.solve(end) {
                 out.push(update);
             }
+            self.estimator.close_empty_windows(gap - last_solve);
+        } else {
+            self.estimator.close_empty_windows(gap);
         }
+        self.windows_since_solve = (since % cadence) as u32;
     }
 
     fn after_window(&mut self, end: f64) -> Option<LevelsUpdate> {
@@ -524,6 +553,104 @@ mod tests {
         );
         assert_eq!(c.arrivals(), 1);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn time_jump_catches_up_like_the_per_window_loop() {
+        // The feed path jumps over `gap` empty windows in closed form;
+        // the reference folds the same windows one by one through
+        // `ingest_window`. Rates (hence loads), levels, the window count
+        // and the cadence phase must agree, for cadences that land a
+        // re-solve mid-gap, at its end, or not at all.
+        for recompute_every in 1..=3 {
+            for gap in [1u32, 3, 4] {
+                let tuning = ControllerTuning {
+                    window: 1.0,
+                    recompute_every,
+                    alpha: 0.5,
+                    ..ControllerTuning::default()
+                };
+                let label = format!("cadence {recompute_every}, gap {gap}");
+                let mut jumped = Controller::new(tiny_plane(20), tuning);
+                let mut out = Vec::new();
+                arrivals(&mut jumped, 0.0, 0.05, 18, 0, 1, &mut out);
+                arrivals(&mut jumped, 0.9, 0.01, 7, 1, 0, &mut out);
+                let after = f64::from(gap) + 1.5;
+                arrivals(&mut jumped, after, 0.1, 1, 0, 1, &mut out);
+
+                let mut looped = Controller::new(tiny_plane(20), tuning);
+                looped.ingest_window(&[0, 18, 7, 0]);
+                for _ in 0..gap {
+                    looped.ingest_window(&[0; 4]);
+                }
+                let agree = |a: &Controller, b: &Controller, when: &str| {
+                    assert_eq!(a.levels(), b.levels(), "{label} {when}: levels");
+                    assert_eq!(a.windows(), b.windows(), "{label} {when}: windows");
+                    for (x, y) in a.loads().iter().zip(b.loads()) {
+                        assert!(
+                            (x - y).abs() <= 1e-12 * x.abs(),
+                            "{label} {when}: load {x} vs {y}"
+                        );
+                    }
+                };
+                agree(&jumped, &looped, "after the jump");
+
+                // The cadence phase survives the jump: the next windows
+                // re-solve at the same boundaries on both paths.
+                for counts in [[0, 1, 0, 0], [0; 4], [0; 4]] {
+                    let before = jumped.solves();
+                    let t = jumped.windows() as f64 + 1.0;
+                    jumped.push(FeedEvent::End { time: t }, &mut out).unwrap();
+                    let looped_before = looped.solves();
+                    looped.ingest_window(&counts);
+                    assert_eq!(
+                        jumped.solves() - before,
+                        looped.solves() - looped_before,
+                        "{label}: cadence phase"
+                    );
+                    agree(&jumped, &looped, "after the jump and a window");
+                }
+                assert!(jumped.solves() <= looped.solves(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn records_past_the_last_representable_window_are_rejected() {
+        let mut c = Controller::new(tiny_plane(10), ControllerTuning::default());
+        let mut out = Vec::new();
+        arrivals(&mut c, 0.5, 0.1, 3, 0, 1, &mut out);
+        let before = format!("{c:?}");
+        for ev in [
+            FeedEvent::Arrival {
+                time: 1e300,
+                src: 0,
+                dst: 1,
+            },
+            FeedEvent::End { time: 1e300 },
+            FeedEvent::End {
+                time: 9_007_199_254_740_992.0,
+            },
+        ] {
+            assert_eq!(c.push(ev, &mut out), Err(Reject::TimeOutOfRange));
+        }
+        assert_eq!(
+            format!("{c:?}"),
+            before,
+            "a rejected record changes nothing"
+        );
+        assert!(out.is_empty());
+        // Just inside the domain a jump is accepted and costs one window
+        // close plus the closed-form catch-up.
+        c.push(
+            FeedEvent::End {
+                time: 9_007_199_254_740_990.0,
+            },
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(c.windows(), 9_007_199_254_740_990);
+        assert!(c.solves() <= 2);
     }
 
     #[test]

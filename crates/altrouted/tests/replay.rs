@@ -128,3 +128,23 @@ fn corrupted_fixture_lines_are_skipped_and_counted() {
         "window bookkeeping survives skipped lines"
     );
 }
+
+#[test]
+fn a_time_jump_catches_up_in_closed_form() {
+    // One arrival 5·10⁸ windows into the feed: the windows it skips are
+    // empty, so they close in closed form with at most one re-solve
+    // instead of one close (and one solve) per window.
+    let mut ctl = controller();
+    let feed = "altroute-feed v1 nodes=4\na 1e9 0 1\n";
+    let mut out = Vec::new();
+    let summary = run_feed(&mut ctl, BufReader::new(feed.as_bytes()), &mut out, None)
+        .expect("the feed is clean");
+    assert_eq!(summary.rejected, 0);
+    assert_eq!(ctl.arrivals(), 1);
+    assert_eq!(ctl.windows(), 500_000_000);
+    assert!(ctl.solves() <= 2, "{} re-solves", ctl.solves());
+    assert!(
+        ctl.levels().iter().all(|&r| r == 0),
+        "an idle feed reserves nothing"
+    );
+}

@@ -24,7 +24,6 @@ use altroute_simcore::kernel::{
     RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
 };
 pub use altroute_simcore::pool::Fanout;
-use altroute_simcore::shard::{self, Partition, ShardSpec};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 
@@ -105,7 +104,6 @@ impl BorrowTables {
 /// The borrowing route selector: local channel first (primary tier),
 /// then each neighbour's co-cell set in ascending id order (alternate
 /// tier), admission-checked cell by cell.
-#[derive(Clone, Copy)]
 struct BorrowSelector<'p> {
     grid: &'p CellGrid,
     tables: &'p BorrowTables,
@@ -113,13 +111,6 @@ struct BorrowSelector<'p> {
 }
 
 impl<'p> RouteSelector<'p> for BorrowSelector<'p> {
-    /// Stateless and a pure function of the arriving cell and the
-    /// occupancy view of its footprint (own cell plus every lender's
-    /// co-cell set) — safe for the sharded backend.
-    fn shardable(&self) -> bool {
-        true
-    }
-
     fn select<A: AdmissionPolicy>(
         &mut self,
         src: usize,
@@ -161,19 +152,14 @@ impl<'p> RouteSelector<'p> for BorrowSelector<'p> {
 /// offered `loads[i]` Erlangs per cell, as `fanout` directs, and returns
 /// across-seed blocking — the simulator's one replication entry.
 ///
-/// With `fanout.shards` set each replication runs on the sharded kernel
-/// backend with cells ("links") contiguously partitioned: a cell's
-/// footprint is its own channel pool plus every neighbour lender's
-/// 3-cell co-cell set, so on a row-partitioned grid most cells are
-/// shard-local and only the partition-boundary rows route through the
-/// coordinator. With `fanout.window` set every replication records
+/// With `fanout.window` set every replication records
 /// time-resolved telemetry, merged across seeds in seed order. Results
 /// are identical for every `fanout`.
 ///
 /// # Panics
 ///
 /// Panics if `loads.len() != grid.num_cells()`, a load is invalid, the
-/// parameters are degenerate, or the worker or shard count is zero.
+/// parameters are degenerate, or the worker count is zero.
 pub fn run_cellular(
     grid: &CellGrid,
     loads: &[f64],
@@ -184,29 +170,6 @@ pub fn run_cellular(
     validate(grid, loads, params);
     let protection = cell_protection_levels(loads, grid.capacity());
     let tables = BorrowTables::new(grid);
-    let shards = fanout.shards.map(|n| {
-        // One footprint per loaded cell, in the source order
-        // build_parts emits: the cell itself plus every lender's
-        // co-cell set.
-        let footprints: Vec<Vec<usize>> = loads
-            .iter()
-            .enumerate()
-            .filter(|&(_, &load)| load > 0.0)
-            .map(|(cell, _)| {
-                let mut fp = vec![cell];
-                for &lender in grid.neighbors(cell) {
-                    fp.extend_from_slice(&tables.sets[lender]);
-                }
-                fp.sort_unstable();
-                fp.dedup();
-                fp
-            })
-            .collect();
-        (
-            ShardSpec::new(grid.num_cells(), n, Partition::Contiguous),
-            footprints,
-        )
-    });
     let (per_seed, telemetry) = fanout.replicate(
         params.seeds as usize,
         |window| {
@@ -216,7 +179,6 @@ pub fn run_cellular(
         RunTelemetry::merge,
         |scratch, i, telemetry| {
             let seed = params.base_seed + i as u64;
-            let shards = shards.as_ref().map(|(spec, fp)| (spec, fp.as_slice()));
             match telemetry {
                 Some(t) => run_one(
                     grid,
@@ -226,7 +188,6 @@ pub fn run_cellular(
                     &tables,
                     params,
                     seed,
-                    shards,
                     t,
                     scratch,
                 ),
@@ -238,7 +199,6 @@ pub fn run_cellular(
                     &tables,
                     params,
                     seed,
-                    shards,
                     &mut NullRecorder,
                     scratch,
                 ),
@@ -364,7 +324,6 @@ fn run_one<R: Recorder>(
     tables: &BorrowTables,
     params: &CellularParams,
     seed: u64,
-    shards: Option<(&ShardSpec, &[Vec<usize>])>,
     recorder: &mut R,
     scratch: &mut KernelScratch,
 ) -> (u64, u64, u64) {
@@ -377,7 +336,7 @@ fn run_one<R: Recorder>(
         link_events: &[],
         initial_occupancy: &[],
     };
-    let selector = BorrowSelector {
+    let mut selector = BorrowSelector {
         grid,
         tables,
         borrowing: policy != BorrowPolicy::NoBorrowing,
@@ -386,49 +345,23 @@ fn run_one<R: Recorder>(
         recorder: &mut *recorder,
     };
     let outcome = match policy {
-        BorrowPolicy::Controlled => dispatch(
+        BorrowPolicy::Controlled => kernel::run_pooled(
             &spec,
-            shards,
             &mut TrunkReservation::new(protection.to_vec()),
-            selector,
+            &mut selector,
             &mut observer,
             scratch,
         ),
-        BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => dispatch(
+        BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => kernel::run_pooled(
             &spec,
-            shards,
             &mut Uncontrolled,
-            selector,
+            &mut selector,
             &mut observer,
             scratch,
         ),
     };
     recorder.finish(params.warmup + params.horizon);
     (outcome.offered, outcome.blocked, outcome.carried_alternate)
-}
-
-/// One kernel invocation, on the sharded backend when `shards` asks for
-/// it (which falls back to the serial kernel by itself).
-fn dispatch<A: AdmissionPolicy + Clone + Send, O: kernel::KernelObserver>(
-    spec: &KernelSpec<'_>,
-    shards: Option<(&ShardSpec, &[Vec<usize>])>,
-    admission: &mut A,
-    mut selector: BorrowSelector<'_>,
-    observer: &mut O,
-    scratch: &mut KernelScratch,
-) -> kernel::KernelOutcome {
-    match shards {
-        Some((shards, footprints)) => shard::run_sharded(
-            spec,
-            shards,
-            footprints,
-            admission,
-            &mut selector,
-            observer,
-            scratch,
-        ),
-        None => kernel::run_pooled(spec, admission, &mut selector, observer, scratch),
-    }
 }
 
 #[cfg(test)]
@@ -505,10 +438,8 @@ mod tests {
 
     #[test]
     fn fanout_never_changes_results() {
-        // Worker count and sharding are scheduling details. On a
-        // row-partitioned grid interior rows are shard-local and the
-        // boundary rows cross shards and go through the coordinator;
-        // results must be bit-identical either way, for every policy.
+        // The worker count is a scheduling detail: results must be
+        // bit-identical for every worker count and every policy.
         let grid = CellGrid::new(4, 4, 15);
         let mut loads = vec![11.0; 16];
         loads[2] = 0.0; // a silent cell keeps source/cell indices distinct
@@ -519,20 +450,13 @@ mod tests {
             BorrowPolicy::Controlled,
         ] {
             let serial = run_on(&grid, &loads, policy, &params, workers(1));
-            let pooled = run_on(&grid, &loads, policy, &params, workers(4));
-            assert_eq!(serial.per_seed, pooled.per_seed, "{policy:?} on 4 workers");
-            assert_eq!(serial.blocking, pooled.blocking);
-            for num_shards in [1, 2, 4, 8] {
-                let sharded = Fanout {
-                    shards: Some(num_shards),
-                    ..workers(1)
-                };
-                let sharded = run_on(&grid, &loads, policy, &params, sharded);
+            for count in [2, 4] {
+                let pooled = run_on(&grid, &loads, policy, &params, workers(count));
                 assert_eq!(
-                    serial.per_seed, sharded.per_seed,
-                    "{policy:?} at {num_shards} shards"
+                    serial.per_seed, pooled.per_seed,
+                    "{policy:?} on {count} workers"
                 );
-                assert_eq!(serial.blocking, sharded.blocking);
+                assert_eq!(serial.blocking, pooled.blocking);
             }
         }
     }
@@ -542,12 +466,10 @@ mod tests {
         let grid = CellGrid::new(3, 3, 10);
         let loads = vec![8.0; 9];
         let plain = run(&grid, &loads, BorrowPolicy::Controlled, &quick());
-        // Recording keeps the parallel path when sharded, too.
-        for shards in [None, Some(3)] {
+        for count in [1, 3] {
             let fanout = Fanout {
-                shards,
                 window: Some(5.0),
-                ..Fanout::default()
+                ..workers(count)
             };
             let (r, telemetry) =
                 run_cellular(&grid, &loads, BorrowPolicy::Controlled, &quick(), &fanout);

@@ -12,7 +12,7 @@
 //! subcommand (see [`bless`]) after an *intentional* behaviour change,
 //! and the new bytes are reviewed like any other diff. The same
 //! scenarios drive the run-parity harness ([`scenario_runs`]): every
-//! combination of [`Run`] options must reproduce the serial oracle.
+//! combination of [`Run`] options must reproduce the plain oracle.
 
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
@@ -24,7 +24,6 @@ use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{diff_traces, BinaryTraceWriter, TraceDiff};
 use altroute_simcore::kernel::KernelScratch;
 use altroute_simcore::pool::pool_run_with;
-use altroute_simcore::shard::{Partition, ShardSpec};
 use altroute_telemetry::RunTelemetry;
 use std::path::PathBuf;
 
@@ -195,17 +194,14 @@ pub fn scenario_replications(name: &str, seeds: u32, workers: usize) -> Vec<Seed
 }
 
 /// One combination of [`Run`] options for the run-parity harness
-/// ([`scenario_runs`]). The default is the serial oracle: cold start,
-/// serial kernel, no observers, a fresh scratch arena per seed.
+/// ([`scenario_runs`]). The default is the plain oracle: cold start,
+/// no observers, a fresh scratch arena per seed.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Warm-start every link at this percentage of its capacity
     /// (rounded down; 0 is an explicit all-zero warm start, 100 is
     /// saturated). `None` is a cold start.
     pub warm_fill: Option<u32>,
-    /// Run on the sharded backend with this many shards and this link
-    /// partition. `None` is the serial kernel.
-    pub shards: Option<(usize, Partition)>,
     /// Attach a [`BinaryTraceWriter`] — the golden-trace sink.
     pub sink: bool,
     /// Attach a [`RunTelemetry`] recorder on ten windows.
@@ -228,13 +224,13 @@ pub struct ScenarioRun {
 /// Runs `seeds` replications of scenario `name` (seed `i` uses the
 /// scenario seed + `i`) through one [`Run`] configured per `options` —
 /// the run-parity harness. Warm start aside, no option may change a
-/// byte of the results: every combination must match the serial
+/// byte of the results: every combination must match the plain
 /// oracle, traces and telemetry included, and a cold traced run of the
 /// first seed *is* the checked-in golden trace.
 ///
 /// # Panics
 ///
-/// Panics on an unknown scenario name or an invalid shard spec.
+/// Panics on an unknown scenario name.
 pub fn scenario_runs(name: &str, seeds: u32, options: &RunOptions) -> Vec<ScenarioRun> {
     let s = scenario(name);
     let initial: Vec<u32> = match options.warm_fill {
@@ -247,14 +243,11 @@ pub fn scenario_runs(name: &str, seeds: u32, options: &RunOptions) -> Vec<Scenar
             .map(|l| (u64::from(l.capacity) * u64::from(percent) / 100) as u32)
             .collect(),
     };
-    let shards = options.shards.as_ref().map(|(count, partition)| {
-        ShardSpec::new(s.plan.topology().num_links(), *count, partition.clone())
-    });
     let mut scratch = KernelScratch::new();
     (0..u64::from(seeds))
         .map(|i| {
             let config = s.config(i);
-            let run = Run::new(&config).warm(&initial).shards(shards.as_ref());
+            let run = Run::new(&config).warm(&initial);
             let run = if options.recycled_scratch {
                 run.scratch(&mut scratch)
             } else {

@@ -1,21 +1,15 @@
 //! Run-parity regression: every option of a [`Run`] other than a warm
 //! start is an execution detail. On every golden scenario, each
 //! combination of {cold, zero-fill, half-full, saturated warm start} ×
-//! {serial, 3 shards contiguous, 3 shards round-robin} × {no sink,
-//! golden sink} × {no recorder, `RunTelemetry`} × {fresh, recycled
-//! scratch} must reproduce the serial oracle byte for byte — counters
-//! and engine metrics, trace bytes, and telemetry alike — and the cold
-//! traced run of the first seed must be the checked-in golden trace.
-//!
-//! A trace sink forces the serial fallback inside the sharded backend
-//! (its bytes embed call handles), a recorder alone keeps the parallel
-//! path (its hooks are replayed at the barriers in global event order),
-//! and a warm start always serializes; this suite pins all three.
+//! {no sink, golden sink} × {no recorder, `RunTelemetry`} × {fresh,
+//! recycled scratch} must reproduce the plain oracle byte for byte —
+//! counters and engine metrics, trace bytes, and telemetry alike — and
+//! the cold traced run of the first seed must be the checked-in golden
+//! trace.
 //!
 //! [`Run`]: altroute_sim::engine::Run
 
 use altroute_conformance::golden::{golden_names, golden_path, scenario_runs, RunOptions};
-use altroute_simcore::shard::Partition;
 
 const SEEDS: u32 = 2;
 
@@ -40,7 +34,7 @@ fn every_run_combination_matches_the_serial_oracle() {
                     "{name}: all-zero warm start diverged from cold"
                 );
             }
-            // The serial instrumented oracle: trace and telemetry of
+            // The instrumented oracle: trace and telemetry of
             // every seed, observed together.
             let observed = scenario_runs(
                 name,
@@ -59,38 +53,31 @@ fn every_run_combination_matches_the_serial_oracle() {
                     "{name}: cold traced run diverged from the golden trace"
                 );
             }
-            for shards in [
-                None,
-                Some((3, Partition::Contiguous)),
-                Some((3, Partition::RoundRobin)),
-            ] {
-                for sink in [false, true] {
-                    for recorder in [false, true] {
-                        for recycled_scratch in [false, true] {
-                            let options = RunOptions {
-                                warm_fill,
-                                shards: shards.clone(),
-                                sink,
-                                recorder,
-                                recycled_scratch,
-                            };
-                            let runs = scenario_runs(name, SEEDS, &options);
-                            for (i, run) in runs.iter().enumerate() {
-                                let label = format!("{name} seed {i} {options:?}");
-                                assert_eq!(run.result, plain[i].result, "{label}: result");
+            for sink in [false, true] {
+                for recorder in [false, true] {
+                    for recycled_scratch in [false, true] {
+                        let options = RunOptions {
+                            warm_fill,
+                            sink,
+                            recorder,
+                            recycled_scratch,
+                        };
+                        let runs = scenario_runs(name, SEEDS, &options);
+                        for (i, run) in runs.iter().enumerate() {
+                            let label = format!("{name} seed {i} {options:?}");
+                            assert_eq!(run.result, plain[i].result, "{label}: result");
+                            assert_eq!(
+                                run.result.metrics, plain[i].result.metrics,
+                                "{label}: metrics"
+                            );
+                            if sink {
+                                assert_eq!(run.trace, observed[i].trace, "{label}: trace");
+                            }
+                            if recorder {
                                 assert_eq!(
-                                    run.result.metrics, plain[i].result.metrics,
-                                    "{label}: metrics"
+                                    run.telemetry, observed[i].telemetry,
+                                    "{label}: telemetry"
                                 );
-                                if sink {
-                                    assert_eq!(run.trace, observed[i].trace, "{label}: trace");
-                                }
-                                if recorder {
-                                    assert_eq!(
-                                        run.telemetry, observed[i].telemetry,
-                                        "{label}: telemetry"
-                                    );
-                                }
                             }
                         }
                     }

@@ -99,12 +99,6 @@ impl<'p> RouteSelector<'p> for TieredSelector<'p> {
         }
         Selection::Blocked
     }
-
-    /// Stateless and a pure function of the pair's candidate-path
-    /// links, so shard-local clones are equivalent to the original.
-    fn shardable(&self) -> bool {
-        true
-    }
 }
 
 /// The Ott–Krishnan separable shadow-price rule: among the pair's
@@ -180,19 +174,9 @@ impl<'p> RouteSelector<'p> for OttKrishnanSelector<'p> {
             _ => Selection::Blocked,
         }
     }
-
-    /// The shadow-price tables are static and the decision reads only
-    /// the pair's candidate links, so shard-local clones are
-    /// equivalent to the original.
-    fn shardable(&self) -> bool {
-        true
-    }
 }
 
 /// Dynamic alternative routing with sticky random resampling (DAR).
-/// Deliberately **not** [`RouteSelector::shardable`]: the sticky state
-/// and the private resampling stream evolve with every overflow, so
-/// shard-local clones would diverge from the single-threaded oracle.
 ///
 /// Each pair remembers one *current* alternate. A call tries its
 /// primary; if the primary refuses, it tries the sticky alternate (at
@@ -290,11 +274,7 @@ impl<'p> RouteSelector<'p> for DarStickySelector<'p> {
     }
 }
 
-/// Balanced-allocation DAR — "best of d". Deliberately **not**
-/// [`RouteSelector::shardable`] for the same reason as
-/// [`DarStickySelector`]: the private sampling stream advances on every
-/// overflow, so shard-local clones would diverge from the
-/// single-threaded oracle.
+/// Balanced-allocation DAR — "best of d".
 ///
 /// A call tries its primary; if the primary refuses, the pair samples
 /// `d` alternates uniformly at random (with replacement) and carries

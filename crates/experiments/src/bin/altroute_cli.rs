@@ -962,7 +962,6 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
         base_seed: config.base_seed,
     };
     let window = resolve_window(flags, params.warmup, params.horizon)?;
-    flags.reject_worker_shard_conflict()?;
     let server = flags.bind_server(path)?;
     let heartbeat = flags
         .progress
@@ -1072,14 +1071,6 @@ fn print_summary_output(
 fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
-    flags.reject_worker_shard_conflict()?;
-    if flags.shards.is_some() {
-        eprintln!(
-            "note: the adaptive controller's measurement tick observes every \
-             event, which requires the serial kernel; --shards is accepted but \
-             each replication runs serially"
-        );
-    }
     let plan = exp.plan_for(PolicyKind::ControlledAlternate {
         max_hops: config.max_hops,
     });
@@ -1093,11 +1084,7 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
         });
     }
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
-    let fanout = Fanout {
-        workers: flags.worker_count(),
-        shards: None,
-        ..flags.fanout(window, None)
-    };
+    let fanout = flags.fanout(window, None);
     let (per_seed, summary, telemetry) = replicate_adaptive(
         &plan,
         exp.traffic(),
@@ -1162,7 +1149,6 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
 fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
-    flags.reject_worker_shard_conflict()?;
     let fanout = flags.fanout(window, None);
     // Two classes carved from the config traffic: a 1-unit class at the
     // configured load and a 4-unit wideband class at a tenth of it.
@@ -1270,13 +1256,6 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
 fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
-    if flags.shards.is_some() {
-        eprintln!(
-            "note: the signaling simulator drives its own hop-by-hop event loop, \
-             which requires the serial kernel; --shards is accepted but each \
-             replication runs serially"
-        );
-    }
     let hop_delay = flags.hop_delay.unwrap_or(2e-4);
     if !(hop_delay.is_finite() && hop_delay >= 0.0) {
         return Err(format!("--hop-delay must be >= 0, got {hop_delay}"));
@@ -1313,10 +1292,7 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
             horizon: config.horizon,
             seed: config.base_seed,
         };
-        let fanout = Fanout {
-            shards: None,
-            ..flags.fanout(window, None)
-        };
+        let fanout = flags.fanout(window, None);
         let (per_seed, summary, telemetry) = replicate_signaling(
             &plan,
             exp.traffic(),
@@ -1718,7 +1694,6 @@ struct Flags {
     policy: Option<String>,
     hop_delay: Option<f64>,
     workers: Option<usize>,
-    shards: Option<usize>,
     d: Option<u32>,
     preset: Option<String>,
     nodes: Option<usize>,
@@ -1752,9 +1727,6 @@ impl Flags {
         }
         if self.workers.is_some() {
             v.push("--workers");
-        }
-        if self.shards.is_some() {
-            v.push("--shards");
         }
         if self.d.is_some() {
             v.push("--d");
@@ -1794,36 +1766,15 @@ impl Flags {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// The replication fan-out the flags select: with `--shards` every
-    /// replication runs on that many link shards and replications run
-    /// one at a time; otherwise `--workers` threads (default: every
-    /// core) fan replications out. `--telemetry` records on
-    /// `window`-wide windows.
+    /// The replication fan-out the flags select: `--workers` threads
+    /// (default: every core) fan replications out, and `--telemetry`
+    /// records on `window`-wide windows.
     fn fanout<'a>(&self, window: f64, progress: Option<&'a dyn ProgressObserver>) -> Fanout<'a> {
         Fanout {
-            workers: if self.shards.is_some() {
-                1
-            } else {
-                self.worker_count()
-            },
-            shards: self.shards,
+            workers: self.worker_count(),
             progress,
             window: self.telemetry.is_some().then_some(window),
         }
-    }
-
-    /// `--workers` parallelizes *across* replications while `--shards`
-    /// parallelizes *within* each one; combining them would oversubscribe
-    /// the machine, so the CLI treats the pair as a usage error.
-    fn reject_worker_shard_conflict(&self) -> Result<(), String> {
-        if self.workers.is_some() && self.shards.is_some() {
-            return Err(
-                "--workers parallelizes across replications and --shards within \
-                 each one; pass at most one of the two"
-                    .into(),
-            );
-        }
-        Ok(())
     }
 
     /// Rejects any set flag the subcommand does not accept.
@@ -1859,7 +1810,6 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                 | "policy"
                 | "hop-delay"
                 | "workers"
-                | "shards"
                 | "d"
                 | "preset"
                 | "nodes"
@@ -1909,13 +1859,6 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                         "omit the flag to use all {} available cores",
                         default_workers()
                     ),
-                )?)
-            }
-            "shards" => {
-                flags.shards = Some(parse_count(
-                    &value.expect("takes_value"),
-                    "--shards",
-                    "omit the flag or pass 1 for the serial kernel",
                 )?)
             }
             "d" => {
@@ -1995,7 +1938,6 @@ fn run() -> Result<(), String> {
                     "--window",
                     "--policy",
                     "--workers",
-                    "--shards",
                     "--d",
                     "--serve",
                 ],
@@ -2037,7 +1979,6 @@ fn run() -> Result<(), String> {
                     "--telemetry",
                     "--window",
                     "--workers",
-                    "--shards",
                     "--serve",
                 ],
             )?;
@@ -2046,26 +1987,14 @@ fn run() -> Result<(), String> {
         ["multirate", config] => {
             flags.allow_only(
                 "multirate",
-                &[
-                    "--metrics-json",
-                    "--telemetry",
-                    "--window",
-                    "--workers",
-                    "--shards",
-                ],
+                &["--metrics-json", "--telemetry", "--window", "--workers"],
             )?;
             cmd_multirate(config, &flags)
         }
         ["signaling", config] => {
             flags.allow_only(
                 "signaling",
-                &[
-                    "--metrics-json",
-                    "--telemetry",
-                    "--window",
-                    "--hop-delay",
-                    "--shards",
-                ],
+                &["--metrics-json", "--telemetry", "--window", "--hop-delay"],
             )?;
             cmd_signaling(config, &flags)
         }
@@ -2091,13 +2020,13 @@ fn run() -> Result<(), String> {
                   protect LOAD CAP H | \
                   simulate CONFIG.json [--metrics-json] [--progress] \
                   [--telemetry DIR] [--window W] [--policy NAME] \
-                  [--workers N] [--shards S] [--serve ADDR] | \
+                  [--workers N] [--serve ADDR] | \
                   adaptive CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--workers N] [--shards S] [--serve ADDR] | \
+                  [--workers N] [--serve ADDR] | \
                   multirate CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--workers N] [--shards S] | \
+                  [--workers N] | \
                   signaling CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--hop-delay D] [--shards S] | \
+                  [--hop-delay D] | \
                   metastability [--preset smoke|paper] [--nodes N] [--d K] \
                   [--window W] [--metrics-json] [--telemetry DIR] [--serve ADDR] | \
                   largemesh [--preset smoke|full] [--nodes N] [--metrics-json] | \

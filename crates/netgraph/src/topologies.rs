@@ -172,41 +172,6 @@ pub fn grid(rows: usize, cols: usize, capacity: u32) -> Topology {
     t
 }
 
-/// `clusters` disjoint full meshes of `cluster_size` nodes each, every
-/// directed link with `capacity` circuits.
-///
-/// Nodes are numbered cluster-major (cluster `k` owns nodes
-/// `k·cluster_size .. (k+1)·cluster_size`) and links are created
-/// cluster by cluster, so **link ids are cluster-contiguous**: a
-/// contiguous link partition over `clusters` shards aligns exactly
-/// with the cluster boundaries. With intra-cluster traffic only, every
-/// demand's routing footprint stays inside one cluster — the
-/// embarrassingly parallel best case for the sharded kernel backend,
-/// which is exactly what the multi-core scaling benchmark measures.
-///
-/// The topology is intentionally disconnected (no inter-cluster
-/// links); pairs in different clusters simply have no paths and must
-/// carry no traffic.
-///
-/// # Panics
-///
-/// Panics if `clusters == 0` or `cluster_size < 2`.
-pub fn clustered_mesh(clusters: usize, cluster_size: usize, capacity: u32) -> Topology {
-    assert!(clusters > 0, "need at least one cluster");
-    assert!(cluster_size >= 2, "a cluster needs at least 2 nodes");
-    let mut t = Topology::new();
-    t.add_nodes(clusters * cluster_size);
-    for k in 0..clusters {
-        let base = k * cluster_size;
-        for i in 0..cluster_size {
-            for j in (i + 1)..cluster_size {
-                t.add_duplex(base + i, base + j, capacity);
-            }
-        }
-    }
-    t
-}
-
 /// A deterministic pseudo-random connected mesh: a ring (guaranteeing
 /// strong connectivity) plus `extra_edges` chords chosen by a seeded
 /// xorshift generator.
@@ -464,36 +429,6 @@ mod tests {
         // 3*3 horizontal + 2*4 vertical undirected edges, duplexed.
         assert_eq!(g.num_links(), 2 * (3 * 3 + 2 * 4));
         assert!(g.is_strongly_connected());
-    }
-
-    #[test]
-    fn clustered_mesh_links_are_cluster_contiguous() {
-        let (clusters, size, cap) = (3, 4, 7);
-        let t = clustered_mesh(clusters, size, cap);
-        assert_eq!(t.num_nodes(), clusters * size);
-        let per_cluster = size * (size - 1); // directed links per full mesh
-        assert_eq!(t.num_links(), clusters * per_cluster);
-        for k in 0..clusters {
-            let base = k * size;
-            for i in 0..size {
-                for j in 0..size {
-                    if i == j {
-                        continue;
-                    }
-                    let l = t
-                        .link_between(base + i, base + j)
-                        .expect("intra-cluster pair must be linked");
-                    assert!(
-                        (k * per_cluster..(k + 1) * per_cluster).contains(&l),
-                        "link {l} of cluster {k} outside its contiguous id range"
-                    );
-                    assert_eq!(t.link(l).capacity, cap);
-                }
-            }
-        }
-        // No inter-cluster links at all.
-        assert!(t.link_between(0, size).is_none());
-        assert!(!t.is_strongly_connected());
     }
 
     #[test]

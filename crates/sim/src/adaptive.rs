@@ -197,8 +197,7 @@ pub fn run_adaptive_seed(
 /// replication entry. Per-seed results come back in seed order and are
 /// identical for every `fanout`; with `fanout.window` set, every
 /// replication also records time-resolved telemetry, merged in seed
-/// order. The controller's tick observes every event, so replications
-/// always run on the serial kernel (`fanout.shards` is ignored).
+/// order.
 ///
 /// # Panics
 ///

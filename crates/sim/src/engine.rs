@@ -12,9 +12,8 @@
 //! [`PolicyKind`] to its (`AdmissionPolicy`, `RouteSelector`) pair — and
 //! the adapter that feeds kernel observations to the [`TraceSink`] and
 //! [`Recorder`] hooks. Everything else a run can vary (warm start,
-//! selector ticks, sharded backend, scratch reuse, reference queue,
-//! observers) is an option on the one [`Run`] value, not a separate
-//! entry point. The conformance crate's golden traces pin the event
+//! selector ticks, scratch reuse, observers) is an option on the one
+//! [`Run`] value, not a separate entry point. The conformance crate's golden traces pin the event
 //! stream and every counter.
 //!
 //! **Common random numbers.** Each pair draws its inter-arrival times,
@@ -34,12 +33,10 @@ use altroute_core::select::{
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelObserver, KernelOutcome,
-    KernelScratch, KernelSpec, Link, LinkEvent, RouteSelector, Tier, TrunkReservation,
-    Uncontrolled,
+    KernelScratch, KernelSpec, LinkEvent, RouteSelector, Tier, TrunkReservation, Uncontrolled,
 };
 use altroute_simcore::metrics::EngineMetrics;
 use altroute_simcore::rng::StreamFactory;
-use altroute_simcore::shard::{self, ShardSpec};
 use altroute_telemetry::{ArrivalOutcome, NullRecorder, Recorder};
 
 /// The RNG stream id of the DAR selector's private resampling stream.
@@ -179,39 +176,75 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
     fn event_processed(&mut self, now: f64, queue_len: usize) {
         self.recorder.event(now, queue_len);
     }
+}
 
-    fn is_noop(&self) -> bool {
-        // Compile-time: true only for (NullTraceSink, NullRecorder), so
-        // the sharded backend engages exactly on uninstrumented runs and
-        // every traced/recorded run keeps the serial event order.
-        S::IS_NOOP && R::IS_NOOP
-    }
-
-    fn replayable(&self) -> bool {
-        // Compile-time: [`Recorder`] hooks never see call handles or any
-        // other shard-local identifier — times, tags, links, and flags
-        // only — so recorder-only instrumentation tolerates barrier
-        // replay and keeps the sharded fast path. A real trace sink
-        // writes `(call, gen)` handles byte-for-byte and must keep the
-        // serial oracle.
-        S::IS_NOOP
-    }
+/// Binds `$admission` and `$selector` to the `(AdmissionPolicy,
+/// RouteSelector)` pair the configured [`PolicyKind`] of `$config` (a
+/// [`RunConfig`]) runs on, and evaluates `$body` with both in scope —
+/// the one policy dispatch table, shared by [`Run::execute`] and the
+/// tests' `BinaryHeap` reference oracle. Each policy is a pair on the
+/// same kernel:
+///
+/// | policy        | admission                    | selector              |
+/// |---------------|------------------------------|-----------------------|
+/// | single-path   | capacity only                | tiered, no alternates |
+/// | uncontrolled  | capacity only                | tiered                |
+/// | controlled    | trunk reservation (Eq. 15)   | tiered                |
+/// | ott-krishnan  | (internal to the price test) | shadow-price argmin   |
+/// | dar           | trunk reservation (Eq. 15)   | sticky random         |
+/// | bod           | trunk reservation (Eq. 15)   | best-of-d sampling    |
+macro_rules! with_policy {
+    ($config:expr, |$admission:ident, $selector:ident| $body:expr) => {{
+        let RunConfig {
+            plan, policy, seed, ..
+        } = $config;
+        let reservation = || TrunkReservation::new(plan.protection_levels().to_vec());
+        match policy {
+            PolicyKind::SinglePath => {
+                let ($admission, $selector) =
+                    (&mut Uncontrolled, &mut TieredSelector::single_path(plan));
+                $body
+            }
+            PolicyKind::UncontrolledAlternate { .. } => {
+                let ($admission, $selector) = (&mut Uncontrolled, &mut TieredSelector::new(plan));
+                $body
+            }
+            PolicyKind::ControlledAlternate { .. } => {
+                let ($admission, $selector) = (&mut reservation(), &mut TieredSelector::new(plan));
+                $body
+            }
+            PolicyKind::OttKrishnan { .. } => {
+                let ($admission, $selector) =
+                    (&mut Uncontrolled, &mut OttKrishnanSelector::new(plan));
+                $body
+            }
+            PolicyKind::DarSticky { .. } => {
+                let rng = StreamFactory::new(seed).stream(DAR_RESAMPLE_STREAM);
+                let ($admission, $selector) =
+                    (&mut reservation(), &mut DarStickySelector::new(plan, rng));
+                $body
+            }
+            PolicyKind::BestOfD { d, .. } => {
+                let rng = StreamFactory::new(seed).stream(BOD_SAMPLE_STREAM);
+                let ($admission, $selector) =
+                    (&mut reservation(), &mut BestOfDSelector::new(plan, d, rng));
+                $body
+            }
+        }
+    }};
 }
 
 /// One replication, described once: a [`RunConfig`] plus the optional
 /// execution details of the run — a warm start, a selector tick, a
-/// sharded backend, a recycled scratch arena, the `BinaryHeap`
-/// reference queue, a [`TraceSink`], and a [`Recorder`]. Every way the
-/// workspace runs a seed goes through this one value and its two
-/// executors: [`Run::execute`] for a named [`PolicyKind`] and
+/// recycled scratch arena, a [`TraceSink`], and a [`Recorder`]. Every
+/// way the workspace runs a seed goes through this one value and its
+/// two executors: [`Run::execute`] for a named [`PolicyKind`] and
 /// [`Run::execute_with`] for an explicit `(admission, selector)` pair.
 ///
 /// None of the options is a model change. Sink and recorder are pure
-/// observers, the scratch arena recycles capacity and never state, and
-/// the sharded backend and the reference queue are execution
-/// strategies — the [`SeedResult`] is byte-identical under every
-/// combination (the conformance crate's run-parity suite pins this).
-/// Only a warm start and a tick interval change what is simulated.
+/// observers and the scratch arena recycles capacity and never state,
+/// so the [`SeedResult`] is byte-identical under every combination (the
+/// conformance crate's run-parity suite pins this). Only a warm start and a tick interval change what is simulated.
 ///
 /// Sink and recorder are type parameters, so the default
 /// ([`NullTraceSink`], [`NullRecorder`]) monomorphizes to nothing and a
@@ -222,7 +255,6 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
 /// use altroute_netgraph::{topologies, traffic::TrafficMatrix};
 /// use altroute_sim::engine::{Run, RunConfig};
 /// use altroute_sim::failures::FailureSchedule;
-/// use altroute_simcore::shard::{Partition, ShardSpec};
 /// use altroute_telemetry::RunTelemetry;
 ///
 /// let traffic = TrafficMatrix::uniform(4, 80.0);
@@ -237,38 +269,30 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
 ///     seed: 7,
 ///     failures: &failures,
 /// };
-/// let shards = ShardSpec::new(plan.topology().num_links(), 2, Partition::Contiguous);
 /// let mut telemetry = RunTelemetry::new(2.0, 10.0, 1.0, vec![100; 12]);
-/// let sharded = Run::new(&config)
-///     .shards(Some(&shards))
-///     .recorder(&mut telemetry)
-///     .execute();
-/// assert_eq!(sharded, Run::new(&config).execute());
-/// assert_eq!(telemetry.offered, sharded.offered);
+/// let recorded = Run::new(&config).recorder(&mut telemetry).execute();
+/// assert_eq!(recorded, Run::new(&config).execute());
+/// assert_eq!(telemetry.offered, recorded.offered);
 /// ```
 #[must_use = "a Run does nothing until executed"]
 pub struct Run<'a, S = NullTraceSink, R = NullRecorder> {
     config: RunConfig<'a>,
     initial_occupancy: &'a [u32],
     tick_interval: Option<f64>,
-    shards: Option<&'a ShardSpec>,
     scratch: Option<&'a mut KernelScratch>,
-    reference_queue: bool,
     sink: S,
     recorder: R,
 }
 
 impl<'a> Run<'a> {
-    /// A cold, serial, unobserved replication of `config` on a fresh
-    /// scratch arena.
+    /// A cold, unobserved replication of `config` on a fresh scratch
+    /// arena.
     pub fn new(config: &RunConfig<'a>) -> Self {
         Self {
             config: *config,
             initial_occupancy: &[],
             tick_interval: None,
-            shards: None,
             scratch: None,
-            reference_queue: false,
             sink: NullTraceSink,
             recorder: NullRecorder,
         }
@@ -301,39 +325,11 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
         self
     }
 
-    /// Runs on the sharded parallel backend (`None` is the serial
-    /// kernel): links are partitioned per `shards`, shard-local traffic
-    /// runs on worker threads, and cross-shard traffic is serialized
-    /// through a coordinator under conservative time-window
-    /// synchronization.
-    ///
-    /// The backend takes the serial kernel itself whenever a
-    /// precondition fails: one shard, a warm start, a tick interval, a
-    /// non-shardable selector (DAR's sticky state), a real trace sink
-    /// (its bytes embed call handles only the serial oracle
-    /// reproduces), or no shard-local traffic. A recorder alone keeps
-    /// the parallel path: its hooks carry no call handles, so they are
-    /// buffered per shard and replayed at the barriers in global event
-    /// order. [`Run::execute_with`] always runs serially (sharding
-    /// needs `Clone + Send` policies), as does the reference queue.
-    pub fn shards(mut self, shards: Option<&'a ShardSpec>) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Recycles `scratch` (event-queue buckets, call table, link index,
     /// RNG streams) instead of allocating a fresh arena — what the
     /// replication pools hand each worker's scratch to.
     pub fn scratch(mut self, scratch: &'a mut KernelScratch) -> Self {
         self.scratch = Some(scratch);
-        self
-    }
-
-    /// Runs on the comparison-based `BinaryHeap` event queue instead of
-    /// the calendar queue — the differential and benchmark baseline.
-    /// Always serial; only the wall clock differs.
-    pub fn reference_queue(mut self) -> Self {
-        self.reference_queue = true;
         self
     }
 
@@ -344,9 +340,7 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
             config: self.config,
             initial_occupancy: self.initial_occupancy,
             tick_interval: self.tick_interval,
-            shards: self.shards,
             scratch: self.scratch,
-            reference_queue: self.reference_queue,
             sink,
             recorder: self.recorder,
         }
@@ -360,17 +354,14 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
             config: self.config,
             initial_occupancy: self.initial_occupancy,
             tick_interval: self.tick_interval,
-            shards: self.shards,
             scratch: self.scratch,
-            reference_queue: self.reference_queue,
             sink: self.sink,
             recorder,
         }
     }
 
     /// Runs the replication under the configured [`PolicyKind`] and
-    /// returns its counters, on the sharded backend when
-    /// [`Run::shards`] asked for one.
+    /// returns its counters.
     ///
     /// # Panics
     ///
@@ -379,9 +370,7 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
     /// one entry per link or over capacity) or if an internal invariant
     /// breaks (a policy admitting over a full link).
     pub fn execute(self) -> SeedResult {
-        let RunConfig {
-            plan, policy, seed, ..
-        } = self.config;
+        let RunConfig { plan, policy, .. } = self.config;
         if let Some(h) = policy.max_hops() {
             assert_eq!(
                 h,
@@ -389,46 +378,14 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
                 "policy hop bound must match the plan's H"
             );
         }
-        // Each policy is an (admission, selector) pair on the same kernel:
-        //
-        // | policy        | admission                    | selector            |
-        // |---------------|------------------------------|---------------------|
-        // | single-path   | capacity only                | tiered, no alternates |
-        // | uncontrolled  | capacity only                | tiered              |
-        // | controlled    | trunk reservation (Eq. 15)   | tiered              |
-        // | ott-krishnan  | (internal to the price test) | shadow-price argmin |
-        // | dar           | trunk reservation (Eq. 15)   | sticky random       |
-        // | bod           | trunk reservation (Eq. 15)   | best-of-d sampling  |
-        let reservation = || TrunkReservation::new(plan.protection_levels().to_vec());
-        match policy {
-            PolicyKind::SinglePath => {
-                self.execute_shardable(&mut Uncontrolled, &mut TieredSelector::single_path(plan))
-            }
-            PolicyKind::UncontrolledAlternate { .. } => {
-                self.execute_shardable(&mut Uncontrolled, &mut TieredSelector::new(plan))
-            }
-            PolicyKind::ControlledAlternate { .. } => {
-                self.execute_shardable(&mut reservation(), &mut TieredSelector::new(plan))
-            }
-            PolicyKind::OttKrishnan { .. } => {
-                self.execute_shardable(&mut Uncontrolled, &mut OttKrishnanSelector::new(plan))
-            }
-            PolicyKind::DarSticky { .. } => {
-                let rng = StreamFactory::new(seed).stream(DAR_RESAMPLE_STREAM);
-                self.execute_shardable(&mut reservation(), &mut DarStickySelector::new(plan, rng))
-            }
-            PolicyKind::BestOfD { d, .. } => {
-                let rng = StreamFactory::new(seed).stream(BOD_SAMPLE_STREAM);
-                self.execute_shardable(&mut reservation(), &mut BestOfDSelector::new(plan, d, rng))
-            }
-        }
+        with_policy!(self.config, |admission, selector| self
+            .execute_with(admission, selector))
     }
 
     /// Runs the replication with an explicit `(admission, selector)`
     /// pair instead of the configured [`PolicyKind`] — the extension
     /// point for policies that are not named variants (online
-    /// controllers, instrumented wrappers). Always on the serial kernel:
-    /// the policies need not be `Clone` or `Send`.
+    /// controllers, instrumented wrappers).
     ///
     /// # Panics
     ///
@@ -439,38 +396,8 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
         A: AdmissionPolicy,
         Sel: RouteSelector<'p>,
     {
-        let reference_queue = self.reference_queue;
         self.drive(|spec, observer, scratch| {
-            if reference_queue {
-                kernel::run_reference(spec, admission, selector, observer)
-            } else {
-                kernel::run_pooled(spec, admission, selector, observer, scratch)
-            }
-        })
-    }
-
-    /// [`Run::execute_with`] for policies the sharded backend can
-    /// replicate per shard: the one place that picks serial or sharded.
-    fn execute_shardable<'p, A, Sel>(self, admission: &mut A, selector: &mut Sel) -> SeedResult
-    where
-        A: AdmissionPolicy + Clone + Send,
-        Sel: RouteSelector<'p> + Clone + Send,
-    {
-        let shards = match self.shards {
-            Some(shards) if !self.reference_queue => shards,
-            _ => return self.execute_with(admission, selector),
-        };
-        let footprints = pair_footprints(self.config.plan, self.config.traffic);
-        self.drive(|spec, observer, scratch| {
-            shard::run_sharded(
-                spec,
-                shards,
-                &footprints,
-                admission,
-                selector,
-                observer,
-                scratch,
-            )
+            kernel::run_pooled(spec, admission, selector, observer, scratch)
         })
     }
 
@@ -559,32 +486,6 @@ where
         .sink(sink)
         .recorder(recorder)
         .execute_with(admission, selector)
-}
-
-/// The link footprint of every demand pair, in `demands()` order (the
-/// same order [`build_spec`] emits arrival sources): the union of the
-/// links on the pair's primary split paths and on every alternate
-/// candidate path, sorted and deduplicated.
-///
-/// This is the full set of links a call from that source can ever
-/// book, so the sharded backend can classify the source as shard-local
-/// (footprint within one shard) or cross-shard (coordinator-handled).
-pub fn pair_footprints(plan: &RoutingPlan, traffic: &TrafficMatrix) -> Vec<Vec<Link>> {
-    traffic
-        .demands()
-        .map(|(i, j, _)| {
-            let mut fp: Vec<Link> = Vec::new();
-            for (path, _) in plan.primaries().split(i, j) {
-                fp.extend_from_slice(path.links());
-            }
-            for path in plan.candidates(i, j) {
-                fp.extend_from_slice(path.links());
-            }
-            fp.sort_unstable();
-            fp.dedup();
-            fp
-        })
-        .collect()
 }
 
 /// Builds the kernel's static description of this run: one arrival
@@ -684,7 +585,6 @@ fn finish_seed<R: Recorder>(
 mod tests {
     use super::*;
     use altroute_netgraph::topologies;
-    use altroute_simcore::shard::Partition;
     use altroute_teletraffic::erlang::erlang_b;
 
     fn single_link_plan(capacity: u32, load: f64) -> (RoutingPlan, TrafficMatrix) {
@@ -1064,16 +964,10 @@ mod tests {
     #[test]
     fn every_run_option_matches_the_serial_oracle_for_every_policy() {
         // Differential check across the whole policy dispatch: the
-        // reference queue, a scratch arena recycled across policies, the
-        // sharded backend at several shard counts (with and without a
-        // recorder), and recorder-only runs must all reproduce the plain
-        // serial run's counters exactly — and recorded runs its
-        // telemetry. Three instances: the quadrangle with an outage
-        // (overlapping pairs keep the cross-shard coordinator busy and
-        // teardown hooks cross the master/owner split; DAR takes the
-        // serial fallback); disjoint clusters, where with a
-        // cluster-aligned contiguous partition every source is
-        // shard-local and the run genuinely fans out; and the quadrangle
+        // `BinaryHeap` reference queue, a scratch arena recycled across
+        // policies, and recorder-only runs must all reproduce the plain
+        // run's counters exactly. Two instances: the quadrangle with an
+        // outage (teardown hooks reach the recorder), and the quadrangle
         // shape at C=1000 under 900 Erlang/pair with link 0-1 down 1.0 of
         // every 2.5, where ~10k concurrent calls keep the event queue
         // deep while mass teardowns and re-arrivals churn it — the
@@ -1086,28 +980,7 @@ mod tests {
             let plan = RoutingPlan::min_hop(topologies::quadrangle(), &traffic, 3);
             let link01 = plan.topology().link_between(0, 1).unwrap();
             let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-            (plan, traffic, failures, 3, (5.0, 30.0), vec![1, 2, 4])
-        };
-        let clusters = {
-            let (clusters, size) = (3, 3);
-            let traffic = TrafficMatrix::from_fn(clusters * size, |i, j| {
-                if i != j && i / size == j / size {
-                    9.0
-                } else {
-                    0.0
-                }
-            });
-            let plan =
-                RoutingPlan::min_hop(topologies::clustered_mesh(clusters, size, 15), &traffic, 2);
-            // Every footprint stays within one cluster's link range.
-            let per_cluster = size * (size - 1);
-            for fp in pair_footprints(&plan, &traffic) {
-                assert!(!fp.is_empty());
-                let c = fp[0] / per_cluster;
-                assert!(fp.iter().all(|&l| l / per_cluster == c));
-            }
-            let failures = FailureSchedule::none();
-            (plan, traffic, failures, 2, (5.0, 30.0), vec![1, 2, 3, 6])
+            (plan, traffic, failures, 3, (5.0, 30.0))
         };
         let deep_outage = {
             let traffic = TrafficMatrix::uniform(4, 900.0);
@@ -1117,12 +990,10 @@ mod tests {
             for down in [1.0, 3.5] {
                 failures = failures.with_outage(link01, down, down + 1.0);
             }
-            (plan, traffic, failures, 3, (0.5, 4.5), vec![2])
+            (plan, traffic, failures, 3, (0.5, 4.5))
         };
         let mut scratch = KernelScratch::new();
-        for (plan, traffic, failures, h, (warmup, horizon), shard_counts) in
-            [quadrangle, clusters, deep_outage]
-        {
+        for (plan, traffic, failures, h, (warmup, horizon)) in [quadrangle, deep_outage] {
             let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
             for policy in [
                 PolicyKind::SinglePath,
@@ -1143,40 +1014,24 @@ mod tests {
                 };
                 let oracle = run_seed(&config);
                 let window = (horizon - warmup) / 5.0;
-                let telemetry = || RunTelemetry::new(warmup, horizon, window, capacities.clone());
-                let mut oracle_t = telemetry();
+                let mut oracle_t = RunTelemetry::new(warmup, horizon, window, capacities.clone());
                 let recorded = Run::new(&config).recorder(&mut oracle_t).execute();
                 assert_eq!(oracle, recorded, "{policy:?} recorded");
                 assert!(
                     failures.events().is_empty() || oracle_t.dropped > 0,
                     "{policy:?}: the outage must reach the recorder"
                 );
-                let reference = Run::new(&config).reference_queue().execute();
+                let reference = with_policy!(config, |admission, selector| {
+                    Run::new(&config).drive(|spec, observer, _| {
+                        kernel::run_reference(spec, admission, selector, observer)
+                    })
+                });
                 assert_eq!(oracle, reference, "{policy:?} reference");
                 assert_eq!(
                     oracle,
                     run_seed_pooled(&config, &mut scratch),
                     "{policy:?} pooled"
                 );
-                for &count in &shard_counts {
-                    let shards =
-                        ShardSpec::new(plan.topology().num_links(), count, Partition::Contiguous);
-                    let sharded = Run::new(&config)
-                        .shards(Some(&shards))
-                        .scratch(&mut scratch)
-                        .execute();
-                    assert_eq!(oracle, sharded, "{policy:?} at {count} shards");
-                    let mut sharded_t = telemetry();
-                    let sharded = Run::new(&config)
-                        .shards(Some(&shards))
-                        .recorder(&mut sharded_t)
-                        .execute();
-                    assert_eq!(oracle, sharded, "{policy:?} recorded at {count} shards");
-                    assert_eq!(
-                        oracle_t, sharded_t,
-                        "{policy:?} telemetry at {count} shards"
-                    );
-                }
             }
         }
     }

@@ -22,7 +22,6 @@ use altroute_netgraph::graph::Topology;
 use altroute_netgraph::paths::min_hop_path;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::metrics::EngineMetrics;
-use altroute_simcore::shard::{Partition, ShardSpec};
 use altroute_simcore::stats::Replications;
 use altroute_telemetry::{RunTelemetry, SpanProfile};
 
@@ -186,25 +185,21 @@ impl Experiment {
     ///
     /// Replications are distributed over a pool of `fanout.workers`
     /// threads that write each seed's result into its own slot, so
-    /// results are positionally ordered; with `fanout.shards` set, each
-    /// replication additionally runs on the sharded kernel backend with
-    /// its links contiguously partitioned (policies that cannot shard,
-    /// like DAR's sticky state, silently take the serial fallback).
-    /// With `fanout.window` set, every replication records counters,
+    /// results are positionally ordered. With `fanout.window` set, every replication records counters,
     /// histograms, and sim-time windowed series, merged in seed order
     /// into one [`RunTelemetry`] snapshot whose wall-clock span profile
     /// (`plan_build`, `seed_warmup`, `seed_measurement`,
     /// `replication_fan_out`, `aggregation`) is excluded from equality.
     ///
     /// The result and the snapshot's deterministic fields are
-    /// byte-identical for every `fanout`: workers and shards are
-    /// scheduling details and telemetry is a pure observer (the
+    /// byte-identical for every `fanout`: the worker count is a
+    /// scheduling detail and telemetry is a pure observer (the
     /// conformance suite pins this down, `EngineMetrics` included).
     ///
     /// # Panics
     ///
-    /// Panics if `params.seeds`, `fanout.workers`, or `fanout.shards`
-    /// is zero, or a telemetry window is not positive.
+    /// Panics if `params.seeds` or `fanout.workers` is zero, or a
+    /// telemetry window is not positive.
     pub fn replicate(
         &self,
         kind: PolicyKind,
@@ -214,9 +209,6 @@ impl Experiment {
         assert!(params.seeds > 0, "need at least one replication");
         let mut spans = SpanProfile::new();
         let plan = spans.time("plan_build", || self.plan_for(kind));
-        let shards = fanout
-            .shards
-            .map(|n| ShardSpec::new(plan.topology().num_links(), n, Partition::Contiguous));
         let capacities: Vec<u32> = self.topo.links().iter().map(|l| l.capacity).collect();
         let fanout_started = std::time::Instant::now();
         let (per_seed, telemetry) = fanout.replicate(
@@ -233,7 +225,7 @@ impl Experiment {
                     seed: params.base_seed + i as u64,
                     failures: &self.failures,
                 };
-                let run = Run::new(&config).scratch(scratch).shards(shards.as_ref());
+                let run = Run::new(&config).scratch(scratch);
                 match telemetry {
                     Some(telemetry) => run.recorder(telemetry).execute(),
                     None => run.execute(),
@@ -525,12 +517,10 @@ mod tests {
 
     #[test]
     fn fanout_never_changes_results() {
-        // The bounded replication pool and intra-replication sharding
-        // must both be pure scheduling details: the same seed set through
-        // 1 worker, through N workers, and on S shards must produce
-        // byte-identical SeedResults, EngineMetrics included (wall clock
-        // is excluded from metric equality by design). DAR exercises the
-        // sharded backend's serial fallback.
+        // The bounded replication pool must be a pure scheduling detail:
+        // the same seed set through 1 worker and through N workers must
+        // produce byte-identical SeedResults, EngineMetrics included
+        // (wall clock is excluded from metric equality by design).
         let exp =
             Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, 85.0)).unwrap();
         let params = SimParams {
@@ -544,28 +534,19 @@ mod tests {
             PolicyKind::ControlledAlternate { max_hops: 3 },
             PolicyKind::DarSticky { max_hops: 3 },
         ] {
-            let run = |workers, shards| {
+            let run = |workers| {
                 let fanout = Fanout {
                     workers,
-                    shards,
                     ..Fanout::default()
                 };
                 exp.replicate(kind, &params, &fanout).0
             };
-            let sequential = run(1, None);
-            let fanouts = [
-                (2, None),
-                (8, None),
-                (32, None),
-                (1, Some(1)),
-                (4, Some(2)),
-                (2, Some(4)),
-            ];
-            for (workers, shards) in fanouts {
-                let other = run(workers, shards);
+            let sequential = run(1);
+            for workers in [2, 8, 32] {
+                let other = run(workers);
                 assert_eq!(
                     sequential.per_seed, other.per_seed,
-                    "{kind:?} with {workers} workers, {shards:?} shards diverged from sequential"
+                    "{kind:?} with {workers} workers diverged from sequential"
                 );
                 for (a, b) in sequential.per_seed.iter().zip(&other.per_seed) {
                     assert_eq!(a.metrics, b.metrics);

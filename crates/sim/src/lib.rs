@@ -8,8 +8,7 @@
 //!   times**, as in the paper), exponential unit-mean holding times,
 //!   warm-up deletion, scheduled link failures/repairs. One replication
 //!   is one [`Run`]: a [`RunConfig`] plus optional warm start, selector
-//!   tick, sharded backend, scratch arena, reference queue, trace sink,
-//!   and recorder, executed for a named policy or an explicit
+//!   tick, scratch arena, trace sink, and recorder, executed for a named policy or an explicit
 //!   (admission, selector) pair.
 //! * [`experiment`] — the multi-seed experiment runner: replications in
 //!   parallel (a bounded scoped-thread worker pool), across-seed
@@ -19,8 +18,8 @@
 //! Every simulator here has exactly one multi-seed entry —
 //! [`Experiment::replicate`], [`multirate::run_multirate`],
 //! [`adaptive::replicate_adaptive`], [`signaling::replicate_signaling`]
-//! — and each takes a [`Fanout`] (worker count, shard count, progress
-//! observer, telemetry window) that changes how replications execute,
+//! — and each takes a [`Fanout`] (worker count, progress observer,
+//! telemetry window) that changes how replications execute,
 //! never what they return.
 //! * [`failures`] — failure schedules (static disabled links and timed
 //!   down/up events).
@@ -69,6 +68,6 @@ pub mod multirate;
 pub mod signaling;
 pub mod trace;
 
-pub use engine::{apply_static_failures, pair_footprints, run_seed, Run, RunConfig, SeedResult};
+pub use engine::{apply_static_failures, run_seed, Run, RunConfig, SeedResult};
 pub use experiment::{Experiment, ExperimentError, ExperimentResult, Fanout, SimParams};
 pub use failures::FailureSchedule;

@@ -29,11 +29,10 @@ use altroute_core::select::TieredSelector;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelObserver, KernelOutcome,
-    KernelScratch, KernelSpec, Link, LinkEvent, TrunkReservation, Uncontrolled,
+    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkEvent, TrunkReservation,
+    Uncontrolled,
 };
 use altroute_simcore::pool::Fanout;
-use altroute_simcore::shard::{self, Partition, ShardSpec};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 use altroute_teletraffic::reservation::protection_level;
@@ -158,11 +157,7 @@ fn build_plan(
 /// per-link vector (reservation-sensitivity studies, and the
 /// conformance suite's `r = 0` reduction: all-zero levels must make the
 /// controlled policy coincide with the uncontrolled one, bit for bit).
-/// With `fanout.shards` set each replication runs on the sharded kernel
-/// backend — the tiered selector is a pure function of the call and its
-/// footprint-restricted link view, so sharding is purely an execution
-/// strategy, with or without a telemetry recorder attached. With
-/// `fanout.window` set every replication records time-resolved
+/// With `fanout.window` set every replication records time-resolved
 /// telemetry, merged across seeds in seed order.
 ///
 /// The result is identical for every `fanout`: replications are merged
@@ -171,8 +166,7 @@ fn build_plan(
 /// # Panics
 ///
 /// Panics on inconsistent sizes, empty classes, invalid parameters, a
-/// `levels` vector not one entry per link, or a zero worker or shard
-/// count.
+/// `levels` vector not one entry per link, or a zero worker count.
 pub fn run_multirate(
     topo: &Topology,
     classes: &[BandwidthClass],
@@ -188,19 +182,6 @@ pub fn run_multirate(
         assert_eq!(levels.len(), topo.num_links(), "one level per link");
         mp.levels = levels.to_vec();
     }
-    let shards = fanout.shards.map(|n| {
-        // One footprint per (class, pair) source, in the class-major
-        // order build_parts emits them; all classes of a pair share its
-        // paths.
-        let footprints: Vec<Vec<Link>> = classes
-            .iter()
-            .flat_map(|class| crate::engine::pair_footprints(&mp.plan, &class.traffic))
-            .collect();
-        (
-            ShardSpec::new(topo.num_links(), n, Partition::Contiguous),
-            footprints,
-        )
-    });
     let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
     let (runs, telemetry) = fanout.replicate(
         params.seeds as usize,
@@ -208,11 +189,8 @@ pub fn run_multirate(
         RunTelemetry::merge,
         |scratch, i, telemetry| {
             let seed = params.base_seed + i as u64;
-            let shards = shards.as_ref().map(|(spec, fp)| (spec, fp.as_slice()));
             match telemetry {
-                Some(t) => run_one(
-                    &mp, classes, policy, params, seed, failures, shards, t, scratch,
-                ),
+                Some(t) => run_one(&mp, classes, policy, params, seed, failures, t, scratch),
                 None => run_one(
                     &mp,
                     classes,
@@ -220,7 +198,6 @@ pub fn run_multirate(
                     params,
                     seed,
                     failures,
-                    shards,
                     &mut NullRecorder,
                     scratch,
                 ),
@@ -346,7 +323,6 @@ fn run_one<R: Recorder>(
     params: &MultirateParams,
     seed: u64,
     failures: &FailureSchedule,
-    shards: Option<(&ShardSpec, &[Vec<Link>])>,
     recorder: &mut R,
     scratch: &mut KernelScratch,
 ) -> OneRun {
@@ -366,27 +342,24 @@ fn run_one<R: Recorder>(
         recorder: &mut *recorder,
     };
     let outcome = match policy {
-        MultiratePolicy::SinglePath => dispatch(
+        MultiratePolicy::SinglePath => kernel::run_pooled(
             &spec,
-            shards,
             &mut Uncontrolled,
-            TieredSelector::single_path(plan),
+            &mut TieredSelector::single_path(plan),
             &mut observer,
             scratch,
         ),
-        MultiratePolicy::Uncontrolled => dispatch(
+        MultiratePolicy::Uncontrolled => kernel::run_pooled(
             &spec,
-            shards,
             &mut Uncontrolled,
-            TieredSelector::new(plan),
+            &mut TieredSelector::new(plan),
             &mut observer,
             scratch,
         ),
-        MultiratePolicy::Controlled => dispatch(
+        MultiratePolicy::Controlled => kernel::run_pooled(
             &spec,
-            shards,
             &mut TrunkReservation::new(mp.levels.clone()),
-            TieredSelector::new(plan),
+            &mut TieredSelector::new(plan),
             &mut observer,
             scratch,
         ),
@@ -395,30 +368,6 @@ fn run_one<R: Recorder>(
     OneRun {
         offered: outcome.tally_offered,
         blocked: outcome.tally_blocked,
-    }
-}
-
-/// One kernel invocation, on the sharded backend when `shards` asks for
-/// it (which falls back to the serial kernel by itself).
-fn dispatch<A: AdmissionPolicy + Clone + Send, O: KernelObserver>(
-    spec: &KernelSpec<'_>,
-    shards: Option<(&ShardSpec, &[Vec<Link>])>,
-    admission: &mut A,
-    mut selector: TieredSelector<'_>,
-    observer: &mut O,
-    scratch: &mut KernelScratch,
-) -> KernelOutcome {
-    match shards {
-        Some((shards, footprints)) => shard::run_sharded(
-            spec,
-            shards,
-            footprints,
-            admission,
-            &mut selector,
-            observer,
-            scratch,
-        ),
-        None => kernel::run_pooled(spec, admission, &mut selector, observer, scratch),
     }
 }
 
@@ -558,10 +507,8 @@ mod tests {
 
     #[test]
     fn fanout_never_changes_results() {
-        // Worker count and intra-replication sharding must be invisible
-        // in the results, for every policy and shard count (including
-        // shard counts that exceed the link count), with and without a
-        // telemetry recorder riding the sharded run.
+        // The worker count must be invisible in the results, for every
+        // policy, with and without a telemetry recorder riding the run.
         let topo = topologies::quadrangle();
         let classes = [
             BandwidthClass {
@@ -588,18 +535,13 @@ mod tests {
             MultiratePolicy::Controlled,
         ] {
             let serial = run_on(&topo, &classes, policy, &params, &failures, workers(1));
-            let pooled = run_on(&topo, &classes, policy, &params, &failures, workers(4));
-            assert_eq!(serial, pooled, "{policy:?} on 4 workers");
-            for num_shards in [1, 2, 4, 16] {
-                for window in [None, Some(5.0)] {
-                    let sharded = Fanout {
-                        shards: Some(num_shards),
-                        window,
-                        ..workers(1)
-                    };
-                    let sharded = run_on(&topo, &classes, policy, &params, &failures, sharded);
-                    assert_eq!(serial, sharded, "{policy:?} at {num_shards} shards");
-                }
+            for window in [None, Some(5.0)] {
+                let pooled = Fanout {
+                    window,
+                    ..workers(4)
+                };
+                let pooled = run_on(&topo, &classes, policy, &params, &failures, pooled);
+                assert_eq!(serial, pooled, "{policy:?} on 4 workers, window {window:?}");
             }
         }
     }

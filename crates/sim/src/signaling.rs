@@ -175,8 +175,7 @@ pub fn run_signaling(
 /// replication also records time-resolved telemetry, merged in seed
 /// order: the recorder sees each call's *resolution* (booked at the
 /// origin or exhausted) as its arrival record, every booking/release as
-/// occupancy samples, and each protocol event. The protocol runs its
-/// own event loop, so `fanout.shards` is ignored.
+/// occupancy samples, and each protocol event.
 ///
 /// # Panics
 ///

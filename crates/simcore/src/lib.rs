@@ -31,10 +31,8 @@
 //! * [`pool`] — the bounded worker pool for multi-seed replication
 //!   fan-out with positionally deterministic results, and [`Fanout`],
 //!   the one replication helper every simulator's multi-seed entry runs
-//!   through (workers, shards, progress, seed-order telemetry merge).
-//! * [`shard`] — intra-replication parallelism: the kernel's links
-//!   partitioned across worker threads under conservative time-window
-//!   synchronization, byte-identical to the single-threaded oracle.
+//!   through (workers, progress, seed-order telemetry merge). Seeds are
+//!   the only parallel axis: one replication always runs on one thread.
 //! * [`metrics`] — engine observability gauges (event counts, queue and
 //!   call-table peaks, per-link utilization, wall clock) carried on every
 //!   replication result.
@@ -51,7 +49,6 @@ pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod timeweighted;
 
@@ -60,5 +57,4 @@ pub use metrics::EngineMetrics;
 pub use pool::{merge_in_order, pool_run_with, Fanout, ProgressObserver};
 pub use queue::{EventQueue, EventSchedule};
 pub use rng::{RngStream, StreamFactory};
-pub use shard::{run_sharded, Partition, ShardSpec};
 pub use stats::{BlockingSummary, Replications, RunningStats, WarmupCounter};

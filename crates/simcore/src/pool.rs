@@ -81,9 +81,8 @@ pub fn pool_run_with<S, T: Send>(
 }
 
 /// How a set of replications executes: across seeds on a bounded pool
-/// of `workers` threads, optionally within each seed on `shards` link
-/// shards, with an optional progress observer and optional per-seed
-/// telemetry on windows `window` wide. None of it changes a result:
+/// of `workers` threads, with an optional progress observer and
+/// optional per-seed telemetry on windows `window` wide. None of it changes a result:
 /// every simulator's one replication entry takes a `Fanout` and must
 /// return byte-identical results for every value of it (telemetry
 /// recording included — it is a pure observer).
@@ -91,10 +90,6 @@ pub fn pool_run_with<S, T: Send>(
 pub struct Fanout<'a> {
     /// Worker threads replications are spread over.
     pub workers: usize,
-    /// Link shards each replication runs on (`None`: the serial
-    /// kernel). Simulators whose runs cannot shard ignore it, exactly as
-    /// the sharded backend itself falls back to the serial kernel.
-    pub shards: Option<usize>,
     /// Notified after each completed replication.
     pub progress: Option<&'a dyn ProgressObserver>,
     /// Record time-resolved telemetry per replication on windows this
@@ -103,12 +98,10 @@ pub struct Fanout<'a> {
 }
 
 impl Default for Fanout<'_> {
-    /// [`default_workers`] threads, serial kernel, no progress, no
-    /// telemetry.
+    /// [`default_workers`] threads, no progress, no telemetry.
     fn default() -> Self {
         Self {
             workers: default_workers(),
-            shards: None,
             progress: None,
             window: None,
         }

@@ -185,6 +185,12 @@ pub struct LoadEstimator {
 }
 
 impl LoadEstimator {
+    /// 2⁵³: from this window index on, consecutive window boundaries are
+    /// no longer distinct `f64`s, so a time whose window index reaches it
+    /// has no well-defined window. Consumers reject such records (see
+    /// [`in_range`](Self::in_range)).
+    pub const WINDOW_LIMIT: f64 = 9_007_199_254_740_992.0;
+
     /// An estimator for `pairs` demand pairs on `width`-wide windows.
     ///
     /// # Panics
@@ -229,6 +235,12 @@ impl LoadEstimator {
         self.last_time
     }
 
+    /// Whether time `t`'s window index `t / width` lies below
+    /// [`WINDOW_LIMIT`](Self::WINDOW_LIMIT).
+    pub fn in_range(&self, t: f64) -> bool {
+        t / self.width < Self::WINDOW_LIMIT
+    }
+
     /// End time of the currently-accumulating window.
     pub fn current_window_end(&self) -> f64 {
         self.width * (self.window as f64 + 1.0)
@@ -262,6 +274,65 @@ impl LoadEstimator {
         self.window += 1;
         self.windows_completed += 1;
         end
+    }
+
+    /// How many windows lie between the currently-accumulating window
+    /// and the one holding time `t`: the number of further
+    /// [`close_window`] calls the [`pending_boundary`] loop would make
+    /// after closing the current window (0 when `t` is in the current
+    /// window or the next one).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`in_range`](Self::in_range)`(t)`.
+    ///
+    /// [`close_window`]: Self::close_window
+    /// [`pending_boundary`]: Self::pending_boundary
+    pub fn windows_between(&self, t: f64) -> u64 {
+        assert!(self.in_range(t), "time {t} is past the last window");
+        let current = self.window as u64;
+        let mut target = ((t / self.width).floor() as u64).max(current);
+        // `floor(t / width)` can land one off the boundary comparison
+        // the loop makes; settle on that comparison itself.
+        while t >= self.width * (target as f64 + 1.0) {
+            target += 1;
+        }
+        while target > current && t < self.width * target as f64 {
+            target -= 1;
+        }
+        target.saturating_sub(current + 1)
+    }
+
+    /// Closes `k` windows that saw no arrivals — the current one and the
+    /// `k − 1` after it — in closed form: every rate decays by
+    /// `(1 − alpha)^k`, as `k` [`close_window`] calls on empty windows
+    /// would leave it. Returns the last closed window's end time (the
+    /// current window's start when `k = 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the current window holds counts.
+    ///
+    /// [`close_window`]: Self::close_window
+    pub fn close_empty_windows(&mut self, k: u64) -> f64 {
+        debug_assert!(
+            self.counts.iter().all(|&c| c == 0),
+            "closing a window that holds counts as empty"
+        );
+        if k > 0 {
+            // An empty first window is taken raw, which zeroes every rate.
+            let decay = if self.windows_completed == 0 {
+                0.0
+            } else {
+                (1.0 - self.alpha).powf(k as f64)
+            };
+            for rate in &mut self.rates {
+                *rate *= decay;
+            }
+            self.window += k as usize;
+            self.windows_completed += k;
+        }
+        self.width * self.window as f64
     }
 
     /// Folds one *externally counted* window: replaces the current
@@ -385,6 +456,52 @@ mod tests {
         est.close_window();
         assert_eq!(est.rates(), &[0.5]);
         assert_eq!(est.windows_completed(), 3);
+    }
+
+    #[test]
+    fn empty_windows_close_in_closed_form() {
+        for alpha in [0.5, 0.3, 1.0] {
+            let mut looped = LoadEstimator::new(2, 2.0, alpha);
+            looped.record(0.1, 0);
+            looped.record(0.2, 1);
+            looped.record(0.3, 1);
+            looped.close_window();
+            let mut closed = looped.clone();
+            for _ in 0..3 {
+                looped.close_window();
+            }
+            assert_eq!(closed.close_empty_windows(3), 8.0);
+            for (a, b) in looped.rates().iter().zip(closed.rates()) {
+                assert!(
+                    (a - b).abs() <= 1e-12 * a.abs(),
+                    "alpha {alpha}: {a} vs {b}"
+                );
+            }
+            assert_eq!(looped.windows_completed(), closed.windows_completed());
+            assert_eq!(looped.current_window_end(), closed.current_window_end());
+        }
+        // An empty first window is taken raw, like the loop's first close.
+        let mut first = LoadEstimator::new(1, 1.0, 0.5);
+        assert_eq!(first.close_empty_windows(0), 0.0);
+        assert_eq!(first.close_empty_windows(4), 4.0);
+        assert_eq!(first.rates(), &[0.0]);
+        assert_eq!(first.windows_completed(), 4);
+    }
+
+    #[test]
+    fn windows_between_counts_what_the_boundary_loop_closes() {
+        for width in [2.0, 0.1, 0.3] {
+            let mut est = LoadEstimator::new(1, width, 1.0);
+            for t in [0.0, 0.05, 0.3, 0.6, 0.9, 2.0, 2.05, 7.3, 19.99, 1e4] {
+                let predicted = est.windows_between(t);
+                let mut closed = 0u64;
+                while est.pending_boundary(t).is_some() {
+                    est.close_window();
+                    closed += 1;
+                }
+                assert_eq!(predicted, closed.saturating_sub(1), "width {width}, t {t}");
+            }
+        }
     }
 
     #[test]

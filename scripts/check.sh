@@ -6,8 +6,8 @@
 #   scripts/check.sh [stage ...]
 #
 # Stages: fmt | clippy | test | conformance | telemetry |
-# telemetry-overhead | parity | shard-parity | metastability-smoke |
-# largemesh-smoke | altrouted-smoke | perfbench-build | all (default).
+# telemetry-overhead | parity | metastability-smoke | largemesh-smoke |
+# altrouted-smoke | perfbench-build | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
 # containing this script.
 #
@@ -128,8 +128,9 @@ EOF
 # the kernel-backed engine, solo and fanned out (the dedicated test), and
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
-# committed adaptive_estimation, protection_sweep and bursty_arrivals
-# results must reproduce byte for byte.
+# committed fig3_quadrangle, fig6_nsfnet, adaptive_estimation,
+# protection_sweep and bursty_arrivals results must reproduce byte for
+# byte.
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -159,75 +160,20 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
-  # The committed online-estimation, protection-sweep and bursty-arrival
-  # tables and transcripts must be what the code produces (each binary
-  # writes results/ under its working directory).
-  local root="$PWD" bin
-  for bin in adaptive_estimation protection_sweep bursty_arrivals; do
+  # The committed Fig. 3 and Fig. 6 headline tables and the
+  # online-estimation, protection-sweep and bursty-arrival tables, with
+  # their transcripts, must be what the code produces (each binary writes
+  # results/ under its working directory; the figure binaries name their
+  # CSV after both figures they feed).
+  local root="$PWD" bin csv
+  for bin in fig3_quadrangle:fig3_fig4_quadrangle fig6_nsfnet:fig6_fig7_nsfnet \
+             adaptive_estimation protection_sweep bursty_arrivals; do
+    csv=${bin#*:}; bin=${bin%%:*}
     (cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
       -p altroute-experiments --bin "$bin" > "$bin.txt")
     cmp "$tmpdir/$bin.txt" "results/full/$bin.txt"
-    cmp "$tmpdir/results/$bin.csv" "results/$bin.csv"
+    cmp "$tmpdir/results/$csv.csv" "results/$csv.csv"
   done
-}
-
-# Shard parity: the sharded kernel backend must be a pure scheduling
-# detail. The dedicated conformance tests pin byte-parity against the
-# serial oracle (every Run option combination on the golden scenarios,
-# both built-in partitions, and random instances under random
-# partitions); on top of that, fixed-seed CLI runs with and without
-# --shards must render identical output for the engine and multirate
-# frontends — and, with --telemetry, identical deterministic exports
-# (every file, minus the wall-clock span profile).
-stage_shard_parity() {
-  cat > "$tmpdir/shard.json" <<'EOF'
-{
-  "topology": { "builtin": "quadrangle" },
-  "traffic": { "uniform": 90.0 },
-  "policies": ["single-path", "uncontrolled", "controlled"],
-  "max_hops": 3,
-  "warmup": 5.0,
-  "horizon": 40.0,
-  "seeds": 4,
-  "base_seed": 7
-}
-EOF
-  cargo test --release -q -p altroute-conformance --test shard_parity --test run_parity
-  shard_parity() { # <name> <cli args...>: serial vs --shards 3, identical stdout
-    local name="$1"; shift
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      "$@" > "$tmpdir/shard_$name.serial"
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      "$@" --shards 3 > "$tmpdir/shard_$name.sharded"
-    cmp "$tmpdir/shard_$name.serial" "$tmpdir/shard_$name.sharded"
-    grep -q '0\.' "$tmpdir/shard_$name.serial" # a blocking probability rendered
-  }
-  shard_parity simulate  simulate  "$tmpdir/shard.json"
-  shard_parity multirate multirate "$tmpdir/shard.json"
-  # Wall-clock spans: the Prometheus phase_seconds series and the JSON
-  # "spans" array (non-empty arrays only; an empty one is one line).
-  deterministic() {
-    grep -v '_phase_seconds_total' "$1" | sed '/"spans": \[$/,/^ *\],\{0,1\}$/d'
-  }
-  telemetry_parity() { # <name> <cli args...>: --telemetry serial vs --shards 3
-    local name="$1"; shift
-    local serial="$tmpdir/shard_telemetry_$name.serial"
-    local sharded="$tmpdir/shard_telemetry_$name.sharded"
-    rm -rf "$serial" "$sharded"
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      "$@" --telemetry "$serial" > "$serial.out"
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      "$@" --telemetry "$sharded" --shards 3 > "$sharded.out"
-    cmp "$serial.out" "$sharded.out"
-    diff <(ls "$serial") <(ls "$sharded")
-    local f
-    for f in "$serial"/*; do
-      cmp <(deterministic "$f") <(deterministic "$sharded/$(basename "$f")")
-    done
-    grep -q '"offered"' "$serial/telemetry.json" # the exports were written
-  }
-  telemetry_parity simulate  simulate  "$tmpdir/shard.json"
-  telemetry_parity multirate multirate "$tmpdir/shard.json"
 }
 
 # Metastability smoke: the four-arm hysteresis demonstration must run
@@ -396,8 +342,7 @@ stage_perfbench_build() {
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
   fmt clippy test conformance telemetry telemetry-overhead parity
-  shard-parity metastability-smoke largemesh-smoke altrouted-smoke
-  perfbench-build
+  metastability-smoke largemesh-smoke altrouted-smoke perfbench-build
 )
 
 run_stage() {
@@ -409,7 +354,6 @@ run_stage() {
     telemetry)   stage_telemetry ;;
     telemetry-overhead) stage_telemetry_overhead ;;
     parity)      stage_parity ;;
-    shard-parity) stage_shard_parity ;;
     metastability-smoke) stage_metastability_smoke ;;
     largemesh-smoke) stage_largemesh_smoke ;;
     altrouted-smoke) stage_altrouted_smoke ;;

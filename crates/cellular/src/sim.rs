@@ -20,8 +20,8 @@
 use crate::grid::CellGrid;
 use crate::policy::{cell_protection_levels, BorrowPolicy};
 use altroute_simcore::kernel::{
-    self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkOccupancy,
-    RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
+    self, AdmissionPolicy, ArrivalSource, InterArrival, KernelConfig, KernelScratch, KernelSpec,
+    LinkOccupancy, RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
 };
 pub use altroute_simcore::pool::Fanout;
 use altroute_simcore::stats::BlockingSummary;
@@ -302,6 +302,7 @@ fn build_parts(
             bandwidth: 1,
             tag: cell as u32,
             tally: cell as u32,
+            gaps: InterArrival::Exponential,
         })
         .collect();
     let config = KernelConfig {

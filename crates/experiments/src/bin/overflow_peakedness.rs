@@ -17,73 +17,110 @@
 //! the simulated (non-Poisson-overflow) system.
 
 use altroute_experiments::Table;
-use altroute_simcore::queue::EventQueue;
-use altroute_simcore::rng::StreamFactory;
+use altroute_simcore::kernel::{
+    self, AdmissionPolicy, ArrivalSource, InterArrival, KernelConfig, KernelObserver, KernelSpec,
+    Link, LinkOccupancy, RouteSelector, Selection, Tier, Uncontrolled,
+};
 use altroute_simcore::timeweighted::TimeWeighted;
 use altroute_teletraffic::overflow::overflow_moments;
 
-struct Measured {
-    mean: f64,
-    variance: f64,
+/// The direct link (capacity `C`) and the effectively infinite overflow
+/// link.
+const DIRECT: &[Link] = &[0];
+const OVERFLOW: &[Link] = &[1];
+
+/// Takes the direct link while it admits the call, else overflows.
+struct OverflowSelector;
+
+impl RouteSelector<'static> for OverflowSelector {
+    fn select<A: AdmissionPolicy>(
+        &mut self,
+        _src: usize,
+        _dst: usize,
+        _pick: f64,
+        view: &LinkOccupancy,
+        admission: &A,
+        bandwidth: u32,
+    ) -> Selection<'static> {
+        let (links, tier) = if admission.path_admits(view, DIRECT, Tier::Primary, bandwidth) {
+            (DIRECT, Tier::Primary)
+        } else {
+            (OVERFLOW, Tier::Alternate)
+        };
+        Selection::Route { links, tier }
+    }
+}
+
+/// Time-weighted moments of the overflow-calls-in-progress count; the
+/// value after each event persists until the next one.
+struct OverflowOccupancy {
+    over: u32,
+    tw: TimeWeighted,
+}
+
+impl KernelObserver for OverflowOccupancy {
+    fn occupancy_changed(&mut self, _now: f64, link: Link, occupancy: u32) {
+        if link == OVERFLOW[0] {
+            self.over = occupancy;
+        }
+    }
+
+    fn event_processed(&mut self, now: f64, _queue_len: usize) {
+        self.tw.record(now, f64::from(self.over));
+    }
 }
 
 /// Simulates Poisson(`load`) offered to `capacity` circuits; overflow is
-/// carried on an infinite group. Returns time-weighted moments of the
-/// overflow-calls-in-progress count.
-fn simulate_overflow(load: f64, capacity: u32, horizon: f64, seeds: u32) -> Measured {
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Arrival,
-        DirectDeparture,
-        OverflowDeparture,
-    }
-    let mut pooled_mean = 0.0;
-    let mut pooled_sq = 0.0;
-    let mut pooled_time = 0.0;
+/// carried on an infinite group. Returns the pooled time-weighted
+/// `(mean, variance)` of the overflow-calls-in-progress count.
+fn simulate_overflow(load: f64, capacity: u32, horizon: f64, seeds: u32) -> (f64, f64) {
+    let warmup = horizon * 0.1;
+    let sources = [ArrivalSource {
+        stream: 0,
+        src: 0,
+        dst: 1,
+        rate: load,
+        bandwidth: 1,
+        tag: 0,
+        tally: 0,
+        gaps: InterArrival::Exponential,
+    }];
+    let (mut pooled_mean, mut pooled_sq, mut pooled_time) = (0.0, 0.0, 0.0);
     for seed in 0..seeds {
-        let factory = StreamFactory::new(u64::from(seed));
-        let mut stream = factory.stream(0);
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        queue.schedule(stream.exp(load), Ev::Arrival);
-        let (mut direct, mut over) = (0u32, 0u64);
-        let warmup = horizon * 0.1;
-        let mut tw = TimeWeighted::new(warmup);
-        tw.record(0.0, 0.0);
-        while let Some((now, ev)) = queue.pop() {
-            if now >= horizon {
-                break;
-            }
-            tw.record(now, over as f64);
-            match ev {
-                Ev::Arrival => {
-                    let hold = stream.holding_time();
-                    let gap = stream.exp(load);
-                    if now + gap < horizon {
-                        queue.schedule(now + gap, Ev::Arrival);
-                    }
-                    if direct < capacity {
-                        direct += 1;
-                        queue.schedule(now + hold, Ev::DirectDeparture);
-                    } else {
-                        over += 1;
-                        queue.schedule(now + hold, Ev::OverflowDeparture);
-                    }
-                }
-                Ev::DirectDeparture => direct -= 1,
-                Ev::OverflowDeparture => over -= 1,
-            }
-            // The value after processing the event persists until the
-            // next one.
-            tw.record(now, over as f64);
-        }
+        let spec = KernelSpec {
+            config: KernelConfig {
+                warmup,
+                horizon: horizon - warmup,
+                seed: u64::from(seed),
+                draw_pick: false,
+                tick_interval: None,
+                tally_slots: 1,
+            },
+            capacities: &[capacity, u32::MAX / 2],
+            static_down: &[],
+            sources: &sources,
+            link_events: &[],
+            initial_occupancy: &[],
+        };
+        let mut observed = OverflowOccupancy {
+            over: 0,
+            tw: TimeWeighted::new(warmup),
+        };
+        observed.tw.record(0.0, 0.0);
+        kernel::run(
+            &spec,
+            &mut Uncontrolled,
+            &mut OverflowSelector,
+            &mut observed,
+        );
+        let tw = &mut observed.tw;
         tw.finish(horizon);
         pooled_mean += tw.mean() * tw.duration();
         pooled_sq += (tw.variance() + tw.mean() * tw.mean()) * tw.duration();
         pooled_time += tw.duration();
     }
     let mean = pooled_mean / pooled_time;
-    let variance = pooled_sq / pooled_time - mean * mean;
-    Measured { mean, variance }
+    (mean, pooled_sq / pooled_time - mean * mean)
 }
 
 fn main() {
@@ -105,17 +142,13 @@ fn main() {
         (90.0, 100),
     ] {
         let analytic = overflow_moments(load, cap);
-        let sim = simulate_overflow(load, cap, horizon, seeds);
-        let z_sim = if sim.mean > 0.0 {
-            sim.variance / sim.mean
-        } else {
-            1.0
-        };
+        let (mean, variance) = simulate_overflow(load, cap, horizon, seeds);
+        let z_sim = if mean > 0.0 { variance / mean } else { 1.0 };
         table.row([
             format!("{load:.0}"),
             cap.to_string(),
             format!("{:.3}", analytic.mean),
-            format!("{:.3}", sim.mean),
+            format!("{mean:.3}"),
             format!("{:.3}", analytic.peakedness()),
             format!("{z_sim:.3}"),
         ]);

@@ -1,7 +1,8 @@
 //! The event-driven call-by-call simulation engine.
 //!
 //! One [`Run`] reproduces one of the paper's sample runs: start from an
-//! idle network, generate Poisson call arrivals per origin–destination
+//! idle network, generate Poisson call arrivals (or, via
+//! [`Run::arrivals`], H2 renewal arrivals) per origin–destination
 //! pair with exponential unit-mean holding times, warm up for `warmup`
 //! time units, measure for `horizon`, and count offered and blocked
 //! calls (network-wide and per pair). [`run_seed`] is the plain case.
@@ -12,9 +13,10 @@
 //! [`PolicyKind`] to its (`AdmissionPolicy`, `RouteSelector`) pair — and
 //! the adapter that feeds kernel observations to the [`TraceSink`] and
 //! [`Recorder`] hooks. Everything else a run can vary (warm start,
-//! selector ticks, scratch reuse, observers) is an option on the one
-//! [`Run`] value, not a separate entry point. The conformance crate's golden traces pin the event
-//! stream and every counter.
+//! selector ticks, inter-arrival law, scratch reuse, observers) is an
+//! option on the one [`Run`] value, not a separate entry point. The
+//! conformance crate's golden traces pin the event stream and every
+//! counter.
 //!
 //! **Common random numbers.** Each pair draws its inter-arrival times,
 //! holding times, and primary-split picks from its own seed-derived
@@ -32,8 +34,9 @@ use altroute_core::select::{
 };
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelObserver, KernelOutcome,
-    KernelScratch, KernelSpec, LinkEvent, RouteSelector, Tier, TrunkReservation, Uncontrolled,
+    self, AdmissionPolicy, ArrivalSource, InterArrival, KernelConfig, KernelObserver,
+    KernelOutcome, KernelScratch, KernelSpec, LinkEvent, RouteSelector, Tier, TrunkReservation,
+    Uncontrolled,
 };
 use altroute_simcore::metrics::EngineMetrics;
 use altroute_simcore::rng::StreamFactory;
@@ -235,16 +238,18 @@ macro_rules! with_policy {
 }
 
 /// One replication, described once: a [`RunConfig`] plus the optional
-/// execution details of the run — a warm start, a selector tick, a
-/// recycled scratch arena, a [`TraceSink`], and a [`Recorder`]. Every
-/// way the workspace runs a seed goes through this one value and its
-/// two executors: [`Run::execute`] for a named [`PolicyKind`] and
-/// [`Run::execute_with`] for an explicit `(admission, selector)` pair.
+/// execution details of the run — a warm start, a selector tick, an
+/// inter-arrival law, a recycled scratch arena, a [`TraceSink`], and a
+/// [`Recorder`]. Every way the workspace runs a seed goes through this
+/// one value and its two executors: [`Run::execute`] for a named
+/// [`PolicyKind`] and [`Run::execute_with`] for an explicit
+/// `(admission, selector)` pair.
 ///
-/// None of the options is a model change. Sink and recorder are pure
-/// observers and the scratch arena recycles capacity and never state,
-/// so the [`SeedResult`] is byte-identical under every combination (the
-/// conformance crate's run-parity suite pins this). Only a warm start and a tick interval change what is simulated.
+/// Sink and recorder are pure observers and the scratch arena recycles
+/// capacity and never state, so the [`SeedResult`] is byte-identical
+/// under every combination (the conformance crate's run-parity suite
+/// pins this). Only a warm start, a tick interval, and the arrivals
+/// change what is simulated.
 ///
 /// Sink and recorder are type parameters, so the default
 /// ([`NullTraceSink`], [`NullRecorder`]) monomorphizes to nothing and a
@@ -279,6 +284,7 @@ pub struct Run<'a, S = NullTraceSink, R = NullRecorder> {
     config: RunConfig<'a>,
     initial_occupancy: &'a [u32],
     tick_interval: Option<f64>,
+    arrivals: InterArrival,
     scratch: Option<&'a mut KernelScratch>,
     sink: S,
     recorder: R,
@@ -292,6 +298,7 @@ impl<'a> Run<'a> {
             config: *config,
             initial_occupancy: &[],
             tick_interval: None,
+            arrivals: InterArrival::default(),
             scratch: None,
             sink: NullTraceSink,
             recorder: NullRecorder,
@@ -325,6 +332,14 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
         self
     }
 
+    /// Draws every pair's inter-arrival gaps from `arrivals` instead of
+    /// the exponential (Poisson) law, from the same per-pair streams —
+    /// the hook behind the bursty-arrival (assumption A2) experiment.
+    pub fn arrivals(mut self, arrivals: InterArrival) -> Self {
+        self.arrivals = arrivals;
+        self
+    }
+
     /// Recycles `scratch` (event-queue buckets, call table, link index,
     /// RNG streams) instead of allocating a fresh arena — what the
     /// replication pools hand each worker's scratch to.
@@ -340,6 +355,7 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
             config: self.config,
             initial_occupancy: self.initial_occupancy,
             tick_interval: self.tick_interval,
+            arrivals: self.arrivals,
             scratch: self.scratch,
             sink,
             recorder: self.recorder,
@@ -354,6 +370,7 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
             config: self.config,
             initial_occupancy: self.initial_occupancy,
             tick_interval: self.tick_interval,
+            arrivals: self.arrivals,
             scratch: self.scratch,
             sink: self.sink,
             recorder,
@@ -418,7 +435,8 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
             config.plan.topology().num_nodes(),
             "traffic matrix size mismatch"
         );
-        let (capacities, sources, link_events, mut kernel_config) = build_spec(config);
+        let (capacities, sources, link_events, mut kernel_config) =
+            build_spec(config, self.arrivals);
         kernel_config.tick_interval = self.tick_interval;
         let spec = KernelSpec {
             config: kernel_config,
@@ -491,10 +509,12 @@ where
 /// Builds the kernel's static description of this run: one arrival
 /// source per demand pair (stream = tag = tally = pair id, in
 /// `demands()` order — the source order breaks event-queue ties, so it
-/// is part of the determinism contract), the per-link capacities, and
-/// the failure schedule split into static downs and timed events.
+/// is part of the determinism contract — with `arrivals` gaps), the
+/// per-link capacities, and the failure schedule split into static
+/// downs and timed events.
 fn build_spec(
     config: &RunConfig<'_>,
+    arrivals: InterArrival,
 ) -> (Vec<u32>, Vec<ArrivalSource>, Vec<LinkEvent>, KernelConfig) {
     let topo = config.plan.topology();
     let n = topo.num_nodes();
@@ -512,6 +532,7 @@ fn build_spec(
                 bandwidth: 1,
                 tag: pair as u32,
                 tally: pair as u32,
+                gaps: arrivals,
             }
         })
         .collect();
@@ -643,6 +664,30 @@ mod tests {
         let a = run_seed(&cfg);
         let b = run_seed(&cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn exponential_arrivals_are_a_plain_run() {
+        let m = TrafficMatrix::uniform(4, 85.0);
+        let plan = RoutingPlan::min_hop(topologies::quadrangle(), &m, 3);
+        let failures = FailureSchedule::none();
+        let cfg = RunConfig {
+            plan: &plan,
+            policy: PolicyKind::ControlledAlternate { max_hops: 3 },
+            traffic: &m,
+            warmup: 5.0,
+            horizon: 30.0,
+            seed: 1234,
+            failures: &failures,
+        };
+        let plain = run_seed(&cfg);
+        let exp = Run::new(&cfg).arrivals(InterArrival::Exponential);
+        assert_eq!(exp.execute(), plain);
+        // H2 gaps redraw every pair's arrivals from the same streams.
+        let h2 = || Run::new(&cfg).arrivals(InterArrival::Hyperexponential { cv2: 4.0 });
+        let bursty = h2().execute();
+        assert_ne!(bursty, plain);
+        assert_eq!(bursty, h2().execute());
     }
 
     #[test]

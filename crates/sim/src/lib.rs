@@ -3,13 +3,14 @@
 //! This crate reproduces the paper's experimental apparatus (§4):
 //!
 //! * [`engine`] — the event-driven call-by-call simulator: Poisson
-//!   arrivals per origin–destination pair (independent per-pair random
-//!   streams so **every policy sees identical arrivals and holding
-//!   times**, as in the paper), exponential unit-mean holding times,
-//!   warm-up deletion, scheduled link failures/repairs. One replication
-//!   is one [`Run`]: a [`RunConfig`] plus optional warm start, selector
-//!   tick, scratch arena, trace sink, and recorder, executed for a named policy or an explicit
-//!   (admission, selector) pair.
+//!   arrivals per origin–destination pair, or H2 renewal arrivals for
+//!   the assumption-A2 stress (independent per-pair random streams so
+//!   **every policy sees identical arrivals and holding times**, as in
+//!   the paper), exponential unit-mean holding times, warm-up deletion,
+//!   scheduled link failures/repairs. One replication is one [`Run`]: a
+//!   [`RunConfig`] plus optional warm start, selector tick, inter-arrival
+//!   law, scratch arena, trace sink, and recorder, executed for a named
+//!   policy or an explicit (admission, selector) pair.
 //! * [`experiment`] — the multi-seed experiment runner: replications in
 //!   parallel (a bounded scoped-thread worker pool), across-seed
 //!   summaries, per-pair blocking for the fairness/skewness study, and

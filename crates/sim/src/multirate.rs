@@ -29,8 +29,8 @@ use altroute_core::select::TieredSelector;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkEvent, TrunkReservation,
-    Uncontrolled,
+    self, ArrivalSource, InterArrival, KernelConfig, KernelScratch, KernelSpec, LinkEvent,
+    TrunkReservation, Uncontrolled,
 };
 use altroute_simcore::pool::Fanout;
 use altroute_simcore::stats::BlockingSummary;
@@ -292,6 +292,7 @@ fn build_parts(
                 bandwidth: class.bandwidth,
                 tag: (ci * n * n + pair) as u32,
                 tally: ci as u32,
+                gaps: InterArrival::Exponential,
             });
         }
     }

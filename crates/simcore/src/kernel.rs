@@ -1,8 +1,9 @@
 //! The shared discrete-event simulation kernel.
 //!
 //! Every simulator in this repository is the same machine wearing a
-//! different policy: Poisson arrival sources drawing (holding time,
-//! routing pick, next gap) from per-source seed-derived streams, a
+//! different policy: renewal arrival sources (Poisson unless a source
+//! asks for [`InterArrival::Hyperexponential`] gaps) drawing (holding
+//! time, routing pick, next gap) from per-source seed-derived streams, a
 //! stable event queue driven with *peek* semantics (the clock never
 //! passes the end of the measurement window), a generational call table
 //! with a per-link teardown index, warm-up-aware counters, and the
@@ -32,9 +33,10 @@
 //! policy, and selector, the event stream — and therefore the
 //! [`KernelOutcome`] — is a pure function of the configuration. Draws
 //! per arrival happen in a fixed order (holding time, routing pick,
-//! next inter-arrival gap), independent of routing decisions, so two
-//! runs with the same seed offer byte-identical call sequences to any
-//! two policies (the paper's common random numbers).
+//! next inter-arrival gap — an H2 gap draws its phase uniform, then its
+//! exponential), independent of routing decisions, so two runs with the
+//! same seed offer byte-identical call sequences to any two policies
+//! (the paper's common random numbers).
 
 use crate::calendar::CalendarQueue;
 use crate::metrics::EngineMetrics;
@@ -380,7 +382,38 @@ pub struct NullObserver;
 
 impl KernelObserver for NullObserver {}
 
-/// One Poisson arrival source (an O–D pair, a (class, pair), a cell).
+/// The law of a source's inter-arrival gaps, drawn from its own stream.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum InterArrival {
+    /// Exponential gaps (a Poisson source): one `exp` draw per gap.
+    #[default]
+    Exponential,
+    /// Balanced-means two-phase hyperexponential (H2) gaps of squared
+    /// coefficient of variation `cv2`: one phase uniform, then one
+    /// `exp` draw per gap. `cv2 <= 1` draws as `Exponential`.
+    Hyperexponential {
+        /// Squared coefficient of variation of the gaps.
+        cv2: f64,
+    },
+}
+
+impl InterArrival {
+    /// Draws one gap of a source with mean rate `rate` from `stream`.
+    pub fn draw(self, stream: &mut RngStream, rate: f64) -> f64 {
+        match self {
+            Self::Hyperexponential { cv2 } if cv2 > 1.0 => {
+                // Balanced means: p/r1 = (1-p)/r2 = 1/(2 rate).
+                let p = 0.5 * (1.0 + ((cv2 - 1.0) / (cv2 + 1.0)).sqrt());
+                let phase = if stream.uniform() < p { p } else { 1.0 - p };
+                stream.exp(2.0 * phase * rate)
+            }
+            _ => stream.exp(rate),
+        }
+    }
+}
+
+/// One arrival source (an O–D pair, a (class, pair), a cell): a renewal
+/// process of rate `rate` whose gaps follow `gaps`.
 #[derive(Debug, Clone, Copy)]
 pub struct ArrivalSource {
     /// Seed-derived RNG stream id. Stream ids are the common-random-
@@ -398,6 +431,8 @@ pub struct ArrivalSource {
     pub tag: u32,
     /// Index into the per-tally offered/blocked counters.
     pub tally: u32,
+    /// The law of the source's inter-arrival gaps.
+    pub gaps: InterArrival,
 }
 
 /// A scheduled link state change.
@@ -422,8 +457,8 @@ pub struct KernelConfig {
     pub seed: u64,
     /// Whether each arrival draws a routing-pick uniform between its
     /// holding time and next gap (the mesh simulators do; the cellular
-    /// simulator historically does not, and flipping this would shift
-    /// its streams).
+    /// simulator and the overflow-peakedness binary historically do
+    /// not, and flipping this would shift their streams).
     pub draw_pick: bool,
     /// Interval of the selector's periodic [`RouteSelector::tick`], if
     /// any.
@@ -861,7 +896,7 @@ impl LoopState {
                 "source tally out of range"
             );
             let mut stream = factory.stream(source.stream);
-            let first = stream.exp(source.rate);
+            let first = source.gaps.draw(&mut stream, source.rate);
             self.streams.push(stream);
             if first < end {
                 queue.schedule(first, Event::Arrival { source: i as u32 });
@@ -903,7 +938,7 @@ impl LoopState {
         } else {
             0.0
         };
-        let gap = stream.exp(s.rate);
+        let gap = s.gaps.draw(stream, s.rate);
         if now + gap < end {
             queue.schedule(now + gap, Event::Arrival { source });
         }
@@ -1318,6 +1353,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let out = single_link_spec(&[10], &sources);
         assert!(out.offered > 1000);
@@ -1338,10 +1374,54 @@ mod tests {
             bandwidth: 2,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let a = single_link_spec(&[12], &sources);
         let b = single_link_spec(&[12], &sources);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn unit_cv2_hyperexponential_is_the_poisson_source() {
+        let poisson = ArrivalSource {
+            stream: 3,
+            src: 0,
+            dst: 1,
+            rate: 8.0,
+            bandwidth: 1,
+            tag: 0,
+            tally: 0,
+            gaps: InterArrival::Exponential,
+        };
+        let with_gaps = |gaps| [ArrivalSource { gaps, ..poisson }];
+        let exp = single_link_spec(&[10], &[poisson]);
+        let unit = with_gaps(InterArrival::Hyperexponential { cv2: 1.0 });
+        assert_eq!(single_link_spec(&[10], &unit), exp);
+        let bursty = with_gaps(InterArrival::Hyperexponential { cv2: 4.0 });
+        assert_ne!(single_link_spec(&[10], &bursty), exp);
+    }
+
+    #[test]
+    fn hyperexponential_gaps_have_the_configured_mean_and_cv2() {
+        // Balanced-means H2 of rate λ: mean 1/λ, squared CV `cv2`.
+        let (rate, n) = (2.5, 2_000_000);
+        for cv2 in [4.0, 9.0] {
+            let law = InterArrival::Hyperexponential { cv2 };
+            let mut stream = StreamFactory::new(11).stream(0);
+            let (mut sum, mut sq) = (0.0, 0.0);
+            for _ in 0..n {
+                let gap = law.draw(&mut stream, rate);
+                sum += gap;
+                sq += gap * gap;
+            }
+            let mean = sum / f64::from(n);
+            let sample_cv2 = (sq / f64::from(n) - mean * mean) / (mean * mean);
+            assert!((mean * rate - 1.0).abs() < 0.01, "cv2 {cv2}: mean {mean}");
+            assert!(
+                (sample_cv2 / cv2 - 1.0).abs() < 0.05,
+                "cv2 {cv2}: sample cv2 {sample_cv2}"
+            );
+        }
     }
 
     #[test]
@@ -1358,6 +1438,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let events: Vec<LinkEvent> = (0..20)
             .map(|i| LinkEvent {
@@ -1424,6 +1505,7 @@ mod tests {
             bandwidth: 3,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let out = single_link_spec(&[10], &sources);
         assert!(out.metrics.peak_concurrent_calls <= 3);
@@ -1497,6 +1579,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let events = [
             LinkEvent {
@@ -1562,6 +1645,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let spec = KernelSpec {
             config: KernelConfig {
@@ -1599,6 +1683,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 5,
+            gaps: InterArrival::Exponential,
         }];
         single_link_spec(&[5], &sources);
     }
@@ -1682,6 +1767,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let config = KernelConfig {
             warmup: 10.0,
@@ -1711,6 +1797,7 @@ mod tests {
             bandwidth: 1,
             tag: 0,
             tally: 0,
+            gaps: InterArrival::Exponential,
         }];
         let config = KernelConfig {
             warmup: 0.0,

@@ -129,8 +129,8 @@ EOF
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
 # committed fig3_quadrangle, fig6_nsfnet, adaptive_estimation,
-# protection_sweep and bursty_arrivals results must reproduce byte for
-# byte.
+# protection_sweep, bursty_arrivals and overflow_peakedness results must
+# reproduce byte for byte.
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -161,13 +161,14 @@ EOF
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
   # The committed Fig. 3 and Fig. 6 headline tables and the
-  # online-estimation, protection-sweep and bursty-arrival tables, with
-  # their transcripts, must be what the code produces (each binary writes
-  # results/ under its working directory; the figure binaries name their
-  # CSV after both figures they feed).
+  # online-estimation, protection-sweep, bursty-arrival and
+  # overflow-peakedness tables, with their transcripts, must be what the
+  # code produces (each binary writes results/ under its working
+  # directory; the figure binaries name their CSV after both figures they
+  # feed).
   local root="$PWD" bin csv
   for bin in fig3_quadrangle:fig3_fig4_quadrangle fig6_nsfnet:fig6_fig7_nsfnet \
-             adaptive_estimation protection_sweep bursty_arrivals; do
+             adaptive_estimation protection_sweep bursty_arrivals overflow_peakedness; do
     csv=${bin#*:}; bin=${bin%%:*}
     (cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
       -p altroute-experiments --bin "$bin" > "$bin.txt")

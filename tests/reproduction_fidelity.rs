@@ -187,3 +187,77 @@ fn ott_krishnan_underperforms_on_sparse_mesh_at_high_load() {
         "ott-krishnan {ok} vs controlled {controlled}"
     );
 }
+
+/// The header and numeric rows of a committed `results/<name>.csv`
+/// (which `scripts/check.sh parity` pins to the code's output).
+fn pinned_csv(name: &str) -> (Vec<String>, Vec<Vec<f64>>) {
+    let path = format!("{}/results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut lines = text.lines();
+    let header = lines.next().expect("header").split(',').map(String::from);
+    let rows = lines
+        .map(|line| line.split(',').map(|c| c.parse().expect(c)).collect())
+        .collect();
+    (header.collect(), rows)
+}
+
+/// The pinned bursty-arrivals (H2, assumption A2) table keeps the claims
+/// its transcript and EXPERIMENTS.md make: controlled ≤ single-path on
+/// every row, blocking non-decreasing in cv² at each load for every
+/// policy, and at cv² = 4 the uncontrolled avalanche already beats
+/// single-path's blocking at 85 Erlangs.
+#[test]
+fn pinned_bursty_arrivals_table_keeps_its_claims() {
+    let (header, rows) = pinned_csv("bursty_arrivals");
+    assert_eq!(
+        header,
+        ["cv2", "load", "single-path", "uncontrolled", "controlled"]
+    );
+    assert_eq!(rows.len(), 9);
+    for row in &rows {
+        assert!(row[4] <= row[2], "controlled > single-path: {row:?}");
+    }
+    for a in &rows {
+        for b in rows.iter().filter(|b| b[1] == a[1] && b[0] > a[0]) {
+            for policy in 2..5 {
+                assert!(a[policy] <= b[policy], "not monotone in cv2: {a:?} {b:?}");
+            }
+        }
+    }
+    let row = rows.iter().find(|r| r[0] == 4.0 && r[1] == 85.0).unwrap();
+    assert!(
+        row[3] > row[2],
+        "uncontrolled not worse at cv2 4, 85 E: {row:?}"
+    );
+}
+
+/// Relative tolerance between the simulated overflow moments and
+/// Riordan's formula (DESIGN.md quotes the same figure).
+const RIORDAN_TOLERANCE: f64 = 0.03;
+
+/// The pinned overflow-peakedness (assumption A1) table: overflow is
+/// burstier than Poisson on every row, and the simulated mean and
+/// peakedness agree with Riordan's formula within [`RIORDAN_TOLERANCE`].
+#[test]
+fn pinned_overflow_peakedness_table_matches_riordan() {
+    let (header, rows) = pinned_csv("overflow_peakedness");
+    assert_eq!(
+        header,
+        [
+            "load",
+            "capacity",
+            "riordan_mean",
+            "measured_mean",
+            "riordan_z",
+            "measured_z"
+        ]
+    );
+    assert_eq!(rows.len(), 5);
+    for row in &rows {
+        assert!(row[5] > 1.0, "overflow not peaked: {row:?}");
+        for (riordan, measured) in [(row[2], row[3]), (row[4], row[5])] {
+            let rel = (measured - riordan).abs() / riordan;
+            assert!(rel <= RIORDAN_TOLERANCE, "{rel:.4} off Riordan: {row:?}");
+        }
+    }
+}

@@ -300,8 +300,6 @@ fn build_parts(
             dst: cell,
             rate: load,
             bandwidth: 1,
-            tag: cell as u32,
-            tally: cell as u32,
             gaps: InterArrival::Exponential,
         })
         .collect();

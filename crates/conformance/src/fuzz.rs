@@ -44,10 +44,8 @@ use altroute_netgraph::topologies::random_instance;
 use altroute_sim::adaptive::{run_adaptive_seed, AdaptiveConfig, InitialLevels};
 use altroute_sim::engine::{run_seed, Run, RunConfig, SeedResult, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::multirate::{
-    run_multirate, BandwidthClass, MultirateParams, MultiratePolicy, MultirateResult,
-};
-use altroute_sim::Fanout;
+use altroute_sim::multirate::{self, run_multirate, BandwidthClass, MultirateResult};
+use altroute_sim::{Fanout, SimParams};
 use altroute_simcore::kernel::Uncontrolled;
 use altroute_simcore::rng::StreamFactory;
 
@@ -67,7 +65,7 @@ pub struct FuzzReport {
 }
 
 /// Equality of everything except the policy label (the two sides of a
-/// reduction necessarily carry different [`MultiratePolicy`] tags).
+/// reduction necessarily carry different [`PolicyKind`] tags).
 fn multirate_agree(a: &MultirateResult, b: &MultirateResult) -> bool {
     a.blocking == b.blocking
         && a.per_class_blocking == b.per_class_blocking
@@ -296,36 +294,36 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
                 traffic: inst.traffic.scaled(0.2),
             },
         ];
-        let mr_params = MultirateParams {
+        let mr_params = SimParams {
             warmup,
             horizon,
             seeds: 2,
             base_seed: inst_seed ^ 0x3A7E,
-            max_hops: h,
         };
         // r = 0: forcing every protection level to zero must collapse the
         // controlled policy onto the uncontrolled one, bit for bit.
-        let zero_levels = vec![0u32; inst.topology.num_links()];
+        let mr_plan = multirate::plan(&inst.topology, &classes, h);
+        let mr_zero_plan = mr_plan
+            .clone()
+            .with_protection_levels(vec![0; inst.topology.num_links()]);
         let one_worker = Fanout {
             workers: 1,
             ..Fanout::default()
         };
         let (mr_zero, _) = run_multirate(
-            &inst.topology,
+            &mr_zero_plan,
             &classes,
-            MultiratePolicy::Controlled,
+            PolicyKind::ControlledAlternate { max_hops: h },
             &mr_params,
             &failures,
-            Some(&zero_levels),
             &one_worker,
         );
         let (mr_free, _) = run_multirate(
-            &inst.topology,
+            &mr_plan,
             &classes,
-            MultiratePolicy::Uncontrolled,
+            PolicyKind::UncontrolledAlternate { max_hops: h },
             &mr_params,
             &failures,
-            None,
             &one_worker,
         );
         extra_runs += 2 * mr_params.seeds as usize;
@@ -338,26 +336,21 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
         }
         // H = 1: a hop bound of one leaves the primary as the only
         // candidate, so controlled routing degenerates to single-path.
-        let mr_h1_params = MultirateParams {
-            max_hops: 1,
-            ..mr_params
-        };
+        let mr_h1_plan = multirate::plan(&inst.topology, &classes, 1);
         let (mr_h1, _) = run_multirate(
-            &inst.topology,
+            &mr_h1_plan,
             &classes,
-            MultiratePolicy::Controlled,
-            &mr_h1_params,
+            PolicyKind::ControlledAlternate { max_hops: 1 },
+            &mr_params,
             &failures,
-            None,
             &one_worker,
         );
         let (mr_single, _) = run_multirate(
-            &inst.topology,
+            &mr_h1_plan,
             &classes,
-            MultiratePolicy::SinglePath,
-            &mr_h1_params,
+            PolicyKind::SinglePath,
+            &mr_params,
             &failures,
-            None,
             &one_worker,
         );
         extra_runs += 2 * mr_params.seeds as usize;

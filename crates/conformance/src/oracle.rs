@@ -28,8 +28,8 @@ use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::engine::{run_seed, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
-use altroute_sim::Fanout;
+use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
+use altroute_sim::{Fanout, SimParams};
 use altroute_simcore::stats::Replications;
 use altroute_teletraffic::birth_death::BirthDeathChain;
 use altroute_teletraffic::fixed_point::{erlang_fixed_point, Route};
@@ -283,20 +283,18 @@ fn multirate_checks(out: &mut Vec<OracleCheck>) {
                 }
             })
             .collect();
-        let params = MultirateParams {
+        let params = SimParams {
             warmup: WARMUP,
             horizon: HORIZON,
             seeds: SEEDS as u32,
             base_seed: 0x3417_0000 + i as u64 * 89,
-            max_hops: 1,
         };
         let (result, _) = run_multirate(
-            &topo,
+            &multirate::plan(&topo, &bw_classes, 1),
             &bw_classes,
-            MultiratePolicy::SinglePath,
+            PolicyKind::SinglePath,
             &params,
             &FailureSchedule::none(),
-            None,
             &Fanout::default(),
         );
         let kr_classes: Vec<TrafficClass> = classes

@@ -73,11 +73,16 @@
 //! config traffic: a 1-unit class at the configured load and a 4-unit
 //! class at a tenth of it. `signaling` runs the hop-by-hop set-up
 //! protocol at `--hop-delay` (default 0.0002 mean holding times) for
-//! each config policy. `simulate --policy NAME` overrides the config's
-//! policy list with a single policy — `--policy dar` runs the DAR/sticky
-//! selector, which needs no protection-level oracle, and `--policy bod
-//! --d K` runs the best-of-`d` selector (sample `K` tandems per
-//! overflow, pick the least loaded; `--d` defaults to 2).
+//! each config policy. Both read the policy names `simulate` does, and
+//! both refuse, before running anything, a policy they do not model:
+//! `multirate` refuses `ott-krishnan`, `signaling` everything but
+//! `single-path`, `uncontrolled` and `controlled`, and `signaling` also
+//! refuses timed `outages` (it models static failures only).
+//! `simulate --policy NAME` overrides the config's policy list with a
+//! single policy — `--policy dar` runs the DAR/sticky selector, which
+//! needs no protection-level oracle, and `--policy bod --d K` runs the
+//! best-of-`d` selector (sample `K` tandems per overflow, pick the least
+//! loaded; `--d` defaults to 2).
 //!
 //! `metastability` runs the four-arm hysteresis demonstration from
 //! `altroute_experiments::metastability`: the same near-critical load on
@@ -133,8 +138,8 @@ use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig};
 use altroute_sim::experiment::{Experiment, Fanout, ProgressObserver, SimParams};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
-use altroute_sim::signaling::{replicate_signaling, SignalingConfig, SignalingPolicy};
+use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
+use altroute_sim::signaling::{self, replicate_signaling, SignalingConfig};
 use altroute_sim::trace::{decode_trace, TraceRecordKind};
 use altroute_simcore::pool::default_workers;
 use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry};
@@ -488,6 +493,29 @@ fn parse_policy(name: &str, h: u32, d: u32) -> Result<PolicyKind, String> {
              ott-krishnan, dar, bod)"
         )),
     }
+}
+
+/// Parses the config's policy names for the simulator `cmd`, which
+/// models only the policies `models` accepts — all checked before
+/// anything runs. Neither such command takes `--d`, so best-of-d samples
+/// its default 2.
+fn parse_modelled_policies(
+    config: &Config,
+    cmd: &str,
+    models: fn(PolicyKind) -> bool,
+) -> Result<Vec<PolicyKind>, String> {
+    config
+        .policies
+        .iter()
+        .map(|name| {
+            let policy = parse_policy(name, config.max_hops, 2)?;
+            if models(policy) {
+                Ok(policy)
+            } else {
+                Err(format!("{cmd} does not model policy '{name}'"))
+            }
+        })
+        .collect()
 }
 
 /// Parses a config file and builds the experiment (topology, traffic,
@@ -1162,13 +1190,13 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
             traffic: exp.traffic().scaled(0.1),
         },
     ];
-    let params = MultirateParams {
+    let params = SimParams {
         warmup: config.warmup,
         horizon: config.horizon,
         seeds: config.seeds,
         base_seed: config.base_seed,
-        max_hops: config.max_hops,
     };
+    let plan = multirate::plan(exp.topology(), &classes, config.max_hops);
     let mut table = Table::new([
         "policy",
         "call_blocking",
@@ -1179,27 +1207,8 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
     ]);
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
     let mut policy_docs = Vec::new();
-    for name in &config.policies {
-        let policy = match name.as_str() {
-            "single-path" => MultiratePolicy::SinglePath,
-            "uncontrolled" => MultiratePolicy::Uncontrolled,
-            "controlled" => MultiratePolicy::Controlled,
-            other => {
-                return Err(format!(
-                    "multirate does not support policy '{other}' \
-                     (try single-path, uncontrolled, controlled)"
-                ))
-            }
-        };
-        let (r, telemetry) = run_multirate(
-            exp.topology(),
-            &classes,
-            policy,
-            &params,
-            &failures,
-            None,
-            &fanout,
-        );
+    for policy in parse_modelled_policies(&config, "multirate", multirate::models)? {
+        let (r, telemetry) = run_multirate(&plan, &classes, policy, &params, &failures, &fanout);
         if let Some(telemetry) = telemetry {
             snapshots.push((policy.name().to_string(), telemetry));
         }
@@ -1255,6 +1264,12 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
 
 fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
+    if !failures.events().is_empty() {
+        return Err("signaling models static link failures only: \
+                    use 'failed_duplex' instead of 'outages'"
+            .to_string());
+    }
+    let policies = parse_modelled_policies(&config, "signaling", signaling::models)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
     let hop_delay = flags.hop_delay.unwrap_or(2e-4);
     if !(hop_delay.is_finite() && hop_delay >= 0.0) {
@@ -1273,18 +1288,7 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
     ]);
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
     let mut policy_docs = Vec::new();
-    for name in &config.policies {
-        let policy = match name.as_str() {
-            "single-path" => SignalingPolicy::SinglePath,
-            "uncontrolled" => SignalingPolicy::Uncontrolled,
-            "controlled" => SignalingPolicy::Controlled,
-            other => {
-                return Err(format!(
-                    "signaling does not support policy '{other}' \
-                     (try single-path, uncontrolled, controlled)"
-                ))
-            }
-        };
+    for policy in policies {
         let sig_config = SignalingConfig {
             hop_delay,
             policy,

@@ -9,19 +9,20 @@
 //! validated against the exact Kaufman–Roberts recursion in the crate's
 //! tests.
 
+use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::Table;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
-use altroute_sim::Fanout;
+use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
+use altroute_sim::{Fanout, SimParams};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut params = MultirateParams {
-        max_hops: 3,
-        ..MultirateParams::default()
+    let mut params = SimParams {
+        base_seed: 0x11BA,
+        ..SimParams::default()
     };
     if quick {
         params.warmup = 5.0;
@@ -52,18 +53,18 @@ fn main() {
                 traffic: TrafficMatrix::uniform(4, narrow / 10.0),
             },
         ];
+        let plan = multirate::plan(&topo, &classes, 3);
         for policy in [
-            MultiratePolicy::SinglePath,
-            MultiratePolicy::Uncontrolled,
-            MultiratePolicy::Controlled,
+            PolicyKind::SinglePath,
+            PolicyKind::UncontrolledAlternate { max_hops: 3 },
+            PolicyKind::ControlledAlternate { max_hops: 3 },
         ] {
             let (r, _) = run_multirate(
-                &topo,
+                &plan,
                 &classes,
                 policy,
                 &params,
                 &failures,
-                None,
                 &Fanout::default(),
             );
             table.row([

@@ -81,8 +81,6 @@ fn simulate_overflow(load: f64, capacity: u32, horizon: f64, seeds: u32) -> (f64
         dst: 1,
         rate: load,
         bandwidth: 1,
-        tag: 0,
-        tally: 0,
         gaps: InterArrival::Exponential,
     }];
     let (mut pooled_mean, mut pooled_sq, mut pooled_time) = (0.0, 0.0, 0.0);

@@ -11,11 +11,12 @@ use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::{nsfnet_experiment, Table};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::signaling::{run_signaling, SignalingConfig, SignalingPolicy};
+use altroute_sim::signaling::{replicate_signaling, SignalingConfig};
+use altroute_sim::Fanout;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (horizon, seeds) = if quick { (30.0, 3u64) } else { (100.0, 10u64) };
+    let (horizon, seeds) = if quick { (30.0, 3) } else { (100.0, 10) };
     let exp = nsfnet_experiment(10.0);
     let plan = exp.plan_for(PolicyKind::ControlledAlternate { max_hops: 11 });
     let failures = FailureSchedule::none();
@@ -32,26 +33,29 @@ fn main() {
     // link (~30 ms one-way) is ~1.7e-4; sweep beyond that to stress.
     for delay in [0.0, 0.0002, 0.002, 0.02] {
         for policy in [
-            SignalingPolicy::SinglePath,
-            SignalingPolicy::Uncontrolled,
-            SignalingPolicy::Controlled,
+            PolicyKind::SinglePath,
+            PolicyKind::UncontrolledAlternate { max_hops: 11 },
+            PolicyKind::ControlledAlternate { max_hops: 11 },
         ] {
+            let config = SignalingConfig {
+                hop_delay: delay,
+                policy,
+                warmup: 10.0,
+                horizon,
+                seed: 0,
+            };
+            let (per_seed, _, _) = replicate_signaling(
+                &plan,
+                exp.traffic(),
+                &failures,
+                &config,
+                seeds,
+                &Fanout::default(),
+            );
             let (mut blocked, mut offered, mut races) = (0u64, 0u64, 0u64);
             let mut latency = 0.0;
             let mut attempts = 0.0;
-            for seed in 0..seeds {
-                let r = run_signaling(
-                    &plan,
-                    exp.traffic(),
-                    &failures,
-                    &SignalingConfig {
-                        hop_delay: delay,
-                        policy,
-                        warmup: 10.0,
-                        horizon,
-                        seed,
-                    },
-                );
+            for r in &per_seed {
                 blocked += r.blocked;
                 offered += r.offered;
                 races += r.booking_races;
@@ -63,8 +67,8 @@ fn main() {
                 policy.name().to_string(),
                 fmt_prob(blocked as f64 / offered as f64),
                 races.to_string(),
-                format!("{:.5}", latency / seeds as f64),
-                format!("{:.3}", attempts / seeds as f64),
+                format!("{:.5}", latency / f64::from(seeds)),
+                format!("{:.3}", attempts / f64::from(seeds)),
             ]);
         }
     }

@@ -9,14 +9,16 @@
 //!
 //! This module is a thin instantiation of [`altroute_simcore::kernel`]:
 //! the event loop, call table, link index, and metrics live there, and
-//! this module contributes only the policy dispatch — mapping each
-//! [`PolicyKind`] to its (`AdmissionPolicy`, `RouteSelector`) pair — and
-//! the adapter that feeds kernel observations to the [`TraceSink`] and
-//! [`Recorder`] hooks. Everything else a run can vary (warm start,
-//! selector ticks, inter-arrival law, scratch reuse, observers) is an
-//! option on the one [`Run`] value, not a separate entry point. The
-//! conformance crate's golden traces pin the event stream and every
-//! counter.
+//! this module contributes only the mesh source layout (one arrival
+//! source per pair, or per (bandwidth class, pair) for
+//! [`crate::multirate`]), the policy dispatch — mapping each
+//! [`PolicyKind`] to its (`AdmissionPolicy`, `RouteSelector`) pair, for
+//! this engine and multirate alike — and the adapter that feeds kernel
+//! observations to the [`TraceSink`] and [`Recorder`] hooks. Everything
+//! else a run can vary (warm start, selector ticks, inter-arrival law,
+//! scratch reuse, observers) is an option on the one [`Run`] value, not
+//! a separate entry point. The conformance crate's golden traces pin
+//! the event stream and every counter.
 //!
 //! **Common random numbers.** Each pair draws its inter-arrival times,
 //! holding times, and primary-split picks from its own seed-derived
@@ -32,6 +34,7 @@ use altroute_core::policy::{CallClass, PolicyKind};
 use altroute_core::select::{
     BestOfDSelector, DarStickySelector, OttKrishnanSelector, TieredSelector,
 };
+use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, InterArrival, KernelConfig, KernelObserver,
@@ -182,11 +185,12 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
 }
 
 /// Binds `$admission` and `$selector` to the `(AdmissionPolicy,
-/// RouteSelector)` pair the configured [`PolicyKind`] of `$config` (a
-/// [`RunConfig`]) runs on, and evaluates `$body` with both in scope —
-/// the one policy dispatch table, shared by [`Run::execute`] and the
-/// tests' `BinaryHeap` reference oracle. Each policy is a pair on the
-/// same kernel:
+/// RouteSelector)` pair that `$policy` runs on over `$plan` (the
+/// randomized selectors draw from private streams of `$seed`), and
+/// evaluates `$body` with both in scope — the one policy dispatch table,
+/// reached through [`run_named`] by [`Run::execute`] and the multirate
+/// simulator, and directly by the tests' `BinaryHeap` reference oracle.
+/// Each policy is a pair on the same kernel:
 ///
 /// | policy        | admission                    | selector              |
 /// |---------------|------------------------------|-----------------------|
@@ -197,12 +201,10 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
 /// | dar           | trunk reservation (Eq. 15)   | sticky random         |
 /// | bod           | trunk reservation (Eq. 15)   | best-of-d sampling    |
 macro_rules! with_policy {
-    ($config:expr, |$admission:ident, $selector:ident| $body:expr) => {{
-        let RunConfig {
-            plan, policy, seed, ..
-        } = $config;
+    ($plan:expr, $policy:expr, $seed:expr, |$admission:ident, $selector:ident| $body:expr) => {{
+        let (plan, seed): (&RoutingPlan, u64) = ($plan, $seed);
         let reservation = || TrunkReservation::new(plan.protection_levels().to_vec());
-        match policy {
+        match $policy {
             PolicyKind::SinglePath => {
                 let ($admission, $selector) =
                     (&mut Uncontrolled, &mut TieredSelector::single_path(plan));
@@ -388,15 +390,7 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
     /// breaks (a policy admitting over a full link).
     pub fn execute(self) -> SeedResult {
         let RunConfig { plan, policy, .. } = self.config;
-        if let Some(h) = policy.max_hops() {
-            assert_eq!(
-                h,
-                plan.max_alternate_hops(),
-                "policy hop bound must match the plan's H"
-            );
-        }
-        with_policy!(self.config, |admission, selector| self
-            .execute_with(admission, selector))
+        self.drive(|spec, observer, scratch| run_named(plan, policy, spec, observer, scratch))
     }
 
     /// Runs the replication with an explicit `(admission, selector)`
@@ -430,13 +424,13 @@ impl<'a, S: TraceSink, R: Recorder> Run<'a, S, R> {
         ) -> KernelOutcome,
     ) -> SeedResult {
         let config = &self.config;
-        assert_eq!(
-            config.traffic.num_nodes(),
-            config.plan.topology().num_nodes(),
-            "traffic matrix size mismatch"
+        let (capacities, sources, link_events, mut kernel_config) = mesh_spec(
+            config.plan.topology(),
+            &[(1, config.traffic)],
+            config.failures,
+            (config.warmup, config.horizon, config.seed),
+            self.arrivals,
         );
-        let (capacities, sources, link_events, mut kernel_config) =
-            build_spec(config, self.arrivals);
         kernel_config.tick_interval = self.tick_interval;
         let spec = KernelSpec {
             config: kernel_config,
@@ -506,38 +500,74 @@ where
         .execute_with(admission, selector)
 }
 
-/// Builds the kernel's static description of this run: one arrival
-/// source per demand pair (stream = tag = tally = pair id, in
-/// `demands()` order — the source order breaks event-queue ties, so it
-/// is part of the determinism contract — with `arrivals` gaps), the
-/// per-link capacities, and the failure schedule split into static
-/// downs and timed events.
-fn build_spec(
-    config: &RunConfig<'_>,
+/// Asserts that `policy`'s hop bound, if it has one, is `plan`'s `H` —
+/// a policy cannot route on candidate sets built for another bound.
+pub(crate) fn assert_plan_hops(plan: &RoutingPlan, policy: PolicyKind) {
+    if let Some(h) = policy.max_hops() {
+        assert_eq!(
+            h,
+            plan.max_alternate_hops(),
+            "policy hop bound must match the plan's H"
+        );
+    }
+}
+
+/// Runs `spec` under the `(admission, selector)` pair that the named
+/// `policy` dispatches to over `plan` — the one way a mesh simulator
+/// turns a [`PolicyKind`] into a kernel run.
+///
+/// # Panics
+///
+/// If the policy's hop bound is not the plan's `H`, or as
+/// [`kernel::run_pooled`].
+pub(crate) fn run_named<O: KernelObserver>(
+    plan: &RoutingPlan,
+    policy: PolicyKind,
+    spec: &KernelSpec<'_>,
+    observer: &mut O,
+    scratch: &mut KernelScratch,
+) -> KernelOutcome {
+    assert_plan_hops(plan, policy);
+    with_policy!(plan, policy, spec.config.seed, |admission, selector| {
+        kernel::run_pooled(spec, admission, selector, observer, scratch)
+    })
+}
+
+/// Builds the kernel's static description of one mesh replication on
+/// `topo`: one arrival source per demand of each `(bandwidth, traffic)`
+/// class, class-major in `demands()` order (the source order breaks
+/// event-queue ties, so it is part of the determinism contract), with
+/// stream id `class·n² + pair` and `arrivals` gaps; `classes·n²` tally
+/// slots; the per-link capacities; and the failure schedule's timed
+/// events. A single unit-bandwidth class is the plain engine's layout
+/// (stream = pair id), and every class keeps its own common random
+/// numbers across policies.
+///
+/// # Panics
+///
+/// Panics if a class's matrix is not sized for `topo`.
+pub(crate) fn mesh_spec(
+    topo: &Topology,
+    classes: &[(u32, &TrafficMatrix)],
+    failures: &FailureSchedule,
+    (warmup, horizon, seed): (f64, f64, u64),
     arrivals: InterArrival,
 ) -> (Vec<u32>, Vec<ArrivalSource>, Vec<LinkEvent>, KernelConfig) {
-    let topo = config.plan.topology();
     let n = topo.num_nodes();
     let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let sources: Vec<ArrivalSource> = config
-        .traffic
-        .demands()
-        .map(|(i, j, t)| {
-            let pair = i * n + j;
-            ArrivalSource {
-                stream: pair as u64,
-                src: i,
-                dst: j,
-                rate: t,
-                bandwidth: 1,
-                tag: pair as u32,
-                tally: pair as u32,
-                gaps: arrivals,
-            }
-        })
-        .collect();
-    let link_events: Vec<LinkEvent> = config
-        .failures
+    let mut sources = Vec::new();
+    for (class, &(bandwidth, traffic)) in classes.iter().enumerate() {
+        assert_eq!(traffic.num_nodes(), n, "traffic matrix size mismatch");
+        sources.extend(traffic.demands().map(|(i, j, t)| ArrivalSource {
+            stream: (class * n * n + i * n + j) as u64,
+            src: i,
+            dst: j,
+            rate: t,
+            bandwidth,
+            gaps: arrivals,
+        }));
+    }
+    let link_events: Vec<LinkEvent> = failures
         .events()
         .iter()
         .map(|ev| LinkEvent {
@@ -547,12 +577,12 @@ fn build_spec(
         })
         .collect();
     let kernel_config = KernelConfig {
-        warmup: config.warmup,
-        horizon: config.horizon,
-        seed: config.seed,
+        warmup,
+        horizon,
+        seed,
         draw_pick: true,
         tick_interval: None,
-        tally_slots: n * n,
+        tally_slots: classes.len() * n * n,
     };
     (capacities, sources, link_events, kernel_config)
 }
@@ -1066,7 +1096,7 @@ mod tests {
                     failures.events().is_empty() || oracle_t.dropped > 0,
                     "{policy:?}: the outage must reach the recorder"
                 );
-                let reference = with_policy!(config, |admission, selector| {
+                let reference = with_policy!(&plan, policy, config.seed, |admission, selector| {
                     Run::new(&config).drive(|spec, observer, _| {
                         kernel::run_reference(spec, admission, selector, observer)
                     })

@@ -34,9 +34,14 @@
 //! * [`multirate`] — calls of multiple bandwidth classes (the paper's
 //!   excluded "multiple call types"), with bandwidth-weighted admission
 //!   and protection, validated against the Kaufman–Roberts recursion.
+//!   A multirate run is an engine run with one source per (class, pair):
+//!   the engine's source layout and its one
+//!   [`PolicyKind`](altroute_core::policy::PolicyKind) dispatch
+//!   table serve both.
 //! * [`signaling`] — hop-by-hop call set-up with propagation delay and
 //!   booking races, on its own protocol loop over the kernel's admission
-//!   policies.
+//!   policies, for the single-path, uncontrolled and controlled
+//!   policies and static link failures.
 //! * [`trace`] — event-trace hooks: a [`trace::TraceSink`] observes every
 //!   engine event, with a compact versioned binary codec used by the
 //!   conformance crate's golden-trace replay.

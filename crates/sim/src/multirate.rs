@@ -7,35 +7,33 @@
 //! `occupancy + b ≤ C − r` — the natural bandwidth-weighted reading of
 //! the paper's state protection. Protection levels are computed from
 //! Eq. 15 with the link's primary load measured in **bandwidth units**
-//! (`Λ = Σ_classes b_c · Λ_c`), a heuristic the single-rate theorem does
-//! not formally cover; the single-link behaviour is validated against
-//! the exact Kaufman–Roberts recursion
+//! (`Λ = Σ_classes b_c · Λ_c`, see [`plan`]), a heuristic the
+//! single-rate theorem does not formally cover; the single-link
+//! behaviour is validated against the exact Kaufman–Roberts recursion
 //! ([`altroute_teletraffic::kaufman_roberts`]) in this module's tests.
 //!
-//! On the simulation kernel a multirate run is just the tiered selector
-//! with per-source bandwidths: each (class, pair) is one
-//! [`ArrivalSource`] whose `bandwidth` the kernel books and the
-//! admission policy tests, and whose `tally` is the class index — the
-//! kernel's tally vectors *are* the per-class offered/blocked counts.
+//! A multirate run is a mesh-engine run with more than one class: the
+//! engine's source layout gives each (class, pair) its own arrival
+//! source, whose bandwidth the kernel books and the admission policy
+//! tests, and whose tally slot `class·n² + pair` makes the kernel's
+//! tally vectors the per-(class, pair) offered/blocked counts. The named
+//! [`PolicyKind`] goes through the engine's one policy table.
 //! Replications fan out through [`Fanout::replicate`] and dynamic link
 //! failures are honoured (calls in progress are torn down, the paper's
 //! outage model).
 
+use crate::engine::{assert_plan_hops, mesh_spec, run_named, Instruments};
+use crate::experiment::SimParams;
 use crate::failures::FailureSchedule;
 use crate::trace::NullTraceSink;
 use altroute_core::plan::RoutingPlan;
-use altroute_core::primary::PrimaryAssignment;
-use altroute_core::select::TieredSelector;
+use altroute_core::policy::PolicyKind;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_simcore::kernel::{
-    self, ArrivalSource, InterArrival, KernelConfig, KernelScratch, KernelSpec, LinkEvent,
-    TrunkReservation, Uncontrolled,
-};
+use altroute_simcore::kernel::{InterArrival, KernelScratch, KernelSpec};
 use altroute_simcore::pool::Fanout;
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
-use altroute_teletraffic::reservation::protection_level;
 
 /// One bandwidth class of offered traffic.
 #[derive(Debug, Clone)]
@@ -47,60 +45,11 @@ pub struct BandwidthClass {
     pub traffic: TrafficMatrix,
 }
 
-/// Which admission rule alternate-routed calls face.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MultiratePolicy {
-    /// Primary path only.
-    SinglePath,
-    /// Alternates admitted whenever the bandwidth fits.
-    Uncontrolled,
-    /// Alternates admitted only below the protection threshold.
-    Controlled,
-}
-
-impl MultiratePolicy {
-    /// Short stable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MultiratePolicy::SinglePath => "single-path",
-            MultiratePolicy::Uncontrolled => "uncontrolled",
-            MultiratePolicy::Controlled => "controlled",
-        }
-    }
-}
-
-/// Parameters of a multirate experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultirateParams {
-    /// Warm-up discarded from statistics.
-    pub warmup: f64,
-    /// Measured duration.
-    pub horizon: f64,
-    /// Replications.
-    pub seeds: u32,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Alternate hop bound `H`.
-    pub max_hops: u32,
-}
-
-impl Default for MultirateParams {
-    fn default() -> Self {
-        Self {
-            warmup: 10.0,
-            horizon: 100.0,
-            seeds: 10,
-            base_seed: 0x11BA,
-            max_hops: 5,
-        }
-    }
-}
-
 /// Aggregated multirate outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultirateResult {
     /// The policy that ran.
-    pub policy: MultiratePolicy,
+    pub policy: PolicyKind,
     /// Across-seed call blocking (all classes pooled).
     pub blocking: BlockingSummary,
     /// Per-class pooled blocking, in class order.
@@ -116,22 +65,25 @@ impl MultirateResult {
     }
 }
 
-/// Everything state-independent a multirate run needs: the plan built
-/// from the bandwidth-weighted aggregate traffic plus the Eq.-15 levels.
-struct MultiratePlan {
-    plan: RoutingPlan,
-    levels: Vec<u32>,
+/// Whether the multirate simulator models `policy`: every named policy
+/// except Ott–Krishnan, whose shadow prices value a unit-bandwidth call
+/// and ignore the bandwidth of the call being routed.
+pub fn models(policy: PolicyKind) -> bool {
+    !matches!(policy, PolicyKind::OttKrishnan { .. })
 }
 
-fn build_plan(
-    topo: &Topology,
-    classes: &[BandwidthClass],
-    params: &MultirateParams,
-) -> MultiratePlan {
-    let n = topo.num_nodes();
-    // Aggregate bandwidth-weighted traffic for protection levels; the
-    // plan also supplies candidates/primaries (identical across classes).
-    let mut weighted = TrafficMatrix::zero(n);
+/// The routing plan of a multirate instance: min-hop primaries and hop
+/// bound `max_hops` on `topo`, with link loads and Eq.-15 protection
+/// levels from the bandwidth-weighted traffic `Σ_classes b_c · Λ_c`
+/// (candidates and primaries are the same for every class).
+///
+/// # Panics
+///
+/// Panics on empty classes, a zero-bandwidth class, a class matrix not
+/// sized for `topo`, or `max_hops == 0`.
+pub fn plan(topo: &Topology, classes: &[BandwidthClass], max_hops: u32) -> RoutingPlan {
+    validate(topo.num_nodes(), classes);
+    let mut weighted = TrafficMatrix::zero(topo.num_nodes());
     for (i, j) in topo.ordered_pairs() {
         let total: f64 = classes
             .iter()
@@ -139,24 +91,12 @@ fn build_plan(
             .sum();
         weighted.set(i, j, total);
     }
-    let primaries = PrimaryAssignment::min_hop(topo);
-    let plan = RoutingPlan::with_primaries(topo.clone(), &weighted, primaries, params.max_hops);
-    let levels: Vec<u32> = plan
-        .link_loads()
-        .iter()
-        .zip(topo.links())
-        .map(|(&a, l)| protection_level(a, l.capacity, params.max_hops))
-        .collect();
-    MultiratePlan { plan, levels }
+    RoutingPlan::min_hop(topo.clone(), &weighted, max_hops)
 }
 
-/// Runs `params.seeds` multirate replications on `topo` with min-hop
-/// primaries as `fanout` directs — the module's one replication entry.
-///
-/// `levels` replaces the Eq.-15 protection levels with an explicit
-/// per-link vector (reservation-sensitivity studies, and the
-/// conformance suite's `r = 0` reduction: all-zero levels must make the
-/// controlled policy coincide with the uncontrolled one, bit for bit).
+/// Runs `params.seeds` replications of `classes` over `plan` (normally
+/// [`plan`]'s) under `policy`, as `fanout` directs — the module's one
+/// replication entry. Replication `i` uses seed `params.base_seed + i`.
 /// With `fanout.window` set every replication records time-resolved
 /// telemetry, merged across seeds in seed order.
 ///
@@ -166,22 +106,27 @@ fn build_plan(
 /// # Panics
 ///
 /// Panics on inconsistent sizes, empty classes, invalid parameters, a
-/// `levels` vector not one entry per link, or a zero worker count.
+/// policy the simulator does not [model](models) or whose hop bound is
+/// not the plan's `H`, or a zero worker count.
 pub fn run_multirate(
-    topo: &Topology,
+    plan: &RoutingPlan,
     classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
+    policy: PolicyKind,
+    params: &SimParams,
     failures: &FailureSchedule,
-    levels: Option<&[u32]>,
     fanout: &Fanout<'_>,
 ) -> (MultirateResult, Option<RunTelemetry>) {
-    validate(topo, classes, params);
-    let mut mp = build_plan(topo, classes, params);
-    if let Some(levels) = levels {
-        assert_eq!(levels.len(), topo.num_links(), "one level per link");
-        mp.levels = levels.to_vec();
-    }
+    let topo = plan.topology();
+    validate(topo.num_nodes(), classes);
+    assert!(params.seeds > 0 && params.horizon > 0.0 && params.warmup >= 0.0);
+    assert!(
+        models(policy),
+        "multirate does not model policy '{}'",
+        policy.name()
+    );
+    assert_plan_hops(plan, policy);
+    let mesh_classes: Vec<(u32, &TrafficMatrix)> =
+        classes.iter().map(|c| (c.bandwidth, &c.traffic)).collect();
     let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
     let (runs, telemetry) = fanout.replicate(
         params.seeds as usize,
@@ -189,44 +134,71 @@ pub fn run_multirate(
         RunTelemetry::merge,
         |scratch, i, telemetry| {
             let seed = params.base_seed + i as u64;
+            let (capacities, sources, link_events, config) = mesh_spec(
+                topo,
+                &mesh_classes,
+                failures,
+                (params.warmup, params.horizon, seed),
+                InterArrival::Exponential,
+            );
+            let spec = KernelSpec {
+                config,
+                capacities: &capacities,
+                static_down: failures.statically_down(),
+                sources: &sources,
+                link_events: &link_events,
+                initial_occupancy: &[],
+            };
             match telemetry {
-                Some(t) => run_one(&mp, classes, policy, params, seed, failures, t, scratch),
-                None => run_one(
-                    &mp,
-                    classes,
-                    policy,
-                    params,
-                    seed,
-                    failures,
-                    &mut NullRecorder,
-                    scratch,
-                ),
+                Some(t) => run_one(plan, policy, &spec, t, scratch),
+                None => run_one(plan, policy, &spec, &mut NullRecorder, scratch),
             }
         },
     );
     (summarize(policy, classes, &runs), telemetry)
 }
 
-fn validate(topo: &Topology, classes: &[BandwidthClass], params: &MultirateParams) {
+fn validate(nodes: usize, classes: &[BandwidthClass]) {
     assert!(!classes.is_empty(), "need at least one class");
-    assert!(params.seeds > 0 && params.horizon > 0.0 && params.warmup >= 0.0);
-    let n = topo.num_nodes();
     for (i, c) in classes.iter().enumerate() {
         assert!(c.bandwidth > 0, "class {i} has zero bandwidth");
-        assert_eq!(c.traffic.num_nodes(), n, "class {i} matrix size mismatch");
+        assert_eq!(
+            c.traffic.num_nodes(),
+            nodes,
+            "class {i} matrix size mismatch"
+        );
     }
 }
 
+/// Per-class offered and blocked calls of one replication.
 struct OneRun {
     offered: Vec<u64>,
     blocked: Vec<u64>,
 }
 
-fn summarize(
-    policy: MultiratePolicy,
-    classes: &[BandwidthClass],
-    runs: &[OneRun],
-) -> MultirateResult {
+fn run_one<R: Recorder>(
+    plan: &RoutingPlan,
+    policy: PolicyKind,
+    spec: &KernelSpec<'_>,
+    recorder: &mut R,
+    scratch: &mut KernelScratch,
+) -> OneRun {
+    let mut observer = Instruments {
+        sink: &mut NullTraceSink,
+        recorder: &mut *recorder,
+    };
+    let outcome = run_named(plan, policy, spec, &mut observer, scratch);
+    recorder.finish(spec.config.warmup + spec.config.horizon);
+    // The tally has one n²-slot slice per class.
+    let n = plan.topology().num_nodes();
+    let per_class = |tally: &[u64]| tally.chunks(n * n).map(|c| c.iter().sum()).collect();
+    OneRun {
+        offered: per_class(&outcome.tally_offered),
+        blocked: per_class(&outcome.tally_blocked),
+    }
+}
+
+fn summarize(policy: PolicyKind, classes: &[BandwidthClass], runs: &[OneRun]) -> MultirateResult {
     let mut class_offered = vec![0u64; classes.len()];
     let mut class_blocked = vec![0u64; classes.len()];
     let mut call_counts = Vec::with_capacity(runs.len());
@@ -266,117 +238,18 @@ fn summarize(
     }
 }
 
-/// The kernel's static description of one multirate replication: one
-/// arrival source per (class, pair), in class-major order — the stream
-/// id layout (`ci·n² + pair`) keeps the common random numbers of the
-/// single-rate engine for class 0 of an n-node network.
-fn build_parts(
-    mp: &MultiratePlan,
-    classes: &[BandwidthClass],
-    params: &MultirateParams,
-    seed: u64,
-    failures: &FailureSchedule,
-) -> (Vec<u32>, Vec<ArrivalSource>, Vec<LinkEvent>, KernelConfig) {
-    let topo = mp.plan.topology();
-    let n = topo.num_nodes();
-    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let mut sources = Vec::new();
-    for (ci, class) in classes.iter().enumerate() {
-        for (i, j, t) in class.traffic.demands() {
-            let pair = i * n + j;
-            sources.push(ArrivalSource {
-                stream: (ci * n * n + pair) as u64,
-                src: i,
-                dst: j,
-                rate: t,
-                bandwidth: class.bandwidth,
-                tag: (ci * n * n + pair) as u32,
-                tally: ci as u32,
-                gaps: InterArrival::Exponential,
-            });
-        }
-    }
-    let link_events: Vec<LinkEvent> = failures
-        .events()
-        .iter()
-        .map(|ev| LinkEvent {
-            at: ev.at,
-            link: ev.link,
-            up: ev.up,
-        })
-        .collect();
-    let config = KernelConfig {
-        warmup: params.warmup,
-        horizon: params.horizon,
-        seed,
-        draw_pick: true,
-        tick_interval: None,
-        tally_slots: classes.len(),
-    };
-    (capacities, sources, link_events, config)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one<R: Recorder>(
-    mp: &MultiratePlan,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    seed: u64,
-    failures: &FailureSchedule,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> OneRun {
-    let plan = &mp.plan;
-    let (capacities, sources, link_events, config) =
-        build_parts(mp, classes, params, seed, failures);
-    let spec = KernelSpec {
-        config,
-        capacities: &capacities,
-        static_down: failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy: &[],
-    };
-    let mut observer = crate::engine::Instruments {
-        sink: &mut NullTraceSink,
-        recorder: &mut *recorder,
-    };
-    let outcome = match policy {
-        MultiratePolicy::SinglePath => kernel::run_pooled(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
-            &mut observer,
-            scratch,
-        ),
-        MultiratePolicy::Uncontrolled => kernel::run_pooled(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
-            &mut observer,
-            scratch,
-        ),
-        MultiratePolicy::Controlled => kernel::run_pooled(
-            &spec,
-            &mut TrunkReservation::new(mp.levels.clone()),
-            &mut TieredSelector::new(plan),
-            &mut observer,
-            scratch,
-        ),
-    };
-    recorder.finish(params.warmup + params.horizon);
-    OneRun {
-        offered: outcome.tally_offered,
-        blocked: outcome.tally_blocked,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_seed, RunConfig};
     use altroute_netgraph::topologies;
     use altroute_teletraffic::kaufman_roberts::{kaufman_roberts_blocking, TrafficClass};
+
+    const SINGLE: PolicyKind = PolicyKind::SinglePath;
+
+    fn controlled(max_hops: u32) -> PolicyKind {
+        PolicyKind::ControlledAlternate { max_hops }
+    }
 
     fn two_node(capacity: u32) -> Topology {
         let mut t = Topology::new();
@@ -385,16 +258,28 @@ mod tests {
         t
     }
 
-    /// One replication set on `fanout`, Eq.-15 levels, telemetry dropped.
+    fn params(warmup: f64, horizon: f64, seeds: u32, base_seed: u64) -> SimParams {
+        SimParams {
+            warmup,
+            horizon,
+            seeds,
+            base_seed,
+        }
+    }
+
+    /// One replication set on [`plan`]'s plan with hop bound `max_hops`,
+    /// telemetry dropped.
     fn run_on(
         topo: &Topology,
         classes: &[BandwidthClass],
-        policy: MultiratePolicy,
-        params: &MultirateParams,
+        max_hops: u32,
+        policy: PolicyKind,
+        params: &SimParams,
         failures: &FailureSchedule,
         fanout: Fanout<'_>,
     ) -> MultirateResult {
-        run_multirate(topo, classes, policy, params, failures, None, &fanout).0
+        let plan = plan(topo, classes, max_hops);
+        run_multirate(&plan, classes, policy, params, failures, &fanout).0
     }
 
     fn workers(workers: usize) -> Fanout<'static> {
@@ -423,18 +308,12 @@ mod tests {
                 traffic: one_way(2, 0, 1, 3.0),
             },
         ];
-        let params = MultirateParams {
-            warmup: 20.0,
-            horizon: 500.0,
-            seeds: 6,
-            base_seed: 2,
-            max_hops: 1,
-        };
         let r = run_on(
             &topo,
             &classes,
-            MultiratePolicy::SinglePath,
-            &params,
+            1,
+            SINGLE,
+            &params(20.0, 500.0, 6, 2),
             &FailureSchedule::none(),
             Fanout::default(),
         );
@@ -462,6 +341,48 @@ mod tests {
     }
 
     #[test]
+    fn one_unit_class_is_the_plain_engine() {
+        // A single unit-bandwidth class is the engine's own source layout
+        // and plan, so every policy's counts must be the plain runs'.
+        let topo = topologies::quadrangle();
+        let traffic = TrafficMatrix::uniform(4, 85.0);
+        let classes = [BandwidthClass {
+            bandwidth: 1,
+            traffic: traffic.clone(),
+        }];
+        let params = params(5.0, 40.0, 3, 31);
+        let plan = plan(&topo, &classes, 3);
+        let link01 = topo.link_between(0, 1).unwrap();
+        let failures = FailureSchedule::none().with_outage(link01, 12.0, 25.0);
+        for policy in [
+            SINGLE,
+            PolicyKind::UncontrolledAlternate { max_hops: 3 },
+            controlled(3),
+            PolicyKind::DarSticky { max_hops: 3 },
+        ] {
+            let (r, _) = run_multirate(&plan, &classes, policy, &params, &failures, &workers(1));
+            let counts = (0..params.seeds).map(|i| {
+                let seed = run_seed(&RunConfig {
+                    plan: &plan,
+                    policy,
+                    traffic: &traffic,
+                    warmup: params.warmup,
+                    horizon: params.horizon,
+                    seed: params.base_seed + u64::from(i),
+                    failures: &failures,
+                });
+                (seed.offered, seed.blocked)
+            });
+            assert_eq!(
+                r.blocking,
+                BlockingSummary::from_counts(counts),
+                "{policy:?}"
+            );
+            assert_eq!(r.bandwidth_blocking, r.blocking, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn controlled_not_worse_than_single_path_multirate() {
         let topo = topologies::quadrangle();
         let classes = [
@@ -474,27 +395,24 @@ mod tests {
                 traffic: TrafficMatrix::uniform(4, 8.0),
             },
         ];
-        let params = MultirateParams {
-            warmup: 10.0,
-            horizon: 80.0,
-            seeds: 4,
-            base_seed: 5,
-            max_hops: 3,
-        };
+        let params = params(10.0, 80.0, 4, 5);
+        let none = FailureSchedule::none();
         let single = run_on(
             &topo,
             &classes,
-            MultiratePolicy::SinglePath,
+            3,
+            SINGLE,
             &params,
-            &FailureSchedule::none(),
+            &none,
             Fanout::default(),
         );
         let controlled = run_on(
             &topo,
             &classes,
-            MultiratePolicy::Controlled,
+            3,
+            controlled(3),
             &params,
-            &FailureSchedule::none(),
+            &none,
             Fanout::default(),
         );
         let tol = 2.0 * (single.blocking.std_error() + controlled.blocking.std_error()) + 1e-3;
@@ -521,27 +439,21 @@ mod tests {
                 traffic: TrafficMatrix::uniform(4, 6.0),
             },
         ];
-        let params = MultirateParams {
-            warmup: 5.0,
-            horizon: 40.0,
-            seeds: 3,
-            base_seed: 17,
-            max_hops: 3,
-        };
+        let params = params(5.0, 40.0, 3, 17);
         let link01 = topo.link_between(0, 1).unwrap();
         let failures = FailureSchedule::none().with_outage(link01, 12.0, 25.0);
         for policy in [
-            MultiratePolicy::SinglePath,
-            MultiratePolicy::Uncontrolled,
-            MultiratePolicy::Controlled,
+            SINGLE,
+            PolicyKind::UncontrolledAlternate { max_hops: 3 },
+            controlled(3),
         ] {
-            let serial = run_on(&topo, &classes, policy, &params, &failures, workers(1));
+            let serial = run_on(&topo, &classes, 3, policy, &params, &failures, workers(1));
             for window in [None, Some(5.0)] {
                 let pooled = Fanout {
                     window,
                     ..workers(4)
                 };
-                let pooled = run_on(&topo, &classes, policy, &params, &failures, pooled);
+                let pooled = run_on(&topo, &classes, 3, policy, &params, &failures, pooled);
                 assert_eq!(serial, pooled, "{policy:?} on 4 workers, window {window:?}");
             }
         }
@@ -554,33 +466,23 @@ mod tests {
             bandwidth: 2,
             traffic: TrafficMatrix::uniform(4, 25.0),
         }];
-        let params = MultirateParams {
-            warmup: 5.0,
-            horizon: 40.0,
-            seeds: 2,
-            base_seed: 21,
-            max_hops: 3,
-        };
+        let params = params(5.0, 40.0, 2, 21);
         let recorded = Fanout {
             window: Some(5.0),
             ..Fanout::default()
         };
-        let (r, telemetry) = run_multirate(
-            &topo,
-            &classes,
-            MultiratePolicy::Controlled,
-            &params,
-            &FailureSchedule::none(),
-            None,
-            &recorded,
-        );
+        let plan = plan(&topo, &classes, 3);
+        let none = FailureSchedule::none();
+        let (r, telemetry) =
+            run_multirate(&plan, &classes, controlled(3), &params, &none, &recorded);
         let telemetry = telemetry.expect("a window records telemetry");
         let plain = run_on(
             &topo,
             &classes,
-            MultiratePolicy::Controlled,
+            3,
+            controlled(3),
             &params,
-            &FailureSchedule::none(),
+            &none,
             Fanout::default(),
         );
         assert_eq!(r.blocking, plain.blocking);
@@ -591,36 +493,33 @@ mod tests {
 
     #[test]
     fn dynamic_outage_tears_down_multirate_calls() {
-        // The kernel port honours timed link failures (the pre-kernel
-        // multirate loop ignored them): calls in progress on the failed
-        // link are torn down and arrivals during the outage block.
+        // Timed link failures are honoured: calls in progress on the
+        // failed link are torn down and arrivals during the outage block.
         let topo = two_node(30);
         let classes = [BandwidthClass {
             bandwidth: 3,
             traffic: one_way(2, 0, 1, 8.0),
         }];
-        let params = MultirateParams {
-            warmup: 5.0,
-            horizon: 60.0,
-            seeds: 2,
-            base_seed: 7,
-            max_hops: 1,
-        };
+        let params = params(5.0, 60.0, 2, 7);
         let link01 = topo.link_between(0, 1).unwrap();
+        let outage = FailureSchedule::none().with_outage(link01, 20.0, 40.0);
+        let none = FailureSchedule::none();
         let quiet = run_on(
             &topo,
             &classes,
-            MultiratePolicy::SinglePath,
+            1,
+            SINGLE,
             &params,
-            &FailureSchedule::none(),
+            &none,
             Fanout::default(),
         );
         let outage = run_on(
             &topo,
             &classes,
-            MultiratePolicy::SinglePath,
+            1,
+            SINGLE,
             &params,
-            &FailureSchedule::none().with_outage(link01, 20.0, 40.0),
+            &outage,
             Fanout::default(),
         );
         assert!(
@@ -644,22 +543,54 @@ mod tests {
                 traffic: TrafficMatrix::uniform(4, 4.0),
             },
         ];
-        let params = MultirateParams {
-            warmup: 10.0,
-            horizon: 80.0,
-            seeds: 4,
-            base_seed: 13,
-            max_hops: 3,
-        };
         let r = run_on(
             &topo,
             &classes,
-            MultiratePolicy::Controlled,
-            &params,
+            3,
+            controlled(3),
+            &params(10.0, 80.0, 4, 13),
             &FailureSchedule::none(),
             Fanout::default(),
         );
         assert!(r.per_class_blocking[1] >= r.per_class_blocking[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "policy hop bound must match the plan's H")]
+    fn mismatched_hop_bound_panics() {
+        let topo = topologies::quadrangle();
+        let classes = [BandwidthClass {
+            bandwidth: 1,
+            traffic: TrafficMatrix::uniform(4, 10.0),
+        }];
+        run_on(
+            &topo,
+            &classes,
+            3,
+            controlled(2),
+            &SimParams::default(),
+            &FailureSchedule::none(),
+            Fanout::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "multirate does not model policy 'ott-krishnan'")]
+    fn ott_krishnan_is_rejected() {
+        let topo = topologies::quadrangle();
+        let classes = [BandwidthClass {
+            bandwidth: 4,
+            traffic: TrafficMatrix::uniform(4, 10.0),
+        }];
+        run_on(
+            &topo,
+            &classes,
+            3,
+            PolicyKind::OttKrishnan { max_hops: 3 },
+            &SimParams::default(),
+            &FailureSchedule::none(),
+            Fanout::default(),
+        );
     }
 
     #[test]
@@ -672,8 +603,9 @@ mod tests {
                 bandwidth: 0,
                 traffic: one_way(2, 0, 1, 1.0),
             }],
-            MultiratePolicy::SinglePath,
-            &MultirateParams::default(),
+            1,
+            SINGLE,
+            &SimParams::default(),
             &FailureSchedule::none(),
             Fanout::default(),
         );

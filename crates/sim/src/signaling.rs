@@ -35,9 +35,16 @@
 //! semantics can never drift between the idealised and signaling models.
 //! Replications fan out through [`Fanout::replicate`] and a
 //! [`Recorder`] can observe every run.
+//!
+//! The policy is the engine's [`PolicyKind`]; the protocol [`models`]
+//! single-path, uncontrolled and controlled routing, and static link
+//! failures only. A resolved call's table slot is reused by the next
+//! arrival, so memory is bounded by the calls in set-up or in service.
 
+use crate::engine::assert_plan_hops;
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
+use altroute_core::policy::PolicyKind;
 use altroute_netgraph::graph::LinkId;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::calendar::CalendarQueue;
@@ -49,26 +56,17 @@ use altroute_simcore::rng::StreamFactory;
 use altroute_simcore::stats::{BlockingSummary, RunningStats};
 use altroute_telemetry::{ArrivalOutcome, NullRecorder, Recorder, RunTelemetry};
 
-/// Admission rule for alternate attempts in the signaling model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignalingPolicy {
-    /// Primary path only.
-    SinglePath,
-    /// Alternates with no protection.
-    Uncontrolled,
-    /// Alternates behind the Eq. 15 protection thresholds.
-    Controlled,
-}
-
-impl SignalingPolicy {
-    /// Short stable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SignalingPolicy::SinglePath => "single-path",
-            SignalingPolicy::Uncontrolled => "uncontrolled",
-            SignalingPolicy::Controlled => "controlled",
-        }
-    }
+/// Whether the signaling protocol models `policy`: primary-only,
+/// uncontrolled, and controlled (Eq. 15) alternate routing. The
+/// state-dependent selectors (Ott–Krishnan, DAR, best-of-d) decide on
+/// an atomic view of the network that a set-up in flight does not have.
+pub fn models(policy: PolicyKind) -> bool {
+    matches!(
+        policy,
+        PolicyKind::SinglePath
+            | PolicyKind::UncontrolledAlternate { .. }
+            | PolicyKind::ControlledAlternate { .. }
+    )
 }
 
 /// Configuration of a signaling run.
@@ -77,8 +75,9 @@ pub struct SignalingConfig {
     /// One-way propagation + processing delay per hop, in mean holding
     /// times. 0 reproduces the idealised model.
     pub hop_delay: f64,
-    /// The admission policy.
-    pub policy: SignalingPolicy,
+    /// The routing policy; see [`models`] for the ones the protocol
+    /// supports.
+    pub policy: PolicyKind,
     /// Warm-up discarded from statistics.
     pub warmup: f64,
     /// Measured duration.
@@ -102,6 +101,9 @@ pub struct SignalingResult {
     pub mean_setup_latency: f64,
     /// Mean number of paths attempted per carried call.
     pub mean_attempts: f64,
+    /// Peak number of call-table slots: set-ups in flight plus calls in
+    /// service at the busiest moment, not the number of calls offered.
+    pub call_table_high_water: usize,
 }
 
 impl SignalingResult {
@@ -136,6 +138,10 @@ enum Event {
     },
 }
 
+/// One call-table slot. A live call has exactly one event pending (its
+/// set-up's next hop, its crankback notice, or its departure), so once
+/// it is resolved its slot goes back on the free list and the next
+/// arrival reuses it, `links` buffer included.
 struct PendingCall {
     src: usize,
     dst: usize,
@@ -151,15 +157,10 @@ struct PendingCall {
     /// the destination end).
     booked_from_dst: usize,
     measured: bool,
-    done: bool,
 }
 
 /// Runs one signaling replication.
-///
-/// # Panics
-///
-/// Panics on invalid configuration or size mismatches.
-pub fn run_signaling(
+fn run_signaling(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
     failures: &FailureSchedule,
@@ -179,8 +180,11 @@ pub fn run_signaling(
 ///
 /// # Panics
 ///
-/// As [`run_signaling`]; additionally if `seeds == 0`,
-/// `fanout.workers == 0`, or a telemetry window is not positive.
+/// Panics if the protocol does not [model](models) `config.policy`, if
+/// the policy's hop bound is not the plan's `H`, if `failures` has timed
+/// events (only its static outages are modelled), on sizes that do not
+/// match or invalid durations, if `seeds == 0`, `fanout.workers == 0`,
+/// or a telemetry window is not positive.
 pub fn replicate_signaling(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
@@ -190,6 +194,16 @@ pub fn replicate_signaling(
     fanout: &Fanout<'_>,
 ) -> (Vec<SignalingResult>, BlockingSummary, Option<RunTelemetry>) {
     assert!(seeds > 0, "need at least one replication");
+    assert!(
+        models(config.policy),
+        "signaling does not model policy '{}'",
+        config.policy.name()
+    );
+    assert_plan_hops(plan, config.policy);
+    assert!(
+        failures.events().is_empty(),
+        "signaling models static link failures only, not timed outages"
+    );
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
     let (per_seed, telemetry) = fanout.replicate(
         seeds as usize,
@@ -220,7 +234,7 @@ fn run_recorded<R: Recorder>(
     recorder: &mut R,
 ) -> SignalingResult {
     match config.policy {
-        SignalingPolicy::SinglePath => run_with(
+        PolicyKind::SinglePath => run_with(
             plan,
             traffic,
             failures,
@@ -229,7 +243,11 @@ fn run_recorded<R: Recorder>(
             false,
             recorder,
         ),
-        SignalingPolicy::Uncontrolled => run_with(
+        PolicyKind::ControlledAlternate { .. } => {
+            let admission = TrunkReservation::new(plan.protection_levels().to_vec());
+            run_with(plan, traffic, failures, config, &admission, true, recorder)
+        }
+        PolicyKind::UncontrolledAlternate { .. } => run_with(
             plan,
             traffic,
             failures,
@@ -238,15 +256,7 @@ fn run_recorded<R: Recorder>(
             true,
             recorder,
         ),
-        SignalingPolicy::Controlled => run_with(
-            plan,
-            traffic,
-            failures,
-            config,
-            &TrunkReservation::new(plan.protection_levels().to_vec()),
-            true,
-            recorder,
-        ),
+        other => unreachable!("replicate_signaling admits no {other:?}"),
     }
 }
 
@@ -291,6 +301,8 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
     }
 
     let mut calls: Vec<PendingCall> = Vec::new();
+    // Slots of resolved calls, reused by the next arrivals.
+    let mut free: Vec<u32> = Vec::new();
     let (mut offered, mut blocked, mut races) = (0u64, 0u64, 0u64);
     let mut latency = RunningStats::new();
     let mut attempts_stats = RunningStats::new();
@@ -302,29 +314,19 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
             return None;
         }
         let primary = plan.primaries().choose(call.src, call.dst, call.upick)?;
-        let (links, is_primary) = if call.attempt == 0 {
-            (primary.links().to_vec(), true)
+        let path = if call.attempt == 0 {
+            primary
         } else {
-            // Alternates in length order, skipping the primary.
-            let mut idx = call.attempt - 1;
-            let mut found = None;
-            for path in plan.candidates(call.src, call.dst) {
-                if path == primary {
-                    continue;
-                }
-                if idx == 0 {
-                    found = Some(path.links().to_vec());
-                    break;
-                }
-                idx -= 1;
-            }
-            match found {
-                Some(l) => (l, false),
-                None => return None, // exhausted
-            }
+            // Alternates in length order, skipping the primary; `None`
+            // once they are exhausted.
+            plan.candidates(call.src, call.dst)
+                .iter()
+                .filter(|&path| path != primary)
+                .nth(call.attempt - 1)?
         };
-        call.links = links;
-        call.is_primary = is_primary;
+        call.links.clear();
+        call.links.extend_from_slice(path.links());
+        call.is_primary = call.attempt == 0;
         call.booked_from_dst = 0;
         Some((config.hop_delay, Event::Forward { call: id, hop: 0 }))
     };
@@ -348,8 +350,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 if measured {
                     offered += 1;
                 }
-                let id = calls.len() as u32;
-                calls.push(PendingCall {
+                let call = PendingCall {
                     src,
                     dst,
                     upick,
@@ -360,12 +361,23 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                     is_primary: true,
                     booked_from_dst: 0,
                     measured,
-                    done: false,
-                });
+                };
+                let id = match free.pop() {
+                    Some(id) => {
+                        let slot = &mut calls[id as usize];
+                        let links = std::mem::take(&mut slot.links);
+                        *slot = PendingCall { links, ..call };
+                        id
+                    }
+                    None => {
+                        calls.push(call);
+                        (calls.len() - 1) as u32
+                    }
+                };
                 match start_attempt(&mut calls[id as usize], id) {
                     Some((delay, ev)) => queue.schedule(now + delay, ev),
                     None => {
-                        calls[id as usize].done = true;
+                        free.push(id);
                         recorder.arrival(now, measured, ArrivalOutcome::Blocked, 0, hold);
                         if measured {
                             blocked += 1;
@@ -374,10 +386,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 }
             }
             Event::Forward { call: id, hop } => {
-                let call = &mut calls[id as usize];
-                if call.done {
-                    continue;
-                }
+                let call = &calls[id as usize];
                 let hop = hop as usize;
                 let link = call.links[hop];
                 let tier = if call.is_primary {
@@ -405,17 +414,12 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 }
             }
             Event::Return { call: id, hop } => {
-                let (done, links_len) = {
-                    let call = &calls[id as usize];
-                    (call.done, call.links.len())
-                };
-                if done {
-                    continue;
-                }
+                let call = &mut calls[id as usize];
+                let links_len = call.links.len();
                 let hop = hop as usize;
                 // Return pass books links from the destination end.
-                let link = calls[id as usize].links[links_len - 1 - hop];
-                let tier = if calls[id as usize].is_primary {
+                let link = call.links[links_len - 1 - hop];
+                let tier = if call.is_primary {
                     Tier::Primary
                 } else {
                     Tier::Alternate
@@ -423,22 +427,15 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 if admission.admits(&network, link, tier, 1) {
                     network.book(&[link], 1);
                     recorder.occupancy(now, link as u32, network.occupancy(link));
-                    calls[id as usize].booked_from_dst += 1;
+                    call.booked_from_dst += 1;
                     if hop + 1 == links_len {
                         // Booking complete at the origin: the call starts.
-                        let call = &mut calls[id as usize];
                         let outcome = if call.is_primary {
                             ArrivalOutcome::Primary
                         } else {
                             ArrivalOutcome::Alternate
                         };
-                        recorder.arrival(
-                            now,
-                            call.measured,
-                            outcome,
-                            call.links.len() as u8,
-                            call.hold,
-                        );
+                        recorder.arrival(now, call.measured, outcome, links_len as u8, call.hold);
                         if call.measured {
                             latency.push(now - call.arrived_at);
                             attempts_stats.push(call.attempt as f64 + 1.0);
@@ -456,13 +453,11 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 } else {
                     // Booking race lost: release the suffix we booked.
                     races += 1;
-                    let booked = calls[id as usize].booked_from_dst;
-                    for k in 0..booked {
-                        let l = calls[id as usize].links[links_len - 1 - k];
+                    for &l in call.links[links_len - call.booked_from_dst..].iter().rev() {
                         network.release(&[l], 1);
                         recorder.occupancy(now, l as u32, network.occupancy(l));
                     }
-                    calls[id as usize].booked_from_dst = 0;
+                    call.booked_from_dst = 0;
                     // Notice travels back to the origin over the remaining
                     // hops of the return direction.
                     let back = config.hop_delay * (links_len - hop) as f64;
@@ -470,15 +465,12 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 }
             }
             Event::NextAttempt { call: id } => {
-                if calls[id as usize].done {
-                    continue;
-                }
-                calls[id as usize].attempt += 1;
-                match start_attempt(&mut calls[id as usize], id) {
+                let call = &mut calls[id as usize];
+                call.attempt += 1;
+                match start_attempt(call, id) {
                     Some((delay, ev)) => queue.schedule(now + delay, ev),
                     None => {
-                        let call = &mut calls[id as usize];
-                        call.done = true;
+                        free.push(id);
                         recorder.arrival(now, call.measured, ArrivalOutcome::Blocked, 0, call.hold);
                         if call.measured {
                             blocked += 1;
@@ -487,16 +479,13 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 }
             }
             Event::Departure { call: id } => {
-                let call = &mut calls[id as usize];
-                if !call.done {
-                    call.done = true;
-                    // Release every link (all were booked at commencement).
-                    for &l in &call.links {
-                        network.release(&[l], 1);
-                        recorder.occupancy(now, l as u32, network.occupancy(l));
-                    }
-                    recorder.departure(now, false);
+                // Release every link (all were booked at commencement).
+                for &l in &calls[id as usize].links {
+                    network.release(&[l], 1);
+                    recorder.occupancy(now, l as u32, network.occupancy(l));
                 }
+                recorder.departure(now, false);
+                free.push(id);
             }
         }
         recorder.event(now, queue.len());
@@ -508,6 +497,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
         booking_races: races,
         mean_setup_latency: latency.mean(),
         mean_attempts: attempts_stats.mean(),
+        call_table_high_water: calls.len(),
     }
 }
 
@@ -515,6 +505,9 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
 mod tests {
     use super::*;
     use altroute_netgraph::topologies;
+
+    const CONTROLLED: PolicyKind = PolicyKind::ControlledAlternate { max_hops: 3 };
+    const UNCONTROLLED: PolicyKind = PolicyKind::UncontrolledAlternate { max_hops: 3 };
 
     fn quadrangle_plan(load: f64) -> (RoutingPlan, TrafficMatrix) {
         let traffic = TrafficMatrix::uniform(4, load);
@@ -525,7 +518,7 @@ mod tests {
     fn run(
         plan: &RoutingPlan,
         traffic: &TrafficMatrix,
-        policy: SignalingPolicy,
+        policy: PolicyKind,
         hop_delay: f64,
         seed: u64,
     ) -> SignalingResult {
@@ -554,13 +547,13 @@ mod tests {
         let mut eng_blocked = 0u64;
         let mut eng_offered = 0u64;
         for seed in 0..4 {
-            let s = run(&plan, &traffic, SignalingPolicy::Controlled, 0.0, seed);
+            let s = run(&plan, &traffic, CONTROLLED, 0.0, seed);
             sig_blocked += s.blocked;
             sig_offered += s.offered;
             assert_eq!(s.booking_races, 0, "zero delay admits no races");
             let e = crate::engine::run_seed(&crate::engine::RunConfig {
                 plan: &plan,
-                policy: altroute_core::policy::PolicyKind::ControlledAlternate { max_hops: 3 },
+                policy: CONTROLLED,
                 traffic: &traffic,
                 warmup: 10.0,
                 horizon: 80.0,
@@ -580,7 +573,7 @@ mod tests {
     fn latency_scales_with_delay_and_path_length() {
         let (plan, traffic) = quadrangle_plan(40.0);
         let d = 0.002;
-        let r = run(&plan, &traffic, SignalingPolicy::Controlled, d, 1);
+        let r = run(&plan, &traffic, CONTROLLED, d, 1);
         // Light load: everything takes the 1-hop primary, so set-up is
         // one forward + one return hop = 2d.
         assert!(r.blocking() < 1e-3);
@@ -596,8 +589,8 @@ mod tests {
     #[test]
     fn delay_increases_blocking_and_causes_races() {
         let (plan, traffic) = quadrangle_plan(95.0);
-        let ideal = run(&plan, &traffic, SignalingPolicy::Controlled, 0.0, 5);
-        let slow = run(&plan, &traffic, SignalingPolicy::Controlled, 0.05, 5);
+        let ideal = run(&plan, &traffic, CONTROLLED, 0.0, 5);
+        let slow = run(&plan, &traffic, CONTROLLED, 0.05, 5);
         assert!(
             slow.booking_races > 0,
             "stale checks must collide at booking"
@@ -613,7 +606,7 @@ mod tests {
     #[test]
     fn single_path_never_retries() {
         let (plan, traffic) = quadrangle_plan(95.0);
-        let r = run(&plan, &traffic, SignalingPolicy::SinglePath, 0.01, 2);
+        let r = run(&plan, &traffic, PolicyKind::SinglePath, 0.01, 2);
         assert!(r.blocking() > 0.0);
         assert!(
             (r.mean_attempts - 1.0).abs() < 1e-9,
@@ -624,8 +617,8 @@ mod tests {
     #[test]
     fn alternates_reduce_blocking_under_signaling_too() {
         let (plan, traffic) = quadrangle_plan(88.0);
-        let single = run(&plan, &traffic, SignalingPolicy::SinglePath, 0.01, 9);
-        let controlled = run(&plan, &traffic, SignalingPolicy::Controlled, 0.01, 9);
+        let single = run(&plan, &traffic, PolicyKind::SinglePath, 0.01, 9);
+        let controlled = run(&plan, &traffic, CONTROLLED, 0.01, 9);
         assert!(
             controlled.blocking() < single.blocking(),
             "controlled {} vs single {}",
@@ -638,8 +631,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let (plan, traffic) = quadrangle_plan(85.0);
-        let a = run(&plan, &traffic, SignalingPolicy::Controlled, 0.01, 42);
-        let b = run(&plan, &traffic, SignalingPolicy::Controlled, 0.01, 42);
+        let a = run(&plan, &traffic, CONTROLLED, 0.01, 42);
+        let b = run(&plan, &traffic, CONTROLLED, 0.01, 42);
         assert_eq!(a, b);
     }
 
@@ -648,7 +641,7 @@ mod tests {
         let (plan, traffic) = quadrangle_plan(90.0);
         let config = SignalingConfig {
             hop_delay: 0.01,
-            policy: SignalingPolicy::Controlled,
+            policy: CONTROLLED,
             warmup: 10.0,
             horizon: 80.0,
             seed: 100,
@@ -687,7 +680,7 @@ mod tests {
         let (plan, traffic) = quadrangle_plan(90.0);
         let config = SignalingConfig {
             hop_delay: 0.01,
-            policy: SignalingPolicy::Controlled,
+            policy: CONTROLLED,
             warmup: 10.0,
             horizon: 80.0,
             seed: 7,
@@ -721,6 +714,91 @@ mod tests {
     }
 
     #[test]
+    fn call_table_is_bounded_by_concurrent_calls() {
+        // Resolved calls give their slots back, so the table tracks the
+        // peak number of calls in set-up or in service, not the number
+        // of calls offered: ten times the horizon offers ten times the
+        // calls but needs no more slots.
+        let (plan, traffic) = quadrangle_plan(40.0);
+        let run_for = |horizon| {
+            run_signaling(
+                &plan,
+                &traffic,
+                &FailureSchedule::none(),
+                &SignalingConfig {
+                    hop_delay: 0.01,
+                    policy: CONTROLLED,
+                    warmup: 10.0,
+                    horizon,
+                    seed: 4,
+                },
+            )
+        };
+        let (short, long) = (run_for(40.0), run_for(400.0));
+        assert!(long.offered > 9 * short.offered);
+        assert!(short.call_table_high_water < 1000, "{short:?}");
+        assert!(
+            long.call_table_high_water <= short.call_table_high_water * 5 / 4,
+            "slots grew from {} to {}",
+            short.call_table_high_water,
+            long.call_table_high_water
+        );
+    }
+
+    /// Blocking of two short replications at 60 Erlangs per pair.
+    fn replicate(policy: PolicyKind, failures: &FailureSchedule) -> f64 {
+        let (plan, traffic) = quadrangle_plan(60.0);
+        let config = SignalingConfig {
+            hop_delay: 0.01,
+            policy,
+            warmup: 1.0,
+            horizon: 20.0,
+            seed: 1,
+        };
+        let fanout = Fanout::default();
+        replicate_signaling(&plan, &traffic, failures, &config, 2, &fanout)
+            .1
+            .mean()
+    }
+
+    #[test]
+    #[should_panic(expected = "not timed outages")]
+    fn timed_outages_are_rejected() {
+        let link = topologies::quadrangle().link_between(0, 1).unwrap();
+        replicate(
+            CONTROLLED,
+            &FailureSchedule::none().with_outage(link, 2.0, 4.0),
+        );
+    }
+
+    #[test]
+    fn static_outages_are_modelled() {
+        // With 0->1 down, single-path loses that pair's every call.
+        let link = topologies::quadrangle().link_between(0, 1).unwrap();
+        let down = FailureSchedule::static_down(vec![link]);
+        let healthy = replicate(PolicyKind::SinglePath, &FailureSchedule::none());
+        assert!(replicate(PolicyKind::SinglePath, &down) > healthy + 1.0 / 12.0 - 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "signaling does not model policy 'ott-krishnan'")]
+    fn state_dependent_selectors_are_rejected() {
+        replicate(
+            PolicyKind::OttKrishnan { max_hops: 3 },
+            &FailureSchedule::none(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "policy hop bound must match the plan's H")]
+    fn mismatched_hop_bound_panics() {
+        replicate(
+            PolicyKind::ControlledAlternate { max_hops: 2 },
+            &FailureSchedule::none(),
+        );
+    }
+
+    #[test]
     fn network_drains_cleanly() {
         // Conservation: after simulating well past the last arrival, no
         // circuits leak. We can't inspect the internal network, but a
@@ -728,7 +806,7 @@ mod tests {
         // equivalent by construction (fresh state per run); instead check
         // offered = blocked + carried via the latency counter count.
         let (plan, traffic) = quadrangle_plan(90.0);
-        let r = run(&plan, &traffic, SignalingPolicy::Uncontrolled, 0.01, 3);
+        let r = run(&plan, &traffic, UNCONTROLLED, 0.01, 3);
         assert!(r.offered > 0);
         assert!(r.blocked <= r.offered);
     }

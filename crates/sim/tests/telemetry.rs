@@ -7,7 +7,7 @@ use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::{Experiment, ExperimentResult, Fanout, SimParams};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::multirate::{run_multirate, BandwidthClass, MultirateParams, MultiratePolicy};
+use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
 use altroute_sim::{run_seed, Run, RunConfig};
 use altroute_telemetry::{NullRecorder, RunTelemetry};
 
@@ -120,17 +120,20 @@ fn telemetry_is_bit_identical_across_worker_counts() {
             traffic: TrafficMatrix::uniform(4, 5.0),
         },
     ];
-    let params = MultirateParams {
+    let params = SimParams {
         warmup: 2.0,
         horizon: 15.0,
         seeds: 8,
         base_seed: 0xF00D,
-        max_hops: 3,
     };
+    let plan = multirate::plan(&topo, &classes, 3);
     let failures = FailureSchedule::none();
-    for policy in [MultiratePolicy::SinglePath, MultiratePolicy::Controlled] {
+    for policy in [
+        PolicyKind::SinglePath,
+        PolicyKind::ControlledAlternate { max_hops: 3 },
+    ] {
         let run = |fanout: Fanout<'_>| {
-            run_multirate(&topo, &classes, policy, &params, &failures, None, &fanout)
+            run_multirate(&plan, &classes, policy, &params, &failures, &fanout)
         };
         let (r1, t1) = run(recording(2.5, 1));
         let t1 = t1.expect("a window records telemetry");

@@ -329,23 +329,24 @@ pub trait RouteSelector<'p> {
 /// historical engine called its trace sink and telemetry recorder.
 /// The default methods do nothing; [`NullObserver`] monomorphizes away.
 pub trait KernelObserver {
-    /// An arrival for source `tag` was routed over `links` at `tier`,
-    /// about to be booked; `hold` is its drawn holding time.
+    /// An arrival of the source with stream id `stream` was routed over
+    /// `links` at `tier`, about to be booked; `hold` is its drawn holding
+    /// time.
     fn arrival_routed(
         &mut self,
         now: f64,
-        tag: u32,
+        stream: u32,
         tier: Tier,
         links: &[Link],
         hold: f64,
         measured: bool,
     ) {
-        let _ = (now, tag, tier, links, hold, measured);
+        let _ = (now, stream, tier, links, hold, measured);
     }
 
-    /// An arrival for source `tag` was blocked.
-    fn arrival_blocked(&mut self, now: f64, tag: u32, hold: f64, measured: bool) {
-        let _ = (now, tag, hold, measured);
+    /// An arrival of the source with stream id `stream` was blocked.
+    fn arrival_blocked(&mut self, now: f64, stream: u32, hold: f64, measured: bool) {
+        let _ = (now, stream, hold, measured);
     }
 
     /// Link `link` now carries `occupancy` units (after a booking,
@@ -417,7 +418,10 @@ impl InterArrival {
 #[derive(Debug, Clone, Copy)]
 pub struct ArrivalSource {
     /// Seed-derived RNG stream id. Stream ids are the common-random-
-    /// numbers contract: keep them stable across policies.
+    /// numbers contract: keep them stable across policies. The id is
+    /// also the source's identity: observers see it on every arrival,
+    /// and the kernel counts its offered and blocked calls in tally slot
+    /// `stream` (e.g. the pair id, or `class·n² + pair`).
     pub stream: u64,
     /// Origin handed to the selector.
     pub src: usize,
@@ -427,10 +431,6 @@ pub struct ArrivalSource {
     pub rate: f64,
     /// Bandwidth units each call books on every link of its path.
     pub bandwidth: u32,
-    /// Identifier reported to observers (e.g. the pair id).
-    pub tag: u32,
-    /// Index into the per-tally offered/blocked counters.
-    pub tally: u32,
     /// The law of the source's inter-arrival gaps.
     pub gaps: InterArrival,
 }
@@ -464,7 +464,7 @@ pub struct KernelConfig {
     /// any.
     pub tick_interval: Option<f64>,
     /// Length of the per-tally offered/blocked vectors (e.g. `n²` for
-    /// per-pair accounting); every source's `tally` must be below it.
+    /// per-pair accounting); every source's `stream` must be below it.
     pub tally_slots: usize,
 }
 
@@ -892,8 +892,8 @@ impl LoopState {
         let factory = StreamFactory::new(config.seed);
         for (i, source) in spec.sources.iter().enumerate() {
             assert!(
-                (source.tally as usize) < config.tally_slots,
-                "source tally out of range"
+                source.stream < config.tally_slots as u64,
+                "source stream out of tally range"
             );
             let mut stream = factory.stream(source.stream);
             let first = source.gaps.draw(&mut stream, source.rate);
@@ -946,11 +946,11 @@ impl LoopState {
         let measured = now >= config.warmup;
         if measured {
             counters.offered += 1;
-            counters.tally_offered[s.tally as usize] += 1;
+            counters.tally_offered[s.stream as usize] += 1;
         }
         match selector.select(s.src, s.dst, pick, &self.links, admission, s.bandwidth) {
             Selection::Route { links: path, tier } => {
-                observer.arrival_routed(now, s.tag, tier, path, hold, measured);
+                observer.arrival_routed(now, s.stream as u32, tier, path, hold, measured);
                 self.links.book(path, s.bandwidth);
                 for &l in path {
                     self.occupancy[l].record(now, f64::from(self.links.occupancy(l)));
@@ -968,10 +968,10 @@ impl LoopState {
                 }
             }
             Selection::Blocked => {
-                observer.arrival_blocked(now, s.tag, hold, measured);
+                observer.arrival_blocked(now, s.stream as u32, hold, measured);
                 if measured {
                     counters.blocked += 1;
-                    counters.tally_blocked[s.tally as usize] += 1;
+                    counters.tally_blocked[s.stream as usize] += 1;
                 }
             }
         }
@@ -1091,7 +1091,7 @@ fn seed_link_events<Q: EventSchedule<Event>>(spec: &KernelSpec<'_>, queue: &mut 
 /// # Panics
 ///
 /// Panics on inconsistent configuration (negative durations, a source
-/// tally out of range) or if an internal invariant breaks (a selector
+/// stream out of tally range) or if an internal invariant breaks (a selector
 /// returning a path its admission policy rejects at booking time).
 pub fn run<'p, A, R, O>(
     spec: &KernelSpec<'_>,
@@ -1331,7 +1331,7 @@ mod tests {
                 seed: 42,
                 draw_pick: true,
                 tick_interval: None,
-                tally_slots: 1,
+                tally_slots: 8,
             },
             capacities,
             static_down: &[],
@@ -1351,8 +1351,6 @@ mod tests {
             dst: 1,
             rate: 8.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let out = single_link_spec(&[10], &sources);
@@ -1372,8 +1370,6 @@ mod tests {
             dst: 1,
             rate: 5.0,
             bandwidth: 2,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let a = single_link_spec(&[12], &sources);
@@ -1389,8 +1385,6 @@ mod tests {
             dst: 1,
             rate: 8.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         };
         let with_gaps = |gaps| [ArrivalSource { gaps, ..poisson }];
@@ -1436,8 +1430,6 @@ mod tests {
             dst: 1,
             rate: 8.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let events: Vec<LinkEvent> = (0..20)
@@ -1503,8 +1495,6 @@ mod tests {
             dst: 1,
             rate: 6.0,
             bandwidth: 3,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let out = single_link_spec(&[10], &sources);
@@ -1577,8 +1567,6 @@ mod tests {
             dst: 1,
             rate: 8.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let events = [
@@ -1643,8 +1631,6 @@ mod tests {
             dst: 1,
             rate: 1.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let spec = KernelSpec {
@@ -1673,16 +1659,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tally out of range")]
+    #[should_panic(expected = "source stream out of tally range")]
     fn tally_bounds_are_checked() {
         let sources = [ArrivalSource {
-            stream: 0,
+            stream: 9,
             src: 0,
             dst: 1,
             rate: 1.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 5,
             gaps: InterArrival::Exponential,
         }];
         single_link_spec(&[5], &sources);
@@ -1765,8 +1749,6 @@ mod tests {
             dst: 1,
             rate: 8.0,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let config = KernelConfig {
@@ -1795,8 +1777,6 @@ mod tests {
             dst: 1,
             rate: 0.5,
             bandwidth: 1,
-            tag: 0,
-            tally: 0,
             gaps: InterArrival::Exponential,
         }];
         let config = KernelConfig {

@@ -128,9 +128,8 @@ EOF
 # the kernel-backed engine, solo and fanned out (the dedicated test), and
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
-# committed fig3_quadrangle, fig6_nsfnet, adaptive_estimation,
-# protection_sweep, bursty_arrivals and overflow_peakedness results must
-# reproduce byte for byte.
+# committed results of all 19 result binaries must reproduce byte for
+# byte (~80 s of runs in release on 2 vCPUs).
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -160,15 +159,17 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
-  # The committed Fig. 3 and Fig. 6 headline tables and the
-  # online-estimation, protection-sweep, bursty-arrival and
-  # overflow-peakedness tables, with their transcripts, must be what the
-  # code produces (each binary writes results/ under its working
-  # directory; the figure binaries name their CSV after both figures they
+  # Every committed results/ table, with its transcript, must be what
+  # the code produces (each binary writes results/ under its working
+  # directory; the figure binaries name their CSV after the figures they
   # feed).
   local root="$PWD" bin csv
-  for bin in fig3_quadrangle:fig3_fig4_quadrangle fig6_nsfnet:fig6_fig7_nsfnet \
-             adaptive_estimation protection_sweep bursty_arrivals overflow_peakedness; do
+  for bin in fig1_chain fig2_protection_curves fig3_quadrangle:fig3_fig4_quadrangle \
+             fig5_topology:fig5_topology_links fig6_nsfnet:fig6_fig7_nsfnet \
+             table1_protection_levels adaptive_estimation bursty_arrivals \
+             channel_borrowing failures h6_limited minloss_primaries mitra_gibbens \
+             multirate od_skewness overflow_peakedness per_link_h protection_sweep \
+             signaling_delay; do
     csv=${bin#*:}; bin=${bin%%:*}
     (cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
       -p altroute-experiments --bin "$bin" > "$bin.txt")

@@ -201,6 +201,109 @@ fn pinned_csv(name: &str) -> (Vec<String>, Vec<Vec<f64>>) {
     (header.collect(), rows)
 }
 
+/// A pinned table keyed by (leading number, policy name): `at(key,
+/// policy)` is that row's remaining numeric cells. Panics unless the
+/// committed header is `header` and the table has `len` rows.
+fn pinned_policy_table(name: &str, header: &[&str], len: usize) -> impl Fn(f64, &str) -> Vec<f64> {
+    let path = format!("{}/results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut lines = text.lines();
+    assert_eq!(
+        lines.next().expect("header").split(',').collect::<Vec<_>>(),
+        header
+    );
+    let rows: Vec<(f64, String, Vec<f64>)> = lines
+        .map(|line| {
+            let cells: Vec<&str> = line.split(',').collect();
+            let values = cells[2..].iter().map(|c| c.parse().expect(c)).collect();
+            (
+                cells[0].parse().expect(cells[0]),
+                cells[1].to_string(),
+                values,
+            )
+        })
+        .collect();
+    assert_eq!(rows.len(), len);
+    move |key, policy| {
+        let row = rows.iter().find(|(k, p, _)| *k == key && p == policy);
+        row.unwrap_or_else(|| panic!("no {policy} row at {key}"))
+            .2
+            .clone()
+    }
+}
+
+const POLICIES: [&str; 3] = ["single-path", "uncontrolled", "controlled"];
+
+/// The pinned multirate table keeps the claims its transcript and
+/// EXPERIMENTS.md make: the 4-unit class blocks more than the 1-unit
+/// class on every row, controlled call blocking never exceeds
+/// single-path's and equals it at 80 Erlangs, and at 70 Erlangs
+/// uncontrolled routing at least doubles the wideband blocking of
+/// controlled routing.
+#[test]
+fn pinned_multirate_table_keeps_its_claims() {
+    let at = pinned_policy_table(
+        "multirate",
+        &[
+            "narrow_load",
+            "policy",
+            "call_blocking",
+            "bw_blocking",
+            "narrowband",
+            "wideband",
+        ],
+        12,
+    );
+    let (call, narrow, wide) = (0, 2, 3);
+    for load in [50.0, 60.0, 70.0, 80.0] {
+        for policy in POLICIES {
+            let row = at(load, policy);
+            assert!(row[wide] > row[narrow], "{policy} at {load}: {row:?}");
+        }
+        let (single, controlled) = (at(load, "single-path"), at(load, "controlled"));
+        assert!(
+            controlled[call] <= single[call],
+            "controlled > single-path at {load}"
+        );
+    }
+    assert_eq!(at(80.0, "controlled"), at(80.0, "single-path"));
+    assert!(at(70.0, "uncontrolled")[wide] >= 2.0 * at(70.0, "controlled")[wide]);
+}
+
+/// The pinned signaling-delay table keeps the claims its transcript and
+/// EXPERIMENTS.md make: with no delay there are no booking races and no
+/// set-up latency; uncontrolled routing races more than controlled at
+/// every delay; at a realistic 2e-4 holding times controlled blocking
+/// stays within 0.001 of the idealised value; and from no delay to 2e-2
+/// uncontrolled blocking rises more than controlled blocking.
+#[test]
+fn pinned_signaling_delay_table_keeps_its_claims() {
+    let at = pinned_policy_table(
+        "signaling_delay",
+        &[
+            "hop_delay",
+            "policy",
+            "blocking",
+            "booking_races",
+            "mean_setup_latency",
+            "mean_attempts",
+        ],
+        12,
+    );
+    let (blocking, races, latency) = (0, 1, 2);
+    for policy in POLICIES {
+        let row = at(0.0, policy);
+        assert_eq!((row[races], row[latency]), (0.0, 0.0), "{policy}: {row:?}");
+    }
+    for delay in [2e-4, 2e-3, 2e-2] {
+        assert!(at(delay, "uncontrolled")[races] > at(delay, "controlled")[races]);
+    }
+    let controlled = |delay| at(delay, "controlled")[blocking];
+    let uncontrolled = |delay| at(delay, "uncontrolled")[blocking];
+    assert!((controlled(2e-4) - controlled(0.0)).abs() <= 1e-3);
+    assert!(uncontrolled(2e-2) - uncontrolled(0.0) > controlled(2e-2) - controlled(0.0));
+}
+
 /// The pinned bursty-arrivals (H2, assumption A2) table keeps the claims
 /// its transcript and EXPERIMENTS.md make: controlled ≤ single-path on
 /// every row, blocking non-decreasing in cv² at each load for every

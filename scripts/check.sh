@@ -128,8 +128,9 @@ EOF
 # the kernel-backed engine, solo and fanned out (the dedicated test), and
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
-# committed results of all 19 result binaries must reproduce byte for
-# byte (~80 s of runs in release on 2 vCPUs).
+# committed results of all 19 result binaries and the table and JSON
+# transcripts of `metastability` and `controlled` must reproduce byte
+# for byte (~120 s of runs in release on 2 vCPUs).
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -159,6 +160,17 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
+  # The hysteresis tiers' table and JSON must reproduce their committed
+  # transcripts byte for byte, not only be stable run to run.
+  local tier
+  for tier in metastability controlled; do
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      "$tier" > "$tmpdir/altroute_cli_$tier.txt"
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      "$tier" --metrics-json > "$tmpdir/altroute_cli_$tier.json"
+    cmp "$tmpdir/altroute_cli_$tier.txt" "results/full/altroute_cli_$tier.txt"
+    cmp "$tmpdir/altroute_cli_$tier.json" "results/full/altroute_cli_$tier.json"
+  done
   # Every committed results/ table, with its transcript, must be what
   # the code produces (each binary writes results/ under its working
   # directory; the figure binaries name their CSV after the figures they

@@ -255,12 +255,6 @@ impl RoutingPlan {
         &self.store
     }
 
-    /// Mutable access to the candidate-path cache, for callers driving
-    /// invalidation directly (the engine's outage handling).
-    pub fn path_store_mut(&mut self) -> &mut PathStore {
-        &mut self.store
-    }
-
     /// Marks a link up or down in the candidate cache, evicting exactly
     /// the pairs whose cached sets may change (down: pairs traversing the
     /// link, via the reverse index; up: pairs within hop range of the

@@ -19,6 +19,8 @@
 //! altroute_cli metastability [--preset <smoke|paper>] [--nodes <N>] [--d <K>]
 //!                       [--window <width>] [--metrics-json] [--telemetry <dir>]
 //!                       [--serve <addr>]            four-arm hysteresis demonstration
+//! altroute_cli controlled [--preset <smoke|paper>] [--metrics-json]
+//!                       [--serve <addr>]            closed-loop Eq.-15 demonstration
 //! altroute_cli largemesh [--preset <smoke|full>] [--nodes <N>] [--metrics-json]
 //!                                                   ISP-scale mesh under rolling SRLG failures
 //! altroute_cli telemetry <dir>                      human-readable telemetry report
@@ -52,11 +54,12 @@
 //! heartbeat with an ETA to stderr.
 //!
 //! With `--serve <addr>` the long-running engines (`simulate`,
-//! `adaptive`, `metastability`) expose the run over HTTP while it
-//! executes: `GET /metrics` returns the latest Prometheus exposition
-//! (refreshed every completed window on `metastability`, per finished
-//! policy otherwise — `simulate`/`adaptive` publish only when
-//! `--telemetry` records), `/healthz` is a liveness probe, and
+//! `adaptive`, `metastability`, `controlled`) expose the run over HTTP
+//! while it executes: `GET /metrics` returns the latest Prometheus
+//! exposition (refreshed every completed window and after every arm on
+//! the hysteresis tiers, per finished policy otherwise —
+//! `simulate`/`adaptive` publish only when `--telemetry` records),
+//! `/healthz` is a liveness probe, and
 //! `/status` is a JSON progress document. Pass port 0 to let the OS
 //! pick; the bound address is announced on stderr.
 //!
@@ -119,16 +122,19 @@
 //! an arm with levels frozen at `r = 0` stays stuck in the
 //! high-blocking mode while an arm carrying a resident `altrouted`
 //! controller — re-estimating loads and re-solving Eq. 15 at every
-//! window boundary, starting from zero levels — escapes. `--metrics-json`
-//! emits the machine-readable report the CI smoke stage asserts on.
+//! window boundary, starting from zero levels — escapes. `--preset`
+//! names a `metastability` preset (`smoke`, the default, or the
+//! minutes-scale `paper`), and the `static` arm is that preset's
+//! `r0_saturated` arm. `--metrics-json` emits the machine-readable
+//! report the CI smoke stage asserts on.
 
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::{
     blocking_summary_json, fmt_prob, metrics_document, telemetry_document,
 };
 use altroute_experiments::{
-    render_feed, run_controlled_served, run_largemesh, run_metastability_served, ArmResult,
-    ControlledConfig, FeedConfig, Heartbeat, LargeMeshConfig, MetastabilityConfig, Series, Table,
+    controlled, metastability, render_feed, run_controlled, run_largemesh, run_metastability,
+    ArmResult, FeedConfig, Heartbeat, LargeMeshConfig, MetastabilityConfig, Series, Table,
 };
 use altroute_json::{obj, Value};
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
@@ -602,12 +608,6 @@ fn write_telemetry_files(
     Ok(())
 }
 
-/// Display name of one hysteresis arm (`r0_empty`, `eq15_saturated`, …)
-/// — doubles as the telemetry file stem.
-fn arm_name(arm: &ArmResult) -> String {
-    arm.name()
-}
-
 fn mode_name(m: Mode) -> &'static str {
     match m {
         Mode::Low => "low",
@@ -615,13 +615,88 @@ fn mode_name(m: Mode) -> &'static str {
     }
 }
 
+/// Concatenates the members of JSON objects, in order.
+fn concat_objects<const N: usize>(parts: [Value; N]) -> Value {
+    Value::Object(
+        parts
+            .into_iter()
+            .flat_map(|part| match part {
+                Value::Object(members) => members,
+                other => panic!("expected a JSON object, got {other:?}"),
+            })
+            .collect(),
+    )
+}
+
+/// The label and instance keys both hysteresis tiers' JSON opens with.
+fn hysteresis_json(label: &str, cfg: &MetastabilityConfig) -> Value {
+    obj! {
+        "label" => label,
+        "nodes" => cfg.nodes,
+        "capacity" => cfg.capacity,
+        "load_per_pair" => cfg.load_per_pair,
+        "d" => cfg.d,
+        "horizon" => cfg.horizon,
+        "window" => cfg.window,
+        "seeds" => cfg.seeds,
+    }
+}
+
+/// One hysteresis arm as JSON: its name, the tier's `tags`, then the
+/// measurements every arm reports.
+fn arm_json(a: &ArmResult, tags: Value) -> Value {
+    concat_objects([
+        obj! { "arm" => a.name },
+        tags,
+        obj! {
+            "blocking" => a.blocking,
+            "alternate_fraction" => a.alternate_fraction,
+            "tail_utilization" => a.tail_utilization,
+            "final_mode" => mode_name(a.modes.final_mode()),
+            "fraction_high" => a.modes.fraction_high(),
+            "mode_switches" => a.modes.num_switches() as u64,
+        },
+    ])
+}
+
+/// The seven-column table both hysteresis tiers print, one row per arm.
+fn arm_table<'r>(arms: impl IntoIterator<Item = &'r ArmResult>) -> String {
+    let mut table = Table::new([
+        "arm",
+        "blocking",
+        "alt-fraction",
+        "tail-util",
+        "final-mode",
+        "frac-high",
+        "switches",
+    ]);
+    for a in arms {
+        table.row([
+            a.name.to_string(),
+            fmt_prob(a.blocking),
+            format!("{:.4}", a.alternate_fraction),
+            format!("{:.4}", a.tail_utilization),
+            mode_name(a.modes.final_mode()).to_string(),
+            format!("{:.3}", a.modes.fraction_high()),
+            a.modes.num_switches().to_string(),
+        ]);
+    }
+    table.render()
+}
+
+/// Resolves `--preset` (default `smoke`) for the hysteresis tiers.
+fn hysteresis_preset(flags: &Flags) -> Result<(&str, MetastabilityConfig), String> {
+    let preset = flags.preset.as_deref().unwrap_or("smoke");
+    let cfg = MetastabilityConfig::preset(preset)
+        .ok_or_else(|| format!("unknown preset '{preset}' (try smoke, paper)"))?;
+    Ok((preset, cfg))
+}
+
 /// Runs the four-arm hysteresis demonstration (`metastability`): the
 /// same load from empty and saturated starts, with and without Eq.-15
 /// reservation, classified by the hysteresis mode detector.
 fn cmd_metastability(flags: &Flags) -> Result<(), String> {
-    let preset = flags.preset.as_deref().unwrap_or("smoke");
-    let mut cfg = MetastabilityConfig::preset(preset)
-        .ok_or_else(|| format!("unknown preset '{preset}' (try smoke, paper)"))?;
+    let (preset, mut cfg) = hysteresis_preset(flags)?;
     if let Some(n) = flags.nodes {
         if n < 3 {
             return Err("--nodes must be at least 3 (a mesh needs tandems)".into());
@@ -635,7 +710,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
         cfg.window = w;
     }
     let server = flags.bind_server(&format!("metastability:{preset}"))?;
-    let report = run_metastability_served(&cfg, server.as_ref());
+    let report = run_metastability(&cfg, server.as_ref());
 
     if let Some(dir) = &flags.telemetry {
         let dir = Path::new(dir);
@@ -646,7 +721,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
         };
         let mut files = 1; // telemetry.json
         for arm in &report.arms {
-            let name = arm_name(arm);
+            let name = arm.name;
             let mut prom = export::prometheus(&arm.telemetry);
             prom.push_str(&export::mode_prometheus(&arm.modes));
             write(format!("{name}.prom"), prom)?;
@@ -679,7 +754,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
         let entries: Vec<(String, &RunTelemetry)> = report
             .arms
             .iter()
-            .map(|arm| (arm_name(arm), &arm.telemetry))
+            .map(|arm| (arm.name.to_string(), &arm.telemetry))
             .collect();
         write(
             "telemetry.json".to_string(),
@@ -689,65 +764,34 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
     }
 
     if flags.metrics_json {
-        let arms: Vec<Value> = report
-            .arms
+        let arms: Vec<Value> = metastability::ARMS
             .iter()
-            .map(|a| {
-                obj! {
-                    "arm" => arm_name(a),
-                    "reserved" => a.reserved,
-                    "start" => a.start.name(),
-                    "blocking" => a.blocking,
-                    "alternate_fraction" => a.alternate_fraction,
-                    "tail_utilization" => a.tail_utilization,
-                    "final_mode" => mode_name(a.modes.final_mode()),
-                    "fraction_high" => a.modes.fraction_high(),
-                    "mode_switches" => a.modes.num_switches() as u64,
-                    "flight_trigger" => match &a.flight {
-                        Some(f) => Value::from(f.reason.to_string()),
-                        None => Value::Null,
+            .map(|&(reserved, start)| {
+                let a = report.arm(reserved, start);
+                concat_objects([
+                    arm_json(a, obj! { "reserved" => reserved, "start" => start.name() }),
+                    obj! {
+                        "flight_trigger" => match &a.flight {
+                            Some(f) => Value::from(f.reason.to_string()),
+                            None => Value::Null,
+                        },
                     },
-                }
+                ])
             })
             .collect();
-        let doc = obj! {
-            "label" => format!("metastability:{preset}"),
-            "nodes" => cfg.nodes,
-            "capacity" => cfg.capacity,
-            "load_per_pair" => cfg.load_per_pair,
-            "d" => cfg.d,
-            "horizon" => cfg.horizon,
-            "window" => cfg.window,
-            "seeds" => cfg.seeds,
-            "mode_gap_unreserved" => report.mode_gap(false),
-            "mode_gap_reserved" => report.mode_gap(true),
-            "blocking_gap_unreserved" => report.blocking_gap(false),
-            "blocking_gap_reserved" => report.blocking_gap(true),
-            "arms" => Value::Array(arms),
-        };
+        let doc = concat_objects([
+            hysteresis_json(&format!("metastability:{preset}"), &cfg),
+            obj! {
+                "mode_gap_unreserved" => report.mode_gap(false),
+                "mode_gap_reserved" => report.mode_gap(true),
+                "blocking_gap_unreserved" => report.blocking_gap(false),
+                "blocking_gap_reserved" => report.blocking_gap(true),
+                "arms" => Value::Array(arms),
+            },
+        ]);
         println!("{}", doc.to_string_pretty());
     } else {
-        let mut table = Table::new([
-            "arm",
-            "blocking",
-            "alt-fraction",
-            "tail-util",
-            "final-mode",
-            "frac-high",
-            "switches",
-        ]);
-        for a in &report.arms {
-            table.row([
-                arm_name(a),
-                fmt_prob(a.blocking),
-                format!("{:.4}", a.alternate_fraction),
-                format!("{:.4}", a.tail_utilization),
-                mode_name(a.modes.final_mode()).to_string(),
-                format!("{:.3}", a.modes.fraction_high()),
-                a.modes.num_switches().to_string(),
-            ]);
-        }
-        println!("{}", table.render());
+        println!("{}", arm_table(&report.arms));
         println!(
             "mode gap (saturated - empty):     r=0 {:+.3}   eq15 {:+.3}",
             report.mode_gap(false),
@@ -763,9 +807,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
                 let events = decode_trace(&f.bytes).map_or(0, |(_, r)| r.len());
                 println!(
                     "flight recorder: {} froze on {} (seed {}, {events} events)",
-                    a.name(),
-                    f.reason,
-                    f.seed,
+                    a.name, f.reason, f.seed,
                 );
             }
         }
@@ -791,28 +833,16 @@ fn cmd_feed(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs the closed-loop demonstration (`controlled`) on the
+/// metastability instance of `--preset`.
 fn cmd_controlled(flags: &Flags) -> Result<(), String> {
-    let preset = flags.preset.as_deref().unwrap_or("smoke");
-    let cfg = ControlledConfig::preset(preset)
-        .ok_or_else(|| format!("unknown preset '{preset}' (try smoke)"))?;
+    let (preset, cfg) = hysteresis_preset(flags)?;
     let server = flags.bind_server(&format!("controlled:{preset}"))?;
-    let report = run_controlled_served(&cfg, server.as_ref());
+    let report = run_controlled(&cfg, server.as_ref());
+    let arms = [&report.static_arm, &report.online_arm];
+    let final_max_level = report.final_levels.iter().copied().max().unwrap_or(0);
 
     if flags.metrics_json {
-        let arms: Vec<Value> = [&report.static_arm, &report.online_arm]
-            .iter()
-            .map(|a| {
-                obj! {
-                    "arm" => a.name,
-                    "blocking" => a.blocking,
-                    "alternate_fraction" => a.alternate_fraction,
-                    "tail_utilization" => a.tail_utilization,
-                    "final_mode" => mode_name(a.modes.final_mode()),
-                    "fraction_high" => a.modes.fraction_high(),
-                    "mode_switches" => a.modes.num_switches() as u64,
-                }
-            })
-            .collect();
         let updates: Vec<Value> = report
             .updates
             .iter()
@@ -826,48 +856,22 @@ fn cmd_controlled(flags: &Flags) -> Result<(), String> {
                 }
             })
             .collect();
-        let doc = obj! {
-            "label" => format!("controlled:{preset}"),
-            "nodes" => cfg.meta.nodes,
-            "capacity" => cfg.meta.capacity,
-            "load_per_pair" => cfg.meta.load_per_pair,
-            "d" => cfg.meta.d,
-            "horizon" => cfg.meta.horizon,
-            "window" => cfg.meta.window,
-            "seeds" => cfg.meta.seeds,
-            "recompute_every" => cfg.tuning().recompute_every,
-            "update_count" => report.update_count,
-            "final_max_level" => report.final_levels.iter().copied().max().unwrap_or(0),
-            "arms" => Value::Array(arms),
-            "updates" => Value::Array(updates),
-        };
+        let doc = concat_objects([
+            hysteresis_json(&format!("controlled:{preset}"), &cfg),
+            obj! {
+                "recompute_every" => controlled::tuning(&cfg).recompute_every,
+                "update_count" => report.update_count,
+                "final_max_level" => final_max_level,
+                "arms" => Value::Array(arms.iter().map(|a| arm_json(a, obj! {})).collect()),
+                "updates" => Value::Array(updates),
+            },
+        ]);
         println!("{}", doc.to_string_pretty());
     } else {
-        let mut table = Table::new([
-            "arm",
-            "blocking",
-            "alt-fraction",
-            "tail-util",
-            "final-mode",
-            "frac-high",
-            "switches",
-        ]);
-        for a in [&report.static_arm, &report.online_arm] {
-            table.row([
-                a.name.to_string(),
-                fmt_prob(a.blocking),
-                format!("{:.4}", a.alternate_fraction),
-                format!("{:.4}", a.tail_utilization),
-                mode_name(a.modes.final_mode()).to_string(),
-                format!("{:.3}", a.modes.fraction_high()),
-                a.modes.num_switches().to_string(),
-            ]);
-        }
-        println!("{}", table.render());
+        println!("{}", arm_table(arms));
         println!(
-            "controller: {} level update(s), final max r = {}",
+            "controller: {} level update(s), final max r = {final_max_level}",
             report.update_count,
-            report.final_levels.iter().copied().max().unwrap_or(0)
         );
         for u in &report.updates {
             println!(
@@ -2035,7 +2039,7 @@ fn run() -> Result<(), String> {
                   [--window W] [--metrics-json] [--telemetry DIR] [--serve ADDR] | \
                   largemesh [--preset smoke|full] [--nodes N] [--metrics-json] | \
                   feed [--preset ramp] | \
-                  controlled [--preset smoke] [--metrics-json] [--serve ADDR] | \
+                  controlled [--preset smoke|paper] [--metrics-json] [--serve ADDR] | \
                   telemetry DIR | replay TRACE | example-config | conformance [--bless]>"
                 .into(),
         ),

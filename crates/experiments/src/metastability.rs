@@ -24,12 +24,19 @@
 //! telemetry is classified by the hysteresis mode detector
 //! ([`altroute_telemetry::mode`]), and the report exposes the
 //! start-state gap with and without reservation.
+//!
+//! The arm runner here is the one both hysteresis tiers use: an arm
+//! supplies its plan, start state and per-seed execution (these arms
+//! call [`Run::execute`]; the closed-loop arms of [`crate::controlled`]
+//! drive an online controller), and the runner owns the serial seed
+//! loop, the live recorder and flight ring, the in-order merge and the
+//! [`ArmResult`] measurements.
 
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{Run, RunConfig};
+use altroute_sim::engine::{Run, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{encode_flight, FlightSink};
 use altroute_simcore::pool::merge_in_order;
@@ -162,14 +169,32 @@ pub struct FlightCapture {
     pub bytes: Vec<u8>,
 }
 
-/// One arm of the four-arm demonstration.
+/// Display name of a metastability arm — doubles as its telemetry file
+/// stem.
+fn arm_name(reserved: bool, start: StartState) -> &'static str {
+    match (reserved, start) {
+        (false, StartState::Empty) => "r0_empty",
+        (false, StartState::Saturated) => "r0_saturated",
+        (true, StartState::Empty) => "eq15_empty",
+        (true, StartState::Saturated) => "eq15_saturated",
+    }
+}
+
+/// The four metastability arms as `(reserved, start)`, in report order.
+pub const ARMS: [(bool, StartState); 4] = [
+    (false, StartState::Empty),
+    (false, StartState::Saturated),
+    (true, StartState::Empty),
+    (true, StartState::Saturated),
+];
+
+/// One arm of a hysteresis demonstration — a metastability arm or a
+/// closed-loop ([`crate::controlled`]) arm.
 #[derive(Debug, Clone)]
 pub struct ArmResult {
-    /// Whether this arm ran with Eq.-15 protection levels (`false` is
-    /// the unreserved `r = 0` baseline).
-    pub reserved: bool,
-    /// The arm's initial occupancy.
-    pub start: StartState,
+    /// The arm's name: `{r0|eq15}_{empty|saturated}` for the
+    /// metastability arms, `static` / `online` for the closed-loop ones.
+    pub name: &'static str,
     /// Network blocking over the whole horizon, summed across seeds.
     pub blocking: f64,
     /// Fraction of carried calls routed on two-link alternates.
@@ -182,20 +207,10 @@ pub struct ArmResult {
     /// The merged across-seed telemetry snapshot.
     pub telemetry: RunTelemetry,
     /// The anomaly flight dump, when a live trigger (mode switch) fired
-    /// during the arm: on the smoke preset exactly the Eq.-15 saturated
-    /// arm freezes one (its escape from the high mode).
+    /// during the arm: on the smoke preset the Eq.-15 saturated arm and
+    /// the closed-loop online arm each freeze one (their escape from the
+    /// high mode).
     pub flight: Option<FlightCapture>,
-}
-
-impl ArmResult {
-    /// Display name of the arm (`{r0|eq15}_{empty|saturated}`).
-    pub fn name(&self) -> String {
-        format!(
-            "{}_{}",
-            if self.reserved { "eq15" } else { "r0" },
-            self.start.name()
-        )
-    }
 }
 
 /// The full four-arm hysteresis report.
@@ -203,8 +218,7 @@ impl ArmResult {
 pub struct HysteresisReport {
     /// The configuration that produced it.
     pub config: MetastabilityConfig,
-    /// Arms in fixed order: (r=0, empty), (r=0, saturated),
-    /// (Eq. 15, empty), (Eq. 15, saturated).
+    /// Arms in [`ARMS`] order.
     pub arms: Vec<ArmResult>,
 }
 
@@ -215,9 +229,10 @@ impl HysteresisReport {
     ///
     /// Panics if the arm is missing (reports always carry all four).
     pub fn arm(&self, reserved: bool, start: StartState) -> &ArmResult {
+        let name = arm_name(reserved, start);
         self.arms
             .iter()
-            .find(|a| a.reserved == reserved && a.start == start)
+            .find(|a| a.name == name)
             .expect("report carries all four arms")
     }
 
@@ -240,162 +255,198 @@ impl HysteresisReport {
     }
 }
 
-fn run_arm(
-    cfg: &MetastabilityConfig,
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    reserved: bool,
-    start: StartState,
-    server: Option<&MetricsServer>,
-    replications_done: &mut usize,
-) -> ArmResult {
-    let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-    let initial: Vec<u32> = match start {
-        StartState::Empty => Vec::new(),
-        StartState::Saturated => capacities.clone(),
-    };
-    let arm_name = format!("{}_{}", if reserved { "eq15" } else { "r0" }, start.name());
-    if let Some(server) = server {
-        let phase = arm_name.clone();
-        server.update_status(|s| {
-            s.phase = phase;
-            s.sim_time = 0.0;
-            s.sim_end = cfg.horizon;
-            s.mode = None;
-        });
-    }
-    let failures = FailureSchedule::none();
-    // The flight ring spans the whole arm: the first trigger (a mode
-    // switch on any seed's live occupancy series) freezes it, and later
-    // seeds' events are dropped, so the dump shows exactly one anomaly.
-    let ring = RefCell::new(FlightRing::new(FLIGHT_RING_CAPACITY));
-    let mut flight: Option<FlightCapture> = None;
-    let mut per_seed: Vec<RunTelemetry> = Vec::with_capacity(cfg.seeds as usize);
-    let (mut offered, mut blocked, mut alternate) = (0u64, 0u64, 0u64);
-    for s in 0..cfg.seeds {
-        let seed = cfg.base_seed + u64::from(s);
-        let config = RunConfig {
-            plan,
-            policy: PolicyKind::BestOfD {
-                max_hops: 2,
-                d: cfg.d,
-            },
+/// The instance every hysteresis arm runs: uniform traffic on `K_N` and
+/// its capped two-hop plan carrying the Eq.-15 protection levels.
+pub(crate) fn instance(cfg: &MetastabilityConfig) -> (TrafficMatrix, RoutingPlan) {
+    let topo = topologies::full_mesh(cfg.nodes, cfg.capacity);
+    let traffic = TrafficMatrix::uniform(cfg.nodes, cfg.load_per_pair);
+    let plan = RoutingPlan::min_hop_capped(topo, &traffic, 2, cfg.candidate_cap);
+    (traffic, plan)
+}
+
+/// `plan` with every protection level zeroed — the unreserved `r = 0`
+/// routing.
+pub(crate) fn unreserved(plan: RoutingPlan) -> RoutingPlan {
+    let zero = vec![0u32; plan.topology().num_links()];
+    plan.with_protection_levels(zero)
+}
+
+/// One replication as a hysteresis arm hands it to its per-seed
+/// execution: warm-started, feeding the arm's flight ring and live
+/// recorder, not yet executed.
+pub(crate) type ArmRun<'a> = Run<'a, FlightSink<'a>, LiveRecorder<'a>>;
+
+/// Runs hysteresis arms one after another. Each arm supplies only its
+/// per-seed execution; the serial seed loop, the live recorder, the
+/// flight ring and its trigger, the server status, the in-order merge,
+/// and the arm's measurements are shared.
+pub(crate) struct ArmRunner<'a> {
+    cfg: &'a MetastabilityConfig,
+    traffic: &'a TrafficMatrix,
+    server: Option<&'a MetricsServer>,
+    replications_done: usize,
+}
+
+impl<'a> ArmRunner<'a> {
+    /// A runner for `arms` arms of `cfg`, announcing the replication
+    /// total to `server`.
+    pub(crate) fn new(
+        cfg: &'a MetastabilityConfig,
+        traffic: &'a TrafficMatrix,
+        server: Option<&'a MetricsServer>,
+        arms: usize,
+    ) -> Self {
+        if let Some(server) = server {
+            let total = arms * cfg.seeds as usize;
+            server.update_status(|s| {
+                s.replications_total = total;
+                s.sim_end = cfg.horizon;
+            });
+        }
+        Self {
+            cfg,
             traffic,
-            warmup: 0.0,
-            horizon: cfg.horizon,
-            seed,
-            failures: &failures,
+            server,
+            replications_done: 0,
+        }
+    }
+
+    /// Runs arm `name` on `plan` from `start`, every seed through
+    /// `execute(run, seed)`, then publishes the arm's merged exposition
+    /// (run aggregates plus mode families) to the server.
+    pub(crate) fn run(
+        &mut self,
+        plan: &RoutingPlan,
+        name: &'static str,
+        start: StartState,
+        mut execute: impl FnMut(ArmRun<'_>, u64) -> SeedResult,
+    ) -> ArmResult {
+        let (cfg, server) = (self.cfg, self.server);
+        let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+        let initial: Vec<u32> = match start {
+            StartState::Empty => Vec::new(),
+            StartState::Saturated => capacities.clone(),
         };
-        let mut telemetry = RunTelemetry::new(0.0, cfg.horizon, cfg.window, capacities.clone());
-        // The trigger's hysteresis state restarts with each seed (each
-        // replication's series starts at t = 0); the ring persists.
-        let mut trigger = FlightTrigger::new(Some(cfg.thresholds), None);
-        let r = {
-            let mut sink = FlightSink::new(&ring);
-            let mut live = LiveRecorder::new(&mut telemetry, server, Some((&ring, &mut trigger)));
-            Run::new(&config)
+        if let Some(server) = server {
+            server.update_status(|s| {
+                s.phase = name.to_string();
+                s.sim_time = 0.0;
+                s.sim_end = cfg.horizon;
+                s.mode = None;
+            });
+        }
+        let failures = FailureSchedule::none();
+        // The flight ring spans the whole arm: the first trigger (a mode
+        // switch on any seed's live occupancy series) freezes it, and later
+        // seeds' events are dropped, so the dump shows exactly one anomaly.
+        let ring = RefCell::new(FlightRing::new(FLIGHT_RING_CAPACITY));
+        let mut flight: Option<FlightCapture> = None;
+        let mut per_seed: Vec<RunTelemetry> = Vec::with_capacity(cfg.seeds as usize);
+        let (mut offered, mut blocked, mut alternate) = (0u64, 0u64, 0u64);
+        for s in 0..cfg.seeds {
+            let seed = cfg.base_seed + u64::from(s);
+            let config = RunConfig {
+                plan,
+                policy: PolicyKind::BestOfD {
+                    max_hops: 2,
+                    d: cfg.d,
+                },
+                traffic: self.traffic,
+                warmup: 0.0,
+                horizon: cfg.horizon,
+                seed,
+                failures: &failures,
+            };
+            let mut telemetry = RunTelemetry::new(0.0, cfg.horizon, cfg.window, capacities.clone());
+            // The trigger's hysteresis state restarts with each seed (each
+            // replication's series starts at t = 0); the ring persists.
+            let mut trigger = FlightTrigger::new(Some(cfg.thresholds), None);
+            let live = LiveRecorder::new(&mut telemetry, server, Some((&ring, &mut trigger)));
+            let run = Run::new(&config)
                 .warm(&initial)
-                .sink(&mut sink)
-                .recorder(&mut live)
-                .execute()
-        };
-        if flight.is_none() {
-            if let Some(reason) = ring.borrow().trigger() {
-                flight = Some(FlightCapture {
-                    reason,
-                    seed,
-                    bytes: encode_flight(&ring.borrow(), seed, &format!("flight:{arm_name}")),
-                });
+                .sink(FlightSink::new(&ring))
+                .recorder(live);
+            let r = execute(run, seed);
+            if flight.is_none() {
+                if let Some(reason) = ring.borrow().trigger() {
+                    flight = Some(FlightCapture {
+                        reason,
+                        seed,
+                        bytes: encode_flight(&ring.borrow(), seed, &format!("flight:{name}")),
+                    });
+                }
+            }
+            offered += r.offered;
+            blocked += r.blocked;
+            alternate += r.carried_alternate;
+            per_seed.push(telemetry);
+            self.replications_done += 1;
+            if let Some(server) = server {
+                let done = self.replications_done;
+                server.update_status(|st| st.replications_done = done);
             }
         }
-        offered += r.offered;
-        blocked += r.blocked;
-        alternate += r.carried_alternate;
-        per_seed.push(telemetry);
-        *replications_done += 1;
+        let telemetry = merge_in_order(per_seed, RunTelemetry::merge).expect("at least one seed");
+        let modes = telemetry.mode_report(cfg.thresholds);
         if let Some(server) = server {
-            let done = *replications_done;
-            server.update_status(|st| st.replications_done = done);
+            let mut text = export::prometheus(&telemetry);
+            text.push_str(&export::mode_prometheus(&modes));
+            server.publish_metrics(text);
         }
-    }
-    let telemetry = merge_in_order(per_seed, RunTelemetry::merge).expect("at least one seed");
-    let modes = telemetry.mode_report(cfg.thresholds);
-    let windows = telemetry.grid().num_windows();
-    let tail = windows - (windows / 4).max(1);
-    let tail_utilization = (tail..windows)
-        .map(|k| telemetry.window_network_utilization(k))
-        .sum::<f64>()
-        / (windows - tail) as f64;
-    let carried = offered - blocked;
-    ArmResult {
-        reserved,
-        start,
-        blocking: altroute_simcore::stats::blocking_ratio(blocked, offered),
-        alternate_fraction: if carried == 0 {
-            0.0
-        } else {
-            alternate as f64 / carried as f64
-        },
-        modes,
-        tail_utilization,
-        telemetry,
-        flight,
+        let windows = telemetry.grid().num_windows();
+        let tail = windows - (windows / 4).max(1);
+        let tail_utilization = (tail..windows)
+            .map(|k| telemetry.window_network_utilization(k))
+            .sum::<f64>()
+            / (windows - tail) as f64;
+        let carried = offered - blocked;
+        ArmResult {
+            name,
+            blocking: altroute_simcore::stats::blocking_ratio(blocked, offered),
+            alternate_fraction: if carried == 0 {
+                0.0
+            } else {
+                alternate as f64 / carried as f64
+            },
+            modes,
+            tail_utilization,
+            telemetry,
+            flight,
+        }
     }
 }
 
-/// Runs the four-arm hysteresis demonstration.
+/// Runs the four-arm hysteresis demonstration, publishing live progress
+/// to `server` when one is given: per-window `/metrics` snapshots of the
+/// in-flight replication, `/status` phase and replication progress, and
+/// — after each arm completes — the arm's merged exposition, so the
+/// final `/metrics` body equals the last arm's end-of-run export. The
+/// report is byte-identical with or without a server (the observers are
+/// pure).
 ///
 /// Both reservation settings share one capped plan build (the
 /// protection levels are the only difference), and every arm shares the
 /// same seeds, so the arms are common-random-number comparable.
-pub fn run_metastability(cfg: &MetastabilityConfig) -> HysteresisReport {
-    run_metastability_served(cfg, None)
-}
-
-/// As [`run_metastability`], publishing live progress to `server` while
-/// the arms run: per-window `/metrics` snapshots of the in-flight
-/// replication, `/status` phase and replication progress, and — after
-/// each arm completes — the arm's merged exposition (run aggregates plus
-/// mode families), so the final `/metrics` body equals the last arm's
-/// end-of-run export. The report itself is byte-identical with or
-/// without a server (the observers are pure).
-pub fn run_metastability_served(
+pub fn run_metastability(
     cfg: &MetastabilityConfig,
     server: Option<&MetricsServer>,
 ) -> HysteresisReport {
-    let topo = topologies::full_mesh(cfg.nodes, cfg.capacity);
-    let traffic = TrafficMatrix::uniform(cfg.nodes, cfg.load_per_pair);
-    let reserved_plan = RoutingPlan::min_hop_capped(topo, &traffic, 2, cfg.candidate_cap);
-    let zero = vec![0u32; reserved_plan.topology().num_links()];
-    let unreserved_plan = reserved_plan.clone().with_protection_levels(zero);
-    if let Some(server) = server {
-        let total = 4 * cfg.seeds as usize;
-        server.update_status(|s| {
-            s.replications_total = total;
-            s.sim_end = cfg.horizon;
-        });
-    }
-    let mut replications_done = 0usize;
-    let mut arms = Vec::with_capacity(4);
-    for (plan, reserved) in [(&unreserved_plan, false), (&reserved_plan, true)] {
-        for start in [StartState::Empty, StartState::Saturated] {
-            let arm = run_arm(
-                cfg,
-                plan,
-                &traffic,
-                reserved,
-                start,
-                server,
-                &mut replications_done,
-            );
-            if let Some(server) = server {
-                let mut text = export::prometheus(&arm.telemetry);
-                text.push_str(&export::mode_prometheus(&arm.modes));
-                server.publish_metrics(text);
-            }
-            arms.push(arm);
-        }
-    }
+    let (traffic, reserved_plan) = instance(cfg);
+    let unreserved_plan = unreserved(reserved_plan.clone());
+    let mut runner = ArmRunner::new(cfg, &traffic, server, ARMS.len());
+    let arms = ARMS
+        .iter()
+        .map(|&(reserved, start)| {
+            let plan = if reserved {
+                &reserved_plan
+            } else {
+                &unreserved_plan
+            };
+            runner.run(plan, arm_name(reserved, start), start, |run, _| {
+                run.execute()
+            })
+        })
+        .collect();
     HysteresisReport {
         config: cfg.clone(),
         arms,
@@ -419,7 +470,7 @@ mod tests {
     /// Eq.-15 trunk reservation collapses the gap.
     #[test]
     fn hysteresis_appears_without_reservation_and_eq15_collapses_it() {
-        let report = run_metastability(&MetastabilityConfig::smoke());
+        let report = run_metastability(&MetastabilityConfig::smoke(), None);
 
         // r = 0: the two starts land in different modes for most of the
         // horizon (the detector separates them by at least one full
@@ -483,20 +534,12 @@ mod tests {
         // Determinism: re-running one arm reproduces its telemetry
         // byte for byte (the other arms share the same machinery).
         let cfg = MetastabilityConfig::smoke();
-        let topo = topologies::full_mesh(cfg.nodes, cfg.capacity);
-        let traffic = TrafficMatrix::uniform(cfg.nodes, cfg.load_per_pair);
-        let plan = RoutingPlan::min_hop_capped(topo, &traffic, 2, cfg.candidate_cap);
-        let zero = vec![0u32; plan.topology().num_links()];
-        let unreserved = plan.with_protection_levels(zero);
-        let mut done = 0;
-        let again = run_arm(
-            &cfg,
-            &unreserved,
-            &traffic,
-            false,
+        let (traffic, plan) = instance(&cfg);
+        let again = ArmRunner::new(&cfg, &traffic, None, 1).run(
+            &unreserved(plan),
+            "r0_saturated",
             StartState::Saturated,
-            None,
-            &mut done,
+            |run, _| run.execute(),
         );
         assert_eq!(again.telemetry, hot.telemetry);
         assert_eq!(again.modes, hot.modes);
@@ -512,14 +555,14 @@ mod tests {
         use altroute_sim::trace::{decode_trace, diff_traces};
         use altroute_telemetry::Mode;
 
-        let report = run_metastability(&MetastabilityConfig::smoke());
+        let report = run_metastability(&MetastabilityConfig::smoke(), None);
         for arm in &report.arms {
-            let expect_capture = arm.reserved && arm.start == StartState::Saturated;
+            let expect_capture = arm.name == "eq15_saturated";
             assert_eq!(
                 arm.flight.is_some(),
                 expect_capture,
                 "arm {}: live mode switches and captures must coincide",
-                arm.name()
+                arm.name
             );
         }
         let capture = report

@@ -5,9 +5,7 @@
 //! whose totals match the end-of-run telemetry, `/status` reports the
 //! run's progress, and attaching the server does not perturb the report.
 
-use altroute_experiments::metastability::{
-    run_metastability, run_metastability_served, MetastabilityConfig, StartState,
-};
+use altroute_experiments::metastability::{run_metastability, MetastabilityConfig, StartState};
 use altroute_telemetry::{export, MetricsServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -42,7 +40,7 @@ fn served_run_exposes_live_metrics_matching_the_final_telemetry() {
     let (_, health) = get(addr, "/healthz");
     assert_eq!(health, "ok\n");
 
-    let report = run_metastability_served(&cfg, Some(&server));
+    let report = run_metastability(&cfg, Some(&server));
 
     // The server is still live after the run: this is the "curl during a
     // live run" surface, scraped deterministically at its final state.
@@ -96,9 +94,9 @@ fn served_run_exposes_live_metrics_matching_the_final_telemetry() {
     server.shutdown();
 
     // Serving is a pure observer: the report matches an unserved run.
-    let plain = run_metastability(&cfg);
+    let plain = run_metastability(&cfg, None);
     for (a, b) in plain.arms.iter().zip(report.arms.iter()) {
-        assert_eq!(a.telemetry, b.telemetry, "arm {}", b.name());
+        assert_eq!(a.telemetry, b.telemetry, "arm {}", b.name);
         assert_eq!(a.modes, b.modes);
         assert_eq!(
             a.flight.as_ref().map(|f| &f.bytes),

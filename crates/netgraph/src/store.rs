@@ -123,17 +123,6 @@ impl PathStore {
         self.cells.iter().filter(|c| c.get().is_some()).count()
     }
 
-    /// The ordered pairs whose *cached* sets traverse `link` (pairs not
-    /// yet computed, or already evicted, do not appear).
-    pub fn pairs_traversing(&self, link: LinkId) -> Vec<(NodeId, NodeId)> {
-        let n = self.topo.num_nodes();
-        let shared = self.shared.lock().unwrap();
-        shared.by_link[link]
-            .iter()
-            .map(|&i| (i / n, i % n))
-            .collect()
-    }
-
     /// The candidate path set for `(src, dst)` over the currently-live
     /// links, in `(hop count, node sequence)` attempt order, computed on
     /// first access and memoized.
@@ -399,10 +388,18 @@ mod tests {
         assert_eq!(store.cached_pairs(), n * n - n);
 
         let link = t.link_between(5, 6).unwrap();
-        let traversing = store.pairs_traversing(link);
-        assert!(!traversing.is_empty());
+        let traversing = t
+            .ordered_pairs()
+            .filter(|&(i, j)| {
+                store
+                    .candidates(i, j)
+                    .iter()
+                    .any(|p| p.links().contains(&link))
+            })
+            .count();
+        assert!(traversing > 0);
         let evicted = store.set_link_state(link, false);
-        assert_eq!(evicted, traversing.len());
+        assert_eq!(evicted, traversing);
         assert_eq!(store.cached_pairs(), n * n - n - evicted);
         assert!(!store.is_up(link));
         // Repeat is a no-op.

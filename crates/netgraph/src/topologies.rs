@@ -6,10 +6,10 @@
 //!   reconstructed from the 30 directed links listed in Table 1.
 //! * [`full_mesh`], [`ring`], [`line()`], [`grid`], [`random_mesh`] —
 //!   generators for tests, examples, and benches.
-//! * [`power_law_mesh`], [`grid_ring`], [`srlg_groups`] — the ISP-scale
-//!   tier: thousand-node preferential-attachment meshes with realistic
-//!   skewed degree distributions, grid-core/ring-periphery composites,
-//!   and SRLG-style correlated outage groups that fail as a unit.
+//! * [`power_law_mesh`], [`srlg_groups`] — the ISP-scale tier:
+//!   thousand-node preferential-attachment meshes with realistic skewed
+//!   degree distributions, and SRLG-style correlated outage groups that
+//!   fail as a unit.
 //!
 //! All links are duplex pairs of unidirectional links with equal capacity,
 //! matching the paper's modelling assumption.
@@ -299,31 +299,6 @@ pub fn power_law_mesh(n: usize, capacity: u32, seed: u64) -> Topology {
     t
 }
 
-/// A grid/ring composite: a `rows × cols` grid core (a metro backbone)
-/// surrounded by a `ring_nodes`-node peripheral ring (an access loop),
-/// with one spoke from every ring node down to a grid node, spread evenly
-/// around the core. Node ids are grid-first (`0 .. rows·cols`), ring
-/// nodes follow.
-///
-/// Deterministic (no randomness) and strongly connected.
-///
-/// # Panics
-///
-/// Panics if the grid is smaller than 2 nodes or `ring_nodes < 3`.
-pub fn grid_ring(rows: usize, cols: usize, ring_nodes: usize, capacity: u32) -> Topology {
-    assert!(ring_nodes >= 3, "ring needs at least 3 nodes");
-    let mut t = grid(rows, cols, capacity);
-    let core = rows * cols;
-    t.add_nodes(ring_nodes);
-    for k in 0..ring_nodes {
-        t.add_duplex(core + k, core + (k + 1) % ring_nodes, capacity);
-    }
-    for k in 0..ring_nodes {
-        t.add_duplex(core + k, k * core / ring_nodes, capacity);
-    }
-    t
-}
-
 /// Partitions a topology's links into `num_groups` SRLG-style correlated
 /// outage groups that fail (and recover) as a unit, modelling shared
 /// conduits: the two directions of a duplex pair always land in the same
@@ -520,19 +495,6 @@ mod tests {
         let same = (0..a.num_links())
             .all(|l| (a.link(l).src, a.link(l).dst) == (c.link(l).src, c.link(l).dst));
         assert!(!same, "distinct seeds should differ");
-    }
-
-    #[test]
-    fn grid_ring_composite_is_connected_with_expected_size() {
-        let t = grid_ring(3, 4, 6, 20);
-        assert_eq!(t.num_nodes(), 3 * 4 + 6);
-        // Grid: horizontal 3·3 + vertical 2·4 = 17 duplex; ring 6; spokes 6.
-        assert_eq!(t.num_links(), 2 * (17 + 6 + 6));
-        assert!(t.is_strongly_connected());
-        // Every ring node carries exactly one spoke into the core.
-        for k in 0..6 {
-            assert!(t.link_between(12 + k, k * 12 / 6).is_some());
-        }
     }
 
     #[test]

@@ -185,42 +185,6 @@ pub fn primary_loads(
     loads
 }
 
-/// Per-link loads induced by a *bifurcated* primary assignment: each pair
-/// splits its demand over several paths with given fractions (the min-loss
-/// primaries of §4.2.2 produce such splits).
-///
-/// `splits[i * n + j]` lists `(path, fraction)` pairs; fractions for a pair
-/// should sum to 1 for pairs with demand (checked to 1e-6).
-///
-/// # Panics
-///
-/// Panics on size mismatches or fractions that do not sum to ~1 for a pair
-/// with positive demand.
-pub fn bifurcated_loads(
-    topo: &Topology,
-    traffic: &TrafficMatrix,
-    splits: &[Vec<(Path, f64)>],
-) -> Vec<f64> {
-    let n = topo.num_nodes();
-    assert_eq!(traffic.num_nodes(), n, "traffic matrix size mismatch");
-    assert_eq!(splits.len(), n * n, "split table size mismatch");
-    let mut loads = vec![0.0; topo.num_links()];
-    for (i, j, t) in traffic.demands() {
-        let split = &splits[i * n + j];
-        let total: f64 = split.iter().map(|(_, f)| f).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-6,
-            "pair ({i}, {j}) split fractions sum to {total}, expected 1"
-        );
-        for (path, frac) in split {
-            for &l in path.links() {
-                loads[l] += t * frac;
-            }
-        }
-    }
-    loads
-}
-
 /// Convenience: `Λ^k` under the minimum-hop primary assignment.
 pub fn min_hop_primary_loads(topo: &Topology, traffic: &TrafficMatrix) -> Vec<f64> {
     let primaries = crate::paths::min_hop_primaries(topo);
@@ -330,33 +294,6 @@ mod tests {
             .map(|(i, j, t)| t * primaries[i * 12 + j].as_ref().unwrap().hops() as f64)
             .sum();
         assert!((lhs - rhs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bifurcated_loads_split_demand() {
-        let t = topologies::full_mesh(3, 10);
-        let mut m = TrafficMatrix::zero(3);
-        m.set(0, 1, 4.0);
-        let direct = Path::from_nodes(&t, &[0, 1]).unwrap();
-        let via2 = Path::from_nodes(&t, &[0, 2, 1]).unwrap();
-        let mut splits = vec![Vec::new(); 9];
-        splits[1] = vec![(direct.clone(), 0.75), (via2.clone(), 0.25)];
-        let loads = bifurcated_loads(&t, &m, &splits);
-        assert!((loads[t.link_between(0, 1).unwrap()] - 3.0).abs() < 1e-12);
-        assert!((loads[t.link_between(0, 2).unwrap()] - 1.0).abs() < 1e-12);
-        assert!((loads[t.link_between(2, 1).unwrap()] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "split fractions sum")]
-    fn bifurcated_fractions_must_sum_to_one() {
-        let t = topologies::full_mesh(3, 10);
-        let mut m = TrafficMatrix::zero(3);
-        m.set(0, 1, 4.0);
-        let direct = Path::from_nodes(&t, &[0, 1]).unwrap();
-        let mut splits = vec![Vec::new(); 9];
-        splits[1] = vec![(direct, 0.5)];
-        bifurcated_loads(&t, &m, &splits);
     }
 
     #[test]

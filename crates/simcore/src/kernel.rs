@@ -176,11 +176,6 @@ impl LinkOccupancy {
             self.occupancy[l] -= bandwidth;
         }
     }
-
-    /// Total units booked across all links.
-    pub fn total_occupancy(&self) -> u64 {
-        self.occupancy.iter().map(|&o| u64::from(o)).sum()
-    }
 }
 
 /// Per-link accept/reject for one call, given occupancy, capacity, and

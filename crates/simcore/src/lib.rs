@@ -22,9 +22,6 @@
 //! * [`stats`] — warm-up-aware counters, running means/variances, and
 //!   across-replication summaries (mean, standard error, confidence
 //!   intervals).
-//! * [`batch`] — batch-means estimation for confidence intervals from a
-//!   single long run (the classical alternative to the paper's
-//!   independent replications).
 //! * [`kernel`] — the shared discrete-event loop every simulator in the
 //!   workspace instantiates, parameterized over an
 //!   [`kernel::AdmissionPolicy`] and a [`kernel::RouteSelector`].
@@ -42,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod calendar;
 pub mod kernel;
 pub mod metrics;

@@ -142,19 +142,6 @@ impl RngStream {
         // used here, and cheaper than rejection sampling.
         ((u128::from(self.rng.next_u64()) * n as u128) >> 64) as usize
     }
-
-    /// Bernoulli with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "probability must be in [0, 1], got {p}"
-        );
-        self.rng.next_f64() < p
-    }
 }
 
 #[cfg(test)]
@@ -245,9 +232,6 @@ mod tests {
             assert!((frac - 1.0 / 3.0).abs() < 0.02, "bucket fraction {frac}");
         }
         assert_eq!(s.below(1), 0);
-        // Degenerate probabilities.
-        assert!(!s.chance(0.0));
-        assert!(s.chance(1.0));
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl BirthDeathChain {
         &self.birth
     }
 
-    /// Death-rate vector (rate from state `s+1` to `s`).
-    pub fn death_rates(&self) -> &[f64] {
-        &self.death
-    }
-
     /// Stationary distribution `π_0, …, π_C`.
     ///
     /// Computed by the detailed-balance product form
@@ -165,39 +160,6 @@ impl BirthDeathChain {
         *self.stationary().last().unwrap()
     }
 
-    /// Call congestion: the fraction of *arrivals* that find the chain in
-    /// the full state, `π_C·λ_C / Σ_s π_s·λ_s`, where the arrival rate in
-    /// the full state is taken as `full_state_rate` (arrivals in state `C`
-    /// are the ones lost; the chain itself has no `λ_C`).
-    ///
-    /// For Poisson (state-independent) arrivals of rate `λ`, pass
-    /// `full_state_rate = λ` with all `birth[s] = λ` and call congestion
-    /// equals time congestion (PASTA).
-    pub fn call_congestion(&self, full_state_rate: f64) -> f64 {
-        assert!(full_state_rate >= 0.0 && full_state_rate.is_finite());
-        let pi = self.stationary();
-        let c = self.birth.len();
-        let offered: f64 = pi[..c]
-            .iter()
-            .zip(&self.birth)
-            .map(|(p, l)| p * l)
-            .sum::<f64>()
-            + pi[c] * full_state_rate;
-        if offered == 0.0 {
-            return 0.0;
-        }
-        pi[c] * full_state_rate / offered
-    }
-
-    /// Mean stationary occupancy `Σ_s s·π_s`.
-    pub fn mean_occupancy(&self) -> f64 {
-        self.stationary()
-            .iter()
-            .enumerate()
-            .map(|(s, p)| s as f64 * p)
-            .sum()
-    }
-
     /// The expected number of accepted arrivals between a visit to state `s`
     /// and the first subsequent visit to state `s+1` — the `X_{s,s+1}` of
     /// the paper's Eqs. 4–5:
@@ -225,13 +187,6 @@ impl BirthDeathChain {
             prev = x;
         }
         xs
-    }
-
-    /// Expected long-run *lost arrivals per unit time* when the chain is
-    /// offered `full_state_rate` also in the blocking state:
-    /// `π_C · full_state_rate`.
-    pub fn loss_rate(&self, full_state_rate: f64) -> f64 {
-        self.time_congestion() * full_state_rate
     }
 }
 
@@ -270,20 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn pasta_call_congestion_equals_time_congestion() {
-        let chain = BirthDeathChain::erlang(30.0, 40);
-        let tc = chain.time_congestion();
-        let cc = chain.call_congestion(30.0);
-        assert!((tc - cc).abs() < 1e-12);
-    }
-
-    #[test]
-    fn call_congestion_zero_when_full_state_rate_zero() {
-        let chain = BirthDeathChain::erlang(30.0, 40);
-        assert_eq!(chain.call_congestion(0.0), 0.0);
-    }
-
-    #[test]
     fn protection_lowers_time_congestion_for_overflow_heavy_link() {
         // With heavy overflow traffic, reserving states reduces the
         // probability of being full.
@@ -292,16 +233,6 @@ mod tests {
         let unprotected = BirthDeathChain::protected_link(nu, &overflow, 100, 0);
         let protected = BirthDeathChain::protected_link(nu, &overflow, 100, 15);
         assert!(protected.time_congestion() < unprotected.time_congestion());
-    }
-
-    #[test]
-    fn mean_occupancy_matches_carried_load_for_erlang_chain() {
-        // Little's law for M/M/C/C: E[N] = a (1 - B).
-        for &(a, c) in &[(10.0, 20u32), (90.0, 100)] {
-            let chain = BirthDeathChain::erlang(a, c);
-            let expect = a * (1.0 - erlang_b(a, c));
-            assert!((chain.mean_occupancy() - expect).abs() < 1e-9);
-        }
     }
 
     #[test]

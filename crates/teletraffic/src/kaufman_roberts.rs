@@ -77,35 +77,6 @@ pub fn kaufman_roberts_blocking(capacity: u32, classes: &[TrafficClass]) -> Vec<
         .collect()
 }
 
-/// The occupancy distribution `q(0..=capacity)` of the multirate link
-/// (normalised).
-///
-/// # Panics
-///
-/// As for [`kaufman_roberts_blocking`].
-pub fn kaufman_roberts_occupancy(capacity: u32, classes: &[TrafficClass]) -> Vec<f64> {
-    assert!(capacity > 0, "capacity must be positive");
-    let cap = capacity as usize;
-    let mut q = vec![0.0_f64; cap + 1];
-    q[0] = 1.0;
-    for j in 1..=cap {
-        let mut acc = 0.0;
-        for c in classes {
-            assert!(c.bandwidth > 0 && c.bandwidth <= capacity);
-            let b = c.bandwidth as usize;
-            if j >= b {
-                acc += c.intensity * c.bandwidth as f64 * q[j - b];
-            }
-        }
-        q[j] = acc / j as f64;
-    }
-    let total: f64 = q.iter().sum();
-    for v in &mut q {
-        *v /= total;
-    }
-    q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,29 +130,6 @@ mod tests {
             b[0]
         );
         assert!(b.iter().all(|&p| (0.0..=1.0).contains(&p)));
-    }
-
-    #[test]
-    fn occupancy_is_distribution_and_consistent() {
-        let classes = [
-            TrafficClass {
-                intensity: 10.0,
-                bandwidth: 1,
-            },
-            TrafficClass {
-                intensity: 3.0,
-                bandwidth: 5,
-            },
-        ];
-        let q = kaufman_roberts_occupancy(40, &classes);
-        assert_eq!(q.len(), 41);
-        assert!((q.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(q.iter().all(|&p| p >= 0.0));
-        // Blocking of the wide class from the distribution matches the
-        // blocking function.
-        let b = kaufman_roberts_blocking(40, &classes);
-        let tail: f64 = q[36..=40].iter().sum();
-        assert!((b[1] - tail).abs() < 1e-12);
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //!   [`estimate`];
 //! * per-link **shadow prices** `p(s) = B(Λ, C) / B(Λ, s+1)` for the
 //!   Ott–Krishnan separable routing baseline — see [`shadow`];
-//! * **overflow-traffic moments** (Riordan variance, peakedness,
-//!   Wilkinson equivalent-random) quantifying how far alternate-routed
-//!   streams are from the paper's Poisson assumption A1 — see
-//!   [`overflow`];
+//! * **overflow-traffic moments** (Riordan variance, peakedness)
+//!   quantifying how far alternate-routed streams are from the paper's
+//!   Poisson assumption A1 — see [`overflow`];
 //! * the convex **lost-traffic cost** `Λ·B(Λ, C)` and its derivative, used
 //!   by the min-loss state-independent routing variant — see [`loss`];
 //! * the **Erlang fixed-point (reduced-load) approximation** over an

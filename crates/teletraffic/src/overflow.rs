@@ -1,4 +1,4 @@
-//! Overflow-traffic moments: Wilkinson's equivalent random theory.
+//! Overflow-traffic moments: Riordan's variance and peakedness.
 //!
 //! The traffic a link refuses does not vanish — under alternate routing
 //! it *is* the stream offered to other links. The paper's Theorem 1
@@ -68,30 +68,6 @@ pub fn overflow_moments(load: f64, capacity: u32) -> OverflowMoments {
     }
 }
 
-/// Wilkinson's equivalent random method: find `(a*, c*)` such that
-/// Poisson traffic `a*` on `c*` circuits overflows with (approximately)
-/// the given mean and variance. Returns the equivalent offered load `a*`
-/// and (fractional) circuit count `c*` via Rapp's approximation:
-///
-/// `a* ≈ v + 3·z·(z − 1)`,  `c* ≈ a*·(m + z)/(m + z − 1) − m − 1`.
-///
-/// Used to size links that receive overflow (alternate-routed) traffic.
-///
-/// # Panics
-///
-/// Panics unless `mean > 0`, `variance >= mean` (peakedness ≥ 1).
-pub fn equivalent_random(mean: f64, variance: f64) -> (f64, f64) {
-    assert!(mean > 0.0 && mean.is_finite(), "mean must be positive");
-    assert!(
-        variance >= mean * (1.0 - 1e-12) && variance.is_finite(),
-        "overflow variance must be >= mean (peakedness >= 1)"
-    );
-    let z = variance / mean;
-    let a = variance + 3.0 * z * (z - 1.0);
-    let c = a * (mean + z) / (mean + z - 1.0) - mean - 1.0;
-    (a, c.max(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,36 +124,5 @@ mod tests {
         let m = overflow_moments(0.0, 5);
         assert_eq!(m.mean, 0.0);
         assert_eq!(m.peakedness(), 1.0);
-    }
-
-    #[test]
-    fn equivalent_random_round_trip() {
-        // Take a known overflow, reconstruct the equivalent (a*, c*), and
-        // verify its overflow moments come back close (Rapp is an
-        // approximation; allow a few percent).
-        let src = overflow_moments(45.0, 50);
-        let (a_star, c_star) = equivalent_random(src.mean, src.variance);
-        // a* should be near the original 45 and c* near 50.
-        assert!((a_star - 45.0).abs() < 6.0, "a* = {a_star}");
-        assert!((c_star - 50.0).abs() < 6.0, "c* = {c_star}");
-        let back = overflow_moments(a_star, c_star.round() as u32);
-        assert!(
-            (back.mean - src.mean).abs() < 0.15 * src.mean + 0.05,
-            "mean {} vs {}",
-            back.mean,
-            src.mean
-        );
-        assert!(
-            (back.peakedness() - src.peakedness()).abs() < 0.3,
-            "z {} vs {}",
-            back.peakedness(),
-            src.peakedness()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "peakedness >= 1")]
-    fn smooth_traffic_rejected() {
-        equivalent_random(10.0, 5.0);
     }
 }

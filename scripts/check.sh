@@ -7,7 +7,7 @@
 #
 # Stages: fmt | clippy | test | conformance | telemetry |
 # telemetry-overhead | parity | metastability-smoke | largemesh-smoke |
-# altrouted-smoke | perfbench-build | all (default).
+# altrouted-smoke | perfbench-build | perf-ab-smoke | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
 # containing this script.
 #
@@ -128,9 +128,11 @@ EOF
 # the kernel-backed engine, solo and fanned out (the dedicated test), and
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
-# committed results of all 19 result binaries and the table and JSON
-# transcripts of `metastability` and `controlled` must reproduce byte
-# for byte (~120 s of runs in release on 2 vCPUs).
+# committed results of all 19 result binaries, the table and JSON
+# transcripts of `metastability` and `controlled`, and the smoke-preset
+# `largemesh --metrics-json` report (per-round eviction counts and
+# blocking) must reproduce byte for byte (~120 s of runs in release on
+# 2 vCPUs).
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -171,6 +173,11 @@ EOF
     cmp "$tmpdir/altroute_cli_$tier.txt" "results/full/altroute_cli_$tier.txt"
     cmp "$tmpdir/altroute_cli_$tier.json" "results/full/altroute_cli_$tier.json"
   done
+  # The largemesh report pins the store's eviction counts across commits;
+  # largemesh-smoke only compares two runs of one build.
+  cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+    largemesh --metrics-json > "$tmpdir/altroute_cli_largemesh.json"
+  cmp "$tmpdir/altroute_cli_largemesh.json" "results/full/altroute_cli_largemesh.json"
   # Every committed results/ table, with its transcript, must be what
   # the code produces (each binary writes results/ under its working
   # directory; the figure binaries name their CSV after the figures they
@@ -351,12 +358,24 @@ stage_perfbench_build() {
   done
 }
 
+# Perf A/B smoke: scripts/perf_ab.sh must build the committed HEAD,
+# run every workload once against itself for one second and end with
+# `failed 0`. The verdicts of a 1 s self-comparison are noise and are
+# not gated.
+stage_perf_ab_smoke() {
+  scripts/perf_ab.sh --pairs 1 --seconds 1 --dir "$tmpdir/perf_ab" HEAD HEAD \
+    > "$tmpdir/perf_ab.txt"
+  cat "$tmpdir/perf_ab.txt"
+  grep -q '^failed 0$' "$tmpdir/perf_ab.txt"
+}
+
 # Every selectable stage, in the order `all` runs them. The case arm,
 # the unknown-stage diagnostic, and `all` are all derived from this
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
   fmt clippy test conformance telemetry telemetry-overhead parity
   metastability-smoke largemesh-smoke altrouted-smoke perfbench-build
+  perf-ab-smoke
 )
 
 run_stage() {
@@ -372,6 +391,7 @@ run_stage() {
     largemesh-smoke) stage_largemesh_smoke ;;
     altrouted-smoke) stage_altrouted_smoke ;;
     perfbench-build) stage_perfbench_build ;;
+    perf-ab-smoke) stage_perf_ab_smoke ;;
     all)
       local summary="" s t0 t1
       for s in "${STAGES[@]}"; do

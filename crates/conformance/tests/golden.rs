@@ -1,7 +1,10 @@
 //! Golden-trace acceptance: byte stability, replay against the
-//! checked-in traces, and proof that the diff has teeth.
+//! checked-in traces, worker fan-out parity on the golden scenarios, and
+//! proof that the diff has teeth.
 
-use altroute_conformance::golden::{golden_names, record_scenario, replay_check, Perturbation};
+use altroute_conformance::golden::{
+    golden_names, record_scenario, replay_check, scenario_replications, Perturbation,
+};
 use altroute_sim::trace::{decode_trace, diff_traces, TraceDiff, TraceRecordKind};
 
 #[test]
@@ -18,6 +21,28 @@ fn replay_matches_checked_in_traces() {
     for name in golden_names() {
         if let Some(divergence) = replay_check(name) {
             panic!("{name}: golden trace diverged:\n{divergence}");
+        }
+    }
+}
+
+/// Replication fan-out over the kernel is a pure scheduling detail: the
+/// same seeds through 1 worker and through N workers must produce
+/// byte-identical `SeedResult`s (engine metrics included; wall clock is
+/// excluded from equality by design) on every golden scenario.
+#[test]
+fn worker_fanout_is_bit_identical_on_golden_scenarios() {
+    for name in golden_names() {
+        let solo = scenario_replications(name, 6, 1);
+        assert_eq!(solo.len(), 6);
+        for workers in [2usize, 8] {
+            let pooled = scenario_replications(name, 6, workers);
+            assert_eq!(
+                solo, pooled,
+                "{name}: {workers} workers diverged from sequential"
+            );
+            for (a, b) in solo.iter().zip(&pooled) {
+                assert_eq!(a.metrics, b.metrics, "{name}: metrics diverged");
+            }
         }
     }
 }

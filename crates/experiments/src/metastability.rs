@@ -9,7 +9,9 @@
 //! steady-state average. The paper's Eq.-15 trunk reservation exists
 //! precisely to destroy the bad fixed point.
 //!
-//! This tier runs the controlled four-arm demonstration on `K_N`:
+//! This tier runs the controlled four-arm demonstration on `K_N`. The
+//! expected modes below are the hysteresis claim, which holds for the
+//! [`smoke`](MetastabilityConfig::smoke) preset and is pinned by a test:
 //!
 //! | reservation | start      | expected mode |
 //! |-------------|------------|---------------|
@@ -17,6 +19,11 @@
 //! | r = 0       | saturated  | high (stuck)  |
 //! | Eq. 15      | empty      | low           |
 //! | Eq. 15      | saturated  | low (escapes) |
+//!
+//! The [`paper`](MetastabilityConfig::paper) preset does not show it:
+//! its unreserved saturated arm escapes too (`controlled --preset
+//! paper`, whose static arm is that arm, measured blocking 0.01765,
+//! final mode low, 0.050 of the time high, one switch).
 //!
 //! Each arm is the same load, the same seeds, the same best-of-`d`
 //! selector — only the initial occupancy (the kernel warm-start hook)
@@ -129,8 +136,12 @@ impl MetastabilityConfig {
 
     /// The paper-scale instance: `K_100` (9 900 directed links), the
     /// fixed-`K`, large-`N` regime the metastability literature
-    /// studies. Same per-link operating point as [`smoke`](Self::smoke);
-    /// minutes-scale, never run by the test suite.
+    /// studies. Same capacity, load per pair and band as
+    /// [`smoke`](Self::smoke), but not bistable: the unreserved
+    /// saturated arm escapes to the low mode (one measured run: blocking
+    /// 0.01765, final mode low, 0.050 of the time high, one switch), so
+    /// the hysteresis claim holds for `smoke` only. Minutes-scale, never
+    /// run by the test suite.
     pub fn paper() -> Self {
         Self {
             nodes: 100,

@@ -184,61 +184,6 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
     }
 }
 
-/// Binds `$admission` and `$selector` to the `(AdmissionPolicy,
-/// RouteSelector)` pair that `$policy` runs on over `$plan` (the
-/// randomized selectors draw from private streams of `$seed`), and
-/// evaluates `$body` with both in scope — the one policy dispatch table,
-/// reached through [`run_named`] by [`Run::execute`] and the multirate
-/// simulator, and directly by the tests' `BinaryHeap` reference oracle.
-/// Each policy is a pair on the same kernel:
-///
-/// | policy        | admission                    | selector              |
-/// |---------------|------------------------------|-----------------------|
-/// | single-path   | capacity only                | tiered, no alternates |
-/// | uncontrolled  | capacity only                | tiered                |
-/// | controlled    | trunk reservation (Eq. 15)   | tiered                |
-/// | ott-krishnan  | (internal to the price test) | shadow-price argmin   |
-/// | dar           | trunk reservation (Eq. 15)   | sticky random         |
-/// | bod           | trunk reservation (Eq. 15)   | best-of-d sampling    |
-macro_rules! with_policy {
-    ($plan:expr, $policy:expr, $seed:expr, |$admission:ident, $selector:ident| $body:expr) => {{
-        let (plan, seed): (&RoutingPlan, u64) = ($plan, $seed);
-        let reservation = || TrunkReservation::new(plan.protection_levels().to_vec());
-        match $policy {
-            PolicyKind::SinglePath => {
-                let ($admission, $selector) =
-                    (&mut Uncontrolled, &mut TieredSelector::single_path(plan));
-                $body
-            }
-            PolicyKind::UncontrolledAlternate { .. } => {
-                let ($admission, $selector) = (&mut Uncontrolled, &mut TieredSelector::new(plan));
-                $body
-            }
-            PolicyKind::ControlledAlternate { .. } => {
-                let ($admission, $selector) = (&mut reservation(), &mut TieredSelector::new(plan));
-                $body
-            }
-            PolicyKind::OttKrishnan { .. } => {
-                let ($admission, $selector) =
-                    (&mut Uncontrolled, &mut OttKrishnanSelector::new(plan));
-                $body
-            }
-            PolicyKind::DarSticky { .. } => {
-                let rng = StreamFactory::new(seed).stream(DAR_RESAMPLE_STREAM);
-                let ($admission, $selector) =
-                    (&mut reservation(), &mut DarStickySelector::new(plan, rng));
-                $body
-            }
-            PolicyKind::BestOfD { d, .. } => {
-                let rng = StreamFactory::new(seed).stream(BOD_SAMPLE_STREAM);
-                let ($admission, $selector) =
-                    (&mut reservation(), &mut BestOfDSelector::new(plan, d, rng));
-                $body
-            }
-        }
-    }};
-}
-
 /// One replication, described once: a [`RunConfig`] plus the optional
 /// execution details of the run — a warm start, a selector tick, an
 /// inter-arrival law, a recycled scratch arena, a [`TraceSink`], and a
@@ -514,7 +459,19 @@ pub(crate) fn assert_plan_hops(plan: &RoutingPlan, policy: PolicyKind) {
 
 /// Runs `spec` under the `(admission, selector)` pair that the named
 /// `policy` dispatches to over `plan` — the one way a mesh simulator
-/// turns a [`PolicyKind`] into a kernel run.
+/// turns a [`PolicyKind`] into a kernel run, reached by [`Run::execute`]
+/// and the multirate simulator. The randomized selectors draw from
+/// private streams of the spec's seed. Each policy is a pair on the
+/// same kernel:
+///
+/// | policy        | admission                    | selector              |
+/// |---------------|------------------------------|-----------------------|
+/// | single-path   | capacity only                | tiered, no alternates |
+/// | uncontrolled  | capacity only                | tiered                |
+/// | controlled    | trunk reservation (Eq. 15)   | tiered                |
+/// | ott-krishnan  | (internal to the price test) | shadow-price argmin   |
+/// | dar           | trunk reservation (Eq. 15)   | sticky random         |
+/// | bod           | trunk reservation (Eq. 15)   | best-of-d sampling    |
 ///
 /// # Panics
 ///
@@ -528,9 +485,36 @@ pub(crate) fn run_named<O: KernelObserver>(
     scratch: &mut KernelScratch,
 ) -> KernelOutcome {
     assert_plan_hops(plan, policy);
-    with_policy!(plan, policy, spec.config.seed, |admission, selector| {
-        kernel::run_pooled(spec, admission, selector, observer, scratch)
-    })
+    let seed = spec.config.seed;
+    let reservation = || TrunkReservation::new(plan.protection_levels().to_vec());
+    match policy {
+        PolicyKind::SinglePath => {
+            let selector = &mut TieredSelector::single_path(plan);
+            kernel::run_pooled(spec, &mut Uncontrolled, selector, observer, scratch)
+        }
+        PolicyKind::UncontrolledAlternate { .. } => {
+            let selector = &mut TieredSelector::new(plan);
+            kernel::run_pooled(spec, &mut Uncontrolled, selector, observer, scratch)
+        }
+        PolicyKind::ControlledAlternate { .. } => {
+            let selector = &mut TieredSelector::new(plan);
+            kernel::run_pooled(spec, &mut reservation(), selector, observer, scratch)
+        }
+        PolicyKind::OttKrishnan { .. } => {
+            let selector = &mut OttKrishnanSelector::new(plan);
+            kernel::run_pooled(spec, &mut Uncontrolled, selector, observer, scratch)
+        }
+        PolicyKind::DarSticky { .. } => {
+            let rng = StreamFactory::new(seed).stream(DAR_RESAMPLE_STREAM);
+            let selector = &mut DarStickySelector::new(plan, rng);
+            kernel::run_pooled(spec, &mut reservation(), selector, observer, scratch)
+        }
+        PolicyKind::BestOfD { d, .. } => {
+            let rng = StreamFactory::new(seed).stream(BOD_SAMPLE_STREAM);
+            let selector = &mut BestOfDSelector::new(plan, d, rng);
+            kernel::run_pooled(spec, &mut reservation(), selector, observer, scratch)
+        }
+    }
 }
 
 /// Builds the kernel's static description of one mesh replication on
@@ -636,6 +620,7 @@ fn finish_seed<R: Recorder>(
 mod tests {
     use super::*;
     use altroute_netgraph::topologies;
+    use altroute_simcore::{CalendarQueue, EventQueue};
     use altroute_teletraffic::erlang::erlang_b;
 
     fn single_link_plan(capacity: u32, load: f64) -> (RoutingPlan, TrafficMatrix) {
@@ -1036,18 +1021,30 @@ mod tests {
         assert_eq!(table.live(), 0);
     }
 
+    /// The deep-queue outage instance: the quadrangle shape at C=1000
+    /// under 900 Erlang/pair with link 0-1 down 1.0 of every 2.5, where
+    /// ~10k concurrent calls keep the event queue deep while mass
+    /// teardowns and re-arrivals churn it — the calendar's resize and
+    /// bucket-width paths at a depth the queue-level proptests never
+    /// reach. Returns `(plan, traffic, failures, H, (warmup, horizon))`.
+    fn deep_outage() -> (RoutingPlan, TrafficMatrix, FailureSchedule, u32, (f64, f64)) {
+        let traffic = TrafficMatrix::uniform(4, 900.0);
+        let plan = RoutingPlan::min_hop(topologies::full_mesh(4, 1000), &traffic, 3);
+        let link01 = plan.topology().link_between(0, 1).unwrap();
+        let mut failures = FailureSchedule::none();
+        for down in [1.0, 3.5] {
+            failures = failures.with_outage(link01, down, down + 1.0);
+        }
+        (plan, traffic, failures, 3, (0.5, 4.5))
+    }
+
     #[test]
     fn every_run_option_matches_the_serial_oracle_for_every_policy() {
-        // Differential check across the whole policy dispatch: the
-        // `BinaryHeap` reference queue, a scratch arena recycled across
-        // policies, and recorder-only runs must all reproduce the plain
-        // run's counters exactly. Two instances: the quadrangle with an
-        // outage (teardown hooks reach the recorder), and the quadrangle
-        // shape at C=1000 under 900 Erlang/pair with link 0-1 down 1.0 of
-        // every 2.5, where ~10k concurrent calls keep the event queue
-        // deep while mass teardowns and re-arrivals churn it — the
-        // calendar's resize and bucket-width paths at a depth the
-        // queue-level proptests never reach.
+        // Differential check across the whole policy dispatch: a scratch
+        // arena recycled across policies and recorder-only runs must
+        // reproduce the plain run's counters exactly. Two instances: the
+        // quadrangle with an outage (teardown hooks reach the recorder),
+        // and the deep-queue outage instance.
         use altroute_telemetry::RunTelemetry;
 
         let quadrangle = {
@@ -1057,18 +1054,8 @@ mod tests {
             let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
             (plan, traffic, failures, 3, (5.0, 30.0))
         };
-        let deep_outage = {
-            let traffic = TrafficMatrix::uniform(4, 900.0);
-            let plan = RoutingPlan::min_hop(topologies::full_mesh(4, 1000), &traffic, 3);
-            let link01 = plan.topology().link_between(0, 1).unwrap();
-            let mut failures = FailureSchedule::none();
-            for down in [1.0, 3.5] {
-                failures = failures.with_outage(link01, down, down + 1.0);
-            }
-            (plan, traffic, failures, 3, (0.5, 4.5))
-        };
         let mut scratch = KernelScratch::new();
-        for (plan, traffic, failures, h, (warmup, horizon)) in [quadrangle, deep_outage] {
+        for (plan, traffic, failures, h, (warmup, horizon)) in [quadrangle, deep_outage()] {
             let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
             for policy in [
                 PolicyKind::SinglePath,
@@ -1096,18 +1083,132 @@ mod tests {
                     failures.events().is_empty() || oracle_t.dropped > 0,
                     "{policy:?}: the outage must reach the recorder"
                 );
-                let reference = with_policy!(&plan, policy, config.seed, |admission, selector| {
-                    Run::new(&config).drive(|spec, observer, _| {
-                        kernel::run_reference(spec, admission, selector, observer)
-                    })
-                });
-                assert_eq!(oracle, reference, "{policy:?} reference");
                 assert_eq!(
                     oracle,
                     run_seed_pooled(&config, &mut scratch),
                     "{policy:?} pooled"
                 );
             }
+        }
+    }
+
+    /// What a popped event was, as far as rebuilding its schedules needs.
+    #[derive(Debug, Clone, Copy)]
+    enum Popped {
+        /// An arrival of a source stream; `Some(hold)` when it was routed
+        /// (and so scheduled its departure at `now + hold`).
+        Arrival(u32, Option<f64>),
+        Departure,
+        Link,
+    }
+
+    /// The kernel's pop stream through its observer hooks: per pop, the
+    /// time, the pending-event count after it, and what it was.
+    #[derive(Default)]
+    struct PopStream {
+        pending: Option<Popped>,
+        pops: Vec<(f64, usize, Popped)>,
+    }
+
+    impl KernelObserver for PopStream {
+        fn arrival_routed(
+            &mut self,
+            _now: f64,
+            stream: u32,
+            _tier: Tier,
+            _links: &[usize],
+            hold: f64,
+            _measured: bool,
+        ) {
+            self.pending = Some(Popped::Arrival(stream, Some(hold)));
+        }
+        fn arrival_blocked(&mut self, _now: f64, stream: u32, _hold: f64, _measured: bool) {
+            self.pending = Some(Popped::Arrival(stream, None));
+        }
+        fn departure(&mut self, _now: f64, _call: u32, _gen: u32, _stale: bool) {
+            self.pending = Some(Popped::Departure);
+        }
+        fn link_change(&mut self, _now: f64, _link: u32, _up: bool) {
+            self.pending = Some(Popped::Link);
+        }
+        fn event_processed(&mut self, now: f64, queue_len: usize) {
+            let popped = self.pending.take().expect("every pop reaches a hook");
+            self.pops.push((now, queue_len, popped));
+        }
+    }
+
+    #[test]
+    fn deep_outage_pop_stream_replays_identically_on_both_queues() {
+        // Record the kernel's pop stream on the deep-queue outage instance,
+        // rebuild every schedule it made, and replay it through the
+        // calendar queue and the binary heap in lockstep: the two must
+        // pop the same times and hold the same number of events at every
+        // step, matching the kernel's own stream. Only this depth
+        // (>8192 pending, so >=8192 buckets) reaches the calendar's
+        // largest resizes.
+        let (plan, traffic, failures, h, (warmup, horizon)) = deep_outage();
+        let config = RunConfig {
+            plan: &plan,
+            policy: PolicyKind::ControlledAlternate { max_hops: h },
+            traffic: &traffic,
+            warmup,
+            horizon,
+            seed: 2026,
+            failures: &failures,
+        };
+        let mut stream = PopStream::default();
+        Run::new(&config)
+            .drive(|spec, _, scratch| run_named(&plan, config.policy, spec, &mut stream, scratch));
+        let pops = stream.pops;
+        let peak = pops.iter().map(|&(_, len, _)| len).max().unwrap_or(0);
+        assert!(
+            peak >= 10_000,
+            "the instance must keep the queue deep: peak {peak}"
+        );
+
+        // Each arrival scheduled its source's next arrival (the next
+        // popped arrival of the same stream) and, if routed, its
+        // departure. Whatever no pop scheduled was scheduled up front:
+        // every source's first arrival and every link event.
+        let mut next_of_stream = std::collections::BTreeMap::new();
+        let mut children = vec![Vec::new(); pops.len()];
+        for (i, &(now, _, popped)) in pops.iter().enumerate().rev() {
+            if let Popped::Arrival(stream, hold) = popped {
+                children[i].extend(next_of_stream.insert(stream, now));
+                children[i].extend(hold.map(|hold| now + hold));
+            }
+        }
+        let mut initial: Vec<f64> = next_of_stream.into_values().collect();
+        initial.extend(
+            pops.iter()
+                .filter(|p| matches!(p.2, Popped::Link))
+                .map(|p| p.0),
+        );
+
+        let mut heap = EventQueue::new();
+        let mut calendar = CalendarQueue::new();
+        for &t in &initial {
+            heap.schedule(t, ());
+            calendar.schedule(t, ());
+        }
+        for (i, &(now, len, _)) in pops.iter().enumerate() {
+            let popped = heap.pop().map(|(t, ())| t);
+            assert_eq!(
+                calendar.pop().map(|(t, ())| t),
+                popped,
+                "pop {i}: calendar vs heap"
+            );
+            assert_eq!(popped, Some(now), "pop {i}: heap vs kernel");
+            for &t in &children[i] {
+                heap.schedule(t, ());
+                calendar.schedule(t, ());
+            }
+            assert_eq!(
+                calendar.len(),
+                heap.len(),
+                "pop {i}: calendar vs heap length"
+            );
+            assert_eq!(heap.len(), len, "pop {i}: heap vs kernel length");
         }
     }
 

@@ -1,11 +1,10 @@
 //! An O(1)-amortized calendar queue with stable `(time, seq)` ordering.
 //!
-//! The comparison-based [`EventQueue`](crate::queue::EventQueue) costs
-//! O(log n) per operation and touches scattered heap nodes on every
-//! sift; on long-horizon, high-load runs (metastability sweeps, outage
-//! churn) the event queue is the kernel's single hottest structure.
-//! [`CalendarQueue`] replaces it with Brown's calendar queue (CACM
-//! 1988): an array of `N` buckets, each `width` units of simulation
+//! On long-horizon, high-load runs (metastability sweeps, outage churn)
+//! the event queue is the kernel's single hottest structure, and a
+//! comparison-based heap pays O(log n) per operation on scattered nodes.
+//! [`CalendarQueue`], the kernel's only event queue, is Brown's calendar
+//! queue (CACM 1988) instead: an array of `N` buckets, each `width` units of simulation
 //! time wide, used circularly — bucket `b` holds the events of every
 //! "day" `d ≡ b (mod N)` of the current "year" (`N` consecutive days).
 //! Scheduling appends to a bucket (O(1)); popping scans the cursor
@@ -13,14 +12,15 @@
 //! occupancy), kept O(1) amortized by resizing).
 //!
 //! **Determinism.** Pop order is exactly ascending `(time, insertion
-//! sequence)` — the same total order the binary-heap reference
-//! implements — because `floor(time / width)` is monotone in `time`:
+//! sequence)` — the same total order the binary-heap
+//! [`EventQueue`](crate::queue::EventQueue) implements — because `floor(time / width)` is monotone in `time`:
 //! every event of an earlier day is popped before any event of a later
 //! day, same-day events are compared explicitly by `(time, seq)`, and
 //! equal timestamps always share a day. Bucket layout, resizes, and
-//! rotation therefore never influence the observable order, which is
-//! what keeps golden traces byte-identical to the reference queue (the
-//! property suite in `tests/properties.rs` pins the equivalence down).
+//! rotation therefore never influence the observable order. The
+//! property suite in `tests/properties.rs` checks the equivalence
+//! against `EventQueue` on random streams, and `altroute-sim`'s
+//! deep-queue replay test on a recorded ~10k-pending kernel stream.
 //!
 //! **Far future.** Events beyond the current year would otherwise pile
 //! into buckets the cursor only reaches after many rotations, so they
@@ -57,7 +57,8 @@ struct Entry<E> {
 }
 
 /// A calendar-queue event schedule ordered by `(time, insertion
-/// sequence)`, API-compatible with [`EventQueue`](crate::queue::EventQueue).
+/// sequence)`, pop for pop the order of
+/// [`EventQueue`](crate::queue::EventQueue).
 ///
 /// [`reset`](CalendarQueue::reset) rewinds the clock while keeping the
 /// bucket array, per-bucket capacities, and tuned width, so a scratch
@@ -130,7 +131,7 @@ impl<E> CalendarQueue<E> {
     /// assertions disabled a past-time event is ordered as if it fired
     /// at the earliest still poppable instant. Non-finite times are
     /// rejected here, at the insertion site — an infinite timestamp
-    /// used to survive until [`estimate_width`]'s comparison sort or a
+    /// used to survive until `estimate_width`'s comparison sort or a
     /// degenerate day computation instead of failing where the bad
     /// value entered.
     pub fn schedule(&mut self, time: f64, event: E) {
@@ -151,16 +152,6 @@ impl<E> CalendarQueue<E> {
         if self.in_buckets > 2 * n {
             self.rebuild(self.in_buckets.next_power_of_two());
         }
-    }
-
-    /// Schedules `event` at `delay` after the current clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is NaN, or (debug builds only) negative.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        debug_assert!(delay >= 0.0, "delay must be >= 0, got {delay}");
-        self.schedule(self.now + delay, event);
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
@@ -384,23 +375,14 @@ impl<E> EventSchedule<E> for CalendarQueue<E> {
     fn schedule(&mut self, time: f64, event: E) {
         CalendarQueue::schedule(self, time, event);
     }
-    fn schedule_in(&mut self, delay: f64, event: E) {
-        CalendarQueue::schedule_in(self, delay, event);
-    }
     fn pop(&mut self) -> Option<(f64, E)> {
         CalendarQueue::pop(self)
     }
     fn peek_time(&mut self) -> Option<f64> {
         CalendarQueue::peek_time(self)
     }
-    fn now(&self) -> f64 {
-        CalendarQueue::now(self)
-    }
     fn len(&self) -> usize {
         CalendarQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        CalendarQueue::is_empty(self)
     }
 }
 
@@ -439,8 +421,8 @@ mod tests {
         let mut q = CalendarQueue::new();
         q.schedule(1.0, "first");
         assert_eq!(q.pop(), Some((1.0, "first")));
-        q.schedule_in(0.5, "second");
-        q.schedule_in(0.25, "between");
+        q.schedule(q.now() + 0.5, "second");
+        q.schedule(q.now() + 0.25, "between");
         assert_eq!(q.pop(), Some((1.25, "between")));
         assert_eq!(q.pop(), Some((1.5, "second")));
     }
@@ -529,8 +511,8 @@ mod tests {
             assert_eq!(q.pop(), Some((f64::from(i) * 0.01, i)));
         }
         // After draining (shrink churn), ordering still holds.
-        q.schedule_in(2.0, 1000);
-        q.schedule_in(1.0, 1001);
+        q.schedule(q.now() + 2.0, 1000);
+        q.schedule(q.now() + 1.0, 1001);
         assert_eq!(q.pop().map(|(_, e)| e), Some(1001));
         assert_eq!(q.pop().map(|(_, e)| e), Some(1000));
     }
@@ -576,7 +558,7 @@ mod tests {
     // Regression: `schedule(f64::INFINITY, ..)` used to pass the
     // NaN-only check and panic later inside `estimate_width` once
     // enough events accumulated to trigger a resize. Reject it at the
-    // insertion site instead, matching the `EventQueue` reference.
+    // insertion site instead, as `EventQueue` does.
     #[test]
     #[should_panic(expected = "must be finite")]
     fn infinite_time_panics() {
@@ -589,13 +571,5 @@ mod tests {
     fn negative_infinite_time_panics() {
         let mut q: CalendarQueue<()> = CalendarQueue::new();
         q.schedule(f64::NEG_INFINITY, ());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "delay must be >= 0")]
-    fn negative_delay_panics() {
-        let mut q: CalendarQueue<()> = CalendarQueue::new();
-        q.schedule_in(-0.1, ());
     }
 }

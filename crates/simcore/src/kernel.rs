@@ -3,14 +3,14 @@
 //! Every simulator in this repository is the same machine wearing a
 //! different policy: renewal arrival sources (Poisson unless a source
 //! asks for [`InterArrival::Hyperexponential`] gaps) drawing (holding
-//! time, routing pick, next gap) from per-source seed-derived streams, a
-//! stable event queue driven with *peek* semantics (the clock never
-//! passes the end of the measurement window), a generational call table
-//! with a per-link teardown index, warm-up-aware counters, and the
-//! [`EngineMetrics`](crate::metrics::EngineMetrics) gauges. This module
-//! owns that machine once; the five historical engines (single-rate
-//! mesh, adaptive estimation, multirate, signaling, cellular borrowing)
-//! instantiate it with two small strategy objects:
+//! time, routing pick, next gap) from per-source seed-derived streams,
+//! one stable event queue (the [`CalendarQueue`]) driven with *peek*
+//! semantics (the clock never passes the end of the measurement window),
+//! a generational call table with a per-link teardown index, warm-up-aware
+//! counters, and the [`EngineMetrics`] gauges. This module owns that
+//! machine once; the five historical engines (single-rate mesh, adaptive
+//! estimation, multirate, signaling, cellular borrowing) instantiate it
+//! with two small strategy objects:
 //!
 //! * [`AdmissionPolicy`] — per-link accept/reject given occupancy,
 //!   capacity, and protection level ([`Uncontrolled`] capacity-only
@@ -40,7 +40,6 @@
 
 use crate::calendar::CalendarQueue;
 use crate::metrics::EngineMetrics;
-use crate::queue::{EventQueue, EventSchedule};
 use crate::rng::{RngStream, StreamFactory};
 use crate::timeweighted::TimeWeighted;
 
@@ -782,8 +781,8 @@ impl Counters {
     }
 }
 
-/// Everything [`run_loop`] needs besides the event queue, so the
-/// reference and calendar entry points share one reset path.
+/// Everything [`run_pooled`] recycles besides the event queue, reset
+/// from each run's spec by [`prepare`](LoopState::prepare).
 #[derive(Debug, Default)]
 struct LoopState {
     links: LinkOccupancy,
@@ -831,16 +830,13 @@ impl LoopState {
     /// with zero seeded units are untouched, which makes an all-zero
     /// warm start byte-identical to a cold one (observer stream
     /// included).
-    fn seed_warm_start<O, Q>(
+    fn seed_warm_start<O: KernelObserver>(
         &mut self,
         spec: &KernelSpec<'_>,
-        queue: &mut Q,
+        queue: &mut CalendarQueue<Event>,
         observer: &mut O,
         metrics: &mut EngineMetrics,
-    ) where
-        O: KernelObserver,
-        Q: EventSchedule<Event>,
-    {
+    ) {
         let initial = spec.initial_occupancy;
         if initial.is_empty() {
             return;
@@ -881,7 +877,7 @@ impl LoopState {
     /// Builds the per-source RNG streams, drawing every source's first
     /// inter-arrival gap, and schedules each first arrival inside the
     /// window.
-    fn seed_sources<Q: EventSchedule<Event>>(&mut self, spec: &KernelSpec<'_>, queue: &mut Q) {
+    fn seed_sources(&mut self, spec: &KernelSpec<'_>, queue: &mut CalendarQueue<Event>) {
         let config = &spec.config;
         let end = config.warmup + config.horizon;
         let factory = StreamFactory::new(config.seed);
@@ -904,7 +900,7 @@ impl LoopState {
     /// the selector, and books or blocks — exactly the historical
     /// arrival arm of the event loop.
     #[allow(clippy::too_many_arguments)]
-    fn arrival<'p, A, R, O, Q>(
+    fn arrival<'p, A, R, O>(
         &mut self,
         now: f64,
         source: u32,
@@ -912,14 +908,13 @@ impl LoopState {
         admission: &A,
         selector: &mut R,
         observer: &mut O,
-        queue: &mut Q,
+        queue: &mut CalendarQueue<Event>,
         counters: &mut Counters,
         metrics: &mut EngineMetrics,
     ) where
         A: AdmissionPolicy,
         R: RouteSelector<'p>,
         O: KernelObserver,
-        Q: EventSchedule<Event>,
     {
         let config = &spec.config;
         let end = config.warmup + config.horizon;
@@ -1065,7 +1060,7 @@ fn validate_config(config: &KernelConfig) {
 
 /// Schedules every timed link failure/repair inside the window into
 /// `queue`.
-fn seed_link_events<Q: EventSchedule<Event>>(spec: &KernelSpec<'_>, queue: &mut Q) {
+fn seed_link_events(spec: &KernelSpec<'_>, queue: &mut CalendarQueue<Event>) {
     let end = spec.config.warmup + spec.config.horizon;
     for ev in spec.link_events {
         if ev.at < end {
@@ -1123,69 +1118,11 @@ where
     R: RouteSelector<'p>,
     O: KernelObserver,
 {
-    scratch.queue.reset();
-    run_loop(
-        spec,
-        admission,
-        selector,
-        observer,
-        &mut scratch.queue,
-        &mut scratch.state,
-    )
-}
-
-/// As [`run`], but on the comparison-based `BinaryHeap`
-/// [`EventQueue`] instead of the calendar queue — the differential
-/// baseline: both entry points must produce identical outcomes (and
-/// identical observer streams) for every spec, and their wall-clock
-/// ratio is the calendar queue's measured speedup.
-pub fn run_reference<'p, A, R, O>(
-    spec: &KernelSpec<'_>,
-    admission: &mut A,
-    selector: &mut R,
-    observer: &mut O,
-) -> KernelOutcome
-where
-    A: AdmissionPolicy,
-    R: RouteSelector<'p>,
-    O: KernelObserver,
-{
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    run_loop(
-        spec,
-        admission,
-        selector,
-        observer,
-        &mut queue,
-        &mut LoopState::default(),
-    )
-}
-
-/// The event loop itself, generic over the queue implementation. The
-/// caller hands in an empty queue with its clock at zero and a state
-/// arena in any condition; the loop resets the state from `spec` before
-/// scheduling anything.
-fn run_loop<'p, A, R, O, Q>(
-    spec: &KernelSpec<'_>,
-    admission: &mut A,
-    selector: &mut R,
-    observer: &mut O,
-    queue: &mut Q,
-    state: &mut LoopState,
-) -> KernelOutcome
-where
-    A: AdmissionPolicy,
-    R: RouteSelector<'p>,
-    O: KernelObserver,
-    Q: EventSchedule<Event>,
-{
+    let KernelScratch { queue, state } = scratch;
+    queue.reset();
     let started = std::time::Instant::now();
     let config = &spec.config;
     validate_config(config);
-    debug_assert!(
-        queue.is_empty() && queue.now() == 0.0,
-        "run_loop needs a reset queue"
-    );
     let end = config.warmup + config.horizon;
 
     let mut metrics = EngineMetrics::default();
@@ -1414,11 +1351,10 @@ mod tests {
     }
 
     #[test]
-    fn heap_reference_and_recycled_scratch_match_fresh_runs() {
+    fn recycled_scratch_matches_fresh_runs() {
         // One spec with outages (stale departures, teardown paths) and a
-        // second, differently shaped spec: a fresh run, the BinaryHeap
-        // reference, and a scratch recycled across both specs must all
-        // produce identical outcomes.
+        // second, differently shaped spec: a fresh run and a scratch
+        // recycled across both specs must produce identical outcomes.
         let sources = [ArrivalSource {
             stream: 0,
             src: 0,
@@ -1468,7 +1404,6 @@ mod tests {
         let mut scratch = KernelScratch::new();
         for spec in [&churn, &calm, &churn] {
             let fresh = run(spec, &mut Uncontrolled, &mut OneLink, &mut NullObserver);
-            let reference = run_reference(spec, &mut Uncontrolled, &mut OneLink, &mut NullObserver);
             let pooled = run_pooled(
                 spec,
                 &mut Uncontrolled,
@@ -1476,7 +1411,6 @@ mod tests {
                 &mut NullObserver,
                 &mut scratch,
             );
-            assert_eq!(fresh, reference);
             assert_eq!(fresh, pooled);
         }
     }
@@ -1714,7 +1648,7 @@ mod tests {
         let spec = warm_spec(zero_window(11), &capacities, &[], &initial);
 
         let mut state = LoopState::default();
-        let mut queue: EventQueue<Event> = EventQueue::new();
+        let mut queue = CalendarQueue::new();
         let mut metrics = EngineMetrics::default();
         state.prepare(&spec);
         state.seed_warm_start(&spec, &mut queue, &mut NullObserver, &mut metrics);

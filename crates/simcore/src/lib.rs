@@ -7,15 +7,15 @@
 //! and holding times*. This crate provides the pieces that make such a
 //! methodology reproducible:
 //!
-//! * [`queue`] — a stable event queue: events at equal timestamps pop in
-//!   insertion order, so simulations are bit-deterministic functions of
-//!   their inputs. The binary-heap [`EventQueue`] is the reference
-//!   implementation; the O(1)-amortized [`calendar`] queue drives the
-//!   kernel's hot path with the identical `(time, seq)` pop order.
-//! * [`calendar`] — Brown's calendar queue behind the same
-//!   [`queue::EventSchedule`] contract, with far-future overflow
-//!   handling and a [`CalendarQueue::reset`] that recycles its buckets
-//!   across replications.
+//! * [`calendar`] — Brown's calendar queue, the kernel's only event
+//!   queue: events at equal timestamps pop in insertion order, so
+//!   simulations are bit-deterministic functions of their inputs. It
+//!   handles far-future overflow and its [`CalendarQueue::reset`]
+//!   recycles buckets across replications.
+//! * [`queue`] — the binary-heap [`EventQueue`] with the identical
+//!   `(time, seq)` pop order: the oracle of the calendar property tests
+//!   and the baseline of perfbench's queue replay, which drives either
+//!   queue through the [`queue::EventSchedule`] trait.
 //! * [`rng`] — seed-derived independent random-number streams (one per
 //!   O–D pair, for common random numbers across policies) with
 //!   exponential/Poisson sampling.

@@ -5,21 +5,21 @@
 //! end to end — no dependence on heap internals. Timestamps are `f64`
 //! simulation time; non-finite timestamps are rejected at insertion.
 //!
-//! Two implementations share the `(time, seq)` contract through the
-//! [`EventSchedule`] trait: [`EventQueue`] here is the comparison-based
-//! `BinaryHeap` reference (O(log n) per operation, trivially correct),
-//! and [`CalendarQueue`](crate::calendar::CalendarQueue) is the
-//! O(1)-amortized calendar queue the simulation kernel runs on. The
-//! reference stays as the differential-testing and benchmark baseline:
-//! both must pop any NaN-free event stream in the identical order.
+//! [`EventQueue`] here is the comparison-based `BinaryHeap`
+//! implementation of that `(time, seq)` contract: O(log n) per
+//! operation and trivially correct. The kernel runs on the O(1)-amortized
+//! [`CalendarQueue`](crate::calendar::CalendarQueue) only; `EventQueue`
+//! is the oracle the calendar property tests compare against and the
+//! baseline of perfbench's `heap.hold_ns` replay. Both must pop any
+//! NaN-free event stream in the identical order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The scheduling contract shared by every event-queue implementation:
-/// events pop in `(time, insertion sequence)` order, the clock advances
-/// only on [`pop`](EventSchedule::pop), and non-finite timestamps are
-/// rejected.
+/// The scheduling contract both queues implement, for code that replays
+/// one event stream through either: events pop in `(time, insertion
+/// sequence)` order, the clock advances only on
+/// [`pop`](EventSchedule::pop), and non-finite timestamps are rejected.
 ///
 /// Scheduling before the current clock is a causality bug in the caller;
 /// both implementations reject it with a *debug* assertion (the check is
@@ -29,15 +29,11 @@ use std::collections::BinaryHeap;
 pub trait EventSchedule<E> {
     /// Schedules `event` at absolute time `time`.
     fn schedule(&mut self, time: f64, event: E);
-    /// Schedules `event` at `delay` after the current clock.
-    fn schedule_in(&mut self, delay: f64, event: E);
     /// Pops the earliest event, advancing the clock to its timestamp.
     fn pop(&mut self) -> Option<(f64, E)>;
     /// The timestamp of the next event without popping it (`&mut` so
     /// implementations may cache the search for the following pop).
     fn peek_time(&mut self) -> Option<f64>;
-    /// Current simulation time (timestamp of the last popped event).
-    fn now(&self) -> f64;
     /// Number of pending events.
     fn len(&self) -> usize;
     /// Whether no events are pending.
@@ -127,16 +123,6 @@ impl<E> EventQueue<E> {
         self.heap.push(entry);
     }
 
-    /// Schedules `event` at `delay` after the current clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is NaN, or (debug builds only) negative.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        debug_assert!(delay >= 0.0, "delay must be >= 0, got {delay}");
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         let entry = self.heap.pop()?;
@@ -177,23 +163,14 @@ impl<E> EventSchedule<E> for EventQueue<E> {
     fn schedule(&mut self, time: f64, event: E) {
         EventQueue::schedule(self, time, event);
     }
-    fn schedule_in(&mut self, delay: f64, event: E) {
-        EventQueue::schedule_in(self, delay, event);
-    }
     fn pop(&mut self) -> Option<(f64, E)> {
         EventQueue::pop(self)
     }
     fn peek_time(&mut self) -> Option<f64> {
         EventQueue::peek_time(self)
     }
-    fn now(&self) -> f64 {
-        EventQueue::now(self)
-    }
     fn len(&self) -> usize {
         EventQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
     }
 }
 
@@ -232,8 +209,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(1.0, "first");
         assert_eq!(q.pop(), Some((1.0, "first")));
-        q.schedule_in(0.5, "second");
-        q.schedule_in(0.25, "between");
+        q.schedule(q.now() + 0.5, "second");
+        q.schedule(q.now() + 0.25, "between");
         assert_eq!(q.pop(), Some((1.25, "between")));
         assert_eq!(q.pop(), Some((1.5, "second")));
     }
@@ -252,13 +229,12 @@ mod tests {
         q.schedule(1.0, "a");
         q.schedule(1.0, "b");
         assert_eq!(q.pop(), Some((1.0, "a")));
-        q.schedule_in(0.0, "c"); // also at time 1.0, inserted later
+        q.schedule(q.now(), "c"); // also at time 1.0, inserted later
         assert_eq!(q.pop(), Some((1.0, "b")));
         assert_eq!(q.pop(), Some((1.0, "c")));
     }
 
-    // Past-time and negative-delay insertion are causality bugs in the
-    // caller; they are debug assertions (compiled out of release hot
+    // Past-time insertion is a causality bug in the caller; they are debug assertions (compiled out of release hot
     // paths), so the regression tests only exist under debug assertions.
     #[cfg(debug_assertions)]
     #[test]
@@ -293,14 +269,6 @@ mod tests {
     fn negative_infinite_time_panics() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.schedule(f64::NEG_INFINITY, ());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "delay must be >= 0")]
-    fn negative_delay_panics() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule_in(-0.1, ());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the event queues, RNG streams, and statistics.
 //!
-//! The calendar-queue suite at the bottom is the differential oracle for
-//! the kernel's hot path: for any NaN-free stream of `(time, seq)`
+//! The calendar-queue suite at the bottom checks the kernel's only event
+//! queue against the binary-heap oracle: for any NaN-free stream of `(time, seq)`
 //! insertions and pops, [`CalendarQueue`] must produce exactly the pop
 //! sequence of the comparison-based [`EventQueue`] — including FIFO
 //! order within equal-timestamp runs, across bucket-array resizes, year
@@ -41,7 +41,7 @@ proptest! {
         let mut q = EventQueue::new();
         let mut last = 0.0;
         for (i, &d) in delays.iter().enumerate() {
-            q.schedule_in(d, i);
+            q.schedule(q.now() + d, i);
             if i % 3 == 0 {
                 if let Some((t, _)) = q.pop() {
                     prop_assert!(t >= last);
@@ -139,8 +139,8 @@ proptest! {
             if kind == 0 {
                 prop_assert_eq!(heap.pop(), cal.pop());
             } else {
-                heap.schedule_in(delay, i);
-                cal.schedule_in(delay, i);
+                heap.schedule(heap.now() + delay, i);
+                cal.schedule(cal.now() + delay, i);
             }
             prop_assert_eq!(heap.len(), cal.len());
             prop_assert_eq!(heap.peek_time(), cal.peek_time());
@@ -190,8 +190,8 @@ proptest! {
         let mut cal = CalendarQueue::new();
         for (i, &(frac, sparse)) in ops.iter().enumerate() {
             let delay = if sparse { frac * 400.0 } else { frac * 0.05 };
-            heap.schedule_in(delay, i);
-            cal.schedule_in(delay, i);
+            heap.schedule(heap.now() + delay, i);
+            cal.schedule(cal.now() + delay, i);
             // Pop in bursts so the queue repeatedly empties toward a
             // handful of events (shrink pressure) then refills (grow
             // pressure) while the clock advances across bucket years.
@@ -216,18 +216,18 @@ proptest! {
         let mut cal = CalendarQueue::new();
         let mut seq = 0usize;
         for (i, &d) in near.iter().enumerate() {
-            heap.schedule_in(d, seq);
-            cal.schedule_in(d, seq);
+            heap.schedule(heap.now() + d, seq);
+            cal.schedule(cal.now() + d, seq);
             seq += 1;
             if i < far.len() {
-                heap.schedule_in(far[i], seq);
-                cal.schedule_in(far[i], seq);
+                heap.schedule(heap.now() + far[i], seq);
+                cal.schedule(cal.now() + far[i], seq);
                 seq += 1;
             }
         }
         for &d in far.iter().skip(near.len()) {
-            heap.schedule_in(d, seq);
-            cal.schedule_in(d, seq);
+            heap.schedule(heap.now() + d, seq);
+            cal.schedule(cal.now() + d, seq);
             seq += 1;
         }
         assert_drains_equal(&mut heap, &mut cal)?;

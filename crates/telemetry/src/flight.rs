@@ -242,9 +242,10 @@ impl FlightRing {
 /// Windowed trigger policy for the flight recorder.
 ///
 /// Fed one completed window at a time (network utilization and blocking),
-/// it mirrors the hysteresis semantics of [`crate::mode::detect`]: the
-/// first window classifies the initial mode without firing, every later
-/// window is classified against the previous mode, and a change fires a
+/// it takes the same hysteresis step as [`crate::mode::detect`]
+/// ([`ModeThresholds::classify`]): the first window classifies the
+/// initial mode without firing, every later window is classified against
+/// the previous mode, and a change fires a
 /// [`TriggerReason::ModeSwitch`] stamped with the window's start — the
 /// same `at` the offline detector reports. Independently, a window whose
 /// blocking exceeds `blocking_threshold` fires
@@ -284,33 +285,16 @@ impl FlightTrigger {
     ) -> Option<TriggerReason> {
         let mut fired = None;
         if let Some(t) = self.thresholds {
-            let next = match self.mode {
-                None => {
-                    // First window: classify without firing, as detect()
-                    // treats the initial mode as a state, not a switch.
-                    Some(if utilization >= t.enter_high() {
-                        Mode::High
-                    } else {
-                        Mode::Low
-                    })
-                }
-                Some(Mode::Low) if utilization >= t.enter_high() => {
-                    fired = Some(TriggerReason::ModeSwitch {
-                        at: window_start,
-                        to: Mode::High,
-                    });
-                    Some(Mode::High)
-                }
-                Some(Mode::High) if utilization <= t.exit_high() => {
-                    fired = Some(TriggerReason::ModeSwitch {
-                        at: window_start,
-                        to: Mode::Low,
-                    });
-                    Some(Mode::Low)
-                }
-                unchanged => unchanged,
-            };
-            self.mode = next;
+            let next = t.classify(self.mode, utilization);
+            // The first window classifies without firing, as detect()
+            // treats the initial mode as a state, not a switch.
+            if self.mode.is_some_and(|mode| mode != next) {
+                fired = Some(TriggerReason::ModeSwitch {
+                    at: window_start,
+                    to: next,
+                });
+            }
+            self.mode = Some(next);
         }
         if fired.is_none() {
             if let Some(th) = self.blocking_threshold {

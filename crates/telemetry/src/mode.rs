@@ -68,6 +68,19 @@ impl ModeThresholds {
     pub fn exit_high(&self) -> f64 {
         self.exit_high
     }
+
+    /// The hysteresis step shared by [`detect`] and the flight
+    /// recorder's trigger: the mode of a window with value `v`, given the
+    /// previous window's mode. The first window (`previous = None`) is
+    /// classified directly — at or above `enter_high` is
+    /// [`Mode::High`], else [`Mode::Low`] — and is never a switch.
+    pub fn classify(&self, previous: Option<Mode>, v: f64) -> Mode {
+        match previous {
+            None | Some(Mode::Low) if v >= self.enter_high => Mode::High,
+            Some(Mode::High) if v > self.exit_high => Mode::High,
+            _ => Mode::Low,
+        }
+    }
 }
 
 /// One detected regime change.
@@ -122,8 +135,10 @@ impl ModeReport {
 /// Classifies one per-window series over `grid` into modes.
 ///
 /// The first window sets the initial mode directly (at or above
-/// `enter_high` → [`Mode::High`], else [`Mode::Low`]); every later window
-/// is classified with hysteresis against the previous window's mode.
+/// `enter_high` → [`Mode::High`], else [`Mode::Low`]) without a switch;
+/// every later window is classified with hysteresis against the previous
+/// window's mode ([`ModeThresholds::classify`], the step the flight
+/// recorder's trigger takes too).
 /// Switch times are the starts of the windows where the new mode first
 /// holds — the finest statement the windowed series supports.
 ///
@@ -136,11 +151,7 @@ pub fn detect(grid: TimeGrid, values: &[f64], thresholds: ModeThresholds) -> Mod
         grid.num_windows(),
         "mode detection needs one value per window"
     );
-    let initial = if values[0] >= thresholds.enter_high {
-        Mode::High
-    } else {
-        Mode::Low
-    };
+    let initial = thresholds.classify(None, values[0]);
     let mut report = ModeReport {
         initial,
         switches: Vec::new(),
@@ -153,11 +164,7 @@ pub fn detect(grid: TimeGrid, values: &[f64], thresholds: ModeThresholds) -> Mod
     let mut dwell_start = 0.0;
     for (k, &v) in values.iter().enumerate() {
         let (start, end) = grid.window_range(k);
-        let next = match mode {
-            Mode::Low if v >= thresholds.enter_high => Mode::High,
-            Mode::High if v <= thresholds.exit_high => Mode::Low,
-            unchanged => unchanged,
-        };
+        let next = thresholds.classify((k > 0).then_some(mode), v);
         if next != mode {
             match mode {
                 Mode::Low => report.dwell_low.record(start - dwell_start),
@@ -317,6 +324,37 @@ mod tests {
         let r = detect(grid, &[0.4, 0.6, 0.5, 0.6], t);
         // enter at 0.6 (≥ 0.5), exit at 0.5 (≤ 0.5), enter again.
         assert_eq!(r.num_switches(), 3);
+    }
+
+    #[test]
+    fn degenerate_band_switches_are_the_flight_triggers_fires() {
+        // enter == exit on a series sitting at the threshold: window 0
+        // classifies the initial mode and is not a switch, so the offline
+        // report and the online trigger agree on every window.
+        use crate::flight::{FlightTrigger, TriggerReason};
+        let grid = TimeGrid::new(1.0, 3.0);
+        let values = [0.5; 3];
+        let t = ModeThresholds::new(0.5, 0.5);
+        let r = detect(grid, &values, t);
+        let mut trigger = FlightTrigger::new(Some(t), None);
+        let fires: Vec<ModeSwitch> = values
+            .iter()
+            .enumerate()
+            .filter_map(
+                |(k, &v)| match trigger.observe_window(grid.window_range(k).0, v, 0.0) {
+                    Some(TriggerReason::ModeSwitch { at, to }) => Some(ModeSwitch { at, to }),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert_eq!(r.switches, fires);
+        assert_eq!(r.initial, Mode::High);
+        assert_eq!(
+            r.switches.iter().map(|s| s.at).collect::<Vec<_>>(),
+            vec![1.0, 2.0]
+        );
+        assert_eq!(r.dwell_high.count(), 1, "no zero-length dwell at t = 0");
+        assert_eq!(r.dwell_high.sum(), 1.0);
     }
 
     #[test]

@@ -125,7 +125,7 @@ EOF
 }
 
 # Kernel parity: the golden traces must replay byte-identically through
-# the kernel-backed engine, solo and fanned out (the dedicated test), and
+# the kernel-backed engine, solo and fanned out (the `golden` tests), and
 # a fixed-seed run of every policy combination on every kernel-backed
 # engine must succeed and be bit-stable across two invocations, and the
 # committed results of all 19 result binaries, the table and JSON
@@ -146,7 +146,7 @@ stage_parity() {
   "base_seed": 7
 }
 EOF
-  cargo test --release -q -p altroute-conformance --test kernel_parity
+  cargo test --release -q -p altroute-conformance --test golden
   parity() { # <name> <cli args...>: run twice, require identical output
     local name="$1"; shift
     cargo run --release -q -p altroute-experiments --bin altroute_cli -- \

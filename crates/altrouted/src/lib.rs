@@ -15,7 +15,7 @@
 //!
 //! * [`config`] — JSON daemon configuration: the controlled mesh, the
 //!   Eq.-15 design parameter `H`, estimator window/EWMA/cadence knobs.
-//! * [`control`] — the pure, deterministic [`Controller`](control::Controller):
+//! * [`control`] — the pure, deterministic [`Controller`]:
 //!   feed events in, level updates out. No I/O, no clocks, no threads —
 //!   replaying a recorded feed reproduces the update sequence byte for
 //!   byte, which is what the golden fixture test pins.

@@ -24,7 +24,8 @@
 //!
 //! Links that are *down* (failure experiments) admit nothing.
 
-/// The routing policy to apply on top of a [`RoutingPlan`].
+/// The routing policy to apply on top of a
+/// [`RoutingPlan`](crate::plan::RoutingPlan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Primary path only.

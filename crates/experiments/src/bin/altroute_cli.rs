@@ -148,7 +148,7 @@ use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
 use altroute_sim::signaling::{self, replicate_signaling, SignalingConfig};
 use altroute_sim::trace::{decode_trace, TraceRecordKind};
 use altroute_simcore::pool::default_workers;
-use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry};
+use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry, TimeGrid};
 use altroute_teletraffic::erlang::{carried_traffic, dimension_link, erlang_b};
 use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
 use std::path::Path;
@@ -568,10 +568,27 @@ fn load_experiment(path: &str) -> Result<(Config, Experiment, FailureSchedule), 
 /// given (positivity is enforced at argument parsing), otherwise 40
 /// windows across the run.
 fn resolve_window(flags: &Flags, warmup: f64, horizon: f64) -> Result<f64, String> {
-    if flags.window.is_some() && flags.telemetry.is_none() {
-        return Err("--window only makes sense with --telemetry".into());
+    match flags.window {
+        Some(_) if flags.telemetry.is_none() => {
+            Err("--window only makes sense with --telemetry".into())
+        }
+        Some(w) => check_window_count(w, warmup + horizon).map(|()| w),
+        None => Ok((warmup + horizon) / 40.0),
     }
-    Ok(flags.window.unwrap_or((warmup + horizon) / 40.0))
+}
+
+/// Rejects a `--window` width that would split `[0, end)` into more
+/// than [`TimeGrid::MAX_WINDOWS`] windows — each windowed series
+/// allocates a slot per window — before anything runs.
+fn check_window_count(width: f64, end: f64) -> Result<(), String> {
+    let windows = (end / width).ceil();
+    if windows > TimeGrid::MAX_WINDOWS as f64 {
+        return Err(format!(
+            "--window {width} splits [0, {end}) into {windows} windows; at most {} are allowed",
+            TimeGrid::MAX_WINDOWS
+        ));
+    }
+    Ok(())
 }
 
 /// Writes the per-policy telemetry exports plus the combined
@@ -707,6 +724,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
         cfg.d = d;
     }
     if let Some(w) = flags.window {
+        check_window_count(w, cfg.horizon)?;
         cfg.window = w;
     }
     let server = flags.bind_server(&format!("metastability:{preset}"))?;

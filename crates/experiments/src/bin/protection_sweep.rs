@@ -1,7 +1,7 @@
 //! Ablation — how good is Eq. 15's choice of `r`?
 //!
 //! The paper picks the smallest `r` satisfying the Theorem 1 budget; Key
-//! (§2.2 of [21]) argues trunk reservation is robust near its optimum.
+//! (§2.2 of \[21\]) argues trunk reservation is robust near its optimum.
 //! This ablation sweeps a *uniform* protection level `r` across all links
 //! of the quadrangle at three loads and marks where Eq. 15's per-link
 //! choice lands: it should sit in the flat bottom of each blocking curve.

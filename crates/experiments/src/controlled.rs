@@ -25,11 +25,11 @@
 //!
 //! The online arm's escape is detector-visible (a recorded high → low
 //! switch), which is what the `altrouted-smoke` CI stage asserts, and it
-//! freezes the arm's flight ring (a dump labelled `flight:online`).
+//! freezes the arm's flight recorder (a dump labelled `flight:online`).
 //!
 //! Both arms run the metastability instance of a [`MetastabilityConfig`]
 //! through the metastability tier's arm runner, so they share its seed
-//! loop, live recorder, flight ring and [`ArmResult`]; only the per-seed
+//! loop, live recorder, flight recorder and [`ArmResult`]; only the per-seed
 //! execution differs. The `static` arm is metastability's `r0_saturated`
 //! arm, number for number.
 
@@ -208,7 +208,7 @@ mod tests {
         assert!(stuck.flight.is_none() && r0.flight.is_none());
     }
 
-    /// The online arm's high -> low escape freezes its flight ring, and
+    /// The online arm's high -> low escape freezes its flight recorder, and
     /// the dump decodes as a trace labelled with the arm.
     #[test]
     fn online_escape_freezes_a_flight_capture() {
@@ -221,18 +221,14 @@ mod tests {
             .online_arm
             .flight
             .as_ref()
-            .expect("the online arm's escape must freeze the ring");
-        match capture.reason {
-            TriggerReason::ModeSwitch { to, at } => {
-                assert_eq!(to, Mode::Low, "the escape is high -> low");
-                assert!(at > 0.0);
-            }
-            ref other => panic!("expected a mode-switch trigger, got {other:?}"),
-        }
+            .expect("the online arm's escape must freeze the recording");
+        let TriggerReason::ModeSwitch { to, at } = capture.reason;
+        assert_eq!(to, Mode::Low, "the escape is high -> low");
+        assert!(at > 0.0);
         assert_eq!(capture.seed, cfg.base_seed);
         let (header, records) = decode_trace(&capture.bytes).expect("dump must decode");
         assert_eq!(header.label, "flight:online");
         assert_eq!(header.seed, capture.seed);
-        assert_eq!(records.len(), crate::metastability::FLIGHT_RING_CAPACITY);
+        assert_eq!(records.len(), crate::metastability::FLIGHT_CAPACITY);
     }
 }

@@ -36,7 +36,7 @@
 //! supplies its plan, start state and per-seed execution (these arms
 //! call [`Run::execute`]; the closed-loop arms of [`crate::controlled`]
 //! drive an online controller), and the runner owns the serial seed
-//! loop, the live recorder and flight ring, the in-order merge and the
+//! loop, the live recorder and flight recorder, the in-order merge and the
 //! [`ArmResult`] measurements.
 
 use altroute_core::plan::RoutingPlan;
@@ -45,18 +45,17 @@ use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::engine::{Run, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::trace::{encode_flight, FlightSink};
+use altroute_sim::trace::FlightSink;
 use altroute_simcore::pool::merge_in_order;
-use altroute_telemetry::flight::{FlightRing, FlightTrigger, TriggerReason};
+use altroute_telemetry::flight::{FlightLatch, FlightTrigger, TriggerReason};
 use altroute_telemetry::serve::{LiveRecorder, MetricsServer};
 use altroute_telemetry::{export, ModeReport, ModeThresholds, RunTelemetry};
-use std::cell::RefCell;
 
-/// Events held by each arm's anomaly flight ring. At the smoke preset's
-/// event rate this is a few hundredths of a sim-time unit of lead-up —
-/// the microscopic approach to the mode boundary, which is exactly what
-/// the windowed series cannot show.
-pub const FLIGHT_RING_CAPACITY: usize = 4096;
+/// Events held by each arm's anomaly flight recorder. At the smoke
+/// preset's event rate this is a few hundredths of a sim-time unit of
+/// lead-up — the microscopic approach to the mode boundary, which is
+/// exactly what the windowed series cannot show.
+pub const FLIGHT_CAPACITY: usize = 4096;
 
 /// Initial network state of one hysteresis arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,12 +166,12 @@ impl MetastabilityConfig {
     }
 }
 
-/// One frozen flight-recorder capture: the ring's contents at the moment
-/// a trigger fired, encoded as a version-1 binary trace
+/// One frozen flight-recorder capture: the newest records at the moment
+/// a trigger fired, as a version-1 binary trace
 /// ([`altroute_sim::trace::decode_trace`] replays it).
 #[derive(Debug, Clone)]
 pub struct FlightCapture {
-    /// Why the ring froze.
+    /// Why the recording froze.
     pub reason: TriggerReason,
     /// The replication seed the capture came from.
     pub seed: u64,
@@ -283,14 +282,15 @@ pub(crate) fn unreserved(plan: RoutingPlan) -> RoutingPlan {
 }
 
 /// One replication as a hysteresis arm hands it to its per-seed
-/// execution: warm-started, feeding the arm's flight ring and live
-/// recorder, not yet executed.
-pub(crate) type ArmRun<'a> = Run<'a, FlightSink<'a>, LiveRecorder<'a>>;
+/// execution: warm-started, feeding the arm's flight recorder (which
+/// borrows the arm's latch for `'arm`) and live recorder, not yet
+/// executed.
+pub(crate) type ArmRun<'a, 'arm> = Run<'a, &'a mut FlightSink<'arm>, LiveRecorder<'a>>;
 
 /// Runs hysteresis arms one after another. Each arm supplies only its
 /// per-seed execution; the serial seed loop, the live recorder, the
-/// flight ring and its trigger, the server status, the in-order merge,
-/// and the arm's measurements are shared.
+/// flight recorder and its trigger, the server status, the in-order
+/// merge, and the arm's measurements are shared.
 pub(crate) struct ArmRunner<'a> {
     cfg: &'a MetastabilityConfig,
     traffic: &'a TrafficMatrix,
@@ -330,7 +330,7 @@ impl<'a> ArmRunner<'a> {
         plan: &RoutingPlan,
         name: &'static str,
         start: StartState,
-        mut execute: impl FnMut(ArmRun<'_>, u64) -> SeedResult,
+        mut execute: impl FnMut(ArmRun<'_, '_>, u64) -> SeedResult,
     ) -> ArmResult {
         let (cfg, server) = (self.cfg, self.server);
         let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
@@ -347,10 +347,12 @@ impl<'a> ArmRunner<'a> {
             });
         }
         let failures = FailureSchedule::none();
-        // The flight ring spans the whole arm: the first trigger (a mode
-        // switch on any seed's live occupancy series) freezes it, and later
-        // seeds' events are dropped, so the dump shows exactly one anomaly.
-        let ring = RefCell::new(FlightRing::new(FLIGHT_RING_CAPACITY));
+        // The flight recorder spans the whole arm: the first trigger (a
+        // mode switch on any seed's live occupancy series) sets the latch,
+        // and later seeds' events are dropped, so the dump shows exactly
+        // one anomaly.
+        let latch = FlightLatch::default();
+        let mut sink = FlightSink::new(&latch, FLIGHT_CAPACITY);
         let mut flight: Option<FlightCapture> = None;
         let mut per_seed: Vec<RunTelemetry> = Vec::with_capacity(cfg.seeds as usize);
         let (mut offered, mut blocked, mut alternate) = (0u64, 0u64, 0u64);
@@ -370,20 +372,20 @@ impl<'a> ArmRunner<'a> {
             };
             let mut telemetry = RunTelemetry::new(0.0, cfg.horizon, cfg.window, capacities.clone());
             // The trigger's hysteresis state restarts with each seed (each
-            // replication's series starts at t = 0); the ring persists.
-            let mut trigger = FlightTrigger::new(Some(cfg.thresholds), None);
-            let live = LiveRecorder::new(&mut telemetry, server, Some((&ring, &mut trigger)));
+            // replication's series starts at t = 0); the recording persists.
+            let mut trigger = FlightTrigger::new(cfg.thresholds);
+            let live = LiveRecorder::new(&mut telemetry, server, Some((&latch, &mut trigger)));
             let run = Run::new(&config)
                 .warm(&initial)
-                .sink(FlightSink::new(&ring))
+                .sink(&mut sink)
                 .recorder(live);
             let r = execute(run, seed);
             if flight.is_none() {
-                if let Some(reason) = ring.borrow().trigger() {
+                if let Some(reason) = latch.get() {
                     flight = Some(FlightCapture {
                         reason,
                         seed,
-                        bytes: encode_flight(&ring.borrow(), seed, &format!("flight:{name}")),
+                        bytes: sink.dump(seed, &format!("flight:{name}")),
                     });
                 }
             }
@@ -581,13 +583,9 @@ mod tests {
             .flight
             .as_ref()
             .expect("checked above");
-        match capture.reason {
-            TriggerReason::ModeSwitch { to, at } => {
-                assert_eq!(to, Mode::Low, "the escape is high -> low");
-                assert!(at > 0.0);
-            }
-            ref other => panic!("expected a mode-switch trigger, got {other:?}"),
-        }
+        let TriggerReason::ModeSwitch { to, at } = capture.reason;
+        assert_eq!(to, Mode::Low, "the escape is high -> low");
+        assert!(at > 0.0);
         assert_eq!(capture.seed, report.config.base_seed);
 
         let (header, records) = decode_trace(&capture.bytes).expect("dump must decode");
@@ -595,8 +593,8 @@ mod tests {
         assert_eq!(header.seed, capture.seed);
         assert_eq!(
             records.len(),
-            FLIGHT_RING_CAPACITY,
-            "the ring fills long before the escape"
+            FLIGHT_CAPACITY,
+            "the recorder fills long before the escape"
         );
         assert!(
             diff_traces(&capture.bytes, &capture.bytes)
@@ -604,9 +602,62 @@ mod tests {
                 .is_identical(),
             "the dump replays through the golden-trace differ"
         );
-        // Event times are nondecreasing: the ring preserved stream order.
+        // Event times are nondecreasing: the recording preserved stream
+        // order.
         for pair in records.windows(2) {
             assert!(pair[0].time() <= pair[1].time());
         }
+    }
+
+    /// Oracle for the flight recorder: the Eq.-15 saturated capture is
+    /// exactly the `FLIGHT_CAPACITY` records of an independent full-length
+    /// recording of the same arm and seed that end at the freeze point.
+    /// The trigger fires when the first event at or past the switching
+    /// window's end completes that window, and the engine reports each
+    /// event to the sink before the recorder, so that event's record is
+    /// the last one captured.
+    #[test]
+    fn flight_capture_is_the_tail_of_a_full_recording_at_the_freeze() {
+        use altroute_sim::trace::{decode_trace, BinaryTraceWriter};
+
+        let cfg = MetastabilityConfig::smoke();
+        let (traffic, plan) = instance(&cfg);
+        let arm = ArmRunner::new(&cfg, &traffic, None, 1).run(
+            &plan,
+            "eq15_saturated",
+            StartState::Saturated,
+            |run, _| run.execute(),
+        );
+        let capture = arm.flight.expect("the reserved saturated arm escapes");
+        let TriggerReason::ModeSwitch { at, .. } = capture.reason;
+        let window_end = (at + cfg.window).min(cfg.horizon);
+
+        let failures = FailureSchedule::none();
+        let config = RunConfig {
+            plan: &plan,
+            policy: PolicyKind::BestOfD {
+                max_hops: 2,
+                d: cfg.d,
+            },
+            traffic: &traffic,
+            warmup: 0.0,
+            horizon: cfg.horizon,
+            seed: capture.seed,
+            failures: &failures,
+        };
+        let initial: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+        let mut full = BinaryTraceWriter::new(capture.seed, "flight:eq15_saturated");
+        Run::new(&config).warm(&initial).sink(&mut full).execute();
+        let (full_header, full_records) = decode_trace(&full.finish()).unwrap();
+
+        let freeze = full_records
+            .iter()
+            .position(|r| r.time() >= window_end)
+            .expect("the run outlives the switching window");
+        let expected = &full_records[freeze + 1 - FLIGHT_CAPACITY..=freeze];
+        let (header, records) = decode_trace(&capture.bytes).unwrap();
+        assert_eq!(header, full_header);
+        assert_eq!(records.len(), FLIGHT_CAPACITY);
+        assert!(records == expected, "capture is not the recording's tail");
     }
 }

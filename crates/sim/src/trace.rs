@@ -9,7 +9,8 @@
 //! [`run_seed`](crate::engine::run_seed) path pays no cost.
 //!
 //! [`BinaryTraceWriter`] serialises the stream into the compact
-//! versioned format documented below, and [`decode_trace`] /
+//! versioned format documented below ([`FlightSink`] keeps only its
+//! newest records, for the anomaly flight recorder), and [`decode_trace`] /
 //! [`diff_traces`] turn two byte blobs into a first-divergence report.
 //! The conformance crate checks traces of fixed scenarios into the repo
 //! as *golden traces*: any change to event ordering, RNG stream layout,
@@ -41,8 +42,8 @@
 
 use altroute_core::policy::CallClass;
 use altroute_netgraph::graph::LinkId;
-use altroute_telemetry::flight::{FlightEvent, FlightRing, FLIGHT_MAX_HOPS};
-use std::cell::RefCell;
+use altroute_telemetry::flight::FlightLatch;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Current version of the binary trace format.
@@ -477,128 +478,87 @@ impl fmt::Display for TraceDiff {
     }
 }
 
-/// A [`TraceSink`] that feeds the anomaly flight recorder.
+/// The anomaly flight recorder: a [`TraceSink`] keeping the newest
+/// `capacity` events as encoded version-1 trace records.
 ///
-/// Every engine event is mapped to a [`FlightEvent`] and pushed into the
-/// shared [`FlightRing`]; once a trigger freezes the ring, pushes become
-/// no-ops, so the sink costs a branch per event after capture. The ring
-/// lives in a `RefCell` because the trigger side (a window-boundary
-/// recorder hook) and this sink both touch it from the single-threaded
-/// serial event loop; a live `FlightSink` forces the serial engine path
-/// like any other real sink, so the shared cell is never crossed by
-/// threads.
-///
-/// Paths longer than [`FLIGHT_MAX_HOPS`] are truncated — the simulator's
-/// alternates are two hops, so this is a format bound, not a practical
-/// one.
+/// Each event goes through [`BinaryTraceWriter`]'s record encoder into
+/// one byte buffer; a queue of record starts drops the oldest record
+/// once more than `capacity` are held, and the dead prefix is cut off
+/// whenever it outgrows the live records, so the buffer stays within
+/// twice the live bytes. Once the shared [`FlightLatch`] is set (by the
+/// trigger side, a window-boundary recorder hook in the same serial
+/// event loop), events are dropped, so the recording keeps the approach
+/// to the anomaly. [`FlightSink::dump`] is then a trace like any golden:
+/// [`decode_trace`] and [`diff_traces`] replay it.
 #[derive(Debug)]
 pub struct FlightSink<'a> {
-    ring: &'a RefCell<FlightRing>,
+    latch: &'a FlightLatch,
+    capacity: usize,
+    /// Headerless record stream; `starts` index into its bytes.
+    records: BinaryTraceWriter,
+    starts: VecDeque<usize>,
 }
 
 impl<'a> FlightSink<'a> {
-    /// A sink pushing into `ring`.
-    pub fn new(ring: &'a RefCell<FlightRing>) -> Self {
-        Self { ring }
+    /// A sink holding the newest `capacity` records until `latch` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(latch: &'a FlightLatch, capacity: usize) -> Self {
+        assert!(capacity > 0, "flight recorder needs capacity > 0");
+        Self {
+            latch,
+            capacity,
+            records: BinaryTraceWriter { bytes: Vec::new() },
+            starts: VecDeque::with_capacity(capacity + 1),
+        }
+    }
+
+    /// Encodes one record with `write` unless the latch is set, then
+    /// drops the oldest record past `capacity`.
+    fn push(&mut self, write: impl FnOnce(&mut BinaryTraceWriter)) {
+        if self.latch.get().is_some() {
+            return;
+        }
+        self.starts.push_back(self.records.bytes.len());
+        write(&mut self.records);
+        if self.starts.len() > self.capacity {
+            self.starts.pop_front();
+            let dead = self.starts[0];
+            if dead > self.records.bytes.len() - dead {
+                self.records.bytes.drain(..dead);
+                self.starts.iter_mut().for_each(|s| *s -= dead);
+            }
+        }
+    }
+
+    /// The held records, oldest first, as a trace with the
+    /// [`BinaryTraceWriter::new`] header for `seed` and `label`.
+    pub fn dump(&self, seed: u64, label: &str) -> Vec<u8> {
+        let oldest = self.starts.front().copied().unwrap_or(0);
+        let mut bytes = BinaryTraceWriter::new(seed, label).finish();
+        bytes.extend_from_slice(&self.records.bytes[oldest..]);
+        bytes
     }
 }
 
 impl TraceSink for FlightSink<'_> {
     fn arrival(&mut self, time: f64, pair: u32, decision: TraceDecision<'_>) {
-        let event = match decision {
-            TraceDecision::Blocked => FlightEvent::Blocked { time, pair },
-            TraceDecision::Routed { class, links } => {
-                let hops = links.len().min(FLIGHT_MAX_HOPS);
-                let mut inline = [0u32; FLIGHT_MAX_HOPS];
-                for (slot, &l) in inline.iter_mut().zip(links.iter().take(hops)) {
-                    *slot = u32::try_from(l).expect("link id fits in u32");
-                }
-                FlightEvent::Routed {
-                    time,
-                    pair,
-                    alternate: matches!(class, CallClass::Alternate),
-                    hops: hops as u8,
-                    links: inline,
-                }
-            }
-        };
-        self.ring.borrow_mut().push(event);
+        self.push(|w| w.arrival(time, pair, decision));
     }
 
     fn departure(&mut self, time: f64, call: u32, gen: u32, stale: bool) {
-        self.ring.borrow_mut().push(FlightEvent::Departure {
-            time,
-            call,
-            generation: gen,
-            stale,
-        });
+        self.push(|w| w.departure(time, call, gen, stale));
     }
 
     fn teardown(&mut self, time: f64, call: u32, gen: u32) {
-        self.ring.borrow_mut().push(FlightEvent::Teardown {
-            time,
-            call,
-            generation: gen,
-        });
+        self.push(|w| w.teardown(time, call, gen));
     }
 
     fn link_change(&mut self, time: f64, link: u32, up: bool) {
-        self.ring
-            .borrow_mut()
-            .push(FlightEvent::Link { time, link, up });
+        self.push(|w| w.link_change(time, link, up));
     }
-}
-
-/// Encodes a flight ring's contents (oldest first) as a version-1 binary
-/// trace, so flight dumps replay through the same [`decode_trace`] /
-/// [`diff_traces`] machinery as the conformance golden traces.
-pub fn encode_flight(ring: &FlightRing, seed: u64, label: &str) -> Vec<u8> {
-    let mut w = BinaryTraceWriter::new(seed, label);
-    for event in ring.events() {
-        match *event {
-            FlightEvent::Blocked { time, pair } => {
-                w.arrival(time, pair, TraceDecision::Blocked);
-            }
-            FlightEvent::Routed {
-                time,
-                pair,
-                alternate,
-                hops,
-                links,
-            } => {
-                let path: Vec<LinkId> = links[..hops as usize]
-                    .iter()
-                    .map(|&l| l as LinkId)
-                    .collect();
-                let class = if alternate {
-                    CallClass::Alternate
-                } else {
-                    CallClass::Primary
-                };
-                w.arrival(
-                    time,
-                    pair,
-                    TraceDecision::Routed {
-                        class,
-                        links: &path,
-                    },
-                );
-            }
-            FlightEvent::Departure {
-                time,
-                call,
-                generation,
-                stale,
-            } => w.departure(time, call, generation, stale),
-            FlightEvent::Teardown {
-                time,
-                call,
-                generation,
-            } => w.teardown(time, call, generation),
-            FlightEvent::Link { time, link, up } => w.link_change(time, link, up),
-        }
-    }
-    w.finish()
 }
 
 /// Decodes both blobs and reports the first divergence, if any.
@@ -743,9 +703,9 @@ mod tests {
         use altroute_telemetry::flight::TriggerReason;
         use altroute_telemetry::mode::Mode;
 
-        let ring = RefCell::new(FlightRing::new(3));
-        let mut sink = FlightSink::new(&ring);
-        // Four events into a 3-slot ring: the first is evicted.
+        let latch = FlightLatch::default();
+        let mut sink = FlightSink::new(&latch, 3);
+        // Four events into a 3-record recorder: the first is evicted.
         sink.arrival(
             0.5,
             3,
@@ -764,13 +724,13 @@ mod tests {
         );
         sink.arrival(1.0, 3, TraceDecision::Blocked);
         sink.departure(1.5, 0, 1, true);
-        ring.borrow_mut().freeze(TriggerReason::ModeSwitch {
+        latch.set(Some(TriggerReason::ModeSwitch {
             at: 2.0,
             to: Mode::High,
-        });
-        sink.teardown(2.5, 9, 9); // dropped: the ring is frozen
+        }));
+        sink.teardown(2.5, 9, 9); // dropped: the latch is set
 
-        let bytes = encode_flight(&ring.borrow(), 42, "flight:unit");
+        let bytes = sink.dump(42, "flight:unit");
         let (header, records) = decode_trace(&bytes).expect("flight dump decodes");
         assert_eq!(header.label, "flight:unit");
         assert_eq!(header.seed, 42);
@@ -796,6 +756,69 @@ mod tests {
         // The dump is a well-formed trace: diffing it against itself
         // exercises the same path the golden-trace replayer uses.
         assert!(diff_traces(&bytes, &bytes).unwrap().is_identical());
+    }
+
+    /// Record `i` of a mixed stream: every record kind, paths of 0–3
+    /// hops, so record lengths vary and trims land mid-buffer.
+    fn mixed_event(sink: &mut impl TraceSink, i: u32) {
+        let t = f64::from(i) * 0.25;
+        let links = [i as usize, 1, 2];
+        match i % 6 {
+            0 => sink.arrival(t, i, TraceDecision::Blocked),
+            1 | 2 => sink.arrival(
+                t,
+                i,
+                TraceDecision::Routed {
+                    class: CallClass::Alternate,
+                    links: &links[..(i % 4) as usize],
+                },
+            ),
+            3 => sink.departure(t, i, i + 1, i.is_multiple_of(2)),
+            4 => sink.teardown(t, i, 2),
+            _ => sink.link_change(t, i, i % 2 == 1),
+        }
+    }
+
+    /// After every write the dump is the header plus exactly the newest
+    /// `capacity` records of a full-length recording of the same stream,
+    /// oldest first, across many trims and compactions; once the latch
+    /// is set, writes are dropped and the dump stops moving.
+    #[test]
+    fn flight_sink_holds_the_tail_of_a_full_recording() {
+        use altroute_telemetry::flight::TriggerReason;
+        use altroute_telemetry::mode::Mode;
+
+        let header = BinaryTraceWriter::new(7, "tail").finish();
+        for capacity in [1, 2, 5] {
+            let latch = FlightLatch::default();
+            let mut sink = FlightSink::new(&latch, capacity);
+            assert_eq!(sink.dump(7, "tail"), header, "empty recording");
+            let mut full = BinaryTraceWriter::new(7, "tail");
+            let mut starts = Vec::new();
+            for i in 0..200 {
+                starts.push(full.bytes.len());
+                mixed_event(&mut full, i);
+                mixed_event(&mut sink, i);
+                let oldest = starts[starts.len().saturating_sub(capacity)];
+                let expected = [&header[..], &full.bytes[oldest..]].concat();
+                assert_eq!(
+                    sink.dump(7, "tail"),
+                    expected,
+                    "capacity {capacity}, write {i}"
+                );
+            }
+            let frozen = sink.dump(7, "tail");
+            latch.set(Some(TriggerReason::ModeSwitch {
+                at: 50.0,
+                to: Mode::Low,
+            }));
+            mixed_event(&mut sink, 200);
+            assert_eq!(
+                sink.dump(7, "tail"),
+                frozen,
+                "write dropped after the latch"
+            );
+        }
     }
 
     #[test]

@@ -149,14 +149,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Empties the queue and rewinds the clock and sequence counter to
-    /// zero, retaining the heap's allocation for reuse.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-        self.now = 0.0;
-    }
 }
 
 impl<E> EventSchedule<E> for EventQueue<E> {
@@ -269,17 +261,5 @@ mod tests {
     fn negative_infinite_time_panics() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.schedule(f64::NEG_INFINITY, ());
-    }
-
-    #[test]
-    fn reset_reuses_the_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(3.0, "x");
-        q.pop();
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), 0.0);
-        q.schedule(1.0, "fresh");
-        assert_eq!(q.pop(), Some((1.0, "fresh")));
     }
 }

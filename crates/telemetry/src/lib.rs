@@ -28,10 +28,10 @@
 //! * [`export`] — Prometheus text exposition and CSV time-series
 //!   renderers (JSON export lives in `altroute-experiments`, next to the
 //!   existing metrics JSON).
-//! * [`flight`] — the anomaly flight recorder: a preallocated
-//!   overwrite-oldest [`FlightRing`] of recent kernel events frozen by a
-//!   windowed [`FlightTrigger`] (hysteresis mode switch or blocking above
-//!   threshold), so the lead-up to an anomaly survives to be dumped.
+//! * [`flight`] — the anomaly flight recorder's policy: a windowed
+//!   [`FlightTrigger`] firing a [`TriggerReason`] on a hysteresis mode
+//!   switch, which freezes the sim layer's bounded recording of recent
+//!   kernel events so the lead-up to an anomaly survives to be dumped.
 //! * [`serve`] — a std-only live HTTP endpoint ([`MetricsServer`])
 //!   exposing `/metrics`, `/healthz`, and `/status` while a run is in
 //!   flight, fed at window boundaries by the [`LiveRecorder`] wrapper.
@@ -58,7 +58,7 @@ pub mod serve;
 pub mod span;
 
 pub use feed::{FeedEvent, FeedHeader, FeedLine, FeedParseError, LoadEstimator};
-pub use flight::{FlightEvent, FlightRing, FlightTrigger, TriggerReason, FLIGHT_MAX_HOPS};
+pub use flight::{FlightLatch, FlightTrigger, TriggerReason};
 pub use hist::Histogram;
 pub use mode::{Mode, ModeReport, ModeSwitch, ModeThresholds};
 pub use recorder::{ArrivalOutcome, NullRecorder, Recorder, RunTelemetry};

@@ -336,16 +336,12 @@ mod tests {
         let values = [0.5; 3];
         let t = ModeThresholds::new(0.5, 0.5);
         let r = detect(grid, &values, t);
-        let mut trigger = FlightTrigger::new(Some(t), None);
+        let mut trigger = FlightTrigger::new(t);
         let fires: Vec<ModeSwitch> = values
             .iter()
             .enumerate()
-            .filter_map(
-                |(k, &v)| match trigger.observe_window(grid.window_range(k).0, v, 0.0) {
-                    Some(TriggerReason::ModeSwitch { at, to }) => Some(ModeSwitch { at, to }),
-                    _ => None,
-                },
-            )
+            .filter_map(|(k, &v)| trigger.observe_window(grid.window_range(k).0, v))
+            .map(|TriggerReason::ModeSwitch { at, to }| ModeSwitch { at, to })
             .collect();
         assert_eq!(r.switches, fires);
         assert_eq!(r.initial, Mode::High);

@@ -26,15 +26,26 @@ pub struct TimeGrid {
 }
 
 impl TimeGrid {
+    /// Most windows a grid may hold. Every windowed series allocates one
+    /// slot per window (per link, for occupancy), so an unbounded count
+    /// is an unbounded allocation; runs use tens of windows.
+    pub const MAX_WINDOWS: usize = 10_000;
+
     /// A grid of `width`-wide windows covering `[0, end)`.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < width` and `0 < end`, both finite.
+    /// Panics unless `0 < width` and `0 < end`, both finite, and the grid
+    /// holds at most [`MAX_WINDOWS`](Self::MAX_WINDOWS) windows.
     pub fn new(width: f64, end: f64) -> Self {
         assert!(
             width > 0.0 && width.is_finite() && end > 0.0 && end.is_finite(),
             "invalid time grid: width={width}, end={end}"
+        );
+        assert!(
+            (end / width).ceil() <= Self::MAX_WINDOWS as f64,
+            "time grid of width {width} over [0, {end}) exceeds {} windows",
+            Self::MAX_WINDOWS
         );
         Self { width, end }
     }
@@ -244,6 +255,19 @@ mod tests {
         // Times at or past the end clamp into the last window.
         assert_eq!(g.index(35.0), 3);
         assert_eq!(g.index(1e9), 3);
+    }
+
+    #[test]
+    fn grid_may_hold_exactly_the_window_cap() {
+        let g = TimeGrid::new(1.0, TimeGrid::MAX_WINDOWS as f64);
+        assert_eq!(g.num_windows(), TimeGrid::MAX_WINDOWS);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 10000 windows")]
+    fn grid_past_the_window_cap_is_rejected() {
+        // The cap plus one partial window.
+        TimeGrid::new(1.0, TimeGrid::MAX_WINDOWS as f64 + 0.5);
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //! mode, and evaluates the anomaly [`FlightTrigger`](crate::flight).
 
 use crate::export::prometheus;
-use crate::flight::{FlightRing, FlightTrigger};
+use crate::flight::{FlightLatch, FlightTrigger};
 use crate::mode::Mode;
 use crate::recorder::{ArrivalOutcome, Recorder, RunTelemetry};
-use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -343,19 +342,20 @@ fn respond(
 /// Live window machinery for one instrumented replication: wraps a
 /// [`RunTelemetry`], forwards every hook unchanged, and at each completed
 /// grid window (a) evaluates the [`FlightTrigger`] against the window's
-/// network utilization and blocking, freezing the attached
-/// [`FlightRing`] when it fires, and (b) publishes a finished clone of
-/// the telemetry to the [`MetricsServer`] plus a `/status` refresh.
+/// network utilization, setting the attached [`FlightLatch`] when it
+/// fires and the latch is still empty (the first trigger wins), and (b)
+/// publishes a finished clone of the telemetry to the [`MetricsServer`]
+/// plus a `/status` refresh.
 ///
 /// The wrapped telemetry is untouched by the wrapper — a run recorded
 /// through `LiveRecorder` is byte-identical to the same run recorded
 /// directly — because window accounting is kept in parallel (a running
-/// occupancy sum and per-window offered/blocked counts) rather than read
-/// back out of the partially-filled series.
+/// occupancy sum) rather than read back out of the partially-filled
+/// series.
 pub struct LiveRecorder<'a> {
     inner: &'a mut RunTelemetry,
     server: Option<&'a MetricsServer>,
-    flight: Option<(&'a RefCell<FlightRing>, &'a mut FlightTrigger)>,
+    flight: Option<(&'a FlightLatch, &'a mut FlightTrigger)>,
     /// Next grid window to complete.
     window: usize,
     /// Time up to which `integral` has absorbed `occupied_sum`.
@@ -366,19 +366,17 @@ pub struct LiveRecorder<'a> {
     total_capacity: f64,
     /// Occupancy time-integral accumulated within the current window.
     integral: f64,
-    offered_in_window: u64,
-    blocked_in_window: u64,
     events: u64,
     started: Instant,
 }
 
 impl<'a> LiveRecorder<'a> {
     /// Wraps `inner`, publishing to `server` and/or feeding `flight`
-    /// (ring + trigger) at window boundaries. Either may be absent.
+    /// (latch + trigger) at window boundaries. Either may be absent.
     pub fn new(
         inner: &'a mut RunTelemetry,
         server: Option<&'a MetricsServer>,
-        flight: Option<(&'a RefCell<FlightRing>, &'a mut FlightTrigger)>,
+        flight: Option<(&'a FlightLatch, &'a mut FlightTrigger)>,
     ) -> Self {
         let occupied = vec![0.0; inner.capacities.len()];
         let total_capacity = inner.capacities.iter().map(|&c| f64::from(c)).sum();
@@ -392,15 +390,13 @@ impl<'a> LiveRecorder<'a> {
             occupied_sum: 0.0,
             total_capacity,
             integral: 0.0,
-            offered_in_window: 0,
-            blocked_in_window: 0,
             events: 0,
             started: Instant::now(),
         }
     }
 
     /// The latest mode classification, once one window has completed
-    /// (requires a flight trigger configured with mode thresholds).
+    /// (requires a flight trigger).
     pub fn mode(&self) -> Option<Mode> {
         self.flight.as_ref().and_then(|(_, t)| t.mode())
     }
@@ -422,15 +418,8 @@ impl<'a> LiveRecorder<'a> {
             } else {
                 0.0
             };
-            let blocking = if self.offered_in_window == 0 {
-                0.0
-            } else {
-                self.blocked_in_window as f64 / self.offered_in_window as f64
-            };
-            self.complete_window(start, end, utilization, blocking);
+            self.complete_window(start, end, utilization);
             self.integral = 0.0;
-            self.offered_in_window = 0;
-            self.blocked_in_window = 0;
             self.window += 1;
         }
         if now > self.last_t {
@@ -439,10 +428,11 @@ impl<'a> LiveRecorder<'a> {
         }
     }
 
-    fn complete_window(&mut self, start: f64, end: f64, utilization: f64, blocking: f64) {
-        if let Some((ring, trigger)) = &mut self.flight {
-            if let Some(reason) = trigger.observe_window(start, utilization, blocking) {
-                ring.borrow_mut().freeze(reason);
+    fn complete_window(&mut self, start: f64, end: f64, utilization: f64) {
+        if let Some((latch, trigger)) = &mut self.flight {
+            let fired = trigger.observe_window(start, utilization);
+            if latch.get().is_none() {
+                latch.set(fired);
             }
         }
         if let Some(server) = self.server {
@@ -483,10 +473,6 @@ impl Recorder for LiveRecorder<'_> {
         holding: f64,
     ) {
         self.roll(now);
-        self.offered_in_window += 1;
-        if outcome == ArrivalOutcome::Blocked {
-            self.blocked_in_window += 1;
-        }
         self.inner.arrival(now, measured, outcome, hops, holding);
     }
 
@@ -677,27 +663,47 @@ mod tests {
         let mut bare = RunTelemetry::new(0.0, 4.0, 1.0, vec![10]);
         feed(&mut bare);
 
-        let ring = RefCell::new(FlightRing::new(16));
-        let mut trigger = FlightTrigger::new(Some(ModeThresholds::new(0.8, 0.5)), None);
+        let latch = FlightLatch::default();
+        let mut trigger = FlightTrigger::new(ModeThresholds::new(0.8, 0.5));
         let mut wrapped = RunTelemetry::new(0.0, 4.0, 1.0, vec![10]);
         {
-            let mut live = LiveRecorder::new(&mut wrapped, None, Some((&ring, &mut trigger)));
+            let mut live = LiveRecorder::new(&mut wrapped, None, Some((&latch, &mut trigger)));
             feed(&mut live);
             assert_eq!(live.mode(), Some(Mode::Low), "switched back by window 3");
         }
         assert_eq!(bare, wrapped, "wrapper must not perturb telemetry");
 
         // Offline detector on the finished series agrees with the live
-        // trigger: High enters at window 1 (start 1.0).
+        // trigger: High enters at window 1 (start 1.0). The switch back
+        // to Low at window 3 fired too, but the latch keeps the first.
         let report = wrapped.mode_report(ModeThresholds::new(0.8, 0.5));
+        assert_eq!(report.switches.len(), 2);
         assert_eq!(report.switches[0].at, 1.0);
         assert_eq!(
-            ring.borrow().trigger(),
+            latch.get(),
             Some(TriggerReason::ModeSwitch {
                 at: 1.0,
                 to: Mode::High
             })
         );
+    }
+
+    /// A latch set before the run (an earlier replication's trigger)
+    /// survives every later fire: the first reason wins.
+    #[test]
+    fn live_recorder_keeps_the_first_reason_in_a_set_latch() {
+        let first = TriggerReason::ModeSwitch {
+            at: 0.0,
+            to: Mode::Low,
+        };
+        let latch = FlightLatch::new(Some(first));
+        let mut trigger = FlightTrigger::new(ModeThresholds::new(0.8, 0.5));
+        let mut t = RunTelemetry::new(0.0, 3.0, 1.0, vec![10]);
+        let mut live = LiveRecorder::new(&mut t, None, Some((&latch, &mut trigger)));
+        live.occupancy(1.0, 0, 9);
+        live.finish(3.0);
+        assert_eq!(live.mode(), Some(Mode::High), "the trigger fired");
+        assert_eq!(latch.get(), Some(first));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #
 #   scripts/check.sh [stage ...]
 #
-# Stages: fmt | clippy | test | conformance | telemetry |
+# Stages: fmt | clippy | doc | test | conformance | telemetry |
 # telemetry-overhead | parity | metastability-smoke | largemesh-smoke |
 # altrouted-smoke | perfbench-build | perf-ab-smoke | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
@@ -35,6 +35,12 @@ stage_clippy() {
 
 stage_test() {
   cargo test --workspace -q
+}
+
+# Docs: rustdoc must build every crate with no warnings (broken or
+# redundant intra-doc links, unescaped brackets read as links).
+stage_doc() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 # Conformance: differential oracles, golden-trace replay, and scenario
@@ -75,6 +81,19 @@ EOF
   grep -q '"window_width": 5' "$tmpdir/out/telemetry.json"
   cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
     telemetry "$tmpdir/out" > /dev/null
+  # A --window splitting the run into more than TimeGrid::MAX_WINDOWS
+  # windows (each series allocates a slot per window, per link for
+  # occupancy) is a usage error raised before anything runs.
+  local status
+  for cmd in "metastability" "simulate $tmpdir/outage.json --telemetry $tmpdir/out"; do
+    status=0
+    # shellcheck disable=SC2086  # word-split the subcommand on purpose
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      $cmd --window 1e-9 2> "$tmpdir/window.err" || status=$?
+    [ "$status" -eq 1 ]
+    grep -q '^error: --window 0.000000001 splits \[0, [0-9.]*) into [0-9]* windows; at most 10000 are allowed$' \
+      "$tmpdir/window.err"
+  done
 }
 
 # Telemetry overhead: recording is a pure observer with a bounded cost.
@@ -223,6 +242,9 @@ stage_metastability_smoke() {
     replay "$tmpdir/meta_out/eq15_saturated_flight.trace" > "$tmpdir/meta_replay"
   grep -q 'label "flight:eq15_saturated"' "$tmpdir/meta_replay"
   grep -q '^4096 records over t = ' "$tmpdir/meta_replay"
+  # The dump itself is pinned byte for byte across commits.
+  cmp "$tmpdir/meta_out/eq15_saturated_flight.trace" \
+    results/full/altroute_cli_metastability_eq15_saturated_flight.trace
 }
 
 # Largemesh smoke: the ISP-scale rolling-SRLG tier must run end to end
@@ -373,7 +395,7 @@ stage_perf_ab_smoke() {
 # the unknown-stage diagnostic, and `all` are all derived from this
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
-  fmt clippy test conformance telemetry telemetry-overhead parity
+  fmt clippy doc test conformance telemetry telemetry-overhead parity
   metastability-smoke largemesh-smoke altrouted-smoke perfbench-build
   perf-ab-smoke
 )
@@ -382,6 +404,7 @@ run_stage() {
   case "$1" in
     fmt)         stage_fmt ;;
     clippy)      stage_clippy ;;
+    doc)         stage_doc ;;
     test)        stage_test ;;
     conformance) stage_conformance ;;
     telemetry)   stage_telemetry ;;

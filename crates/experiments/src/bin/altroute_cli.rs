@@ -106,7 +106,8 @@
 //! applied as an incremental candidate-path-store invalidation instead
 //! of a plan rebuild. `--preset smoke` (default, 200 nodes) is the
 //! CI-sized instance; `--preset full` is the minutes-scale 1000-node
-//! instance; `--nodes` overrides the mesh size. The report carries
+//! instance; `--nodes` overrides the mesh size (at most 1000 nodes,
+//! for this command and `metastability`). The report carries
 //! per-round eviction counts and blocking, and is deterministic per
 //! preset — identical across repeated runs.
 //!
@@ -1709,6 +1710,13 @@ fn parse_count(s: &str, what: &str, zero_hint: &str) -> Result<usize, String> {
     Ok(n)
 }
 
+/// Most nodes `--nodes` accepts. `metastability` and `largemesh` both
+/// allocate per-pair state (a traffic matrix, a path-store cell per
+/// ordered pair) for all n² pairs before anything runs, so an unbounded
+/// count is an unbounded allocation. 1000 is `largemesh --preset full`,
+/// the largest mesh any preset runs.
+const MAX_NODES: usize = 1_000;
+
 /// All flags any subcommand accepts, parsed order-independently.
 #[derive(Debug, Default)]
 struct Flags {
@@ -1896,11 +1904,17 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
             }
             "preset" => flags.preset = value,
             "nodes" => {
-                flags.nodes = Some(parse_count(
+                let n = parse_count(
                     &value.expect("takes_value"),
                     "--nodes",
                     "pass a mesh size of at least 3",
-                )?)
+                )?;
+                if n > MAX_NODES {
+                    return Err(format!(
+                        "--nodes {n} is too large; at most {MAX_NODES} nodes are allowed"
+                    ));
+                }
+                flags.nodes = Some(n);
             }
             "serve" => flags.serve = value,
             other => return Err(format!("unknown flag --{other}")),

@@ -7,30 +7,38 @@
 //! scheme is near optimal. Sweep a uniform load on a 5×5 grid, plus a
 //! hotspot scenario.
 
-use altroute_cellular::grid::CellGrid;
-use altroute_cellular::policy::BorrowPolicy;
-use altroute_cellular::sim::{run_cellular, CellularParams, Fanout};
+use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::Table;
+use altroute_sim::cellular::{run_cellular, CellGrid};
+use altroute_sim::{Fanout, SimParams};
+
+/// The borrowing policies with their table labels: single-path routing
+/// is no borrowing.
+const POLICIES: [(PolicyKind, &str); 3] = [
+    (PolicyKind::SinglePath, "no-borrowing"),
+    (
+        PolicyKind::UncontrolledAlternate { max_hops: 3 },
+        "uncontrolled",
+    ),
+    (
+        PolicyKind::ControlledAlternate { max_hops: 3 },
+        "controlled",
+    ),
+];
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        CellularParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..CellularParams::default()
-        }
-    } else {
-        CellularParams::default()
+    let mut params = SimParams {
+        base_seed: 0xCE11,
+        ..SimParams::default()
     };
+    if quick {
+        params.warmup = 5.0;
+        params.horizon = 30.0;
+        params.seeds = 3;
+    }
     let grid = CellGrid::new(5, 5, 50);
-    let policies = [
-        BorrowPolicy::NoBorrowing,
-        BorrowPolicy::Uncontrolled,
-        BorrowPolicy::Controlled,
-    ];
 
     let mut table = Table::new([
         "load/cell",
@@ -43,10 +51,10 @@ fn main() {
         let loads = vec![load; grid.num_cells()];
         let mut cells = vec![format!("{load:.0}")];
         let mut ctl_borrow = 0.0;
-        for &p in &policies {
+        for (p, _) in POLICIES {
             let r = run_cellular(&grid, &loads, p, &params, &Fanout::default()).0;
             cells.push(fmt_prob(r.blocking_mean()));
-            if p == BorrowPolicy::Controlled {
+            if matches!(p, PolicyKind::ControlledAlternate { .. }) {
                 ctl_borrow = r.borrow_fraction();
             }
         }
@@ -60,10 +68,10 @@ fn main() {
     let mut loads = vec![25.0; grid.num_cells()];
     loads[12] = 75.0;
     let mut hotspot = Table::new(["policy", "blocking", "borrow_fraction"]);
-    for &p in &policies {
+    for (p, label) in POLICIES {
         let r = run_cellular(&grid, &loads, p, &params, &Fanout::default()).0;
         hotspot.row([
-            p.name().to_string(),
+            label.to_string(),
             fmt_prob(r.blocking_mean()),
             format!("{:.4}", r.borrow_fraction()),
         ]);

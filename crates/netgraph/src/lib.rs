@@ -12,8 +12,8 @@
 //!   tie-breaking (the paper's base state-independent routing), exhaustive
 //!   loop-free path enumeration ordered by increasing hop count (the
 //!   alternate-path sets produced by the DALFAR-style distributed
-//!   algorithm the paper cites), Dijkstra shortest paths under arbitrary
-//!   non-negative link weights, and Yen's K-shortest loop-free paths.
+//!   algorithm the paper cites), and Dijkstra shortest paths under
+//!   arbitrary non-negative link weights.
 //! * [`store`] — a lazy, incrementally-maintained cache of per-O-D
 //!   candidate path sets ([`store::PathStore`]): demand-driven fill
 //!   through the enumerators above, a reverse link→pair index so a link

@@ -1,5 +1,5 @@
 //! Path algorithms: minimum-hop routing, exhaustive loop-free alternate
-//! path enumeration, Dijkstra, and Yen's K-shortest paths.
+//! path enumeration, and Dijkstra.
 //!
 //! The paper's base state-independent policy routes every ordered pair on
 //! its unique **minimum-hop** path ([`min_hop_path`]), computed here by
@@ -12,10 +12,11 @@
 //! sparse meshes the full set of loop-free paths is small (NSFNet averages
 //! about 9 usable alternates per pair), so [`loop_free_paths`] enumerates
 //! them all by depth-first search, ordered by `(hop count, node sequence)`
-//! — exactly the order the paper's calls try them in. [`yen_k_shortest`]
-//! provides the classical bounded-K algorithm for larger graphs, and
-//! [`dijkstra`] supports arbitrary non-negative link weights (used by the
-//! min-loss primary-path optimiser as its flow-deviation subproblem).
+//! — exactly the order the paper's calls try them in; on larger graphs
+//! [`loop_free_paths_capped`] emits a prefix of that order without
+//! enumerating the rest. [`dijkstra`] supports arbitrary non-negative
+//! link weights (the link-disjoint path search in [`crate::disjoint`]
+//! runs on it).
 
 use crate::graph::{LinkId, NodeId, Topology};
 
@@ -501,85 +502,6 @@ where
     Path::from_nodes(topo, &nodes)
 }
 
-/// Yen's algorithm: the `k` shortest loop-free paths under the given
-/// weights, in non-decreasing cost order.
-///
-/// Returns fewer than `k` paths if fewer exist. Deterministic: candidate
-/// ties are broken by node sequence.
-pub fn yen_k_shortest<F>(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    weight: F,
-) -> Vec<Path>
-where
-    F: Fn(LinkId) -> f64,
-{
-    let mut found: Vec<Path> = Vec::new();
-    if k == 0 {
-        return found;
-    }
-    let Some(first) = dijkstra(topo, src, dst, &weight) else {
-        return found;
-    };
-    found.push(first);
-    let cost = |p: &Path| -> f64 { p.links().iter().map(|&l| weight(l)).sum() };
-    let mut candidates: Vec<Path> = Vec::new();
-    while found.len() < k {
-        let last = found.last().unwrap().clone();
-        // Branch at every spur node of the previous shortest path.
-        for i in 0..last.hops() {
-            let spur_node = last.nodes()[i];
-            let root_nodes = &last.nodes()[..=i];
-            // Links to exclude: any link leaving the spur node that a
-            // previously found path with the same root also takes.
-            let mut banned_links: Vec<LinkId> = Vec::new();
-            for p in found.iter().chain(candidates.iter()) {
-                if p.nodes().len() > i && p.nodes()[..=i] == *root_nodes {
-                    banned_links.push(p.links()[i]);
-                }
-            }
-            // Nodes of the root (except the spur node) are banned to keep
-            // the total path loop-free.
-            let banned_nodes: Vec<NodeId> = root_nodes[..i].to_vec();
-            let spur = dijkstra(topo, spur_node, dst, |l| {
-                let link = topo.link(l);
-                if banned_links.contains(&l)
-                    || banned_nodes.contains(&link.dst)
-                    || banned_nodes.contains(&link.src)
-                {
-                    f64::INFINITY
-                } else {
-                    weight(l)
-                }
-            });
-            if let Some(spur_path) = spur {
-                let mut nodes = root_nodes[..i].to_vec();
-                nodes.extend_from_slice(spur_path.nodes());
-                if let Some(total) = Path::from_nodes(topo, &nodes) {
-                    if !found.contains(&total) && !candidates.contains(&total) {
-                        candidates.push(total);
-                    }
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Extract the cheapest candidate (stable tie-break by nodes).
-        let mut best = 0;
-        for i in 1..candidates.len() {
-            let (ci, cb) = (cost(&candidates[i]), cost(&candidates[best]));
-            if ci < cb || (ci == cb && candidates[i].nodes() < candidates[best].nodes()) {
-                best = i;
-            }
-        }
-        found.push(candidates.swap_remove(best));
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,35 +737,6 @@ mod tests {
         // Infinite weight excludes a link entirely.
         let p = dijkstra(&t, 0, 1, |l| if l == heavy { f64::INFINITY } else { 1.0 }).unwrap();
         assert_eq!(p.nodes(), &[0, 2, 1]);
-    }
-
-    #[test]
-    fn yen_enumerates_in_cost_order() {
-        let t = diamond();
-        let paths = yen_k_shortest(&t, 0, 3, 10, |_| 1.0);
-        assert_eq!(paths.len(), 4, "diamond has 4 loop-free 0->3 paths");
-        for w in paths.windows(2) {
-            assert!(w[0].hops() <= w[1].hops());
-        }
-        // Requesting fewer returns exactly k.
-        assert_eq!(yen_k_shortest(&t, 0, 3, 2, |_| 1.0).len(), 2);
-        assert!(yen_k_shortest(&t, 0, 3, 0, |_| 1.0).is_empty());
-    }
-
-    #[test]
-    fn yen_agrees_with_exhaustive_enumeration_on_nsfnet() {
-        let t = topologies::nsfnet(100);
-        for &(i, j) in &[(0usize, 6usize), (3, 9), (11, 2)] {
-            let all = loop_free_paths(&t, i, j, t.num_nodes() - 1);
-            let yen = yen_k_shortest(&t, i, j, all.len() + 5, |_| 1.0);
-            assert_eq!(yen.len(), all.len(), "{i}->{j}");
-            // Same multiset of hop counts.
-            let mut h1: Vec<_> = all.iter().map(Path::hops).collect();
-            let mut h2: Vec<_> = yen.iter().map(Path::hops).collect();
-            h1.sort_unstable();
-            h2.sort_unstable();
-            assert_eq!(h1, h2, "{i}->{j}");
-        }
     }
 
     #[test]

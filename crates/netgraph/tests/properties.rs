@@ -1,9 +1,7 @@
 //! Property-based tests of the graph substrate on randomized meshes.
 
 use altroute_netgraph::cuts::{cut_load, erlang_bound};
-use altroute_netgraph::paths::{
-    dijkstra, loop_free_paths, min_hop_path, min_hop_primaries, yen_k_shortest,
-};
+use altroute_netgraph::paths::{dijkstra, loop_free_paths, min_hop_path, min_hop_primaries};
 use altroute_netgraph::topologies::{power_law_mesh, random_mesh, srlg_groups};
 use altroute_netgraph::traffic::{min_hop_primary_loads, TrafficMatrix};
 use proptest::prelude::*;
@@ -65,51 +63,6 @@ proptest! {
         for i in 0..paths.len() {
             for j in (i + 1)..paths.len() {
                 prop_assert_ne!(&paths[i], &paths[j]);
-            }
-        }
-    }
-
-    /// Yen with unit weights returns paths in the same length order and
-    /// count as exhaustive enumeration (up to k).
-    #[test]
-    fn yen_matches_enumeration(topo in mesh(), src_sel in 0usize..100, dst_sel in 0usize..100) {
-        let n = topo.num_nodes();
-        let (src, dst) = (src_sel % n, dst_sel % n);
-        prop_assume!(src != dst);
-        let all = loop_free_paths(&topo, src, dst, n - 1);
-        let yen = yen_k_shortest(&topo, src, dst, all.len(), |_| 1.0);
-        prop_assert_eq!(yen.len(), all.len());
-        let mut h1: Vec<_> = all.iter().map(|p| p.hops()).collect();
-        let mut h2: Vec<_> = yen.iter().map(|p| p.hops()).collect();
-        h1.sort_unstable();
-        h2.sort_unstable();
-        prop_assert_eq!(h1, h2);
-    }
-
-    /// Yen's *ranking* agrees with the exhaustive enumeration's canonical
-    /// order: for every prefix length k, the k shortest paths Yen returns
-    /// have exactly the hop counts of the first k enumerated paths (ties
-    /// may be ordered differently within a hop class, but never across
-    /// one).
-    #[test]
-    fn yen_ranking_agrees_with_enumeration_prefixes(
-        topo in mesh(),
-        src_sel in 0usize..100,
-        dst_sel in 0usize..100,
-    ) {
-        let n = topo.num_nodes();
-        let (src, dst) = (src_sel % n, dst_sel % n);
-        prop_assume!(src != dst);
-        let all = loop_free_paths(&topo, src, dst, n - 1);
-        for k in 1..=all.len() {
-            let yen = yen_k_shortest(&topo, src, dst, k, |_| 1.0);
-            prop_assert_eq!(yen.len(), k);
-            for (y, a) in yen.iter().zip(&all) {
-                prop_assert_eq!(y.hops(), a.hops(), "rank mismatch at k={}", k);
-            }
-            // Each returned path really is one of the enumerated ones.
-            for y in &yen {
-                prop_assert!(all.contains(y));
             }
         }
     }

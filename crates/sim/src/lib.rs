@@ -18,8 +18,8 @@
 //!
 //! Every simulator here has exactly one multi-seed entry —
 //! [`Experiment::replicate`], [`multirate::run_multirate`],
-//! [`adaptive::replicate_adaptive`], [`signaling::replicate_signaling`]
-//! — and each takes a [`Fanout`] (worker count, progress observer,
+//! [`adaptive::replicate_adaptive`], [`signaling::replicate_signaling`],
+//! [`cellular::run_cellular`] — and each takes a [`Fanout`] (worker count, progress observer,
 //! telemetry window) that changes how replications execute,
 //! never what they return.
 //! * [`failures`] — failure schedules (static disabled links and timed
@@ -38,6 +38,12 @@
 //!   the engine's source layout and its one
 //!   [`PolicyKind`](altroute_core::policy::PolicyKind) dispatch
 //!   table serve both.
+//! * [`cellular`] — the §3.2 generalization: channel borrowing in a
+//!   cellular grid, where a borrow locks a channel in the lender's 3-cell
+//!   co-cell set. Each cell is a kernel link, the borrowing policies are
+//!   the engine's [`PolicyKind`](altroute_core::policy::PolicyKind)s at
+//!   `H = 3`, and telemetry goes through the engine's one kernel
+//!   adapter.
 //! * [`signaling`] — hop-by-hop call set-up with propagation delay and
 //!   booking races, on its own protocol loop over the kernel's admission
 //!   policies, for the single-path, uncontrolled and controlled
@@ -67,6 +73,7 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
+pub mod cellular;
 pub mod engine;
 pub mod experiment;
 pub mod failures;

@@ -26,8 +26,8 @@
 //! Observability is threaded through [`KernelObserver`]: one adapter
 //! maps the hooks onto the simulator's trace sinks and telemetry
 //! recorders, so every policy instantiation gains tracing and telemetry
-//! without touching the loop. The no-op [`NullObserver`] monomorphizes
-//! to nothing.
+//! without touching the loop. Every hook defaults to a no-op, so an
+//! observer that overrides none monomorphizes to nothing.
 //!
 //! **Determinism contract.** For a fixed [`KernelSpec`], admission
 //! policy, and selector, the event stream — and therefore the
@@ -321,7 +321,8 @@ pub trait RouteSelector<'p> {
 
 /// Observer of the kernel's event stream, called at the same points the
 /// historical engine called its trace sink and telemetry recorder.
-/// The default methods do nothing; [`NullObserver`] monomorphizes away.
+/// The default methods do nothing, so an observer that overrides none
+/// monomorphizes away.
 pub trait KernelObserver {
     /// An arrival of the source with stream id `stream` was routed over
     /// `links` at `tier`, about to be booked; `hold` is its drawn holding
@@ -370,12 +371,6 @@ pub trait KernelObserver {
         let _ = (now, queue_len);
     }
 }
-
-/// A [`KernelObserver`] that records nothing (the unobserved fast path).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl KernelObserver for NullObserver {}
 
 /// The law of a source's inter-arrival gaps, drawn from its own stream.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1229,6 +1224,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A [`KernelObserver`] that records nothing.
+    struct NullObserver;
+
+    impl KernelObserver for NullObserver {}
 
     /// A selector that always routes over link 0 while admitted.
     struct OneLink;

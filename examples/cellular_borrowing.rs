@@ -4,13 +4,17 @@
 //!
 //! Run with: `cargo run --release --example cellular_borrowing`
 
-use altroute::cellular::grid::CellGrid;
-use altroute::cellular::policy::{cell_protection_levels, BorrowPolicy};
-use altroute::cellular::sim::{run_cellular, CellularParams, Fanout};
+use altroute::core::policy::PolicyKind;
+use altroute::sim::cellular::{run_cellular, CellGrid};
+use altroute::sim::{Fanout, SimParams};
+use altroute::teletraffic::estimate::protection_levels_for;
 
 fn main() {
     let grid = CellGrid::new(5, 5, 50);
-    let params = CellularParams::default();
+    let params = SimParams {
+        base_seed: 0xCE11,
+        ..SimParams::default()
+    };
 
     // A rush-hour pattern: a busy corridor through the middle of town.
     let mut loads = vec![20.0; grid.num_cells()];
@@ -18,7 +22,8 @@ fn main() {
         loads[cell] = 48.0;
     }
 
-    let r = cell_protection_levels(&loads, grid.capacity());
+    let capacities = vec![grid.capacity(); grid.num_cells()];
+    let r = protection_levels_for(&loads, &capacities, 3);
     println!(
         "per-cell protection levels (H = 3): quiet cells r = {}, corridor r = {}",
         r[0], r[12]
@@ -28,15 +33,22 @@ fn main() {
         "\n{:<14} {:>10} {:>14}",
         "policy", "blocking", "borrow-fraction"
     );
-    for policy in [
-        BorrowPolicy::NoBorrowing,
-        BorrowPolicy::Uncontrolled,
-        BorrowPolicy::Controlled,
+    // Single-path routing is no borrowing.
+    for (policy, label) in [
+        (PolicyKind::SinglePath, "no-borrowing"),
+        (
+            PolicyKind::UncontrolledAlternate { max_hops: 3 },
+            "uncontrolled",
+        ),
+        (
+            PolicyKind::ControlledAlternate { max_hops: 3 },
+            "controlled",
+        ),
     ] {
         let result = run_cellular(&grid, &loads, policy, &params, &Fanout::default()).0;
         println!(
             "{:<14} {:>10.5} {:>14.4}",
-            policy.name(),
+            label,
             result.blocking_mean(),
             result.borrow_fraction()
         );

@@ -94,6 +94,16 @@ EOF
     grep -q '^error: --window 0.000000001 splits \[0, [0-9.]*) into [0-9]* windows; at most 10000 are allowed$' \
       "$tmpdir/window.err"
   done
+  # Likewise a --nodes past the CLI's cap: both mesh commands allocate
+  # per-pair state for all n² pairs before anything runs.
+  for cmd in metastability largemesh; do
+    status=0
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      "$cmd" --nodes 1000000 2> "$tmpdir/nodes.err" || status=$?
+    [ "$status" -eq 1 ]
+    grep -qx 'error: --nodes 1000000 is too large; at most 1000 nodes are allowed' \
+      "$tmpdir/nodes.err"
+  done
 }
 
 # Telemetry overhead: recording is a pure observer with a bounded cost.
@@ -391,9 +401,10 @@ stage_perf_ab_smoke() {
   grep -q '^failed 0$' "$tmpdir/perf_ab.txt"
 }
 
-# Every selectable stage, in the order `all` runs them. The case arm,
+# Every selectable stage, in the order `all` runs them. The dispatch,
 # the unknown-stage diagnostic, and `all` are all derived from this
-# list, so adding a stage means adding its function and one entry here.
+# list, so adding a stage means adding its function and one entry here
+# (stage `foo-bar` runs `stage_foo_bar`).
 STAGES=(
   fmt clippy doc test conformance telemetry telemetry-overhead parity
   metastability-smoke largemesh-smoke altrouted-smoke perfbench-build
@@ -401,22 +412,16 @@ STAGES=(
 )
 
 run_stage() {
+  local s
+  for s in "${STAGES[@]}"; do
+    if [ "$1" = "$s" ]; then
+      "stage_${s//-/_}"
+      return
+    fi
+  done
   case "$1" in
-    fmt)         stage_fmt ;;
-    clippy)      stage_clippy ;;
-    doc)         stage_doc ;;
-    test)        stage_test ;;
-    conformance) stage_conformance ;;
-    telemetry)   stage_telemetry ;;
-    telemetry-overhead) stage_telemetry_overhead ;;
-    parity)      stage_parity ;;
-    metastability-smoke) stage_metastability_smoke ;;
-    largemesh-smoke) stage_largemesh_smoke ;;
-    altrouted-smoke) stage_altrouted_smoke ;;
-    perfbench-build) stage_perfbench_build ;;
-    perf-ab-smoke) stage_perf_ab_smoke ;;
     all)
-      local summary="" s t0 t1
+      local summary="" t0 t1
       for s in "${STAGES[@]}"; do
         echo "== check.sh: $s =="
         t0=$(date +%s)

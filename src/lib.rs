@@ -20,8 +20,8 @@
 //!   controlled alternate (the paper's contribution), and the
 //!   Ott–Krishnan separable shadow-price baseline.
 //! * [`sim`] — the call-by-call loss-network simulator, failure injection,
-//!   Erlang-bound computation, and the multi-seed experiment runner.
-//! * [`cellular`] — the §3.2 channel-borrowing generalization.
+//!   Erlang-bound computation, the multi-seed experiment runner, and the
+//!   §3.2 channel-borrowing generalization ([`sim::cellular`]).
 //!
 //! ## Quickstart
 //!
@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use altroute_cellular as cellular;
 pub use altroute_core as core;
 pub use altroute_netgraph as netgraph;
 pub use altroute_sim as sim;

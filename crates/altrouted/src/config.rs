@@ -24,6 +24,7 @@
 use crate::control::{ControlPlane, Controller, ControllerTuning};
 use altroute_core::primary::PrimaryAssignment;
 use altroute_json::Value;
+use altroute_netgraph::graph::MAX_NODES;
 use altroute_netgraph::topologies;
 
 /// A fully parsed daemon configuration.
@@ -72,6 +73,14 @@ impl DaemonConfig {
         let capacity = get_u32(mesh, "capacity", None)?;
         if nodes < 2 {
             return Err(format!("mesh needs at least 2 nodes, got {nodes}"));
+        }
+        if nodes > MAX_NODES {
+            return Err(format!(
+                "mesh.nodes {nodes} is too large; at most {MAX_NODES} nodes are allowed"
+            ));
+        }
+        if capacity == 0 {
+            return Err("mesh.capacity must be positive".to_string());
         }
         let max_hops = get_u32(v, "max_hops", None)?;
         if max_hops == 0 {
@@ -182,6 +191,14 @@ mod tests {
             (
                 r#"{ "mesh": { "nodes": 1, "capacity": 5 }, "max_hops": 2 }"#,
                 "at least 2 nodes",
+            ),
+            (
+                r#"{ "mesh": { "nodes": 1001, "capacity": 5 }, "max_hops": 2 }"#,
+                "mesh.nodes 1001 is too large; at most 1000 nodes are allowed",
+            ),
+            (
+                r#"{ "mesh": { "nodes": 3, "capacity": 0 }, "max_hops": 2 }"#,
+                "mesh.capacity must be positive",
             ),
             (
                 r#"{ "mesh": { "nodes": 3, "capacity": 5 } }"#,

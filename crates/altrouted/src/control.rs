@@ -52,21 +52,16 @@ impl ControlPlane {
     /// Eq.-15 incidence needs one primary path per pair.
     pub fn from_primaries(topo: &Topology, primaries: &PrimaryAssignment, max_hops: u32) -> Self {
         let nodes = primaries.num_nodes();
-        let pair_links = primaries
-            .splits()
-            .iter()
-            .enumerate()
-            .map(|(idx, split)| {
+        let pair_links = (0..nodes * nodes)
+            .map(|idx| {
+                let (i, j) = (idx / nodes, idx % nodes);
+                let mut split = primaries.split(i, j);
                 assert!(
                     split.len() <= 1,
-                    "pair ({}, {}) splits its primary over {} paths; the controller needs one",
-                    idx / nodes,
-                    idx % nodes,
+                    "pair ({i}, {j}) splits its primary over {} paths; the controller needs one",
                     split.len()
                 );
-                split
-                    .first()
-                    .map_or_else(Vec::new, |(p, _)| p.links().to_vec())
+                split.next().map_or_else(Vec::new, |(p, _)| p.to_vec())
             })
             .collect();
         Self {

@@ -16,32 +16,113 @@
 //!   `d/dΛ [Λ·B(Λ, C)]`), which converges to the same global optimum of
 //!   this convex program.
 
-use altroute_netgraph::graph::Topology;
-use altroute_netgraph::paths::{loop_free_paths, min_hop_primaries, Path};
+use altroute_netgraph::graph::{LinkId, Topology};
+use altroute_netgraph::paths::{loop_free_paths, min_hop_primaries, min_hop_tree, Path};
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_teletraffic::loss::{lost_traffic, lost_traffic_derivative};
 
 /// A (possibly bifurcated) primary assignment: for each ordered pair,
 /// a set of paths with routing probabilities summing to 1.
 ///
-/// Indexed row-major (`src * n + dst`); diagonal entries and unreachable
-/// pairs are empty.
+/// Pairs are indexed row-major (`src * n + dst`); diagonal entries and
+/// unreachable pairs have no paths.
+///
+/// Every call looks its pair up here once, so the table is one flat CSR
+/// layout with no allocation per pair or per path, and a lookup reads a
+/// few dense columns: `links` holds every path's links back to back, path
+/// `k` owns `links[link_ends[k]..link_ends[k + 1]]`, and pair `idx` owns
+/// the paths from `pairs[idx].path` up to `pairs[idx + 1].path`. Each pair
+/// entry also records where its links start, so a pair with one path —
+/// every pair of a min-hop table — finds its links from its own two
+/// entries without reading `link_ends`.
 #[derive(Debug, Clone)]
 pub struct PrimaryAssignment {
     n: usize,
-    splits: Vec<Vec<(Path, f64)>>,
+    /// Per pair, where its paths and their links start; `n² + 1` entries.
+    pairs: Vec<PairStart>,
+    /// Per path, where its links end, after a leading 0.
+    link_ends: Vec<u32>,
+    /// Per path, its routing probability.
+    fractions: Vec<f64>,
+    /// Per path, the running sum of its pair's fractions up to and
+    /// including it.
+    cumulative: Vec<f64>,
+    /// Every path's links, back to back.
+    links: Vec<LinkId>,
+}
+
+/// Where a pair's paths, and the links of the first of them, start.
+#[derive(Debug, Clone, Copy)]
+struct PairStart {
+    path: u32,
+    link: u32,
 }
 
 impl PrimaryAssignment {
+    fn empty(n: usize) -> Self {
+        let mut pairs = Vec::with_capacity(n * n + 1);
+        pairs.push(PairStart { path: 0, link: 0 });
+        Self {
+            n,
+            pairs,
+            link_ends: vec![0],
+            fractions: Vec::new(),
+            cumulative: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// Closes the links appended since the last path as one path.
+    fn end_path(&mut self, fraction: f64, cumulative: f64) {
+        self.link_ends.push(offset(self.links.len()));
+        self.fractions.push(fraction);
+        self.cumulative.push(cumulative);
+    }
+
+    /// Closes the paths appended since the last pair as the next pair.
+    fn end_pair(&mut self) {
+        self.pairs.push(PairStart {
+            path: offset(self.fractions.len()),
+            link: offset(self.links.len()),
+        });
+    }
+
+    /// The links of path `k`.
+    fn path(&self, k: usize) -> &[LinkId] {
+        &self.links[self.link_ends[k] as usize..self.link_ends[k + 1] as usize]
+    }
+
+    /// The paths of an ordered pair, as an index range.
+    fn paths(&self, src: usize, dst: usize) -> std::ops::Range<usize> {
+        let idx = src * self.n + dst;
+        self.pairs[idx].path as usize..self.pairs[idx + 1].path as usize
+    }
+
     /// The paper's default: the unique minimum-hop primary per pair
     /// (probability 1).
     pub fn min_hop(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let splits = min_hop_primaries(topo)
-            .into_iter()
-            .map(|p| p.map(|p| vec![(p, 1.0)]).unwrap_or_default())
-            .collect();
-        Self { n, splits }
+        let mut table = Self::empty(n);
+        for i in 0..n {
+            let tree = min_hop_tree(topo, i);
+            for parent in &tree {
+                if let Some(mut l) = *parent {
+                    // Walk back to the root, then flip the walk in place.
+                    let start = table.links.len();
+                    loop {
+                        table.links.push(l);
+                        match tree[topo.link(l).src] {
+                            Some(up) => l = up,
+                            None => break,
+                        }
+                    }
+                    table.links[start..].reverse();
+                    table.end_path(1.0, 1.0);
+                }
+                table.end_pair();
+            }
+        }
+        table
     }
 
     /// Builds an assignment from explicit splits (validated).
@@ -54,22 +135,29 @@ impl PrimaryAssignment {
     pub fn from_splits(topo: &Topology, splits: Vec<Vec<(Path, f64)>>) -> Self {
         let n = topo.num_nodes();
         assert_eq!(splits.len(), n * n, "one split per ordered pair");
+        let mut table = Self::empty(n);
         for (idx, split) in splits.iter().enumerate() {
-            if split.is_empty() {
-                continue;
-            }
             let (i, j) = (idx / n, idx % n);
-            let total: f64 = split.iter().map(|(_, f)| f).sum();
-            assert!(
-                (total - 1.0).abs() < 1e-6,
-                "pair ({i}, {j}) fractions sum to {total}"
-            );
+            if !split.is_empty() {
+                let total: f64 = split.iter().map(|(_, f)| f).sum();
+                assert!(
+                    (total - 1.0).abs() < 1e-6,
+                    "pair ({i}, {j}) fractions sum to {total}"
+                );
+            }
+            // `choose` compares `u` against these running sums, added left
+            // to right in split order.
+            let mut acc = 0.0;
             for (p, f) in split {
                 assert!(*f >= 0.0, "negative fraction for pair ({i}, {j})");
                 assert_eq!((p.src(), p.dst()), (i, j), "path endpoints mismatch");
+                acc += f;
+                table.links.extend_from_slice(p.links());
+                table.end_path(*f, acc);
             }
+            table.end_pair();
         }
-        Self { n, splits }
+        table
     }
 
     /// Number of nodes.
@@ -77,38 +165,51 @@ impl PrimaryAssignment {
         self.n
     }
 
-    /// The split for an ordered pair (empty when unreachable/diagonal).
-    pub fn split(&self, src: usize, dst: usize) -> &[(Path, f64)] {
-        &self.splits[src * self.n + dst]
+    /// The split for an ordered pair: each path's links with its routing
+    /// probability, in split order (empty when unreachable/diagonal).
+    pub fn split(
+        &self,
+        src: usize,
+        dst: usize,
+    ) -> impl ExactSizeIterator<Item = (&[LinkId], f64)> + '_ {
+        self.paths(src, dst)
+            .map(|k| (self.path(k), self.fractions[k]))
     }
 
-    /// All splits, row-major.
-    pub fn splits(&self) -> &[Vec<(Path, f64)>] {
-        &self.splits
+    /// Whether `links` is one of the pair's primary paths. For two
+    /// loop-free paths from one source, equal link sequences mean equal
+    /// paths.
+    pub fn is_primary(&self, src: usize, dst: usize, links: &[LinkId]) -> bool {
+        self.split(src, dst).any(|(p, _)| p == links)
     }
 
     /// Whether any pair bifurcates over more than one path.
     pub fn is_bifurcated(&self) -> bool {
-        self.splits.iter().any(|s| s.len() > 1)
+        self.pairs.windows(2).any(|w| w[1].path - w[0].path > 1)
     }
 
     /// Picks the primary path for a call using a uniform random number in
-    /// `[0, 1)` — the state-independent probabilistic choice of §4.2.2.
+    /// `[0, 1)` — the state-independent probabilistic choice of §4.2.2 —
+    /// and returns its links.
     ///
     /// Returns `None` for pairs without paths.
-    pub fn choose(&self, src: usize, dst: usize, u: f64) -> Option<&Path> {
-        let split = self.split(src, dst);
-        if split.is_empty() {
-            return None;
-        }
-        let mut acc = 0.0;
-        for (p, f) in split {
-            acc += f;
-            if u < acc {
-                return Some(p);
+    pub fn choose(&self, src: usize, dst: usize, u: f64) -> Option<&[LinkId]> {
+        let idx = src * self.n + dst;
+        let (start, end) = (self.pairs[idx], self.pairs[idx + 1]);
+        let (first, last) = (start.path as usize, end.path as usize);
+        match last - first {
+            0 => None,
+            1 => Some(&self.links[start.link as usize..end.link as usize]),
+            _ => {
+                // The first path whose running sum exceeds `u`; the last
+                // path catches whatever rounding leaves past the final sum.
+                let k = self.cumulative[first..last - 1]
+                    .iter()
+                    .position(|&c| u < c)
+                    .map_or(last - 1, |k| first + k);
+                Some(self.path(k))
             }
         }
-        Some(&split.last().unwrap().0)
     }
 
     /// The expected per-link loads `Λ^k` induced by this assignment
@@ -116,19 +217,24 @@ impl PrimaryAssignment {
     pub fn link_loads(&self, topo: &Topology, traffic: &TrafficMatrix) -> Vec<f64> {
         let mut loads = vec![0.0; topo.num_links()];
         for (i, j, t) in traffic.demands() {
-            let split = self.split(i, j);
             assert!(
-                !split.is_empty(),
+                !self.paths(i, j).is_empty(),
                 "pair ({i}, {j}) has demand but no primary path"
             );
-            for (p, f) in split {
-                for &l in p.links() {
+            for (links, f) in self.split(i, j) {
+                for &l in links {
                     loads[l] += t * f;
                 }
             }
         }
         loads
     }
+}
+
+/// A table offset; the table indexes its columns with `u32` to keep them
+/// dense.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("primary table exceeds u32 offsets")
 }
 
 /// Options for the min-loss Frank–Wolfe optimiser.
@@ -283,12 +389,13 @@ mod tests {
         let a = PrimaryAssignment::min_hop(&topo);
         assert!(!a.is_bifurcated());
         for (i, j) in topo.ordered_pairs() {
-            let s = a.split(i, j);
+            let s: Vec<_> = a.split(i, j).collect();
             assert_eq!(s.len(), 1, "{i}->{j}");
             assert_eq!(s[0].1, 1.0);
-            assert_eq!((s[0].0.src(), s[0].0.dst()), (i, j));
+            let (first, last) = (s[0].0[0], *s[0].0.last().unwrap());
+            assert_eq!((topo.link(first).src, topo.link(last).dst), (i, j));
         }
-        assert!(a.split(3, 3).is_empty());
+        assert_eq!(a.split(3, 3).len(), 0);
     }
 
     #[test]
@@ -304,10 +411,10 @@ mod tests {
         }
         let a = PrimaryAssignment::from_splits(&topo, splits);
         assert!(a.is_bifurcated());
-        assert_eq!(a.choose(0, 1, 0.0).unwrap(), &direct);
-        assert_eq!(a.choose(0, 1, 0.29).unwrap(), &direct);
-        assert_eq!(a.choose(0, 1, 0.31).unwrap(), &via2);
-        assert_eq!(a.choose(0, 1, 0.999).unwrap(), &via2);
+        assert_eq!(a.choose(0, 1, 0.0).unwrap(), direct.links());
+        assert_eq!(a.choose(0, 1, 0.29).unwrap(), direct.links());
+        assert_eq!(a.choose(0, 1, 0.31).unwrap(), via2.links());
+        assert_eq!(a.choose(0, 1, 0.999).unwrap(), via2.links());
         assert!(a.choose(1, 1, 0.5).is_none());
     }
 
@@ -341,12 +448,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        let s = a.split(0, 1);
+        let s: Vec<_> = a.split(0, 1).collect();
         assert!(s.len() == 2, "expected bifurcation, got {s:?}");
         // The detour should carry a substantial share.
         let detour_frac: f64 = s
             .iter()
-            .filter(|(p, _)| p.hops() == 2)
+            .filter(|(p, _)| p.len() == 2)
             .map(|(_, f)| *f)
             .sum();
         assert!(
@@ -423,7 +530,7 @@ mod tests {
             },
         );
         for (i, j) in topo.ordered_pairs() {
-            let total: f64 = a.split(i, j).iter().map(|(_, f)| f).sum();
+            let total: f64 = a.split(i, j).map(|(_, f)| f).sum();
             assert!((total - 1.0).abs() < 1e-9, "{i}->{j} sums to {total}");
         }
     }

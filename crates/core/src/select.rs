@@ -77,9 +77,9 @@ impl<'p> RouteSelector<'p> for TieredSelector<'p> {
         let Some(primary) = self.plan.primaries().choose(src, dst, pick) else {
             return Selection::Blocked;
         };
-        if admission.path_admits(view, primary.links(), Tier::Primary, bandwidth) {
+        if admission.path_admits(view, primary, Tier::Primary, bandwidth) {
             return Selection::Route {
-                links: primary.links(),
+                links: primary,
                 tier: Tier::Primary,
             };
         }
@@ -87,7 +87,7 @@ impl<'p> RouteSelector<'p> for TieredSelector<'p> {
             return Selection::Blocked;
         }
         for path in self.plan.candidates(src, dst) {
-            if path == primary {
+            if path.links() == primary {
                 continue;
             }
             if admission.path_admits(view, path.links(), Tier::Alternate, bandwidth) {
@@ -156,15 +156,9 @@ impl<'p> RouteSelector<'p> for OttKrishnanSelector<'p> {
             Some((path, cost)) if cost <= REVENUE + 1e-12 => {
                 // Any path in the pair's primary split counts as
                 // primary-routed.
-                let is_primary = self
-                    .plan
-                    .primaries()
-                    .split(src, dst)
-                    .iter()
-                    .any(|(p, _)| p == path);
                 Selection::Route {
                     links: path.links(),
-                    tier: if is_primary {
+                    tier: if self.plan.primaries().is_primary(src, dst, path.links()) {
                         Tier::Primary
                     } else {
                         Tier::Alternate
@@ -210,11 +204,10 @@ impl<'p> DarStickySelector<'p> {
         let mut alternates = Vec::with_capacity(n * n);
         for src in 0..n {
             for dst in 0..n {
-                let split = plan.primaries().split(src, dst);
                 let alts: Vec<&'p altroute_netgraph::paths::Path> = plan
                     .candidates(src, dst)
                     .iter()
-                    .filter(|path| !split.iter().any(|(p, _)| &p == path))
+                    .filter(|path| !plan.primaries().is_primary(src, dst, path.links()))
                     .collect();
                 alternates.push(alts);
             }
@@ -248,9 +241,9 @@ impl<'p> RouteSelector<'p> for DarStickySelector<'p> {
         let Some(primary) = self.plan.primaries().choose(src, dst, pick) else {
             return Selection::Blocked;
         };
-        if admission.path_admits(view, primary.links(), Tier::Primary, bandwidth) {
+        if admission.path_admits(view, primary, Tier::Primary, bandwidth) {
             return Selection::Route {
-                links: primary.links(),
+                links: primary,
                 tier: Tier::Primary,
             };
         }
@@ -318,11 +311,10 @@ impl<'p> BestOfDSelector<'p> {
         let mut alternates = Vec::with_capacity(n * n);
         for src in 0..n {
             for dst in 0..n {
-                let split = plan.primaries().split(src, dst);
                 let alts: Vec<&'p altroute_netgraph::paths::Path> = plan
                     .candidates(src, dst)
                     .iter()
-                    .filter(|path| !split.iter().any(|(p, _)| &p == path))
+                    .filter(|path| !plan.primaries().is_primary(src, dst, path.links()))
                     .collect();
                 alternates.push(alts);
             }
@@ -363,9 +355,9 @@ impl<'p> RouteSelector<'p> for BestOfDSelector<'p> {
         let Some(primary) = self.plan.primaries().choose(src, dst, pick) else {
             return Selection::Blocked;
         };
-        if admission.path_admits(view, primary.links(), Tier::Primary, bandwidth) {
+        if admission.path_admits(view, primary, Tier::Primary, bandwidth) {
             return Selection::Route {
-                links: primary.links(),
+                links: primary,
                 tier: Tier::Primary,
             };
         }
@@ -730,11 +722,10 @@ mod tests {
         fill(&mut view, direct, 100);
         let mut sel = BestOfDSelector::new(&plan, 1, StreamFactory::new(9).stream(u64::MAX - 1));
         let mut mirror = StreamFactory::new(9).stream(u64::MAX - 1);
-        let split = plan.primaries().split(0, 1);
         let alts: Vec<_> = plan
             .candidates(0, 1)
             .iter()
-            .filter(|p| !split.iter().any(|(q, _)| &q == p))
+            .filter(|p| !plan.primaries().is_primary(0, 1, p.links()))
             .collect();
         assert!(alts.len() > 1, "need a real sampling regime");
         for call in 0..30 {

@@ -80,7 +80,7 @@ fn blocked_split_branch_overflows_to_alternates() {
     for k in 0..100 {
         let u = f64::from(k) / 100.0;
         let picked = plan.primaries().choose(0, 1, u).unwrap();
-        if picked.hops() == 1 {
+        if picked.len() == 1 {
             match selector.select(0, 1, u, &view, &Uncontrolled, 1) {
                 Selection::Route { links, tier } => {
                     assert_eq!(tier, Tier::Alternate);

@@ -161,8 +161,8 @@ proptest! {
                         // (lower shadow prices) even on an idle network.
                         if kind != (PolicyKind::OttKrishnan { max_hops: h }) {
                             prop_assert_eq!(tier, Tier::Primary, "{}", kind.name());
-                            let primary = &plan.primaries().split(i, j)[0].0;
-                            prop_assert_eq!(links, primary.links());
+                            let (primary, _) = plan.primaries().split(i, j).next().unwrap();
+                            prop_assert_eq!(links, primary);
                         }
                     }
                     Selection::Blocked => prop_assert!(false, "{} blocked on idle network", kind.name()),

@@ -139,7 +139,7 @@ use altroute_experiments::{
 };
 use altroute_json::{obj, Value};
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
-use altroute_netgraph::graph::Topology;
+use altroute_netgraph::graph::{Topology, MAX_NODES};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig};
@@ -214,13 +214,35 @@ fn field_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-fn field_u64(v: &Value, key: &str, default: u64) -> Result<u64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => x
-            .as_u64()
-            .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
+/// A config integer converted to `T` — checked, not cast, so an
+/// out-of-range `"capacity": 4294967301` is an error naming the field
+/// rather than a silent 5.
+fn checked_int<T: TryFrom<u64>>(x: &Value, key: &str) -> Result<T, String> {
+    let n = x
+        .as_u64()
+        .ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))?;
+    T::try_from(n).map_err(|_| format!("\"{key}\" {n} is out of range"))
+}
+
+/// An optional integer field, `default` when absent.
+fn field_int<T: TryFrom<u64>>(v: &Value, key: &str, default: T) -> Result<T, String> {
+    v.get(key).map_or(Ok(default), |x| checked_int(x, key))
+}
+
+/// A required integer field; `missing` is the error when it is absent.
+fn required_int<T: TryFrom<u64>>(v: &Value, key: &str, missing: &str) -> Result<T, String> {
+    checked_int(v.get(key).ok_or(missing)?, key)
+}
+
+/// A topology's `"nodes"`, at most [`MAX_NODES`].
+fn node_count(v: &Value, missing: &str) -> Result<usize, String> {
+    let nodes = required_int(v, "nodes", missing)?;
+    if nodes > MAX_NODES {
+        return Err(format!(
+            "\"nodes\" {nodes} is too large; at most {MAX_NODES} nodes are allowed"
+        ));
     }
+    Ok(nodes)
 }
 
 /// The single `"tag": value` member of an externally-tagged enum object.
@@ -234,16 +256,15 @@ fn tagged<'v>(v: &'v Value, what: &str, tags: &[&str]) -> Result<(&'v str, &'v V
     }
 }
 
-fn usize_pair_list(v: &Value, what: &str) -> Result<Vec<(usize, usize)>, String> {
+fn usize_pair_list(v: &Value, key: &str) -> Result<Vec<(usize, usize)>, String> {
     v.as_array()
-        .ok_or_else(|| format!("{what} must be an array"))?
+        .ok_or_else(|| format!("\"{key}\" must be an array"))?
         .iter()
         .map(|item| match item.as_array() {
-            Some([a, b]) => match (a.as_u64(), b.as_u64()) {
-                (Some(a), Some(b)) => Ok((a as usize, b as usize)),
-                _ => Err(format!("{what} entries must be integer pairs")),
-            },
-            _ => Err(format!("{what} entries must be [a, b] pairs, got {item}")),
+            Some([a, b]) => Ok((checked_int(a, key)?, checked_int(b, key)?)),
+            _ => Err(format!(
+                "\"{key}\" entries must be [a, b] pairs, got {item}"
+            )),
         })
         .collect()
 }
@@ -253,12 +274,17 @@ fn outage_list(v: &Value) -> Result<Vec<(usize, usize, f64, f64)>, String> {
         .ok_or("\"outages\" must be an array")?
         .iter()
         .map(|item| match item.as_array() {
-            Some([a, b, down, up]) => match (a.as_u64(), b.as_u64(), down.as_f64(), up.as_f64()) {
-                (Some(a), Some(b), Some(down), Some(up)) => {
+            Some([a, b, down, up]) => match (down.as_f64(), up.as_f64()) {
+                (Some(down), Some(up)) => {
                     if !(down.is_finite() && up.is_finite() && down >= 0.0 && down < up) {
                         return Err(format!("outage window [{down}, {up}) is invalid"));
                     }
-                    Ok((a as usize, b as usize, down, up))
+                    Ok((
+                        checked_int(a, "outages")?,
+                        checked_int(b, "outages")?,
+                        down,
+                        up,
+                    ))
                 }
                 _ => Err("outage entries must be [a, b, down_at, up_at] numbers".to_string()),
             },
@@ -277,15 +303,10 @@ impl TopologySpec {
             &["builtin", "full_mesh", "ring", "links"],
         )?;
         let nodes_and_capacity = |inner: &Value| -> Result<(usize, u32), String> {
-            let nodes = inner
-                .get("nodes")
-                .and_then(Value::as_u64)
-                .ok_or("topology needs integer \"nodes\"")?;
-            let capacity = inner
-                .get("capacity")
-                .and_then(Value::as_u64)
-                .ok_or("topology needs integer \"capacity\"")?;
-            Ok((nodes as usize, capacity as u32))
+            Ok((
+                node_count(inner, "topology needs integer \"nodes\"")?,
+                required_int(inner, "capacity", "topology needs integer \"capacity\"")?,
+            ))
         };
         match tag {
             "builtin" => Ok(TopologySpec::Builtin(
@@ -303,21 +324,18 @@ impl TopologySpec {
                 Ok(TopologySpec::Ring { nodes, capacity })
             }
             "links" => {
-                let nodes = inner
-                    .get("nodes")
-                    .and_then(Value::as_u64)
-                    .ok_or("\"links\" topology needs integer \"nodes\"")?
-                    as usize;
+                let nodes = node_count(inner, "\"links\" topology needs integer \"nodes\"")?;
                 let duplex = inner
                     .get("duplex")
                     .and_then(Value::as_array)
                     .ok_or("\"links\" topology needs a \"duplex\" array")?
                     .iter()
                     .map(|t| match t.as_array() {
-                        Some([a, b, c]) => match (a.as_u64(), b.as_u64(), c.as_u64()) {
-                            (Some(a), Some(b), Some(c)) => Ok((a as usize, b as usize, c as u32)),
-                            _ => Err("duplex entries must be integer triples".to_string()),
-                        },
+                        Some([a, b, c]) => Ok((
+                            checked_int(a, "duplex")?,
+                            checked_int(b, "duplex")?,
+                            checked_int(c, "duplex")?,
+                        )),
                         _ => Err(format!("duplex entries must be [a, b, capacity], got {t}")),
                     })
                     .collect::<Result<_, _>>()?;
@@ -403,13 +421,10 @@ impl Config {
                         .ok_or("policies must be strings".to_string())
                 })
                 .collect::<Result<_, _>>()?,
-            max_hops: v
-                .get("max_hops")
-                .and_then(Value::as_u64)
-                .ok_or("config needs integer \"max_hops\"")? as u32,
+            max_hops: required_int(v, "max_hops", "config needs integer \"max_hops\"")?,
             failed_duplex: match v.get("failed_duplex") {
                 None => Vec::new(),
-                Some(list) => usize_pair_list(list, "\"failed_duplex\"")?,
+                Some(list) => usize_pair_list(list, "failed_duplex")?,
             },
             outages: match v.get("outages") {
                 None => Vec::new(),
@@ -417,8 +432,8 @@ impl Config {
             },
             warmup: field_f64(v, "warmup", 10.0)?,
             horizon: field_f64(v, "horizon", 100.0)?,
-            seeds: field_u64(v, "seeds", 10)? as u32,
-            base_seed: field_u64(v, "base_seed", 0)?,
+            seeds: field_int(v, "seeds", 10)?,
+            base_seed: field_int(v, "base_seed", 0)?,
         })
     }
 }
@@ -445,7 +460,13 @@ fn build_topology(spec: &TopologySpec) -> Result<Topology, String> {
                 "unknown builtin topology '{other}' (try nsfnet, quadrangle)"
             )),
         },
+        TopologySpec::FullMesh { capacity: 0, .. } | TopologySpec::Ring { capacity: 0, .. } => {
+            Err("\"capacity\" must be at least 1".into())
+        }
         TopologySpec::FullMesh { nodes, capacity } => Ok(topologies::full_mesh(*nodes, *capacity)),
+        TopologySpec::Ring { nodes, .. } if *nodes < 3 => {
+            Err(format!("a ring needs at least 3 nodes, got {nodes}"))
+        }
         TopologySpec::Ring { nodes, capacity } => Ok(topologies::ring(*nodes, *capacity)),
         TopologySpec::Links { nodes, duplex } => {
             let mut t = Topology::new();
@@ -453,6 +474,11 @@ fn build_topology(spec: &TopologySpec) -> Result<Topology, String> {
             for &(a, b, c) in duplex {
                 if a >= *nodes || b >= *nodes {
                     return Err(format!("link ({a}, {b}) references a node out of range"));
+                }
+                if a == b || c == 0 || t.link_between(a, b).is_some() {
+                    return Err(format!(
+                        "link ({a}, {b}, {c}) is a self-loop, a duplicate or has no capacity"
+                    ));
                 }
                 t.add_duplex(a, b, c);
             }
@@ -1709,13 +1735,6 @@ fn parse_count(s: &str, what: &str, zero_hint: &str) -> Result<usize, String> {
     }
     Ok(n)
 }
-
-/// Most nodes `--nodes` accepts. `metastability` and `largemesh` both
-/// allocate per-pair state (a traffic matrix, a path-store cell per
-/// ordered pair) for all n² pairs before anything runs, so an unbounded
-/// count is an unbounded allocation. 1000 is `largemesh --preset full`,
-/// the largest mesh any preset runs.
-const MAX_NODES: usize = 1_000;
 
 /// All flags any subcommand accepts, parsed order-independently.
 #[derive(Debug, Default)]

@@ -16,6 +16,13 @@ pub type NodeId = usize;
 /// Index of a directed link within a [`Topology`] (dense, `0..num_links`).
 pub type LinkId = usize;
 
+/// Most nodes the command-line tools accept for a mesh described by outside
+/// input (flags and config files). Routing keeps per-pair state (a traffic
+/// matrix, a primary and a path-store cell per ordered pair) for all n²
+/// pairs before anything runs, so an unbounded count is an unbounded
+/// allocation. 1000 is the largest mesh any preset runs.
+pub const MAX_NODES: usize = 1_000;
+
 /// A unidirectional capacitated link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {

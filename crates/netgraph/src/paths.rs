@@ -53,6 +53,26 @@ impl Path {
         })
     }
 
+    /// Builds a path from a node sequence and the links it already
+    /// resolved, for the searches here that hold each link id as they walk
+    /// and visit every node at most once: no per-path `seen` bitmap and no
+    /// link lookups.
+    fn from_walk(topo: &Topology, nodes: &[NodeId], links: &[LinkId]) -> Self {
+        debug_assert!(nodes.len() >= 2 && links.len() + 1 == nodes.len());
+        debug_assert!(links.iter().zip(nodes.windows(2)).all(|(&l, w)| {
+            let link = topo.link(l);
+            (link.src, link.dst) == (w[0], w[1])
+        }));
+        debug_assert!(nodes
+            .iter()
+            .enumerate()
+            .all(|(k, n)| !nodes[k + 1..].contains(n)));
+        Self {
+            nodes: nodes.to_vec(),
+            links: links.to_vec(),
+        }
+    }
+
     /// Origin node.
     pub fn src(&self) -> NodeId {
         self.nodes[0]
@@ -98,9 +118,9 @@ pub fn min_hop_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
     // first parent assigned to each node yields the lexicographically
     // smallest shortest node sequence when reconstructed from dst.
     let n = topo.num_nodes();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut dist = vec![usize::MAX; n];
-    dist[src] = 0;
+    let mut parent: Vec<Option<LinkId>> = vec![None; n];
+    let mut seen = vec![false; n];
+    seen[src] = true;
     let mut frontier = std::collections::VecDeque::new();
     frontier.push_back(src);
     while let Some(u) = frontier.pop_front() {
@@ -109,30 +129,48 @@ pub fn min_hop_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
         }
         for &l in topo.out_links(u) {
             let v = topo.link(l).dst;
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                parent[v] = Some(u);
+            if !seen[v] {
+                seen[v] = true;
+                parent[v] = Some(l);
                 frontier.push_back(v);
             }
         }
     }
-    if dist[dst] == usize::MAX {
+    if !seen[dst] {
         return None;
     }
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = parent[cur] {
-        nodes.push(p);
-        cur = p;
-    }
-    nodes.reverse();
+    let (mut nodes, mut links) = (Vec::new(), Vec::new());
+    tree_walk(topo, &parent, dst, &mut nodes, &mut links);
     debug_assert_eq!(nodes[0], src);
-    Path::from_nodes(topo, &nodes)
+    Some(Path::from_walk(topo, &nodes, &links))
 }
 
-/// The BFS shortest-path tree rooted at `src`: for every node, its parent
-/// on the lexicographically smallest minimum-hop path from `src` (`None`
-/// for `src` itself and for unreachable nodes).
+/// Writes the tree path from the root to `dst` into `nodes` and `links`
+/// (both cleared first), following `parent` links back from `dst`.
+fn tree_walk(
+    topo: &Topology,
+    parent: &[Option<LinkId>],
+    dst: NodeId,
+    nodes: &mut Vec<NodeId>,
+    links: &mut Vec<LinkId>,
+) {
+    nodes.clear();
+    links.clear();
+    nodes.push(dst);
+    let mut cur = dst;
+    while let Some(l) = parent[cur] {
+        links.push(l);
+        cur = topo.link(l).src;
+        nodes.push(cur);
+    }
+    nodes.reverse();
+    links.reverse();
+}
+
+/// The BFS shortest-path tree rooted at `src`: for every node, the link
+/// from its parent on the lexicographically smallest minimum-hop path from
+/// `src` (`None` for `src` itself and for unreachable nodes); the parent is
+/// that link's source.
 ///
 /// Because [`Topology::out_links`] is sorted by destination, the first
 /// parent BFS assigns to each node is exactly the parent the per-pair
@@ -140,9 +178,9 @@ pub fn min_hop_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
 /// `dst` only truncates exploration *after* every settled node already
 /// holds its final parent, so one full tree reconstructs the identical
 /// path for every destination.
-pub fn min_hop_tree(topo: &Topology, src: NodeId) -> Vec<Option<NodeId>> {
+pub fn min_hop_tree(topo: &Topology, src: NodeId) -> Vec<Option<LinkId>> {
     let n = topo.num_nodes();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut parent: Vec<Option<LinkId>> = vec![None; n];
     let mut seen = vec![false; n];
     if src >= n {
         return parent;
@@ -155,7 +193,7 @@ pub fn min_hop_tree(topo: &Topology, src: NodeId) -> Vec<Option<NodeId>> {
             let v = topo.link(l).dst;
             if !seen[v] {
                 seen[v] = true;
-                parent[v] = Some(u);
+                parent[v] = Some(l);
                 frontier.push_back(v);
             }
         }
@@ -175,31 +213,24 @@ pub fn min_hop_tree(topo: &Topology, src: NodeId) -> Vec<Option<NodeId>> {
 pub fn min_hop_primaries(topo: &Topology) -> Vec<Option<Path>> {
     let n = topo.num_nodes();
     let mut out = Vec::with_capacity(n * n);
-    let mut nodes: Vec<NodeId> = Vec::new();
+    let (mut nodes, mut links) = (Vec::new(), Vec::new());
     for i in 0..n {
         let tree = min_hop_tree(topo, i);
         for (j, parent) in tree.iter().enumerate() {
-            if i == j || parent.is_none() {
+            if parent.is_none() {
                 out.push(None);
                 continue;
             }
-            nodes.clear();
-            nodes.push(j);
-            let mut cur = j;
-            while let Some(p) = tree[cur] {
-                nodes.push(p);
-                cur = p;
-            }
-            nodes.reverse();
+            tree_walk(topo, &tree, j, &mut nodes, &mut links);
             debug_assert_eq!(nodes[0], i);
-            out.push(Path::from_nodes(topo, &nodes));
+            out.push(Some(Path::from_walk(topo, &nodes, &links)));
         }
     }
     out
 }
 
 /// Reusable depth-first-search scratch for the loop-free path
-/// enumerators: the visited bitmap and the node stack that
+/// enumerators: the visited bitmap and the node and link stacks that
 /// [`loop_free_paths`]/[`loop_free_paths_capped`] would otherwise
 /// allocate afresh on every call.
 ///
@@ -212,6 +243,7 @@ pub fn min_hop_primaries(topo: &Topology) -> Vec<Option<Path>> {
 pub struct DfsScratch {
     visited: Vec<bool>,
     stack: Vec<NodeId>,
+    links: Vec<LinkId>,
 }
 
 impl DfsScratch {
@@ -227,6 +259,19 @@ impl DfsScratch {
         self.visited[src] = true;
         self.stack.clear();
         self.stack.push(src);
+        self.links.clear();
+    }
+
+    /// Extends the current walk by link `l` into node `v`.
+    fn push(&mut self, v: NodeId, l: LinkId) {
+        self.stack.push(v);
+        self.links.push(l);
+    }
+
+    /// Retracts the last step of the current walk.
+    fn pop(&mut self) {
+        self.stack.pop();
+        self.links.pop();
     }
 }
 
@@ -264,8 +309,7 @@ where
         return result;
     }
     scratch.prepare(topo.num_nodes(), src);
-    let DfsScratch { visited, stack } = scratch;
-    dfs_paths(topo, dst, max_hops, visited, stack, &mut result, &live);
+    dfs_paths(topo, dst, max_hops, scratch, &mut result, &live);
     // DFS in sorted-adjacency order yields lexicographic order per length
     // already for equal-length prefixes, but mixed lengths interleave;
     // sort by (hops, node sequence) for the canonical attempt order.
@@ -281,15 +325,14 @@ fn dfs_paths<F>(
     topo: &Topology,
     dst: NodeId,
     max_hops: usize,
-    visited: &mut [bool],
-    stack: &mut Vec<NodeId>,
+    s: &mut DfsScratch,
     result: &mut Vec<Path>,
     live: &F,
 ) where
     F: Fn(LinkId) -> bool,
 {
-    let u = *stack.last().unwrap();
-    if stack.len() - 1 == max_hops {
+    let u = *s.stack.last().unwrap();
+    if s.links.len() == max_hops {
         return;
     }
     for &l in topo.out_links(u) {
@@ -298,15 +341,15 @@ fn dfs_paths<F>(
         }
         let v = topo.link(l).dst;
         if v == dst {
-            stack.push(v);
-            result.push(Path::from_nodes(topo, stack).expect("constructed path is valid"));
-            stack.pop();
-        } else if !visited[v] {
-            visited[v] = true;
-            stack.push(v);
-            dfs_paths(topo, dst, max_hops, visited, stack, result, live);
-            stack.pop();
-            visited[v] = false;
+            s.push(v, l);
+            result.push(Path::from_walk(topo, &s.stack, &s.links));
+            s.pop();
+        } else if !s.visited[v] {
+            s.visited[v] = true;
+            s.push(v, l);
+            dfs_paths(topo, dst, max_hops, s, result, live);
+            s.pop();
+            s.visited[v] = false;
         }
     }
 }
@@ -365,12 +408,11 @@ where
         return result;
     }
     scratch.prepare(topo.num_nodes(), src);
-    let DfsScratch { visited, stack } = scratch;
     for hops in 1..=max_hops {
         if result.len() >= cap {
             break;
         }
-        dfs_paths_exact(topo, dst, hops, visited, stack, &mut result, cap, &live);
+        dfs_paths_exact(topo, dst, hops, scratch, &mut result, cap, &live);
     }
     result
 }
@@ -378,13 +420,11 @@ where
 /// Emit the simple paths with exactly `hops` links ending at `dst`, in
 /// lexicographic node-sequence order, stopping once `result` holds `cap`
 /// paths.
-#[allow(clippy::too_many_arguments)]
 fn dfs_paths_exact<F>(
     topo: &Topology,
     dst: NodeId,
     hops: usize,
-    visited: &mut [bool],
-    stack: &mut Vec<NodeId>,
+    s: &mut DfsScratch,
     result: &mut Vec<Path>,
     cap: usize,
     live: &F,
@@ -394,8 +434,8 @@ fn dfs_paths_exact<F>(
     if result.len() >= cap {
         return;
     }
-    let u = *stack.last().unwrap();
-    let remaining = hops + 1 - stack.len();
+    let u = *s.stack.last().unwrap();
+    let remaining = hops - s.links.len();
     for &l in topo.out_links(u) {
         if !live(l) {
             continue;
@@ -403,19 +443,19 @@ fn dfs_paths_exact<F>(
         let v = topo.link(l).dst;
         if remaining == 1 {
             if v == dst {
-                stack.push(v);
-                result.push(Path::from_nodes(topo, stack).expect("constructed path is valid"));
-                stack.pop();
+                s.push(v, l);
+                result.push(Path::from_walk(topo, &s.stack, &s.links));
+                s.pop();
                 if result.len() >= cap {
                     return;
                 }
             }
-        } else if v != dst && !visited[v] {
-            visited[v] = true;
-            stack.push(v);
-            dfs_paths_exact(topo, dst, hops, visited, stack, result, cap, live);
-            stack.pop();
-            visited[v] = false;
+        } else if v != dst && !s.visited[v] {
+            s.visited[v] = true;
+            s.push(v, l);
+            dfs_paths_exact(topo, dst, hops, s, result, cap, live);
+            s.pop();
+            s.visited[v] = false;
             if result.len() >= cap {
                 return;
             }

@@ -321,11 +321,12 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
             // once they are exhausted.
             plan.candidates(call.src, call.dst)
                 .iter()
-                .filter(|&path| path != primary)
+                .filter(|&path| path.links() != primary)
                 .nth(call.attempt - 1)?
+                .links()
         };
         call.links.clear();
-        call.links.extend_from_slice(path.links());
+        call.links.extend_from_slice(path);
         call.is_primary = call.attempt == 0;
         call.booked_from_dst = 0;
         Some((config.hop_delay, Event::Forward { call: id, hop: 0 }))

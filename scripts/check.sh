@@ -104,6 +104,34 @@ EOF
     grep -qx 'error: --nodes 1000000 is too large; at most 1000 nodes are allowed' \
       "$tmpdir/nodes.err"
   done
+  # Config files are outside input too: 200,000 nested arrays are a parse
+  # error rather than a stack overflow, integers are checked rather than
+  # cast (4294967301 would wrap to capacity 5), "nodes" has the same cap
+  # as --nodes, and topologies the builders would panic on (zero
+  # capacity, a duplicate link) are refused.
+  head -c 200000 /dev/zero | tr '\0' '[' > "$tmpdir/deep.json"
+  config_topology() {
+    printf '{"topology": %s, "traffic": {"uniform": 1.0}, "policies": ["controlled"], "max_hops": 3}\n' "$1"
+  }
+  config_topology '{"full_mesh": {"nodes": 4, "capacity": 4294967301}}' > "$tmpdir/capacity.json"
+  config_topology '{"full_mesh": {"nodes": 1001, "capacity": 10}}' > "$tmpdir/mesh_nodes.json"
+  config_topology '{"full_mesh": {"nodes": 4, "capacity": 0}}' > "$tmpdir/zero_capacity.json"
+  config_topology '{"links": {"nodes": 3, "duplex": [[0, 1, 5], [1, 0, 5]]}}' > "$tmpdir/duplicate_link.json"
+  local config expected
+  for config in deep capacity mesh_nodes zero_capacity duplicate_link; do
+    case "$config" in
+      deep) expected="parsing $tmpdir/deep.json: nesting deeper than 128 levels at byte 128" ;;
+      capacity) expected="parsing $tmpdir/capacity.json: \"capacity\" 4294967301 is out of range" ;;
+      mesh_nodes) expected="parsing $tmpdir/mesh_nodes.json: \"nodes\" 1001 is too large; at most 1000 nodes are allowed" ;;
+      zero_capacity) expected='"capacity" must be at least 1' ;;
+      duplicate_link) expected='link (1, 0, 5) is a self-loop, a duplicate or has no capacity' ;;
+    esac
+    status=0
+    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+      simulate "$tmpdir/$config.json" 2> "$tmpdir/config.err" || status=$?
+    [ "$status" -eq 1 ]
+    grep -qxF "error: $expected" "$tmpdir/config.err"
+  done
 }
 
 # Telemetry overhead: recording is a pure observer with a bounded cost.

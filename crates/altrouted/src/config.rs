@@ -24,7 +24,7 @@
 use crate::control::{ControlPlane, Controller, ControllerTuning};
 use altroute_core::primary::PrimaryAssignment;
 use altroute_json::Value;
-use altroute_netgraph::graph::MAX_NODES;
+use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
 use altroute_netgraph::topologies;
 
 /// A fully parsed daemon configuration.
@@ -34,27 +34,6 @@ pub struct DaemonConfig {
     pub plane: ControlPlane,
     /// How it estimates and when it re-solves.
     pub tuning: ControllerTuning,
-}
-
-fn get_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => x
-            .as_f64()
-            .ok_or_else(|| format!("`{key}` must be a number")),
-    }
-}
-
-/// A `u32` member; `default` stands in when it is absent (`None`: the
-/// member is required).
-fn get_u32(v: &Value, key: &str, default: Option<u32>) -> Result<u32, String> {
-    let Some(x) = v.get(key) else {
-        return default.ok_or_else(|| format!("missing `{key}`"));
-    };
-    let n = x
-        .as_u64()
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))?;
-    u32::try_from(n).map_err(|_| format!("{key} {n} out of range"))
 }
 
 impl DaemonConfig {
@@ -69,8 +48,8 @@ impl DaemonConfig {
             }
         }
         let mesh = v.get("mesh").ok_or("missing `mesh`")?;
-        let nodes = get_u32(mesh, "nodes", None)? as usize;
-        let capacity = get_u32(mesh, "capacity", None)?;
+        let nodes: usize = mesh.int_field("nodes")?.ok_or("missing `nodes`")?;
+        let capacity: u32 = mesh.int_field("capacity")?.ok_or("missing `capacity`")?;
         if nodes < 2 {
             return Err(format!("mesh needs at least 2 nodes, got {nodes}"));
         }
@@ -79,19 +58,25 @@ impl DaemonConfig {
                 "mesh.nodes {nodes} is too large; at most {MAX_NODES} nodes are allowed"
             ));
         }
-        if capacity == 0 {
-            return Err("mesh.capacity must be positive".to_string());
+        if !(1..=MAX_CAPACITY).contains(&capacity) {
+            return Err(format!(
+                "mesh.capacity must be positive and at most {MAX_CAPACITY}, got {capacity}"
+            ));
         }
-        let max_hops = get_u32(v, "max_hops", None)?;
+        let max_hops = v.int_field("max_hops")?.ok_or("missing `max_hops`")?;
         if max_hops == 0 {
             return Err("max_hops must be positive".to_string());
         }
         let defaults = ControllerTuning::default();
         let tuning = ControllerTuning {
-            window: get_f64(v, "window", defaults.window)?,
-            recompute_every: get_u32(v, "recompute_every", Some(defaults.recompute_every))?,
-            alpha: get_f64(v, "alpha", defaults.alpha)?,
-            mean_holding: get_f64(v, "mean_holding", defaults.mean_holding)?,
+            window: v.f64_field("window")?.unwrap_or(defaults.window),
+            recompute_every: v
+                .int_field("recompute_every")?
+                .unwrap_or(defaults.recompute_every),
+            alpha: v.f64_field("alpha")?.unwrap_or(defaults.alpha),
+            mean_holding: v
+                .f64_field("mean_holding")?
+                .unwrap_or(defaults.mean_holding),
         };
         if !(tuning.window > 0.0 && tuning.window.is_finite()) {
             return Err(format!("window must be positive, got {}", tuning.window));
@@ -195,6 +180,14 @@ mod tests {
             (
                 r#"{ "mesh": { "nodes": 1001, "capacity": 5 }, "max_hops": 2 }"#,
                 "mesh.nodes 1001 is too large; at most 1000 nodes are allowed",
+            ),
+            (
+                r#"{ "mesh": { "nodes": 3, "capacity": 4294967295 }, "max_hops": 2 }"#,
+                "mesh.capacity must be positive and at most 10000, got 4294967295",
+            ),
+            (
+                r#"{ "mesh": { "nodes": 3, "capacity": 4294967296 }, "max_hops": 2 }"#,
+                "\"capacity\" 4294967296 is out of range",
             ),
             (
                 r#"{ "mesh": { "nodes": 3, "capacity": 0 }, "max_hops": 2 }"#,

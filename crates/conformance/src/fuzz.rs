@@ -41,7 +41,7 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_core::select::BestOfDSelector;
 use altroute_netgraph::topologies::random_instance;
-use altroute_sim::adaptive::{run_adaptive_seed, AdaptiveConfig, InitialLevels};
+use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig, InitialLevels};
 use altroute_sim::engine::{run_seed, Run, RunConfig, SeedResult, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{self, run_multirate, BandwidthClass, MultirateResult};
@@ -371,15 +371,18 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
             ewma_alpha: 0.5,
             initial: InitialLevels::Zero,
         };
-        let ad_free = run_adaptive_seed(
-            &plan,
-            &inst.traffic,
-            warmup,
-            horizon,
-            inst_seed ^ 0xADA0,
-            &failures,
-            &frozen,
-        );
+        let adaptive = |plan: &RoutingPlan, seed: u64, config: &AdaptiveConfig| {
+            let params = SimParams {
+                warmup,
+                horizon,
+                seeds: 1,
+                base_seed: seed,
+            };
+            let (per_seed, _, _) =
+                replicate_adaptive(plan, &inst.traffic, &params, &failures, config, &one_worker);
+            per_seed[0].clone()
+        };
+        let ad_free = adaptive(&plan, inst_seed ^ 0xADA0, &frozen);
         let eng_free = run(
             &plan,
             PolicyKind::UncontrolledAlternate { max_hops: h },
@@ -396,15 +399,7 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
         // H = 1: on a hop-one plan the adaptive engine has no alternates
         // to protect, so it must match the single-path engine whatever
         // its levels do.
-        let ad_h1 = run_adaptive_seed(
-            &plan_h1,
-            &inst.traffic,
-            warmup,
-            horizon,
-            inst_seed ^ 0xADA1,
-            &failures,
-            &AdaptiveConfig::default(),
-        );
+        let ad_h1 = adaptive(&plan_h1, inst_seed ^ 0xADA1, &AdaptiveConfig::default());
         let eng_single = run(
             &plan_h1,
             PolicyKind::SinglePath,

@@ -10,8 +10,8 @@
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
 use altroute_experiments::{nsfnet_experiment, Table};
-use altroute_sim::adaptive::{run_adaptive_seed, AdaptiveConfig, InitialLevels};
-use altroute_sim::experiment::SimParams;
+use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig, InitialLevels};
+use altroute_sim::experiment::{Fanout, SimParams};
 use altroute_sim::failures::FailureSchedule;
 
 fn main() {
@@ -42,23 +42,15 @@ fn main() {
             .run(PolicyKind::ControlledAlternate { max_hops: 11 }, &params)
             .blocking_mean();
         let run_adaptive = |initial: InitialLevels| {
-            let (mut blocked, mut offered) = (0u64, 0u64);
-            for i in 0..params.seeds {
-                let r = run_adaptive_seed(
-                    &plan,
-                    exp.traffic(),
-                    params.warmup,
-                    params.horizon,
-                    params.base_seed + u64::from(i),
-                    &failures,
-                    &AdaptiveConfig {
-                        initial,
-                        ..Default::default()
-                    },
-                );
-                blocked += r.blocked;
-                offered += r.offered;
-            }
+            let config = AdaptiveConfig {
+                initial,
+                ..Default::default()
+            };
+            let fanout = Fanout::default();
+            let (per_seed, _, _) =
+                replicate_adaptive(&plan, exp.traffic(), &params, &failures, &config, &fanout);
+            let blocked: u64 = per_seed.iter().map(|r| r.blocked).sum();
+            let offered: u64 = per_seed.iter().map(|r| r.offered).sum();
             blocked as f64 / offered as f64
         };
         let adaptive = run_adaptive(InitialLevels::Zero);

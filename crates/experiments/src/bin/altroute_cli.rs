@@ -25,7 +25,7 @@
 //!                                                   ISP-scale mesh under rolling SRLG failures
 //! altroute_cli telemetry <dir>                      human-readable telemetry report
 //! altroute_cli replay <file.trace>                  decode and summarise a binary trace
-//! altroute_cli example-config                       print a commented example config
+//! altroute_cli example-config                       print an example config (plain JSON)
 //! altroute_cli conformance [--bless]                run the conformance suite
 //! ```
 //!
@@ -66,7 +66,8 @@
 //! The JSON config selects a topology (built-in or explicit link list), a
 //! traffic matrix (uniform, explicit, or the reconstructed NSFNet
 //! nominal), the policies to compare, failed links, timed outages, and
-//! the simulation parameters. See `example-config`.
+//! the simulation parameters; its schema is
+//! `altroute_experiments::config`. See `example-config`.
 //!
 //! `adaptive`, `multirate`, and `signaling` reuse the same config file
 //! and ride the instrumented simulation kernel, so `--metrics-json` and
@@ -130,6 +131,9 @@
 //! report the CI smoke stage asserts on.
 
 use altroute_core::policy::PolicyKind;
+use altroute_experiments::config::{
+    load_experiment, parse_modelled_policies, parse_policy, EXAMPLE_CONFIG,
+};
 use altroute_experiments::output::{
     blocking_summary_json, fmt_prob, metrics_document, telemetry_document,
 };
@@ -138,13 +142,9 @@ use altroute_experiments::{
     ArmResult, FeedConfig, Heartbeat, LargeMeshConfig, MetastabilityConfig, Series, Table,
 };
 use altroute_json::{obj, Value};
-use altroute_netgraph::estimate::nsfnet_nominal_traffic;
-use altroute_netgraph::graph::{Topology, MAX_NODES};
-use altroute_netgraph::topologies;
-use altroute_netgraph::traffic::TrafficMatrix;
+use altroute_netgraph::graph::MAX_NODES;
 use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig};
-use altroute_sim::experiment::{Experiment, Fanout, ProgressObserver, SimParams};
-use altroute_sim::failures::FailureSchedule;
+use altroute_sim::experiment::{Fanout, ProgressObserver, SimParams};
 use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
 use altroute_sim::signaling::{self, replicate_signaling, SignalingConfig};
 use altroute_sim::trace::{decode_trace, TraceRecordKind};
@@ -155,452 +155,17 @@ use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
 use std::path::Path;
 use std::process::ExitCode;
 
-#[derive(Debug)]
-enum TopologySpec {
-    /// A named built-in: "nsfnet" | "quadrangle".
-    Builtin(String),
-    FullMesh {
-        nodes: usize,
-        capacity: u32,
-    },
-    Ring {
-        nodes: usize,
-        capacity: u32,
-    },
-    /// Explicit duplex link list.
-    Links {
-        nodes: usize,
-        duplex: Vec<(usize, usize, u32)>,
-    },
-}
-
-#[derive(Debug)]
-enum TrafficSpec {
-    /// Erlangs per ordered pair.
-    Uniform(f64),
-    /// The reconstructed NSFNet nominal matrix, linearly scaled.
-    NsfnetNominal { scale: f64 },
-    /// Explicit row-major matrix.
-    Matrix(Vec<Vec<f64>>),
-}
-
-#[derive(Debug)]
-struct Config {
-    topology: TopologySpec,
-    traffic: TrafficSpec,
-    /// Policies: "single-path" | "uncontrolled" | "controlled" | "ott-krishnan".
-    policies: Vec<String>,
-    max_hops: u32,
-    failed_duplex: Vec<(usize, usize)>,
-    /// Timed duplex outages `(a, b, down_at, up_at)` — both directed
-    /// links between `a` and `b` go down over `[down_at, up_at)`.
-    outages: Vec<(usize, usize, f64, f64)>,
-    warmup: f64,
-    horizon: f64,
-    seeds: u32,
-    base_seed: u64,
-}
-
-// Hand-rolled config decoding over `altroute_json` (no serde offline).
-// The schema is the externally-tagged layout the serde version accepted,
-// so existing config files keep working unchanged.
-
-fn field_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => x
-            .as_f64()
-            .ok_or_else(|| format!("\"{key}\" must be a number")),
-    }
-}
-
-/// A config integer converted to `T` — checked, not cast, so an
-/// out-of-range `"capacity": 4294967301` is an error naming the field
-/// rather than a silent 5.
-fn checked_int<T: TryFrom<u64>>(x: &Value, key: &str) -> Result<T, String> {
-    let n = x
-        .as_u64()
-        .ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))?;
-    T::try_from(n).map_err(|_| format!("\"{key}\" {n} is out of range"))
-}
-
-/// An optional integer field, `default` when absent.
-fn field_int<T: TryFrom<u64>>(v: &Value, key: &str, default: T) -> Result<T, String> {
-    v.get(key).map_or(Ok(default), |x| checked_int(x, key))
-}
-
-/// A required integer field; `missing` is the error when it is absent.
-fn required_int<T: TryFrom<u64>>(v: &Value, key: &str, missing: &str) -> Result<T, String> {
-    checked_int(v.get(key).ok_or(missing)?, key)
-}
-
-/// A topology's `"nodes"`, at most [`MAX_NODES`].
-fn node_count(v: &Value, missing: &str) -> Result<usize, String> {
-    let nodes = required_int(v, "nodes", missing)?;
-    if nodes > MAX_NODES {
-        return Err(format!(
-            "\"nodes\" {nodes} is too large; at most {MAX_NODES} nodes are allowed"
-        ));
-    }
-    Ok(nodes)
-}
-
-/// The single `"tag": value` member of an externally-tagged enum object.
-fn tagged<'v>(v: &'v Value, what: &str, tags: &[&str]) -> Result<(&'v str, &'v Value), String> {
-    match v.as_object() {
-        Some([(tag, inner)]) if tags.contains(&tag.as_str()) => Ok((tag, inner)),
-        _ => Err(format!(
-            "{what} must be an object with exactly one of: {}",
-            tags.join(", ")
-        )),
-    }
-}
-
-fn usize_pair_list(v: &Value, key: &str) -> Result<Vec<(usize, usize)>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("\"{key}\" must be an array"))?
-        .iter()
-        .map(|item| match item.as_array() {
-            Some([a, b]) => Ok((checked_int(a, key)?, checked_int(b, key)?)),
-            _ => Err(format!(
-                "\"{key}\" entries must be [a, b] pairs, got {item}"
-            )),
-        })
-        .collect()
-}
-
-fn outage_list(v: &Value) -> Result<Vec<(usize, usize, f64, f64)>, String> {
-    v.as_array()
-        .ok_or("\"outages\" must be an array")?
-        .iter()
-        .map(|item| match item.as_array() {
-            Some([a, b, down, up]) => match (down.as_f64(), up.as_f64()) {
-                (Some(down), Some(up)) => {
-                    if !(down.is_finite() && up.is_finite() && down >= 0.0 && down < up) {
-                        return Err(format!("outage window [{down}, {up}) is invalid"));
-                    }
-                    Ok((
-                        checked_int(a, "outages")?,
-                        checked_int(b, "outages")?,
-                        down,
-                        up,
-                    ))
-                }
-                _ => Err("outage entries must be [a, b, down_at, up_at] numbers".to_string()),
-            },
-            _ => Err(format!(
-                "outage entries must be [a, b, down_at, up_at], got {item}"
-            )),
-        })
-        .collect()
-}
-
-impl TopologySpec {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let (tag, inner) = tagged(
-            v,
-            "\"topology\"",
-            &["builtin", "full_mesh", "ring", "links"],
-        )?;
-        let nodes_and_capacity = |inner: &Value| -> Result<(usize, u32), String> {
-            Ok((
-                node_count(inner, "topology needs integer \"nodes\"")?,
-                required_int(inner, "capacity", "topology needs integer \"capacity\"")?,
-            ))
-        };
-        match tag {
-            "builtin" => Ok(TopologySpec::Builtin(
-                inner
-                    .as_str()
-                    .ok_or("\"builtin\" must name a topology")?
-                    .to_string(),
-            )),
-            "full_mesh" => {
-                let (nodes, capacity) = nodes_and_capacity(inner)?;
-                Ok(TopologySpec::FullMesh { nodes, capacity })
-            }
-            "ring" => {
-                let (nodes, capacity) = nodes_and_capacity(inner)?;
-                Ok(TopologySpec::Ring { nodes, capacity })
-            }
-            "links" => {
-                let nodes = node_count(inner, "\"links\" topology needs integer \"nodes\"")?;
-                let duplex = inner
-                    .get("duplex")
-                    .and_then(Value::as_array)
-                    .ok_or("\"links\" topology needs a \"duplex\" array")?
-                    .iter()
-                    .map(|t| match t.as_array() {
-                        Some([a, b, c]) => Ok((
-                            checked_int(a, "duplex")?,
-                            checked_int(b, "duplex")?,
-                            checked_int(c, "duplex")?,
-                        )),
-                        _ => Err(format!("duplex entries must be [a, b, capacity], got {t}")),
-                    })
-                    .collect::<Result<_, _>>()?;
-                Ok(TopologySpec::Links { nodes, duplex })
-            }
-            _ => unreachable!("tagged() filtered"),
-        }
-    }
-}
-
-impl TrafficSpec {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let (tag, inner) = tagged(v, "\"traffic\"", &["uniform", "nsfnet_nominal", "matrix"])?;
-        match tag {
-            "uniform" => {
-                Ok(TrafficSpec::Uniform(inner.as_f64().ok_or(
-                    "\"uniform\" traffic must be a number of Erlangs",
-                )?))
-            }
-            "nsfnet_nominal" => Ok(TrafficSpec::NsfnetNominal {
-                scale: field_f64(inner, "scale", f64::NAN)?,
-            }),
-            "matrix" => inner
-                .as_array()
-                .ok_or("\"matrix\" traffic must be an array of rows")?
-                .iter()
-                .map(|row| {
-                    row.as_array()
-                        .ok_or("matrix rows must be arrays".to_string())?
-                        .iter()
-                        .map(|x| {
-                            x.as_f64()
-                                .ok_or("matrix entries must be numbers".to_string())
-                        })
-                        .collect()
-                })
-                .collect::<Result<_, _>>()
-                .map(TrafficSpec::Matrix),
-            _ => unreachable!("tagged() filtered"),
-        }
-    }
-}
-
-impl Config {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        if v.as_object().is_none() {
-            return Err("config must be a JSON object".into());
-        }
-        let known = [
-            "topology",
-            "traffic",
-            "policies",
-            "max_hops",
-            "failed_duplex",
-            "outages",
-            "warmup",
-            "horizon",
-            "seeds",
-            "base_seed",
-        ];
-        if let Some(unknown) = v.keys().iter().find(|k| !known.contains(k)) {
-            return Err(format!("unknown config key \"{unknown}\""));
-        }
-        let traffic = TrafficSpec::from_json(v.get("traffic").ok_or("config needs \"traffic\"")?)?;
-        if let TrafficSpec::NsfnetNominal { scale } = traffic {
-            if !scale.is_finite() {
-                return Err("\"nsfnet_nominal\" traffic needs a numeric \"scale\"".into());
-            }
-        }
-        Ok(Config {
-            topology: TopologySpec::from_json(
-                v.get("topology").ok_or("config needs \"topology\"")?,
-            )?,
-            traffic,
-            policies: v
-                .get("policies")
-                .and_then(Value::as_array)
-                .ok_or("config needs a \"policies\" array")?
-                .iter()
-                .map(|p| {
-                    p.as_str()
-                        .map(String::from)
-                        .ok_or("policies must be strings".to_string())
-                })
-                .collect::<Result<_, _>>()?,
-            max_hops: required_int(v, "max_hops", "config needs integer \"max_hops\"")?,
-            failed_duplex: match v.get("failed_duplex") {
-                None => Vec::new(),
-                Some(list) => usize_pair_list(list, "failed_duplex")?,
-            },
-            outages: match v.get("outages") {
-                None => Vec::new(),
-                Some(list) => outage_list(list)?,
-            },
-            warmup: field_f64(v, "warmup", 10.0)?,
-            horizon: field_f64(v, "horizon", 100.0)?,
-            seeds: field_int(v, "seeds", 10)?,
-            base_seed: field_int(v, "base_seed", 0)?,
-        })
-    }
-}
-
-const EXAMPLE_CONFIG: &str = r#"{
-  "topology": { "builtin": "nsfnet" },
-  "traffic": { "nsfnet_nominal": { "scale": 1.0 } },
-  "policies": ["single-path", "uncontrolled", "controlled"],
-  "max_hops": 11,
-  "failed_duplex": [],
-  "outages": [],
-  "warmup": 10.0,
-  "horizon": 100.0,
-  "seeds": 10,
-  "base_seed": 0
-}"#;
-
-fn build_topology(spec: &TopologySpec) -> Result<Topology, String> {
-    match spec {
-        TopologySpec::Builtin(name) => match name.as_str() {
-            "nsfnet" => Ok(topologies::nsfnet(100)),
-            "quadrangle" => Ok(topologies::quadrangle()),
-            other => Err(format!(
-                "unknown builtin topology '{other}' (try nsfnet, quadrangle)"
-            )),
-        },
-        TopologySpec::FullMesh { capacity: 0, .. } | TopologySpec::Ring { capacity: 0, .. } => {
-            Err("\"capacity\" must be at least 1".into())
-        }
-        TopologySpec::FullMesh { nodes, capacity } => Ok(topologies::full_mesh(*nodes, *capacity)),
-        TopologySpec::Ring { nodes, .. } if *nodes < 3 => {
-            Err(format!("a ring needs at least 3 nodes, got {nodes}"))
-        }
-        TopologySpec::Ring { nodes, capacity } => Ok(topologies::ring(*nodes, *capacity)),
-        TopologySpec::Links { nodes, duplex } => {
-            let mut t = Topology::new();
-            t.add_nodes(*nodes);
-            for &(a, b, c) in duplex {
-                if a >= *nodes || b >= *nodes {
-                    return Err(format!("link ({a}, {b}) references a node out of range"));
-                }
-                if a == b || c == 0 || t.link_between(a, b).is_some() {
-                    return Err(format!(
-                        "link ({a}, {b}, {c}) is a self-loop, a duplicate or has no capacity"
-                    ));
-                }
-                t.add_duplex(a, b, c);
-            }
-            Ok(t)
-        }
-    }
-}
-
-fn build_traffic(spec: &TrafficSpec, n: usize) -> Result<TrafficMatrix, String> {
-    match spec {
-        TrafficSpec::Uniform(x) => Ok(TrafficMatrix::uniform(n, *x)),
-        TrafficSpec::NsfnetNominal { scale } => {
-            if n != 12 {
-                return Err("nsfnet_nominal traffic needs the 12-node NSFNet topology".into());
-            }
-            Ok(nsfnet_nominal_traffic().traffic.scaled(*scale))
-        }
-        TrafficSpec::Matrix(rows) => {
-            if rows.len() != n || rows.iter().any(|r| r.len() != n) {
-                return Err(format!("matrix must be {n}x{n}"));
-            }
-            let mut m = TrafficMatrix::zero(n);
-            for (i, row) in rows.iter().enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    if i != j {
-                        m.set(i, j, v);
-                    }
-                }
-            }
-            Ok(m)
-        }
-    }
-}
-
-fn parse_policy(name: &str, h: u32, d: u32) -> Result<PolicyKind, String> {
-    match name {
-        "single-path" => Ok(PolicyKind::SinglePath),
-        "uncontrolled" => Ok(PolicyKind::UncontrolledAlternate { max_hops: h }),
-        "controlled" => Ok(PolicyKind::ControlledAlternate { max_hops: h }),
-        "ott-krishnan" => Ok(PolicyKind::OttKrishnan { max_hops: h }),
-        "dar" => Ok(PolicyKind::DarSticky { max_hops: h }),
-        "bod" => Ok(PolicyKind::BestOfD { max_hops: h, d }),
-        other => Err(format!(
-            "unknown policy '{other}' (try single-path, uncontrolled, controlled, \
-             ott-krishnan, dar, bod)"
-        )),
-    }
-}
-
-/// Parses the config's policy names for the simulator `cmd`, which
-/// models only the policies `models` accepts — all checked before
-/// anything runs. Neither such command takes `--d`, so best-of-d samples
-/// its default 2.
-fn parse_modelled_policies(
-    config: &Config,
-    cmd: &str,
-    models: fn(PolicyKind) -> bool,
-) -> Result<Vec<PolicyKind>, String> {
-    config
-        .policies
-        .iter()
-        .map(|name| {
-            let policy = parse_policy(name, config.max_hops, 2)?;
-            if models(policy) {
-                Ok(policy)
-            } else {
-                Err(format!("{cmd} does not model policy '{name}'"))
-            }
-        })
-        .collect()
-}
-
-/// Parses a config file and builds the experiment (topology, traffic,
-/// failure schedule installed) — shared by `simulate`, `adaptive`,
-/// `multirate`, and `signaling`.
-fn load_experiment(path: &str) -> Result<(Config, Experiment, FailureSchedule), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let value = altroute_json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let config = Config::from_json(&value).map_err(|e| format!("parsing {path}: {e}"))?;
-    let topo = build_topology(&config.topology)?;
-    let traffic = build_traffic(&config.traffic, topo.num_nodes())?;
-    let mut exp = Experiment::new(topo, traffic).map_err(|e| e.to_string())?;
-    let mut failures = if config.failed_duplex.is_empty() {
-        FailureSchedule::none()
-    } else {
-        let mut links = Vec::new();
-        for &(a, b) in &config.failed_duplex {
-            for (s, d) in [(a, b), (b, a)] {
-                links.push(
-                    exp.topology()
-                        .link_between(s, d)
-                        .ok_or_else(|| format!("no link {s}->{d} to fail"))?,
-                );
-            }
-        }
-        FailureSchedule::static_down(links)
-    };
-    for &(a, b, down, up) in &config.outages {
-        for (s, d) in [(a, b), (b, a)] {
-            let link = exp
-                .topology()
-                .link_between(s, d)
-                .ok_or_else(|| format!("no link {s}->{d} for outage"))?;
-            failures = failures.with_outage(link, down, up);
-        }
-    }
-    if !failures.is_empty() {
-        exp = exp.with_failures(failures.clone());
-    }
-    Ok((config, exp, failures))
-}
-
 /// Resolves `--window` against the run duration: the explicit value if
 /// given (positivity is enforced at argument parsing), otherwise 40
 /// windows across the run.
-fn resolve_window(flags: &Flags, warmup: f64, horizon: f64) -> Result<f64, String> {
+fn resolve_window(flags: &Flags, params: &SimParams) -> Result<f64, String> {
+    let end = params.warmup + params.horizon;
     match flags.window {
         Some(_) if flags.telemetry.is_none() => {
             Err("--window only makes sense with --telemetry".into())
         }
-        Some(w) => check_window_count(w, warmup + horizon).map(|()| w),
-        None => Ok((warmup + horizon) / 40.0),
+        Some(w) => check_window_count(w, end).map(|()| w),
+        None => Ok(end / 40.0),
     }
 }
 
@@ -1028,17 +593,12 @@ fn cmd_largemesh(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
-    let (mut config, exp, _failures) = load_experiment(path)?;
+    let (mut config, exp) = load_experiment(path)?;
     if let Some(policy) = &flags.policy {
         config.policies = vec![policy.clone()];
     }
-    let params = SimParams {
-        warmup: config.warmup,
-        horizon: config.horizon,
-        seeds: config.seeds,
-        base_seed: config.base_seed,
-    };
-    let window = resolve_window(flags, params.warmup, params.horizon)?;
+    let params = config.params;
+    let window = resolve_window(flags, &params)?;
     let server = flags.bind_server(path)?;
     let heartbeat = flags
         .progress
@@ -1146,15 +706,16 @@ fn print_summary_output(
 }
 
 fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
-    let (config, exp, failures) = load_experiment(path)?;
-    let window = resolve_window(flags, config.warmup, config.horizon)?;
+    let (config, exp) = load_experiment(path)?;
+    let params = &config.params;
+    let window = resolve_window(flags, params)?;
     let plan = exp.plan_for(PolicyKind::ControlledAlternate {
         max_hops: config.max_hops,
     });
     let adaptive = AdaptiveConfig::default();
     let server = flags.bind_server(path)?;
     if let Some(server) = &server {
-        let total = config.seeds as usize;
+        let total = params.seeds as usize;
         server.update_status(|s| {
             s.phase = "adaptive".to_string();
             s.replications_total = total;
@@ -1165,11 +726,8 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
     let (per_seed, summary, telemetry) = replicate_adaptive(
         &plan,
         exp.traffic(),
-        config.warmup,
-        config.horizon,
-        config.base_seed,
-        config.seeds,
-        &failures,
+        params,
+        exp.failures(),
         &adaptive,
         &fanout,
     );
@@ -1202,7 +760,7 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
         path,
         flags.metrics_json,
         vec![
-            ("seeds".to_string(), Value::from(config.seeds)),
+            ("seeds".to_string(), Value::from(params.seeds)),
             (
                 "update_interval".to_string(),
                 Value::from(adaptive.update_interval),
@@ -1224,8 +782,9 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
-    let (config, exp, failures) = load_experiment(path)?;
-    let window = resolve_window(flags, config.warmup, config.horizon)?;
+    let (config, exp) = load_experiment(path)?;
+    let params = &config.params;
+    let window = resolve_window(flags, params)?;
     let fanout = flags.fanout(window, None);
     // Two classes carved from the config traffic: a 1-unit class at the
     // configured load and a 4-unit wideband class at a tenth of it.
@@ -1239,12 +798,6 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
             traffic: exp.traffic().scaled(0.1),
         },
     ];
-    let params = SimParams {
-        warmup: config.warmup,
-        horizon: config.horizon,
-        seeds: config.seeds,
-        base_seed: config.base_seed,
-    };
     let plan = multirate::plan(exp.topology(), &classes, config.max_hops);
     let mut table = Table::new([
         "policy",
@@ -1257,7 +810,8 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
     let mut policy_docs = Vec::new();
     for policy in parse_modelled_policies(&config, "multirate", multirate::models)? {
-        let (r, telemetry) = run_multirate(&plan, &classes, policy, &params, &failures, &fanout);
+        let (r, telemetry) =
+            run_multirate(&plan, &classes, policy, params, exp.failures(), &fanout);
         if let Some(telemetry) = telemetry {
             snapshots.push((policy.name().to_string(), telemetry));
         }
@@ -1312,14 +866,15 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
-    let (config, exp, failures) = load_experiment(path)?;
-    if !failures.events().is_empty() {
+    let (config, exp) = load_experiment(path)?;
+    if !exp.failures().events().is_empty() {
         return Err("signaling models static link failures only: \
                     use 'failed_duplex' instead of 'outages'"
             .to_string());
     }
     let policies = parse_modelled_policies(&config, "signaling", signaling::models)?;
-    let window = resolve_window(flags, config.warmup, config.horizon)?;
+    let params = &config.params;
+    let window = resolve_window(flags, params)?;
     let hop_delay = flags.hop_delay.unwrap_or(2e-4);
     if !(hop_delay.is_finite() && hop_delay >= 0.0) {
         return Err(format!("--hop-delay must be >= 0, got {hop_delay}"));
@@ -1338,20 +893,14 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
     let mut snapshots: Vec<(String, RunTelemetry)> = Vec::new();
     let mut policy_docs = Vec::new();
     for policy in policies {
-        let sig_config = SignalingConfig {
-            hop_delay,
-            policy,
-            warmup: config.warmup,
-            horizon: config.horizon,
-            seed: config.base_seed,
-        };
+        let sig_config = SignalingConfig { hop_delay, policy };
         let fanout = flags.fanout(window, None);
         let (per_seed, summary, telemetry) = replicate_signaling(
             &plan,
             exp.traffic(),
-            &failures,
+            exp.failures(),
             &sig_config,
-            config.seeds,
+            params,
             &fanout,
         );
         if let Some(telemetry) = telemetry {
@@ -1383,7 +932,7 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
         path,
         flags.metrics_json,
         vec![
-            ("seeds".to_string(), Value::from(config.seeds)),
+            ("seeds".to_string(), Value::from(params.seeds)),
             ("hop_delay".to_string(), Value::from(hop_delay)),
         ],
         &table,

@@ -12,7 +12,7 @@ use altroute_experiments::output::fmt_prob;
 use altroute_experiments::{nsfnet_experiment, Table};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::signaling::{replicate_signaling, SignalingConfig};
-use altroute_sim::Fanout;
+use altroute_sim::{Fanout, SimParams};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -20,6 +20,12 @@ fn main() {
     let exp = nsfnet_experiment(10.0);
     let plan = exp.plan_for(PolicyKind::ControlledAlternate { max_hops: 11 });
     let failures = FailureSchedule::none();
+    let params = SimParams {
+        warmup: 10.0,
+        horizon,
+        seeds,
+        base_seed: 0,
+    };
 
     let mut table = Table::new([
         "hop_delay",
@@ -40,16 +46,13 @@ fn main() {
             let config = SignalingConfig {
                 hop_delay: delay,
                 policy,
-                warmup: 10.0,
-                horizon,
-                seed: 0,
             };
             let (per_seed, _, _) = replicate_signaling(
                 &plan,
                 exp.traffic(),
                 &failures,
                 &config,
-                seeds,
+                &params,
                 &Fanout::default(),
             );
             let (mut blocked, mut offered, mut races) = (0u64, 0u64, 0u64);

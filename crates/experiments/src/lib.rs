@@ -4,7 +4,7 @@
 //! regenerates it (see `DESIGN.md` for the index). This library holds the
 //! pieces they share: aligned-table output, CSV export, the standard
 //! policy set, and the NSFNet instance construction. It also holds the
-//! CLI's tiers: the two hysteresis demonstrations ([`metastability`] and
+//! simulate-family config schema ([`config`]) and the CLI's tiers: the two hysteresis demonstrations ([`metastability`] and
 //! the closed-loop [`controlled`]), which run on one arm runner and
 //! report one [`ArmResult`] per arm, plus [`largemesh`] and [`feed`].
 
@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod chart;
+pub mod config;
 pub mod controlled;
 pub mod feed;
 pub mod largemesh;

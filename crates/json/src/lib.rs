@@ -5,7 +5,7 @@
 //! the project actually needs from JSON:
 //!
 //! * parsing experiment configs ([`parse`] → [`Value`] with typed
-//!   accessors), and
+//!   accessors, and field readers that name the field in their errors), and
 //! * emitting machine-readable results ([`Value::to_string_pretty`],
 //!   plus the [`obj!`]/[`arr!`] builder macros).
 //!
@@ -89,6 +89,31 @@ impl Value {
             Value::Object(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// This number as an integer of type `T`, converted with `try_from`
+    /// rather than cast, so a config's `"capacity": 4294967301` is an
+    /// error naming `name` instead of a silent 5.
+    pub fn integer<T: TryFrom<u64>>(&self, name: &str) -> Result<T, String> {
+        let n = self
+            .as_u64()
+            .ok_or_else(|| format!("\"{name}\" must be a non-negative integer"))?;
+        T::try_from(n).map_err(|_| format!("\"{name}\" {n} is out of range"))
+    }
+
+    /// Member `key` as an [integer](Self::integer); `None` when absent.
+    pub fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key).map(|x| x.integer(key)).transpose()
+    }
+
+    /// Member `key` as a number; `None` when absent.
+    pub fn f64_field(&self, key: &str) -> Result<Option<f64>, String> {
+        self.get(key)
+            .map(|x| {
+                x.as_f64()
+                    .ok_or_else(|| format!("\"{key}\" must be a number"))
+            })
+            .transpose()
     }
 
     /// Object member names, for "unknown key" diagnostics.
@@ -574,6 +599,27 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("hi"));
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn field_readers_name_the_field() {
+        let v = parse(r#"{"n": 3, "big": 4294967301, "neg": -1, "x": 3.5, "s": "hi"}"#).unwrap();
+        assert_eq!(v.int_field::<u32>("n"), Ok(Some(3)));
+        assert_eq!(v.int_field::<u32>("missing"), Ok(None));
+        assert_eq!(
+            v.int_field::<u32>("big"),
+            Err("\"big\" 4294967301 is out of range".to_string())
+        );
+        assert_eq!(v.int_field::<u64>("big"), Ok(Some(4_294_967_301)));
+        for key in ["neg", "x", "s"] {
+            assert_eq!(
+                v.int_field::<u64>(key),
+                Err(format!("\"{key}\" must be a non-negative integer"))
+            );
+        }
+        assert_eq!(v.f64_field("x"), Ok(Some(3.5)));
+        assert_eq!(v.f64_field("missing"), Ok(None));
+        assert_eq!(v.f64_field("s"), Err("\"s\" must be a number".to_string()));
     }
 
     #[test]

@@ -23,6 +23,12 @@ pub type LinkId = usize;
 /// allocation. 1000 is the largest mesh any preset runs.
 pub const MAX_NODES: usize = 1_000;
 
+/// Most circuits the command-line tools accept on one link described by
+/// outside input. Each protection-level solve tabulates one `f64` per
+/// circuit, so `u32::MAX` asks for 32 GiB; 10,000 is ten times the
+/// largest capacity any preset or test uses (1000).
+pub const MAX_CAPACITY: u32 = 10_000;
+
 /// A unidirectional capacitated link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {

@@ -25,6 +25,7 @@
 //! state-dependent tier reads them on the very next call.
 
 use crate::engine::{Run, RunConfig};
+use crate::experiment::SimParams;
 use crate::failures::FailureSchedule;
 use crate::trace::NullTraceSink;
 use altroute_core::plan::RoutingPlan;
@@ -160,57 +161,26 @@ impl<'p, S: RouteSelector<'p>> RouteSelector<'p> for ControlledSelector<S> {
     }
 }
 
-/// Runs one replication of controlled alternate routing with *online*
-/// `Λ^k` estimation instead of the oracle loads.
-///
-/// The plan supplies topology, primaries and candidate paths; its oracle
-/// protection levels are ignored.
-///
-/// # Panics
-///
-/// Panics on inconsistent sizes, invalid configuration, or a plan whose
-/// primary for some pair is split over several paths (see
-/// [`ControlPlane::from_primaries`]).
-pub fn run_adaptive_seed(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    warmup: f64,
-    horizon: f64,
-    seed: u64,
-    failures: &FailureSchedule,
-    config: &AdaptiveConfig,
-) -> AdaptiveSeedResult {
-    let run = RunConfig {
-        plan,
-        policy: adaptive_policy(plan),
-        traffic,
-        warmup,
-        horizon,
-        seed,
-        failures,
-    };
-    adaptive_seed(Run::new(&run), plan, config)
-}
-
-/// Runs `seeds` adaptive replications (seed `i` uses `base_seed + i`)
-/// as `fanout` directs and summarises their blocking — the module's one
-/// replication entry. Per-seed results come back in seed order and are
-/// identical for every `fanout`; with `fanout.window` set, every
-/// replication also records time-resolved telemetry, merged in seed
-/// order.
+/// Runs `params.seeds` replications of controlled alternate routing
+/// with *online* `Λ^k` estimation instead of the oracle loads
+/// (replication `i` uses seed `params.base_seed + i`) as `fanout`
+/// directs, and summarises their blocking — the module's one entry. The
+/// plan supplies topology, primaries and candidate paths; its oracle
+/// protection levels are ignored. Per-seed results come back in seed
+/// order and are identical for every `fanout`; with `fanout.window` set,
+/// every replication also records time-resolved telemetry, merged in
+/// seed order.
 ///
 /// # Panics
 ///
-/// As [`run_adaptive_seed`]; additionally if `seeds == 0`,
+/// Panics on inconsistent sizes, a non-positive update interval, a plan
+/// whose primary for some pair is split over several paths (see
+/// [`ControlPlane::from_primaries`]), if `params.seeds == 0`,
 /// `fanout.workers == 0`, or a telemetry window is not positive.
-#[allow(clippy::too_many_arguments)]
 pub fn replicate_adaptive(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
-    warmup: f64,
-    horizon: f64,
-    base_seed: u64,
-    seeds: u32,
+    params: &SimParams,
     failures: &FailureSchedule,
     config: &AdaptiveConfig,
     fanout: &Fanout<'_>,
@@ -219,20 +189,24 @@ pub fn replicate_adaptive(
     BlockingSummary,
     Option<RunTelemetry>,
 ) {
-    assert!(seeds > 0, "need at least one replication");
+    assert!(params.seeds > 0, "need at least one replication");
+    assert!(
+        config.update_interval > 0.0,
+        "update interval must be positive"
+    );
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
     let (per_seed, telemetry) = fanout.replicate(
-        seeds as usize,
-        |window| RunTelemetry::new(warmup, horizon, window, capacities.clone()),
+        params.seeds as usize,
+        |window| RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone()),
         RunTelemetry::merge,
         |scratch, i, telemetry| {
             let config_i = RunConfig {
                 plan,
                 policy: adaptive_policy(plan),
                 traffic,
-                warmup,
-                horizon,
-                seed: base_seed + i as u64,
+                warmup: params.warmup,
+                horizon: params.horizon,
+                seed: params.base_seed + i as u64,
                 failures,
             };
             let run = Run::new(&config_i).scratch(scratch);
@@ -254,18 +228,14 @@ fn adaptive_policy(plan: &RoutingPlan) -> PolicyKind {
     }
 }
 
-/// The body of every adaptive entry point: `run` (a replication on
-/// `plan`) driven by a [`ControlledSelector`] over the plan's tiered
-/// routing, ticking every update interval.
+/// One adaptive replication: `run` (a replication on `plan`) driven by
+/// a [`ControlledSelector`] over the plan's tiered routing, ticking every
+/// update interval.
 fn adaptive_seed<R: Recorder>(
     run: Run<'_, NullTraceSink, R>,
     plan: &RoutingPlan,
     config: &AdaptiveConfig,
 ) -> AdaptiveSeedResult {
-    assert!(
-        config.update_interval > 0.0,
-        "update interval must be positive"
-    );
     let plane =
         ControlPlane::from_primaries(plan.topology(), plan.primaries(), plan.max_alternate_hops());
     let mut admission = TrunkReservation::new(match config.initial {
@@ -296,6 +266,31 @@ mod tests {
     use super::*;
     use altroute_netgraph::estimate::nsfnet_nominal_traffic;
     use altroute_netgraph::topologies;
+
+    /// One adaptive replication of `seed` on one worker.
+    fn run_adaptive_seed(
+        plan: &RoutingPlan,
+        traffic: &TrafficMatrix,
+        warmup: f64,
+        horizon: f64,
+        seed: u64,
+        failures: &FailureSchedule,
+        config: &AdaptiveConfig,
+    ) -> AdaptiveSeedResult {
+        let params = SimParams {
+            warmup,
+            horizon,
+            seeds: 1,
+            base_seed: seed,
+        };
+        let fanout = Fanout {
+            workers: 1,
+            ..Fanout::default()
+        };
+        let (mut per_seed, _, _) =
+            replicate_adaptive(plan, traffic, &params, failures, config, &fanout);
+        per_seed.remove(0)
+    }
 
     fn nsfnet_plan(scale: f64) -> (RoutingPlan, TrafficMatrix) {
         let traffic = nsfnet_nominal_traffic().traffic.scaled(scale);
@@ -439,8 +434,14 @@ mod tests {
                 window: Some(5.0),
                 ..Fanout::default()
             };
+            let params = SimParams {
+                warmup: 5.0,
+                horizon: 30.0,
+                seeds: 3,
+                base_seed: 11,
+            };
             let (recorded, summary, telemetry) =
-                replicate_adaptive(&plan, &traffic, 5.0, 30.0, 11, 3, &failures, &cfg, &fanout);
+                replicate_adaptive(&plan, &traffic, &params, &failures, &cfg, &fanout);
             assert_eq!(recorded, plain, "recorder must be a pure observer");
             assert_eq!(summary.replications(), 3);
             let offered: u64 = plain.iter().map(|r| r.offered).sum();

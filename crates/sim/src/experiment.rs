@@ -159,6 +159,11 @@ impl Experiment {
         &self.traffic
     }
 
+    /// The failure schedule every replication runs under.
+    pub fn failures(&self) -> &FailureSchedule {
+        &self.failures
+    }
+
     /// Builds the routing plan a policy would use (exposed so callers can
     /// inspect protection levels, e.g. to print Table 1).
     pub fn plan_for(&self, kind: PolicyKind) -> RoutingPlan {

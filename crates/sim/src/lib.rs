@@ -19,9 +19,12 @@
 //! Every simulator here has exactly one multi-seed entry —
 //! [`Experiment::replicate`], [`multirate::run_multirate`],
 //! [`adaptive::replicate_adaptive`], [`signaling::replicate_signaling`],
-//! [`cellular::run_cellular`] — and each takes a [`Fanout`] (worker count, progress observer,
-//! telemetry window) that changes how replications execute,
-//! never what they return.
+//! [`cellular::run_cellular`] — and each takes the run's [`SimParams`]
+//! and a [`Fanout`] (worker count, progress observer, telemetry window)
+//! that changes how replications execute, never what they return. The
+//! CLI reads its `SimParams` from the JSON schema in
+//! `altroute_experiments::config`, which refuses what these entries
+//! would panic on.
 //! * [`failures`] — failure schedules (static disabled links and timed
 //!   down/up events).
 //! * [`adaptive`] — controlled alternate routing with **online** `Λ^k`

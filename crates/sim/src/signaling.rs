@@ -41,7 +41,8 @@
 //! failures only. A resolved call's table slot is reused by the next
 //! arrival, so memory is bounded by the calls in set-up or in service.
 
-use crate::engine::assert_plan_hops;
+use crate::engine::{assert_plan_hops, RunConfig};
+use crate::experiment::SimParams;
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
@@ -78,12 +79,6 @@ pub struct SignalingConfig {
     /// The routing policy; see [`models`] for the ones the protocol
     /// supports.
     pub policy: PolicyKind,
-    /// Warm-up discarded from statistics.
-    pub warmup: f64,
-    /// Measured duration.
-    pub horizon: f64,
-    /// Master seed.
-    pub seed: u64,
 }
 
 /// Counters from one signaling replication.
@@ -159,41 +154,32 @@ struct PendingCall {
     measured: bool,
 }
 
-/// Runs one signaling replication.
-fn run_signaling(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    failures: &FailureSchedule,
-    config: &SignalingConfig,
-) -> SignalingResult {
-    run_recorded(plan, traffic, failures, config, &mut NullRecorder)
-}
-
-/// Runs `seeds` signaling replications (seed `i` uses `config.seed + i`)
-/// as `fanout` directs and summarises their blocking — the module's one
-/// replication entry. Per-seed results come back in seed order and are
-/// identical for every `fanout`. With `fanout.window` set, every
-/// replication also records time-resolved telemetry, merged in seed
-/// order: the recorder sees each call's *resolution* (booked at the
-/// origin or exhausted) as its arrival record, every booking/release as
-/// occupancy samples, and each protocol event.
+/// Runs `params.seeds` signaling replications (replication `i` uses seed
+/// `params.base_seed + i`) as `fanout` directs and summarises their
+/// blocking — the module's one replication entry. Per-seed results come
+/// back in seed order and are identical for every `fanout`. With
+/// `fanout.window` set, every replication also records time-resolved
+/// telemetry, merged in seed order: the recorder sees each call's
+/// *resolution* (booked at the origin or exhausted) as its arrival
+/// record, every booking/release as occupancy samples, and each protocol
+/// event.
 ///
 /// # Panics
 ///
 /// Panics if the protocol does not [model](models) `config.policy`, if
 /// the policy's hop bound is not the plan's `H`, if `failures` has timed
 /// events (only its static outages are modelled), on sizes that do not
-/// match or invalid durations, if `seeds == 0`, `fanout.workers == 0`,
-/// or a telemetry window is not positive.
+/// match or invalid durations, if `params.seeds == 0`,
+/// `fanout.workers == 0`, or a telemetry window is not positive.
 pub fn replicate_signaling(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
     failures: &FailureSchedule,
     config: &SignalingConfig,
-    seeds: u32,
+    params: &SimParams,
     fanout: &Fanout<'_>,
 ) -> (Vec<SignalingResult>, BlockingSummary, Option<RunTelemetry>) {
-    assert!(seeds > 0, "need at least one replication");
+    assert!(params.seeds > 0, "need at least one replication");
     assert!(
         models(config.policy),
         "signaling does not model policy '{}'",
@@ -206,17 +192,22 @@ pub fn replicate_signaling(
     );
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
     let (per_seed, telemetry) = fanout.replicate(
-        seeds as usize,
-        |window| RunTelemetry::new(config.warmup, config.horizon, window, capacities.clone()),
+        params.seeds as usize,
+        |window| RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone()),
         RunTelemetry::merge,
         |_, i, telemetry| {
-            let cfg = SignalingConfig {
-                seed: config.seed + i as u64,
-                ..*config
+            let run = RunConfig {
+                plan,
+                policy: config.policy,
+                traffic,
+                warmup: params.warmup,
+                horizon: params.horizon,
+                seed: params.base_seed + i as u64,
+                failures,
             };
             match telemetry {
-                Some(t) => run_recorded(plan, traffic, failures, &cfg, t),
-                None => run_signaling(plan, traffic, failures, &cfg),
+                Some(t) => run_recorded(&run, config.hop_delay, t),
+                None => run_recorded(&run, config.hop_delay, &mut NullRecorder),
             }
         },
     );
@@ -224,67 +215,52 @@ pub fn replicate_signaling(
     (per_seed, summary, telemetry)
 }
 
-/// One replication with a telemetry [`Recorder`] attached; the recorder
-/// is a pure observer.
+/// One replication of `run` (its policy, durations and seed) at
+/// `hop_delay` per hop, observed by `recorder`, a pure observer.
 fn run_recorded<R: Recorder>(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    failures: &FailureSchedule,
-    config: &SignalingConfig,
+    run: &RunConfig<'_>,
+    hop_delay: f64,
     recorder: &mut R,
 ) -> SignalingResult {
-    match config.policy {
-        PolicyKind::SinglePath => run_with(
-            plan,
-            traffic,
-            failures,
-            config,
-            &Uncontrolled,
-            false,
-            recorder,
-        ),
+    match run.policy {
+        PolicyKind::SinglePath => run_with(run, hop_delay, &Uncontrolled, false, recorder),
         PolicyKind::ControlledAlternate { .. } => {
-            let admission = TrunkReservation::new(plan.protection_levels().to_vec());
-            run_with(plan, traffic, failures, config, &admission, true, recorder)
+            let admission = TrunkReservation::new(run.plan.protection_levels().to_vec());
+            run_with(run, hop_delay, &admission, true, recorder)
         }
-        PolicyKind::UncontrolledAlternate { .. } => run_with(
-            plan,
-            traffic,
-            failures,
-            config,
-            &Uncontrolled,
-            true,
-            recorder,
-        ),
+        PolicyKind::UncontrolledAlternate { .. } => {
+            run_with(run, hop_delay, &Uncontrolled, true, recorder)
+        }
         other => unreachable!("replicate_signaling admits no {other:?}"),
     }
 }
 
 fn run_with<A: AdmissionPolicy, R: Recorder>(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    failures: &FailureSchedule,
-    config: &SignalingConfig,
+    run: &RunConfig<'_>,
+    hop_delay: f64,
     admission: &A,
     alternates: bool,
     recorder: &mut R,
 ) -> SignalingResult {
+    let &RunConfig {
+        plan,
+        traffic,
+        failures,
+        ..
+    } = run;
     let topo = plan.topology();
     let n = topo.num_nodes();
     assert_eq!(traffic.num_nodes(), n, "traffic matrix size mismatch");
-    assert!(config.hop_delay >= 0.0, "delay must be >= 0");
-    assert!(
-        config.warmup >= 0.0 && config.horizon > 0.0,
-        "invalid durations"
-    );
-    let end = config.warmup + config.horizon;
+    assert!(hop_delay >= 0.0, "delay must be >= 0");
+    assert!(run.warmup >= 0.0 && run.horizon > 0.0, "invalid durations");
+    let end = run.warmup + run.horizon;
 
     let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
     let mut network = LinkOccupancy::new(&capacities);
     for &l in failures.statically_down() {
         network.set_down(l);
     }
-    let factory = StreamFactory::new(config.seed);
+    let factory = StreamFactory::new(run.seed);
     let mut streams: Vec<Option<altroute_simcore::rng::RngStream>> =
         (0..n * n).map(|_| None).collect();
     let mut rates = vec![0.0_f64; n * n];
@@ -329,7 +305,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
         call.links.extend_from_slice(path);
         call.is_primary = call.attempt == 0;
         call.booked_from_dst = 0;
-        Some((config.hop_delay, Event::Forward { call: id, hop: 0 }))
+        Some((hop_delay, Event::Forward { call: id, hop: 0 }))
     };
 
     while let Some((now, event)) = queue.pop() {
@@ -347,7 +323,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 if now + gap < end {
                     queue.schedule(now + gap, Event::Arrival { pair: pair as u32 });
                 }
-                let measured = now >= config.warmup;
+                let measured = now >= run.warmup;
                 if measured {
                     offered += 1;
                 }
@@ -398,10 +374,10 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                 if admission.admits(&network, link, tier, 1) {
                     if hop + 1 == call.links.len() {
                         // Reached the destination: book backwards.
-                        queue.schedule(now + config.hop_delay, Event::Return { call: id, hop: 0 });
+                        queue.schedule(now + hop_delay, Event::Return { call: id, hop: 0 });
                     } else {
                         queue.schedule(
-                            now + config.hop_delay,
+                            now + hop_delay,
                             Event::Forward {
                                 call: id,
                                 hop: hop as u32 + 1,
@@ -410,7 +386,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                     }
                 } else {
                     // Failure notice travels back over `hop` links.
-                    let back = config.hop_delay * (hop as f64 + 1.0);
+                    let back = hop_delay * (hop as f64 + 1.0);
                     queue.schedule(now + back, Event::NextAttempt { call: id });
                 }
             }
@@ -444,7 +420,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                         queue.schedule(now + call.hold, Event::Departure { call: id });
                     } else {
                         queue.schedule(
-                            now + config.hop_delay,
+                            now + hop_delay,
                             Event::Return {
                                 call: id,
                                 hop: hop as u32 + 1,
@@ -461,7 +437,7 @@ fn run_with<A: AdmissionPolicy, R: Recorder>(
                     call.booked_from_dst = 0;
                     // Notice travels back to the origin over the remaining
                     // hops of the return direction.
-                    let back = config.hop_delay * (links_len - hop) as f64;
+                    let back = hop_delay * (links_len - hop) as f64;
                     queue.schedule(now + back, Event::NextAttempt { call: id });
                 }
             }
@@ -516,6 +492,28 @@ mod tests {
         (plan, traffic)
     }
 
+    /// One seed of `policy` after a warm-up of 10, with no failures.
+    fn run_for(
+        plan: &RoutingPlan,
+        traffic: &TrafficMatrix,
+        policy: PolicyKind,
+        hop_delay: f64,
+        horizon: f64,
+        seed: u64,
+    ) -> SignalingResult {
+        let failures = FailureSchedule::none();
+        let run = RunConfig {
+            plan,
+            policy,
+            traffic,
+            warmup: 10.0,
+            horizon,
+            seed,
+            failures: &failures,
+        };
+        run_recorded(&run, hop_delay, &mut NullRecorder)
+    }
+
     fn run(
         plan: &RoutingPlan,
         traffic: &TrafficMatrix,
@@ -523,19 +521,13 @@ mod tests {
         hop_delay: f64,
         seed: u64,
     ) -> SignalingResult {
-        run_signaling(
-            plan,
-            traffic,
-            &FailureSchedule::none(),
-            &SignalingConfig {
-                hop_delay,
-                policy,
-                warmup: 10.0,
-                horizon: 80.0,
-                seed,
-            },
-        )
+        run_for(plan, traffic, policy, hop_delay, 80.0, seed)
     }
+
+    const DELAYED: SignalingConfig = SignalingConfig {
+        hop_delay: 0.01,
+        policy: CONTROLLED,
+    };
 
     #[test]
     fn zero_delay_matches_idealised_engine() {
@@ -640,12 +632,11 @@ mod tests {
     #[test]
     fn replications_summary_matches_individual_runs() {
         let (plan, traffic) = quadrangle_plan(90.0);
-        let config = SignalingConfig {
-            hop_delay: 0.01,
-            policy: CONTROLLED,
+        let params = SimParams {
             warmup: 10.0,
             horizon: 80.0,
-            seed: 100,
+            seeds: 4,
+            base_seed: 100,
         };
         let fanout = Fanout {
             workers: 3,
@@ -655,22 +646,14 @@ mod tests {
             &plan,
             &traffic,
             &FailureSchedule::none(),
-            &config,
-            4,
+            &DELAYED,
+            &params,
             &fanout,
         );
         assert_eq!(per_seed.len(), 4);
         assert!(telemetry.is_none(), "no window, no telemetry");
         for (i, r) in per_seed.iter().enumerate() {
-            let solo = run_signaling(
-                &plan,
-                &traffic,
-                &FailureSchedule::none(),
-                &SignalingConfig {
-                    seed: 100 + i as u64,
-                    ..config
-                },
-            );
+            let solo = run(&plan, &traffic, CONTROLLED, 0.01, 100 + i as u64);
             assert_eq!(*r, solo, "seed {i} must not depend on the pool");
             assert!((summary.per_seed()[i] - solo.blocking()).abs() < 1e-12);
         }
@@ -679,12 +662,11 @@ mod tests {
     #[test]
     fn recorder_is_a_pure_observer() {
         let (plan, traffic) = quadrangle_plan(90.0);
-        let config = SignalingConfig {
-            hop_delay: 0.01,
-            policy: CONTROLLED,
+        let params = SimParams {
             warmup: 10.0,
             horizon: 80.0,
-            seed: 7,
+            seeds: 1,
+            base_seed: 7,
         };
         let fanout = Fanout {
             window: Some(10.0),
@@ -694,13 +676,13 @@ mod tests {
             &plan,
             &traffic,
             &FailureSchedule::none(),
-            &config,
-            1,
+            &DELAYED,
+            &params,
             &fanout,
         );
         let recorded = per_seed[0].clone();
         let telemetry = telemetry.expect("a window records telemetry");
-        let plain = run_signaling(&plan, &traffic, &FailureSchedule::none(), &config);
+        let plain = run(&plan, &traffic, CONTROLLED, 0.01, 7);
         assert_eq!(recorded, plain);
         // The recorder sees resolutions, not arrivals, so calls still in
         // flight when the horizon closes are offered-counted but never
@@ -721,20 +703,7 @@ mod tests {
         // of calls offered: ten times the horizon offers ten times the
         // calls but needs no more slots.
         let (plan, traffic) = quadrangle_plan(40.0);
-        let run_for = |horizon| {
-            run_signaling(
-                &plan,
-                &traffic,
-                &FailureSchedule::none(),
-                &SignalingConfig {
-                    hop_delay: 0.01,
-                    policy: CONTROLLED,
-                    warmup: 10.0,
-                    horizon,
-                    seed: 4,
-                },
-            )
-        };
+        let run_for = |horizon| run_for(&plan, &traffic, CONTROLLED, 0.01, horizon, 4);
         let (short, long) = (run_for(40.0), run_for(400.0));
         assert!(long.offered > 9 * short.offered);
         assert!(short.call_table_high_water < 1000, "{short:?}");
@@ -752,12 +721,15 @@ mod tests {
         let config = SignalingConfig {
             hop_delay: 0.01,
             policy,
+        };
+        let params = SimParams {
             warmup: 1.0,
             horizon: 20.0,
-            seed: 1,
+            seeds: 2,
+            base_seed: 1,
         };
         let fanout = Fanout::default();
-        replicate_signaling(&plan, &traffic, failures, &config, 2, &fanout)
+        replicate_signaling(&plan, &traffic, failures, &config, &params, &fanout)
             .1
             .mean()
     }

@@ -107,31 +107,77 @@ EOF
   # Config files are outside input too: 200,000 nested arrays are a parse
   # error rather than a stack overflow, integers are checked rather than
   # cast (4294967301 would wrap to capacity 5), "nodes" has the same cap
-  # as --nodes, and topologies the builders would panic on (zero
-  # capacity, a duplicate link) are refused.
+  # as --nodes and "capacity" a cap of its own (4294967295 circuits asked
+  # for a 32 GiB table), and topologies the builders would panic on (zero
+  # capacity, a duplicate link, one node) are refused. So is every value
+  # a run would panic on: no seeds, negative durations, a zero hop bound,
+  # negative loads, and a base seed with no room for the seeds. The
+  # simulate family shares one config loader, so each command must print
+  # the same line.
   head -c 200000 /dev/zero | tr '\0' '[' > "$tmpdir/deep.json"
-  config_topology() {
-    printf '{"topology": %s, "traffic": {"uniform": 1.0}, "policies": ["controlled"], "max_hops": 3}\n' "$1"
+  local quad='{"builtin": "quadrangle"}' unit='{"uniform": 1.0}'
+  config() { # <topology> <traffic> [members after "policies"]
+    printf '{"topology": %s, "traffic": %s, "policies": ["controlled"], %s}\n' \
+      "$1" "$2" "${3:-\"max_hops\": 3}"
   }
-  config_topology '{"full_mesh": {"nodes": 4, "capacity": 4294967301}}' > "$tmpdir/capacity.json"
-  config_topology '{"full_mesh": {"nodes": 1001, "capacity": 10}}' > "$tmpdir/mesh_nodes.json"
-  config_topology '{"full_mesh": {"nodes": 4, "capacity": 0}}' > "$tmpdir/zero_capacity.json"
-  config_topology '{"links": {"nodes": 3, "duplex": [[0, 1, 5], [1, 0, 5]]}}' > "$tmpdir/duplicate_link.json"
-  local config expected
-  for config in deep capacity mesh_nodes zero_capacity duplicate_link; do
+  config '{"full_mesh": {"nodes": 4, "capacity": 4294967301}}' "$unit" > "$tmpdir/capacity.json"
+  config '{"full_mesh": {"nodes": 4, "capacity": 4294967295}}' "$unit" > "$tmpdir/capacity_cap.json"
+  config '{"full_mesh": {"nodes": 1001, "capacity": 10}}' "$unit" > "$tmpdir/mesh_nodes.json"
+  config '{"full_mesh": {"nodes": 1, "capacity": 10}}' "$unit" > "$tmpdir/one_node.json"
+  config '{"full_mesh": {"nodes": 4, "capacity": 0}}' "$unit" > "$tmpdir/zero_capacity.json"
+  config '{"links": {"nodes": 3, "duplex": [[0, 1, 5], [1, 0, 5]]}}' "$unit" > "$tmpdir/duplicate_link.json"
+  config "$quad" "$unit" '"max_hops": 3, "seeds": 0' > "$tmpdir/seeds.json"
+  config "$quad" "$unit" '"max_hops": 3, "warmup": -1' > "$tmpdir/warmup.json"
+  config "$quad" "$unit" '"max_hops": 3, "horizon": -1' > "$tmpdir/horizon.json"
+  config "$quad" "$unit" '"max_hops": 0' > "$tmpdir/max_hops.json"
+  config "$quad" '{"uniform": -1.0}' > "$tmpdir/uniform.json"
+  config "$quad" '{"matrix": [[0, 1, 1, 1], [1, 0, -1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}' \
+    > "$tmpdir/matrix.json"
+  config '{"builtin": "nsfnet"}' '{"nsfnet_nominal": {"scale": -1}}' > "$tmpdir/scale.json"
+  config "$quad" "$unit" '"max_hops": 3, "seeds": 2, "base_seed": 18446744073709551615' \
+    > "$tmpdir/base_seed.json"
+  local config expected cmd
+  for config in deep capacity capacity_cap mesh_nodes one_node zero_capacity duplicate_link \
+                seeds warmup horizon max_hops uniform matrix scale base_seed; do
     case "$config" in
-      deep) expected="parsing $tmpdir/deep.json: nesting deeper than 128 levels at byte 128" ;;
-      capacity) expected="parsing $tmpdir/capacity.json: \"capacity\" 4294967301 is out of range" ;;
-      mesh_nodes) expected="parsing $tmpdir/mesh_nodes.json: \"nodes\" 1001 is too large; at most 1000 nodes are allowed" ;;
+      deep) expected="nesting deeper than 128 levels at byte 128" ;;
+      capacity) expected='"capacity" 4294967301 is out of range' ;;
+      capacity_cap) expected='"capacity" 4294967295 is too large; at most 10000 circuits are allowed' ;;
+      mesh_nodes) expected='"nodes" 1001 is too large; at most 1000 nodes are allowed' ;;
+      one_node) expected='"nodes" 1 is too small; a network needs at least 2 nodes' ;;
       zero_capacity) expected='"capacity" must be at least 1' ;;
       duplicate_link) expected='link (1, 0, 5) is a self-loop, a duplicate or has no capacity' ;;
+      seeds) expected='"seeds" must be at least 1' ;;
+      warmup) expected='"warmup" must be finite and >= 0, got -1.0' ;;
+      horizon) expected='"horizon" must be finite and > 0, got -1.0' ;;
+      max_hops) expected='"max_hops" must be at least 1' ;;
+      uniform) expected='"uniform" traffic must be finite and >= 0, got -1.0' ;;
+      matrix) expected='"matrix" entries must be finite and >= 0, got -1.0' ;;
+      scale) expected='"scale" must be finite and >= 0, got -1.0' ;;
+      base_seed) expected='"base_seed" 18446744073709551615 leaves no room for 2 seeds' ;;
     esac
-    status=0
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      simulate "$tmpdir/$config.json" 2> "$tmpdir/config.err" || status=$?
-    [ "$status" -eq 1 ]
-    grep -qxF "error: $expected" "$tmpdir/config.err"
+    # Decoding errors name the file; the two builder errors do not.
+    case "$config" in
+      zero_capacity|duplicate_link) ;;
+      *) expected="parsing $tmpdir/$config.json: $expected" ;;
+    esac
+    for cmd in simulate adaptive multirate signaling; do
+      status=0
+      cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+        "$cmd" "$tmpdir/$config.json" 2> "$tmpdir/config.err" || status=$?
+      [ "$status" -eq 1 ]
+      grep -qxF "error: $expected" "$tmpdir/config.err"
+    done
   done
+  # The daemon's config shares the capacity cap.
+  printf '{"mesh": {"nodes": 4, "capacity": 4294967295}, "max_hops": 2}\n' \
+    > "$tmpdir/daemon_capacity.json"
+  status=0
+  cargo run --release -q -p altrouted --bin altrouted -- \
+    --config "$tmpdir/daemon_capacity.json" < /dev/null 2> "$tmpdir/daemon.err" || status=$?
+  [ "$status" -eq 1 ]
+  grep -qxF 'altrouted: error: mesh.capacity must be positive and at most 10000, got 4294967295' \
+    "$tmpdir/daemon.err"
 }
 
 # Telemetry overhead: recording is a pure observer with a bounded cost.
@@ -184,7 +230,8 @@ EOF
 # Kernel parity: the golden traces must replay byte-identically through
 # the kernel-backed engine, solo and fanned out (the `golden` tests), and
 # a fixed-seed run of every policy combination on every kernel-backed
-# engine must succeed and be bit-stable across two invocations, and the
+# engine must succeed, be bit-stable across two invocations and match
+# its committed transcript (`results/full/altroute_cli_<name>.txt`), and the
 # committed results of all 19 result binaries, the table and JSON
 # transcripts of `metastability` and `controlled`, and the smoke-preset
 # `largemesh --metrics-json` report (per-round eviction counts and
@@ -212,6 +259,8 @@ EOF
       "$@" > "$tmpdir/parity_$name.b"
     cmp "$tmpdir/parity_$name.a" "$tmpdir/parity_$name.b"
     grep -q '0\.' "$tmpdir/parity_$name.a" # a blocking probability rendered
+    # ...and identical to the committed transcript, across commits.
+    cmp "$tmpdir/parity_$name.a" "results/full/altroute_cli_$name.txt"
   }
   parity simulate  simulate  "$tmpdir/parity.json"
   parity ottk      simulate  "$tmpdir/parity.json" --policy ott-krishnan

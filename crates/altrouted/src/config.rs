@@ -118,7 +118,7 @@ impl DaemonConfig {
 /// mesh's own link numbering.
 pub fn mesh_plane(nodes: usize, capacity: u32, max_hops: u32) -> ControlPlane {
     let topo = topologies::full_mesh(nodes, capacity);
-    ControlPlane::from_primaries(&topo, &PrimaryAssignment::min_hop(&topo), max_hops)
+    ControlPlane::from_primaries(&topo, PrimaryAssignment::min_hop(&topo), max_hops)
 }
 
 #[cfg(test)]
@@ -136,7 +136,7 @@ mod tests {
                  "window": 2.0, "recompute_every": 3, "alpha": 0.5, "mean_holding": 1.5 }"#,
         )
         .expect("valid config");
-        assert_eq!(cfg.plane.nodes, 4);
+        assert_eq!(cfg.plane.primaries.num_nodes(), 4);
         assert_eq!(cfg.plane.capacities.len(), 12, "K_4 has 12 directed links");
         assert!(cfg.plane.capacities.iter().all(|&c| c == 20));
         assert_eq!(cfg.tuning.window, 2.0);
@@ -146,13 +146,18 @@ mod tests {
         // On a full mesh every off-diagonal pair's primary is one link,
         // and the incidence covers every link exactly once.
         let mut seen = vec![0u32; cfg.plane.capacities.len()];
-        for (idx, links) in cfg.plane.pair_links.iter().enumerate() {
-            let (i, j) = (idx / 4, idx % 4);
-            if i == j {
-                assert!(links.is_empty());
-            } else {
-                assert_eq!(links.len(), 1);
-                seen[links[0]] += 1;
+        for i in 0..4 {
+            for j in 0..4 {
+                let split: Vec<_> = cfg.plane.primaries.split(i, j).collect();
+                if i == j {
+                    assert!(split.is_empty());
+                } else {
+                    let [(links, f)] = split[..] else {
+                        panic!("pair ({i}, {j}) needs exactly one primary")
+                    };
+                    assert_eq!((links.len(), f), (1, 1.0));
+                    seen[links[0]] += 1;
+                }
             }
         }
         assert!(seen.iter().all(|&c| c == 1));

@@ -3,9 +3,10 @@
 //! [`Controller`] is the whole control law with the I/O stripped away.
 //! It consumes validated [`FeedEvent`]s (or, on the in-process path,
 //! per-window arrival counts straight from a simulating selector),
-//! maintains the [`LoadEstimator`], and at every `recompute_every`-th
-//! completed window re-solves Eq. 15 over all links from the estimated
-//! `Λ^k`. When the re-solve changes any level it emits a
+//! folds them into its windowed per-pair load estimator, and at every
+//! `recompute_every`-th completed window sums the estimates onto links
+//! through the [`ControlPlane`]'s primary table (Eq. 1) and re-solves
+//! Eq. 15 over all links. When the re-solve changes any level it emits a
 //! [`LevelsUpdate`] — the unit the daemon writes to its update stream,
 //! pushes into an [`AdmissionPolicy::set_levels`] hook, and publishes to
 //! `/status`.
@@ -16,24 +17,27 @@
 //!
 //! [`AdmissionPolicy::set_levels`]: LevelsUpdate
 
+mod estimator;
+
 use altroute_core::primary::PrimaryAssignment;
 use altroute_netgraph::Topology;
-use altroute_telemetry::feed::{FeedEvent, LoadEstimator};
-use altroute_teletraffic::estimate::{offered_link_loads, protection_levels_for};
+use altroute_telemetry::feed::FeedEvent;
+use altroute_teletraffic::estimate::protection_levels_for;
+use estimator::LoadEstimator;
 
-/// The static description of what the controller controls: the demand
-/// pairs, each pair's primary-path links (the Eq.-15 incidence), and the
-/// per-link capacities and design parameter `H`.
+/// The static description of what the controller controls: the primary
+/// table (which links each ordered pair's arrivals load, and with what
+/// split fraction — the Eq.-1 incidence), and the per-link capacities
+/// and design parameter `H`.
 ///
-/// Pair indexing is dense row-major `src * nodes + dst`; pairs with no
-/// primary (the diagonal, or disconnected pairs) have an empty link
-/// list and their arrivals contribute to no link.
+/// Pairs are indexed row-major, `src * nodes + dst`, with the table's
+/// node count; pairs with no primary (the diagonal, or disconnected
+/// pairs) load no link.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
-    /// Number of nodes (feed arrivals must have `src, dst < nodes`).
-    pub nodes: usize,
-    /// `nodes * nodes` entries: link ids of each pair's primary path.
-    pub pair_links: Vec<Vec<usize>>,
+    /// Each ordered pair's primary paths and split fractions; its node
+    /// count bounds the feed's node ids.
+    pub primaries: PrimaryAssignment,
     /// Per-link capacities `C^k`.
     pub capacities: Vec<u32>,
     /// The paper's `H`: the worst alternate-path hop count Eq. 15
@@ -42,55 +46,26 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// The control plane of `topo` routed on `primaries`: each ordered
-    /// pair's primary links, the topology's link numbering and
-    /// capacities, and the design parameter `H = max_hops`.
+    /// The control plane of `topo` routed on `primaries`: the table, the
+    /// topology's link numbering and capacities, and the design
+    /// parameter `H = max_hops`. A pair that splits its primary loads
+    /// each path by its fraction, as the offline plan does.
     ///
     /// # Panics
     ///
-    /// Panics if a pair splits its primary over several paths — the
-    /// Eq.-15 incidence needs one primary path per pair.
-    pub fn from_primaries(topo: &Topology, primaries: &PrimaryAssignment, max_hops: u32) -> Self {
-        let nodes = primaries.num_nodes();
-        let pair_links = (0..nodes * nodes)
-            .map(|idx| {
-                let (i, j) = (idx / nodes, idx % nodes);
-                let mut split = primaries.split(i, j);
-                assert!(
-                    split.len() <= 1,
-                    "pair ({i}, {j}) splits its primary over {} paths; the controller needs one",
-                    split.len()
-                );
-                split.next().map_or_else(Vec::new, |(p, _)| p.to_vec())
-            })
-            .collect();
+    /// Panics if `primaries` is for another node count or `max_hops` is 0.
+    pub fn from_primaries(topo: &Topology, primaries: PrimaryAssignment, max_hops: u32) -> Self {
+        assert_eq!(
+            primaries.num_nodes(),
+            topo.num_nodes(),
+            "primary table size mismatch"
+        );
+        assert!(max_hops > 0, "H must be positive");
         Self {
-            nodes,
-            pair_links,
+            primaries,
             capacities: topo.links().iter().map(|l| l.capacity).collect(),
             max_hops,
         }
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pair_links` is not `nodes * nodes` long or any link id
-    /// is out of range.
-    pub fn validate(&self) {
-        assert_eq!(
-            self.pair_links.len(),
-            self.nodes * self.nodes,
-            "one primary link list per ordered pair"
-        );
-        let links = self.capacities.len();
-        for pl in &self.pair_links {
-            for &k in pl {
-                assert!(k < links, "primary link id {k} out of range (< {links})");
-            }
-        }
-        assert!(self.max_hops > 0, "H must be positive");
     }
 }
 
@@ -147,9 +122,8 @@ pub enum Reject {
     NodeOutOfRange,
     /// The record's time precedes an already-accepted record.
     TimeRegressed,
-    /// The record's window index `time / window` reaches
-    /// [`LoadEstimator::WINDOW_LIMIT`] (2⁵³), where consecutive window
-    /// boundaries are no longer distinct `f64`s.
+    /// The record's window index `time / window` reaches 2⁵³, where
+    /// consecutive window boundaries are no longer distinct `f64`s.
     TimeOutOfRange,
 }
 
@@ -185,17 +159,16 @@ impl Controller {
     ///
     /// # Panics
     ///
-    /// Panics on an inconsistent `plane` ([`ControlPlane::validate`])
-    /// or out-of-domain `tuning` (non-positive window, zero cadence,
-    /// EWMA weight outside `(0, 1]`, non-positive holding time).
+    /// Panics on out-of-domain `tuning` (non-positive window, zero
+    /// cadence, EWMA weight outside `(0, 1]`, non-positive holding time).
     pub fn new(plane: ControlPlane, tuning: ControllerTuning) -> Self {
-        plane.validate();
         assert!(tuning.recompute_every > 0, "recompute cadence must be >= 1");
         assert!(
             tuning.mean_holding > 0.0 && tuning.mean_holding.is_finite(),
             "mean holding time must be positive"
         );
-        let estimator = LoadEstimator::new(plane.nodes * plane.nodes, tuning.window, tuning.alpha);
+        let nodes = plane.primaries.num_nodes();
+        let estimator = LoadEstimator::new(nodes * nodes, tuning.window, tuning.alpha);
         let links = plane.capacities.len();
         Self {
             plane,
@@ -270,7 +243,7 @@ impl Controller {
         }
         match ev {
             FeedEvent::Arrival { time, src, dst } => {
-                let n = self.plane.nodes;
+                let n = self.plane.primaries.num_nodes();
                 if src >= n || dst >= n || src == dst {
                     return Err(Reject::NodeOutOfRange);
                 }
@@ -343,22 +316,18 @@ impl Controller {
         self.solve(end)
     }
 
-    /// Maps the current rate estimates to `Λ^k` and re-solves Eq. 15.
+    /// Sums the current rate estimates, in Erlangs, onto links (Eq. 1)
+    /// and re-solves Eq. 15.
     fn solve(&mut self, at: f64) -> Option<LevelsUpdate> {
         self.solves += 1;
-        let erlangs: Vec<f64> = self
-            .estimator
-            .rates()
-            .iter()
-            .map(|r| r * self.tuning.mean_holding)
-            .collect();
-        let loads = offered_link_loads(
-            &self.plane.pair_links,
-            &erlangs,
-            self.plane.capacities.len(),
-        );
-        let levels = protection_levels_for(&loads, &self.plane.capacities, self.plane.max_hops);
-        self.loads = loads;
+        let holding = self.tuning.mean_holding;
+        let erlangs = self.estimator.rates().iter().map(|r| r * holding);
+        self.loads = self
+            .plane
+            .primaries
+            .link_loads_from(self.plane.capacities.len(), erlangs.enumerate());
+        let levels =
+            protection_levels_for(&self.loads, &self.plane.capacities, self.plane.max_hops);
         let changed = levels
             .iter()
             .zip(&self.levels)
@@ -397,7 +366,7 @@ impl Controller {
                 "\"solves\":{},\"updates\":{},\"last_time\":{},",
                 "\"feed_done\":{},\"levels\":[{}]}}"
             ),
-            self.plane.nodes,
+            self.plane.primaries.num_nodes(),
             self.plane.capacities.len(),
             self.arrivals,
             parse_errors,
@@ -419,12 +388,8 @@ mod tests {
     /// Two nodes, one duplex pair of links; pair (0,1) -> link 0,
     /// pair (1,0) -> link 1.
     fn tiny_plane(capacity: u32) -> ControlPlane {
-        ControlPlane {
-            nodes: 2,
-            pair_links: vec![vec![], vec![0], vec![1], vec![]],
-            capacities: vec![capacity, capacity],
-            max_hops: 2,
-        }
+        let topo = altroute_netgraph::topologies::line(2, capacity);
+        ControlPlane::from_primaries(&topo, PrimaryAssignment::min_hop(&topo), 2)
     }
 
     fn arrivals(

@@ -187,13 +187,13 @@ pub fn run_feed<I: BufRead, W: Write>(
         match parsed {
             Ok(FeedLine::Blank) => {}
             Ok(FeedLine::Header(h)) => {
-                if h.nodes != controller.plane().nodes {
+                if h.nodes != controller.plane().primaries.num_nodes() {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
                             "feed is for a {}-node network, controller is configured for {}",
                             h.nodes,
-                            controller.plane().nodes
+                            controller.plane().primaries.num_nodes()
                         ),
                     ));
                 }

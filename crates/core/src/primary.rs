@@ -92,10 +92,9 @@ impl PrimaryAssignment {
         &self.links[self.link_ends[k] as usize..self.link_ends[k + 1] as usize]
     }
 
-    /// The paths of an ordered pair, as an index range.
-    fn paths(&self, src: usize, dst: usize) -> std::ops::Range<usize> {
-        let idx = src * self.n + dst;
-        self.pairs[idx].path as usize..self.pairs[idx + 1].path as usize
+    /// The paths of a pair (row-major index), as an index range.
+    fn paths(&self, pair: usize) -> std::ops::Range<usize> {
+        self.pairs[pair].path as usize..self.pairs[pair + 1].path as usize
     }
 
     /// The paper's default: the unique minimum-hop primary per pair
@@ -172,7 +171,7 @@ impl PrimaryAssignment {
         src: usize,
         dst: usize,
     ) -> impl ExactSizeIterator<Item = (&[LinkId], f64)> + '_ {
-        self.paths(src, dst)
+        self.paths(src * self.n + dst)
             .map(|k| (self.path(k), self.fractions[k]))
     }
 
@@ -212,18 +211,45 @@ impl PrimaryAssignment {
         }
     }
 
-    /// The expected per-link loads `Λ^k` induced by this assignment
-    /// (Eq. 1, generalised to bifurcated flows).
+    /// The expected per-link loads `Λ^k` that `traffic` induces on this
+    /// assignment (Eq. 1, generalised to bifurcated flows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair with demand has no primary path.
     pub fn link_loads(&self, topo: &Topology, traffic: &TrafficMatrix) -> Vec<f64> {
-        let mut loads = vec![0.0; topo.num_links()];
-        for (i, j, t) in traffic.demands() {
+        let demands = traffic.demands().map(|(i, j, t)| {
+            let pair = i * self.n + j;
             assert!(
-                !self.paths(i, j).is_empty(),
+                !self.paths(pair).is_empty(),
                 "pair ({i}, {j}) has demand but no primary path"
             );
-            for (links, f) in self.split(i, j) {
-                for &l in links {
-                    loads[l] += t * f;
+            (pair, t)
+        });
+        self.link_loads_from(topo.num_links(), demands)
+    }
+
+    /// Eq. 1 over per-pair offered loads, the one `Λ^k` sum of the plan
+    /// and the online controller: each `(pair, erlangs)` of `offered`
+    /// (pairs row-major, `src * n + dst`) adds `erlangs · f` to every link
+    /// of each of the pair's primary paths, `f` being the path's split
+    /// fraction; a pair without a primary adds nothing. Loads add up in
+    /// the order given, and a min-hop table's fractions are exactly 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair index or one of its links is out of range.
+    pub fn link_loads_from(
+        &self,
+        num_links: usize,
+        offered: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Vec<f64> {
+        let mut loads = vec![0.0; num_links];
+        for (pair, erlangs) in offered {
+            for k in self.paths(pair) {
+                let load = erlangs * self.fractions[k];
+                for &l in self.path(k) {
+                    loads[l] += load;
                 }
             }
         }

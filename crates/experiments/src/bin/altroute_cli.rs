@@ -142,7 +142,7 @@ use altroute_experiments::{
     ArmResult, FeedConfig, Heartbeat, LargeMeshConfig, MetastabilityConfig, Series, Table,
 };
 use altroute_json::{obj, Value};
-use altroute_netgraph::graph::MAX_NODES;
+use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
 use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig};
 use altroute_sim::experiment::{Fanout, ProgressObserver, SimParams};
 use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
@@ -152,6 +152,7 @@ use altroute_simcore::pool::default_workers;
 use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry, TimeGrid};
 use altroute_teletraffic::erlang::{carried_traffic, dimension_link, erlang_b};
 use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
+use std::borrow::Borrow;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -183,37 +184,53 @@ fn check_window_count(width: f64, end: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes the per-policy telemetry exports plus the combined
-/// `telemetry.json` under `dir`.
-fn write_telemetry_files(
+/// One arm's additions to the standard telemetry files: text appended
+/// to its `.prom`, and further `(file name, contents)` to write.
+type ArmExtras = (String, Vec<(String, Vec<u8>)>);
+
+/// Writes the telemetry exports under `dir`: for each `(name, snapshot)`
+/// arm `<name>.prom`, `<name>_blocking.csv` and `<name>_links.csv`, plus
+/// what `extras` gives for that arm (by index), then the combined
+/// `telemetry.json`; reports the file count on stderr.
+fn write_telemetry_files<T: Borrow<RunTelemetry>>(
     dir: &str,
     label: &str,
-    snapshots: &[(String, RunTelemetry)],
+    snapshots: &[(String, T)],
+    extras: impl Fn(usize) -> ArmExtras,
 ) -> Result<(), String> {
     let dir = Path::new(dir);
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let write = |file: String, contents: String| -> Result<(), String> {
+    let mut files = 0;
+    let mut write = |file: String, contents: &[u8]| -> Result<(), String> {
         let p = dir.join(file);
-        std::fs::write(&p, contents).map_err(|e| format!("writing {}: {e}", p.display()))
+        std::fs::write(&p, contents).map_err(|e| format!("writing {}: {e}", p.display()))?;
+        files += 1;
+        Ok(())
     };
-    for (name, t) in snapshots {
-        write(format!("{name}.prom"), export::prometheus(t))?;
-        write(format!("{name}_blocking.csv"), export::blocking_csv(t))?;
-        write(format!("{name}_links.csv"), export::link_utilization_csv(t))?;
+    for (i, (name, t)) in snapshots.iter().enumerate() {
+        let t = t.borrow();
+        let (prom_tail, more) = extras(i);
+        let prom = export::prometheus(t) + &prom_tail;
+        write(format!("{name}.prom"), prom.as_bytes())?;
+        write(
+            format!("{name}_blocking.csv"),
+            export::blocking_csv(t).as_bytes(),
+        )?;
+        write(
+            format!("{name}_links.csv"),
+            export::link_utilization_csv(t).as_bytes(),
+        )?;
+        for (file, contents) in more {
+            write(file, &contents)?;
+        }
     }
     let entries: Vec<(String, &RunTelemetry)> = snapshots
         .iter()
-        .map(|(name, t)| (name.clone(), t))
+        .map(|(name, t)| (name.clone(), t.borrow()))
         .collect();
-    write(
-        "telemetry.json".to_string(),
-        telemetry_document(label, &entries).to_string_pretty(),
-    )?;
-    eprintln!(
-        "telemetry: wrote {} files under {}",
-        3 * snapshots.len() + 1,
-        dir.display()
-    );
+    let document = telemetry_document(label, &entries).to_string_pretty();
+    write("telemetry.json".to_string(), document.as_bytes())?;
+    eprintln!("telemetry: wrote {files} files under {}", dir.display());
     Ok(())
 }
 
@@ -319,58 +336,33 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
         check_window_count(w, cfg.horizon)?;
         cfg.window = w;
     }
-    let server = flags.bind_server(&format!("metastability:{preset}"))?;
+    let label = format!("metastability:{preset}");
+    let server = flags.bind_server(&label)?;
     let report = run_metastability(&cfg, server.as_ref());
 
     if let Some(dir) = &flags.telemetry {
-        let dir = Path::new(dir);
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        let write = |file: String, contents: String| -> Result<(), String> {
-            let p = dir.join(file);
-            std::fs::write(&p, contents).map_err(|e| format!("writing {}: {e}", p.display()))
-        };
-        let mut files = 1; // telemetry.json
-        for arm in &report.arms {
-            let name = arm.name;
-            let mut prom = export::prometheus(&arm.telemetry);
-            prom.push_str(&export::mode_prometheus(&arm.modes));
-            write(format!("{name}.prom"), prom)?;
-            write(
-                format!("{name}_blocking.csv"),
-                export::blocking_csv(&arm.telemetry),
-            )?;
-            write(
-                format!("{name}_links.csv"),
-                export::link_utilization_csv(&arm.telemetry),
-            )?;
-            write(
-                format!("{name}_modes.csv"),
-                export::mode_switches_csv(&arm.modes),
-            )?;
-            files += 4;
-            if let Some(f) = &arm.flight {
-                let p = dir.join(format!("{name}_flight.trace"));
-                std::fs::write(&p, &f.bytes)
-                    .map_err(|e| format!("writing {}: {e}", p.display()))?;
-                files += 1;
-                eprintln!(
-                    "flight recorder: {name} froze on {} (seed {}) -> {}",
-                    f.reason,
-                    f.seed,
-                    p.display()
-                );
-            }
-        }
-        let entries: Vec<(String, &RunTelemetry)> = report
+        let snapshots: Vec<(String, &RunTelemetry)> = report
             .arms
             .iter()
             .map(|arm| (arm.name.to_string(), &arm.telemetry))
             .collect();
-        write(
-            "telemetry.json".to_string(),
-            telemetry_document(&format!("metastability:{preset}"), &entries).to_string_pretty(),
-        )?;
-        eprintln!("telemetry: wrote {files} files under {}", dir.display());
+        write_telemetry_files(dir, &label, &snapshots, |i| {
+            let arm = &report.arms[i];
+            let modes = export::mode_switches_csv(&arm.modes).into_bytes();
+            let mut files = vec![(format!("{}_modes.csv", arm.name), modes)];
+            if let Some(f) = &arm.flight {
+                let file = format!("{}_flight.trace", arm.name);
+                eprintln!(
+                    "flight recorder: {} froze on {} (seed {}) -> {}",
+                    arm.name,
+                    f.reason,
+                    f.seed,
+                    Path::new(dir).join(&file).display()
+                );
+                files.push((file, f.bytes.clone()));
+            }
+            (export::mode_prometheus(&arm.modes), files)
+        })?;
     }
 
     if flags.metrics_json {
@@ -390,7 +382,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
             })
             .collect();
         let doc = concat_objects([
-            hysteresis_json(&format!("metastability:{preset}"), &cfg),
+            hysteresis_json(&label, &cfg),
             obj! {
                 "mode_gap_unreserved" => report.mode_gap(false),
                 "mode_gap_reserved" => report.mode_gap(true),
@@ -637,7 +629,7 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
         results.push(r);
     }
     if let Some(dir) = &flags.telemetry {
-        write_telemetry_files(dir, path, &snapshots)?;
+        write_telemetry_files(dir, path, &snapshots, |_| ArmExtras::default())?;
     }
     if flags.metrics_json {
         let doc = metrics_document(
@@ -771,7 +763,7 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
         vec![policy_json],
     );
     if let Some(dir) = &flags.telemetry {
-        write_telemetry_files(dir, path, &snapshots)?;
+        write_telemetry_files(dir, path, &snapshots, |_| ArmExtras::default())?;
     }
     if let Some(server) = server {
         let done = per_seed.len();
@@ -860,7 +852,7 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
         policy_docs,
     );
     if let Some(dir) = &flags.telemetry {
-        write_telemetry_files(dir, path, &snapshots)?;
+        write_telemetry_files(dir, path, &snapshots, |_| ArmExtras::default())?;
     }
     Ok(())
 }
@@ -939,7 +931,7 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
         policy_docs,
     );
     if let Some(dir) = &flags.telemetry {
-        write_telemetry_files(dir, path, &snapshots)?;
+        write_telemetry_files(dir, path, &snapshots, |_| ArmExtras::default())?;
     }
     Ok(())
 }
@@ -1271,6 +1263,27 @@ fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
         .map_err(|_| format!("{what} must be a non-negative integer, got '{s}'"))
 }
 
+/// An offered load in Erlangs: finite and non-negative.
+fn parse_load(s: &str) -> Result<f64, String> {
+    let load = parse_f64(s, "load")?;
+    if !(load.is_finite() && load >= 0.0) {
+        return Err(format!("load must be finite and >= 0, got '{s}'"));
+    }
+    Ok(load)
+}
+
+/// A link capacity, at most [`MAX_CAPACITY`] circuits: Erlang B and
+/// Eq. 15 take time, and Eq. 15 memory, linear in it.
+fn parse_capacity(s: &str) -> Result<u32, String> {
+    let c = parse_u32(s, "capacity")?;
+    if c > MAX_CAPACITY {
+        return Err(format!(
+            "capacity {c} is too large; at most {MAX_CAPACITY} circuits are allowed"
+        ));
+    }
+    Ok(c)
+}
+
 /// Parses a thread-count-style flag value: a positive integer. Zero is
 /// rejected here, at argument parsing, with a message naming the
 /// fallback — the worker pool's own `workers > 0` assertion is an
@@ -1498,8 +1511,8 @@ fn run() -> Result<(), String> {
     match pos.as_slice() {
         ["erlang", load, cap] => {
             flags.allow_only("erlang", &[])?;
-            let load = parse_f64(load, "load")?;
-            let cap = parse_u32(cap, "capacity")?;
+            let load = parse_load(load)?;
+            let cap = parse_capacity(cap)?;
             println!("B({load}, {cap})   = {:.6}", erlang_b(load, cap));
             println!("carried      = {:.3} Erlangs", carried_traffic(load, cap));
             println!(
@@ -1510,8 +1523,11 @@ fn run() -> Result<(), String> {
         }
         ["dimension", load, target] => {
             flags.allow_only("dimension", &[])?;
-            let load = parse_f64(load, "load")?;
+            let load = parse_load(load)?;
             let target = parse_f64(target, "target blocking")?;
+            if !(target > 0.0 && target <= 1.0) {
+                return Err(format!("target blocking must be in (0, 1], got '{target}'"));
+            }
             match dimension_link(load, target, 1_000_000) {
                 Some(c) => {
                     println!("capacity {c} circuits (B = {:.6})", erlang_b(load, c));
@@ -1522,9 +1538,12 @@ fn run() -> Result<(), String> {
         }
         ["protect", load, cap, h] => {
             flags.allow_only("protect", &[])?;
-            let load = parse_f64(load, "load")?;
-            let cap = parse_u32(cap, "capacity")?;
+            let load = parse_load(load)?;
+            let cap = parse_capacity(cap)?;
             let h = parse_u32(h, "H")?;
+            if cap == 0 || h == 0 {
+                return Err("protect needs a capacity and an H of at least 1".into());
+            }
             let r = protection_level(load, cap, h);
             println!("r = {r}");
             if load > 0.0 {

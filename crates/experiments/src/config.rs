@@ -19,6 +19,13 @@ use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::{Experiment, SimParams};
 use altroute_sim::failures::FailureSchedule;
 
+/// The most calls a config may offer one replication: the traffic's
+/// total Erlangs times the run length (warm-up plus horizon), holds
+/// having unit mean. The shipped configs offer at most about 10⁵; at
+/// roughly ten million kernel events a second, 10⁹ calls already take
+/// minutes per replication.
+pub const MAX_OFFERED_CALLS: f64 = 1e9;
+
 #[derive(Debug, PartialEq)]
 enum TopologySpec {
     /// A named built-in: "nsfnet" | "quadrangle".
@@ -323,10 +330,18 @@ impl Config {
     }
 
     /// Builds the experiment: topology, traffic, and the failure schedule
-    /// installed.
+    /// installed. Refuses a config offering a replication more than
+    /// [`MAX_OFFERED_CALLS`] calls.
     pub fn experiment(&self) -> Result<Experiment, String> {
         let topo = build_topology(&self.topology)?;
         let traffic = build_traffic(&self.traffic, topo.num_nodes())?;
+        let offered = traffic.total() * (self.params.warmup + self.params.horizon);
+        if offered > MAX_OFFERED_CALLS {
+            return Err(format!(
+                "the config offers {offered:.3e} calls per replication; \
+                 at most {MAX_OFFERED_CALLS:e} are allowed"
+            ));
+        }
         let exp = Experiment::new(topo, traffic).map_err(|e| e.to_string())?;
         let link = |s: usize, d: usize, what: &str| {
             exp.topology()
@@ -496,5 +511,27 @@ mod tests {
         let exp = config.experiment().expect("builds");
         assert_eq!(exp.topology().num_nodes(), 12);
         assert!(exp.failures().is_empty());
+    }
+
+    #[test]
+    fn configs_offering_too_many_calls_are_refused() {
+        let quadrangle = |members: &str| {
+            let text = format!(
+                r#"{{"topology": {{"builtin": "quadrangle"}}, "policies": [], "max_hops": 3, {members}}}"#
+            );
+            Config::from_json(&altroute_json::parse(&text).unwrap())
+                .expect("decodes")
+                .experiment()
+                .map(|_| ())
+        };
+        assert_eq!(
+            quadrangle(r#""traffic": {"uniform": 1e300}"#),
+            Err(
+                "the config offers 1.320e303 calls per replication; at most 1e9 are allowed".into()
+            )
+        );
+        assert!(quadrangle(r#""traffic": {"uniform": 1.0}, "horizon": 1e300"#).is_err());
+        // 12 pairs x 7e5 Erlangs x 110 time units: 9.24e8 calls.
+        assert!(quadrangle(r#""traffic": {"uniform": 7e5}"#).is_ok());
     }
 }

@@ -7,9 +7,10 @@
 //! `altroute_json::parse`, `Config::from_json` and the topology/traffic
 //! build, and through `DaemonConfig::from_json`. Every accepted simulate
 //! config must also meet the run's preconditions, so running it cannot
-//! panic on its parameters.
+//! panic on its parameters, and offer a replication at most
+//! `MAX_OFFERED_CALLS` calls, so running it ends.
 
-use altroute_experiments::config::Config;
+use altroute_experiments::config::{Config, MAX_OFFERED_CALLS};
 use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
 use altrouted::config::DaemonConfig;
 use proptest::prelude::*;
@@ -160,6 +161,11 @@ fn check(text: &str) -> Result<(), TestCaseError> {
             "seeds overflow: {text}"
         );
         if let Ok(exp) = config.experiment() {
+            let offered = exp.traffic().total() * (p.warmup + p.horizon);
+            prop_assert!(
+                offered <= MAX_OFFERED_CALLS,
+                "offers {offered:e} calls: {text}"
+            );
             let topo = exp.topology();
             prop_assert!((2..=MAX_NODES).contains(&topo.num_nodes()), "{text}");
             prop_assert!(

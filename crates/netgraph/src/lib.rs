@@ -25,8 +25,7 @@
 //!   deterministic random mesh) and an ISP-scale tier (power-law-degree
 //!   meshes, grid/ring composites, SRLG-style correlated outage groups).
 //! * [`traffic`] — traffic matrices (Erlangs per ordered node pair),
-//!   generators, linear scaling for load sweeps, and the per-link primary
-//!   traffic demand `Λ^k` of the paper's Eq. 1.
+//!   generators and linear scaling for load sweeps.
 //! * [`estimate`] — non-negative least-squares reconstruction of a traffic
 //!   matrix from published per-link primary loads (used to recover the
 //!   paper's unpublished NSFNet matrix from Table 1).

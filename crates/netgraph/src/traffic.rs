@@ -1,14 +1,10 @@
-//! Traffic matrices and per-link primary loads.
+//! Traffic matrices.
 //!
 //! A [`TrafficMatrix`] holds the offered traffic `T(i, j)` in Erlangs for
 //! every ordered node pair — the paper's `𝒯`. Load sweeps linearly scale a
 //! nominal matrix ([`TrafficMatrix::scaled`]), exactly as §4.2.2 scales the
-//! NSFNet nominal load. [`primary_loads`] computes the per-link primary
-//! traffic demand `Λ^k` of Eq. 1: the sum of `T(i, j)` over all pairs whose
-//! primary path traverses link `k`.
-
-use crate::graph::Topology;
-use crate::paths::Path;
+//! NSFNet nominal load. The per-link primary loads `Λ^k` of Eq. 1 need a
+//! primary assignment, so `altroute_core::primary` sums them.
 
 /// Offered traffic in Erlangs per ordered node pair.
 ///
@@ -154,43 +150,6 @@ impl TrafficMatrix {
     }
 }
 
-/// The per-link primary traffic demand `Λ^k` of the paper's Eq. 1:
-/// `Λ^k = Σ_{(i,j): k ∈ P*(i,j)} T(i, j)`.
-///
-/// `primaries` is indexed row-major (`i * n + j`) as produced by
-/// [`crate::paths::min_hop_primaries`]; pairs with positive demand but no
-/// primary path are a caller error.
-///
-/// # Panics
-///
-/// Panics if a pair with positive demand has no primary path, or the
-/// matrix size does not match the topology.
-pub fn primary_loads(
-    topo: &Topology,
-    traffic: &TrafficMatrix,
-    primaries: &[Option<Path>],
-) -> Vec<f64> {
-    let n = topo.num_nodes();
-    assert_eq!(traffic.num_nodes(), n, "traffic matrix size mismatch");
-    assert_eq!(primaries.len(), n * n, "primary table size mismatch");
-    let mut loads = vec![0.0; topo.num_links()];
-    for (i, j, t) in traffic.demands() {
-        let path = primaries[i * n + j]
-            .as_ref()
-            .unwrap_or_else(|| panic!("pair ({i}, {j}) has demand but no primary path"));
-        for &l in path.links() {
-            loads[l] += t;
-        }
-    }
-    loads
-}
-
-/// Convenience: `Λ^k` under the minimum-hop primary assignment.
-pub fn min_hop_primary_loads(topo: &Topology, traffic: &TrafficMatrix) -> Vec<f64> {
-    let primaries = crate::paths::min_hop_primaries(topo);
-    primary_loads(topo, traffic, &primaries)
-}
-
 /// Pretty-prints a matrix (fixed-width, one row per origin) — handy for
 /// the experiment binaries' output.
 pub fn format_matrix(m: &TrafficMatrix) -> String {
@@ -208,8 +167,6 @@ pub fn format_matrix(m: &TrafficMatrix) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::min_hop_primaries;
-    use crate::topologies;
 
     #[test]
     fn uniform_and_total() {
@@ -256,62 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn primary_loads_on_k4_uniform() {
-        // In K4 every pair routes on its direct link, so every directed
-        // link carries exactly the per-pair demand.
-        let t = topologies::full_mesh(4, 100);
-        let m = TrafficMatrix::uniform(4, 9.0);
-        let loads = min_hop_primary_loads(&t, &m);
-        assert_eq!(loads.len(), 12);
-        for l in loads {
-            assert!((l - 9.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn primary_loads_on_line() {
-        // 0-1-2: the middle links carry the transit pair too.
-        let t = topologies::line(3, 10);
-        let m = TrafficMatrix::uniform(3, 1.0);
-        let loads = min_hop_primary_loads(&t, &m);
-        let l01 = t.link_between(0, 1).unwrap();
-        let l12 = t.link_between(1, 2).unwrap();
-        // Link 0->1 carries (0,1) and (0,2); link 1->2 carries (1,2), (0,2).
-        assert!((loads[l01] - 2.0).abs() < 1e-12);
-        assert!((loads[l12] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eq1_conservation_of_demand_hops() {
-        // Σ_k Λ^k == Σ_{ij} T(i,j) · hops(P*(i,j)).
-        let topo = topologies::nsfnet(100);
-        let m = TrafficMatrix::uniform(12, 2.0);
-        let primaries = min_hop_primaries(&topo);
-        let loads = primary_loads(&topo, &m, &primaries);
-        let lhs: f64 = loads.iter().sum();
-        let rhs: f64 = m
-            .demands()
-            .map(|(i, j, t)| t * primaries[i * 12 + j].as_ref().unwrap().hops() as f64)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "diagonal demand")]
     fn diagonal_set_panics() {
         let mut m = TrafficMatrix::zero(3);
         m.set(1, 1, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "demand but no primary path")]
-    fn missing_primary_panics() {
-        let mut topo = Topology::new();
-        topo.add_nodes(3);
-        topo.add_link(0, 1, 5);
-        let mut m = TrafficMatrix::zero(3);
-        m.set(1, 0, 1.0);
-        let primaries = min_hop_primaries(&topo);
-        primary_loads(&topo, &m, &primaries);
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests of the graph substrate on randomized meshes.
 
 use altroute_netgraph::cuts::{cut_load, erlang_bound};
-use altroute_netgraph::paths::{dijkstra, loop_free_paths, min_hop_path, min_hop_primaries};
+use altroute_netgraph::paths::{dijkstra, loop_free_paths, min_hop_path};
 use altroute_netgraph::topologies::{power_law_mesh, random_mesh, srlg_groups};
-use altroute_netgraph::traffic::{min_hop_primary_loads, TrafficMatrix};
+use altroute_netgraph::traffic::TrafficMatrix;
 use proptest::prelude::*;
 
 /// Strategy: a connected random mesh of 4–10 nodes.
@@ -116,26 +116,6 @@ proptest! {
         let d = dijkstra(&topo, src, dst, |_| 1.0).unwrap();
         let b = min_hop_path(&topo, src, dst).unwrap();
         prop_assert_eq!(d.hops(), b.hops());
-    }
-
-    /// Eq. 1 conservation: total link load equals demand-weighted primary
-    /// hop count; loads scale linearly with traffic.
-    #[test]
-    fn primary_loads_conservation_and_linearity(topo in mesh(), per_pair in 0.1f64..20.0) {
-        let n = topo.num_nodes();
-        let m = TrafficMatrix::uniform(n, per_pair);
-        let primaries = min_hop_primaries(&topo);
-        let loads = min_hop_primary_loads(&topo, &m);
-        let total: f64 = loads.iter().sum();
-        let expect: f64 = m
-            .demands()
-            .map(|(i, j, t)| t * primaries[i * n + j].as_ref().unwrap().hops() as f64)
-            .sum();
-        prop_assert!((total - expect).abs() < 1e-6 * expect.max(1.0));
-        let doubled = min_hop_primary_loads(&topo, &m.scaled(2.0));
-        for (a, b) in loads.iter().zip(&doubled) {
-            prop_assert!((2.0 * a - b).abs() < 1e-9);
-        }
     }
 
     /// Complementary cuts have mirrored loads, and the Erlang bound is a

@@ -8,7 +8,8 @@
 //! resident control law of [`altrouted`]: the offered set-ups of each
 //! ordered pair are counted, each pair's rate folds into an
 //! exponentially weighted moving average, the per-pair estimates are
-//! summed onto the links of each pair's primary path, and every
+//! summed onto the links of each pair's primary paths (weighted by their
+//! split fractions, as the plan's oracle loads are), and every
 //! protection level is recomputed from the estimate via Eq. 15.
 //!
 //! Estimation counts *offered* set-ups (a set-up packet carries the full
@@ -110,7 +111,7 @@ pub struct ControlledSelector<S> {
 impl<S> ControlledSelector<S> {
     /// Wraps `inner` with `controller`.
     pub fn new(inner: S, controller: Controller) -> Self {
-        let nodes = controller.plane().nodes;
+        let nodes = controller.plane().primaries.num_nodes();
         Self {
             inner,
             controller,
@@ -147,7 +148,7 @@ impl<'p, S: RouteSelector<'p>> RouteSelector<'p> for ControlledSelector<S> {
     fn observe_arrival(&mut self, src: usize, dst: usize, pick: f64) {
         // Count the set-up whatever the routing outcome: the estimate is
         // of offered load.
-        self.counts[src * self.controller.plane().nodes + dst] += 1;
+        self.counts[src * self.controller.plane().primaries.num_nodes() + dst] += 1;
         self.inner.observe_arrival(src, dst, pick);
     }
 
@@ -173,10 +174,9 @@ impl<'p, S: RouteSelector<'p>> RouteSelector<'p> for ControlledSelector<S> {
 ///
 /// # Panics
 ///
-/// Panics on inconsistent sizes, a non-positive update interval, a plan
-/// whose primary for some pair is split over several paths (see
-/// [`ControlPlane::from_primaries`]), if `params.seeds == 0`,
-/// `fanout.workers == 0`, or a telemetry window is not positive.
+/// Panics on inconsistent sizes, a non-positive update interval, if
+/// `params.seeds == 0`, `fanout.workers == 0`, or a telemetry window is
+/// not positive.
 pub fn replicate_adaptive(
     plan: &RoutingPlan,
     traffic: &TrafficMatrix,
@@ -236,8 +236,11 @@ fn adaptive_seed<R: Recorder>(
     plan: &RoutingPlan,
     config: &AdaptiveConfig,
 ) -> AdaptiveSeedResult {
-    let plane =
-        ControlPlane::from_primaries(plan.topology(), plan.primaries(), plan.max_alternate_hops());
+    let plane = ControlPlane::from_primaries(
+        plan.topology(),
+        plan.primaries().clone(),
+        plan.max_alternate_hops(),
+    );
     let mut admission = TrunkReservation::new(match config.initial {
         InitialLevels::Zero => vec![0; plane.capacities.len()],
         InitialLevels::Full => plane.capacities.clone(),

@@ -36,9 +36,10 @@
 //!   exposing `/metrics`, `/healthz`, and `/status` while a run is in
 //!   flight, fed at window boundaries by the [`LiveRecorder`] wrapper.
 //! * [`feed`] — the line-oriented arrival-feed protocol the control
-//!   plane ingests (header + `a <t> <src> <dst>` records) and the
-//!   [`LoadEstimator`] folding accepted arrivals into EWMA-smoothed
-//!   per-pair offered-load estimates on [`TimeGrid`] windows.
+//!   plane ingests (header, `a <t> <src> <dst>` and `end <t>` records),
+//!   classified one line at a time. The windowed load estimator that
+//!   folds the accepted arrivals lives with its one consumer, the
+//!   `altrouted` controller.
 //!
 //! The crate is dependency-free (std only) so any layer of the workspace
 //! can use it without cycles, and recorder callbacks use primitive types
@@ -57,7 +58,7 @@ pub mod series;
 pub mod serve;
 pub mod span;
 
-pub use feed::{FeedEvent, FeedHeader, FeedLine, FeedParseError, LoadEstimator};
+pub use feed::{FeedEvent, FeedHeader, FeedLine, FeedParseError};
 pub use flight::{FlightLatch, FlightTrigger, TriggerReason};
 pub use hist::Histogram;
 pub use mode::{Mode, ModeReport, ModeSwitch, ModeThresholds};

@@ -16,10 +16,8 @@
 //!   the paper's Eq. 15,
 //!   `r^k = min { r : B(Λ^k, C^k) / B(Λ^k, C^k − r) ≤ 1/H }` — see
 //!   [`reservation`];
-//! * the **measured-load bridge** used by the online controller: mapping
-//!   per-pair offered-load estimates onto per-link `Λ^k` via the primary
-//!   incidence and re-solving Eq. 15 over every link at once — see
-//!   [`estimate`];
+//! * the **vectorised Eq.-15 re-solve** the online controller runs over
+//!   every link at once from its estimated `Λ^k` — see [`estimate`];
 //! * per-link **shadow prices** `p(s) = B(Λ, C) / B(Λ, s+1)` for the
 //!   Ott–Krishnan separable routing baseline — see [`shadow`];
 //! * **overflow-traffic moments** (Riordan variance, peakedness)
@@ -70,7 +68,7 @@ pub mod shadow;
 
 pub use birth_death::BirthDeathChain;
 pub use erlang::{erlang_b, erlang_b_derivative, inverse_erlang_b_log_table};
-pub use estimate::{offered_link_loads, protection_levels_for};
+pub use estimate::protection_levels_for;
 pub use loss::{lost_traffic, lost_traffic_derivative};
 pub use reservation::{protection_level, shadow_price_bound};
 pub use shadow::ShadowPriceTable;

@@ -5,9 +5,10 @@
 //! Run with: `cargo run --release --example capacity_planning`
 
 use altroute::core::policy::PolicyKind;
+use altroute::core::primary::PrimaryAssignment;
 use altroute::netgraph::graph::Topology;
 use altroute::netgraph::topologies;
-use altroute::netgraph::traffic::{min_hop_primary_loads, TrafficMatrix};
+use altroute::netgraph::traffic::TrafficMatrix;
 use altroute::sim::experiment::{Experiment, SimParams};
 use altroute::teletraffic::erlang::{dimension_link, erlang_b};
 
@@ -19,7 +20,7 @@ fn main() {
 
     // Dimension each link for <= 1% blocking of its own primary load.
     let target = 0.01;
-    let loads = min_hop_primary_loads(&template, &traffic);
+    let loads = PrimaryAssignment::min_hop(&template).link_loads(&template, &traffic);
     let mut planned = Topology::new();
     for i in 0..template.num_nodes() {
         planned.add_node(template.node_name(i));

@@ -111,7 +111,8 @@ EOF
   # for a 32 GiB table), and topologies the builders would panic on (zero
   # capacity, a duplicate link, one node) are refused. So is every value
   # a run would panic on: no seeds, negative durations, a zero hop bound,
-  # negative loads, and a base seed with no room for the seeds. The
+  # negative loads, and a base seed with no room for the seeds, and so is
+  # a run that would not end (1e300 Erlangs offer 1.3e303 calls). The
   # simulate family shares one config loader, so each command must print
   # the same line.
   head -c 200000 /dev/zero | tr '\0' '[' > "$tmpdir/deep.json"
@@ -136,9 +137,10 @@ EOF
   config '{"builtin": "nsfnet"}' '{"nsfnet_nominal": {"scale": -1}}' > "$tmpdir/scale.json"
   config "$quad" "$unit" '"max_hops": 3, "seeds": 2, "base_seed": 18446744073709551615' \
     > "$tmpdir/base_seed.json"
+  config "$quad" '{"uniform": 1e300}' > "$tmpdir/work.json"
   local config expected cmd
   for config in deep capacity capacity_cap mesh_nodes one_node zero_capacity duplicate_link \
-                seeds warmup horizon max_hops uniform matrix scale base_seed; do
+                seeds warmup horizon max_hops uniform matrix scale base_seed work; do
     case "$config" in
       deep) expected="nesting deeper than 128 levels at byte 128" ;;
       capacity) expected='"capacity" 4294967301 is out of range' ;;
@@ -155,10 +157,11 @@ EOF
       matrix) expected='"matrix" entries must be finite and >= 0, got -1.0' ;;
       scale) expected='"scale" must be finite and >= 0, got -1.0' ;;
       base_seed) expected='"base_seed" 18446744073709551615 leaves no room for 2 seeds' ;;
+      work) expected='the config offers 1.320e303 calls per replication; at most 1e9 are allowed' ;;
     esac
-    # Decoding errors name the file; the two builder errors do not.
+    # Decoding errors name the file; the three builder errors do not.
     case "$config" in
-      zero_capacity|duplicate_link) ;;
+      zero_capacity|duplicate_link|work) ;;
       *) expected="parsing $tmpdir/$config.json: $expected" ;;
     esac
     for cmd in simulate adaptive multirate signaling; do

@@ -76,7 +76,11 @@ pub struct FeedSummary {
 /// Format (space-separated, levels comma-separated):
 /// `levels at=<t> window=<w> changed=<n> max_load=<Λ> r=<r0>,<r1>,...`
 pub fn render_update(update: &LevelsUpdate) -> String {
-    let mut line = format!(
+    // The header fits in 96 bytes and a level with its comma in 4 unless
+    // it has four or more digits: one allocation per line.
+    let mut line = String::with_capacity(96 + 4 * update.levels.len());
+    let _ = write!(
+        line,
         "levels at={} window={} changed={} max_load={} r=",
         update.at, update.window, update.changed, update.max_load
     );

@@ -28,6 +28,7 @@ use altroute_netgraph::graph::{LinkId, Topology};
 use altroute_netgraph::paths::Path;
 use altroute_netgraph::store::PathStore;
 use altroute_netgraph::traffic::TrafficMatrix;
+use altroute_teletraffic::estimate::protection_levels_for;
 use altroute_teletraffic::reservation::protection_level;
 use altroute_teletraffic::shadow::ShadowPriceTable;
 
@@ -123,11 +124,8 @@ impl RoutingPlan {
             "primary assignment size mismatch"
         );
         let loads = primaries.link_loads(&topo, traffic);
-        let protection = loads
-            .iter()
-            .zip(topo.links())
-            .map(|(&a, l)| protection_level(a, l.capacity, max_alternate_hops))
-            .collect();
+        let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
+        let protection = protection_levels_for(&loads, &capacities, max_alternate_hops);
         let shadows = loads
             .iter()
             .zip(topo.links())

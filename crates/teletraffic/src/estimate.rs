@@ -5,24 +5,27 @@
 //! estimates `Λ^k` from an arrival stream (summed onto links by the primary
 //! table in `altroute_core::primary`) and re-solves Eq. 15 over all links
 //! each time the estimate moves. [`protection_levels_for`] is that
-//! re-solve: deterministic and allocation-predictable, so the control loop
-//! can be golden-tested end to end.
+//! re-solve: deterministic, one linear-space pass per link (no `exp` or
+//! `ln`; see [`crate::reservation`]) and one scratch table per call, so
+//! the control loop can be golden-tested end to end and re-solves a
+//! 992-link mesh in tens of microseconds.
 
-use crate::reservation::protection_level;
+use crate::reservation::LevelSolver;
 
 /// Re-solves Eq. 15 for every link: `levels[k] = r^k(loads[k],
-/// capacities[k], H)`.
+/// capacities[k], H)`, each equal to
+/// [`protection_level`](crate::reservation::protection_level)'s.
 ///
 /// Zero-capacity links get level 0 (nothing to protect — such links
 /// carry no calls at all), rather than inheriting
-/// [`protection_level`]'s panic; a measured-load controller must not
-/// die on a degenerate link.
+/// [`protection_level`](crate::reservation::protection_level)'s panic; a
+/// measured-load controller must not die on a degenerate link.
 ///
 /// # Panics
 ///
 /// Panics if `loads` and `capacities` disagree in length, or on the
-/// [`protection_level`] domain violations (negative/non-finite load,
-/// `max_alternate_hops == 0`).
+/// [`protection_level`](crate::reservation::protection_level) domain
+/// violations (negative/non-finite load, `max_alternate_hops == 0`).
 pub fn protection_levels_for(
     loads: &[f64],
     capacities: &[u32],
@@ -33,6 +36,7 @@ pub fn protection_levels_for(
         capacities.len(),
         "one capacity per estimated link load"
     );
+    let mut solver = LevelSolver::new();
     loads
         .iter()
         .zip(capacities)
@@ -40,7 +44,7 @@ pub fn protection_levels_for(
             if c == 0 {
                 0
             } else {
-                protection_level(lambda, c, max_alternate_hops)
+                solver.level(lambda, c, max_alternate_hops)
             }
         })
         .collect()
@@ -49,6 +53,7 @@ pub fn protection_levels_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reservation::protection_level;
 
     #[test]
     fn zero_loads_give_zero_levels() {

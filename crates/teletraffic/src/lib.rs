@@ -14,10 +14,12 @@
 //!   Theorem 1 — see [`birth_death`];
 //! * the **state-protection (trunk-reservation) level solver** implementing
 //!   the paper's Eq. 15,
-//!   `r^k = min { r : B(Λ^k, C^k) / B(Λ^k, C^k − r) ≤ 1/H }` — see
-//!   [`reservation`];
+//!   `r^k = min { r : B(Λ^k, C^k) / B(Λ^k, C^k − r) ≤ 1/H }`, as one
+//!   linear-space pass over `1/B(Λ, k)` per link that leaves only
+//!   near-ties to a log-space comparison — see [`reservation`];
 //! * the **vectorised Eq.-15 re-solve** the online controller runs over
-//!   every link at once from its estimated `Λ^k` — see [`estimate`];
+//!   every link at once from its estimated `Λ^k`, with one scratch table
+//!   for all links — see [`estimate`];
 //! * per-link **shadow prices** `p(s) = B(Λ, C) / B(Λ, s+1)` for the
 //!   Ott–Krishnan separable routing baseline — see [`shadow`];
 //! * **overflow-traffic moments** (Riordan variance, peakedness)

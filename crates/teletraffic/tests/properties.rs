@@ -1,5 +1,6 @@
 //! Property-based tests of the analytic kernels.
 
+use altroute_netgraph::graph::MAX_CAPACITY;
 use altroute_teletraffic::birth_death::BirthDeathChain;
 use altroute_teletraffic::erlang::{
     carried_traffic, dimension_link, erlang_b, erlang_b_with_derivative, inverse_erlang_b_log_table,
@@ -7,7 +8,7 @@ use altroute_teletraffic::erlang::{
 use altroute_teletraffic::kaufman_roberts::{kaufman_roberts_blocking, TrafficClass};
 use altroute_teletraffic::loss::{lost_traffic, lost_traffic_with_derivative};
 use altroute_teletraffic::overflow::overflow_moments;
-use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
+use altroute_teletraffic::reservation::{protection_level, shadow_price_bound, LevelSolver};
 use altroute_teletraffic::shadow::ShadowPriceTable;
 use proptest::prelude::*;
 
@@ -191,6 +192,141 @@ proptest! {
             let cap = 1.0 / erlang_b(nu, s as u32 + 1);
             prop_assert!(x <= cap * (1.0 + 1e-9), "s={s}: {x} > {cap}");
             prop_assert!(x >= 1.0 - 1e-12);
+        }
+    }
+}
+
+/// The Eq.-15 level by a scan of the log-space table `ln(1/B(Λ, k))`:
+/// the solver the linear-space pass replaced, kept here as its oracle.
+fn log_space_oracle(load: f64, c: u32, h: u32) -> u32 {
+    if load == 0.0 {
+        return 0;
+    }
+    let log_y = inverse_erlang_b_log_table(load, c);
+    let log_h = f64::from(h).ln();
+    let target = log_y[c as usize] - log_h;
+    if log_y[c as usize] < log_h {
+        return c;
+    }
+    let (mut lo, mut hi) = (0u32, c);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if log_y[(c - mid) as usize] <= target {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// A capacity log-uniform over `1..=MAX_CAPACITY`.
+fn capacity_from(u: f64) -> u32 {
+    (f64::from(MAX_CAPACITY).powf(u).round() as u32).clamp(1, MAX_CAPACITY)
+}
+
+/// The adjacent loads `lo < hi` at which the oracle's level changes,
+/// bisected from `lo` and `hi` with different levels.
+fn level_boundary(mut lo: f64, mut hi: f64, c: u32, h: u32) -> (f64, f64) {
+    let r_lo = log_space_oracle(lo, c, h);
+    assert_ne!(r_lo, log_space_oracle(hi, c, h));
+    loop {
+        let mid = lo + (hi - lo) / 2.0;
+        if mid <= lo || mid >= hi {
+            return (lo, hi);
+        }
+        if log_space_oracle(mid, c, h) == r_lo {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+}
+
+/// `x` moved by `steps` ulps (x > 0).
+fn ulps(x: f64, steps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + steps) as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The linear-space solver returns the log-space oracle's level for
+    /// zero, tiny (`1/B(Λ, C)` overflows at large C), moderate and
+    /// overwhelming loads.
+    #[test]
+    fn protection_level_equals_log_space_oracle(
+        cu in 0.0f64..=1.0,
+        h in 1u32..=64,
+        kind in 0u32..4,
+        x in 0.0f64..1.0,
+    ) {
+        let c = capacity_from(cu);
+        let load = match kind {
+            0 => 0.0,
+            1 => 10f64.powf(-2.0 - 10.0 * x),
+            2 => f64::from(c) * (0.05 + 1.5 * x),
+            _ => f64::from(c) * 10f64.powf(1.0 + 17.0 * x),
+        };
+        prop_assert_eq!(
+            protection_level(load, c, h),
+            log_space_oracle(load, c, h),
+            "load={} c={} h={}", load, c, h
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Within a few ulp of a level boundary, where the linear pass cannot
+    /// certify its decision and defers to the log-space comparison, the
+    /// levels still agree.
+    #[test]
+    fn protection_level_equals_oracle_at_level_boundaries(
+        cu in 0.0f64..=1.0,
+        h in 2u32..=64,
+        x in 0.0f64..1.0,
+    ) {
+        let c = capacity_from(cu);
+        let (lo, hi) = (f64::from(c) * (0.05 + 0.9 * x), f64::from(c) * 4.0);
+        prop_assume!(log_space_oracle(lo, c, h) != log_space_oracle(hi, c, h));
+        let (below, above) = level_boundary(lo, hi, c, h);
+        let mut solver = LevelSolver::new();
+        for load in [below, above] {
+            for steps in -3..=3 {
+                let load = ulps(load, steps);
+                prop_assert_eq!(
+                    solver.level(load, c, h),
+                    log_space_oracle(load, c, h),
+                    "load={} c={} h={}", load, c, h
+                );
+            }
+        }
+    }
+}
+
+/// Tiny loads make `1/B(Λ, k)` overflow `f64` somewhere in the table
+/// (at `C = 100` below about 0.031 Erlangs); the solver still agrees with
+/// the oracle on both sides of that edge, up to the largest capacity
+/// inputs may name.
+#[test]
+fn tiny_loads_match_the_oracle() {
+    let mut solver = LevelSolver::new();
+    let edge = (0..40).map(|i| 0.02 + 0.0005 * f64::from(i));
+    let loads: Vec<f64> = [1e-310, 1e-25, 1e-12, 1e-5, 1e-2]
+        .into_iter()
+        .chain(edge)
+        .collect();
+    for c in [1, 2, 24, 99, 100, 101, 600, 1_000, MAX_CAPACITY] {
+        for &load in &loads {
+            for h in [1, 2, 11, 64] {
+                assert_eq!(
+                    solver.level(load, c, h),
+                    log_space_oracle(load, c, h),
+                    "load={load} c={c} h={h}"
+                );
+            }
         }
     }
 }

@@ -472,13 +472,30 @@ stage_perfbench_build() {
 
 # Perf A/B smoke: scripts/perf_ab.sh must build the committed HEAD,
 # run every workload once against itself for one second and end with
-# `failed 0`. The verdicts of a 1 s self-comparison are noise and are
-# not gated.
+# `failed 0`, with one complete `json` line per workload and end-to-end
+# metric. The verdicts of a 1 s self-comparison are noise and are not
+# gated.
 stage_perf_ab_smoke() {
   scripts/perf_ab.sh --pairs 1 --seconds 1 --dir "$tmpdir/perf_ab" HEAD HEAD \
     > "$tmpdir/perf_ab.txt"
   cat "$tmpdir/perf_ab.txt"
   grep -q '^failed 0$' "$tmpdir/perf_ab.txt"
+  # One `json` line per workload x end-to-end metric, each with every
+  # field.
+  local want field
+  want=$(( $(grep -c '"why"' BENCHMARK.json) * $(grep -c '"bound"' BENCHMARK.json) ))
+  grep '^json ' "$tmpdir/perf_ab.txt" > "$tmpdir/perf_ab.json"
+  if [ "$(sed 's/"base".*//' "$tmpdir/perf_ab.json" | sort -u | wc -l)" -ne "$want" ] \
+    || [ "$(wc -l < "$tmpdir/perf_ab.json")" -ne "$want" ]; then
+    echo "perf-ab-smoke: want one json line per workload and metric ($want)" >&2
+    return 1
+  fi
+  for field in workload metric base head ln_ratio ci_low ci_high wins n sep verdict; do
+    if [ "$(grep -c "\"$field\": " "$tmpdir/perf_ab.json")" -ne "$want" ]; then
+      echo "perf-ab-smoke: a json line lacks \"$field\"" >&2
+      return 1
+    fi
+  done
 }
 
 # Every selectable stage, in the order `all` runs them. The dispatch,

@@ -28,10 +28,23 @@
 #                 range apart (sep > 1)
 #   within bound  anything else
 #
+# After each table row comes one machine-readable line, `json {...}`,
+# with the row's fields: workload, metric, base, head (the medians),
+# ln_ratio (the median log-ratio), ci_low, ci_high, wins, n, sep and
+# verdict; a value the row shows as n/a (or sep's inf) is null.
+#
 # The last line is `failed F`: the failed operations summed over every
 # run, plus one for each run that exits with an error or ends without a
 # correct JSON line. The script exits 1 if F > 0; the verdicts never set
 # the exit status.
+#
+# Layout noise: fig3_quadrangle and fig6_nsfnet move 4-6 % with code
+# layout alone. Two builds whose hot functions (`kernel::run_pooled`,
+# `TieredSelector::select`, `PrimaryAssignment::choose`, `is_primary`)
+# have identical `nm -S` sizes and whose traced per-layer times agree
+# have shown `wall_s` at +6.5 % and +4.3 % on those two workloads. A
+# verdict there under about 7 % cannot tell a code change from a shift
+# in link order: read such rows against that band, not against zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -142,7 +155,7 @@ for w in "${wl[@]}"; do
   while read -r m better bound; do
     for i in $(seq 1 "$pairs"); do
       echo "$(value "$runs/$w.base.$i" "$m") $(value "$runs/$w.head.$i" "$m")"
-    done | awk -v m="$m" -v better="$better" -v bound="$bound" '
+    done | awk -v w="$w" -v m="$m" -v better="$better" -v bound="$bound" '
       function sort(a, n,   i, j, t) {
         for (i = 2; i <= n; i++) {
           t = a[i]
@@ -154,12 +167,21 @@ for w in "${wl[@]}"; do
         h = (n - 1) * p + 1; lo = int(h)
         return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
       }
+      function num(x) { return sprintf("%.6g", x) }
+      function json(base, head, med, lo, hi, sep, verdict) {
+        printf "json {\"workload\": \"%s\", \"metric\": \"%s\", \"base\": %s, \"head\": %s, \"ln_ratio\": %s, \"ci_low\": %s, \"ci_high\": %s, \"wins\": %d, \"n\": %d, \"sep\": %s, \"verdict\": \"%s\"}\n",
+          w, m, base, head, med, lo, hi, wins, n, sep, verdict
+      }
       NF == 2 && $1 > 0 && $2 > 0 {
         n++; b[n] = $1; h[n] = $2; r[n] = log($2 / $1)
         if ((better == "lower") ? $2 < $1 : $2 > $1) wins++
       }
       END {
-        if (n == 0) { printf "%-16s %s\n", m, "n/a (no positive values)"; exit }
+        if (n == 0) {
+          printf "%-16s %s\n", m, "n/a (no positive values)"
+          json("null", "null", "null", "null", "null", "null", "n/a")
+          exit
+        }
         sort(b, n); sort(h, n); sort(r, n)
         # Largest k with 2*P(Bin(n, 1/2) <= k - 1) <= 0.05.
         k = 0; cdf = 0; term = 0.5 ^ n
@@ -188,6 +210,9 @@ for w in "${wl[@]}"; do
         else verdict = "within bound"
         printf "%-16s %14.6g %14.6g %+9.4f %21s %3d/%-3d %s  %s\n",
           m, quantile(b, n, 0.5), quantile(h, n, 0.5), med, ci, wins, n, sep, verdict
+        json(num(quantile(b, n, 0.5)), num(quantile(h, n, 0.5)), num(med),
+          k > 0 ? num(lo) : "null", k > 0 ? num(hi) : "null",
+          (n < 2 || (iqr <= 0 && gap > 0)) ? "null" : num(iqr > 0 ? gap / iqr : 0), verdict)
       }'
   done <<< "$metrics"
 done

@@ -112,6 +112,54 @@ pub struct LevelsUpdate {
     pub max_load: f64,
 }
 
+/// Appends `levels` to `out` in decimal, comma-separated: the bytes a
+/// `write!(out, "{r}")` per level gives, without `fmt`'s per-call cost.
+/// The update line and `/status` both list the levels this way.
+pub(crate) fn push_levels(out: &mut String, levels: &[u32]) {
+    for &r in levels {
+        push_decimal(out, r);
+        out.push(',');
+    }
+    if !levels.is_empty() {
+        out.pop(); // the last comma
+    }
+}
+
+/// `"00"` to `"99"` back to back: the digits of `n < 100` start at `2n`.
+const DIGIT_PAIRS: &str = concat!(
+    "00010203040506070809",
+    "10111213141516171819",
+    "20212223242526272829",
+    "30313233343536373839",
+    "40414243444546474849",
+    "50515253545556575859",
+    "60616263646566676869",
+    "70717273747576777879",
+    "80818283848586878889",
+    "90919293949596979899",
+);
+
+/// Appends `n` in decimal. A level is at most `C`, usually one or two
+/// digits, which take a straight path; longer ones fill a digit buffer
+/// from the right.
+fn push_decimal(out: &mut String, n: u32) {
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+    } else if n < 100 {
+        let at = 2 * n as usize;
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    } else {
+        let mut digits = [0u8; 10]; // `u32::MAX` has 10
+        let (mut n, mut at) = (n, digits.len());
+        while n > 0 {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    }
+}
+
 /// Why the controller refused a structurally valid feed record. The
 /// daemon counts these and keeps going (skip-and-count), exactly like
 /// parse errors.
@@ -351,14 +399,8 @@ impl Controller {
     /// document (no surrounding braces; see
     /// [`ServeStatus::extra`](altroute_telemetry::ServeStatus)).
     pub fn status_extra(&self, parse_errors: u64, rejected: u64) -> String {
-        use std::fmt::Write as _;
-        let mut levels = String::new();
-        for (i, r) in self.levels.iter().enumerate() {
-            if i > 0 {
-                levels.push(',');
-            }
-            let _ = write!(levels, "{r}");
-        }
+        let mut levels = String::with_capacity(4 * self.levels.len());
+        push_levels(&mut levels, &self.levels);
         format!(
             concat!(
                 "\"controller\":{{\"nodes\":{},\"links\":{},\"arrivals\":{},",
@@ -670,5 +712,18 @@ mod tests {
         assert_eq!(ctl.get("parse_errors").unwrap().as_u64(), Some(2));
         assert_eq!(ctl.get("updates").unwrap().as_u64(), Some(1));
         assert!(ctl.get("levels").unwrap().as_array().unwrap().len() == 2);
+    }
+
+    #[test]
+    fn levels_render_as_fmt_does() {
+        let mut all: Vec<u32> = (0..=altroute_netgraph::graph::MAX_CAPACITY).collect();
+        all.extend([99_999, 100_000, 4_294_967_295]);
+        let mut out = String::new();
+        push_levels(&mut out, &all);
+        let want: Vec<String> = all.iter().map(|r| format!("{r}")).collect();
+        assert_eq!(out, want.join(","));
+        out.clear();
+        push_levels(&mut out, &[]);
+        assert!(out.is_empty());
     }
 }

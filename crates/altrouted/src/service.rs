@@ -13,7 +13,7 @@
 //! recorded feed it is byte-reproducible, so CI replays a fixture feed
 //! twice and `cmp`s the outputs.
 
-use crate::control::{Controller, LevelsUpdate};
+use crate::control::{push_levels, Controller, LevelsUpdate};
 use altroute_telemetry::feed::{parse_line, FeedLine, FeedParseError};
 use altroute_telemetry::serve::MetricsServer;
 use std::fmt::Write as _;
@@ -84,12 +84,7 @@ pub fn render_update(update: &LevelsUpdate) -> String {
         "levels at={} window={} changed={} max_load={} r=",
         update.at, update.window, update.changed, update.max_load
     );
-    for (i, r) in update.levels.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        let _ = write!(line, "{r}");
-    }
+    push_levels(&mut line, &update.levels);
     line.push('\n');
     line
 }

@@ -470,14 +470,48 @@ stage_perfbench_build() {
   done
 }
 
+# check_ledger <file>: a performance ledger (scripts/perf_ab.sh
+# --ledger) must be a non-empty JSON array of entries with a date, an
+# anchor and a head revision, the run's pairs/seconds/seed and at least
+# one row carrying every field of a `json` line; each revision it names
+# (a `<parent>+` head names the parent) must be a commit here.
+check_ledger() {
+  command -v jq > /dev/null || { echo "perf-ab-smoke: jq is required" >&2; return 1; }
+  if ! jq -e '
+      def num_or_null: type == "number" or type == "null";
+      type == "array" and length > 0 and all(.[];
+        (.date | type == "string" and test("^[0-9]{4}-[0-9]{2}-[0-9]{2}$"))
+        and (.anchor | type == "string" and test("^[0-9a-f]{7,40}$"))
+        and (.head | type == "string" and test("^[0-9a-f]{7,40}[+]?$"))
+        and ([.pairs, .seconds, .seed] | all(type == "number"))
+        and (.rows | type == "array" and length > 0 and all(.[];
+          ([.workload, .metric, .verdict] | all(type == "string"))
+          and ([.wins, .n] | all(type == "number"))
+          and ([.base, .head, .ln_ratio, .ci_low, .ci_high, .sep] | all(num_or_null))
+          and (keys | length == 11))))' "$1" > /dev/null; then
+    echo "perf-ab-smoke: $1 does not follow the ledger schema" >&2
+    return 1
+  fi
+  local rev
+  for rev in $(jq -r '.[] | .anchor, .head' "$1" | sed 's/+$//' | sort -u); do
+    if ! git cat-file -e "$rev^{commit}" 2> /dev/null; then
+      echo "perf-ab-smoke: $1 names $rev, which is no commit of this repository" >&2
+      return 1
+    fi
+  done
+}
+
 # Perf A/B smoke: scripts/perf_ab.sh must build the committed HEAD,
 # run every workload once against itself for one second and end with
 # `failed 0`, with one complete `json` line per workload and end-to-end
-# metric. The verdicts of a 1 s self-comparison are noise and are not
-# gated.
+# metric, and append them as one entry to a copy of the committed
+# ledger; both ledgers must pass check_ledger. The verdicts of a 1 s
+# self-comparison are noise and are not gated.
 stage_perf_ab_smoke() {
-  scripts/perf_ab.sh --pairs 1 --seconds 1 --dir "$tmpdir/perf_ab" HEAD HEAD \
-    > "$tmpdir/perf_ab.txt"
+  check_ledger BENCH_trajectory.json
+  cp BENCH_trajectory.json "$tmpdir/ledger.json"
+  scripts/perf_ab.sh --pairs 1 --seconds 1 --dir "$tmpdir/perf_ab" \
+    --ledger "$tmpdir/ledger.json" HEAD HEAD > "$tmpdir/perf_ab.txt"
   cat "$tmpdir/perf_ab.txt"
   grep -q '^failed 0$' "$tmpdir/perf_ab.txt"
   # One `json` line per workload x end-to-end metric, each with every
@@ -496,6 +530,13 @@ stage_perf_ab_smoke() {
       return 1
     fi
   done
+  # The run appended exactly one entry, holding those lines.
+  check_ledger "$tmpdir/ledger.json"
+  if [ "$(jq length "$tmpdir/ledger.json")" -ne $(( $(jq length BENCH_trajectory.json) + 1 )) ] \
+    || [ "$(jq '.[-1].rows | length' "$tmpdir/ledger.json")" -ne "$want" ]; then
+    echo "perf-ab-smoke: --ledger did not append one entry of $want rows" >&2
+    return 1
+  fi
 }
 
 # Every selectable stage, in the order `all` runs them. The dispatch,

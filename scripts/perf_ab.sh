@@ -2,7 +2,8 @@
 # Paired A/B comparison of two revisions on the repository benchmark:
 #
 #   scripts/perf_ab.sh [--pairs N] [--seconds S] [--seed K]
-#                      [--workloads a,b,...] [--dir DIR] BASE HEAD
+#                      [--workloads a,b,...] [--dir DIR]
+#                      [--ledger FILE] BASE HEAD
 #
 # Each revision is exported with `git archive` into its own directory
 # and its perfbench built offline into its own target dir, all under a
@@ -38,6 +39,22 @@
 # correct JSON line. The script exits 1 if F > 0; the verdicts never set
 # the exit status.
 #
+# With --ledger FILE (the performance ledger, BENCH_trajectory.json at
+# the repository root; like DIR, a relative FILE is taken from the
+# repository root), a run with F = 0 also appends one entry to FILE,
+# a JSON array (created if missing) of entries, each row on a line:
+#
+#   {"date": "YYYY-MM-DD", "anchor": BASE, "head": HEAD, "pairs": N,
+#    "seconds": S, "seed": K, "rows": [the json lines' objects]}
+#
+# BASE is the ledger's anchor: every entry's ratios are taken against
+# it within one invocation, so entries compare across hosts and days
+# where raw seconds do not. Revisions are short hashes. A HEAD outside the
+# checkout's history (an uncommitted change measured through `git
+# commit-tree`) is recorded as its parent followed by `+`: the change
+# as committed on top of that parent. `scripts/check.sh perf-ab-smoke`
+# validates the file.
+#
 # Layout noise: fig3_quadrangle and fig6_nsfnet move 4-6 % with code
 # layout alone. Two builds whose hot functions (`kernel::run_pooled`,
 # `TieredSelector::select`, `PrimaryAssignment::choose`, `is_primary`)
@@ -50,11 +67,11 @@ cd "$(dirname "$0")/.."
 
 usage() {
   echo "usage: scripts/perf_ab.sh [--pairs N] [--seconds S] [--seed K]" \
-       "[--workloads a,b,...] [--dir DIR] BASE HEAD" >&2
+       "[--workloads a,b,...] [--dir DIR] [--ledger FILE] BASE HEAD" >&2
   exit 2
 }
 
-pairs=10 seconds="" seed=1 workloads="" dir=""
+pairs=10 seconds="" seed=1 workloads="" dir="" ledger=""
 while [ "$#" -gt 0 ]; do
   case "$1" in
     --pairs)     pairs="${2:?--pairs needs a value}"; shift 2 ;;
@@ -62,6 +79,7 @@ while [ "$#" -gt 0 ]; do
     --seed)      seed="${2:?--seed needs a value}"; shift 2 ;;
     --workloads) workloads="${2:?--workloads needs a value}"; shift 2 ;;
     --dir)       dir="${2:?--dir needs a value}"; shift 2 ;;
+    --ledger)    ledger="${2:?--ledger needs a value}"; shift 2 ;;
     -*)          usage ;;
     *)           break ;;
   esac
@@ -138,6 +156,8 @@ value() {
 }
 
 IFS=, read -r -a wl <<< "$workloads"
+tables="$dir/tables.txt"
+: > "$tables"
 for w in "${wl[@]}"; do
   for i in $(seq 1 "$pairs"); do
     if [ $(( i % 2 )) -eq 1 ]; then
@@ -213,9 +233,36 @@ for w in "${wl[@]}"; do
         json(num(quantile(b, n, 0.5)), num(quantile(h, n, 0.5)), num(med),
           k > 0 ? num(lo) : "null", k > 0 ? num(hi) : "null",
           (n < 2 || (iqr <= 0 && gap > 0)) ? "null" : num(iqr > 0 ? gap / iqr : 0), verdict)
-      }'
+      }' | tee -a "$tables"
   done <<< "$metrics"
 done
 echo
 echo "failed $failed"
 [ "$failed" -eq 0 ]
+
+# ledger_rev <rev>: the short hash, or `<parent>+` for a commit outside
+# the checkout's history.
+ledger_rev() {
+  if git merge-base --is-ancestor "$1" HEAD 2>/dev/null; then
+    git rev-parse --short "$1"
+  else
+    echo "$(git rev-parse --short "$1^")+"
+  fi
+}
+
+if [ -n "$ledger" ]; then
+  entry=$(
+    printf '{"date": "%s", "anchor": "%s", "head": "%s", "pairs": %d, "seconds": %s, "seed": %s, "rows": [\n' \
+      "$(date -u +%Y-%m-%d)" "$(ledger_rev "$1")" "$(ledger_rev "$2")" "$pairs" "$seconds" "$seed"
+    grep '^json ' "$tables" | sed 's/^json /  /; $!s/$/,/'
+    printf ']}'
+  )
+  if [ -s "$ledger" ]; then
+    # Drop the closing `]`, put a comma after the last entry, append.
+    { sed '$d' "$ledger" | sed '$s/$/,/'; printf '%s\n]\n' "$entry"; } > "$ledger.new"
+  else
+    printf '[\n%s\n]\n' "$entry" > "$ledger.new"
+  fi
+  mv "$ledger.new" "$ledger"
+  echo "appended to $ledger"
+fi

@@ -41,7 +41,9 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_core::select::BestOfDSelector;
 use altroute_netgraph::topologies::random_instance;
-use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig, InitialLevels};
+use altroute_sim::adaptive::{
+    replicate_adaptive, ControllerTuning, InitialLevels, ADAPTIVE_TUNING,
+};
 use altroute_sim::engine::{run_seed, Run, RunConfig, SeedResult, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{self, run_multirate, BandwidthClass, MultirateResult};
@@ -366,20 +368,27 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
         // end of the run and zero initial levels, the adaptive engine
         // never protects anything and must reproduce the uncontrolled
         // engine's counters on the same arrival process.
-        let frozen = AdaptiveConfig {
-            update_interval: warmup + horizon + 1.0,
-            ewma_alpha: 0.5,
-            initial: InitialLevels::Zero,
+        let frozen = ControllerTuning {
+            window: warmup + horizon + 1.0,
+            alpha: 0.5,
+            ..ADAPTIVE_TUNING
         };
-        let adaptive = |plan: &RoutingPlan, seed: u64, config: &AdaptiveConfig| {
+        let adaptive = |plan: &RoutingPlan, seed: u64, tuning: &ControllerTuning| {
             let params = SimParams {
                 warmup,
                 horizon,
                 seeds: 1,
                 base_seed: seed,
             };
-            let (per_seed, _, _) =
-                replicate_adaptive(plan, &inst.traffic, &params, &failures, config, &one_worker);
+            let (per_seed, _, _) = replicate_adaptive(
+                plan,
+                &inst.traffic,
+                &params,
+                &failures,
+                tuning,
+                InitialLevels::Zero,
+                &one_worker,
+            );
             per_seed[0].clone()
         };
         let ad_free = adaptive(&plan, inst_seed ^ 0xADA0, &frozen);
@@ -399,7 +408,7 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
         // H = 1: on a hop-one plan the adaptive engine has no alternates
         // to protect, so it must match the single-path engine whatever
         // its levels do.
-        let ad_h1 = adaptive(&plan_h1, inst_seed ^ 0xADA1, &AdaptiveConfig::default());
+        let ad_h1 = adaptive(&plan_h1, inst_seed ^ 0xADA1, &ADAPTIVE_TUNING);
         let eng_single = run(
             &plan_h1,
             PolicyKind::SinglePath,

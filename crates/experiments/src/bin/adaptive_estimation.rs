@@ -9,23 +9,13 @@
 
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, Table};
-use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig, InitialLevels};
+use altroute_experiments::{cli, nsfnet_experiment, Table};
+use altroute_sim::adaptive::{replicate_adaptive, InitialLevels, ADAPTIVE_TUNING};
 use altroute_sim::experiment::{Fanout, SimParams};
 use altroute_sim::failures::FailureSchedule;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams::default());
     let failures = FailureSchedule::none();
     let mut table = Table::new([
         "load",
@@ -42,13 +32,15 @@ fn main() {
             .run(PolicyKind::ControlledAlternate { max_hops: 11 }, &params)
             .blocking_mean();
         let run_adaptive = |initial: InitialLevels| {
-            let config = AdaptiveConfig {
+            let (per_seed, _, _) = replicate_adaptive(
+                &plan,
+                exp.traffic(),
+                &params,
+                &failures,
+                &ADAPTIVE_TUNING,
                 initial,
-                ..Default::default()
-            };
-            let fanout = Fanout::default();
-            let (per_seed, _, _) =
-                replicate_adaptive(&plan, exp.traffic(), &params, &failures, &config, &fanout);
+                &Fanout::default(),
+            );
             let blocked: u64 = per_seed.iter().map(|r| r.blocked).sum();
             let offered: u64 = per_seed.iter().map(|r| r.offered).sum();
             blocked as f64 / offered as f64

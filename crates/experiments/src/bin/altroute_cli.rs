@@ -1,136 +1,36 @@
 //! `altroute_cli` — run teletraffic calculations and routing experiments
 //! from the command line.
 //!
-//! ```text
-//! altroute_cli erlang <load> <capacity>             Erlang-B blocking / carried / lost
-//! altroute_cli dimension <load> <target-blocking>   smallest sufficient capacity
-//! altroute_cli protect <load> <capacity> <H>        Eq. 15 protection level + bound
-//! altroute_cli simulate <config.json> [--policy <name>] [--metrics-json]
-//!                       [--progress] [--telemetry <dir>] [--window <width>]
-//!                       [--serve <addr>]            full experiment from a JSON config
-//! altroute_cli adaptive <config.json> [--metrics-json] [--telemetry <dir>]
-//!                       [--window <width>] [--serve <addr>]
-//!                                                   online-estimation engine
-//! altroute_cli multirate <config.json> [--metrics-json] [--telemetry <dir>]
-//!                       [--window <width>]          two-class multirate engine
-//! altroute_cli signaling <config.json> [--hop-delay <d>] [--metrics-json]
-//!                       [--telemetry <dir>] [--window <width>]
-//!                                                   hop-by-hop setup engine
-//! altroute_cli metastability [--preset <smoke|paper>] [--nodes <N>] [--d <K>]
-//!                       [--window <width>] [--metrics-json] [--telemetry <dir>]
-//!                       [--serve <addr>]            four-arm hysteresis demonstration
-//! altroute_cli controlled [--preset <smoke|paper>] [--metrics-json]
-//!                       [--serve <addr>]            closed-loop Eq.-15 demonstration
-//! altroute_cli largemesh [--preset <smoke|full>] [--nodes <N>] [--metrics-json]
-//!                                                   ISP-scale mesh under rolling SRLG failures
-//! altroute_cli telemetry <dir>                      human-readable telemetry report
-//! altroute_cli replay <file.trace>                  decode and summarise a binary trace
-//! altroute_cli example-config                       print an example config (plain JSON)
-//! altroute_cli conformance [--bless]                run the conformance suite
-//! ```
+//! `altroute_cli --help` lists every subcommand with the flags it
+//! accepts. The grammar is `altroute_experiments::cli`: flags go
+//! anywhere on the line (`--flag value` and `--flag=value` both work),
+//! and an unknown flag, a flag the subcommand does not accept and a value
+//! out of its domain are refused before anything runs.
 //!
-//! Flags are order-independent (`--flag value` and `--flag=value` both
-//! work); unknown flags and flags a subcommand does not accept are usage
-//! errors.
+//! The config-driven engines (`simulate`, `adaptive`, `multirate`,
+//! `signaling`) read the schema of `altroute_experiments::config` (see
+//! `example-config`). `multirate` refuses `ott-krishnan`; `signaling`
+//! refuses every policy but `single-path`, `uncontrolled` and
+//! `controlled`, and timed `outages` (it models static failures only).
+//! A telemetry directory gets, per policy or arm, `<name>.prom`,
+//! `<name>_blocking.csv` and `<name>_links.csv`, plus a combined
+//! `telemetry.json` that `telemetry DIR` renders as a report;
+//! `metastability` adds each arm's `<arm>_modes.csv` switch log and, for
+//! every arm whose flight recorder froze, a `<arm>_flight.trace` dump
+//! that `replay` summarises. A served run answers `GET /metrics` (the
+//! latest Prometheus exposition), `/healthz` and `/status` (a JSON
+//! progress document) and announces its bound address on stderr.
 //!
-//! `conformance` runs the full differential-oracle, golden-trace-replay,
-//! and scenario-fuzzing suite from the `altroute-conformance` crate and
-//! exits non-zero on any disagreement. With `--bless` it instead
-//! regenerates the checked-in golden traces (after an *intentional*
-//! engine behaviour change) and exits.
-//!
-//! With `--metrics-json` the simulate command prints a machine-readable
-//! JSON document instead of the table: per-policy blocking summary plus
-//! the aggregated engine metrics (event counts, queue and call-table
-//! peaks, per-link utilization, wall clock).
-//!
-//! With `--telemetry <dir>` every replication additionally records full
-//! time-resolved telemetry (sim-time-windowed series at `--window` width,
-//! histograms, span profiles) and the command writes, per policy,
-//! Prometheus text exposition (`<policy>.prom`) and CSV time series
-//! (`<policy>_blocking.csv`, `<policy>_links.csv`), plus a combined
-//! `telemetry.json` snapshot. `telemetry <dir>` renders that snapshot as
-//! a human-readable report. `--progress` prints a replications-completed
-//! heartbeat with an ETA to stderr.
-//!
-//! With `--serve <addr>` the long-running engines (`simulate`,
-//! `adaptive`, `metastability`, `controlled`) expose the run over HTTP
-//! while it executes: `GET /metrics` returns the latest Prometheus
-//! exposition (refreshed every completed window and after every arm on
-//! the hysteresis tiers, per finished policy otherwise —
-//! `simulate`/`adaptive` publish only when `--telemetry` records),
-//! `/healthz` is a liveness probe, and
-//! `/status` is a JSON progress document. Pass port 0 to let the OS
-//! pick; the bound address is announced on stderr.
-//!
-//! The JSON config selects a topology (built-in or explicit link list), a
-//! traffic matrix (uniform, explicit, or the reconstructed NSFNet
-//! nominal), the policies to compare, failed links, timed outages, and
-//! the simulation parameters; its schema is
-//! `altroute_experiments::config`. See `example-config`.
-//!
-//! `adaptive`, `multirate`, and `signaling` reuse the same config file
-//! and ride the instrumented simulation kernel, so `--metrics-json` and
-//! `--telemetry` work on all of them. `adaptive` runs the controlled
-//! policy with online `Λ^k` estimation (default update interval and
-//! EWMA weight). `multirate` derives two bandwidth classes from the
-//! config traffic: a 1-unit class at the configured load and a 4-unit
-//! class at a tenth of it. `signaling` runs the hop-by-hop set-up
-//! protocol at `--hop-delay` (default 0.0002 mean holding times) for
-//! each config policy. Both read the policy names `simulate` does, and
-//! both refuse, before running anything, a policy they do not model:
-//! `multirate` refuses `ott-krishnan`, `signaling` everything but
-//! `single-path`, `uncontrolled` and `controlled`, and `signaling` also
-//! refuses timed `outages` (it models static failures only).
-//! `simulate --policy NAME` overrides the config's policy list with a
-//! single policy — `--policy dar` runs the DAR/sticky selector, which
-//! needs no protection-level oracle, and `--policy bod --d K` runs the
-//! best-of-`d` selector (sample `K` tandems per overflow, pick the least
-//! loaded; `--d` defaults to 2).
-//!
-//! `metastability` runs the four-arm hysteresis demonstration from
-//! `altroute_experiments::metastability`: the same near-critical load on
-//! `K_N` from empty and saturated initial occupancy, with and without
-//! Eq.-15 trunk reservation, classified by the hysteresis mode detector.
-//! `--preset smoke` (default) is the CI-sized instance; `--preset
-//! paper` is the minutes-scale `K_100` instance; `--nodes`, `--d`, and
-//! `--window` override the preset. `--telemetry <dir>` additionally
-//! writes per-arm exports including the mode metrics and a
-//! `<arm>_modes.csv` switch log, plus — for every arm whose anomaly
-//! flight recorder froze — a replayable `<arm>_flight.trace` dump of
-//! the kernel events leading up to the trigger. `replay <file>`
-//! summarises such a dump (or any conformance golden trace).
-//!
-//! `largemesh` runs the ISP-scale tier from
-//! `altroute_experiments::largemesh`: a power-law-degree mesh under
-//! rolling SRLG (correlated-conduit) failures, with each round's outage
-//! applied as an incremental candidate-path-store invalidation instead
-//! of a plan rebuild. `--preset smoke` (default, 200 nodes) is the
-//! CI-sized instance; `--preset full` is the minutes-scale 1000-node
-//! instance; `--nodes` overrides the mesh size (at most 1000 nodes,
-//! for this command and `metastability`). The report carries
-//! per-round eviction counts and blocking, and is deterministic per
-//! preset — identical across repeated runs.
-//!
-//! `feed` records an arrival feed in the `altrouted` line protocol
-//! (`altroute_experiments::feed`): the `ramp` preset plays three
-//! constant-load segments of increasing per-pair load on `K_4`, the
-//! drifting-load input the resident control plane is demonstrated on.
-//! The feed goes to stdout (byte-identical across runs); pipe it into
-//! `altrouted --config <mesh config>`.
-//!
-//! `controlled` runs the closed-loop demonstration from
-//! `altroute_experiments::controlled`: from the same saturated start,
-//! an arm with levels frozen at `r = 0` stays stuck in the
-//! high-blocking mode while an arm carrying a resident `altrouted`
-//! controller — re-estimating loads and re-solving Eq. 15 at every
-//! window boundary, starting from zero levels — escapes. `--preset`
-//! names a `metastability` preset (`smoke`, the default, or the
-//! minutes-scale `paper`), and the `static` arm is that preset's
-//! `r0_saturated` arm. `--metrics-json` emits the machine-readable
-//! report the CI smoke stage asserts on.
+//! The tiers are library modules of `altroute_experiments`:
+//! `metastability` (the four-arm hysteresis demonstration), `controlled`
+//! (its closed-loop Eq.-15 counterpart, whose `static` arm is the
+//! preset's `r0_saturated` arm), `largemesh` (an ISP-scale mesh under
+//! rolling SRLG failures, deterministic per preset) and `feed` (an
+//! arrival feed in the `altrouted` line protocol, byte-identical across
+//! runs, to pipe into `altrouted --config <mesh config>`).
 
 use altroute_core::policy::PolicyKind;
+use altroute_experiments::cli::{self, check_window_count, Command, Flags, Invocation};
 use altroute_experiments::config::{
     load_experiment, parse_modelled_policies, parse_policy, EXAMPLE_CONFIG,
 };
@@ -142,14 +42,12 @@ use altroute_experiments::{
     ArmResult, FeedConfig, Heartbeat, LargeMeshConfig, MetastabilityConfig, Series, Table,
 };
 use altroute_json::{obj, Value};
-use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
-use altroute_sim::adaptive::{replicate_adaptive, AdaptiveConfig};
-use altroute_sim::experiment::{Fanout, ProgressObserver, SimParams};
+use altroute_sim::adaptive::{replicate_adaptive, InitialLevels, ADAPTIVE_TUNING};
+use altroute_sim::experiment::{ProgressObserver, SimParams};
 use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
 use altroute_sim::signaling::{self, replicate_signaling, SignalingConfig};
 use altroute_sim::trace::{decode_trace, TraceRecordKind};
-use altroute_simcore::pool::default_workers;
-use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry, TimeGrid};
+use altroute_telemetry::{export, MetricsServer, Mode, RunTelemetry};
 use altroute_teletraffic::erlang::{carried_traffic, dimension_link, erlang_b};
 use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
 use std::borrow::Borrow;
@@ -157,31 +55,14 @@ use std::path::Path;
 use std::process::ExitCode;
 
 /// Resolves `--window` against the run duration: the explicit value if
-/// given (positivity is enforced at argument parsing), otherwise 40
-/// windows across the run.
+/// given (the parser has checked it), otherwise 40 windows across the
+/// run.
 fn resolve_window(flags: &Flags, params: &SimParams) -> Result<f64, String> {
     let end = params.warmup + params.horizon;
     match flags.window {
-        Some(_) if flags.telemetry.is_none() => {
-            Err("--window only makes sense with --telemetry".into())
-        }
         Some(w) => check_window_count(w, end).map(|()| w),
         None => Ok(end / 40.0),
     }
-}
-
-/// Rejects a `--window` width that would split `[0, end)` into more
-/// than [`TimeGrid::MAX_WINDOWS`] windows — each windowed series
-/// allocates a slot per window — before anything runs.
-fn check_window_count(width: f64, end: f64) -> Result<(), String> {
-    let windows = (end / width).ceil();
-    if windows > TimeGrid::MAX_WINDOWS as f64 {
-        return Err(format!(
-            "--window {width} splits [0, {end}) into {windows} windows; at most {} are allowed",
-            TimeGrid::MAX_WINDOWS
-        ));
-    }
-    Ok(())
 }
 
 /// One arm's additions to the standard telemetry files: text appended
@@ -310,35 +191,13 @@ fn arm_table<'r>(arms: impl IntoIterator<Item = &'r ArmResult>) -> String {
     table.render()
 }
 
-/// Resolves `--preset` (default `smoke`) for the hysteresis tiers.
-fn hysteresis_preset(flags: &Flags) -> Result<(&str, MetastabilityConfig), String> {
-    let preset = flags.preset.as_deref().unwrap_or("smoke");
-    let cfg = MetastabilityConfig::preset(preset)
-        .ok_or_else(|| format!("unknown preset '{preset}' (try smoke, paper)"))?;
-    Ok((preset, cfg))
-}
-
 /// Runs the four-arm hysteresis demonstration (`metastability`): the
 /// same load from empty and saturated starts, with and without Eq.-15
 /// reservation, classified by the hysteresis mode detector.
-fn cmd_metastability(flags: &Flags) -> Result<(), String> {
-    let (preset, mut cfg) = hysteresis_preset(flags)?;
-    if let Some(n) = flags.nodes {
-        if n < 3 {
-            return Err("--nodes must be at least 3 (a mesh needs tandems)".into());
-        }
-        cfg.nodes = n;
-    }
-    if let Some(d) = flags.d {
-        cfg.d = d;
-    }
-    if let Some(w) = flags.window {
-        check_window_count(w, cfg.horizon)?;
-        cfg.window = w;
-    }
+fn cmd_metastability(preset: &str, cfg: &MetastabilityConfig, flags: &Flags) -> Result<(), String> {
     let label = format!("metastability:{preset}");
     let server = flags.bind_server(&label)?;
-    let report = run_metastability(&cfg, server.as_ref());
+    let report = run_metastability(cfg, server.as_ref());
 
     if let Some(dir) = &flags.telemetry {
         let snapshots: Vec<(String, &RunTelemetry)> = report
@@ -382,7 +241,7 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
             })
             .collect();
         let doc = concat_objects([
-            hysteresis_json(&label, &cfg),
+            hysteresis_json(&label, cfg),
             obj! {
                 "mode_gap_unreserved" => report.mode_gap(false),
                 "mode_gap_reserved" => report.mode_gap(true),
@@ -420,11 +279,8 @@ fn cmd_metastability(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_feed(flags: &Flags) -> Result<(), String> {
-    let preset = flags.preset.as_deref().unwrap_or("ramp");
-    let cfg = FeedConfig::preset(preset)
-        .ok_or_else(|| format!("unknown preset '{preset}' (try ramp)"))?;
-    let (text, stats) = render_feed(&cfg);
+fn cmd_feed(cfg: &FeedConfig) -> Result<(), String> {
+    let (text, stats) = render_feed(cfg);
     print!("{text}");
     eprintln!(
         "feed: {} arrivals over {} segments, end {}",
@@ -437,10 +293,9 @@ fn cmd_feed(flags: &Flags) -> Result<(), String> {
 
 /// Runs the closed-loop demonstration (`controlled`) on the
 /// metastability instance of `--preset`.
-fn cmd_controlled(flags: &Flags) -> Result<(), String> {
-    let (preset, cfg) = hysteresis_preset(flags)?;
+fn cmd_controlled(preset: &str, cfg: &MetastabilityConfig, flags: &Flags) -> Result<(), String> {
     let server = flags.bind_server(&format!("controlled:{preset}"))?;
-    let report = run_controlled(&cfg, server.as_ref());
+    let report = run_controlled(cfg, server.as_ref());
     let arms = [&report.static_arm, &report.online_arm];
     let final_max_level = report.final_levels.iter().copied().max().unwrap_or(0);
 
@@ -459,9 +314,9 @@ fn cmd_controlled(flags: &Flags) -> Result<(), String> {
             })
             .collect();
         let doc = concat_objects([
-            hysteresis_json(&format!("controlled:{preset}"), &cfg),
+            hysteresis_json(&format!("controlled:{preset}"), cfg),
             obj! {
-                "recompute_every" => controlled::tuning(&cfg).recompute_every,
+                "recompute_every" => controlled::tuning(cfg).recompute_every,
                 "update_count" => report.update_count,
                 "final_max_level" => final_max_level,
                 "arms" => Value::Array(arms.iter().map(|a| arm_json(a, obj! {})).collect()),
@@ -492,19 +347,8 @@ fn cmd_controlled(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_largemesh(flags: &Flags) -> Result<(), String> {
-    let preset = flags.preset.as_deref().unwrap_or("smoke");
-    let mut cfg = LargeMeshConfig::preset(preset)
-        .ok_or_else(|| format!("unknown preset '{preset}' (try smoke, full)"))?;
-    if let Some(n) = flags.nodes {
-        if n < 5 {
-            return Err("--nodes must be at least 5 (power-law seed ring)".into());
-        }
-        cfg.nodes = n;
-        // Keep demand sparse relative to the mesh when shrunk.
-        cfg.demand_pairs = cfg.demand_pairs.min(n * (n - 1) / 2);
-    }
-    let report = run_largemesh(&cfg);
+fn cmd_largemesh(preset: &str, cfg: &LargeMeshConfig, flags: &Flags) -> Result<(), String> {
+    let report = run_largemesh(cfg);
 
     if flags.metrics_json {
         let rounds: Vec<Value> = report
@@ -704,7 +548,6 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
     let plan = exp.plan_for(PolicyKind::ControlledAlternate {
         max_hops: config.max_hops,
     });
-    let adaptive = AdaptiveConfig::default();
     let server = flags.bind_server(path)?;
     if let Some(server) = &server {
         let total = params.seeds as usize;
@@ -720,7 +563,8 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
         exp.traffic(),
         params,
         exp.failures(),
-        &adaptive,
+        &ADAPTIVE_TUNING,
+        InitialLevels::Zero,
         &fanout,
     );
     if let Some(telemetry) = telemetry {
@@ -755,9 +599,9 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
             ("seeds".to_string(), Value::from(params.seeds)),
             (
                 "update_interval".to_string(),
-                Value::from(adaptive.update_interval),
+                Value::from(ADAPTIVE_TUNING.window),
             ),
-            ("ewma_alpha".to_string(), Value::from(adaptive.ewma_alpha)),
+            ("ewma_alpha".to_string(), Value::from(ADAPTIVE_TUNING.alpha)),
         ],
         &table,
         vec![policy_json],
@@ -868,9 +712,6 @@ fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
     let params = &config.params;
     let window = resolve_window(flags, params)?;
     let hop_delay = flags.hop_delay.unwrap_or(2e-4);
-    if !(hop_delay.is_finite() && hop_delay >= 0.0) {
-        return Err(format!("--hop-delay must be >= 0, got {hop_delay}"));
-    }
     let plan = exp.plan_for(PolicyKind::ControlledAlternate {
         max_hops: config.max_hops,
     });
@@ -1253,420 +1094,67 @@ fn cmd_conformance(bless: bool) -> Result<(), String> {
     }
 }
 
-fn parse_f64(s: &str, what: &str) -> Result<f64, String> {
-    s.parse()
-        .map_err(|_| format!("{what} must be a number, got '{s}'"))
-}
-
-fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
-    s.parse()
-        .map_err(|_| format!("{what} must be a non-negative integer, got '{s}'"))
-}
-
-/// An offered load in Erlangs: finite and non-negative.
-fn parse_load(s: &str) -> Result<f64, String> {
-    let load = parse_f64(s, "load")?;
-    if !(load.is_finite() && load >= 0.0) {
-        return Err(format!("load must be finite and >= 0, got '{s}'"));
-    }
-    Ok(load)
-}
-
-/// A link capacity, at most [`MAX_CAPACITY`] circuits: Erlang B and
-/// Eq. 15 take time, and Eq. 15 memory, linear in it.
-fn parse_capacity(s: &str) -> Result<u32, String> {
-    let c = parse_u32(s, "capacity")?;
-    if c > MAX_CAPACITY {
-        return Err(format!(
-            "capacity {c} is too large; at most {MAX_CAPACITY} circuits are allowed"
-        ));
-    }
-    Ok(c)
-}
-
-/// Parses a thread-count-style flag value: a positive integer. Zero is
-/// rejected here, at argument parsing, with a message naming the
-/// fallback — the worker pool's own `workers > 0` assertion is an
-/// internal invariant, not a user-facing diagnostic.
-fn parse_count(s: &str, what: &str, zero_hint: &str) -> Result<usize, String> {
-    let n: usize = s
-        .parse()
-        .map_err(|_| format!("{what} must be a positive integer, got '{s}'"))?;
-    if n == 0 {
-        return Err(format!("{what} must be at least 1 ({zero_hint})"));
-    }
-    Ok(n)
-}
-
-/// All flags any subcommand accepts, parsed order-independently.
-#[derive(Debug, Default)]
-struct Flags {
-    metrics_json: bool,
-    progress: bool,
-    bless: bool,
-    telemetry: Option<String>,
-    window: Option<f64>,
-    policy: Option<String>,
-    hop_delay: Option<f64>,
-    workers: Option<usize>,
-    d: Option<u32>,
-    preset: Option<String>,
-    nodes: Option<usize>,
-    serve: Option<String>,
-}
-
-impl Flags {
-    /// The flags actually set, by name — for per-subcommand validation.
-    fn set(&self) -> Vec<&'static str> {
-        let mut v = Vec::new();
-        if self.metrics_json {
-            v.push("--metrics-json");
-        }
-        if self.progress {
-            v.push("--progress");
-        }
-        if self.bless {
-            v.push("--bless");
-        }
-        if self.telemetry.is_some() {
-            v.push("--telemetry");
-        }
-        if self.window.is_some() {
-            v.push("--window");
-        }
-        if self.policy.is_some() {
-            v.push("--policy");
-        }
-        if self.hop_delay.is_some() {
-            v.push("--hop-delay");
-        }
-        if self.workers.is_some() {
-            v.push("--workers");
-        }
-        if self.d.is_some() {
-            v.push("--d");
-        }
-        if self.preset.is_some() {
-            v.push("--preset");
-        }
-        if self.nodes.is_some() {
-            v.push("--nodes");
-        }
-        if self.serve.is_some() {
-            v.push("--serve");
-        }
-        v
-    }
-
-    /// Binds the `--serve` metrics server (if requested) under `label`
-    /// and announces the endpoints on stderr.
-    fn bind_server(&self, label: &str) -> Result<Option<MetricsServer>, String> {
-        match &self.serve {
-            None => Ok(None),
-            Some(addr) => {
-                let server =
-                    MetricsServer::bind(addr, label).map_err(|e| format!("--serve {addr}: {e}"))?;
-                eprintln!(
-                    "serving http://{0}/metrics, http://{0}/healthz, http://{0}/status",
-                    server.addr()
-                );
-                Ok(Some(server))
-            }
-        }
-    }
-
-    /// The replication-pool size: `--workers N`, defaulting to the
-    /// machine's available parallelism.
-    fn worker_count(&self) -> usize {
-        self.workers.unwrap_or_else(default_workers)
-    }
-
-    /// The replication fan-out the flags select: `--workers` threads
-    /// (default: every core) fan replications out, and `--telemetry`
-    /// records on `window`-wide windows.
-    fn fanout<'a>(&self, window: f64, progress: Option<&'a dyn ProgressObserver>) -> Fanout<'a> {
-        Fanout {
-            workers: self.worker_count(),
-            progress,
-            window: self.telemetry.is_some().then_some(window),
-        }
-    }
-
-    /// Rejects any set flag the subcommand does not accept.
-    fn allow_only(&self, cmd: &str, allowed: &[&str]) -> Result<(), String> {
-        match self.set().iter().find(|f| !allowed.contains(*f)) {
-            Some(f) => Err(format!("'{cmd}' does not accept {f}")),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Splits argv into positionals and [`Flags`], accepting flags anywhere
-/// (`--flag value` or `--flag=value`). Unknown flags are usage errors.
-fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    let mut flags = Flags::default();
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        let Some(rest) = arg.strip_prefix("--") else {
-            positionals.push(arg.clone());
-            continue;
-        };
-        let (name, inline) = match rest.split_once('=') {
-            Some((n, v)) => (n, Some(v.to_string())),
-            None => (rest, None),
-        };
-        let takes_value = matches!(
-            name,
-            "telemetry"
-                | "window"
-                | "policy"
-                | "hop-delay"
-                | "workers"
-                | "d"
-                | "preset"
-                | "nodes"
-                | "serve"
-        );
-        let value = if takes_value {
-            match inline {
-                Some(v) => Some(v),
-                None => {
-                    let v = args
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| format!("--{name} needs a value"))?;
-                    i += 1;
-                    Some(v)
-                }
-            }
-        } else {
-            if inline.is_some() {
-                return Err(format!("--{name} takes no value"));
-            }
-            None
-        };
-        match name {
-            "metrics-json" => flags.metrics_json = true,
-            "progress" => flags.progress = true,
-            "bless" => flags.bless = true,
-            "telemetry" => flags.telemetry = value,
-            "window" => {
-                // Validated here, not per-subcommand, so every command
-                // rejects a degenerate width with the same message.
-                let w = parse_f64(&value.expect("takes_value"), "--window")?;
-                if !(w.is_finite() && w > 0.0) {
-                    return Err(format!("--window must be positive, got {w}"));
-                }
-                flags.window = Some(w);
-            }
-            "policy" => flags.policy = value,
-            "hop-delay" => {
-                flags.hop_delay = Some(parse_f64(&value.expect("takes_value"), "--hop-delay")?)
-            }
-            "workers" => {
-                flags.workers = Some(parse_count(
-                    &value.expect("takes_value"),
-                    "--workers",
-                    &format!(
-                        "omit the flag to use all {} available cores",
-                        default_workers()
-                    ),
-                )?)
-            }
-            "d" => {
-                let d = parse_u32(&value.expect("takes_value"), "--d")?;
-                if d == 0 {
-                    return Err("--d must be at least 1 (tandems sampled per overflow)".into());
-                }
-                flags.d = Some(d);
-            }
-            "preset" => flags.preset = value,
-            "nodes" => {
-                let n = parse_count(
-                    &value.expect("takes_value"),
-                    "--nodes",
-                    "pass a mesh size of at least 3",
-                )?;
-                if n > MAX_NODES {
-                    return Err(format!(
-                        "--nodes {n} is too large; at most {MAX_NODES} nodes are allowed"
-                    ));
-                }
-                flags.nodes = Some(n);
-            }
-            "serve" => flags.serve = value,
-            other => return Err(format!("unknown flag --{other}")),
-        }
-    }
-    Ok((positionals, flags))
-}
-
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (pos, flags) = parse_args(&args)?;
-    let pos: Vec<&str> = pos.iter().map(String::as_str).collect();
-    match pos.as_slice() {
-        ["erlang", load, cap] => {
-            flags.allow_only("erlang", &[])?;
-            let load = parse_load(load)?;
-            let cap = parse_capacity(cap)?;
-            println!("B({load}, {cap})   = {:.6}", erlang_b(load, cap));
-            println!("carried      = {:.3} Erlangs", carried_traffic(load, cap));
+fn run(Invocation { command, flags }: Invocation) -> Result<(), String> {
+    match command {
+        Command::Erlang(load, capacity) => {
+            println!("B({load}, {capacity})   = {:.6}", erlang_b(load, capacity));
+            println!(
+                "carried      = {:.3} Erlangs",
+                carried_traffic(load, capacity)
+            );
             println!(
                 "lost         = {:.3} Erlangs",
-                load - carried_traffic(load, cap)
+                load - carried_traffic(load, capacity)
             );
             Ok(())
         }
-        ["dimension", load, target] => {
-            flags.allow_only("dimension", &[])?;
-            let load = parse_load(load)?;
-            let target = parse_f64(target, "target blocking")?;
-            if !(target > 0.0 && target <= 1.0) {
-                return Err(format!("target blocking must be in (0, 1], got '{target}'"));
+        Command::Dimension(load, target) => match dimension_link(load, target, 1_000_000) {
+            Some(c) => {
+                println!("capacity {c} circuits (B = {:.6})", erlang_b(load, c));
+                Ok(())
             }
-            match dimension_link(load, target, 1_000_000) {
-                Some(c) => {
-                    println!("capacity {c} circuits (B = {:.6})", erlang_b(load, c));
-                    Ok(())
-                }
-                None => Err("no capacity up to 1e6 meets the target".into()),
-            }
-        }
-        ["protect", load, cap, h] => {
-            flags.allow_only("protect", &[])?;
-            let load = parse_load(load)?;
-            let cap = parse_capacity(cap)?;
-            let h = parse_u32(h, "H")?;
-            if cap == 0 || h == 0 {
-                return Err("protect needs a capacity and an H of at least 1".into());
-            }
-            let r = protection_level(load, cap, h);
+            None => Err("no capacity up to 1e6 meets the target".into()),
+        },
+        Command::Protect(load, capacity, h) => {
+            let r = protection_level(load, capacity, h);
             println!("r = {r}");
             if load > 0.0 {
                 println!(
                     "theorem-1 bound B(L,C)/B(L,C-r) = {:.6} (target 1/H = {:.6})",
-                    shadow_price_bound(load, cap, r),
+                    shadow_price_bound(load, capacity, r),
                     1.0 / f64::from(h)
                 );
             }
             Ok(())
         }
-        ["simulate", config] => {
-            flags.allow_only(
-                "simulate",
-                &[
-                    "--metrics-json",
-                    "--progress",
-                    "--telemetry",
-                    "--window",
-                    "--policy",
-                    "--workers",
-                    "--d",
-                    "--serve",
-                ],
-            )?;
-            cmd_simulate(config, &flags)
-        }
-        ["metastability"] => {
-            flags.allow_only(
-                "metastability",
-                &[
-                    "--preset",
-                    "--nodes",
-                    "--d",
-                    "--window",
-                    "--metrics-json",
-                    "--telemetry",
-                    "--serve",
-                ],
-            )?;
-            cmd_metastability(&flags)
-        }
-        ["largemesh"] => {
-            flags.allow_only("largemesh", &["--preset", "--nodes", "--metrics-json"])?;
-            cmd_largemesh(&flags)
-        }
-        ["feed"] => {
-            flags.allow_only("feed", &["--preset"])?;
-            cmd_feed(&flags)
-        }
-        ["controlled"] => {
-            flags.allow_only("controlled", &["--preset", "--metrics-json", "--serve"])?;
-            cmd_controlled(&flags)
-        }
-        ["adaptive", config] => {
-            flags.allow_only(
-                "adaptive",
-                &[
-                    "--metrics-json",
-                    "--telemetry",
-                    "--window",
-                    "--workers",
-                    "--serve",
-                ],
-            )?;
-            cmd_adaptive(config, &flags)
-        }
-        ["multirate", config] => {
-            flags.allow_only(
-                "multirate",
-                &["--metrics-json", "--telemetry", "--window", "--workers"],
-            )?;
-            cmd_multirate(config, &flags)
-        }
-        ["signaling", config] => {
-            flags.allow_only(
-                "signaling",
-                &["--metrics-json", "--telemetry", "--window", "--hop-delay"],
-            )?;
-            cmd_signaling(config, &flags)
-        }
-        ["telemetry", dir] => {
-            flags.allow_only("telemetry", &[])?;
-            cmd_telemetry_report(dir)
-        }
-        ["replay", file] => {
-            flags.allow_only("replay", &[])?;
-            cmd_replay(file)
-        }
-        ["example-config"] => {
-            flags.allow_only("example-config", &[])?;
+        Command::Simulate(config) => cmd_simulate(&config, &flags),
+        Command::Adaptive(config) => cmd_adaptive(&config, &flags),
+        Command::Multirate(config) => cmd_multirate(&config, &flags),
+        Command::Signaling(config) => cmd_signaling(&config, &flags),
+        Command::Metastability(preset, cfg) => cmd_metastability(&preset, &cfg, &flags),
+        Command::Controlled(preset, cfg) => cmd_controlled(&preset, &cfg, &flags),
+        Command::Largemesh(preset, cfg) => cmd_largemesh(&preset, &cfg, &flags),
+        Command::Feed(cfg) => cmd_feed(&cfg),
+        Command::Telemetry(dir) => cmd_telemetry_report(&dir),
+        Command::Replay(file) => cmd_replay(&file),
+        Command::ExampleConfig => {
             println!("{EXAMPLE_CONFIG}");
             Ok(())
         }
-        ["conformance"] => {
-            flags.allow_only("conformance", &["--bless"])?;
-            cmd_conformance(flags.bless)
-        }
-        _ => Err(
-            "usage: altroute_cli <erlang LOAD CAP | dimension LOAD TARGET | \
-                  protect LOAD CAP H | \
-                  simulate CONFIG.json [--metrics-json] [--progress] \
-                  [--telemetry DIR] [--window W] [--policy NAME] \
-                  [--workers N] [--serve ADDR] | \
-                  adaptive CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--workers N] [--serve ADDR] | \
-                  multirate CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--workers N] | \
-                  signaling CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--hop-delay D] | \
-                  metastability [--preset smoke|paper] [--nodes N] [--d K] \
-                  [--window W] [--metrics-json] [--telemetry DIR] [--serve ADDR] | \
-                  largemesh [--preset smoke|full] [--nodes N] [--metrics-json] | \
-                  feed [--preset ramp] | \
-                  controlled [--preset smoke|paper] [--metrics-json] [--serve ADDR] | \
-                  telemetry DIR | replay TRACE | example-config | conformance [--bless]>"
-                .into(),
-        ),
+        Command::Conformance => cmd_conformance(flags.bless),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = cli::parse(&args).and_then(|parsed| match parsed {
+        Some(invocation) => run(invocation),
+        None => {
+            print!("{}", cli::usage());
+            Ok(())
+        }
+    });
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -14,7 +14,7 @@
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::SimParams;
@@ -52,18 +52,10 @@ fn run_bursty(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (warmup, horizon, seeds) = if quick {
-        (5.0, 30.0, 3)
-    } else {
-        (10.0, 100.0, 10)
-    };
-    let params = SimParams {
-        warmup,
-        horizon,
-        seeds,
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams {
         base_seed: 0xB0B5,
-    };
+        ..SimParams::default()
+    });
     let policies = [
         PolicyKind::SinglePath,
         PolicyKind::UncontrolledAlternate { max_hops: 3 },

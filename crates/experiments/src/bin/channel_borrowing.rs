@@ -9,7 +9,7 @@
 
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_sim::cellular::{run_cellular, CellGrid};
 use altroute_sim::{Fanout, SimParams};
 
@@ -28,16 +28,10 @@ const POLICIES: [(PolicyKind, &str); 3] = [
 ];
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut params = SimParams {
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams {
         base_seed: 0xCE11,
         ..SimParams::default()
-    };
-    if quick {
-        params.warmup = 5.0;
-        params.horizon = 30.0;
-        params.seeds = 3;
-    }
+    });
     let grid = CellGrid::new(5, 5, 50);
 
     let mut table = Table::new([

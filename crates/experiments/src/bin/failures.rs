@@ -5,22 +5,12 @@
 //! policy curves is maintained. Run at a few loads around nominal.
 
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, policy_set, Table};
+use altroute_experiments::{cli, nsfnet_experiment, policy_set, Table};
 use altroute_sim::experiment::SimParams;
 use altroute_sim::failures::FailureSchedule;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams::default());
     let scenarios: [(&str, &[(usize, usize)]); 3] = [
         ("healthy", &[]),
         ("2<->3 down", &[(2, 3), (3, 2)]),

@@ -9,12 +9,13 @@
 //! extra primary-call loss from accepting one alternate call is below
 //! `B(Λ, C)/B(Λ, C−r) ≤ 1/H`.
 
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_teletraffic::birth_death::BirthDeathChain;
 use altroute_teletraffic::erlang::erlang_b;
 use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
 
 fn main() {
+    cli::bin_flags(&[]);
     let (nu, capacity, h) = (74.0, 100u32, 6u32);
     let r = protection_level(nu, capacity, h);
     println!("Link under alternate routing: nu = {nu}, C = {capacity}, H = {h} => r = {r}\n");

@@ -3,10 +3,11 @@
 //!
 //! Regenerates the three curves of the paper's Fig. 2 over `Λ ∈ (0, 100]`.
 
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_teletraffic::reservation::protection_curve;
 
 fn main() {
+    cli::bin_flags(&[]);
     let capacity = 100;
     let loads: Vec<f64> = (1..=100).map(f64::from).collect();
     let curves: Vec<(u32, Vec<(f64, u32)>)> = [2u32, 6, 120]

@@ -5,42 +5,24 @@
 //! and the Erlang cut-set bound. `C = 100` per directed link, uniform
 //! traffic with the x-axis value offered per ordered pair, `H = 3`
 //! (N − 1 = unlimited loop-free alternates on K4), 10 seeds of 10 + 100
-//! time units (paper parameters). Pass `--quick` for a fast low-fidelity
-//! run, `--progress` for a replications-completed heartbeat on stderr.
+//! time units (paper parameters).
 
+use altroute_experiments::cli::{self, Flag};
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{policy_set, sweep, Heartbeat, Table};
+use altroute_experiments::{policy_set, sweep, Table};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::experiment::{Experiment, ProgressObserver, SimParams};
+use altroute_sim::experiment::{Experiment, SimParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let progress = std::env::args().any(|a| a == "--progress");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let flags = cli::bin_flags(&[Flag::Quick, Flag::Progress]);
+    let params = flags.sim_params(SimParams::default());
     let loads: Vec<f64> = (8..=22).map(|i| f64::from(i) * 5.0).collect(); // 40..110
     let policies = policy_set(3, false);
-    let heartbeat =
-        progress.then(|| Heartbeat::new(loads.len() * policies.len() * params.seeds as usize));
-    let rows = sweep(
-        &loads,
-        &policies,
-        &params,
-        heartbeat.as_ref().map(|h| h as &dyn ProgressObserver),
-        |load| {
-            Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, load))
-                .expect("quadrangle instance is valid")
-        },
-    );
+    let rows = sweep(&loads, &policies, &params, flags.progress, |load| {
+        Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, load))
+            .expect("quadrangle instance is valid")
+    });
 
     let mut table = Table::new([
         "load",

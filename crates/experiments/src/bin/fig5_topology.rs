@@ -1,11 +1,12 @@
 //! Fig. 5 — the NSFNet T3 backbone map: 12 core nodes, 15 duplex trunks
 //! (30 directed links), reconstructed from the links of Table 1.
 
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_netgraph::paths::{alternate_paths, min_hop_path};
 use altroute_netgraph::topologies;
 
 fn main() {
+    cli::bin_flags(&[]);
     let topo = topologies::nsfnet(100);
     println!(
         "NSFNet T3 backbone model (paper Fig. 5): {} nodes, {} directed links\n",

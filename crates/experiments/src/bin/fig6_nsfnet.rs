@@ -6,44 +6,30 @@
 //! separable shadow-price baseline (which §4.2.2 reports performing
 //! poorly on this sparse mesh), and the Erlang bound. The nominal traffic
 //! matrix (reconstructed from Table 1) corresponds to `load = 10`; other
-//! loads scale it linearly, as in the paper. Pass `--quick` for a fast
-//! low-fidelity run, `--metrics-json` to print the sweep (blocking plus
-//! per-policy engine metrics and link utilization) as JSON instead of
-//! the tables, `--progress` for a replications-completed heartbeat on
-//! stderr.
+//! loads scale it linearly, as in the paper. `--metrics-json` prints the
+//! sweep (blocking plus per-policy engine metrics and link utilization)
+//! as JSON instead of the tables.
 
+use altroute_experiments::cli::{self, Flag};
 use altroute_experiments::output::{fmt_prob, metrics_json};
-use altroute_experiments::{nsfnet_experiment, policy_set, sweep, Heartbeat, Table};
+use altroute_experiments::{nsfnet_experiment, policy_set, sweep, Table};
 use altroute_json::{obj, Value};
-use altroute_sim::experiment::{ProgressObserver, SimParams};
+use altroute_sim::experiment::SimParams;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let as_json = std::env::args().any(|a| a == "--metrics-json");
-    let progress = std::env::args().any(|a| a == "--progress");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let flags = cli::bin_flags(&[Flag::Quick, Flag::MetricsJson, Flag::Progress]);
+    let params = flags.sim_params(SimParams::default());
     let loads: Vec<f64> = (2..=14).map(f64::from).collect();
     let policies = policy_set(11, true);
-    let heartbeat =
-        progress.then(|| Heartbeat::new(loads.len() * policies.len() * params.seeds as usize));
     let rows = sweep(
         &loads,
         &policies,
         &params,
-        heartbeat.as_ref().map(|h| h as &dyn ProgressObserver),
+        flags.progress,
         nsfnet_experiment,
     );
 
-    if as_json {
+    if flags.metrics_json {
         let json_rows: Vec<Value> = rows
             .iter()
             .map(|row| {

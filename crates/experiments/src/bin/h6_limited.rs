@@ -8,23 +8,13 @@
 
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, sweep, Table};
+use altroute_experiments::{cli, nsfnet_experiment, sweep, Table};
 use altroute_netgraph::paths::{alternate_paths, min_hop_path};
 use altroute_netgraph::topologies;
 use altroute_sim::experiment::SimParams;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams::default());
 
     // Path availability at each cap.
     let topo = topologies::nsfnet(100);
@@ -54,14 +44,14 @@ fn main() {
             PolicyKind::ControlledAlternate { max_hops: 6 },
         ],
         &params,
-        None,
+        false,
         nsfnet_experiment,
     );
     let h11 = sweep(
         &loads,
         &[PolicyKind::ControlledAlternate { max_hops: 11 }],
         &params,
-        None,
+        false,
         nsfnet_experiment,
     );
 

@@ -11,21 +11,12 @@ use altroute_core::primary::{
     expected_primary_loss, min_loss_splits, MinLossOptions, PrimaryAssignment,
 };
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, Table};
+use altroute_experiments::{cli, nsfnet_experiment, Table};
 use altroute_sim::experiment::SimParams;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let flags = cli::bin_flags(&[cli::Flag::Quick]);
+    let params = flags.sim_params(SimParams::default());
     let loads = [8.0, 10.0, 12.0];
     let mut table = Table::new([
         "load",
@@ -41,7 +32,7 @@ fn main() {
             exp.traffic(),
             MinLossOptions {
                 max_hops: 11,
-                iterations: if quick { 80 } else { 300 },
+                iterations: if flags.quick { 80 } else { 300 },
                 prune_below: 1e-3,
             },
         );

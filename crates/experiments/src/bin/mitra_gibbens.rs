@@ -7,10 +7,11 @@
 //! optimal trunk-reservation values by at most two. This binary prints the
 //! Eq. 15 levels across the full load range.
 
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_teletraffic::reservation::{protection_level, shadow_price_bound};
 
 fn main() {
+    cli::bin_flags(&[]);
     let capacity = 120;
     let mut table = Table::new(["load", "r_H2", "theorem1_bound"]);
     for load in (60..=140).step_by(5) {

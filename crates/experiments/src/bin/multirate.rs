@@ -11,7 +11,7 @@
 
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::failures::FailureSchedule;
@@ -19,16 +19,10 @@ use altroute_sim::multirate::{self, run_multirate, BandwidthClass};
 use altroute_sim::{Fanout, SimParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut params = SimParams {
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams {
         base_seed: 0x11BA,
         ..SimParams::default()
-    };
-    if quick {
-        params.warmup = 5.0;
-        params.horizon = 30.0;
-        params.seeds = 3;
-    }
+    });
     let topo = topologies::quadrangle();
     let failures = FailureSchedule::none();
 

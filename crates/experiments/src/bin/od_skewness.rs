@@ -9,21 +9,11 @@
 //! blocking under the other policies.
 
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, policy_set, Table};
+use altroute_experiments::{cli, nsfnet_experiment, policy_set, Table};
 use altroute_sim::experiment::SimParams;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams::default());
     let exp = nsfnet_experiment(10.0);
     let policies = policy_set(6, false);
 

@@ -16,7 +16,7 @@
 //! and the blocking experiments (Figs. 3–7) show the guarantee holding in
 //! the simulated (non-Poisson-overflow) system.
 
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, InterArrival, KernelConfig, KernelObserver, KernelSpec,
     Link, LinkOccupancy, RouteSelector, Selection, Tier, Uncontrolled,
@@ -122,7 +122,7 @@ fn simulate_overflow(load: f64, capacity: u32, horizon: f64, seeds: u32) -> (f64
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = cli::bin_flags(&[cli::Flag::Quick]).quick;
     let (horizon, seeds) = if quick { (500.0, 3u32) } else { (3000.0, 6u32) };
     let mut table = Table::new([
         "load",

@@ -16,7 +16,7 @@
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, Table};
+use altroute_experiments::{cli, nsfnet_experiment, Table};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::engine::{run_seed, RunConfig};
@@ -45,17 +45,7 @@ fn simulate(plan: &RoutingPlan, traffic: &TrafficMatrix, params: &SimParams) -> 
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams::default());
 
     // Case 1 — NSFNet at H = 11: structurally a no-op.
     let exp = nsfnet_experiment(10.0);

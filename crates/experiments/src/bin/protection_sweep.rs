@@ -10,7 +10,7 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_core::select::TieredSelector;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::SimParams;
@@ -18,17 +18,7 @@ use altroute_sim::{FailureSchedule, Run, RunConfig};
 use altroute_simcore::kernel::TrunkReservation;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        SimParams {
-            warmup: 5.0,
-            horizon: 30.0,
-            seeds: 3,
-            ..SimParams::default()
-        }
-    } else {
-        SimParams::default()
-    };
+    let params = cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams::default());
     let loads = [85.0, 90.0, 95.0];
     let rs: Vec<u32> = vec![0, 1, 2, 3, 5, 8, 12, 16, 20, 30, 50, 100];
     let mut table = Table::new(["r", "load85", "load90", "load95"]);

@@ -9,23 +9,23 @@
 
 use altroute_core::policy::PolicyKind;
 use altroute_experiments::output::fmt_prob;
-use altroute_experiments::{nsfnet_experiment, Table};
+use altroute_experiments::{cli, nsfnet_experiment, Table};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::signaling::{replicate_signaling, SignalingConfig};
 use altroute_sim::{Fanout, SimParams};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (horizon, seeds) = if quick { (30.0, 3) } else { (100.0, 10) };
+    // Under --quick the shared horizon and seeds, but the full warm-up.
+    let params = SimParams {
+        warmup: 10.0,
+        ..cli::bin_flags(&[cli::Flag::Quick]).sim_params(SimParams {
+            base_seed: 0,
+            ..SimParams::default()
+        })
+    };
     let exp = nsfnet_experiment(10.0);
     let plan = exp.plan_for(PolicyKind::ControlledAlternate { max_hops: 11 });
     let failures = FailureSchedule::none();
-    let params = SimParams {
-        warmup: 10.0,
-        horizon,
-        seeds,
-        base_seed: 0,
-    };
 
     let mut table = Table::new([
         "hop_delay",
@@ -70,8 +70,8 @@ fn main() {
                 policy.name().to_string(),
                 fmt_prob(blocked as f64 / offered as f64),
                 races.to_string(),
-                format!("{:.5}", latency / f64::from(seeds)),
-                format!("{:.3}", attempts / f64::from(seeds)),
+                format!("{:.5}", latency / f64::from(params.seeds)),
+                format!("{:.3}", attempts / f64::from(params.seeds)),
             ]);
         }
     }

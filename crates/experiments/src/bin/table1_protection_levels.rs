@@ -8,13 +8,14 @@
 //! `Λ^k`, the reconstruction's achieved `Λ^k`, and the protection levels
 //! computed from each, alongside the paper's printed values.
 
-use altroute_experiments::Table;
+use altroute_experiments::{cli, Table};
 use altroute_netgraph::estimate::{nsfnet_nominal_traffic, NSFNET_TABLE1};
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::format_matrix;
 use altroute_teletraffic::reservation::protection_level;
 
 fn main() {
+    cli::bin_flags(&[]);
     let topo = topologies::nsfnet(100);
     let fit = nsfnet_nominal_traffic();
     println!(

@@ -26,6 +26,15 @@ use altroute_sim::failures::FailureSchedule;
 /// minutes per replication.
 pub const MAX_OFFERED_CALLS: f64 = 1e9;
 
+/// The most replications a config may ask for. The seed pool allocates a
+/// result slot and queues a job per seed before any runs; the shipped
+/// configs ask for at most 10.
+pub const MAX_SEEDS: u32 = 10_000;
+
+/// The most calls a config may offer a whole run: [`MAX_OFFERED_CALLS`]
+/// per replication across ten replications, minutes of work per policy.
+pub const MAX_RUN_CALLS: f64 = 1e10;
+
 #[derive(Debug, PartialEq)]
 enum TopologySpec {
     /// A named built-in: "nsfnet" | "quadrangle".
@@ -320,6 +329,12 @@ impl Config {
         if p.seeds == 0 {
             return Err("\"seeds\" must be at least 1".into());
         }
+        if p.seeds > MAX_SEEDS {
+            return Err(format!(
+                "\"seeds\" {} is too large; at most {MAX_SEEDS} are allowed",
+                p.seeds
+            ));
+        }
         if p.base_seed.checked_add(u64::from(p.seeds) - 1).is_none() {
             return Err(format!(
                 "\"base_seed\" {} leaves no room for {} seeds",
@@ -331,7 +346,8 @@ impl Config {
 
     /// Builds the experiment: topology, traffic, and the failure schedule
     /// installed. Refuses a config offering a replication more than
-    /// [`MAX_OFFERED_CALLS`] calls.
+    /// [`MAX_OFFERED_CALLS`] calls, or the whole run (every seed) more
+    /// than [`MAX_RUN_CALLS`].
     pub fn experiment(&self) -> Result<Experiment, String> {
         let topo = build_topology(&self.topology)?;
         let traffic = build_traffic(&self.traffic, topo.num_nodes())?;
@@ -340,6 +356,14 @@ impl Config {
             return Err(format!(
                 "the config offers {offered:.3e} calls per replication; \
                  at most {MAX_OFFERED_CALLS:e} are allowed"
+            ));
+        }
+        let total = offered * f64::from(self.params.seeds);
+        if total > MAX_RUN_CALLS {
+            return Err(format!(
+                "the config offers {total:.3e} calls over its {} seeds; \
+                 at most {MAX_RUN_CALLS:e} are allowed",
+                self.params.seeds
             ));
         }
         let exp = Experiment::new(topo, traffic).map_err(|e| e.to_string())?;

@@ -4,14 +4,17 @@
 //! regenerates it (see `DESIGN.md` for the index). This library holds the
 //! pieces they share: aligned-table output, CSV export, the standard
 //! policy set, and the NSFNet instance construction. It also holds the
-//! simulate-family config schema ([`config`]) and the CLI's tiers: the two hysteresis demonstrations ([`metastability`] and
-//! the closed-loop [`controlled`]), which run on one arm runner and
-//! report one [`ArmResult`] per arm, plus [`largemesh`] and [`feed`].
+//! simulate-family config schema ([`config`]), the argv grammar every
+//! binary parses with ([`cli`]), and the CLI's tiers: the two hysteresis
+//! demonstrations ([`metastability`] and the closed-loop [`controlled`]),
+//! which run on one arm runner and report one [`ArmResult`] per arm, plus
+//! [`largemesh`] and [`feed`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chart;
+pub mod cli;
 pub mod config;
 pub mod controlled;
 pub mod feed;

@@ -1,5 +1,6 @@
 //! Shared experiment construction and sweep running.
 
+use crate::progress::Heartbeat;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::topologies;
@@ -44,21 +45,21 @@ pub struct SweepRow {
 }
 
 /// Runs every policy at every load and collects blocking plus the Erlang
-/// bound — the generic engine behind the Fig. 3/4/6/7 binaries —
-/// notifying `progress` after every completed replication (e.g. a
-/// [`crate::progress::Heartbeat`] sized `loads × policies × seeds` for a
-/// whole-sweep ETA).
+/// bound — the generic engine behind the Fig. 3/4/6/7 binaries — with a
+/// whole-sweep [`Heartbeat`] on stderr when `progress` is set.
 ///
 /// `make` builds the experiment for one load value.
 pub fn sweep(
     loads: &[f64],
     policies: &[PolicyKind],
     params: &SimParams,
-    progress: Option<&dyn ProgressObserver>,
+    progress: bool,
     make: impl Fn(f64) -> Experiment,
 ) -> Vec<SweepRow> {
+    let total = loads.len() * policies.len() * params.seeds as usize;
+    let heartbeat = progress.then(|| Heartbeat::new(total));
     let fanout = Fanout {
-        progress,
+        progress: heartbeat.as_ref().map(|h| h as &dyn ProgressObserver),
         ..Fanout::default()
     };
     loads
@@ -118,7 +119,7 @@ mod tests {
             &[50.0, 80.0],
             &policy_set(3, false),
             &params,
-            None,
+            false,
             |load| {
                 Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, load)).unwrap()
             },

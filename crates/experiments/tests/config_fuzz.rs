@@ -8,9 +8,13 @@
 //! build, and through `DaemonConfig::from_json`. Every accepted simulate
 //! config must also meet the run's preconditions, so running it cannot
 //! panic on its parameters, and offer a replication at most
-//! `MAX_OFFERED_CALLS` calls, so running it ends.
+//! `MAX_OFFERED_CALLS` calls and the whole run at most `MAX_RUN_CALLS`
+//! over at most `MAX_SEEDS` seeds, so running it ends and its seed pool
+//! is bounded. Every config the repository ships stays accepted.
 
-use altroute_experiments::config::{Config, MAX_OFFERED_CALLS};
+use altroute_experiments::config::{
+    Config, EXAMPLE_CONFIG, MAX_OFFERED_CALLS, MAX_RUN_CALLS, MAX_SEEDS,
+};
 use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
 use altrouted::config::DaemonConfig;
 use proptest::prelude::*;
@@ -149,7 +153,11 @@ fn check(text: &str) -> Result<(), TestCaseError> {
     };
     if let Ok(config) = Config::from_json(&value) {
         let p = config.params;
-        prop_assert!(p.seeds >= 1, "accepted 0 seeds: {text}");
+        prop_assert!(
+            (1..=MAX_SEEDS).contains(&p.seeds),
+            "accepted {} seeds: {text}",
+            p.seeds
+        );
         prop_assert!(p.warmup.is_finite() && p.warmup >= 0.0, "warm-up: {text}");
         prop_assert!(
             p.horizon > 0.0 && (p.warmup + p.horizon).is_finite(),
@@ -166,6 +174,8 @@ fn check(text: &str) -> Result<(), TestCaseError> {
                 offered <= MAX_OFFERED_CALLS,
                 "offers {offered:e} calls: {text}"
             );
+            let total = offered * f64::from(p.seeds);
+            prop_assert!(total <= MAX_RUN_CALLS, "offers {total:e} in all: {text}");
             let topo = exp.topology();
             prop_assert!((2..=MAX_NODES).contains(&topo.num_nodes()), "{text}");
             prop_assert!(
@@ -186,6 +196,62 @@ fn check(text: &str) -> Result<(), TestCaseError> {
         daemon.controller();
     }
     Ok(())
+}
+
+/// The quadrangle at `uniform` Erlangs per pair with `seeds` seeds,
+/// decoded and built.
+fn quadrangle_run(uniform: &str, seeds: &str) -> Result<(), String> {
+    let text = format!(
+        r#"{{"topology": {{"builtin": "quadrangle"}}, "traffic": {{"uniform": {uniform}}}, "policies": [], "max_hops": 3, "seeds": {seeds}}}"#
+    );
+    Config::from_json(&altroute_json::parse(&text).unwrap())?
+        .experiment()
+        .map(|_| ())
+}
+
+#[test]
+fn seed_counts_and_run_totals_are_bounded() {
+    // A seed count the pool would allocate 4 billion result slots for,
+    // even with nothing to simulate.
+    assert_eq!(
+        quadrangle_run("0.0", "4294967295"),
+        Err("\"seeds\" 4294967295 is too large; at most 10000 are allowed".into())
+    );
+    assert!(quadrangle_run("0.0", "10000").is_ok());
+    // 12 pairs x 7e5 Erlangs x 110 time units: 9.24e8 calls a seed.
+    assert!(quadrangle_run("7e5", "10").is_ok());
+    assert_eq!(
+        quadrangle_run("7e5", "11"),
+        Err("the config offers 1.016e10 calls over its 11 seeds; at most 1e10 are allowed".into())
+    );
+}
+
+/// Every simulate config the repository ships: `example-config` and the
+/// configs `scripts/check.sh` writes (its `<<'EOF'` heredocs).
+fn shipped_configs() -> Vec<String> {
+    let script = include_str!("../../../scripts/check.sh");
+    let mut configs = vec![EXAMPLE_CONFIG.to_string()];
+    let mut lines = script.lines();
+    while let Some(line) = lines.next() {
+        if line.ends_with("<<'EOF'") {
+            let body: Vec<&str> = lines.by_ref().take_while(|l| *l != "EOF").collect();
+            configs.push(body.join("\n"));
+        }
+    }
+    configs
+}
+
+#[test]
+fn shipped_configs_are_accepted() {
+    let configs = shipped_configs();
+    assert!(configs.len() >= 4, "found {} configs", configs.len());
+    for text in &configs {
+        let value = altroute_json::parse(text).expect("valid JSON");
+        let config = Config::from_json(&value).unwrap_or_else(|e| panic!("{e}: {text}"));
+        config
+            .experiment()
+            .unwrap_or_else(|e| panic!("{e}: {text}"));
+    }
 }
 
 proptest! {

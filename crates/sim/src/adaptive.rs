@@ -39,19 +39,20 @@ use altroute_simcore::kernel::{
 use altroute_simcore::pool::Fanout;
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{Recorder, RunTelemetry};
-use altrouted::control::{ControlPlane, Controller, ControllerTuning, LevelsUpdate};
+/// The controller knobs [`replicate_adaptive`] takes.
+pub use altrouted::control::ControllerTuning;
+use altrouted::control::{ControlPlane, Controller, LevelsUpdate};
 
-/// Configuration of the adaptive controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// How often (simulation time units, i.e. mean holding times) the
-    /// controller re-estimates the loads and recomputes `r`.
-    pub update_interval: f64,
-    /// EWMA weight of the newest interval's measured rate (0 < α ≤ 1).
-    pub ewma_alpha: f64,
-    /// Protection levels used before the first update completes.
-    pub initial: InitialLevels,
-}
+/// The adaptive runs' controller: re-estimate the loads and re-solve
+/// Eq. 15 every 5 mean holding times (the kernel tick interval is the
+/// tuning's `window`), weighting the newest window's rate by 0.4, with
+/// the kernel's unit-mean holds.
+pub const ADAPTIVE_TUNING: ControllerTuning = ControllerTuning {
+    window: 5.0,
+    recompute_every: 1,
+    alpha: 0.4,
+    mean_holding: 1.0,
+};
 
 /// What the links assume before any measurement exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,16 +62,6 @@ pub enum InitialLevels {
     Zero,
     /// Start fully protected (behave like single-path routing at first).
     Full,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            update_interval: 5.0,
-            ewma_alpha: 0.4,
-            initial: InitialLevels::Zero,
-        }
-    }
 }
 
 /// Outcome of one adaptive replication.
@@ -165,16 +156,17 @@ impl<'p, S: RouteSelector<'p>> RouteSelector<'p> for ControlledSelector<S> {
 /// Runs `params.seeds` replications of controlled alternate routing
 /// with *online* `Λ^k` estimation instead of the oracle loads
 /// (replication `i` uses seed `params.base_seed + i`) as `fanout`
-/// directs, and summarises their blocking — the module's one entry. The
-/// plan supplies topology, primaries and candidate paths; its oracle
-/// protection levels are ignored. Per-seed results come back in seed
-/// order and are identical for every `fanout`; with `fanout.window` set,
-/// every replication also records time-resolved telemetry, merged in
-/// seed order.
+/// directs, and summarises their blocking — the module's one entry. A
+/// [`Controller`] with `tuning` re-solves the levels every
+/// `tuning.window`, starting from `initial`. The plan supplies topology,
+/// primaries and candidate paths; its oracle protection levels are
+/// ignored. Per-seed results come back in seed order and are identical
+/// for every `fanout`; with `fanout.window` set, every replication also
+/// records time-resolved telemetry, merged in seed order.
 ///
 /// # Panics
 ///
-/// Panics on inconsistent sizes, a non-positive update interval, if
+/// Panics on inconsistent sizes, a non-positive `tuning.window`, if
 /// `params.seeds == 0`, `fanout.workers == 0`, or a telemetry window is
 /// not positive.
 pub fn replicate_adaptive(
@@ -182,7 +174,8 @@ pub fn replicate_adaptive(
     traffic: &TrafficMatrix,
     params: &SimParams,
     failures: &FailureSchedule,
-    config: &AdaptiveConfig,
+    tuning: &ControllerTuning,
+    initial: InitialLevels,
     fanout: &Fanout<'_>,
 ) -> (
     Vec<AdaptiveSeedResult>,
@@ -190,10 +183,7 @@ pub fn replicate_adaptive(
     Option<RunTelemetry>,
 ) {
     assert!(params.seeds > 0, "need at least one replication");
-    assert!(
-        config.update_interval > 0.0,
-        "update interval must be positive"
-    );
+    assert!(tuning.window > 0.0, "update interval must be positive");
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
     let (per_seed, telemetry) = fanout.replicate(
         params.seeds as usize,
@@ -211,8 +201,8 @@ pub fn replicate_adaptive(
             };
             let run = Run::new(&config_i).scratch(scratch);
             match telemetry {
-                Some(t) => adaptive_seed(run.recorder(t), plan, config),
-                None => adaptive_seed(run, plan, config),
+                Some(t) => adaptive_seed(run.recorder(t), plan, tuning, initial),
+                None => adaptive_seed(run, plan, tuning, initial),
             }
         },
     );
@@ -230,31 +220,26 @@ fn adaptive_policy(plan: &RoutingPlan) -> PolicyKind {
 
 /// One adaptive replication: `run` (a replication on `plan`) driven by
 /// a [`ControlledSelector`] over the plan's tiered routing, ticking every
-/// update interval.
+/// `tuning.window`.
 fn adaptive_seed<R: Recorder>(
     run: Run<'_, NullTraceSink, R>,
     plan: &RoutingPlan,
-    config: &AdaptiveConfig,
+    tuning: &ControllerTuning,
+    initial: InitialLevels,
 ) -> AdaptiveSeedResult {
     let plane = ControlPlane::from_primaries(
         plan.topology(),
         plan.primaries().clone(),
         plan.max_alternate_hops(),
     );
-    let mut admission = TrunkReservation::new(match config.initial {
+    let mut admission = TrunkReservation::new(match initial {
         InitialLevels::Zero => vec![0; plane.capacities.len()],
         InitialLevels::Full => plane.capacities.clone(),
     });
-    // Re-solve every window; unit mean holding, as the kernel's holds.
-    let tuning = ControllerTuning {
-        window: config.update_interval,
-        alpha: config.ewma_alpha,
-        ..ControllerTuning::default()
-    };
     let mut selector =
-        ControlledSelector::new(TieredSelector::new(plan), Controller::new(plane, tuning));
+        ControlledSelector::new(TieredSelector::new(plan), Controller::new(plane, *tuning));
     let result = run
-        .ticks(config.update_interval)
+        .ticks(tuning.window)
         .execute_with(&mut admission, &mut selector);
     AdaptiveSeedResult {
         offered: result.offered,
@@ -278,7 +263,7 @@ mod tests {
         horizon: f64,
         seed: u64,
         failures: &FailureSchedule,
-        config: &AdaptiveConfig,
+        initial: InitialLevels,
     ) -> AdaptiveSeedResult {
         let params = SimParams {
             warmup,
@@ -290,8 +275,15 @@ mod tests {
             workers: 1,
             ..Fanout::default()
         };
-        let (mut per_seed, _, _) =
-            replicate_adaptive(plan, traffic, &params, failures, config, &fanout);
+        let (mut per_seed, _, _) = replicate_adaptive(
+            plan,
+            traffic,
+            &params,
+            failures,
+            &ADAPTIVE_TUNING,
+            initial,
+            &fanout,
+        );
         per_seed.remove(0)
     }
 
@@ -312,7 +304,7 @@ mod tests {
             100.0,
             7,
             &failures,
-            &AdaptiveConfig::default(),
+            InitialLevels::Zero,
         );
         // Final EWMA estimates should sit near the true Λ^k.
         let mut rel_err_sum = 0.0;
@@ -348,7 +340,7 @@ mod tests {
                 60.0,
                 seed,
                 &failures,
-                &AdaptiveConfig::default(),
+                InitialLevels::Zero,
             );
             adaptive_blocked += a.blocked;
             adaptive_offered += a.offered;
@@ -390,18 +382,7 @@ mod tests {
             100, 4, 4, 100, 100,
         ];
         for (initial, blocked) in [(InitialLevels::Zero, 6733), (InitialLevels::Full, 6724)] {
-            let r = run_adaptive_seed(
-                &plan,
-                &traffic,
-                10.0,
-                60.0,
-                5,
-                &failures,
-                &AdaptiveConfig {
-                    initial,
-                    ..Default::default()
-                },
-            );
+            let r = run_adaptive_seed(&plan, &traffic, 10.0, 60.0, 5, &failures, initial);
             assert_eq!(
                 (r.offered, r.blocked, &r.final_levels),
                 (55839, blocked, &levels),
@@ -414,9 +395,9 @@ mod tests {
     fn deterministic_per_seed() {
         let (plan, traffic) = nsfnet_plan(0.8);
         let failures = FailureSchedule::none();
-        let cfg = AdaptiveConfig::default();
-        let a = run_adaptive_seed(&plan, &traffic, 5.0, 30.0, 11, &failures, &cfg);
-        let b = run_adaptive_seed(&plan, &traffic, 5.0, 30.0, 11, &failures, &cfg);
+        let zero = InitialLevels::Zero;
+        let a = run_adaptive_seed(&plan, &traffic, 5.0, 30.0, 11, &failures, zero);
+        let b = run_adaptive_seed(&plan, &traffic, 5.0, 30.0, 11, &failures, zero);
         assert_eq!(a, b);
     }
 
@@ -427,9 +408,9 @@ mod tests {
         // worker count.
         let (plan, traffic) = nsfnet_plan(0.8);
         let failures = FailureSchedule::none();
-        let cfg = AdaptiveConfig::default();
+        let (tuning, zero) = (&ADAPTIVE_TUNING, InitialLevels::Zero);
         let plain: Vec<_> = (11..14)
-            .map(|seed| run_adaptive_seed(&plan, &traffic, 5.0, 30.0, seed, &failures, &cfg))
+            .map(|seed| run_adaptive_seed(&plan, &traffic, 5.0, 30.0, seed, &failures, zero))
             .collect();
         for workers in [1, 3] {
             let fanout = Fanout {
@@ -444,7 +425,7 @@ mod tests {
                 base_seed: 11,
             };
             let (recorded, summary, telemetry) =
-                replicate_adaptive(&plan, &traffic, &params, &failures, &cfg, &fanout);
+                replicate_adaptive(&plan, &traffic, &params, &failures, tuning, zero, &fanout);
             assert_eq!(recorded, plain, "recorder must be a pure observer");
             assert_eq!(summary.replications(), 3);
             let offered: u64 = plain.iter().map(|r| r.offered).sum();
@@ -460,17 +441,26 @@ mod tests {
     #[should_panic(expected = "update interval")]
     fn zero_interval_panics() {
         let (plan, traffic) = nsfnet_plan(1.0);
-        run_adaptive_seed(
+        let params = SimParams {
+            warmup: 1.0,
+            horizon: 5.0,
+            seeds: 1,
+            base_seed: 0,
+        };
+        let tuning = ControllerTuning {
+            window: 0.0,
+            ..ADAPTIVE_TUNING
+        };
+        let failures = FailureSchedule::none();
+        let zero = InitialLevels::Zero;
+        replicate_adaptive(
             &plan,
             &traffic,
-            1.0,
-            5.0,
-            0,
-            &FailureSchedule::none(),
-            &AdaptiveConfig {
-                update_interval: 0.0,
-                ..Default::default()
-            },
+            &params,
+            &failures,
+            &tuning,
+            zero,
+            &Fanout::default(),
         );
     }
 }

@@ -236,10 +236,11 @@ EOF
 # engine must succeed, be bit-stable across two invocations and match
 # its committed transcript (`results/full/altroute_cli_<name>.txt`), and the
 # committed results of all 19 result binaries, the table and JSON
-# transcripts of `metastability` and `controlled`, and the smoke-preset
+# transcripts of `metastability` and `controlled`, the smoke-preset
 # `largemesh --metrics-json` report (per-round eviction counts and
-# blocking) must reproduce byte for byte (~120 s of runs in release on
-# 2 vCPUs).
+# blocking) and `altroute_cli --help` (the usage the argv grammar
+# generates, so a change to its flag table shows as a diff) must
+# reproduce byte for byte (~120 s of runs in release on 2 vCPUs).
 stage_parity() {
   cat > "$tmpdir/parity.json" <<'EOF'
 {
@@ -271,6 +272,9 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
+  cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
+    --help > "$tmpdir/altroute_cli_help.txt"
+  cmp "$tmpdir/altroute_cli_help.txt" "results/full/altroute_cli_help.txt"
   # The hysteresis tiers' table and JSON must reproduce their committed
   # transcripts byte for byte, not only be stable run to run.
   local tier

@@ -35,6 +35,13 @@ pub const MAX_SEEDS: u32 = 10_000;
 /// per replication across ten replications, minutes of work per policy.
 pub const MAX_RUN_CALLS: f64 = 1e10;
 
+/// The most bytes of per-pair tallies a config's run may keep: each
+/// replication keeps an offered and a blocked `u64` per ordered node
+/// pair until the run ends (multirate folds its two classes into
+/// per-class sums), 16 · seeds · n² bytes in all. 2 GiB admits a
+/// [`MAX_NODES`]-node network at 134 seeds, and every shipped config.
+pub const MAX_TALLY_BYTES: u64 = 2 << 30;
+
 #[derive(Debug, PartialEq)]
 enum TopologySpec {
     /// A named built-in: "nsfnet" | "quadrangle".
@@ -345,11 +352,21 @@ impl Config {
     }
 
     /// Builds the experiment: topology, traffic, and the failure schedule
-    /// installed. Refuses a config offering a replication more than
-    /// [`MAX_OFFERED_CALLS`] calls, or the whole run (every seed) more
-    /// than [`MAX_RUN_CALLS`].
+    /// installed. Refuses a config whose seeds would keep more than
+    /// [`MAX_TALLY_BYTES`] of per-pair tallies, or offering a replication
+    /// more than [`MAX_OFFERED_CALLS`] calls, or the whole run (every
+    /// seed) more than [`MAX_RUN_CALLS`].
     pub fn experiment(&self) -> Result<Experiment, String> {
         let topo = build_topology(&self.topology)?;
+        let n = topo.num_nodes() as u64;
+        let tally_bytes = 16 * u64::from(self.params.seeds) * n * n;
+        if tally_bytes > MAX_TALLY_BYTES {
+            return Err(format!(
+                "the config's {} seeds over {n} nodes keep {tally_bytes} bytes of \
+                 per-pair tallies; at most {MAX_TALLY_BYTES} are allowed",
+                self.params.seeds
+            ));
+        }
         let traffic = build_traffic(&self.traffic, topo.num_nodes())?;
         let offered = traffic.total() * (self.params.warmup + self.params.horizon);
         if offered > MAX_OFFERED_CALLS {

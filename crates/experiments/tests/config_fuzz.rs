@@ -10,10 +10,11 @@
 //! panic on its parameters, and offer a replication at most
 //! `MAX_OFFERED_CALLS` calls and the whole run at most `MAX_RUN_CALLS`
 //! over at most `MAX_SEEDS` seeds, so running it ends and its seed pool
-//! is bounded. Every config the repository ships stays accepted.
+//! is bounded, and keep at most `MAX_TALLY_BYTES` of per-pair tallies
+//! over its seeds. Every config the repository ships stays accepted.
 
 use altroute_experiments::config::{
-    Config, EXAMPLE_CONFIG, MAX_OFFERED_CALLS, MAX_RUN_CALLS, MAX_SEEDS,
+    Config, EXAMPLE_CONFIG, MAX_OFFERED_CALLS, MAX_RUN_CALLS, MAX_SEEDS, MAX_TALLY_BYTES,
 };
 use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
 use altrouted::config::DaemonConfig;
@@ -178,6 +179,12 @@ fn check(text: &str) -> Result<(), TestCaseError> {
             prop_assert!(total <= MAX_RUN_CALLS, "offers {total:e} in all: {text}");
             let topo = exp.topology();
             prop_assert!((2..=MAX_NODES).contains(&topo.num_nodes()), "{text}");
+            let n = topo.num_nodes() as u64;
+            prop_assert!(
+                16 * u64::from(p.seeds) * n * n <= MAX_TALLY_BYTES,
+                "tallies over {} seeds: {text}",
+                p.seeds
+            );
             prop_assert!(
                 topo.links()
                     .iter()
@@ -224,6 +231,35 @@ fn seed_counts_and_run_totals_are_bounded() {
         quadrangle_run("7e5", "11"),
         Err("the config offers 1.016e10 calls over its 11 seeds; at most 1e10 are allowed".into())
     );
+}
+
+/// A `nodes`-node ring carrying no traffic, run over `seeds` seeds,
+/// decoded and built.
+fn idle_ring(nodes: usize, seeds: u32) -> Result<(), String> {
+    let text = format!(
+        r#"{{"topology": {{"ring": {{"nodes": {nodes}, "capacity": 10}}}}, "traffic": {{"uniform": 0.0}}, "policies": [], "max_hops": 3, "seeds": {seeds}}}"#
+    );
+    Config::from_json(&altroute_json::parse(&text).unwrap())?
+        .experiment()
+        .map(|_| ())
+}
+
+#[test]
+fn per_seed_tallies_are_bounded() {
+    // Nothing to simulate, yet every seed would keep two 10⁶-entry
+    // per-pair tallies: 160 GB over 10,000 seeds.
+    assert_eq!(
+        idle_ring(MAX_NODES, MAX_SEEDS),
+        Err(
+            "the config's 10000 seeds over 1000 nodes keep 160000000000 bytes of \
+             per-pair tallies; at most 2147483648 are allowed"
+                .into()
+        )
+    );
+    // 16 B x 134 x 10⁶ fits in 2 GiB; one more seed does not.
+    assert!(idle_ring(MAX_NODES, 134).is_ok());
+    assert!(idle_ring(MAX_NODES, 135).is_err());
+    assert!(idle_ring(100, MAX_SEEDS).is_ok());
 }
 
 /// Every simulate config the repository ships: `example-config` and the

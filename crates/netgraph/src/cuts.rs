@@ -50,10 +50,42 @@ pub fn cut_load(topo: &Topology, traffic: &TrafficMatrix, mask: u32) -> CutLoad 
     cl
 }
 
+/// An upper bound on [`erlang_b`](altroute_teletraffic::erlang::erlang_b)
+/// `(a, capacity)` from two logarithms and one exponential instead of
+/// the `capacity`-step recurrence; 1 where none applies cheaply.
+///
+/// `B(a, C) = P(X = C) / P(X ≤ C)` for `X ~ Poisson(a)`. Once
+/// `C ≥ a + 1`, `C` lies above the median of `X` (which is below
+/// `a + 1/3`), so `P(X ≤ C) ≥ 1/2`, and Robbins' `C! ≥ √(2πC) (C/e)^C`
+/// bounds `P(X = C)` by `exp(C − a − C ln(C/a) − ½ ln(2πC))`. The bound
+/// is doubled once more so rounding in either computation cannot put the
+/// recurrence's result above it.
+fn erlang_b_ceiling(a: f64, capacity: u32) -> f64 {
+    let c = f64::from(capacity);
+    if c < a + 1.0 {
+        return 1.0;
+    }
+    let ln_p = c - a - c * (c / a).ln() - 0.5 * (2.0 * std::f64::consts::PI * c).ln();
+    (4.0 * ln_p.exp()).min(1.0)
+}
+
+/// An upper bound on [`cut_bound`]`(cut, total)`: each direction's
+/// traffic share times the [`erlang_b_ceiling`] of its pooled link, in
+/// `cut_bound`'s float operations, so the computed ceiling is never below
+/// the computed bound.
+fn cut_ceiling(cut: CutLoad, total: f64) -> f64 {
+    cut.traffic_out / total * erlang_b_ceiling(cut.traffic_out, cut.capacity_out)
+        + cut.traffic_in / total * erlang_b_ceiling(cut.traffic_in, cut.capacity_in)
+}
+
 /// The Erlang bound over all `2^n − 2` non-trivial node cuts.
 ///
 /// Complementary cuts give identical values (the two directions swap), so
-/// only masks with node 0 outside the cut are enumerated.
+/// only masks with node 0 outside the cut are enumerated. A cut whose
+/// closed-form ceiling (a Poisson-tail bound on each direction's Erlang
+/// B) is already below the best bound so far cannot replace it and skips
+/// the Erlang-B recurrences, so the result (bound and cut) is the
+/// exhaustive maximum's.
 ///
 /// # Panics
 ///
@@ -78,6 +110,11 @@ pub fn erlang_bound(topo: &Topology, traffic: &TrafficMatrix) -> ErlangBound {
     for rest in 1..limit {
         let mask = rest << 1;
         let cl = cut_load(topo, traffic, mask);
+        // Pruning compares against a normal best only: subnormal
+        // recurrence results carry no relative accuracy.
+        if best.bound >= f64::MIN_POSITIVE && cut_ceiling(cl, total) < best.bound {
+            continue;
+        }
         let b = cut_bound(cl, total);
         if b > best.bound {
             best = ErlangBound {

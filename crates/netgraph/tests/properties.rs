@@ -1,9 +1,12 @@
 //! Property-based tests of the graph substrate on randomized meshes.
 
-use altroute_netgraph::cuts::{cut_load, erlang_bound};
+use altroute_netgraph::cuts::{cut_load, erlang_bound, ErlangBound};
+use altroute_netgraph::estimate::nsfnet_nominal_traffic;
+use altroute_netgraph::graph::Topology;
 use altroute_netgraph::paths::{dijkstra, loop_free_paths, min_hop_path};
-use altroute_netgraph::topologies::{power_law_mesh, random_mesh, srlg_groups};
+use altroute_netgraph::topologies::{nsfnet, power_law_mesh, random_mesh, srlg_groups};
 use altroute_netgraph::traffic::TrafficMatrix;
+use altroute_teletraffic::bound::cut_bound;
 use proptest::prelude::*;
 
 /// Strategy: a connected random mesh of 4–10 nodes.
@@ -133,5 +136,66 @@ proptest! {
         prop_assert!((a.traffic_out - b.traffic_in).abs() < 1e-9);
         let eb = erlang_bound(&topo, &m);
         prop_assert!((0.0..=1.0).contains(&eb.bound));
+    }
+}
+
+/// The Erlang bound by evaluating every cut `erlang_bound` enumerates,
+/// with no pruning: the reference its pruned search must reproduce.
+fn exhaustive_erlang_bound(topo: &Topology, traffic: &TrafficMatrix) -> ErlangBound {
+    let mut best = ErlangBound {
+        bound: 0.0,
+        cut_mask: 0,
+    };
+    for rest in 1..1u32 << (topo.num_nodes() - 1) {
+        let mask = rest << 1;
+        let b = cut_bound(cut_load(topo, traffic, mask), traffic.total());
+        if b > best.bound {
+            best = ErlangBound {
+                bound: b,
+                cut_mask: mask,
+            };
+        }
+    }
+    best
+}
+
+/// Asserts the pruned and the exhaustive search agree bit for bit.
+fn assert_same_bound(topo: &Topology, traffic: &TrafficMatrix) {
+    let pruned = erlang_bound(topo, traffic);
+    let exhaustive = exhaustive_erlang_bound(topo, traffic);
+    assert_eq!(pruned.bound.to_bits(), exhaustive.bound.to_bits());
+    assert_eq!(pruned.cut_mask, exhaustive.cut_mask);
+}
+
+#[test]
+fn pruned_erlang_bound_is_exhaustive_on_the_nsfnet_sweep() {
+    // Fig. 6's loads and beyond, from nearly idle to heavily overloaded.
+    let nominal = nsfnet_nominal_traffic().traffic;
+    for load in [0.05, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 20.0, 40.0] {
+        assert_same_bound(&nsfnet(100), &nominal.scaled(load / 10.0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// On random meshes under random per-pair loads (idle pairs, light
+    /// and overloaded ones), skipping the cuts that cannot beat the best
+    /// leaves the Erlang bound and its cut exactly as the full search.
+    #[test]
+    fn pruned_erlang_bound_is_exhaustive(
+        topo in mesh(),
+        loads in proptest::collection::vec(prop_oneof![Just(0.0f64), 0.0f64..1.0, 0.0f64..40.0], 100),
+        scale in prop_oneof![Just(1.0f64), 1e-3f64..1.0],
+    ) {
+        let n = topo.num_nodes();
+        let mut m = TrafficMatrix::zero(n);
+        for (k, &load) in loads.iter().enumerate() {
+            let (i, j) = (k / n % n, k % n);
+            if i != j {
+                m.set(i, j, load * scale);
+            }
+        }
+        assert_same_bound(&topo, &m);
     }
 }

@@ -999,25 +999,25 @@ mod tests {
         use altroute_simcore::kernel::CallTable;
         let path_a: Vec<usize> = vec![0, 1];
         let path_b: Vec<usize> = vec![2];
-        let mut out = Vec::new();
         let mut table = CallTable::new();
         let (slot_a, gen_a) = table.insert(&path_a, 1);
-        // Failure teardown ends call A through its handle.
-        assert_eq!(table.take_into(slot_a, gen_a, &mut out), Some(1));
-        assert_eq!(out, path_a);
+        // Failure teardown ends call A through its handle; its links stay
+        // readable for the release.
+        assert_eq!(table.end(slot_a, gen_a), Some(1));
+        assert_eq!(table.path(slot_a), path_a);
         // Call B reuses the same slot with a bumped generation.
         let (slot_b, gen_b) = table.insert(&path_b, 1);
         assert_eq!(slot_b, slot_a, "free list must hand the slot back");
         assert_ne!(gen_b, gen_a, "reuse must bump the generation");
         // Call A's scheduled departure fires: it must be rejected and
-        // must leave call B (and the caller's path buffer) untouched.
-        assert_eq!(table.take_into(slot_a, gen_a, &mut out), None);
-        assert_eq!(out, path_a, "stale take must not clobber the buffer");
-        assert!(table.is_live(slot_b, gen_b), "stale take must not end B");
+        // must leave call B (and its path) untouched.
+        assert_eq!(table.end(slot_a, gen_a), None);
+        assert_eq!(table.path(slot_b), path_b, "stale end must not touch B");
+        assert!(table.is_live(slot_b, gen_b), "stale end must not end B");
         assert_eq!(table.live(), 1);
         // Call B's own departure still works.
-        assert_eq!(table.take_into(slot_b, gen_b, &mut out), Some(1));
-        assert_eq!(out, path_b);
+        assert_eq!(table.end(slot_b, gen_b), Some(1));
+        assert_eq!(table.path(slot_b), path_b);
         assert_eq!(table.live(), 0);
     }
 

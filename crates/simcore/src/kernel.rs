@@ -6,11 +6,12 @@
 //! time, routing pick, next gap) from per-source seed-derived streams,
 //! one stable event queue (the [`CalendarQueue`]) driven with *peek*
 //! semantics (the clock never passes the end of the measurement window),
-//! a generational call table with a per-link teardown index, warm-up-aware
-//! counters, and the [`EngineMetrics`] gauges. This module owns that
-//! machine once; the five historical engines (single-rate mesh, adaptive
-//! estimation, multirate, signaling, cellular borrowing) instantiate it
-//! with two small strategy objects:
+//! a generational call table (with a per-link teardown index on runs
+//! that fail a link mid-run), warm-up-aware counters, and the
+//! [`EngineMetrics`] gauges. This module owns that machine once; the
+//! five historical engines (single-rate mesh, adaptive estimation,
+//! multirate, signaling, cellular borrowing) instantiate it with two
+//! small strategy objects:
 //!
 //! * [`AdmissionPolicy`] — per-link accept/reject given occupancy,
 //!   capacity, and protection level ([`Uncontrolled`] capacity-only
@@ -41,7 +42,6 @@
 use crate::calendar::CalendarQueue;
 use crate::metrics::EngineMetrics;
 use crate::rng::{RngStream, StreamFactory};
-use crate::timeweighted::TimeWeighted;
 
 /// A link identifier (index into the kernel's link state).
 pub type Link = usize;
@@ -132,32 +132,28 @@ impl LinkOccupancy {
         self.up[link] = false;
     }
 
-    /// Books `bandwidth` units on every link of `path`. A link listed
-    /// `k` times books `k × bandwidth` units on it, and the precheck
-    /// accounts for that: a path revisiting a link must fit the summed
-    /// booking, not just one traversal at a time.
+    /// Books `bandwidth` units on every link of `path`, in one pass. A
+    /// link listed `k` times books `k × bandwidth` units on it, and each
+    /// traversal is checked after the ones before it have booked, so a
+    /// path revisiting a link must fit the summed booking, not just one
+    /// traversal at a time.
     ///
     /// # Panics
     ///
     /// Panics if any link is down or lacks the capacity for every
     /// traversal of it in `path` — the admission decision and the
-    /// booking must agree.
+    /// booking must agree. The panic may leave earlier links of the
+    /// path booked; it is a policy bug, not a state to recover from.
     pub fn book(&mut self, path: &[Link], bandwidth: u32) {
-        for (i, &l) in path.iter().enumerate() {
+        for &l in path {
             assert!(self.up[l], "booked over a down link {l}");
-            // Count this link's earlier occurrences in the path so the
-            // precheck sums repeated traversals instead of approving
-            // each one against the same pre-booking occupancy.
-            let traversals = 1 + path[..i].iter().filter(|&&p| p == l).count() as u32;
+            let booked = self.occupancy[l];
             assert!(
-                self.occupancy[l] + traversals * bandwidth <= self.capacity[l],
-                "link {l} over capacity: {} + {traversals}x{bandwidth} > {}",
-                self.occupancy[l],
+                booked + bandwidth <= self.capacity[l],
+                "link {l} over capacity: {booked} + {bandwidth} > {}",
                 self.capacity[l]
             );
-        }
-        for &l in path {
-            self.occupancy[l] += bandwidth;
+            self.occupancy[l] = booked + bandwidth;
         }
     }
 
@@ -548,11 +544,13 @@ enum Event {
 ///
 /// Paths live in one flat arena (structure-of-arrays: per-slot region
 /// start/capacity/length alongside bandwidth and generation columns),
-/// copied in on [`insert`](CallTable::insert) and copied out on
-/// [`take_into`](CallTable::take_into). The table owns its storage —
-/// no borrowed lifetimes — so a [`KernelScratch`] can recycle it across
-/// replications; a freed slot keeps its arena region and reuses it for
-/// the next call whose path fits.
+/// copied in on [`insert`](CallTable::insert) and read in place through
+/// [`path`](CallTable::path), also after [`end`](CallTable::end) frees
+/// the slot: the kernel releases an ended call straight from its arena
+/// slice. The table owns its storage — no borrowed lifetimes — so a
+/// [`KernelScratch`] can recycle it across replications; a freed slot
+/// keeps its arena region and reuses it for the next call whose path
+/// fits.
 #[derive(Debug, Default)]
 pub struct CallTable {
     arena: Vec<Link>,
@@ -625,24 +623,30 @@ impl CallTable {
         }
     }
 
-    /// Ends the call `(id, gen)`, copies its path into `path` (replacing
-    /// the previous contents), and returns its booked bandwidth — or
-    /// `None`, leaving `path` untouched, if the handle is stale (already
-    /// ended, slot possibly reused).
-    pub fn take_into(&mut self, id: u32, gen: u32, path: &mut Vec<Link>) -> Option<u32> {
+    /// Ends the call `(id, gen)` and returns its booked bandwidth — or
+    /// `None` if the handle is stale (already ended, slot possibly
+    /// reused). The ended call's links stay readable through
+    /// [`path`](CallTable::path) until the next
+    /// [`insert`](CallTable::insert).
+    pub fn end(&mut self, id: u32, gen: u32) -> Option<u32> {
         let slot = id as usize;
         if self.gens[slot] != gen || !self.occupied[slot] {
             return None;
         }
-        let at = self.start[slot];
-        path.clear();
-        path.extend_from_slice(&self.arena[at..at + self.path_len[slot] as usize]);
         self.occupied[slot] = false;
         // Invalidate every outstanding handle to this slot before reuse.
         self.gens[slot] = gen.wrapping_add(1);
         self.free.push(id);
         self.live -= 1;
         Some(self.bandwidth[slot])
+    }
+
+    /// The links of the call slot `id` holds, or last held if it was
+    /// ended since (until an [`insert`](CallTable::insert) reuses it).
+    pub fn path(&self, id: u32) -> &[Link] {
+        let slot = id as usize;
+        let at = self.start[slot];
+        &self.arena[at..at + self.path_len[slot] as usize]
     }
 
     /// Whether the handle still refers to a call in progress.
@@ -664,11 +668,16 @@ impl CallTable {
 /// Per-link index of the calls traversing each link, with lazy deletion.
 ///
 /// Failure teardown must find every call on the failed link; scanning
-/// the whole call table would make each outage O(all concurrent calls).
-/// This index keeps, per link, the `(slot, generation)` handles of
-/// calls that booked it. Departures only decrement a live counter (O(1)
-/// per link of the path); stale handles are purged amortized, whenever
-/// a link's entry list grows past twice its live count.
+/// the whole call table would make each outage O(all concurrent calls),
+/// and a config's outage count is unbounded. This index keeps, per
+/// link, the `(slot, generation)` handles of calls that booked it, in
+/// booking order. Departures only decrement a live counter (O(1) per
+/// link of the path); stale handles are purged amortized, whenever a
+/// link's entry list grows past twice its live count.
+///
+/// Only a failure reads the index, so the kernel keeps it only on runs
+/// that schedule a link failure inside the window; every other run
+/// books and releases calls without touching it.
 #[derive(Debug, Default)]
 pub struct LinkIndex {
     entries: Vec<Vec<(u32, u32)>>,
@@ -730,10 +739,11 @@ impl LinkIndex {
 }
 
 /// Reusable per-replication scratch: the calendar event queue, link
-/// state, call table, link index, and every working buffer one kernel
-/// run needs. [`run_pooled`] resets and reuses a scratch instead of
-/// reallocating it, so a worker thread replaying many seeds touches the
-/// allocator only when a run outgrows every previous one.
+/// state, call table, link index (filled only on runs that fail a link
+/// mid-run), the per-link occupancy integrals, and every working buffer
+/// one kernel run needs. [`run_pooled`] resets and reuses a scratch
+/// instead of reallocating it, so a worker thread replaying many seeds
+/// touches the allocator only when a run outgrows every previous one.
 ///
 /// A freshly reset scratch behaves identically to a fresh one — reuse
 /// recycles capacity, never state — so pooled results stay
@@ -776,6 +786,66 @@ impl Counters {
     }
 }
 
+/// One link's occupancy integral since the warm-up cut: what the
+/// utilization gauge reads of a [`TimeWeighted`], and nothing else.
+/// [`record`](OccupancyIntegral::record) does `TimeWeighted::record`'s
+/// float operations in the same order, minus the second moment, so
+/// [`mean`](OccupancyIntegral::mean) is bit-identical to
+/// `TimeWeighted::mean` over the same records. The default value is a
+/// `TimeWeighted` that has recorded 0 at `t = 0`.
+///
+/// [`TimeWeighted`]: crate::timeweighted::TimeWeighted
+#[derive(Debug, Clone, Copy, Default)]
+struct OccupancyIntegral {
+    last_time: f64,
+    last_value: f64,
+    /// ∫ occupancy dt over the observed time.
+    area: f64,
+    /// Time observed after the warm-up cut.
+    observed: f64,
+}
+
+impl OccupancyIntegral {
+    /// Records that the link carries `value` from `now` on, crediting
+    /// the part of the interval since the previous record that lies
+    /// after `warmup` to the previous value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if time runs backwards or inputs are NaN.
+    fn record(&mut self, now: f64, value: f64, warmup: f64) {
+        assert!(!now.is_nan() && !value.is_nan(), "inputs must not be NaN");
+        assert!(
+            now >= self.last_time,
+            "time ran backwards: {} after {}",
+            now,
+            self.last_time
+        );
+        let from = self.last_time.max(warmup);
+        let dt = now - from;
+        if dt > 0.0 {
+            self.area += self.last_value * dt;
+            self.observed += dt;
+        }
+        self.last_time = now;
+        self.last_value = value;
+    }
+
+    /// Closes the integral at time `end`, crediting the final segment.
+    fn finish(&mut self, end: f64, warmup: f64) {
+        self.record(end, self.last_value, warmup);
+    }
+
+    /// Time-weighted mean occupancy (0 before any time is observed).
+    fn mean(&self) -> f64 {
+        if self.observed == 0.0 {
+            0.0
+        } else {
+            self.area / self.observed
+        }
+    }
+}
+
 /// Everything [`run_pooled`] recycles besides the event queue, reset
 /// from each run's spec by [`prepare`](LoopState::prepare).
 #[derive(Debug, Default)]
@@ -783,11 +853,13 @@ struct LoopState {
     links: LinkOccupancy,
     calls: CallTable,
     index: LinkIndex,
-    /// Time-weighted occupancy per link, for the utilization gauge.
-    occupancy: Vec<TimeWeighted>,
+    /// Whether calls go into `index`: only when a link can fail mid-run.
+    indexed: bool,
+    /// The warm-up cut of the occupancy integrals.
+    warmup: f64,
+    /// Occupancy integral per link, for the utilization gauge.
+    occupancy: Vec<OccupancyIntegral>,
     streams: Vec<RngStream>,
-    /// The path of the call currently being torn down or departing.
-    path_buf: Vec<Link>,
     /// Handles drained from a failed link's index entry.
     torn: Vec<(u32, u32)>,
 }
@@ -795,24 +867,29 @@ struct LoopState {
 impl LoopState {
     /// Resets every piece of per-replication state from `spec`,
     /// recycling allocations: link occupancies and up/down flags, the
-    /// call table, the link index, and the per-link time-weighted
-    /// gauges. RNG streams are cleared here and rebuilt by
+    /// call table, the link index, and the per-link occupancy
+    /// integrals. RNG streams are cleared here and rebuilt by
     /// [`seed_sources`](LoopState::seed_sources).
+    ///
+    /// It also decides whether calls are indexed per link: only if the
+    /// run schedules a link failure (a down event before the end of the
+    /// window, the events [`seed_link_events`] schedules), since only a
+    /// failure reads the index. The decision comes before
+    /// [`seed_warm_start`](LoopState::seed_warm_start), whose calls a
+    /// failure tears down too.
     fn prepare(&mut self, spec: &KernelSpec<'_>) {
+        let end = spec.config.warmup + spec.config.horizon;
         self.links.reset(spec.capacities);
         for &l in spec.static_down {
             self.links.set_down(l);
         }
         self.calls.reset();
         self.index.reset(self.links.num_links());
+        self.indexed = spec.link_events.iter().any(|ev| !ev.up && ev.at < end);
+        self.warmup = spec.config.warmup;
         self.occupancy.clear();
-        let initial_occupancy = {
-            let mut tw = TimeWeighted::new(spec.config.warmup);
-            tw.record(0.0, 0.0);
-            tw
-        };
         self.occupancy
-            .resize(self.links.num_links(), initial_occupancy);
+            .resize(self.links.num_links(), OccupancyIntegral::default());
         self.streams.clear();
     }
 
@@ -820,10 +897,10 @@ impl LoopState {
     /// each seeded unit on link `l` is a single-link, bandwidth-1 call
     /// whose residual holding time is a fresh unit-mean exponential
     /// drawn from [`WARM_START_STREAM`], in link-major order. The calls
-    /// live in the call table and the link index like any other, so
-    /// departures free circuits and link failures tear them down; links
-    /// with zero seeded units are untouched, which makes an all-zero
-    /// warm start byte-identical to a cold one (observer stream
+    /// live in the call table (and the link index, when kept) like any
+    /// other, so departures free circuits and link failures tear them
+    /// down; links with zero seeded units are untouched, which makes an
+    /// all-zero warm start byte-identical to a cold one (observer stream
     /// included).
     fn seed_warm_start<O: KernelObserver>(
         &mut self,
@@ -857,13 +934,15 @@ impl LoopState {
                 let hold = stream.holding_time();
                 self.links.book(&path, 1);
                 let (id, gen) = self.calls.insert(&path, 1);
-                self.index.add(&path, id, gen);
+                if self.indexed {
+                    self.index.add(&path, id, gen);
+                }
                 if hold < end {
                     queue.schedule(hold, Event::Departure { call: id, gen });
                 }
             }
             let occ = self.links.occupancy(l);
-            self.occupancy[l].record(0.0, f64::from(occ));
+            self.occupancy[l].record(0.0, f64::from(occ), self.warmup);
             observer.occupancy_changed(0.0, l, occ);
         }
         metrics.observe_concurrent_calls(self.calls.live());
@@ -938,11 +1017,14 @@ impl LoopState {
                 observer.arrival_routed(now, s.stream as u32, tier, path, hold, measured);
                 self.links.book(path, s.bandwidth);
                 for &l in path {
-                    self.occupancy[l].record(now, f64::from(self.links.occupancy(l)));
-                    observer.occupancy_changed(now, l, self.links.occupancy(l));
+                    let occ = self.links.occupancy(l);
+                    self.occupancy[l].record(now, f64::from(occ), self.warmup);
+                    observer.occupancy_changed(now, l, occ);
                 }
                 let (id, gen) = self.calls.insert(path, s.bandwidth);
-                self.index.add(path, id, gen);
+                if self.indexed {
+                    self.index.add(path, id, gen);
+                }
                 metrics.observe_concurrent_calls(self.calls.live());
                 queue.schedule(now + hold, Event::Departure { call: id, gen });
                 if measured {
@@ -964,29 +1046,35 @@ impl LoopState {
 
     /// Handles one departure event for call handle `(call, gen)` —
     /// exactly the historical departure arm (stale handles from
-    /// outage teardowns are observed and dropped).
+    /// outage teardowns are observed and dropped). The call is ended
+    /// first and released straight from its call-table slice.
     fn departure<O: KernelObserver>(&mut self, now: f64, call: u32, gen: u32, observer: &mut O) {
         let Self {
             links,
             calls,
             index,
+            indexed,
+            warmup,
             occupancy,
-            path_buf,
             ..
         } = self;
         // A call torn down by a failure leaves a stale departure; the
         // generation check also rejects it if the slot has been
         // reassigned to a newer call since.
-        if let Some(bandwidth) = calls.take_into(call, gen, path_buf) {
-            observer.departure(now, call, gen, false);
-            links.release(path_buf, bandwidth);
-            for &l in path_buf.iter() {
-                occupancy[l].record(now, f64::from(links.occupancy(l)));
-                observer.occupancy_changed(now, l, links.occupancy(l));
+        let Some(bandwidth) = calls.end(call, gen) else {
+            observer.departure(now, call, gen, true);
+            return;
+        };
+        observer.departure(now, call, gen, false);
+        let path = calls.path(call);
+        links.release(path, bandwidth);
+        for &l in path {
+            let occ = links.occupancy(l);
+            occupancy[l].record(now, f64::from(occ), *warmup);
+            observer.occupancy_changed(now, l, occ);
+            if *indexed {
                 index.remove_one(l, calls);
             }
-        } else {
-            observer.departure(now, call, gen, true);
         }
     }
 
@@ -1008,12 +1096,12 @@ impl LoopState {
             return;
         }
         self.links.set_down(link);
+        debug_assert!(self.indexed, "a link failed on a run kept without an index");
         let Self {
             links,
             calls,
             index,
             occupancy,
-            path_buf,
             torn,
             ..
         } = self;
@@ -1021,14 +1109,16 @@ impl LoopState {
         // link's entries, not the whole call table.
         index.drain_into(link, torn);
         for &(id, gen) in torn.iter() {
-            let Some(bandwidth) = calls.take_into(id, gen, path_buf) else {
+            let Some(bandwidth) = calls.end(id, gen) else {
                 continue;
             };
             observer.teardown(now, id, gen, now >= warmup);
-            links.release(path_buf, bandwidth);
-            for &l in path_buf.iter() {
-                occupancy[l].record(now, f64::from(links.occupancy(l)));
-                observer.occupancy_changed(now, l, links.occupancy(l));
+            let path = calls.path(id);
+            links.release(path, bandwidth);
+            for &l in path {
+                let occ = links.occupancy(l);
+                occupancy[l].record(now, f64::from(occ), warmup);
+                observer.occupancy_changed(now, l, occ);
                 if l != link {
                     index.remove_one(l, calls);
                 }
@@ -1054,7 +1144,8 @@ fn validate_config(config: &KernelConfig) {
 }
 
 /// Schedules every timed link failure/repair inside the window into
-/// `queue`.
+/// `queue` (the failures among them are the ones
+/// [`LoopState::prepare`] keeps the link index for).
 fn seed_link_events(spec: &KernelSpec<'_>, queue: &mut CalendarQueue<Event>) {
     let end = spec.config.warmup + spec.config.horizon;
     for ev in spec.link_events {
@@ -1184,14 +1275,14 @@ where
     }
 
     metrics.call_table_high_water = state.calls.high_water();
-    let links = &state.links;
+    let (links, warmup) = (&state.links, state.warmup);
     metrics.link_utilization = state
         .occupancy
         .iter_mut()
         .enumerate()
-        .map(|(l, tw)| {
-            tw.finish(end);
-            tw.mean() / f64::from(links.capacity(l))
+        .map(|(l, integral)| {
+            integral.finish(end, warmup);
+            integral.mean() / f64::from(links.capacity(l))
         })
         .collect();
     let total_wall = started.elapsed().as_secs_f64();
@@ -1749,5 +1840,147 @@ mod tests {
         let mut spec = warm_spec(zero_window(1), &[10], &[], &[1]);
         spec.static_down = &[0];
         run(&spec, &mut Uncontrolled, &mut OneLink, &mut NullObserver);
+    }
+
+    /// An observer that logs departures and teardowns by handle.
+    #[derive(Default)]
+    struct EndLog {
+        departed: Vec<(f64, u32)>,
+        torn: Vec<(u32, u32)>,
+    }
+
+    impl KernelObserver for EndLog {
+        fn departure(&mut self, now: f64, call: u32, _gen: u32, stale: bool) {
+            if !stale {
+                self.departed.push((now, call));
+            }
+        }
+
+        fn teardown(&mut self, _now: f64, call: u32, gen: u32, _measured: bool) {
+            self.torn.push((call, gen));
+        }
+    }
+
+    #[test]
+    fn link_index_is_kept_only_for_a_scheduled_failure() {
+        let down = |at| LinkEvent {
+            at,
+            link: 1,
+            up: false,
+        };
+        let config = KernelConfig {
+            horizon: 5.0,
+            ..zero_window(2)
+        };
+        // Repairs, and failures at or after the end of the window, never
+        // tear anything down: no call is indexed.
+        let repair = [LinkEvent {
+            up: true,
+            ..down(1.0)
+        }];
+        let late = [down(5.0), down(7.0)];
+        let early = [down(1.0)];
+        for (events, indexed) in [
+            (&[][..], false),
+            (&repair, false),
+            (&late, false),
+            (&early, true),
+        ] {
+            let mut spec = warm_spec(config, &[3, 4], &[], &[3, 4]);
+            spec.link_events = events;
+            let mut state = LoopState::default();
+            let mut queue = CalendarQueue::new();
+            state.prepare(&spec);
+            state.seed_warm_start(
+                &spec,
+                &mut queue,
+                &mut NullObserver,
+                &mut EngineMetrics::default(),
+            );
+            assert_eq!(state.indexed, indexed, "{events:?}");
+            let handles: usize = state.index.entries.iter().map(Vec::len).sum();
+            assert_eq!(handles, if indexed { 7 } else { 0 }, "{events:?}");
+        }
+    }
+
+    #[test]
+    fn a_failure_tears_down_exactly_the_warm_calls_on_its_link() {
+        // Link 0 seeds calls 0..3, link 1 calls 3..7, booked in that
+        // order. Link 1 fails mid-run: the warm calls still on it must be
+        // torn down in booking order, and none of link 0's. This needs
+        // the index decided before the warm start books its calls.
+        let config = KernelConfig {
+            horizon: 5.0,
+            ..zero_window(6)
+        };
+        let events = [LinkEvent {
+            at: 0.2,
+            link: 1,
+            up: false,
+        }];
+        let mut spec = warm_spec(config, &[3, 4], &[], &[3, 4]);
+        spec.link_events = &events;
+        let mut log = EndLog::default();
+        let out = run(&spec, &mut Uncontrolled, &mut OneLink, &mut log);
+        let left_early = |call| log.departed.iter().any(|&(t, c)| c == call && t < 0.2);
+        let expected: Vec<(u32, u32)> =
+            (3..7).filter(|&c| !left_early(c)).map(|c| (c, 0)).collect();
+        assert!(!expected.is_empty(), "the failure must find warm calls");
+        assert_eq!(log.torn, expected);
+        assert_eq!(out.dropped, expected.len() as u64);
+        // Link 1's calls end at the failure; link 0's all depart.
+        assert!(log.departed.iter().all(|&(t, c)| c < 3 || t < 0.2));
+    }
+
+    #[test]
+    #[should_panic(expected = "time ran backwards")]
+    fn occupancy_integral_refuses_time_running_backwards() {
+        let mut integral = OccupancyIntegral::default();
+        integral.record(2.0, 1.0, 0.0);
+        integral.record(1.0, 1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn occupancy_integral_refuses_nan() {
+        OccupancyIntegral::default().record(f64::NAN, 1.0, 0.0);
+    }
+
+    mod integral_properties {
+        use super::OccupancyIntegral;
+        use crate::timeweighted::TimeWeighted;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// On any piecewise-constant series the integral's mean is
+            /// `TimeWeighted::mean` bit for bit: steps may be zero (equal
+            /// timestamps), the warm-up cut may fall anywhere among the
+            /// records or after the end (1e9: no observed time).
+            #[test]
+            fn occupancy_integral_mean_is_time_weighted_mean(
+                steps in proptest::collection::vec(
+                    (prop_oneof![Just(0.0f64), 0.0f64..3.0], 0u32..200),
+                    0..60,
+                ),
+                warmup in prop_oneof![Just(0.0f64), 0.0f64..100.0, Just(1e9f64)],
+                tail in prop_oneof![Just(0.0f64), 0.0f64..5.0],
+            ) {
+                let mut integral = OccupancyIntegral::default();
+                // Started at 0, like the kernel's integrals.
+                let mut tw = TimeWeighted::new(warmup);
+                tw.record(0.0, 0.0);
+                let mut now = 0.0;
+                for &(step, value) in &steps {
+                    now += step;
+                    integral.record(now, f64::from(value), warmup);
+                    tw.record(now, f64::from(value));
+                }
+                let end = now + tail;
+                integral.finish(end, warmup);
+                tw.finish(end);
+                prop_assert_eq!(integral.mean().to_bits(), tw.mean().to_bits());
+                prop_assert_eq!(integral.observed.to_bits(), tw.duration().to_bits());
+            }
+        }
     }
 }

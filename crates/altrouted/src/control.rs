@@ -22,7 +22,7 @@ mod estimator;
 use altroute_core::primary::PrimaryAssignment;
 use altroute_netgraph::Topology;
 use altroute_telemetry::feed::FeedEvent;
-use altroute_teletraffic::estimate::protection_levels_for;
+use altroute_teletraffic::reservation::LevelSolver;
 use estimator::LoadEstimator;
 
 /// The static description of what the controller controls: the primary
@@ -193,6 +193,10 @@ pub struct Controller {
     estimator: LoadEstimator,
     loads: Vec<f64>,
     levels: Vec<u32>,
+    /// The last re-solve's levels, before they are compared with
+    /// `levels`.
+    solved: Vec<u32>,
+    solver: LevelSolver,
     updates: u64,
     solves: u64,
     arrivals: u64,
@@ -224,6 +228,8 @@ impl Controller {
             estimator,
             loads: vec![0.0; links],
             levels: vec![0; links],
+            solved: vec![0; links],
+            solver: LevelSolver::new(),
             updates: 0,
             solves: 0,
             arrivals: 0,
@@ -365,18 +371,23 @@ impl Controller {
     }
 
     /// Sums the current rate estimates, in Erlangs, onto links (Eq. 1)
-    /// and re-solves Eq. 15.
+    /// and re-solves Eq. 15, in buffers kept between solves: the one
+    /// allocation is the levels of the update it emits.
     fn solve(&mut self, at: f64) -> Option<LevelsUpdate> {
         self.solves += 1;
         let holding = self.tuning.mean_holding;
         let erlangs = self.estimator.rates().iter().map(|r| r * holding);
-        self.loads = self
-            .plane
+        self.plane
             .primaries
-            .link_loads_from(self.plane.capacities.len(), erlangs.enumerate());
-        let levels =
-            protection_levels_for(&self.loads, &self.plane.capacities, self.plane.max_hops);
-        let changed = levels
+            .link_loads_into(&mut self.loads, erlangs.enumerate());
+        self.solver.levels_into(
+            &self.loads,
+            &self.plane.capacities,
+            self.plane.max_hops,
+            &mut self.solved,
+        );
+        let changed = self
+            .solved
             .iter()
             .zip(&self.levels)
             .filter(|(a, b)| a != b)
@@ -384,13 +395,13 @@ impl Controller {
         if changed == 0 {
             return None;
         }
-        self.levels.clone_from(&levels);
+        self.levels.copy_from_slice(&self.solved);
         self.updates += 1;
         Some(LevelsUpdate {
             at,
             window: self.estimator.windows_completed(),
             changed,
-            levels,
+            levels: self.levels.clone(),
             max_load: self.loads.iter().cloned().fold(0.0, f64::max),
         })
     }

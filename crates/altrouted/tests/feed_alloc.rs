@@ -2,7 +2,9 @@
 //! that tallies this thread's allocations: accepted arrivals allocate
 //! nothing, so a feed whose arrivals all fall in one window costs the
 //! same allocations at 1,000 lines as at 100,000; a malformed line
-//! costs at most [`ALLOCS_PER_BAD_LINE`] (its error message).
+//! costs at most [`ALLOCS_PER_BAD_LINE`] (its error message); a window
+//! whose re-solve emits an update costs [`ALLOCS_PER_UPDATE`], whatever
+//! the link count.
 
 use altrouted::config::mesh_plane;
 use altrouted::control::{Controller, ControllerTuning};
@@ -75,14 +77,28 @@ fn controller() -> Controller {
     Controller::new(mesh_plane(NODES, 20, 2), ControllerTuning::default())
 }
 
+/// The allocations a window's re-solve costs once the controller is
+/// warm, when it changes a level: the levels the emitted update owns and
+/// the line rendered from them.
+const ALLOCS_PER_UPDATE: u64 = 2;
+
 /// Allocations `run_feed` makes on `feed` into a fresh controller, with
 /// the update stream written to a buffer allocated beforehand.
 fn feed_allocations(feed: &str) -> u64 {
-    let mut controller = controller();
-    let mut out = Vec::with_capacity(1 << 16);
-    allocations(|| {
-        run_feed(&mut controller, feed.as_bytes(), &mut out, None).expect("feed runs");
-    })
+    feed_allocations_on(controller(), feed).0
+}
+
+/// Allocations `run_feed` makes on `feed` into `controller`, and the
+/// updates it writes.
+fn feed_allocations_on(mut controller: Controller, feed: &str) -> (u64, u64) {
+    let mut out = Vec::with_capacity(1 << 20);
+    let mut updates = 0;
+    let allocs = allocations(|| {
+        updates = run_feed(&mut controller, feed.as_bytes(), &mut out, None)
+            .expect("feed runs")
+            .updates;
+    });
+    (allocs, updates)
 }
 
 /// The header and `n` arrivals cycling over every ordered pair, all
@@ -136,4 +152,42 @@ fn a_malformed_line_allocates_at_most_its_message() {
     // A line over the 4 KiB cap is skipped unbuffered: one message too.
     let over = format!("{header}{}\n", "x".repeat(1 << 16));
     assert!(feed_allocations(&over) - base <= ALLOCS_PER_BAD_LINE);
+}
+
+/// A feed on `K_nodes` that closes `windows` unit windows, each pair
+/// offered 19 arrivals in even windows and 1 in odd ones, so that every
+/// re-solve changes the levels; the arrivals of one more window close
+/// the last.
+fn alternating_feed(nodes: usize, windows: usize) -> String {
+    let pairs = nodes * (nodes - 1);
+    let mut feed = format!("altroute-feed v1 nodes={nodes}\n");
+    for w in 0..=windows {
+        let n = if w % 2 == 0 { 19 * pairs } else { pairs };
+        for i in 0..n {
+            let (src, hop) = ((i % pairs) / (nodes - 1), 1 + i % (nodes - 1));
+            let time = w as f64 + i as f64 / n as f64;
+            feed.push_str(&format!("a {time} {src} {}\n", (src + hop) % nodes));
+        }
+    }
+    feed
+}
+
+#[test]
+fn a_window_allocates_only_its_update_and_line() {
+    for nodes in [4, 12] {
+        let cost = |windows: usize| {
+            let plane = mesh_plane(nodes, 20, 2);
+            let controller = Controller::new(plane, ControllerTuning::default());
+            let (allocs, updates) =
+                feed_allocations_on(controller, &alternating_feed(nodes, windows));
+            assert_eq!(updates, windows as u64, "K_{nodes}: one update per window");
+            allocs
+        };
+        let (few, many) = (cost(4), cost(40));
+        assert_eq!(
+            many - few,
+            ALLOCS_PER_UPDATE * 36,
+            "K_{nodes}: 36 more updating windows"
+        );
+    }
 }

@@ -245,6 +245,23 @@ impl PrimaryAssignment {
         offered: impl IntoIterator<Item = (usize, f64)>,
     ) -> Vec<f64> {
         let mut loads = vec![0.0; num_links];
+        self.link_loads_into(&mut loads, offered);
+        loads
+    }
+
+    /// [`link_loads_from`](Self::link_loads_from) into `loads`, one entry
+    /// per link, which it zeroes first: the same sums in the same order,
+    /// without a fresh vector.
+    ///
+    /// # Panics
+    ///
+    /// As [`link_loads_from`](Self::link_loads_from).
+    pub fn link_loads_into(
+        &self,
+        loads: &mut [f64],
+        offered: impl IntoIterator<Item = (usize, f64)>,
+    ) {
+        loads.fill(0.0);
         for (pair, erlangs) in offered {
             for k in self.paths(pair) {
                 let load = erlangs * self.fractions[k];
@@ -253,7 +270,6 @@ impl PrimaryAssignment {
                 }
             }
         }
-        loads
     }
 }
 

@@ -26,28 +26,58 @@ pub struct ErlangBound {
 /// Computes the traffic and pooled capacity crossing the cut given by
 /// `mask` (bit `i` set ⇔ node `i` inside the cut).
 pub fn cut_load(topo: &Topology, traffic: &TrafficMatrix, mask: u32) -> CutLoad {
-    let inside = |n: usize| mask & (1 << n) != 0;
-    let mut cl = CutLoad {
-        traffic_out: 0.0,
-        capacity_out: 0,
-        traffic_in: 0.0,
-        capacity_in: 0,
-    };
-    for link in topo.links() {
-        match (inside(link.src), inside(link.dst)) {
-            (true, false) => cl.capacity_out += link.capacity,
-            (false, true) => cl.capacity_in += link.capacity,
-            _ => {}
+    CutSides::new(topo, traffic).load(mask)
+}
+
+/// The network as [`cut_load`] reads it, flattened once for a sweep over
+/// many masks: each link's `(src bit, dst bit, capacity)` and each
+/// demand's `(src bit, dst bit, Erlangs)`, in `links()` and `demands()`
+/// order, so every mask sums in the order `cut_load` always has.
+struct CutSides {
+    links: Vec<(u32, u32, u32)>,
+    demands: Vec<(u32, u32, f64)>,
+}
+
+impl CutSides {
+    fn new(topo: &Topology, traffic: &TrafficMatrix) -> Self {
+        Self {
+            links: topo
+                .links()
+                .iter()
+                .map(|l| (1 << l.src, 1 << l.dst, l.capacity))
+                .collect(),
+            demands: traffic
+                .demands()
+                .map(|(i, j, t)| (1 << i, 1 << j, t))
+                .collect(),
         }
     }
-    for (i, j, t) in traffic.demands() {
-        match (inside(i), inside(j)) {
-            (true, false) => cl.traffic_out += t,
-            (false, true) => cl.traffic_in += t,
-            _ => {}
+
+    /// The traffic and pooled capacity crossing the cut `mask`.
+    fn load(&self, mask: u32) -> CutLoad {
+        let inside = |bit: u32| mask & bit != 0;
+        let mut cl = CutLoad {
+            traffic_out: 0.0,
+            capacity_out: 0,
+            traffic_in: 0.0,
+            capacity_in: 0,
+        };
+        for &(src, dst, capacity) in &self.links {
+            match (inside(src), inside(dst)) {
+                (true, false) => cl.capacity_out += capacity,
+                (false, true) => cl.capacity_in += capacity,
+                _ => {}
+            }
         }
+        for &(i, j, t) in &self.demands {
+            match (inside(i), inside(j)) {
+                (true, false) => cl.traffic_out += t,
+                (false, true) => cl.traffic_in += t,
+                _ => {}
+            }
+        }
+        cl
     }
-    cl
 }
 
 /// An upper bound on [`erlang_b`](altroute_teletraffic::erlang::erlang_b)
@@ -105,11 +135,12 @@ pub fn erlang_bound(topo: &Topology, traffic: &TrafficMatrix) -> ErlangBound {
         bound: 0.0,
         cut_mask: 0,
     };
+    let sides = CutSides::new(topo, traffic);
     // Enumerate subsets of {1, …, n−1}: node 0 always outside S.
     let limit: u32 = 1 << (n - 1);
     for rest in 1..limit {
         let mask = rest << 1;
-        let cl = cut_load(topo, traffic, mask);
+        let cl = sides.load(mask);
         // Pruning compares against a normal best only: subnormal
         // recurrence results carry no relative accuracy.
         if best.bound >= f64::MIN_POSITIVE && cut_ceiling(cl, total) < best.bound {

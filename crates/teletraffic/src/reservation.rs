@@ -18,9 +18,15 @@
 //!
 //! With `y_k = 1/B(Λ, k)` the ratio is `y_{C−r} / y_C`, and `y` obeys the
 //! linear recursion `y_0 = 1`, `y_k = 1 + (k/Λ)·y_{k−1}`. [`LevelSolver`]
-//! runs that recursion once per link with one reciprocal multiply and one
-//! add per circuit (no `exp`, no `ln`) and takes `r` from the largest
-//! `j = C − r` with `y_j ≤ y_C / H`.
+//! runs that recursion with one reciprocal multiply and one add per
+//! circuit (no `exp`, no `ln`) and takes `r` from the largest
+//! `j = C − r` with `y_j ≤ y_C / H`. It runs eight links side by side:
+//! each link's recursion is one chain of dependent steps, and eight
+//! independent chains keep the core busy where one would wait on each
+//! step. Every link gets the float operations of a pass over it alone,
+//! in the same order, so its level does not depend on its neighbours;
+//! links of different capacities share a pass that runs to the largest,
+//! each reading only its own `y_0..=y_C`.
 //!
 //! The decision is *certified* when its relative margin at the boundary
 //! (`y_{j+1}` above the threshold, `y_j` below it) exceeds
@@ -38,10 +44,14 @@
 //! `C = 1000`, 6,700 at `C = 10,000`). Either way the level equals the
 //! log-space solver's by construction.
 //!
-//! On a 2-vCPU Xeon a 992-link re-solve at `C = 24`, `H = 2` takes about
-//! 50–65 µs this way against about 800–950 µs in log space (one `exp` and
-//! one `ln` per circuit and a table allocation per link); 30 links at
-//! `C = 100`, `H = 11` about 8 µs against 95 µs. A link whose `y_C`
+//! On a 2-vCPU Xeon a 992-link re-solve at `C = 24`, `H = 2` (loads
+//! spread over 4–16 Erlangs) takes about 27 µs in lanes of eight against
+//! 56–60 µs one link at a time and about 800–950 µs in log space (one
+//! `exp` and one `ln` per circuit and a table allocation per link); 30
+//! links at `C = 100`, `H = 11` about 2.4 µs against 9 µs one at a time
+//! and 95 µs in log space. A single link pays for a whole lane:
+//! [`protection_level`] takes about 0.3 µs at `C = 24` and 68 µs at
+//! `C = 10,000`, some 2.5 times the one-link pass. A link whose `y_C`
 //! overflows costs one linear pass more than the log-space solve alone.
 
 use crate::erlang::inverse_erlang_b_log_table;
@@ -50,6 +60,11 @@ use crate::erlang::inverse_erlang_b_log_table;
 /// linear-space decision needs to be certified.
 const MARGIN_PER_UNIT: f64 = 16.0 * f64::EPSILON;
 
+/// Links one linear pass runs side by side. Each link's recursion is one
+/// chain of dependent multiply-adds; a lane of independent chains lets
+/// the core overlap them instead of waiting on each step's latency.
+const LANES: usize = 8;
+
 /// An Eq.-15 solver that keeps its scratch table between solves.
 ///
 /// [`protection_level`] builds one per call; a caller solving many links
@@ -57,8 +72,8 @@ const MARGIN_PER_UNIT: f64 = 16.0 * f64::EPSILON;
 /// keeps one and allocates its table only when a link outgrows it.
 #[derive(Debug, Clone, Default)]
 pub struct LevelSolver {
-    /// `y_0..=y_C` of the last linear pass.
-    y: Vec<f64>,
+    /// `y_0..=y_C` of the last linear pass, one row of lanes per `k`.
+    y: Vec<[f64; LANES]>,
 }
 
 impl LevelSolver {
@@ -68,69 +83,183 @@ impl LevelSolver {
     }
 
     /// The Eq.-15 level; see [`protection_level`], which this computes.
+    /// It is [`LevelSolver::levels_into`] on a batch of one link.
     ///
     /// # Panics
     ///
     /// As [`protection_level`].
     pub fn level(&mut self, load: f64, capacity: u32, max_alternate_hops: u32) -> u32 {
         assert!(capacity > 0, "capacity must be positive");
-        assert!(max_alternate_hops > 0, "H must be positive");
-        assert!(
-            load.is_finite() && load >= 0.0,
-            "load must be finite and >= 0, got {load}"
-        );
-        if load == 0.0 {
-            return 0;
-        }
-        self.linear_level(load, capacity, max_alternate_hops)
-            .unwrap_or_else(|| log_space_level(load, capacity, max_alternate_hops))
+        let mut level = [0];
+        self.levels_into(&[load], &[capacity], max_alternate_hops, &mut level);
+        level[0]
     }
 
-    /// The level the linear pass certifies, or `None` where it cannot:
-    /// a near-tie, or a `y_C` that overflows (a subnormal `load` among
-    /// them). `load > 0`, `capacity > 0` and `H > 0` are checked by the
-    /// caller.
-    fn linear_level(&mut self, load: f64, capacity: u32, max_alternate_hops: u32) -> Option<u32> {
-        let inv_load = 1.0 / load;
-        let c = capacity as usize;
-        let y = &mut self.y;
-        y.clear();
-        y.reserve(c + 1);
-        y.push(1.0);
-        let (mut yk, mut k) = (1.0_f64, 0.0_f64);
-        for _ in 0..capacity {
-            k += 1.0;
-            yk = 1.0 + k * inv_load * yk;
-            y.push(yk);
-        }
-        // y grows with k, so a finite y_C means every entry is finite.
-        if !yk.is_finite() {
-            return None;
-        }
-        let threshold = yk / f64::from(max_alternate_hops);
-        // The level, and the entries that must clear the threshold by the
-        // margin for it to be certified: `pass` from below, `fail` from
-        // above.
-        let (level, pass, fail) = if max_alternate_hops == 1 {
-            // r = 0 meets y_C ≤ y_C exactly; that tie needs no margin, but
-            // every smaller entry must clear y_C for no r > 0 to be chosen.
-            (0, Some(c - 1), None)
-        } else {
-            // r = C − j for the largest j in 1..C meeting the threshold, or
-            // C. (j = C never does for H ≥ 2; j = 0 gives r = C either way.)
-            match (1..c).rev().find(|&j| y[j] <= threshold) {
-                Some(j) => (capacity - j as u32, Some(j), Some(j + 1)),
-                None => (capacity, None, Some(1)),
+    /// Sets `levels[k]` to the Eq.-15 level of `loads[k]` on
+    /// `capacities[k]`, each equal to [`protection_level`]'s. A
+    /// zero-capacity link gets level 0 (see
+    /// [`crate::estimate::protection_levels_for`]), as does a zero load.
+    ///
+    /// The links go through the linear pass eight at a time; a link
+    /// the pass cannot certify is decided in log space, alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices disagree in length, or on
+    /// [`protection_level`]'s domain violations (negative/non-finite
+    /// load, `max_alternate_hops == 0`) at a link of positive capacity.
+    pub fn levels_into(
+        &mut self,
+        loads: &[f64],
+        capacities: &[u32],
+        max_alternate_hops: u32,
+        levels: &mut [u32],
+    ) {
+        assert_eq!(
+            loads.len(),
+            capacities.len(),
+            "one capacity per estimated link load"
+        );
+        assert_eq!(loads.len(), levels.len(), "one level per link");
+        let chunks = loads
+            .chunks(LANES)
+            .zip(capacities.chunks(LANES))
+            .zip(levels.chunks_mut(LANES));
+        for ((loads, capacities), levels) in chunks {
+            // A link with no capacity or no load is an idle lane
+            // (capacity 0): its level is 0 whatever the pass computes.
+            let mut inv_load = [0.0; LANES];
+            let mut lane_capacity = [0u32; LANES];
+            for (l, (&load, &c)) in loads.iter().zip(capacities).enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                assert!(max_alternate_hops > 0, "H must be positive");
+                assert!(
+                    load.is_finite() && load >= 0.0,
+                    "load must be finite and >= 0, got {load}"
+                );
+                if load > 0.0 {
+                    inv_load[l] = 1.0 / load;
+                    lane_capacity[l] = c;
+                }
             }
-        };
-        // Upper bounds on log2 y_C (yk ≥ 1 is normal) and log2 H.
-        let y_bits = (yk.to_bits() >> 52) as f64 - 1022.0;
+            let certified = self.linear_levels(&inv_load, &lane_capacity, max_alternate_hops);
+            for (l, level) in levels.iter_mut().enumerate() {
+                *level = match (lane_capacity[l], certified[l]) {
+                    (0, _) => 0,
+                    (_, Some(r)) => r,
+                    (c, None) => log_space_level(loads[l], c, max_alternate_hops),
+                };
+            }
+        }
+    }
+
+    /// The levels the linear pass certifies for a lane of links, given
+    /// each link's `1/Λ` and capacity; `None` for an idle lane (capacity
+    /// 0) and where the pass cannot certify: a near-tie, or a `y_C` that
+    /// overflows (a subnormal load among them). Every lane takes exactly
+    /// the float operations of a pass over its link alone, so its level
+    /// does not depend on its neighbours. `H > 0` is checked by the
+    /// caller.
+    fn linear_levels(
+        &mut self,
+        inv_load: &[f64; LANES],
+        capacity: &[u32; LANES],
+        max_alternate_hops: u32,
+    ) -> [Option<u32>; LANES] {
+        // Every lane runs to the largest capacity and reads only its own
+        // y_0..=y_C.
+        let c_max = capacity.iter().copied().max().unwrap_or(0) as usize;
+        if self.y.len() <= c_max {
+            self.y.resize(c_max + 1, [0.0; LANES]);
+        }
+        let y = &mut self.y[..=c_max];
+        let mut row = [1.0_f64; LANES];
+        y[0] = row;
+        let mut k = 0.0_f64;
+        for next in &mut y[1..] {
+            k += 1.0;
+            for (yk, &inv) in row.iter_mut().zip(inv_load) {
+                *yk = 1.0 + k * inv * *yk;
+            }
+            *next = row;
+        }
+        let c: [usize; LANES] = capacity.map(|c| c as usize);
+        let threshold: [f64; LANES] =
+            std::array::from_fn(|l| y[c[l]][l] / f64::from(max_alternate_hops));
+        // Per lane, the largest j in 1..C meeting the threshold (0 if
+        // none), branch-free, with j counted in f64 so that every lane
+        // operation is a vector one. Rows below the lane's smallest
+        // capacity lie in every busy lane's range; past it each lane
+        // also checks j < C. (Rounding is monotone, so the computed y
+        // never decreases and the entries meeting the threshold are a
+        // prefix; the rule does not lean on that.)
+        let c_min = capacity
+            .iter()
+            .copied()
+            .filter(|&c| c > 0)
+            .min()
+            .unwrap_or(0) as usize;
+        let c_f = capacity.map(f64::from);
+        let (mut largest, mut j) = ([0.0_f64; LANES], 0.0_f64);
+        for row in y.iter().take(c_min).skip(1) {
+            j += 1.0;
+            for l in 0..LANES {
+                let candidate = if row[l] <= threshold[l] { j } else { 0.0 };
+                largest[l] = if candidate > largest[l] {
+                    candidate
+                } else {
+                    largest[l]
+                };
+            }
+        }
+        for row in y.iter().take(c_max).skip(c_min.max(1)) {
+            j += 1.0;
+            for l in 0..LANES {
+                let meets = (j < c_f[l]) & (row[l] <= threshold[l]);
+                let candidate = if meets { j } else { 0.0 };
+                largest[l] = if candidate > largest[l] {
+                    candidate
+                } else {
+                    largest[l]
+                };
+            }
+        }
+        let largest = largest.map(|j| j as usize);
+        // Upper bound on log2 H.
         let h_bits = f64::from(32 - max_alternate_hops.leading_zeros());
-        let tol = MARGIN_PER_UNIT * (f64::from(capacity) + 2.0) * (y_bits + h_bits + 5.0);
-        let certified = tol < 1.0
-            && fail.is_none_or(|j| y[j] >= threshold * (1.0 + tol))
-            && pass.is_none_or(|j| y[j] * (1.0 + tol) <= threshold);
-        certified.then_some(level)
+        let mut levels = [None; LANES];
+        for (l, level) in levels.iter_mut().enumerate() {
+            let (c, y_c, threshold) = (c[l], y[c[l]][l], threshold[l]);
+            // The level, and the entries that must clear the threshold by
+            // the margin for it to be certified: y[below] from below,
+            // y[above] from above, each only where its flag is set. Every
+            // index stays in 0..=C, so an idle lane reads y_0.
+            let (r, below, check_below, above, check_above) = if max_alternate_hops == 1 {
+                // r = 0 meets y_C ≤ y_C exactly; that tie needs no margin,
+                // but every smaller entry must clear y_C for no r > 0 to
+                // be chosen.
+                (0, c.saturating_sub(1), true, c, false)
+            } else {
+                // r = C − j for the largest j in 1..C meeting the
+                // threshold, or C. (j = C never does for H ≥ 2; j = 0
+                // gives r = C either way.)
+                let j = largest[l];
+                (capacity[l] - j as u32, j, j > 0, (j + 1).min(c), true)
+            };
+            // Upper bound on log2 y_C (y_C ≥ 1 is normal when finite).
+            let y_bits = (y_c.to_bits() >> 52) as f64 - 1022.0;
+            let tol = MARGIN_PER_UNIT * (f64::from(capacity[l]) + 2.0) * (y_bits + h_bits + 5.0);
+            // y grows with k, so a finite y_C means every entry is finite.
+            let certified = (c > 0)
+                & y_c.is_finite()
+                & (tol < 1.0)
+                & (!check_above | (y[above][l] >= threshold * (1.0 + tol)))
+                & (!check_below | (y[below][l] * (1.0 + tol) <= threshold));
+            *level = certified.then_some(r);
+        }
+        levels
     }
 }
 
@@ -236,6 +365,21 @@ pub fn protection_curve(loads: &[f64], capacity: u32, max_alternate_hops: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LevelSolver {
+        /// The linear pass alone on one link: its certified level, or
+        /// `None` where the pass defers to log space.
+        fn linear_level(
+            &mut self,
+            load: f64,
+            capacity: u32,
+            max_alternate_hops: u32,
+        ) -> Option<u32> {
+            let (mut inv_load, mut lane_capacity) = ([0.0; LANES], [0; LANES]);
+            (inv_load[0], lane_capacity[0]) = (1.0 / load, capacity);
+            self.linear_levels(&inv_load, &lane_capacity, max_alternate_hops)[0]
+        }
+    }
 
     #[test]
     fn table1_spot_values() {

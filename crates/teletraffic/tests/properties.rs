@@ -5,6 +5,7 @@ use altroute_teletraffic::birth_death::BirthDeathChain;
 use altroute_teletraffic::erlang::{
     carried_traffic, dimension_link, erlang_b, erlang_b_with_derivative, inverse_erlang_b_log_table,
 };
+use altroute_teletraffic::estimate::protection_levels_for;
 use altroute_teletraffic::kaufman_roberts::{kaufman_roberts_blocking, TrafficClass};
 use altroute_teletraffic::loss::{lost_traffic, lost_traffic_with_derivative};
 use altroute_teletraffic::overflow::overflow_moments;
@@ -325,6 +326,80 @@ fn tiny_loads_match_the_oracle() {
                     solver.level(load, c, h),
                     log_space_oracle(load, c, h),
                     "load={load} c={c} h={h}"
+                );
+            }
+        }
+    }
+}
+
+/// The width of the lanes `protection_levels_for` solves links in.
+const LANE: usize = 8;
+
+/// A link of a batch from its draws: a capacity of 0, 1, 2,
+/// `MAX_CAPACITY`, log-uniform in between, or near 24 (so lanes often
+/// hold close but unequal capacities), and a load that is zero,
+/// subnormal, far above `C`, ordinary, or one of the two adjacent floats
+/// at which `(C, H)`'s level steps.
+fn batch_link(h: u32, (c_kind, cu, load_kind, x): (u32, f64, u32, f64)) -> (f64, u32) {
+    let c = match c_kind {
+        0 => 0,
+        1 => 1,
+        2 => 2,
+        3 => MAX_CAPACITY,
+        4..=7 => capacity_from(cu),
+        _ => 20 + (8.0 * cu) as u32,
+    };
+    let cf = f64::from(c.max(1));
+    let ordinary = cf * (0.05 + 0.9 * x);
+    let load = match load_kind {
+        0 => 0.0,
+        // Below 2^52 the bits are a subnormal's.
+        1 => f64::from_bits(1 + (x * 4.5e15) as u64),
+        2 => cf * 10f64.powf(1.0 + 17.0 * x),
+        3..=5 => ordinary,
+        _ if c > 0 && log_space_oracle(ordinary, c, h) != log_space_oracle(4.0 * cf, c, h) => {
+            let (below, above) = level_boundary(ordinary, 4.0 * cf, c, h);
+            if cu < 0.5 {
+                below
+            } else {
+                above
+            }
+        }
+        _ => ordinary,
+    };
+    (load, c)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batched re-solve gives every link `protection_level`'s level
+    /// (0 on a zero-capacity link) whatever shares its lane: on slices
+    /// shorter than, as long as and longer than a lane, with capacities
+    /// mixed within a lane, and at every load where the linear pass
+    /// defers to log space.
+    #[test]
+    fn protection_levels_for_equals_protection_level_per_link(
+        draws in proptest::collection::vec(
+            (0u32..16, 0.0f64..=1.0, 0u32..8, 0.0f64..1.0),
+            LANE + 1..=10 * LANE,
+        ),
+        h in 1u32..=16,
+    ) {
+        let (loads, caps): (Vec<f64>, Vec<u32>) =
+            draws.into_iter().map(|draw| batch_link(h, draw)).unzip();
+        let want: Vec<u32> = loads
+            .iter()
+            .zip(&caps)
+            .map(|(&load, &c)| if c == 0 { 0 } else { protection_level(load, c, h) })
+            .collect();
+        for n in [0, 1, LANE - 1, LANE, LANE + 1, loads.len()] {
+            let levels = protection_levels_for(&loads[..n], &caps[..n], h);
+            prop_assert_eq!(levels.len(), n);
+            for (k, (&got, &want)) in levels.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    got, want,
+                    "link {} of {}: load={} c={} h={}", k, n, loads[k], caps[k], h
                 );
             }
         }

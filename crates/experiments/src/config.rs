@@ -14,6 +14,7 @@ use altroute_core::policy::PolicyKind;
 use altroute_json::Value;
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::graph::{Topology, MAX_CAPACITY, MAX_NODES};
+use altroute_netgraph::paths::count_loop_free_paths;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::experiment::{Experiment, SimParams};
@@ -41,6 +42,16 @@ pub const MAX_RUN_CALLS: f64 = 1e10;
 /// per-class sums), 16 · seeds · n² bytes in all. 2 GiB admits a
 /// [`MAX_NODES`]-node network at 134 seeds, and every shipped config.
 pub const MAX_TALLY_BYTES: u64 = 2 << 30;
+
+/// The most loop-free candidate paths of at most `max_hops` links a
+/// config's topology may hold, summed over every ordered pair: a run
+/// may fill every pair's full set (DAR and best-of-d do so up front),
+/// and candidate sets are never cut short, since that would change
+/// which alternates a run tries. K_9 at `H = 8` holds 986,400, and a
+/// one-seed run on it peaks at about 190 MB; K_10 at `H = 9` holds 9.9
+/// million, K_12 at `H = 11` 1.3 billion. NSFNet at `H = 11` holds
+/// 1,232.
+pub const MAX_CANDIDATES: u64 = 2_000_000;
 
 #[derive(Debug, PartialEq)]
 enum TopologySpec {
@@ -355,7 +366,9 @@ impl Config {
     /// installed. Refuses a config whose seeds would keep more than
     /// [`MAX_TALLY_BYTES`] of per-pair tallies, or offering a replication
     /// more than [`MAX_OFFERED_CALLS`] calls, or the whole run (every
-    /// seed) more than [`MAX_RUN_CALLS`].
+    /// seed) more than [`MAX_RUN_CALLS`], or whose topology holds more
+    /// than [`MAX_CANDIDATES`] candidate paths (a count that stops at the
+    /// budget, so the check itself is bounded).
     pub fn experiment(&self) -> Result<Experiment, String> {
         let topo = build_topology(&self.topology)?;
         let n = topo.num_nodes() as u64;
@@ -381,6 +394,14 @@ impl Config {
                 "the config offers {total:.3e} calls over its {} seeds; \
                  at most {MAX_RUN_CALLS:e} are allowed",
                 self.params.seeds
+            ));
+        }
+        let h = self.max_hops as usize;
+        if count_loop_free_paths(&topo, h, MAX_CANDIDATES + 1) > MAX_CANDIDATES {
+            return Err(format!(
+                "the config's topology has more than {MAX_CANDIDATES} loop-free \
+                 candidate paths of at most {h} hops over its node pairs; \
+                 at most {MAX_CANDIDATES} are allowed"
             ));
         }
         let exp = Experiment::new(topo, traffic).map_err(|e| e.to_string())?;

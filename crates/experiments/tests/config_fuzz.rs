@@ -10,13 +10,16 @@
 //! panic on its parameters, and offer a replication at most
 //! `MAX_OFFERED_CALLS` calls and the whole run at most `MAX_RUN_CALLS`
 //! over at most `MAX_SEEDS` seeds, so running it ends and its seed pool
-//! is bounded, and keep at most `MAX_TALLY_BYTES` of per-pair tallies
-//! over its seeds. Every config the repository ships stays accepted.
+//! is bounded, keep at most `MAX_TALLY_BYTES` of per-pair tallies over
+//! its seeds, and hold at most `MAX_CANDIDATES` candidate paths. Every
+//! config the repository ships stays accepted.
 
 use altroute_experiments::config::{
-    Config, EXAMPLE_CONFIG, MAX_OFFERED_CALLS, MAX_RUN_CALLS, MAX_SEEDS, MAX_TALLY_BYTES,
+    Config, EXAMPLE_CONFIG, MAX_CANDIDATES, MAX_OFFERED_CALLS, MAX_RUN_CALLS, MAX_SEEDS,
+    MAX_TALLY_BYTES,
 };
 use altroute_netgraph::graph::{MAX_CAPACITY, MAX_NODES};
+use altroute_netgraph::paths::count_loop_free_paths;
 use altrouted::config::DaemonConfig;
 use proptest::prelude::*;
 
@@ -191,6 +194,11 @@ fn check(text: &str) -> Result<(), TestCaseError> {
                     .all(|l| (1..=MAX_CAPACITY).contains(&l.capacity)),
                 "capacity out of range: {text}"
             );
+            let h = config.max_hops as usize;
+            prop_assert!(
+                count_loop_free_paths(topo, h, MAX_CANDIDATES + 1) <= MAX_CANDIDATES,
+                "candidate paths: {text}"
+            );
         }
     }
     if let Ok(daemon) = DaemonConfig::from_json(&value) {
@@ -260,6 +268,35 @@ fn per_seed_tallies_are_bounded() {
     assert!(idle_ring(MAX_NODES, 134).is_ok());
     assert!(idle_ring(MAX_NODES, 135).is_err());
     assert!(idle_ring(100, MAX_SEEDS).is_ok());
+}
+
+/// A full mesh of `nodes` nodes at `max_hops`, decoded and built: the
+/// config that, at K_12 and `H = 11`, passed every other check and then
+/// filled its candidate sets past a 4 GB address-space limit.
+fn full_mesh_run(nodes: usize, max_hops: u32) -> Result<(), String> {
+    let text = format!(
+        r#"{{"topology": {{"full_mesh": {{"nodes": {nodes}, "capacity": 10}}}}, "traffic": {{"uniform": 20.0}}, "policies": ["single-path", "uncontrolled", "controlled"], "max_hops": {max_hops}, "horizon": 1.0, "seeds": 1}}"#
+    );
+    Config::from_json(&altroute_json::parse(&text).unwrap())?
+        .experiment()
+        .map(|_| ())
+}
+
+#[test]
+fn candidate_sets_are_bounded() {
+    // About 1.3e9 loop-free paths (e·10! per pair, 132 pairs).
+    assert_eq!(
+        full_mesh_run(12, 11),
+        Err(
+            "the config's topology has more than 2000000 loop-free candidate paths \
+             of at most 11 hops over its node pairs; at most 2000000 are allowed"
+                .into()
+        )
+    );
+    // 986,400 paths: it runs in well under a second.
+    assert!(full_mesh_run(9, 8).is_ok());
+    // 9.9 million.
+    assert!(full_mesh_run(10, 9).is_err());
 }
 
 /// Every simulate config the repository ships: `example-config` and the

@@ -463,6 +463,55 @@ fn dfs_paths_exact<F>(
     }
 }
 
+/// The number of loop-free paths of at most `max_hops` links summed over
+/// every ordered pair (the lengths of [`loop_free_paths`] pair by pair),
+/// or `cap` when that total reaches `cap`.
+///
+/// A simple walk of `k ≥ 1` links from a node is exactly one such path,
+/// to the node the walk ends at, so one depth-first walk per source
+/// counts them all without building any. The walk stops at `cap`, and
+/// each of its steps counts a path or skips a link back into the walk,
+/// so the count is bounded by `cap` times the largest out-degree
+/// whatever the topology and hop bound: a config check can refuse a
+/// combinatorial candidate set (K_N has about e·(N−2)! per pair at
+/// `H = N − 1`) without enumerating it.
+pub fn count_loop_free_paths(topo: &Topology, max_hops: usize, cap: u64) -> u64 {
+    fn walk(
+        topo: &Topology,
+        u: NodeId,
+        hops: usize,
+        visited: &mut [bool],
+        count: &mut u64,
+        cap: u64,
+    ) {
+        for &l in topo.out_links(u) {
+            let v = topo.link(l).dst;
+            if *count >= cap {
+                return;
+            }
+            if !visited[v] {
+                *count += 1;
+                if hops > 1 {
+                    visited[v] = true;
+                    walk(topo, v, hops - 1, visited, count, cap);
+                    visited[v] = false;
+                }
+            }
+        }
+    }
+    let mut visited = vec![false; topo.num_nodes()];
+    let mut count = 0;
+    for src in 0..topo.num_nodes() {
+        if max_hops == 0 || count >= cap {
+            break;
+        }
+        visited[src] = true;
+        walk(topo, src, max_hops, &mut visited, &mut count, cap);
+        visited[src] = false;
+    }
+    count.min(cap)
+}
+
 /// The alternate-path set of an ordered pair: all loop-free paths of at
 /// most `max_hops` hops, in attempt order, with the primary path removed.
 pub fn alternate_paths(
@@ -689,6 +738,29 @@ mod tests {
         assert_eq!(loop_free_paths(&t, 0, 3, 2).len(), 2);
         assert_eq!(loop_free_paths(&t, 0, 3, 1).len(), 0);
         assert_eq!(loop_free_paths(&t, 0, 3, 0).len(), 0);
+    }
+
+    #[test]
+    fn path_counts_match_the_enumeration_and_stop_at_the_cap() {
+        for topo in [
+            diamond(),
+            topologies::quadrangle(),
+            topologies::nsfnet(10),
+            topologies::full_mesh(6, 1),
+            topologies::ring(7, 1),
+        ] {
+            let n = topo.num_nodes();
+            for h in 0..=n {
+                let total: usize = (0..n)
+                    .flat_map(|s| (0..n).map(move |d| (s, d)))
+                    .map(|(s, d)| loop_free_paths(&topo, s, d, h).len())
+                    .sum();
+                let total = total as u64;
+                assert_eq!(count_loop_free_paths(&topo, h, u64::MAX), total);
+                assert_eq!(count_loop_free_paths(&topo, h, total + 1), total);
+                assert_eq!(count_loop_free_paths(&topo, h, total / 2), total / 2);
+            }
+        }
     }
 
     #[test]

@@ -7,17 +7,23 @@
 //! queue (CACM 1988) instead: an array of `N` buckets, each `width` units of simulation
 //! time wide, used circularly — bucket `b` holds the events of every
 //! "day" `d ≡ b (mod N)` of the current "year" (`N` consecutive days).
-//! Scheduling appends to a bucket (O(1)); popping scans the cursor
-//! day's bucket for the minimal `(time, seq)` entry (O(bucket
-//! occupancy), kept O(1) amortized by resizing).
+//! Scheduling appends to a bucket (O(1)). When the cursor reaches a
+//! non-empty day, that day's entries move out of their bucket into one
+//! *run*, sorted once in descending `(time, seq)` order, and pops take
+//! the run's last entry; a schedule that lands on the cursor day while
+//! the run is non-empty joins it by sorted insertion. A day of `k`
+//! events thus costs one sort of `k` entries (kept small by resizing)
+//! instead of a rescan of the bucket on every pop.
 //!
 //! **Determinism.** Pop order is exactly ascending `(time, insertion
 //! sequence)` — the same total order the binary-heap
-//! [`EventQueue`](crate::queue::EventQueue) implements — because `floor(time / width)` is monotone in `time`:
-//! every event of an earlier day is popped before any event of a later
-//! day, same-day events are compared explicitly by `(time, seq)`, and
-//! equal timestamps always share a day. Bucket layout, resizes, and
-//! rotation therefore never influence the observable order. The
+//! [`EventQueue`](crate::queue::EventQueue) implements — because the
+//! day hash `floor(time / width)` (a multiply by the stored reciprocal)
+//! is monotone in `time`: while the run is non-empty every entry outside
+//! it lies on a later day and so has a later time, the run itself is
+//! sorted by `(time, seq)`, and equal timestamps always share a day.
+//! Bucket layout, resizes (which fold the run back into the buckets),
+//! and rotation therefore never influence the observable order. The
 //! property suite in `tests/properties.rs` checks the equivalence
 //! against `EventQueue` on random streams, and `altroute-sim`'s
 //! deep-queue replay test on a recorded ~10k-pending kernel stream.
@@ -28,9 +34,10 @@
 //! jump across a gap with empty buckets) re-homes the overflow entries
 //! whose day arrived. Degenerately distant timestamps all collapse
 //! onto a single clamped day and remain correctly ordered by the
-//! in-bucket `(time, seq)` scan.
+//! run's `(time, seq)` sort.
 
 use crate::queue::EventSchedule;
+use std::cmp::Ordering;
 
 /// Smallest number of buckets; also the initial size.
 const MIN_BUCKETS: usize = 16;
@@ -56,6 +63,14 @@ struct Entry<E> {
     event: E,
 }
 
+/// The pop order: ascending `(time, seq)`.
+fn order<E>(a: &Entry<E>, b: &Entry<E>) -> Ordering {
+    a.time
+        .partial_cmp(&b.time)
+        .expect("event times are never NaN")
+        .then(a.seq.cmp(&b.seq))
+}
+
 /// A calendar-queue event schedule ordered by `(time, insertion
 /// sequence)`, pop for pop the order of
 /// [`EventQueue`](crate::queue::EventQueue).
@@ -69,19 +84,22 @@ pub struct CalendarQueue<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// `buckets.len() - 1`; bucket count is always a power of two.
     mask: u64,
-    /// Width of one day (bucket) in simulation time.
-    width: f64,
+    /// Days per unit of simulation time: the reciprocal of one day's
+    /// (bucket's) width.
+    inv_width: f64,
     /// The cursor: the earliest day that may still hold events.
     day: u64,
-    /// Entries currently in `buckets` (the rest are in `overflow`).
+    /// Entries currently in `buckets` or `run` (the rest are in
+    /// `overflow`).
     in_buckets: usize,
+    /// The cursor day's entries once the cursor has reached them, in
+    /// descending `(time, seq)` order: the next pop is the last entry.
+    /// While it is non-empty the cursor's bucket is empty.
+    run: Vec<Entry<E>>,
     /// Events of later years, unordered; re-homed at year rotations.
     overflow: Vec<Entry<E>>,
     seq: u64,
     now: f64,
-    /// Location of the next entry to pop, computed by a peek and reused
-    /// by the following pop; invalidated by any earlier insertion.
-    cached: Option<(usize, usize)>,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -96,13 +114,13 @@ impl<E> CalendarQueue<E> {
         Self {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
-            width: 1.0,
+            inv_width: 1.0,
             day: 0,
             in_buckets: 0,
+            run: Vec::new(),
             overflow: Vec::new(),
             seq: 0,
             now: 0.0,
-            cached: None,
         }
     }
 
@@ -114,12 +132,12 @@ impl<E> CalendarQueue<E> {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
+        self.run.clear();
         self.overflow.clear();
         self.day = 0;
         self.in_buckets = 0;
         self.seq = 0;
         self.now = 0.0;
-        self.cached = None;
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -131,7 +149,7 @@ impl<E> CalendarQueue<E> {
     /// assertions disabled a past-time event is ordered as if it fired
     /// at the earliest still poppable instant. Non-finite times are
     /// rejected here, at the insertion site — an infinite timestamp
-    /// used to survive until `estimate_width`'s comparison sort or a
+    /// used to survive until `estimate_inv_width`'s comparison sort or a
     /// degenerate day computation instead of failing where the bad
     /// value entered.
     pub fn schedule(&mut self, time: f64, event: E) {
@@ -156,33 +174,23 @@ impl<E> CalendarQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.is_empty() {
-            return None;
+        if self.run.is_empty() && !self.is_empty() {
+            self.maybe_shrink();
+            self.locate();
         }
-        let (bucket, idx) = match self.cached.take() {
-            Some(slot) => slot,
-            None => {
-                self.maybe_shrink();
-                self.locate()
-            }
-        };
-        let entry = self.buckets[bucket].swap_remove(idx);
+        let entry = self.run.pop()?;
         self.in_buckets -= 1;
         self.now = entry.time;
         Some((entry.time, entry.event))
     }
 
-    /// The timestamp of the next event without popping it. The located
-    /// slot is cached and reused by the next [`pop`](Self::pop).
+    /// The timestamp of the next event without popping it. The cursor
+    /// day it finds stays sorted for the following [`pop`](Self::pop).
     pub fn peek_time(&mut self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
+        if self.run.is_empty() && !self.is_empty() {
+            self.locate();
         }
-        if self.cached.is_none() {
-            self.cached = Some(self.locate());
-        }
-        let (bucket, idx) = self.cached.expect("just set");
-        Some(self.buckets[bucket][idx].time)
+        self.run.last().map(|e| e.time)
     }
 
     /// Current simulation time (the timestamp of the last popped event).
@@ -205,7 +213,7 @@ impl<E> CalendarQueue<E> {
     /// ordering proof needs — the exact rounding at day boundaries is
     /// irrelevant.
     fn day_of(&self, time: f64) -> u64 {
-        let q = time / self.width;
+        let q = time * self.inv_width;
         if q >= MAX_DAY as f64 {
             MAX_DAY
         } else if q > 0.0 {
@@ -216,10 +224,9 @@ impl<E> CalendarQueue<E> {
     }
 
     /// One past the last day of the cursor's year (years are aligned
-    /// blocks of `N` consecutive days).
+    /// blocks of `N` consecutive days, `N` a power of two).
     fn year_end(&self) -> u64 {
-        let n = self.mask + 1;
-        (self.day / n + 1) * n
+        (self.day | self.mask) + 1
     }
 
     /// Files an entry into its bucket or the overflow list. The caller
@@ -227,18 +234,16 @@ impl<E> CalendarQueue<E> {
     fn insert(&mut self, entry: Entry<E>) {
         // Tolerate causality-violating input when debug assertions are
         // off: a past-time entry joins the cursor's day so it pops at
-        // the earliest opportunity (its smaller timestamp wins the
-        // in-bucket scan).
+        // the earliest opportunity (its smaller timestamp sorts it
+        // last in the run).
         let day = self.day_of(entry.time).max(self.day);
-        if let Some((b, i)) = self.cached {
-            // The cached slot stays the minimum unless the newcomer is
-            // strictly earlier (equal times keep the cached entry: its
-            // sequence number is necessarily smaller).
-            if entry.time < self.buckets[b][i].time {
-                self.cached = None;
-            }
-        }
-        if day >= self.year_end() {
+        if day == self.day && !self.run.is_empty() {
+            let at = self
+                .run
+                .partition_point(|e| order(e, &entry) == Ordering::Greater);
+            self.run.insert(at, entry);
+            self.in_buckets += 1;
+        } else if day >= self.year_end() {
             self.overflow.push(entry);
         } else {
             self.buckets[(day & self.mask) as usize].push(entry);
@@ -246,10 +251,11 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Finds the bucket slot of the minimal `(time, seq)` entry,
-    /// advancing the cursor day (and rotating years / re-homing
-    /// overflow) as needed. Precondition: the queue is non-empty.
-    fn locate(&mut self) -> (usize, usize) {
+    /// Advances the cursor day (rotating years / re-homing overflow as
+    /// needed) to the first non-empty day and moves that day's entries
+    /// into the run, sorted. Precondition: the queue is non-empty and
+    /// the run empty.
+    fn locate(&mut self) {
         loop {
             if self.in_buckets == 0 {
                 // Every bucket is empty: jump the cursor straight to
@@ -265,20 +271,16 @@ impl<E> CalendarQueue<E> {
                 debug_assert!(self.in_buckets > 0, "jump must land on an event");
                 continue;
             }
-            let bucket = (self.day & self.mask) as usize;
-            if !self.buckets[bucket].is_empty() {
-                let entries = &self.buckets[bucket];
-                let mut best = 0;
-                for (i, e) in entries.iter().enumerate().skip(1) {
-                    let b = &entries[best];
-                    if e.time < b.time || (e.time == b.time && e.seq < b.seq) {
-                        best = i;
-                    }
-                }
-                return (bucket, best);
+            let bucket = &mut self.buckets[(self.day & self.mask) as usize];
+            if !bucket.is_empty() {
+                // Move the entries, not the `Vec`: each bucket keeps its
+                // own capacity.
+                self.run.append(bucket);
+                self.run.sort_unstable_by(|a, b| order(b, a));
+                return;
             }
             self.day += 1;
-            if self.day.is_multiple_of(self.mask + 1) {
+            if self.day & self.mask == 0 {
                 // Year rotation: overflow entries whose year arrived
                 // move into their buckets.
                 self.rehome();
@@ -320,18 +322,19 @@ impl<E> CalendarQueue<E> {
 
     /// Rebuilds with `nbuckets` buckets (rounded to at least
     /// [`MIN_BUCKETS`]) and a width re-estimated from the event density
-    /// near the head of the queue, then re-files every entry.
+    /// near the head of the queue, then re-files every entry, the run's
+    /// included (it is empty afterwards).
     fn rebuild(&mut self, nbuckets: usize) {
         let nbuckets = nbuckets.max(MIN_BUCKETS);
         let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len());
+        all.append(&mut self.run);
         for bucket in &mut self.buckets {
             all.append(bucket);
         }
         all.append(&mut self.overflow);
         self.in_buckets = 0;
-        self.cached = None;
-        if let Some(width) = estimate_width(&all) {
-            self.width = width;
+        if let Some(inv_width) = estimate_inv_width(&all) {
+            self.inv_width = inv_width;
         }
         if self.buckets.len() < nbuckets {
             self.buckets.resize_with(nbuckets, Vec::new);
@@ -351,13 +354,14 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-/// Estimates a bucket width from the mean gap among the (up to
-/// [`WIDTH_SAMPLE`]) earliest entries — the density that matters is the
-/// one at the head of the queue, not the full span, which a handful of
-/// far-future outliers would otherwise dominate. Returns `None` when
-/// the sample is degenerate (too few events, zero span, or a
-/// non-finite estimate), in which case the current width stands.
-fn estimate_width<E>(entries: &[Entry<E>]) -> Option<f64> {
+/// Estimates the reciprocal of a bucket width from the mean gap among
+/// the (up to [`WIDTH_SAMPLE`]) earliest entries — the density that
+/// matters is the one at the head of the queue, not the full span,
+/// which a handful of far-future outliers would otherwise dominate.
+/// Returns `None` when the sample is degenerate (too few events, zero
+/// span, or a non-finite estimate), in which case the current width
+/// stands.
+fn estimate_inv_width<E>(entries: &[Entry<E>]) -> Option<f64> {
     if entries.len() < 2 {
         return None;
     }
@@ -367,8 +371,8 @@ fn estimate_width<E>(entries: &[Entry<E>]) -> Option<f64> {
     let head = &times[..=k];
     let min = head.iter().copied().fold(f64::INFINITY, f64::min);
     let span = head[k] - min;
-    let width = WIDTH_GAP_FACTOR * span / k as f64;
-    (width.is_finite() && width > 0.0).then_some(width)
+    let inv_width = k as f64 / (WIDTH_GAP_FACTOR * span);
+    (inv_width.is_finite() && inv_width > 0.0).then_some(inv_width)
 }
 
 impl<E> EventSchedule<E> for CalendarQueue<E> {
@@ -437,15 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_cache_yields_to_earlier_insertions() {
+    fn peek_yields_to_earlier_insertions() {
         let mut q = CalendarQueue::new();
         q.schedule(5.0, "late");
         assert_eq!(q.peek_time(), Some(5.0));
-        // An earlier event after the peek must invalidate the cache.
+        // An earlier event after the peek joins the sorted run ahead.
         q.schedule(2.0, "early");
         assert_eq!(q.peek_time(), Some(2.0));
         assert_eq!(q.pop(), Some((2.0, "early")));
-        // An equal-time event after a peek must NOT displace the cached
+        // An equal-time event after a peek must NOT displace the peeked
         // (earlier-sequence) entry.
         q.schedule(5.0, "late-too");
         assert_eq!(q.peek_time(), Some(5.0));
@@ -556,7 +560,7 @@ mod tests {
     }
 
     // Regression: `schedule(f64::INFINITY, ..)` used to pass the
-    // NaN-only check and panic later inside `estimate_width` once
+    // NaN-only check and panic later inside `estimate_inv_width` once
     // enough events accumulated to trigger a resize. Reject it at the
     // insertion site instead, as `EventQueue` does.
     #[test]

@@ -32,7 +32,7 @@ pub trait EventSchedule<E> {
     /// Pops the earliest event, advancing the clock to its timestamp.
     fn pop(&mut self) -> Option<(f64, E)>;
     /// The timestamp of the next event without popping it (`&mut` so
-    /// implementations may cache the search for the following pop).
+    /// implementations may prepare the following pop).
     fn peek_time(&mut self) -> Option<f64>;
     /// Number of pending events.
     fn len(&self) -> usize;

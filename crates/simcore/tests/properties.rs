@@ -233,3 +233,146 @@ proptest! {
         assert_drains_equal(&mut heap, &mut cal)?;
     }
 }
+
+/// Peeks both queues and asserts the same next time and length.
+fn assert_heads_equal(
+    heap: &EventQueue<usize>,
+    cal: &mut CalendarQueue<usize>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(heap.peek_time(), cal.peek_time());
+    prop_assert_eq!(heap.len(), cal.len());
+    Ok(())
+}
+
+// The calendar sorts the cursor day's entries once into a run and pops
+// its last entry; these properties drive the states that run has.
+proptest! {
+    /// After a peek the cursor day is a sorted run; schedules that land
+    /// on it, at the peeked time itself (tied with the run's last
+    /// entry), on the coarse grid the other entries sit on (tied with
+    /// entries inside the run), or just after the head, must join it
+    /// in `(time, seq)` order.
+    #[test]
+    fn schedules_onto_the_peeked_day_join_the_run_in_order(
+        ops in proptest::collection::vec((0u8..4, 0u8..8), 1..400)
+    ) {
+        let mut heap = EventQueue::new();
+        let mut cal = CalendarQueue::new();
+        for i in 0..16 {
+            let t = (i % 4) as f64 * 0.5;
+            heap.schedule(t, i);
+            cal.schedule(t, i);
+        }
+        for (i, &(kind, step)) in ops.iter().enumerate() {
+            let id = 1000 + i;
+            assert_heads_equal(&heap, &mut cal)?;
+            let head = heap.peek_time().unwrap_or(heap.now());
+            let t = match kind {
+                0 => {
+                    prop_assert_eq!(heap.pop(), cal.pop());
+                    continue;
+                }
+                1 => head,
+                2 => (head * 2.0).floor() / 2.0 + f64::from(step) * 0.5,
+                _ => head + f64::from(step) * 1e-3,
+            };
+            let t = t.max(heap.now());
+            heap.schedule(t, id);
+            cal.schedule(t, id);
+        }
+        assert_drains_equal(&mut heap, &mut cal)?;
+    }
+
+    /// A burst of schedules after a peek grows the bucket array while
+    /// the run holds the cursor day (the resize folds the run back into
+    /// the buckets); popping it down again with peeks in between shrinks
+    /// the array, and the pop order survives both.
+    #[test]
+    fn resizes_with_a_sorted_run_keep_the_order(
+        bursts in proptest::collection::vec((1usize..300, 0.0f64..1.0, 0u8..3), 1..8)
+    ) {
+        let mut heap = EventQueue::new();
+        let mut cal = CalendarQueue::new();
+        let mut id = 0;
+        for &(size, spread, ticks) in &bursts {
+            let t = heap.now() + spread;
+            heap.schedule(t, id);
+            cal.schedule(t, id);
+            id += 1;
+            assert_heads_equal(&heap, &mut cal)?;
+            for k in 0..size {
+                // Ties on a few ticks, the rest spread out past the head.
+                let t = heap.now() + spread * (k % (usize::from(ticks) + 1)) as f64 / 3.0
+                    + (k as f64) * 1e-3 * f64::from(ticks);
+                heap.schedule(t, id);
+                cal.schedule(t, id);
+                id += 1;
+            }
+            for _ in 0..size - size / 8 {
+                assert_heads_equal(&heap, &mut cal)?;
+                prop_assert_eq!(heap.pop(), cal.pop());
+            }
+        }
+        assert_drains_equal(&mut heap, &mut cal)?;
+    }
+
+    /// `reset` in the middle of a sorted run empties it with the rest:
+    /// the reset queue replays a stream exactly as a fresh heap pops it.
+    #[test]
+    fn reset_with_a_sorted_run_replays_like_a_fresh_queue(
+        delays in proptest::collection::vec(0.0f64..4.0, 2..200),
+        pops in 0usize..50,
+    ) {
+        // Schedules the stream on `cal` and a fresh heap, pops some of
+        // it, and peeks, which leaves the cursor day sorted.
+        let replay = |cal: &mut CalendarQueue<usize>| {
+            let mut heap = EventQueue::new();
+            for (i, &d) in delays.iter().enumerate() {
+                heap.schedule(d.floor(), i);
+                cal.schedule(d.floor(), i);
+            }
+            for _ in 0..pops.min(delays.len() - 1) {
+                assert_heads_equal(&heap, cal)?;
+                prop_assert_eq!(heap.pop(), cal.pop());
+            }
+            assert_heads_equal(&heap, cal)?;
+            Ok::<_, TestCaseError>(heap)
+        };
+        let mut cal = CalendarQueue::new();
+        replay(&mut cal)?;
+        cal.reset();
+        prop_assert_eq!(cal.len(), 0);
+        prop_assert_eq!(cal.peek_time(), None);
+        let mut heap = replay(&mut cal)?;
+        assert_drains_equal(&mut heap, &mut cal)?;
+    }
+}
+
+// With debug assertions off a schedule before the clock is tolerated:
+// both queues order it as if it fired at the earliest poppable instant,
+// and the calendar files it into the cursor day's run.
+#[cfg(not(debug_assertions))]
+proptest! {
+    #[test]
+    fn past_time_schedules_pop_as_the_heap_pops_them(
+        ops in proptest::collection::vec((0u8..4, 0.0f64..3.0), 1..300)
+    ) {
+        let mut heap = EventQueue::new();
+        let mut cal = CalendarQueue::new();
+        for (i, &(kind, delay)) in ops.iter().enumerate() {
+            match kind {
+                0 => prop_assert_eq!(heap.pop(), cal.pop()),
+                1 => {
+                    heap.schedule(heap.now() - delay, i);
+                    cal.schedule(cal.now() - delay, i);
+                }
+                _ => {
+                    heap.schedule(heap.now() + delay, i);
+                    cal.schedule(cal.now() + delay, i);
+                }
+            }
+            assert_heads_equal(&heap, &mut cal)?;
+        }
+        assert_drains_equal(&mut heap, &mut cal)?;
+    }
+}

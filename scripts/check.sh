@@ -46,9 +46,13 @@ stage_doc() {
 # Conformance: differential oracles, golden-trace replay, and scenario
 # fuzzing, in --release as well — the optimized build is what produces the
 # paper's numbers, and this catches optimization-only numeric drift. Fixed
-# seeds throughout; the whole stage runs in well under a minute.
+# seeds throughout; the whole stage runs in well under a minute. The event
+# queue properties run optimized too: only there is a schedule before the
+# clock tolerated (it joins the calendar's cursor day) rather than a panic,
+# and a property compares that path against the heap.
 stage_conformance() {
   cargo test --release -q -p altroute-conformance
+  cargo test --release -q -p altroute-simcore --test properties
   cargo run --release -q -p altroute-experiments --bin altroute_cli -- conformance
 }
 
